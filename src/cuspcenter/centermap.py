@@ -24,15 +24,15 @@ from .characters import (
     cuspidal_value,
     steinberg_dimension,
     steinberg_value,
-    theta_exponent,
 )
-from .classes import ClassType, class_predicates, enumerate_classes
-from .cyclotomic import CyclotomicNumber, ell_valuation, is_ell_integral, zeta
+from .classes import ClassType, class_predicates, enumerate_classes, theta_exponent
+from .cyclotomic import CyclotomicNumber, ell_valuation, is_ell_integral
 from .errors import AssertionFailure, IntegralityFailure, NoSolution
 from .finitefield import finite_field, minimal_polynomial, sylow_generator
 from .invariants import (
     InvariantRingData,
     invariant_ring,
+    omega_value,
     pullback_mod_ell_check,
     uniformizer_check,
 )
@@ -291,16 +291,7 @@ def one_vector(ps: ParameterSet) -> BlockVector:
 
 def gamma_vector(ps: ParameterSet) -> BlockVector:
     """Slot 0 carries n; slot i carries sum_k zeta^(i q^k)."""
-    ps = require_reduced(ps)
-    reps = block_slots(ps)
-    m = ps.ell_power
-    entries = [CyclotomicNumber.rational(ps.ell, ps.n)]
-    for i in reps[1:]:
-        total = CyclotomicNumber.zero(ps.ell, ps.r)
-        for k in range(ps.n):
-            total = total + zeta(ps.ell, ps.r, i * pow(ps.q, k, m))
-        entries.append(total)
-    return BlockVector(ps.ell, ps.r, reps, entries)
+    return theta_orbit_vector(ps, 1)
 
 
 def theta_orbit_vector(ps: ParameterSet, j: int) -> BlockVector:
@@ -308,13 +299,8 @@ def theta_orbit_vector(ps: ParameterSet, j: int) -> BlockVector:
     slot 0 is n, slot i is sum_k zeta^(i j q^k)."""
     ps = require_reduced(ps)
     reps = block_slots(ps)
-    m = ps.ell_power
     entries = [CyclotomicNumber.rational(ps.ell, ps.n)]
-    for i in reps[1:]:
-        total = CyclotomicNumber.zero(ps.ell, ps.r)
-        for k in range(ps.n):
-            total = total + zeta(ps.ell, ps.r, i * j * pow(ps.q, k, m))
-        entries.append(total)
+    entries += [omega_value(ps, ps.r, i * j) for i in reps[1:]]
     return BlockVector(ps.ell, ps.r, reps, entries)
 
 

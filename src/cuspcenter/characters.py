@@ -18,10 +18,10 @@ Conventions for a class type with factor list ((P_1, lam_1), ...):
 
 from __future__ import annotations
 
-from .classes import ClassType
-from .cyclotomic import CyclotomicNumber, zeta
+from .classes import ClassType, theta_exponent
+from .cyclotomic import CyclotomicNumber
 from .errors import AssertionFailure
-from .finitefield import ell_part_and_dlog, finite_field, roots_in
+from .invariants import omega_value
 from .params import ParameterSet, require_reduced
 
 
@@ -34,17 +34,6 @@ def cuspidal_dimension(ps: ParameterSet) -> int:
 
 def steinberg_dimension(ps: ParameterSet) -> int:
     return ps.q ** (ps.n * (ps.n - 1) // 2)
-
-
-def theta_exponent(ct: ClassType, ps: ParameterSet) -> int:
-    """Discrete log (base the canonical Sylow generator) of the l-part
-    of a root of the type's polynomial.  Zero exactly when the root is
-    l-regular; well-defined mod l^r up to the q-power orbit."""
-    require_reduced(ps)
-    poly, _ = ct.factors[0]
-    big = finite_field(ps.q**ps.n)
-    root = roots_in(poly, big)[0]
-    return ell_part_and_dlog(root, ps.ell)
 
 
 def cuspidal_value(i: int, ct: ClassType, ps: ParameterSet) -> CyclotomicNumber:
@@ -62,11 +51,7 @@ def cuspidal_value(i: int, ct: ClassType, ps: ParameterSet) -> CyclotomicNumber:
     if (ps.n - x) % 2:
         scalar = -scalar
     if a == ps.n:
-        j = theta_exponent(ct, ps)
-        total = CyclotomicNumber.zero(ps.ell, ps.r)
-        for k in range(a):
-            total = total + zeta(ps.ell, ps.r, i * j * pow(ps.q, k, ps.ell_power))
-        theta_sum = total
+        theta_sum = omega_value(ps, ps.r, i * theta_exponent(ct, ps))
     else:
         # roots of smaller degree are l-regular here, so every theta
         # factor is 1 and the orbit sum collapses to its length

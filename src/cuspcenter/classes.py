@@ -23,8 +23,15 @@ from functools import lru_cache
 
 from .arith import ord_int
 from .errors import AssertionFailure, ScaleLimit
-from .finitefield import FiniteField, FqPoly, finite_field, irreducible_polys, roots_in
-from .params import ParameterSet
+from .finitefield import (
+    FiniteField,
+    FqPoly,
+    ell_part_and_dlog,
+    finite_field,
+    irreducible_polys,
+    roots_in,
+)
+from .params import ParameterSet, require_reduced
 
 
 @lru_cache(maxsize=None)
@@ -71,7 +78,8 @@ def _z_factor(big_q: int, lam: tuple) -> int:
     for _, mult in sorted(Counter(lam).items()):
         for k in range(1, mult + 1):
             val *= 1 - Fraction(1, big_q**k)
-    assert val.denominator == 1
+    if val.denominator != 1:
+        raise AssertionFailure(f"centralizer factor z({big_q}, {lam}) = {val} is not integral")
     return int(val)
 
 
@@ -123,7 +131,11 @@ class ClassType:
     def class_size(self) -> int:
         order = group_order(self.q, self.n)
         cent = self.centralizer_order()
-        assert order % cent == 0
+        if order % cent:
+            raise AssertionFailure(
+                f"centralizer order {cent} of {self.label()} does not divide {order}",
+                witness=self.label(),
+            )
         return order // cent
 
 
@@ -153,44 +165,53 @@ def enumerate_classes(field: FiniteField, n: int, scale_bound: int = 10**6):
             if poly.degree == 1 and not poly.coeffs[0]:
                 continue  # exclude x: invertible matrices only
             polys.append(poly)
+    # depth-first over "the next polynomial used", with an explicit stack:
+    # recursion would nest once per polynomial, past the interpreter's
+    # limit over fields like GF(53)
     out = []
-
-    def rec(idx, budget, chosen):
+    stack = [(0, n, ())]
+    while stack:
+        start, budget, chosen = stack.pop()
         if budget == 0:
             out.append(make_class_type(chosen, n))
-            return
-        if idx == len(polys) or polys[idx].degree > budget:
-            return
-        rec(idx + 1, budget, chosen)
-        a = polys[idx].degree
-        for b in range(1, budget // a + 1):
-            for lam in partitions(b):
-                rec(idx + 1, budget - a * b, chosen + ((polys[idx], lam),))
-
-    rec(0, n, ())
+            continue
+        for idx in range(start, len(polys)):
+            a = polys[idx].degree
+            if a > budget:
+                break  # polys are in increasing degree
+            for b in range(1, budget // a + 1):
+                for lam in partitions(b):
+                    stack.append((idx + 1, budget - a * b, chosen + ((polys[idx], lam),)))
     expected = conjugacy_class_count(field.order, n)
     if len(out) != expected:
         raise AssertionFailure(
             f"enumerated {len(out)} classes, generating function says {expected}"
         )
-    assert len(set(out)) == len(out)
+    if len(set(out)) != len(out):
+        raise AssertionFailure("class enumeration produced a class type twice")
     out.sort(key=ClassType.sort_key)
     return tuple(out)
 
 
-def is_ell_regular(ct: ClassType, ps: ParameterSet) -> bool:
-    """True iff the class has order prime to ell.  Eigenvalues of degree
-    a < n are automatically ell-regular (ell divides q^a - 1 only for
-    a = n); a degree-n eigenvalue is checked by its ell-part dlog."""
-    from .finitefield import ell_part_and_dlog
+@lru_cache(maxsize=None)
+def theta_exponent(ct: ClassType, ps: ParameterSet) -> int:
+    """Discrete log (base the canonical Sylow generator) of the l-part
+    of a root of the type's first polynomial.  Zero exactly when the
+    root is l-regular; well-defined mod l^r up to the q-power orbit.
 
-    for poly, _ in ct.factors:
-        if poly.degree == ct.n:
-            big = finite_field(ct.q**ct.n)
-            root = roots_in(poly, big)[0]
-            if ell_part_and_dlog(root, ps.ell) != 0:
-                return False
-    return True
+    Only a degree-n polynomial can have an l-singular root (l divides
+    q^a - 1 only for a = n), so only those pay for the root search."""
+    ps = require_reduced(ps)
+    poly, _ = ct.factors[0]
+    if poly.degree < ps.n:
+        return 0
+    root = roots_in(poly, finite_field(ps.q**ps.n))[0]
+    return ell_part_and_dlog(root, ps.ell)
+
+
+def is_ell_regular(ct: ClassType, ps: ParameterSet) -> bool:
+    """True iff the class has order prime to ell."""
+    return theta_exponent(ct, ps) == 0
 
 
 def class_predicates(ct: ClassType, ps: ParameterSet) -> dict:

@@ -2,7 +2,9 @@
 
 Subcommands: invariants, endo-ring, classes, oracle, deformation.
 Exit codes: 0 = all checks pass, 1 = a verification check failed,
-2 = invalid parameters or out-of-scale request.
+2 = invalid parameters or out-of-scale request, 3 = internal error
+(any exception outside the package's CuspCenterError taxonomy: the
+failure envelope names it, and its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 
 from . import centermap, deformation, gl2table, matrixoracle, report
 from .arith import multiplicative_order, prime_power
@@ -296,6 +299,10 @@ def main(argv=None) -> int:
     except CuspCenterError as exc:
         env = report.failure_envelope(args.command, parameters, exc)
         code = 1
+    except Exception as exc:
+        traceback.print_exc(file=sys.stderr)  # stdout carries only the envelope
+        env = report.failure_envelope(args.command, parameters, exc)
+        code = 3
     out = sys.stdout
     if args.out == "json":
         out.buffer.write(report.to_json_bytes(env))

@@ -211,8 +211,9 @@ def deformation_suite(
 ) -> dict:
     """Every zeta-exponent with every unit assignment: build the point,
     check all relations, and confirm that the trace values sweep out
-    exactly the root set of m.  Both presentation styles are evaluated
-    on the full point set."""
+    exactly the root set of m.  The two presentation styles differ only
+    in how they write (Y - n) T_k, so their relations are exactly the
+    ones check_relations asserts at every point."""
     ps = require_reduced(ps)
     styles = [
         emit_center_presentation(ring, "quotient-ideal"),
@@ -224,15 +225,8 @@ def deformation_suite(
         for units in product(unit_choices, repeat=ps.n):
             pt = make_point(ps, a, units)
             check_relations(pt, ps, ring)
-            for pres in styles:
-                for name, val in pres.relation_values(pt):
-                    if not val.is_zero():
-                        raise AssertionFailure(
-                            f"presentation relation {name} nonzero at a = {a} "
-                            f"({pres.style})"
-                        )
             points_checked += 1
-        traces.append(make_point(ps, a).trace)
+        traces.append(pt.trace)  # Y depends on a alone, not on the units
 
     distinct = []
     for t in traces:

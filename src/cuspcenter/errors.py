@@ -2,7 +2,8 @@
 
 CLI exit codes: ParameterError subclasses and ScaleLimit map to exit 2
 (bad input / refused size), everything else derived from CuspCenterError
-maps to exit 1 (a verification that ran and failed).
+maps to exit 1 (a verification that ran and failed), and any other
+exception maps to exit 3 (an internal error, not a verdict).
 """
 
 from __future__ import annotations

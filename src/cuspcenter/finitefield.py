@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import gcd
 
 from .arith import divisors, is_prime, ord_int, prime_power
-from .errors import ScaleLimit, ZeroElement
+from .errors import AssertionFailure, ScaleLimit, ZeroElement
 
 # ---------------------------------------------------------------------------
 # F_p[x] on plain integer tuples (low degree first), for modulus hunting
@@ -436,7 +436,10 @@ def irreducible_polys(field: FiniteField, a: int, scale_bound: int = 10**6):
     from .arith import moebius
 
     expected = sum(moebius(a // b) * q**b for b in divisors(a)) // a
-    assert len(out) == expected, f"irreducible count off at degree {a} over GF({q})"
+    if len(out) != expected:
+        raise AssertionFailure(
+            f"found {len(out)} irreducibles of degree {a} over GF({q}), expected {expected}"
+        )
     field._irreducibles[a] = tuple(out)
     return field._irreducibles[a]
 
@@ -512,5 +515,6 @@ def ell_part_and_dlog(t: FFElement, ell: int) -> int:
     t_ell = t ** (beta * m % n) if n > 1 else field.one
     j = dlog[t_ell]
     t_reg = t * (eps**j).inverse()
-    assert gcd(t_reg.multiplicative_order(), ell) == 1
+    if gcd(t_reg.multiplicative_order(), ell) != 1:
+        raise AssertionFailure(f"l-regular part of {t!r} has order divisible by {ell}")
     return j

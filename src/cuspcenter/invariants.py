@@ -204,14 +204,15 @@ def trace_element(ps: ParameterSet) -> GroupRingElement:
     return GroupRingElement(m, cs)
 
 
-def omega_value(ps: ParameterSet, i: int) -> CyclotomicNumber:
-    """Trace of zeta_{l^i} under the q-power orbit: sum of zeta^(q^k)."""
+def omega_value(ps: ParameterSet, i: int, exponent: int = 1) -> CyclotomicNumber:
+    """Trace of zeta_{l^i}^exponent under the q-power orbit: the sum of
+    zeta_{l^i}^(exponent q^k) over k < n, at level i."""
     ps = require_reduced(ps)
     assert 1 <= i <= ps.r
     m = ps.ell**i
     total = CyclotomicNumber.zero(ps.ell, i)
     for k in range(ps.n):
-        total = total + zeta(ps.ell, i, pow(ps.q, k, m))
+        total = total + zeta(ps.ell, i, exponent * pow(ps.q, k, m))
     return total
 
 
@@ -234,12 +235,8 @@ def omega_and_min_poly(ps: ParameterSet, i: int):
     for a in units:
         if a in assigned:
             continue
-        coset = {a * h % m for h in subgroup}
-        assigned |= coset
-        total = CyclotomicNumber.zero(ell, i)
-        for e in sorted(coset):
-            total = total + zeta(ell, i, e)
-        conj_sums.append(total)
+        assigned |= {a * h % m for h in subgroup}
+        conj_sums.append(omega_value(ps, i, a))
     coeffs = from_roots(conj_sums)
     rational_coeffs = []
     for c in coeffs:

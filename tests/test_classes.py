@@ -2,10 +2,13 @@
 generating function, sizes against classical tables, and the
 centralizer-order dichotomy."""
 
+import sys
 from collections import Counter
 
 import pytest
 
+from cuspcenter import finitefield
+from cuspcenter.centermap import verify_endo_ring
 from cuspcenter.classes import (
     class_predicates,
     conjugacy_class_count,
@@ -15,6 +18,7 @@ from cuspcenter.classes import (
     make_class_type,
     partitions,
     representative_matrix,
+    theta_exponent,
 )
 from cuspcenter.errors import ScaleLimit
 from cuspcenter.finitefield import FqPoly, embedding, finite_field
@@ -107,6 +111,13 @@ def test_enumeration_deterministic_and_sorted():
     assert len(set(labels)) == len(labels)
 
 
+def test_enumeration_many_polys_gf53():
+    # 52 linear plus 1378 quadratic irreducibles: the enumeration must not
+    # nest once per polynomial
+    classes = enumerate_classes(finite_field(53), 2)
+    assert len(classes) == conjugacy_class_count(53, 2) == 2808
+
+
 def test_enumeration_scale_limit():
     with pytest.raises(ScaleLimit):
         enumerate_classes(finite_field(8), 2, scale_bound=50)
@@ -157,3 +168,28 @@ def test_representative_is_invertible():
         # determinant = (-1)^n * constant term of charpoly, nonzero
         cp = generic_charpoly([list(row) for row in rep], zero=f3.zero, one=f3.one)
         assert cp[0]  # constant term nonzero <=> invertible
+
+
+def test_theta_exponent_searches_roots_once_per_degree_n_class(monkeypatch):
+    # every consumer (class predicates, cuspidal values, the degree-n
+    # filter, gamma reconstruction) shares one root search per class
+    original = finitefield.roots_in
+    calls = []
+
+    def counting_roots_in(poly, big):
+        calls.append(poly)
+        return original(poly, big)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("cuspcenter") and (
+            getattr(module, "roots_in", None) is original
+        ):
+            monkeypatch.setattr(module, "roots_in", counting_roots_in)
+    theta_exponent.cache_clear()
+    result = verify_endo_ring(8, 3, 2)
+    degree_2 = [
+        ct for ct in result.classes if ct.is_primary and ct.factors[0][0].degree == 2
+    ]
+    assert len(degree_2) == 28
+    assert len(calls) == 28
+    assert len(set(calls)) == 28

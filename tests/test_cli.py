@@ -163,6 +163,20 @@ def test_endo_ring_unreduced_matches_reduced(capsys):
     assert env_u["parameters"] != env_r["parameters"]
 
 
+def test_internal_error_exits_3(capsys, monkeypatch):
+    from cuspcenter import cli
+
+    def broken(args):
+        raise KeyError("missing slot")
+
+    monkeypatch.setitem(cli._DISPATCH, "invariants", broken)
+    code, out = run_cli(capsys, "invariants", "--q", "2", "--ell", "3", "--out", "json")
+    assert code == 3
+    env = json.loads(out)
+    assert env["status"] == "fail"
+    assert env["artifacts"]["error"] == {"type": "KeyError", "message": "'missing slot'"}
+
+
 def test_console_script():
     proc = subprocess.run(
         [sys.executable, "-m", "cuspcenter", "invariants", "--q", "2", "--ell", "3"],
