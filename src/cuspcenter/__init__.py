@@ -13,6 +13,7 @@ from .centermap import (
     EndoRingResult,
     case_analysis,
     delta_class,
+    express_all_in_gamma,
     express_in_gamma,
     gamma_vector,
     lemma_signs_check,
@@ -74,6 +75,7 @@ __all__ = [
     "ell_valuation",
     "emit_center_presentation",
     "enumerate_classes",
+    "express_all_in_gamma",
     "express_in_gamma",
     "finite_field",
     "gamma_vector",

@@ -36,7 +36,7 @@ from .invariants import (
     pullback_mod_ell_check,
     uniformizer_check,
 )
-from .linalg import solve_unique
+from .linalg import solve_columns
 from .params import ParameterSet, reduce_parameters, require_reduced
 from .polynomials import Poly
 
@@ -367,45 +367,48 @@ def reconstruct_gamma(
     }
 
 
+def _coordinates(vec: BlockVector, phi: int) -> list:
+    """Flatten a block vector to rationals, one per (slot, power-basis
+    coordinate)."""
+    out = []
+    for e in vec.entries:
+        out += [e.coeffs[c] if c < len(e.coeffs) else Fraction(0) for c in range(phi)]
+    return out
+
+
 def _coordinate_rows(vectors, phi):
-    """Flatten block vectors to rational rows, one row per (slot,
-    power-basis coordinate)."""
-    rows = []
-    count = len(vectors[0].entries)
-    for s in range(count):
-        for c in range(phi):
-            row = []
-            for v in vectors:
-                e = v.entries[s]
-                row.append(e.coeffs[c] if c < len(e.coeffs) else Fraction(0))
-            rows.append(row)
-    return rows
+    """The matrix whose columns are the flattened ``vectors``."""
+    return [list(row) for row in zip(*(_coordinates(v, phi) for v in vectors))]
 
 
-def express_in_gamma(vec: BlockVector, gamma_pows, ps: ParameterSet) -> Poly:
-    """The unique h with deg h < D and h(gamma) = vec, as an l-integral
-    polynomial; NoSolution if vec is outside Q[gamma], IntegralityFailure
-    if the coordinates exist but are not l-integral."""
+def express_all_in_gamma(vecs, gamma_pows, ps: ParameterSet) -> list:
+    """For each vec the unique h with deg h < D and h(gamma) = vec, as an
+    l-integral polynomial, from one elimination of the gamma-power
+    system; NoSolution if any vec is outside Q[gamma],
+    IntegralityFailure if its coordinates exist but are not l-integral."""
     from .cyclotomic import phi_prime_power
 
     phi = phi_prime_power(ps.ell, ps.r)
     rows = _coordinate_rows(gamma_pows, phi)
-    rhs = []
-    for s in range(len(vec.entries)):
-        for c in range(phi):
-            e = vec.entries[s]
-            rhs.append(e.coeffs[c] if c < len(e.coeffs) else Fraction(0))
-    sol = solve_unique(rows, rhs)
-    h = Poly(sol)
-    if not h.is_ell_integral(ps.ell):
-        raise IntegralityFailure("gamma-certificate is not l-integral")
-    for s in range(len(vec.entries)):
-        acc = CyclotomicNumber.zero(ps.ell, ps.r)
-        for coeff, pw in zip(sol, gamma_pows):
-            acc = acc + pw.entries[s] * coeff
-        if not (acc - vec.entries[s]).is_zero():
-            raise AssertionFailure("gamma-certificate fails to reproduce the vector")
-    return h
+    sols = solve_columns(rows, [_coordinates(vec, phi) for vec in vecs])
+    out = []
+    for vec, sol in zip(vecs, sols):
+        h = Poly(sol)
+        if not h.is_ell_integral(ps.ell):
+            raise IntegralityFailure("gamma-certificate is not l-integral")
+        for s in range(len(vec.entries)):
+            acc = CyclotomicNumber.zero(ps.ell, ps.r)
+            for coeff, pw in zip(sol, gamma_pows):
+                acc = acc + pw.entries[s] * coeff
+            if not (acc - vec.entries[s]).is_zero():
+                raise AssertionFailure("gamma-certificate fails to reproduce the vector")
+        out.append(h)
+    return out
+
+
+def express_in_gamma(vec: BlockVector, gamma_pows, ps: ParameterSet) -> Poly:
+    """``express_all_in_gamma`` for a single vector."""
+    return express_all_in_gamma([vec], gamma_pows, ps)[0]
 
 
 def gamma_power_basis(gamma: BlockVector, count: int):
@@ -569,10 +572,8 @@ def verify_endo_ring(
     )
 
     gamma_pows = gamma_power_basis(gamma, ring.dimension)
-    certificates = {}
-    for ct in classes:
-        h = express_in_gamma(deltas[ct], gamma_pows, ps)
-        certificates[ct.label()] = h
+    certs = express_all_in_gamma([deltas[ct] for ct in classes], gamma_pows, ps)
+    certificates = {ct.label(): h for ct, h in zip(classes, certs)}
     checks.append("closure: every delta vector is an l-integral polynomial in gamma")
 
     g_report = g_of_gamma_check(ring, gamma)

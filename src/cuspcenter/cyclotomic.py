@@ -4,12 +4,19 @@ An element is a vector of rationals on the power basis
 1, z, ..., z^(phi(l^i) - 1) of Q(zeta_{l^i}), always kept reduced modulo
 the cyclotomic polynomial Phi_{l^i}(X) = Phi_l(X^(l^(i-1))).  Level 0 is
 plain Q.  Elements of different levels over the same l mix freely: the
-lower one embeds via zeta_i = zeta_j^(l^(j-i)).
+lower one embeds via zeta_i = zeta_j^(l^(j-i)).  Products and reductions
+run on integer numerators over one common denominator; ``_reduce`` is
+the only fold modulo Phi.
 
 The l-adic valuation is normalised so that nu(zeta_{l^i} - 1) = 1 at
 level i >= 1, hence nu(l) = phi(l^i) and on rationals embedded at level
 i the valuation is phi(l^i) times the usual ord_l.  Levels are kept
-explicit everywhere for that reason.
+explicit everywhere for that reason.  Q_l(zeta_{l^i}) is totally
+ramified over Q_l of degree phi with uniformizer pi = zeta - 1, so
+writing x = sum_k d_k pi^k (0 <= k < phi, d_k rational) the terms have
+valuations phi * ord_l(d_k) + k, pairwise distinct mod phi; the
+valuation of x is therefore exactly their minimum, read off without
+computing the norm.
 
 >>> z = zeta(3, 1)
 >>> (z * z + z + 1).is_zero()
@@ -23,10 +30,13 @@ True
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from . import linalg
-from .arith import ord_frac
+from .arith import ord_frac, ord_int
 from .errors import ZeroArgument
+
+_ZERO = Fraction(0)
 
 
 def phi_prime_power(ell: int, level: int) -> int:
@@ -36,29 +46,39 @@ def phi_prime_power(ell: int, level: int) -> int:
     return m - m // ell
 
 
-def _reduce(ell: int, level: int, raw) -> tuple:
-    """Reduce a dense coefficient list to the power basis at ``level``."""
+def _reduce(ell: int, level: int, raw) -> list:
+    """Reduce dense integer coefficients to the power basis at ``level``."""
     if level == 0:
-        total = Fraction(0)
-        for c in raw:
-            total += c
-        return (total,)
+        return [sum(raw)]
     m = ell**level
     phi = m - m // ell
     step = m // ell
-    folded = [Fraction(0)] * m
+    folded = [0] * m
     for e, c in enumerate(raw):
         if c:
             folded[e % m] += c
-    # X^phi = -(1 + X^step + ... + X^((ell-2)*step)); targets stay < phi
+    # X^phi = -(1 + X^step + ... + X^((ell-2)*step)); targets stay < e
     for e in range(m - 1, phi - 1, -1):
         c = folded[e]
         if c:
-            folded[e] = Fraction(0)
             base = e - phi
             for j in range(ell - 1):
                 folded[base + j * step] -= c
-    return tuple(folded[:phi])
+    return folded[:phi]
+
+
+def _numerators(coeffs) -> tuple[list, int]:
+    """Integer numerators of ``coeffs`` over their least common denominator."""
+    den = 1
+    for c in coeffs:
+        d = c.denominator
+        if den % d:
+            den = den // gcd(den, d) * d
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _fractions(nums, den) -> tuple:
+    return tuple(Fraction(x, den) if x else _ZERO for x in nums)
 
 
 class CyclotomicNumber:
@@ -70,7 +90,8 @@ class CyclotomicNumber:
         if reduced:
             self.coeffs = tuple(coeffs)
         else:
-            self.coeffs = _reduce(ell, level, [Fraction(c) for c in coeffs])
+            nums, den = _numerators([Fraction(c) for c in coeffs])
+            self.coeffs = _fractions(_reduce(ell, level, nums), den)
         assert len(self.coeffs) == phi_prime_power(ell, level)
 
     @classmethod
@@ -89,14 +110,12 @@ class CyclotomicNumber:
             return self
         if level < self.level:
             raise ValueError("can only embed into a higher level")
-        if self.level == 0:
-            raw = [self.coeffs[0]]
-        else:
-            stretch = self.ell ** (level - self.level)
-            raw = [Fraction(0)] * (stretch * (len(self.coeffs) - 1) + 1)
-            for e, c in enumerate(self.coeffs):
-                raw[e * stretch] = c
-        return CyclotomicNumber(self.ell, level, raw)
+        # z_low^e = z^(e * stretch) with e * stretch < phi: already reduced
+        stretch = 0 if self.level == 0 else self.ell ** (level - self.level)
+        out = [_ZERO] * phi_prime_power(self.ell, level)
+        for e, c in enumerate(self.coeffs):
+            out[e * stretch] = c
+        return CyclotomicNumber(self.ell, level, out, reduced=True)
 
     def canonical(self) -> "CyclotomicNumber":
         """Equal element at the smallest possible level."""
@@ -166,16 +185,20 @@ class CyclotomicNumber:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.level == 0 or other.level == 0:
+            a, s = (self, other.coeffs[0]) if other.level == 0 else (other, self.coeffs[0])
+            return CyclotomicNumber(a.ell, a.level, tuple(c * s for c in a.coeffs), reduced=True)
         a, b = self._common(other)
-        if a.level == 0:
-            return CyclotomicNumber(a.ell, 0, (a.coeffs[0] * b.coeffs[0],), reduced=True)
-        out = [Fraction(0)] * (2 * len(a.coeffs) - 1)
-        for i, x in enumerate(a.coeffs):
+        na, da = _numerators(a.coeffs)
+        nb, db = _numerators(b.coeffs)
+        out = [0] * (2 * len(na) - 1)
+        for i, x in enumerate(na):
             if x:
-                for j, y in enumerate(b.coeffs):
+                for j, y in enumerate(nb):
                     if y:
                         out[i + j] += x * y
-        return CyclotomicNumber(a.ell, a.level, out)
+        folded = _reduce(a.ell, a.level, out)
+        return CyclotomicNumber(a.ell, a.level, _fractions(folded, da * db), reduced=True)
 
     __rmul__ = __mul__
 
@@ -213,8 +236,8 @@ class CyclotomicNumber:
         n = len(self.coeffs)
         cols = []
         for j in range(n):
-            shifted = [Fraction(0)] * j + list(self.coeffs)
-            cols.append(_reduce(self.ell, self.level, shifted))
+            shifted = [0] * j + list(self.coeffs)
+            cols.append(CyclotomicNumber(self.ell, self.level, shifted).coeffs)
         return [[cols[j][i] for j in range(n)] for i in range(n)]
 
     def norm(self) -> Fraction:
@@ -265,12 +288,28 @@ def zeta(ell: int, level: int, exponent: int = 1) -> CyclotomicNumber:
 
 
 def ell_valuation(x: CyclotomicNumber) -> int:
-    """Normalised l-adic valuation: nu(zeta - 1) = 1, nu(l) = phi(l^i)."""
+    """Normalised l-adic valuation: nu(zeta - 1) = 1, nu(l) = phi(l^i).
+
+    At level i >= 1, clear denominators to integers c_j over one den,
+    Taylor-shift sum_j c_j X^j by X -> X + 1 to get x * den as
+    sum_k d_k (zeta - 1)^k, and return min_k(phi * ord_l(d_k) + k) minus
+    phi * ord_l(den).  The extension is totally ramified with
+    uniformizer zeta - 1, so the terms have pairwise distinct valuations
+    mod phi and the minimum is exact.  The shift keeps the degree below
+    phi, so no reduction modulo Phi is needed.
+    """
     if x.is_zero():
         raise ZeroArgument("valuation of zero")
+    ell = x.ell
     if x.level == 0:
-        return ord_frac(x.coeffs[0], x.ell)
-    return ord_frac(x.norm(), x.ell)
+        return ord_frac(x.coeffs[0], ell)
+    d, den = _numerators(x.coeffs)
+    phi = len(d)
+    for i in range(phi - 1):
+        for j in range(phi - 2, i - 1, -1):
+            d[j] += d[j + 1]
+    best = min(phi * ord_int(dk, ell) + k for k, dk in enumerate(d) if dk)
+    return best - phi * ord_int(den, ell)
 
 
 def is_ell_integral(x: CyclotomicNumber) -> bool:

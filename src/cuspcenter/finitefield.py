@@ -270,7 +270,8 @@ def embedding(src: FiniteField, dst: FiniteField) -> dict:
         if not acc:
             root = t
             break
-    assert root is not None, "source modulus has no root in destination"
+    if root is None:
+        raise AssertionFailure("source modulus has no root in destination")
     powers = [dst.one]
     for _ in range(src.e - 1):
         powers.append(powers[-1] * root)
@@ -490,7 +491,8 @@ def sylow_generator(field: FiniteField, ell: int):
         if t.multiplicative_order() == target:
             eps = t
             break
-    assert eps is not None
+    if eps is None:
+        raise AssertionFailure(f"no element of order {target} in F_{field.order}")
     dlog = {}
     x = field.one
     for k in range(target):

@@ -250,7 +250,8 @@ def omega_and_min_poly(ps: ParameterSet, i: int):
             raise AssertionFailure(f"m_{i} coefficient not an integer: {rc}")
         rational_coeffs.append(rc)
     m_i = Poly(rational_coeffs)
-    assert m_i.degree == phi_prime_power(ell, i) // n
+    if m_i.degree != phi_prime_power(ell, i) // n:
+        raise AssertionFailure(f"deg m_{i} = {m_i.degree} != phi(l^{i})/n", witness=i)
     omega = omega_value(ps, i)
     value = m_i(omega)
     if not (value * 1).is_zero():

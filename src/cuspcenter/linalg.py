@@ -1,4 +1,11 @@
-"""Exact Gaussian elimination over Fraction."""
+"""Exact Gaussian elimination over Fraction.
+
+``_echelon`` is the one elimination routine.  ``solve_columns`` solves
+A x = b for several right-hand sides with a single reduction of
+[A | b_1 ... b_k]; ``solve_unique`` is its one-column case, and
+``invert`` reduces [A | I] the same way.  ``determinant`` is kept as the
+referee for the cyclotomic norm.
+"""
 
 from __future__ import annotations
 
@@ -32,24 +39,36 @@ def _echelon(aug: list[list[Fraction]], ncols: int) -> list[int]:
     return pivots
 
 
-def solve_unique(rows, rhs) -> list[Fraction]:
-    """Solve A x = b exactly; A may be rectangular but must have full
-    column rank and the system must be consistent.
+def solve_columns(rows, rhs_list) -> list[list[Fraction]]:
+    """Solve A x = b exactly for every b in ``rhs_list`` with one
+    elimination; A may be rectangular but must have full column rank
+    and every system must be consistent.
 
-    Raises NoSolution if inconsistent, ValueError if underdetermined.
+    Raises NoSolution if any column is inconsistent, ValueError if
+    underdetermined.
     """
     ncols = len(rows[0]) if rows else 0
-    aug = [[Fraction(x) for x in r] + [Fraction(b)] for r, b in zip(rows, rhs)]
+    k = len(rhs_list)
+    aug = [
+        [Fraction(x) for x in r] + [Fraction(b[i]) for b in rhs_list]
+        for i, r in enumerate(rows)
+    ]
     pivots = _echelon(aug, ncols)
     for r in aug[len(pivots):]:
-        if r[ncols] != 0:
+        if any(r[ncols:]):
             raise NoSolution("inconsistent linear system")
     if len(pivots) < ncols:
         raise ValueError("underdetermined linear system")
-    sol = [Fraction(0)] * ncols
+    sols = [[Fraction(0)] * ncols for _ in range(k)]
     for i, col in enumerate(pivots):
-        sol[col] = aug[i][ncols]
-    return sol
+        for j in range(k):
+            sols[j][col] = aug[i][ncols + j]
+    return sols
+
+
+def solve_unique(rows, rhs) -> list[Fraction]:
+    """Solve A x = b exactly (the one-column case of ``solve_columns``)."""
+    return solve_columns(rows, [rhs])[0]
 
 
 def invert(rows) -> list[list[Fraction]]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .arith import is_prime, multiplicative_order, ord_int, prime_power
-from .errors import DegenerateBlock, InvalidPrime, SupercuspidalCase
+from .errors import AssertionFailure, DegenerateBlock, InvalidPrime, SupercuspidalCase
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,8 @@ def reduce_parameters(ps: ParameterSet) -> ParameterSet:
         return ps
     red = validate_parameters(ps.q**ps.d, ps.ell, ps.n // ps.d, 1)
     # the ell-part of q^n - 1 is blind to the reduction
-    assert red.r == ps.r and red.w == red.n
+    if red.r != ps.r or red.w != red.n:
+        raise AssertionFailure(f"reduction changed r or w: {ps} -> {red}")
     return red
 
 

@@ -19,6 +19,7 @@ from cuspcenter.centermap import (
     BlockVector,
     block_slots,
     delta_class,
+    express_all_in_gamma,
     express_in_gamma,
     gamma_power_basis,
     gamma_vector,
@@ -28,6 +29,7 @@ from cuspcenter.centermap import (
     s_membership,
     theta_orbit_vector,
 )
+from cuspcenter import linalg
 from cuspcenter.cyclotomic import CyclotomicNumber, zeta
 from cuspcenter.errors import AssertionFailure, IntegralityFailure, NoSolution
 from cuspcenter.invariants import invariant_ring
@@ -234,6 +236,47 @@ def test_express_in_gamma_failure_modes():
     fractional = BlockVector(3, 1, reps, [Fraction(1, 3), Fraction(1, 3)])
     with pytest.raises(IntegralityFailure):
         express_in_gamma(fractional, pows, ps)
+
+
+def test_express_all_in_gamma_failure_modes():
+    ps = validate_parameters(2, 3, 2)
+    gamma = gamma_vector(ps)
+    pows = gamma_power_basis(gamma, 2)
+    reps = block_slots(ps)
+    valid = [one_vector(ps), gamma, gamma.scale(5)]
+    outside = BlockVector(3, 1, reps, [0, zeta(3, 1)])
+    with pytest.raises(NoSolution):
+        express_all_in_gamma(valid[:2] + [outside] + valid[2:], pows, ps)
+    fractional = BlockVector(3, 1, reps, [Fraction(1, 3), Fraction(1, 3)])
+    with pytest.raises(IntegralityFailure):
+        express_all_in_gamma(valid + [fractional], pows, ps)
+    assert express_all_in_gamma(valid, pows, ps) == [Poly((1,)), Poly((0, 1)), Poly((0, 5))]
+
+
+def test_express_all_matches_per_vector(endo_results):
+    res = endo_results["P3"]
+    pows = gamma_power_basis(res.gamma, res.ring.dimension)
+    vecs = list(res.deltas.values())
+    batch = express_all_in_gamma(vecs, pows, res.params)
+    assert batch == [express_in_gamma(v, pows, res.params) for v in vecs]
+    assert batch == list(res.certificates.values())
+
+
+def test_express_all_in_gamma_eliminates_once(endo_results, monkeypatch):
+    res = endo_results["P2"]
+    calls = []
+    echelon = linalg._echelon
+
+    def counted(*args):
+        calls.append(1)
+        return echelon(*args)
+
+    monkeypatch.setattr(linalg, "_echelon", counted)
+    pows = gamma_power_basis(res.gamma, res.ring.dimension)
+    vecs = list(res.deltas.values())
+    assert len(vecs) == 6
+    express_all_in_gamma(vecs, pows, res.params)
+    assert len(calls) == 1
 
 
 def test_certificates_reproduce_deltas(endo_results):

@@ -1,0 +1,11 @@
+"""The usage examples in module docstrings are executed, not just read."""
+
+import doctest
+
+import cuspcenter.cyclotomic
+
+
+def test_cyclotomic_doctests():
+    result = doctest.testmod(cuspcenter.cyclotomic)
+    assert result.attempted > 0
+    assert result.failed == 0
