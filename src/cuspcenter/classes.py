@@ -29,7 +29,7 @@ from .finitefield import (
     ell_part_and_dlog,
     finite_field,
     irreducible_polys,
-    roots_in,
+    smallest_root,
 )
 from .params import ParameterSet, require_reduced
 
@@ -200,12 +200,13 @@ def theta_exponent(ct: ClassType, ps: ParameterSet) -> int:
     root is l-regular; well-defined mod l^r up to the q-power orbit.
 
     Only a degree-n polynomial can have an l-singular root (l divides
-    q^a - 1 only for a = n), so only those pay for the root search."""
+    q^a - 1 only for a = n), so only those look up their smallest root
+    in the Frobenius orbits of F_{q^n}."""
     ps = require_reduced(ps)
     poly, _ = ct.factors[0]
     if poly.degree < ps.n:
         return 0
-    root = roots_in(poly, finite_field(ps.q**ps.n))[0]
+    root = smallest_root(poly, finite_field(ps.q**ps.n))
     return ell_part_and_dlog(root, ps.ell)
 
 

@@ -46,7 +46,8 @@ def _diag(entries, zero):
 def make_point(ps: ParameterSet, zeta_exponent: int, units=None) -> DeformationPoint:
     """Psi = diag(zeta^a, zeta^(aq), ..., zeta^(aq^(n-1))) and the
     cyclic-shift Fr with the given unit entries; the commutation
-    relation Fr Psi = Psi^q Fr is asserted exactly."""
+    relation Fr Psi = Psi^q Fr is asserted exactly.  Psi lives at level
+    r, Fr and its T-values over Q (level 0)."""
     ps = require_reduced(ps)
     n = ps.n
     a = zeta_exponent % ps.ell_power
@@ -55,15 +56,16 @@ def make_point(ps: ParameterSet, zeta_exponent: int, units=None) -> DeformationP
     units = tuple(units)
     assert len(units) == n
     zero = CyclotomicNumber.zero(ps.ell, ps.r)
-    one = CyclotomicNumber.rational(ps.ell, 1).embed_to(ps.r)
 
     diag_entries = [
         zeta(ps.ell, ps.r, a * pow(ps.q, i, ps.ell_power)) for i in range(n)
     ]
     psi = _diag(diag_entries, zero)
 
-    unit_cyclo = [CyclotomicNumber.rational(ps.ell, u).embed_to(ps.r) for u in units]
-    fr_rows = [[zero] * n for _ in range(n)]
+    q_zero = CyclotomicNumber.zero(ps.ell)
+    q_one = CyclotomicNumber.rational(ps.ell, 1)
+    unit_cyclo = [CyclotomicNumber.rational(ps.ell, u) for u in units]
+    fr_rows = [[q_zero] * n for _ in range(n)]
     for i in range(1, n):
         fr_rows[i - 1][i] = unit_cyclo[i]
     fr_rows[n - 1][0] = unit_cyclo[0]
@@ -82,7 +84,7 @@ def make_point(ps: ParameterSet, zeta_exponent: int, units=None) -> DeformationP
     trace = zero
     for e in diag_entries:
         trace = trace + e
-    char = charpoly(fr, zero, one)          # c_0 .. c_n of det(Y I - Fr)
+    char = charpoly(fr, q_zero, q_one)      # c_0 .. c_n of det(Y I - Fr)
     t_values = tuple(char[n - k] for k in range(1, n + 1))
     return DeformationPoint(
         ps=ps,

@@ -10,13 +10,22 @@ that" choice below (subfield embeddings, Sylow generators, roots).
 Subfields embed by sending the small field's generator to the smallest
 root of its modulus in the big field.  All such choices are pure
 functions of (p, e), so independent runs agree.
+
+Roots and irreducible polynomials come from Frobenius orbits: one lazy
+pass over a big field per subfield (``frobenius_orbits``) walks the
+elements in encoding order, follows each new element x through
+x, x^q, x^(q^2), ... and records the orbit's product of (Y - x_i), the
+minimal polynomial, against x, its smallest-encoding root.  So every
+monic irreducible of degree dividing [big : sub] is found together with
+the root ``roots_in(...)[0]`` would return; ``roots_in`` keeps its
+brute-force evaluation as the tests' referee.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .arith import divisors, is_prime, ord_int, prime_power
+from .arith import divisors, is_prime, moebius, ord_int, prime_power
 from .errors import AssertionFailure, ScaleLimit, ZeroElement
 
 # ---------------------------------------------------------------------------
@@ -111,6 +120,8 @@ class FiniteField:
         self.zero = FFElement(self, (0,) * e)
         self.one = FFElement(self, (1,) + (0,) * (e - 1))
         self._embeddings: dict[tuple[int, int], dict] = {}
+        self._inverse_embeddings: dict[tuple[int, int], dict] = {}
+        self._orbits: dict[tuple[int, int], dict] = {}
         self._irreducibles: dict[int, tuple] = {}
         self._sylow: dict[int, tuple] = {}
 
@@ -257,7 +268,8 @@ def embedding(src: FiniteField, dst: FiniteField) -> dict:
     key = (src.p, src.e)
     if key in dst._embeddings:
         return dst._embeddings[key]
-    assert src.p == dst.p and dst.e % src.e == 0
+    if src.p != dst.p or dst.e % src.e:
+        raise AssertionFailure(f"{src!r} is not a subfield of {dst!r}")
     if src is dst:
         table = {x: x for x in src.elements()}
         dst._embeddings[key] = table
@@ -286,7 +298,11 @@ def embedding(src: FiniteField, dst: FiniteField) -> dict:
 
 
 def inverse_embedding(src: FiniteField, dst: FiniteField) -> dict:
-    return {v: k for k, v in embedding(src, dst).items()}
+    """The inverse of ``embedding(src, dst)``, defined on its image."""
+    key = (src.p, src.e)
+    if key not in dst._inverse_embeddings:
+        dst._inverse_embeddings[key] = {v: k for k, v in embedding(src, dst).items()}
+    return dst._inverse_embeddings[key]
 
 
 # ---------------------------------------------------------------------------
@@ -415,34 +431,25 @@ class FqPoly:
 
 def irreducible_polys(field: FiniteField, a: int, scale_bound: int = 10**6):
     """All monic irreducible polynomials of degree a over ``field``,
-    in deterministic (coefficient-encoding) order.  Includes x."""
+    in deterministic (coefficient-encoding) order.  Includes x.
+
+    They are the degree-a orbits of the Frobenius pass over GF(q^a)."""
     if a in field._irreducibles:
         return field._irreducibles[a]
     q = field.order
     if q**a > scale_bound:
         raise ScaleLimit(f"irreducible_polys over GF({q}) at degree {a}")
-    smaller = []
-    for b in range(1, a // 2 + 1):
-        smaller.extend(irreducible_polys(field, b, scale_bound))
-    out = []
-    for enc in range(q**a):
-        digits = []
-        x = enc
-        for _ in range(a):
-            digits.append(x % q)
-            x //= q
-        cand = FqPoly(field, tuple(field.element(d) for d in digits) + (field.one,))
-        if all((cand % small).coeffs for small in smaller):
-            out.append(cand)
-    from .arith import moebius
-
+    orbits = frobenius_orbits(field, finite_field(q**a))
+    # monic of one degree: encoding order is lexicographic from the top
+    found = sorted((cs for cs in orbits if len(cs) == a + 1), key=lambda cs: cs[::-1])
+    out = tuple(FqPoly.from_encodings(field, cs) for cs in found)
     expected = sum(moebius(a // b) * q**b for b in divisors(a)) // a
     if len(out) != expected:
         raise AssertionFailure(
             f"found {len(out)} irreducibles of degree {a} over GF({q}), expected {expected}"
         )
-    field._irreducibles[a] = tuple(out)
-    return field._irreducibles[a]
+    field._irreducibles[a] = out
+    return out
 
 
 def roots_in(poly: FqPoly, big: FiniteField) -> list[FFElement]:
@@ -453,23 +460,77 @@ def roots_in(poly: FqPoly, big: FiniteField) -> list[FFElement]:
     return [t for t in big.elements() if not lifted(t)]
 
 
-def minimal_polynomial(t: FFElement, sub: FiniteField) -> FqPoly:
-    """Minimal polynomial of t over the subfield ``sub``."""
-    big = t.field
-    q = sub.order
-    orbit = [t]
-    x = t**q
-    while x != t:
-        orbit.append(x)
-        x = x**q
+def _frobenius_orbit(x: FFElement, q: int) -> list:
+    """x, x^q, x^(q^2), ... up to the first return to x."""
+    orbit = [x]
+    y = x**q
+    while y != x:
+        orbit.append(y)
+        y = y**q
+    return orbit
+
+
+def _orbit_product(orbit, big: FiniteField) -> list:
+    """Coefficients in ``big``, low degree first, of prod (Y - x) over
+    the orbit."""
     coeffs = [big.one]
     for root in orbit:
         shifted = [big.zero] + coeffs
         for k, c in enumerate(coeffs):
             shifted[k] = shifted[k] - root * c
         coeffs = shifted
+    return coeffs
+
+
+def minimal_polynomial(t: FFElement, sub: FiniteField) -> FqPoly:
+    """Minimal polynomial of t over the subfield ``sub``."""
+    back = inverse_embedding(sub, t.field)
+    orbit = _frobenius_orbit(t, sub.order)
+    return FqPoly(sub, tuple(back[c] for c in _orbit_product(orbit, t.field)))
+
+
+def frobenius_orbits(sub: FiniteField, big: FiniteField) -> dict:
+    """Every monic irreducible over ``sub`` of degree dividing
+    [big : sub], as the encodings of its coefficients (low degree first,
+    leading 1 included), mapped to the encoding of its smallest root in
+    ``big`` -- the root ``roots_in(poly, big)[0]`` returns.
+
+    Computed on first use by one pass over ``big`` and kept on ``big``
+    per subfield."""
+    key = (sub.p, sub.e)
+    if key not in big._orbits:
+        big._orbits[key] = _orbit_pass(sub, big)
+    return big._orbits[key]
+
+
+def _orbit_pass(sub: FiniteField, big: FiniteField) -> dict:
     back = inverse_embedding(sub, big)
-    return FqPoly(sub, tuple(back[c] for c in coeffs))
+    degree = big.e // sub.e
+    visited = bytearray(big.order)
+    table = {}
+    for enc in range(big.order):
+        if visited[enc]:
+            continue
+        # enc is the smallest encoding in its orbit: all before it are visited
+        orbit = _frobenius_orbit(big.element(enc), sub.order)
+        if degree % len(orbit):
+            raise AssertionFailure(
+                f"Frobenius orbit of {orbit[0]!r} over {sub!r} has length {len(orbit)},"
+                f" which does not divide {degree}"
+            )
+        for y in orbit:
+            visited[y.encoding] = 1
+        table[tuple(back[c].encoding for c in _orbit_product(orbit, big))] = enc
+    return table
+
+
+def smallest_root(poly: FqPoly, big: FiniteField) -> FFElement:
+    """``roots_in(poly, big)[0]`` for a monic irreducible ``poly`` whose
+    degree divides [big : poly.field], read from the Frobenius orbits."""
+    enc = frobenius_orbits(poly.field, big).get(tuple(c.encoding for c in poly.coeffs))
+    if enc is None:
+        raise AssertionFailure(f"{poly!r} is not a monic irreducible with roots in {big!r}")
+    return big.element(enc)
 
 
 # ---------------------------------------------------------------------------

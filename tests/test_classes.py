@@ -170,26 +170,54 @@ def test_representative_is_invertible():
         assert cp[0]  # constant term nonzero <=> invertible
 
 
-def test_theta_exponent_searches_roots_once_per_degree_n_class(monkeypatch):
-    # every consumer (class predicates, cuspidal values, the degree-n
-    # filter, gamma reconstruction) shares one root search per class
-    original = finitefield.roots_in
-    calls = []
+def test_theta_exponent_reads_roots_from_one_orbit_pass(monkeypatch):
+    # every consumer (class enumeration, class predicates, cuspidal
+    # values, the degree-n filter, gamma reconstruction) shares one
+    # Frobenius pass over F_64; none falls back to the brute-force search
+    from cuspcenter import classes
+
+    f8, f64 = finite_field(8), finite_field(64)
+    for field in (f8, f64):
+        monkeypatch.setattr(field, "_orbits", {})
+        monkeypatch.setattr(field, "_irreducibles", {})
+    original_pass = finitefield._orbit_pass
+    passes = []
+
+    def counting_pass(sub, big):
+        passes.append((sub, big))
+        return original_pass(sub, big)
+
+    monkeypatch.setattr(finitefield, "_orbit_pass", counting_pass)
+    original_roots_in = finitefield.roots_in
+    roots_in_calls = []
 
     def counting_roots_in(poly, big):
-        calls.append(poly)
-        return original(poly, big)
+        roots_in_calls.append(poly)
+        return original_roots_in(poly, big)
 
     for module in list(sys.modules.values()):
         if module.__name__.startswith("cuspcenter") and (
-            getattr(module, "roots_in", None) is original
+            getattr(module, "roots_in", None) is original_roots_in
         ):
             monkeypatch.setattr(module, "roots_in", counting_roots_in)
+    original_smallest_root = classes.smallest_root
+    used_roots = {}
+
+    def recording_smallest_root(poly, big):
+        used_roots[poly] = original_smallest_root(poly, big)
+        return used_roots[poly]
+
+    monkeypatch.setattr(classes, "smallest_root", recording_smallest_root)
     theta_exponent.cache_clear()
     result = verify_endo_ring(8, 3, 2)
+    assert roots_in_calls == []
+    assert passes.count((f8, f64)) == 1
     degree_2 = [
-        ct for ct in result.classes if ct.is_primary and ct.factors[0][0].degree == 2
+        ct.factors[0][0]
+        for ct in result.classes
+        if ct.is_primary and ct.factors[0][0].degree == 2
     ]
     assert len(degree_2) == 28
-    assert len(calls) == 28
-    assert len(set(calls)) == 28
+    assert set(used_roots) == set(degree_2)
+    for poly in degree_2:
+        assert used_roots[poly] == original_roots_in(poly, f64)[0]

@@ -1,24 +1,57 @@
 """Finite-field layer: fixed moduli, exhaustive axiom checks on the
-small fields the pipeline actually touches, and the Sylow machinery."""
+small fields the pipeline actually touches, the Frobenius-orbit pass
+against brute-force roots and trial-division irreducibles, and the
+Sylow machinery."""
 
 from math import gcd
 
 import pytest
 
-from cuspcenter.arith import euler_phi
-from cuspcenter.errors import ScaleLimit, ZeroElement
+from cuspcenter.arith import divisors, euler_phi
+from cuspcenter.errors import AssertionFailure, ScaleLimit, ZeroElement
 from cuspcenter.finitefield import (
     FqPoly,
     ell_part_and_dlog,
     embedding,
     finite_field,
+    frobenius_orbits,
     inverse_embedding,
     irreducible_polys,
     minimal_polynomial,
     roots_in,
     smallest_irreducible,
+    smallest_root,
     sylow_generator,
 )
+
+# (q, n): subfield GF(q) inside GF(q^n)
+ORBIT_CASES = [(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 5)] + [
+    (4, 2),
+    (4, 3),
+    (5, 2),
+    (8, 2),
+    (9, 2),
+    (17, 2),
+]
+
+
+def trial_division_irreducibles(field, a):
+    """The referee: every monic polynomial of degree a, in coefficient-
+    encoding order, that no monic irreducible of degree <= a/2 divides."""
+    q = field.order
+    smaller = []
+    for b in range(1, a // 2 + 1):
+        smaller.extend(trial_division_irreducibles(field, b))
+    out = []
+    for enc in range(q**a):
+        digits = []
+        for _ in range(a):
+            digits.append(enc % q)
+            enc //= q
+        cand = FqPoly(field, tuple(field.element(d) for d in digits) + (field.one,))
+        if all((cand % small).coeffs for small in smaller):
+            out.append(cand)
+    return tuple(out)
 
 
 def test_fixed_moduli():
@@ -116,6 +149,33 @@ def test_irreducible_polys_scale_limit():
     f8 = finite_field(8)
     with pytest.raises(ScaleLimit):
         irreducible_polys(f8, 5, scale_bound=1000)
+
+
+@pytest.mark.parametrize("q,n", ORBIT_CASES)
+def test_orbit_roots_match_brute_force(q, n):
+    sub, big = finite_field(q), finite_field(q**n)
+    polys = [p for a in divisors(n) for p in trial_division_irreducibles(sub, a)]
+    assert len(frobenius_orbits(sub, big)) == len(polys)
+    for poly in polys:
+        assert smallest_root(poly, big) == roots_in(poly, big)[0]
+
+
+@pytest.mark.parametrize("q,n", ORBIT_CASES)
+def test_irreducible_polys_match_trial_division(q, n):
+    field = finite_field(q)
+    assert irreducible_polys(field, n) == trial_division_irreducibles(field, n)
+
+
+def test_orbit_pass_rejects_non_subfields_and_reducibles():
+    for src, dst in ((4, 8), (3, 4)):
+        with pytest.raises(AssertionFailure):
+            embedding(finite_field(src), finite_field(dst))
+    with pytest.raises(AssertionFailure):
+        frobenius_orbits(finite_field(4), finite_field(8))
+    f3 = finite_field(3)
+    x_plus_1 = FqPoly(f3, (f3.one, f3.one))
+    with pytest.raises(AssertionFailure):
+        smallest_root(x_plus_1 * x_plus_1, finite_field(9))
 
 
 def test_roots_and_minimal_polynomials_roundtrip():
