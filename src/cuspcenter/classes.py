@@ -149,7 +149,8 @@ def make_class_type(factors, n: int | None = None) -> ClassType:
     total = sum(poly.degree * sum(lam) for poly, lam in factors)
     if n is None:
         n = total
-    assert total == n and n > 0
+    if total != n or n <= 0:
+        raise AssertionFailure(f"factor degrees total {total}, expected n = {n}")
     return ClassType(factors=factors, n=n)
 
 
@@ -267,7 +268,8 @@ def representative_matrix(ct: ClassType):
         for part in lam:
             blocks.append(companion(poly**part))
     size = sum(len(b) for b in blocks)
-    assert size == ct.n
+    if size != ct.n:
+        raise AssertionFailure(f"representative of {ct.label()} has size {size} != n = {ct.n}")
     rows = [[field.zero] * size for _ in range(size)]
     offset = 0
     for block in blocks:

@@ -258,6 +258,9 @@ def cmd_deformation(args) -> dict:
     ps = reduce_parameters(validate_parameters(args.q, args.ell, n, args.d))
     ring = invariant_ring(ps)
     summary = deformation.deformation_suite(ps, ring)
+    # The third line is kept verbatim because stdout is pinned.  The two
+    # "styles" wrote (Y - n) T_k in either order, the same product, and
+    # deformation_suite asserts it at every point.
     checks = [
         f"commutation and relations: {summary['points_checked']} points",
         f"trace sweep: {summary['distinct_traces']} distinct roots of m",

@@ -10,6 +10,12 @@ m(Y) = 0 and (Y - n) T_k = 0 for k < n, with T_n invertible — the
 relations of the presentation
 
     W[Y, T_1, ..., T_{n-1}, T_n^{+-1}] / ( m(Y), (Y - n) T_k ).
+
+Psi, Y and m(Y) depend on a alone, and Fr, its characteristic
+polynomial and det Fr on the units alone, so each side is built and
+checked on its own; only the commutation relation and the T_k relations
+need both.  ``make_point`` and ``check_relations`` compose the same
+helpers for one point that ``deformation_suite`` runs once per side.
 """
 
 from __future__ import annotations
@@ -18,9 +24,9 @@ from dataclasses import dataclass
 from itertools import product
 
 from .cyclotomic import CyclotomicNumber, ell_valuation, zeta
-from .errors import AssertionFailure, RelationFailure
+from .errors import AssertionFailure, ParameterError, RelationFailure
 from .invariants import InvariantRingData
-from .matrices import charpoly, mat_mul
+from .matrices import charpoly
 from .params import ParameterSet, require_reduced
 from .polynomials import Poly
 
@@ -30,17 +36,93 @@ class DeformationPoint:
     ps: ParameterSet
     zeta_exponent: int
     units: tuple
-    psi: tuple
+    psi_diagonal: tuple           # zeta^(a q^i), i = 0..n-1
     fr: tuple
     trace: CyclotomicNumber       # Y-coordinate
     t_values: tuple               # (T_1, ..., T_n)
 
 
-def _diag(entries, zero):
-    n = len(entries)
-    return tuple(
-        tuple(entries[i] if i == j else zero for j in range(n)) for i in range(n)
+def _psi_side(ps: ParameterSet, a: int) -> tuple:
+    """(diagonal of Psi, diagonal of Psi^q, trace Y), all at level r."""
+    diagonal = tuple(
+        zeta(ps.ell, ps.r, a * pow(ps.q, i, ps.ell_power)) for i in range(ps.n)
     )
+    trace = CyclotomicNumber.zero(ps.ell, ps.r)
+    for e in diagonal:
+        trace = trace + e
+    return diagonal, tuple(e**ps.q for e in diagonal), trace
+
+
+def _fr_side(ps: ParameterSet, units: tuple) -> tuple:
+    """(Fr, (T_1, ..., T_n)) over Q: row i of Fr holds units[j] in
+    column j = i + 1 mod n, and T_k is the coefficient of Y^(n-k) in
+    det(Y I - Fr)."""
+    n = ps.n
+    zero = CyclotomicNumber.zero(ps.ell)
+    rows = [[zero] * n for _ in range(n)]
+    for i in range(n):
+        j = (i + 1) % n
+        rows[i][j] = CyclotomicNumber.rational(ps.ell, units[j])
+    fr = tuple(tuple(row) for row in rows)
+    char = charpoly(fr, zero, CyclotomicNumber.rational(ps.ell, 1))
+    return fr, tuple(char[n - k] for k in range(1, n + 1))
+
+
+def _check_commutation(a: int, diagonal: tuple, diagonal_q: tuple, fr: tuple) -> None:
+    """Fr Psi = Psi^q Fr.  Psi and Psi^q are diagonal, so both sides
+    vanish off Fr's support, and at Fr's entry (i, j) they read
+    Fr[i][j] Psi[j][j] and Psi^q[i][i] Fr[i][j]."""
+    n = len(fr)
+    for i in range(n):
+        j = (i + 1) % n
+        f = fr[i][j]
+        if f * diagonal[j] != diagonal_q[i] * f:
+            raise RelationFailure(f"Fr Psi != Psi^q Fr at entry ({i}, {j}) for a = {a}")
+
+
+def _check_trace(a: int, trace, ps: ParameterSet, ring: InvariantRingData) -> None:
+    """The relations on Y alone: m(Y) = 0, and Y = n at a = 0."""
+    mval = ring.m(trace) * 1
+    if not mval.is_zero():
+        raise AssertionFailure(
+            f"generator m(Y) does not vanish at a = {a}", witness=repr(mval)
+        )
+    if a == 0 and not (trace - ps.n).is_zero():
+        raise AssertionFailure("generator Y - n does not vanish at a = 0")
+
+
+def _check_det(units: tuple, t_values: tuple) -> None:
+    """T_n = (-1)^n det Fr, and det Fr is the n-cycle's sign times the
+    product of the unit entries."""
+    n = len(units)
+    expected = (-1) ** (n - 1)
+    for u in units:
+        expected *= u
+    det_fr = t_values[n - 1] * ((-1) ** n)
+    if not (det_fr - expected).is_zero():
+        raise AssertionFailure(
+            "det Fr is not the signed product of the free unit entries",
+            witness={"expected": expected, "got": repr(det_fr)},
+        )
+
+
+def _check_t_values(a: int, y_minus_n, t_values: tuple) -> None:
+    """The relations that need both sides: for a != 0, T_1..T_{n-1}
+    vanish and T_n is an l-unit; (Y - n) T_k = 0 for every k < n."""
+    n = len(t_values)
+    if a:
+        for k in range(n - 1):
+            if not t_values[k].is_zero():
+                raise AssertionFailure(
+                    f"generator T_{k + 1} nonzero at a = {a}", witness=repr(t_values[k])
+                )
+        if ell_valuation(t_values[n - 1]) != 0:
+            raise AssertionFailure(f"T_{n} is not an l-unit at a = {a}")
+    for k in range(n - 1):
+        if not (y_minus_n * t_values[k]).is_zero():
+            raise AssertionFailure(
+                f"generator (Y - n) T_{k + 1} does not vanish at a = {a}"
+            )
 
 
 def make_point(ps: ParameterSet, zeta_exponent: int, units=None) -> DeformationPoint:
@@ -49,48 +131,18 @@ def make_point(ps: ParameterSet, zeta_exponent: int, units=None) -> DeformationP
     relation Fr Psi = Psi^q Fr is asserted exactly.  Psi lives at level
     r, Fr and its T-values over Q (level 0)."""
     ps = require_reduced(ps)
-    n = ps.n
+    units = (1,) * ps.n if units is None else tuple(units)
+    if len(units) != ps.n:
+        raise ParameterError(f"need n = {ps.n} unit entries, got {len(units)}")
     a = zeta_exponent % ps.ell_power
-    if units is None:
-        units = (1,) * n
-    units = tuple(units)
-    assert len(units) == n
-    zero = CyclotomicNumber.zero(ps.ell, ps.r)
-
-    diag_entries = [
-        zeta(ps.ell, ps.r, a * pow(ps.q, i, ps.ell_power)) for i in range(n)
-    ]
-    psi = _diag(diag_entries, zero)
-
-    q_zero = CyclotomicNumber.zero(ps.ell)
-    q_one = CyclotomicNumber.rational(ps.ell, 1)
-    unit_cyclo = [CyclotomicNumber.rational(ps.ell, u) for u in units]
-    fr_rows = [[q_zero] * n for _ in range(n)]
-    for i in range(1, n):
-        fr_rows[i - 1][i] = unit_cyclo[i]
-    fr_rows[n - 1][0] = unit_cyclo[0]
-    fr = tuple(tuple(row) for row in fr_rows)
-
-    psi_q = _diag([e**ps.q for e in diag_entries], zero)
-    lhs = mat_mul(fr, psi, zero)
-    rhs = mat_mul(psi_q, fr, zero)
-    for i in range(n):
-        for j in range(n):
-            if not (lhs[i][j] - rhs[i][j]).is_zero():
-                raise RelationFailure(
-                    f"Fr Psi != Psi^q Fr at entry ({i}, {j}) for a = {a}"
-                )
-
-    trace = zero
-    for e in diag_entries:
-        trace = trace + e
-    char = charpoly(fr, q_zero, q_one)      # c_0 .. c_n of det(Y I - Fr)
-    t_values = tuple(char[n - k] for k in range(1, n + 1))
+    diagonal, diagonal_q, trace = _psi_side(ps, a)
+    fr, t_values = _fr_side(ps, units)
+    _check_commutation(a, diagonal, diagonal_q, fr)
     return DeformationPoint(
         ps=ps,
         zeta_exponent=a,
         units=units,
-        psi=psi,
+        psi_diagonal=diagonal,
         fr=fr,
         trace=trace,
         t_values=t_values,
@@ -101,50 +153,10 @@ def check_relations(pt: DeformationPoint, ps: ParameterSet, ring: InvariantRingD
     """Assert every defining relation at the point, naming the violated
     generator on failure."""
     ps = require_reduced(ps)
-    n = ps.n
-    m = ring.m
-    mval = m(pt.trace) * 1
-    if not mval.is_zero():
-        raise AssertionFailure(
-            f"generator m(Y) does not vanish at a = {pt.zeta_exponent}",
-            witness=repr(mval),
-        )
-    if pt.zeta_exponent % ps.ell_power:
-        for k in range(n - 1):
-            if not pt.t_values[k].is_zero():
-                raise AssertionFailure(
-                    f"generator T_{k + 1} nonzero at a = {pt.zeta_exponent}",
-                    witness=repr(pt.t_values[k]),
-                )
-        if ell_valuation(pt.t_values[n - 1]) != 0:
-            raise AssertionFailure(
-                f"T_{n} is not an l-unit at a = {pt.zeta_exponent}"
-            )
-    else:
-        diff = pt.trace - ps.n
-        if not diff.is_zero():
-            raise AssertionFailure("generator Y - n does not vanish at a = 0")
-    # the full finite generator check of <m(Y)> + <Y-n><T_1..T_{n-1}>
-    y_minus_n = pt.trace - ps.n
-    for k in range(n - 1):
-        prod = y_minus_n * pt.t_values[k]
-        if not prod.is_zero():
-            raise AssertionFailure(
-                f"generator (Y - n) T_{k + 1} does not vanish at a = {pt.zeta_exponent}"
-            )
-    # T_n must be (up to the cycle sign) the product of the unit entries
-    expected = 1
-    for u in pt.units:
-        expected *= u
-    if (n - 1) % 2:
-        expected = -expected
-    det_fr = pt.t_values[n - 1] * ((-1) ** n)
-    # det(Y I - Fr) at Y = 0 is (-1)^n det Fr, so T_n = (-1)^n det Fr
-    if not (det_fr - expected).is_zero():
-        raise AssertionFailure(
-            "det Fr is not the signed product of the free unit entries",
-            witness={"expected": expected, "got": repr(det_fr)},
-        )
+    a = pt.zeta_exponent % ps.ell_power
+    _check_trace(a, pt.trace, ps, ring)
+    _check_t_values(a, pt.trace - ps.n, pt.t_values)
+    _check_det(pt.units, pt.t_values)
     return {
         "zeta_exponent": pt.zeta_exponent,
         "units": pt.units,
@@ -156,79 +168,57 @@ def check_relations(pt: DeformationPoint, ps: ParameterSet, ring: InvariantRingD
 @dataclass(frozen=True)
 class CenterPresentation:
     """Generators-and-relations form of the endomorphism ring with the
-    deformation parameters adjoined: Y plus t_count T-variables, the
-    last of them invertible."""
+    deformation parameters adjoined: Y plus n T-variables, the last of
+    them invertible."""
 
     min_poly: Poly
-    steinberg_eval: int          # Y acts by this on the Steinberg slot
-    t_count: int
-    style: str                   # "quotient-ideal" | "parameter-ideal"
+    n: int                       # Y acts by n on the Steinberg slot
 
     @property
     def generators(self) -> tuple:
         names = ["Y"]
-        names += [f"T{k}" for k in range(1, self.t_count)]
-        names.append(f"T{self.t_count}^(+-1)")
+        names += [f"T{k}" for k in range(1, self.n)]
+        names.append(f"T{self.n}^(+-1)")
         return tuple(names)
-
-    def relation_values(self, pt: DeformationPoint) -> list:
-        """Evaluate each defining relation at a point; all must vanish."""
-        y = pt.trace
-        shift = y - self.steinberg_eval
-        out = [("m(Y)", self.min_poly(y) * 1)]
-        for k in range(1, self.t_count):
-            name = (
-                f"(Y - {self.steinberg_eval})*T{k}"
-                if self.style == "quotient-ideal"
-                else f"T{k}*(Y - {self.steinberg_eval})"
-            )
-            out.append((name, shift * pt.t_values[k - 1]))
-        return out
 
     def describe(self) -> str:
         rels = [f"m(Y) = {self.min_poly!r}"]
-        ts = ", ".join(f"T{k}" for k in range(1, self.t_count))
+        ts = ", ".join(f"T{k}" for k in range(1, self.n))
         if ts:
-            rels.append(f"(Y - {self.steinberg_eval}) * ({ts})")
+            rels.append(f"(Y - {self.n}) * ({ts})")
         gens = ", ".join(self.generators)
         return f"W[{gens}] / <{'; '.join(rels)}>"
 
 
-def emit_center_presentation(
-    ring: InvariantRingData, style: str = "quotient-ideal", t_count: int | None = None
-) -> CenterPresentation:
-    ps = ring.ps
-    if t_count is None:
-        t_count = ps.n
-    return CenterPresentation(
-        min_poly=ring.m,
-        steinberg_eval=ps.n,
-        t_count=t_count,
-        style=style,
-    )
+def emit_center_presentation(ring: InvariantRingData) -> CenterPresentation:
+    return CenterPresentation(min_poly=ring.m, n=ring.ps.n)
 
 
 def deformation_suite(
     ps: ParameterSet, ring: InvariantRingData, unit_choices=(1, -1, 2)
 ) -> dict:
-    """Every zeta-exponent with every unit assignment: build the point,
-    check all relations, and confirm that the trace values sweep out
-    exactly the root set of m.  The two presentation styles differ only
-    in how they write (Y - n) T_k, so their relations are exactly the
-    ones check_relations asserts at every point."""
+    """Every zeta-exponent with every unit assignment: check all
+    relations, and confirm that the trace values sweep out exactly the
+    root set of m.  Fr and its charpoly are built once per unit
+    assignment and Psi once per a; each point checks only the
+    commutation relation and the T_k relations."""
     ps = require_reduced(ps)
-    styles = [
-        emit_center_presentation(ring, "quotient-ideal"),
-        emit_center_presentation(ring, "parameter-ideal"),
-    ]
+    fr_sides = []
+    for units in product(unit_choices, repeat=ps.n):
+        fr, t_values = _fr_side(ps, units)
+        _check_det(units, t_values)
+        fr_sides.append((fr, t_values))
     traces = []
     points_checked = 0
     for a in range(ps.ell_power):
-        for units in product(unit_choices, repeat=ps.n):
-            pt = make_point(ps, a, units)
-            check_relations(pt, ps, ring)
+        diagonal, diagonal_q, trace = _psi_side(ps, a)
+        _check_trace(a, trace, ps, ring)
+        y_minus_n = trace - ps.n
+        for fr, t_values in fr_sides:
+            _check_commutation(a, diagonal, diagonal_q, fr)
+            _check_t_values(a, y_minus_n, t_values)
             points_checked += 1
-        traces.append(pt.trace)  # Y depends on a alone, not on the units
+        traces.append(trace)
 
     distinct = []
     for t in traces:
@@ -244,6 +234,5 @@ def deformation_suite(
     return {
         "points_checked": points_checked,
         "distinct_traces": len(distinct),
-        "presentation": styles[0].describe(),
-        "styles": tuple(p.style for p in styles),
+        "presentation": emit_center_presentation(ring).describe(),
     }

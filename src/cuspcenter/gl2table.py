@@ -188,7 +188,8 @@ def gl2_character_table(q: int) -> GL2Table:
 
     gen = None
     for t in sorted(big.units()):
-        if t.multiplicative_order() == m:
+        # order exactly m: no proper divisor d of m has t^d = 1
+        if all(t**d != big.one for d in divisors(m)[:-1]):
             gen = t
             break
     dlog = {}

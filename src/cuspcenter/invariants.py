@@ -185,7 +185,8 @@ def orbit_structure(ps: ParameterSet) -> OrbitStructure:
     if len(orbits) != expected:
         raise AssertionFailure(f"{len(orbits)} orbits, expected {expected}")
     reps = tuple(o[0] for o in orbits)
-    assert reps == tuple(sorted(reps)) and reps[0] == 0
+    if reps != tuple(sorted(reps)) or reps[0] != 0:
+        raise AssertionFailure(f"orbit representatives {reps} are not sorted from 0")
     return OrbitStructure(
         modulus=m, multiplier=q, orbits=tuple(orbits), reps=reps, rep_map=tuple(rep_map)
     )

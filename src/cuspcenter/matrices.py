@@ -1,10 +1,12 @@
 """Tiny exact matrix helpers, generic over a commutative ring.
 
 Matrices are tuples of row tuples whose entries support +, -, * among
-themselves and with ints.  Inversion needs a field (entries must
-support /).  The characteristic polynomial is computed by the Leibniz
-expansion of det(Y*I - A), which divides by nothing and therefore works
-verbatim over finite fields and cyclotomic rings alike; fine for n <= 4.
+themselves and with ints.  ``mat_mul``, ``det`` and ``inverse`` serve
+the brute-force ``matrixoracle``; ``charpoly`` serves ``deformation``.
+Inversion needs a field (entries must support /).  ``det`` and
+``charpoly`` use the Leibniz expansion, which divides by nothing and
+therefore works verbatim over finite fields and cyclotomic rings
+alike; its n! terms keep it to small n.
 """
 
 from __future__ import annotations
@@ -12,10 +14,6 @@ from __future__ import annotations
 from itertools import permutations
 
 from .errors import NoSolution
-
-
-def identity(n: int, zero, one):
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
 def mat_mul(a, b, zero):
@@ -30,28 +28,6 @@ def mat_mul(a, b, zero):
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
-
-
-def mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_trace(a, zero):
-    acc = zero
-    for i in range(len(a)):
-        acc = acc + a[i][i]
-    return acc
-
-
-def mat_pow(a, k, zero, one):
-    out = identity(len(a), zero, one)
-    base = a
-    while k:
-        if k & 1:
-            out = mat_mul(out, base, zero)
-        base = mat_mul(base, base, zero)
-        k >>= 1
-    return out
 
 
 def _perm_sign(perm) -> int:

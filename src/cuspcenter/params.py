@@ -83,5 +83,6 @@ def reduce_parameters(ps: ParameterSet) -> ParameterSet:
 
 def require_reduced(ps: ParameterSet) -> ParameterSet:
     red = reduce_parameters(ps)
-    assert red.n == red.w and gcd(red.q, red.ell) == 1
+    if red.n != red.w or gcd(red.q, red.ell) != 1:
+        raise AssertionFailure(f"not a reduced parameter set: {red}")
     return red

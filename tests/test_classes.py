@@ -4,6 +4,7 @@ centralizer-order dichotomy."""
 
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -20,7 +21,7 @@ from cuspcenter.classes import (
     representative_matrix,
     theta_exponent,
 )
-from cuspcenter.errors import ScaleLimit
+from cuspcenter.errors import AssertionFailure, ScaleLimit
 from cuspcenter.finitefield import FqPoly, embedding, finite_field
 from cuspcenter.matrices import charpoly as generic_charpoly
 from cuspcenter.params import validate_parameters
@@ -221,3 +222,17 @@ def test_theta_exponent_reads_roots_from_one_orbit_pass(monkeypatch):
     assert set(used_roots) == set(degree_2)
     for poly in degree_2:
         assert used_roots[poly] == original_roots_in(poly, f64)[0]
+
+
+def test_make_class_type_checks_the_degree_total():
+    x_plus_1 = FqPoly.from_encodings(finite_field(2), (1, 1))
+    with pytest.raises(AssertionFailure):
+        make_class_type(((x_plus_1, (2, 1)),), 2)
+
+
+def test_representative_matrix_checks_its_size():
+    x_plus_1 = FqPoly.from_encodings(finite_field(2), (1, 1))
+    ct = make_class_type(((x_plus_1, (2,)),))
+    assert len(representative_matrix(ct)) == 2
+    with pytest.raises(AssertionFailure):
+        representative_matrix(replace(ct, n=3))

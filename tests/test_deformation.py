@@ -1,7 +1,10 @@
 """Matrix deformation points and the emitted center presentation."""
 
+from itertools import product
+
 import pytest
 
+from cuspcenter import deformation, matrices
 from cuspcenter.cyclotomic import CyclotomicNumber, ell_valuation, zeta
 from cuspcenter.deformation import (
     check_relations,
@@ -9,9 +12,37 @@ from cuspcenter.deformation import (
     emit_center_presentation,
     make_point,
 )
-from cuspcenter.errors import AssertionFailure
+from cuspcenter.errors import AssertionFailure, ParameterError, RelationFailure
 from cuspcenter.invariants import invariant_ring
+from cuspcenter.matrices import charpoly, mat_mul
 from cuspcenter.params import validate_parameters
+
+
+def dense_point(ps, a, units):
+    """The referee: the dense construction of a point -- full diagonal
+    Psi and Psi^q, the commutation relation checked by two n^3 matrix
+    products, and the Leibniz charpoly of Fr.  Returns (trace, T-values)."""
+    n = ps.n
+    zero = CyclotomicNumber.zero(ps.ell, ps.r)
+    entries = [zeta(ps.ell, ps.r, a * pow(ps.q, i, ps.ell_power)) for i in range(n)]
+
+    def diag(es):
+        return tuple(tuple(es[i] if i == j else zero for j in range(n)) for i in range(n))
+
+    psi, psi_q = diag(entries), diag([e**ps.q for e in entries])
+    q_zero, q_one = CyclotomicNumber.zero(ps.ell), CyclotomicNumber.rational(ps.ell, 1)
+    rows = [[q_zero] * n for _ in range(n)]
+    for i in range(1, n):
+        rows[i - 1][i] = CyclotomicNumber.rational(ps.ell, units[i])
+    rows[n - 1][0] = CyclotomicNumber.rational(ps.ell, units[0])
+    fr = tuple(tuple(row) for row in rows)
+    lhs, rhs = mat_mul(fr, psi, zero), mat_mul(psi_q, fr, zero)
+    assert all((lhs[i][j] - rhs[i][j]).is_zero() for i in range(n) for j in range(n))
+    trace = zero
+    for e in entries:
+        trace = trace + e
+    char = charpoly(fr, q_zero, q_one)
+    return trace, tuple(char[n - k] for k in range(1, n + 1))
 
 
 def test_p1_point_a1():
@@ -59,26 +90,53 @@ def test_units_enter_determinant():
 
 
 def test_commutation_relation_is_tight():
-    # a wrong diagonal (not the q-power ladder) must be rejected
-    from cuspcenter.errors import RelationFailure
-    from cuspcenter.matrices import mat_mul
-
+    # a wrong diagonal (not the q-power ladder) must be rejected by the
+    # engine's own commutation check
     ps = validate_parameters(2, 3, 2)
     pt = make_point(ps, 1)
-    zero = CyclotomicNumber.zero(3, 1)
-    bad_psi = (
-        (zeta(3, 1, 1), zero),
-        (zero, zeta(3, 1, 1)),  # should be zeta^(q) = zeta^2
-    )
-    lhs = mat_mul(pt.fr, bad_psi, zero)
-    psi_q = (
-        (zeta(3, 1, 2), zero),
-        (zero, zeta(3, 1, 2)),
-    )
-    rhs = mat_mul(psi_q, pt.fr, zero)
-    assert any(
-        not (lhs[i][j] - rhs[i][j]).is_zero() for i in range(2) for j in range(2)
-    )
+    good_q = tuple(e**2 for e in pt.psi_diagonal)
+    deformation._check_commutation(1, pt.psi_diagonal, good_q, pt.fr)
+    bad = (zeta(3, 1, 1), zeta(3, 1, 1))  # should be (zeta, zeta^q) = (zeta, zeta^2)
+    with pytest.raises(RelationFailure):
+        deformation._check_commutation(1, bad, tuple(e**2 for e in bad), pt.fr)
+
+
+def test_units_length_is_a_parameter_error():
+    ps = validate_parameters(2, 7, 3)
+    with pytest.raises(ParameterError):
+        make_point(ps, 1, units=(1, 1))
+
+
+@pytest.mark.parametrize("q,ell,n", [(2, 3, 2), (2, 7, 3), (4, 5, 2)])
+def test_points_match_dense_referee(q, ell, n):
+    ps = validate_parameters(q, ell, n)
+    for a in range(ps.ell_power):
+        for units in product((1, -1, 2), repeat=n):
+            pt = make_point(ps, a, units)
+            trace, t_values = dense_point(ps, a, units)
+            assert pt.trace == trace
+            assert pt.t_values == t_values
+
+
+def test_suite_builds_each_side_once(monkeypatch):
+    # (3,5,4): one charpoly per unit assignment (3^4), no dense products
+    calls = {"charpoly": 0, "mat_mul": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(deformation, "charpoly", counted("charpoly", charpoly))
+    for mod in (matrices, deformation):
+        if hasattr(mod, "mat_mul"):
+            monkeypatch.setattr(mod, "mat_mul", counted("mat_mul", mat_mul))
+    ps = validate_parameters(3, 5, 4)
+    report = deformation_suite(ps, invariant_ring(ps))
+    assert calls == {"charpoly": 81, "mat_mul": 0}
+    assert report["points_checked"] == 405
 
 
 @pytest.mark.parametrize(
@@ -91,7 +149,15 @@ def test_deformation_suite(q, ell, n):
     report = deformation_suite(ps, ring)
     assert report["points_checked"] == ps.ell_power * 3**n
     assert report["distinct_traces"] == ring.m.degree
-    assert report["styles"] == ("quotient-ideal", "parameter-ideal")
+
+
+@pytest.mark.slow
+def test_full_sweep_2_31_5():
+    # the full l^r * 3^n sweep at the widest phi of the ladder (phi = 30)
+    ps = validate_parameters(2, 31, 5)
+    report = deformation_suite(ps, invariant_ring(ps))
+    assert report["points_checked"] == 7533
+    assert report["distinct_traces"] == 7
 
 
 def test_presentation_describe_p1():
@@ -106,30 +172,9 @@ def test_presentation_describe_p1():
 def test_presentation_describe_p2():
     ps = validate_parameters(2, 7, 3)
     ring = invariant_ring(ps)
-    pres = emit_center_presentation(ring, style="parameter-ideal")
-    assert pres.style == "parameter-ideal"
+    pres = emit_center_presentation(ring)
     assert pres.generators == ("Y", "T1", "T2", "T3^(+-1)")
     assert "(Y - 3) * (T1, T2)" in pres.describe()
-
-
-def test_presentation_relations_vanish_pointwise():
-    ps = validate_parameters(4, 5, 2)
-    ring = invariant_ring(ps)
-    pres = emit_center_presentation(ring)
-    for a in range(5):
-        pt = make_point(ps, a)
-        for name, val in pres.relation_values(pt):
-            assert val.is_zero(), name
-
-
-def test_custom_t_count():
-    ps = validate_parameters(2, 3, 2)
-    ring = invariant_ring(ps)
-    pres = emit_center_presentation(ring, t_count=1)
-    assert pres.generators == ("Y", "T1^(+-1)")
-    # with t_count = 1 there are no (Y - n) T_k relations at all
-    pt = make_point(ps, 1)
-    assert pres.relation_values(pt) == [("m(Y)", pres.min_poly(pt.trace) * 1)]
 
 
 def test_relation_failure_on_broken_point():

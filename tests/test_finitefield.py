@@ -1,13 +1,13 @@
 """Finite-field layer: fixed moduli, exhaustive axiom checks on the
 small fields the pipeline actually touches, the Frobenius-orbit pass
 against brute-force roots and trial-division irreducibles, and the
-Sylow machinery."""
+Sylow machinery against brute-force element orders."""
 
 from math import gcd
 
 import pytest
 
-from cuspcenter.arith import divisors, euler_phi
+from cuspcenter.arith import divisors, euler_phi, is_prime
 from cuspcenter.errors import AssertionFailure, ScaleLimit, ZeroElement
 from cuspcenter.finitefield import (
     FqPoly,
@@ -33,6 +33,16 @@ ORBIT_CASES = [(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 5)] + [
     (9, 2),
     (17, 2),
 ]
+
+
+def brute_order(t):
+    """The referee: the least k >= 1 with t^k = 1, by repeated
+    multiplication."""
+    k, x = 1, t
+    while x != t.field.one:
+        x = x * t
+        k += 1
+    return k
 
 
 def trial_division_irreducibles(field, a):
@@ -97,18 +107,18 @@ def test_inverses_all_units():
 
 def test_multiplicative_order():
     f8 = finite_field(8)
-    assert f8.element(2).multiplicative_order() == 7
+    assert brute_order(f8.element(2)) == 7
     f9 = finite_field(9)
-    assert f9.element(3).multiplicative_order() == 4  # x, with x^2 = -1
+    assert brute_order(f9.element(3)) == 4  # x, with x^2 = -1
     # generator counts match euler_phi(q - 1)
     for q in (8, 9, 16):
         f = finite_field(q)
-        gens = sum(1 for t in f.units() if t.multiplicative_order() == q - 1)
+        gens = sum(1 for t in f.units() if brute_order(t) == q - 1)
         assert gens == euler_phi(q - 1)
     # order sum identity: every unit order divides q - 1
     f = finite_field(9)
     for t in f.units():
-        assert (q8 := t.multiplicative_order()) and 8 % q8 == 0
+        assert 8 % brute_order(t) == 0
 
 
 def test_embedding_homomorphism_exhaustive():
@@ -199,15 +209,15 @@ def test_minimal_polynomial_frozen():
 
 def test_sylow_generator_parameters():
     eps4, r4, dlog4 = sylow_generator(finite_field(4), 3)
-    assert r4 == 1 and eps4.multiplicative_order() == 3
+    assert r4 == 1 and brute_order(eps4) == 3
     assert eps4.encoding == 2  # first order-3 unit in encoding order
     assert dlog4[finite_field(4).one] == 0 and dlog4[eps4] == 1
 
     eps64, r64, _ = sylow_generator(finite_field(64), 3)
-    assert r64 == 2 and eps64.multiplicative_order() == 9
+    assert r64 == 2 and brute_order(eps64) == 9
 
     eps81, r81, _ = sylow_generator(finite_field(81), 5)
-    assert r81 == 1 and eps81.multiplicative_order() == 5
+    assert r81 == 1 and brute_order(eps81) == 5
 
 
 def test_ell_part_and_dlog_exhaustive():
@@ -218,7 +228,7 @@ def test_ell_part_and_dlog_exhaustive():
         j = ell_part_and_dlog(t, 3)
         assert 0 <= j < lr
         regular = t * (eps**j).inverse()
-        assert gcd(regular.multiplicative_order(), 3) == 1
+        assert gcd(brute_order(regular), 3) == 1
     # the dlog is a homomorphism on the ell-part
     units = list(f.units())
     for t in units[:9]:
@@ -228,6 +238,32 @@ def test_ell_part_and_dlog_exhaustive():
             ) % lr
     with pytest.raises(ZeroElement):
         ell_part_and_dlog(f.zero, 3)
+
+
+@pytest.mark.parametrize("q,n", ORBIT_CASES)
+def test_sylow_generator_and_dlogs_match_brute_force_orders(q, n):
+    # eps is the first unit of order exactly l^r, and every theta
+    # exponent j leaves an l-regular part t * eps^(-j)
+    field = finite_field(q**n)
+    units = list(field.units())
+    orders = {t: brute_order(t) for t in units}
+    for ell in filter(is_prime, divisors(q**n - 1)):
+        eps, r, _ = sylow_generator(field, ell)
+        assert eps == next(t for t in units if orders[t] == ell**r)
+        for t in units:
+            j = ell_part_and_dlog(t, ell)
+            assert 0 <= j < ell**r
+            assert gcd(orders[t * (eps**j).inverse()], ell) == 1
+
+
+def test_regularity_check_catches_a_corrupted_dlog_table(monkeypatch):
+    field = finite_field(64)
+    eps, r, dlog = sylow_generator(field, 3)
+    # off by 3 = l^(r-1): the claimed regular part keeps an l-part of order l
+    shifted = {x: (k + 3) % 3**r for x, k in dlog.items()}
+    monkeypatch.setitem(field._sylow, 3, (eps, r, shifted))
+    with pytest.raises(AssertionFailure):
+        ell_part_and_dlog(field.one, 3)
 
 
 def test_fqpoly_ring_operations():

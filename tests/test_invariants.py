@@ -1,10 +1,13 @@
 """Invariant subring of the cyclic group algebra: orbit structure,
 the distinguished generator f, and its minimal polynomial."""
 
+import builtins
 from fractions import Fraction
 
 import pytest
 
+from cuspcenter import invariants
+from cuspcenter.errors import AssertionFailure
 from cuspcenter.invariants import (
     GroupRingElement,
     express_orbit_sum,
@@ -190,3 +193,13 @@ def test_unreduced_parameters_silently_reduce():
     m_u, _, _ = min_polynomial(unreduced)
     m_r, _, _ = min_polynomial(reduced)
     assert m_u == m_r
+
+
+def test_orbit_reps_out_of_order_raise(monkeypatch):
+    # walking the residues downwards lists the orbit of 0 last, so the
+    # representatives neither ascend nor start at 0
+    monkeypatch.setattr(
+        invariants, "range", lambda m: builtins.range(m - 1, -1, -1), raising=False
+    )
+    with pytest.raises(AssertionFailure):
+        orbit_structure(validate_parameters(2, 7, 3))

@@ -7,6 +7,8 @@ from cuspcenter import (
     reduce_parameters,
     validate_parameters,
 )
+from cuspcenter.errors import AssertionFailure
+from cuspcenter.params import ParameterSet, require_reduced
 
 
 def test_matrix_cases(params):
@@ -85,3 +87,10 @@ def test_reduced_case_passes_through(params):
         assert ps.is_reduced
         # reduced parameters always have n = w
         assert ps.n == ps.w
+
+
+def test_require_reduced_checks_its_postcondition():
+    # d = 1 passes through reduce_parameters untouched, but n != w is not
+    # a reduced block
+    with pytest.raises(AssertionFailure):
+        require_reduced(ParameterSet(q=2, ell=7, n=2, d=1, w=3, r=1))

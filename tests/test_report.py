@@ -4,7 +4,9 @@ determinism, and defensive cache revalidation."""
 import json
 from fractions import Fraction
 
-from cuspcenter.classes import enumerate_classes
+from cuspcenter import report
+from cuspcenter.classes import enumerate_classes, make_class_type
+from cuspcenter.errors import AssertionFailure
 from cuspcenter.cyclotomic import zeta
 from cuspcenter.finitefield import finite_field
 from cuspcenter.polynomials import Poly
@@ -169,3 +171,25 @@ def test_cache_tampered_classes_returns_none(tmp_path):
     with open(path, "w") as fh:
         json.dump(doc, fh)
     assert load_census(cache_dir, 4, 2, field) is None
+
+
+def test_cache_class_with_wrong_degree_total_returns_none(tmp_path, monkeypatch):
+    field = finite_field(4)
+    cache_dir = str(tmp_path)
+    path = save_census(cache_dir, 4, 2, enumerate_classes(field, 2))
+    doc = json.load(open(path))
+    doc["classes"][0][0]["partition"] = [2, 1]  # degree total above n = 2
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    raised = []
+
+    def spy(factors, n):
+        try:
+            return make_class_type(factors, n)
+        except AssertionFailure as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(report, "make_class_type", spy)
+    assert load_census(cache_dir, 4, 2, field) is None
+    assert len(raised) == 1
