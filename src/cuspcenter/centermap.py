@@ -115,6 +115,11 @@ def delta_class(ct: ClassType, ps: ParameterSet, reps=None) -> BlockVector:
     Raises IntegralityFailure if any entry is not l-integral and
     AssertionFailure if the entries fail to agree in the residue field;
     both properties hold for every class of the group.
+
+    The vector depends on the class only through ``ct.type_key`` and
+    ``theta_exponent(ct, ps)`` (size, centralizer order, primary and
+    semisimple flags, part counts, deg P); the label appears in failure
+    messages alone.  ``type_deltas`` relies on this.
     """
     ps = require_reduced(ps)
     if reps is None:
@@ -141,6 +146,28 @@ def delta_class(ct: ClassType, ps: ParameterSet, reps=None) -> BlockVector:
                 witness={"slot": slot},
             )
     return vec
+
+
+def _by_type(classes, ps: ParameterSet, compute):
+    """Yield (class, compute(c)) for each class, where c is the first
+    class of ``classes`` with the same type key and theta exponent: each
+    value is computed once per key and shared.  Lazy, so a failure
+    surfaces at the same class, in the same order, as a plain loop."""
+    memo = {}
+    for ct in classes:
+        key = (ct.type_key, theta_exponent(ct, ps))
+        if key not in memo:
+            memo[key] = compute(ct)
+        yield ct, memo[key]
+
+
+def type_deltas(classes, ps: ParameterSet, reps=None) -> dict:
+    """class -> delta_class(class), computed once per type key and theta
+    exponent; classes of one key share the vector object."""
+    ps = require_reduced(ps)
+    if reps is None:
+        reps = block_slots(ps)
+    return dict(_by_type(classes, ps, lambda ct: delta_class(ct, ps, reps)))
 
 
 def s_membership(vec: BlockVector) -> bool:
@@ -333,7 +360,11 @@ def reconstruct_gamma(
     """Chain of moves recovering the theta-orbit vector of a degree-n
     class from its delta vector: divide by the sign/unit scalar, then
     subtract the l-integral multiple of the scaled idempotent that
-    corrects slot 0 to n.  Every step is asserted exactly."""
+    corrects slot 0 to n.  Every step is asserted exactly.
+
+    Apart from the "label" entry and failure messages, the result
+    depends on the class only through ``ct.type_key``, its theta
+    exponent and ``vec``, which is itself a function of those two."""
     ps = require_reduced(ps)
     size = ct.class_size()
     unit = Fraction(size * (-1) ** (ps.n - 1), cuspidal_dimension(ps))
@@ -385,14 +416,29 @@ def express_all_in_gamma(vecs, gamma_pows, ps: ParameterSet) -> list:
     """For each vec the unique h with deg h < D and h(gamma) = vec, as an
     l-integral polynomial, from one elimination of the gamma-power
     system; NoSolution if any vec is outside Q[gamma],
-    IntegralityFailure if its coordinates exist but are not l-integral."""
+    IntegralityFailure if its coordinates exist but are not l-integral.
+
+    Equal vectors share one certificate.  Duplicates are found by
+    identity first (the classes of one type share one vector object),
+    then by equality among the few left, so each distinct vector is
+    solved and checked once."""
     from .cyclotomic import phi_prime_power
+
+    column_of_id = {}
+    column_of = {}
+    columns = []
+    for vec in vecs:
+        k = column_of_id.get(id(vec))
+        if k is None:
+            k = column_of_id[id(vec)] = column_of.setdefault(vec, len(column_of))
+        columns.append(k)
+    distinct = list(column_of)
 
     phi = phi_prime_power(ps.ell, ps.r)
     rows = _coordinate_rows(gamma_pows, phi)
-    sols = solve_columns(rows, [_coordinates(vec, phi) for vec in vecs])
+    sols = solve_columns(rows, [_coordinates(vec, phi) for vec in distinct])
     out = []
-    for vec, sol in zip(vecs, sols):
+    for vec, sol in zip(distinct, sols):
         h = Poly(sol)
         if not h.is_ell_integral(ps.ell):
             raise IntegralityFailure("gamma-certificate is not l-integral")
@@ -403,7 +449,7 @@ def express_all_in_gamma(vecs, gamma_pows, ps: ParameterSet) -> list:
             if not (acc - vec.entries[s]).is_zero():
                 raise AssertionFailure("gamma-certificate fails to reproduce the vector")
         out.append(h)
-    return out
+    return [out[k] for k in columns]
 
 
 def express_in_gamma(vec: BlockVector, gamma_pows, ps: ParameterSet) -> Poly:
@@ -521,11 +567,13 @@ def verify_endo_ring(
 
     field = finite_field(ps.q)
     classes = enumerate_classes(field, ps.n, scale_bound)
-    class_info = {ct.label(): class_predicates(ct, ps) for ct in classes}
+    class_info = {
+        ct.label(): dict(pred, label=ct.label())
+        for ct, pred in _by_type(classes, ps, lambda ct: class_predicates(ct, ps))
+    }
     checks.append(f"classes: {len(classes)} types, centralizer orders verified")
 
-    reps = ring.orbits.reps
-    deltas = {ct: delta_class(ct, ps, reps) for ct in classes}
+    deltas = type_deltas(classes, ps, ring.orbits.reps)
     checks.append("delta: all vectors l-integral and residue-consistent")
 
     case_report = case_analysis(ps, deltas)
@@ -550,12 +598,16 @@ def verify_endo_ring(
     eps_poly = minimal_polynomial(eps, field)
     reconstructions = []
     found_eps_class = False
-    for ct in classes:
-        if case_report.bucket_of[ct.label()] != DEGREE_N:
-            continue
-        if theta_exponent(ct, ps) == 0:
-            continue
-        rec = reconstruct_gamma(ps, ct, deltas[ct], scaled_idem)
+    singular = [
+        ct
+        for ct in classes
+        if case_report.bucket_of[ct.label()] == DEGREE_N and theta_exponent(ct, ps) != 0
+    ]
+    replayed = _by_type(
+        singular, ps, lambda ct: reconstruct_gamma(ps, ct, deltas[ct], scaled_idem)
+    )
+    for ct, rec in replayed:
+        rec = dict(rec, label=ct.label())
         reconstructions.append(rec)
         if ct.factors[0][0] == eps_poly:
             found_eps_class = True

@@ -71,6 +71,7 @@ def conjugacy_class_count(q: int, n: int) -> int:
     return series[n]
 
 
+@lru_cache(maxsize=None)
 def _z_factor(big_q: int, lam: tuple) -> int:
     size = sum(lam)
     n_lam = sum(i * part for i, part in enumerate(lam))  # 0-based index = (i-1)
@@ -117,6 +118,13 @@ class ClassType:
 
     # diagonalizable over the algebraic closure = semisimple
     is_diagonalizable = is_semisimple
+
+    @property
+    def type_key(self) -> tuple:
+        """The class's type: its sorted (deg P, partition) pairs.  Size,
+        centralizer order, primary/semisimple and every per-factor degree
+        and part count depend on the class only through this key."""
+        return tuple(sorted((poly.degree, lam) for poly, lam in self.factors))
 
     @property
     def degree_profile(self) -> tuple:
@@ -219,7 +227,11 @@ def is_ell_regular(ct: ClassType, ps: ParameterSet) -> bool:
 def class_predicates(ct: ClassType, ps: ParameterSet) -> dict:
     """Named predicates for one class; asserts the centralizer-order
     dichotomy: ord_ell(|C|) is r for every class that is not primary
-    diagonalizable, and 0 for every class that is."""
+    diagonalizable, and 0 for every class that is.
+
+    Everything but the label depends on the class only through
+    ``ct.type_key`` and ``theta_exponent(ct, ps)``; the label appears
+    in the result and in failure messages alone."""
     size = ct.class_size()
     cent = ct.centralizer_order()
     exempt = ct.is_primary and ct.is_diagonalizable

@@ -230,11 +230,7 @@ def cmd_oracle(args) -> dict:
         ran_any = True
         if args.ell is not None:
             ps = reduce_parameters(validate_parameters(args.q, args.ell, 2, 1))
-            reps = centermap.block_slots(ps)
-            deltas = {
-                ct: centermap.delta_class(ct, ps, reps)
-                for ct in enumerate_classes(field, 2, args.scale_bound)
-            }
+            deltas = centermap.type_deltas(enumerate_classes(field, 2, args.scale_bound), ps)
             compared = gl2table.delta_equivalence_check(table, ps, deltas)
             checks.append(
                 f"GL2 table: {compared} delta entries agree with the block engine"

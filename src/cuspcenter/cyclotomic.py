@@ -187,6 +187,10 @@ class CyclotomicNumber:
             return NotImplemented
         if self.level == 0 or other.level == 0:
             a, s = (self, other.coeffs[0]) if other.level == 0 else (other, self.coeffs[0])
+            if s == 1:
+                return a
+            if s == -1:
+                return -a
             return CyclotomicNumber(a.ell, a.level, tuple(c * s for c in a.coeffs), reduced=True)
         a, b = self._common(other)
         na, da = _numerators(a.coeffs)

@@ -5,6 +5,9 @@ unit 2, P5 unit -216 = -1080/5, and the reconstruction scalars
 (7/8, -1/8) for GL_2(F_8) ellipics and (416/729, -500/729) for the
 degree-4 semisimple classes of GL_4(F_3)."""
 
+import hashlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -19,6 +22,7 @@ from cuspcenter.centermap import (
     BlockVector,
     block_slots,
     delta_class,
+    verify_endo_ring,
     express_all_in_gamma,
     express_in_gamma,
     gamma_power_basis,
@@ -26,10 +30,12 @@ from cuspcenter.centermap import (
     lemma_signs_check,
     minimality_certificate,
     one_vector,
+    reconstruct_gamma,
     s_membership,
     theta_orbit_vector,
 )
-from cuspcenter import linalg
+from cuspcenter import centermap, linalg
+from cuspcenter.classes import class_predicates, theta_exponent
 from cuspcenter.cyclotomic import CyclotomicNumber, zeta
 from cuspcenter.errors import AssertionFailure, IntegralityFailure, NoSolution
 from cuspcenter.invariants import invariant_ring
@@ -294,11 +300,86 @@ def test_certificates_reproduce_deltas(endo_results):
             assert h.degree < res.ring.dimension
 
 
-def test_delta_class_standalone_matches_pipeline(endo_results):
-    res = endo_results["P1"]
+def assert_matches_per_class(res):
+    """Referee for the per-type records: plain class_predicates,
+    delta_class and reconstruct_gamma on every class, one by one."""
     ps = res.params
+    assert list(res.class_info) == [ct.label() for ct in res.classes]
+    assert list(res.deltas) == list(res.class_info)
+    singular = []
     for ct in res.classes:
-        assert delta_class(ct, ps) == res.deltas[ct.label()]
+        pred = class_predicates(ct, ps)
+        assert list(pred.items()) == list(res.class_info[ct.label()].items())
+        vec = delta_class(ct, ps)
+        assert vec == res.deltas[ct.label()]
+        if res.case_report.bucket_of[ct.label()] == DEGREE_N and theta_exponent(ct, ps):
+            singular.append(reconstruct_gamma(ps, ct, vec, res.scaled_idempotent))
+    assert [list(rec.items()) for rec in singular] == [
+        list(rec.items()) for rec in res.reconstructions
+    ]
+
+
+def test_delta_class_standalone_matches_pipeline(endo_results):
+    for res in endo_results.values():
+        assert_matches_per_class(res)
+
+
+@pytest.fixture(scope="module")
+def endo_17_3():
+    return verify_endo_ring(17, 3, 2)
+
+
+def test_per_type_records_match_per_class_at_17_3(endo_17_3):
+    assert_matches_per_class(endo_17_3)
+
+
+def test_endo_ring_computes_once_per_type_at_17_3(monkeypatch):
+    deltas, columns = [], []
+    plain_delta, plain_solve = centermap.delta_class, centermap.solve_columns
+
+    def counted_delta(*args):
+        deltas.append(1)
+        return plain_delta(*args)
+
+    def counted_solve(rows, rhs_list):
+        columns.append(len(rhs_list))
+        return plain_solve(rows, rhs_list)
+
+    monkeypatch.setattr(centermap, "delta_class", counted_delta)
+    monkeypatch.setattr(centermap, "solve_columns", counted_solve)
+    res = verify_endo_ring(17, 3, 2)
+    # 288 classes, 12 (type key, theta exponent) pairs, 8 distinct vectors
+    assert len(deltas) == 12
+    assert len(columns) == 1 and columns[0] <= 12
+    labels = [ct.label() for ct in res.classes]
+    assert len(labels) == 288
+    assert list(res.certificates) == labels
+    assert list(res.class_info) == labels
+    singular = [
+        ct.label()
+        for ct in res.classes
+        if res.case_report.bucket_of[ct.label()] == DEGREE_N
+        and theta_exponent(ct, res.params)
+    ]
+    assert len(singular) == 128
+    assert [rec["label"] for rec in res.reconstructions] == singular
+
+
+# sha256 of `endo-ring --out json`, recorded before per-type records
+ENDO_RING_SHA256 = {
+    ("17", "3"): "2d87d4d376e6ff2f89db2ab3a8498e5643278307eb56dcad60a7c0f2559a190c",
+    ("7", "5"): "bb3502f78f845d9dc9800f843dc775067afb7faf2301a750c7cefa482f21cbab",
+}
+
+
+@pytest.mark.parametrize("q,ell", sorted(ENDO_RING_SHA256))
+def test_endo_ring_json_pinned(q, ell):
+    proc = subprocess.run(
+        [sys.executable, "-m", "cuspcenter", "endo-ring", "--q", q, "--ell", ell, "--out", "json"],
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()[-1000:]
+    assert hashlib.sha256(proc.stdout).hexdigest() == ENDO_RING_SHA256[(q, ell)]
 
 
 def test_reduced_twin_agrees(endo_results):

@@ -1,8 +1,9 @@
 """Property tests: each fast arithmetic kernel against the slow referee
 it replaced.  The pi-adic valuation is checked against ord_l of the
 field norm (a determinant), the integer product against a schoolbook
-Fraction product reduced by long division by Phi_{l^r}, and the
-multi-column solve against one solve per column."""
+Fraction product reduced by long division by Phi_{l^r}, scaling by a
+rational against coefficientwise products, and the multi-column solve
+against one solve per column."""
 
 from fractions import Fraction
 
@@ -97,6 +98,21 @@ def test_integer_product_matches_schoolbook(ell, level, data):
     expected = schoolbook_product(ell, level, stretched(low, level), x.coeffs)
     assert (low * x).coeffs == expected
     assert (x * low).coeffs == expected
+
+
+@pytest.mark.parametrize("ell,level", [(2, 3), (3, 1), (5, 2), (31, 1)])
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(data=st.data())
+def test_rational_scaling_matches_coefficientwise(ell, level, data):
+    """Multiplying by a level-0 factor, the +-1 short cuts included,
+    scales every coefficient and keeps the level."""
+    x = data.draw(element(ell, level))
+    s = data.draw(st.one_of(st.sampled_from([1, -1]), coefficient(ell)))
+    expected = tuple(c * s for c in x.coeffs)
+    for scalar in (s, Fraction(s), CyclotomicNumber.rational(ell, s)):
+        for product in (x * scalar, scalar * x):
+            assert product.level == level
+            assert product.coeffs == expected
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
