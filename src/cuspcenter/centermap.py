@@ -226,7 +226,8 @@ def case_analysis(ps: ParameterSet, deltas: dict) -> CaseReport:
     both small-degree primary buckets, recorded (but deliberately not
     asserted either way) on the degree-n bucket, and the witness bucket
     must consist of the single regular-unipotent class whose vector is
-    (0, u*l^r, ..., u*l^r) with u an l-unit.
+    (0, u*l^r, ..., u*l^r) with u an l-unit.  S-membership is computed
+    once per vector object: classes of one type key share theirs.
     """
     ps = require_reduced(ps)
     bucket_of = {}
@@ -235,12 +236,15 @@ def case_analysis(ps: ParameterSet, deltas: dict) -> CaseReport:
     witness_label = None
     witness_unit = None
     lr = Fraction(ps.ell_power)
+    flag_of = {}  # id(vec) -> flag; deltas keeps every vector alive
     for ct, vec in deltas.items():
         bucket = case_bucket(ct, ps)
         label = ct.label()
         bucket_of[label] = bucket
         counts[bucket] += 1
-        flag = s_membership(vec)
+        flag = flag_of.get(id(vec))
+        if flag is None:
+            flag = flag_of[id(vec)] = s_membership(vec)
         s_flags[label] = flag
         if bucket == REALIZED_WITNESS:
             if not vec.entry0.is_zero():

@@ -1,19 +1,15 @@
 """Tiny exact matrix helpers, generic over a commutative ring.
 
 Matrices are tuples of row tuples whose entries support +, -, * among
-themselves and with ints.  ``mat_mul``, ``det`` and ``inverse`` serve
-the brute-force ``matrixoracle``; ``charpoly`` serves ``deformation``.
-Inversion needs a field (entries must support /).  ``det`` and
-``charpoly`` use the Leibniz expansion, which divides by nothing and
-therefore works verbatim over finite fields and cyclotomic rings
-alike; its n! terms keep it to small n.
+themselves and with ints.  ``charpoly`` serves ``deformation``;
+``mat_mul`` serves the tests.  ``charpoly`` uses the Leibniz expansion,
+which divides by nothing and therefore works verbatim over finite
+fields and cyclotomic rings alike; its n! terms keep it to small n.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
-
-from .errors import NoSolution
 
 
 def mat_mul(a, b, zero):
@@ -39,17 +35,6 @@ def _perm_sign(perm) -> int:
     return -1 if inv % 2 else 1
 
 
-def det(a, zero):
-    n = len(a)
-    total = zero
-    for perm in permutations(range(n)):
-        prod = a[0][perm[0]]
-        for i in range(1, n):
-            prod = prod * a[i][perm[i]]
-        total = total + prod if _perm_sign(perm) == 1 else total - prod
-    return total
-
-
 def charpoly(a, zero, one) -> list:
     """Coefficients c_0..c_n (low first) of det(Y*I - A)."""
     n = len(a)
@@ -68,20 +53,3 @@ def charpoly(a, zero, one) -> list:
             total[k] = total[k] + c if sign == 1 else total[k] - c
     return total
 
-
-def inverse(a, zero, one):
-    """Gaussian elimination over a field."""
-    n = len(a)
-    aug = [list(a[i]) + [one if i == j else zero for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != zero), None)
-        if piv is None:
-            raise NoSolution("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = one / aug[col][col]
-        aug[col] = [x * inv_p for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != zero:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return tuple(tuple(r[n:]) for r in aug)

@@ -365,6 +365,22 @@ def test_endo_ring_computes_once_per_type_at_17_3(monkeypatch):
     assert [rec["label"] for rec in res.reconstructions] == singular
 
 
+def test_s_membership_once_per_vector_at_17_3(monkeypatch):
+    calls = []
+
+    def counted(vec):
+        calls.append(vec)
+        return s_membership(vec)
+
+    monkeypatch.setattr(centermap, "s_membership", counted)
+    res = verify_endo_ring(17, 3, 2)
+    assert len(calls) <= 12
+    flags = res.case_report.s_flags
+    assert list(flags) == [ct.label() for ct in res.classes]
+    assert len(flags) == 288
+    assert flags == {label: s_membership(vec) for label, vec in res.deltas.items()}
+
+
 # sha256 of `endo-ring --out json`, recorded before per-type records
 ENDO_RING_SHA256 = {
     ("17", "3"): "2d87d4d376e6ff2f89db2ab3a8498e5643278307eb56dcad60a7c0f2559a190c",

@@ -3,9 +3,16 @@
 import doctest
 
 import cuspcenter.cyclotomic
+import cuspcenter.matrixoracle
 
 
 def test_cyclotomic_doctests():
     result = doctest.testmod(cuspcenter.cyclotomic)
+    assert result.attempted > 0
+    assert result.failed == 0
+
+
+def test_matrixoracle_doctests():
+    result = doctest.testmod(cuspcenter.matrixoracle)
     assert result.attempted > 0
     assert result.failed == 0

@@ -1,19 +1,124 @@
 """Brute-force census vs the product-formula class data.  These four
 groups (orders 6, 48, 180, 168) are small enough to enumerate outright,
-which makes them the referee for everything classes.py computes."""
+which makes them the referee for everything classes.py computes.
+
+The census itself runs on integer encodings through ``FieldTables``.
+Its referee here is the plain census over ``FFElement`` matrices with
+generic product, Leibniz determinant and Gaussian inverse."""
+
+from itertools import permutations
 
 import pytest
 
-from cuspcenter.classes import enumerate_classes
-from cuspcenter.errors import ScaleLimit
+from cuspcenter import matrixoracle
+from cuspcenter.classes import enumerate_classes, group_order
+from cuspcenter.errors import AssertionFailure, ScaleLimit
 from cuspcenter.finitefield import finite_field
-from cuspcenter.matrixoracle import census_cross_check, matrix_census
-
-
-@pytest.mark.parametrize(
-    "q,n,order,count",
-    [(2, 2, 6, 3), (3, 2, 48, 8), (4, 2, 180, 15), (2, 3, 168, 6)],
+from cuspcenter.matrices import mat_mul
+from cuspcenter.matrixoracle import (
+    FieldTables,
+    census_cross_check,
+    encode_matrix,
+    mat_inverse,
+    mat_mul as enc_mat_mul,
+    matrix_census,
 )
+
+GROUPS = [(2, 2, 6, 3), (3, 2, 48, 8), (4, 2, 180, 15), (2, 3, 168, 6)]
+
+
+# ---------------------------------------------------------------------------
+# referee: the census over FFElement matrices
+# ---------------------------------------------------------------------------
+
+
+def _det(a, zero):
+    n = len(a)
+    total = zero
+    for perm in permutations(range(n)):
+        prod = a[0][perm[0]]
+        for i in range(1, n):
+            prod = prod * a[i][perm[i]]
+        odd = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n)) % 2
+        total = total - prod if odd else total + prod
+    return total
+
+
+def _inverse(a, zero, one):
+    n = len(a)
+    aug = [list(a[i]) + [one if i == j else zero for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if aug[i][col] != zero)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv_p = one / aug[col][col]
+        aug[col] = [x * inv_p for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col] != zero:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    return tuple(tuple(r[n:]) for r in aug)
+
+
+def _all_matrices(field, n):
+    order = field.order
+    for enc in range(order ** (n * n)):
+        entries = []
+        x = enc
+        for _ in range(n * n):
+            entries.append(field.element(x % order))
+            x //= order
+        yield tuple(tuple(entries[i * n : (i + 1) * n]) for i in range(n))
+
+
+def referee_census(field, n):
+    """(sizes, centralizers, orbit_of) with FFElement-matrix keys."""
+    zero, one = field.zero, field.one
+    group = [g for g in _all_matrices(field, n) if _det(g, zero)]
+    assert len(group) == group_order(field.order, n)
+    pairs = [(h, _inverse(h, zero, one)) for h in group]
+    orbit_of, sizes, centralizers = {}, [], []
+    for g in group:
+        if g in orbit_of:
+            continue
+        orbit = {mat_mul(mat_mul(h, g, zero), hinv, zero) for h, hinv in pairs}
+        for mat in orbit:
+            orbit_of[mat] = len(sizes)
+        sizes.append(len(orbit))
+        centralizers.append(
+            sum(1 for h, _ in pairs if mat_mul(h, g, zero) == mat_mul(g, h, zero))
+        )
+    return tuple(sizes), tuple(centralizers), orbit_of
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q, n, _, _ in GROUPS] + [(101, 1)])
+def test_census_matches_referee(q, n):
+    field = finite_field(q)
+    sizes, centralizers, orbit_of = referee_census(field, n)
+    census = matrix_census(field, n)
+    assert census.sizes == sizes
+    assert census.centralizers == centralizers
+    assert census.orbit_of == {encode_matrix(m): idx for m, idx in orbit_of.items()}
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_tables_reproduce_field_arithmetic(q):
+    field = finite_field(q)
+    t = FieldTables(field)
+    for x in field.elements():
+        assert t.neg[x.encoding] == (-x).encoding
+        if x:
+            assert t.inv(x.encoding) == x.inverse().encoding
+        for y in field.elements():
+            assert t.add(x.encoding, y.encoding) == (x + y).encoding
+            assert t.mul(x.encoding, y.encoding) == (x * y).encoding
+
+
+# ---------------------------------------------------------------------------
+# the census against classes.py, its checks and its bounds
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q,n,order,count", GROUPS)
 def test_census_cross_check(q, n, order, count):
     field = finite_field(q)
     classes = enumerate_classes(field, n)
@@ -32,6 +137,28 @@ def test_census_orbit_partition():
     # every group element is assigned to exactly one orbit
     assert len(census.orbit_of) == 6
     assert sum(census.sizes) == 6
+
+
+def test_corrupted_mul_table_entry_is_caught(monkeypatch):
+    class CorruptTables(FieldTables):
+        def mul(self, x, y):
+            # (-1) * (-1) = -1 in GF(3)
+            return 2 if (x, y) == (2, 2) else super().mul(x, y)
+
+    monkeypatch.setattr(matrixoracle, "FieldTables", CorruptTables)
+    with pytest.raises(AssertionFailure, match="invertible matrices"):
+        matrix_census(finite_field(3), 2)
+
+
+def test_corrupted_inverse_is_caught(monkeypatch):
+    def corrupt_inverse(t, a, n):
+        inv = mat_inverse(t, a, n)
+        # the two elements of order 3 get themselves as inverse
+        return a if enc_mat_mul(t, a, a, n) == inv else inv
+
+    monkeypatch.setattr(matrixoracle, "mat_inverse", corrupt_inverse)
+    with pytest.raises(AssertionFailure, match=r"h \* h\^-1"):
+        matrix_census(finite_field(2), 2)
 
 
 def test_census_scale_limit():
