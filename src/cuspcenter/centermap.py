@@ -56,7 +56,7 @@ class BlockVector:
         embedded = []
         for e in entries:
             if not isinstance(e, CyclotomicNumber):
-                e = CyclotomicNumber.rational(ell, Fraction(e))
+                e = CyclotomicNumber.rational(ell, e)
             embedded.append(e.embed_to(r))
         self.entries = tuple(embedded)
         assert len(self.entries) == len(self.reps)
@@ -407,7 +407,9 @@ def _coordinates(vec: BlockVector, phi: int) -> list:
     coordinate)."""
     out = []
     for e in vec.entries:
-        out += [e.coeffs[c] if c < len(e.coeffs) else Fraction(0) for c in range(phi)]
+        den = e.den
+        out += [Fraction(x, den) for x in e.nums]
+        out += [0] * (phi - len(e.nums))
     return out
 
 

@@ -2,11 +2,16 @@
 
 An element is a vector of rationals on the power basis
 1, z, ..., z^(phi(l^i) - 1) of Q(zeta_{l^i}), always kept reduced modulo
-the cyclotomic polynomial Phi_{l^i}(X) = Phi_l(X^(l^(i-1))).  Level 0 is
-plain Q.  Elements of different levels over the same l mix freely: the
-lower one embeds via zeta_i = zeta_j^(l^(j-i)).  Products and reductions
-run on integer numerators over one common denominator; ``_reduce`` is
-the only fold modulo Phi.
+the cyclotomic polynomial Phi_{l^i}(X) = Phi_l(X^(l^(i-1))).  It is
+stored as integer numerators over one common denominator, in lowest
+terms: ``den > 0`` and ``gcd(*nums, den) == 1``.  Equality is therefore
+a tuple compare, and no arithmetic builds a ``Fraction``; ``Fraction``s
+appear only at the interfaces: the constructor, the ``coeffs`` view,
+``as_rational`` and the hash of a rational element.
+Level 0 is plain Q.  Elements of different levels over the same l mix
+freely: the lower one embeds via zeta_i = zeta_j^(l^(j-i)).
+``convolve`` is the one dense integer product and ``_reduce`` the only
+fold modulo Phi.
 
 The l-adic valuation is normalised so that nu(zeta_{l^i} - 1) = 1 at
 level i >= 1, hence nu(l) = phi(l^i) and on rationals embedded at level
@@ -33,7 +38,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import linalg
-from .arith import ord_frac, ord_int
+from .arith import ord_int
 from .errors import ZeroArgument
 
 _ZERO = Fraction(0)
@@ -44,6 +49,36 @@ def phi_prime_power(ell: int, level: int) -> int:
         return 1
     m = ell**level
     return m - m // ell
+
+
+def convolve(a, b) -> list:
+    """Dense product of two integer coefficient sequences, low degree
+    first (length len(a) + len(b) - 1, no reduction)."""
+    out = [0] * (len(a) + len(b) - 1)
+    terms = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if x:
+            for j, y in terms:
+                out[i + j] += x * y
+    return out
+
+
+def lowest_terms(nums, den: int) -> tuple[tuple, int]:
+    """(nums, den) divided by gcd(*nums, den), with den > 0."""
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(nums), den
+    return tuple(x // g for x in nums), den // g
+
+
+def add_numerators(a, da: int, b, db: int, sign: int = 1) -> tuple[tuple, int]:
+    """a/da + sign * b/db for equal-length integer sequences a and b,
+    over the lcm of the denominators and then in lowest terms."""
+    g = gcd(da, db)
+    fa, fb = db // g, da // g * sign
+    return lowest_terms([x * fa + y * fb for x, y in zip(a, b)], da * fa)
 
 
 def _reduce(ell: int, level: int, raw) -> list:
@@ -67,41 +102,47 @@ def _reduce(ell: int, level: int, raw) -> list:
     return folded[:phi]
 
 
-def _numerators(coeffs) -> tuple[list, int]:
-    """Integer numerators of ``coeffs`` over their least common denominator."""
-    den = 1
-    for c in coeffs:
-        d = c.denominator
-        if den % d:
-            den = den // gcd(den, d) * d
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+def _new(ell: int, level: int, nums: tuple, den: int) -> "CyclotomicNumber":
+    """Element from reduced numerators already in lowest terms."""
+    x = object.__new__(CyclotomicNumber)
+    x.ell = ell
+    x.level = level
+    x.nums = nums
+    x.den = den
+    return x
 
 
-def _fractions(nums, den) -> tuple:
-    return tuple(Fraction(x, den) if x else _ZERO for x in nums)
+def _normalised(ell: int, level: int, nums, den: int) -> "CyclotomicNumber":
+    return _new(ell, level, *lowest_terms(nums, den))
 
 
 class CyclotomicNumber:
-    __slots__ = ("ell", "level", "coeffs")
+    __slots__ = ("ell", "level", "nums", "den")
 
     def __init__(self, ell: int, level: int, coeffs, reduced: bool = False):
+        nums, den = linalg.clear_denominators(coeffs)
+        if not reduced:
+            nums = _reduce(ell, level, nums)
         self.ell = ell
         self.level = level
-        if reduced:
-            self.coeffs = tuple(coeffs)
-        else:
-            nums, den = _numerators([Fraction(c) for c in coeffs])
-            self.coeffs = _fractions(_reduce(ell, level, nums), den)
-        assert len(self.coeffs) == phi_prime_power(ell, level)
+        self.nums, self.den = lowest_terms(nums, den)
+        assert len(self.nums) == phi_prime_power(ell, level)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The power-basis coefficients as ``Fraction``s (read-only)."""
+        den = self.den
+        return tuple(Fraction(x, den) if x else _ZERO for x in self.nums)
 
     @classmethod
     def rational(cls, ell: int, x) -> "CyclotomicNumber":
-        return cls(ell, 0, (Fraction(x),), reduced=True)
+        if not isinstance(x, (int, Fraction)):
+            x = Fraction(x)
+        return _new(ell, 0, (x.numerator,), x.denominator)
 
     @classmethod
     def zero(cls, ell: int, level: int = 0) -> "CyclotomicNumber":
-        n = phi_prime_power(ell, level)
-        return cls(ell, level, (Fraction(0),) * n, reduced=True)
+        return _new(ell, level, (0,) * phi_prime_power(ell, level), 1)
 
     # -- level bookkeeping -------------------------------------------------
 
@@ -111,37 +152,37 @@ class CyclotomicNumber:
         if level < self.level:
             raise ValueError("can only embed into a higher level")
         # z_low^e = z^(e * stretch) with e * stretch < phi: already reduced
-        stretch = 0 if self.level == 0 else self.ell ** (level - self.level)
-        out = [_ZERO] * phi_prime_power(self.ell, level)
-        for e, c in enumerate(self.coeffs):
-            out[e * stretch] = c
-        return CyclotomicNumber(self.ell, level, out, reduced=True)
+        out = [0] * phi_prime_power(self.ell, level)
+        if self.level == 0:
+            out[0] = self.nums[0]
+        else:
+            out[:: self.ell ** (level - self.level)] = self.nums
+        return _new(self.ell, level, tuple(out), self.den)
 
     def canonical(self) -> "CyclotomicNumber":
         """Equal element at the smallest possible level."""
         cur = self
+        ell = self.ell
         while cur.level >= 1:
+            nums = cur.nums
             if cur.level == 1:
-                if any(cur.coeffs[1:]):
+                if any(nums[1:]):
                     return cur
-                cur = CyclotomicNumber.rational(cur.ell, cur.coeffs[0])
-                continue
-            ell = cur.ell
-            if any(c for e, c in enumerate(cur.coeffs) if e % ell):
+                return _new(ell, 0, nums[:1], cur.den)
+            if any(any(nums[k::ell]) for k in range(1, ell)):
                 return cur
-            down = cur.coeffs[::ell]
-            cur = CyclotomicNumber(ell, cur.level - 1, down, reduced=True)
+            cur = _new(ell, cur.level - 1, nums[::ell], cur.den)
         return cur
 
     def as_rational(self) -> Fraction | None:
         c = self.canonical()
-        return c.coeffs[0] if c.level == 0 else None
+        return Fraction(c.nums[0], c.den) if c.level == 0 else None
 
     def is_rational(self) -> bool:
-        return self.as_rational() is not None
+        return self.canonical().level == 0
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -151,32 +192,31 @@ class CyclotomicNumber:
                 raise ValueError("mixing cyclotomic towers of different primes")
             return other
         if isinstance(other, (int, Fraction)):
-            return CyclotomicNumber.rational(self.ell, other)
+            return _new(self.ell, 0, (other.numerator,), other.denominator)
         return None
 
     def _common(self, other):
         lvl = max(self.level, other.level)
         return self.embed_to(lvl), other.embed_to(lvl)
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
+        """self + sign * other for sign = +-1."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         a, b = self._common(other)
-        return CyclotomicNumber(
-            a.ell, a.level, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)), reduced=True
-        )
+        return _new(a.ell, a.level, *add_numerators(a.nums, a.den, b.nums, b.den, sign))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CyclotomicNumber(self.ell, self.level, tuple(-c for c in self.coeffs), reduced=True)
+        return _new(self.ell, self.level, tuple(-x for x in self.nums), self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -186,23 +226,14 @@ class CyclotomicNumber:
         if other is None:
             return NotImplemented
         if self.level == 0 or other.level == 0:
-            a, s = (self, other.coeffs[0]) if other.level == 0 else (other, self.coeffs[0])
-            if s == 1:
-                return a
-            if s == -1:
-                return -a
-            return CyclotomicNumber(a.ell, a.level, tuple(c * s for c in a.coeffs), reduced=True)
+            a, s = (self, other) if other.level == 0 else (other, self)
+            sn, sd = s.nums[0], s.den
+            if sd == 1 and sn in (1, -1):
+                return a if sn == 1 else -a
+            return _normalised(a.ell, a.level, [x * sn for x in a.nums], a.den * sd)
         a, b = self._common(other)
-        na, da = _numerators(a.coeffs)
-        nb, db = _numerators(b.coeffs)
-        out = [0] * (2 * len(na) - 1)
-        for i, x in enumerate(na):
-            if x:
-                for j, y in enumerate(nb):
-                    if y:
-                        out[i + j] += x * y
-        folded = _reduce(a.ell, a.level, out)
-        return CyclotomicNumber(a.ell, a.level, _fractions(folded, da * db), reduced=True)
+        folded = _reduce(a.ell, a.level, convolve(a.nums, b.nums))
+        return _normalised(a.ell, a.level, folded, a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -228,27 +259,24 @@ class CyclotomicNumber:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic number")
         if self.level == 0:
-            return CyclotomicNumber.rational(self.ell, 1 / self.coeffs[0])
-        m = self._mult_matrix()
-        n = len(self.coeffs)
-        e0 = [Fraction(int(i == 0)) for i in range(n)]
-        sol = linalg.solve_unique(m, e0)
+            return CyclotomicNumber.rational(self.ell, Fraction(self.den, self.nums[0]))
+        # (nums / den) * y = 1  <=>  nums * y = den
+        rhs = [self.den] + [0] * (len(self.nums) - 1)
+        sol = linalg.solve_unique(self._mult_matrix(), rhs)
         return CyclotomicNumber(self.ell, self.level, sol, reduced=True)
 
     def _mult_matrix(self):
-        """Matrix of y -> self*y on the power basis (columns indexed by basis)."""
-        n = len(self.coeffs)
-        cols = []
-        for j in range(n):
-            shifted = [0] * j + list(self.coeffs)
-            cols.append(CyclotomicNumber(self.ell, self.level, shifted).coeffs)
+        """Integer matrix of y -> den * self * y on the power basis
+        (columns indexed by basis)."""
+        n = len(self.nums)
+        cols = [_reduce(self.ell, self.level, [0] * j + list(self.nums)) for j in range(n)]
         return [[cols[j][i] for j in range(n)] for i in range(n)]
 
     def norm(self) -> Fraction:
         """Field norm to Q (det of the multiplication-by-self matrix)."""
         if self.level == 0:
-            return self.coeffs[0]
-        return linalg.determinant(self._mult_matrix())
+            return Fraction(self.nums[0], self.den)
+        return linalg.determinant(self._mult_matrix()) / self.den ** len(self.nums)
 
     # -- comparisons -------------------------------------------------------
 
@@ -257,13 +285,13 @@ class CyclotomicNumber:
         if other is None:
             return NotImplemented
         a, b = self._common(other)
-        return a.coeffs == b.coeffs
+        return a.den == b.den and a.nums == b.nums
 
     def __hash__(self):
         c = self.canonical()
         if c.level == 0:
-            return hash(c.coeffs[0])
-        return hash((c.ell, c.level, c.coeffs))
+            return hash(Fraction(c.nums[0], c.den))
+        return hash((c.ell, c.level, c.nums, c.den))
 
     def __repr__(self):
         c = self.canonical()
@@ -284,17 +312,16 @@ def zeta(ell: int, level: int, exponent: int = 1) -> CyclotomicNumber:
     """zeta_{l^level}^exponent as a reduced power-basis vector."""
     if level == 0:
         return CyclotomicNumber.rational(ell, 1)
-    m = ell**level
-    e = exponent % m
-    raw = [Fraction(0)] * (e + 1)
-    raw[e] = Fraction(1)
-    return CyclotomicNumber(ell, level, raw)
+    e = exponent % ell**level
+    raw = [0] * (e + 1)
+    raw[e] = 1
+    return _new(ell, level, tuple(_reduce(ell, level, raw)), 1)
 
 
 def ell_valuation(x: CyclotomicNumber) -> int:
     """Normalised l-adic valuation: nu(zeta - 1) = 1, nu(l) = phi(l^i).
 
-    At level i >= 1, clear denominators to integers c_j over one den,
+    At level i >= 1, x = sum_j c_j zeta^j / den with integers c_j.
     Taylor-shift sum_j c_j X^j by X -> X + 1 to get x * den as
     sum_k d_k (zeta - 1)^k, and return min_k(phi * ord_l(d_k) + k) minus
     phi * ord_l(den).  The extension is totally ramified with
@@ -306,23 +333,24 @@ def ell_valuation(x: CyclotomicNumber) -> int:
         raise ZeroArgument("valuation of zero")
     ell = x.ell
     if x.level == 0:
-        return ord_frac(x.coeffs[0], ell)
-    d, den = _numerators(x.coeffs)
+        return ord_int(x.nums[0], ell) - ord_int(x.den, ell)
+    d = list(x.nums)
     phi = len(d)
     for i in range(phi - 1):
         for j in range(phi - 2, i - 1, -1):
             d[j] += d[j + 1]
     best = min(phi * ord_int(dk, ell) + k for k, dk in enumerate(d) if dk)
-    return best - phi * ord_int(den, ell)
+    return best - phi * ord_int(x.den, ell)
 
 
 def is_ell_integral(x: CyclotomicNumber) -> bool:
     """True iff x lies in the l-local ring of integers Z_(l)[zeta].
 
     The power basis is an integral basis for Q(zeta_{l^i}), so this is
-    exactly "every coefficient has denominator prime to l".
+    exactly "every coefficient has denominator prime to l"; in lowest
+    terms the common denominator is the lcm of those denominators.
     """
-    return all(c.denominator % x.ell != 0 for c in x.coeffs)
+    return x.den % x.ell != 0
 
 
 def congruent_mod(x: CyclotomicNumber, y: CyclotomicNumber, modulus) -> bool:

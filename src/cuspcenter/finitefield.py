@@ -122,6 +122,7 @@ class FiniteField:
         self._orbits: dict[tuple[int, int], dict] = {}
         self._irreducibles: dict[int, tuple] = {}
         self._sylow: dict[int, tuple] = {}
+        self._sylow_powers: dict[int, tuple] = {}
 
     def element(self, encoding: int) -> "FFElement":
         return FFElement(self, _decode_poly(encoding, self.e, self.p))
@@ -521,7 +522,9 @@ def smallest_root(poly: FqPoly, big: FiniteField) -> FFElement:
 def sylow_generator(field: FiniteField, ell: int):
     """(eps, r, dlog) where eps is the first element in encoding order
     of multiplicative order exactly l^r, l^r the ell-part of |F^x|, and
-    dlog maps each l-power-order element to its exponent on eps."""
+    dlog maps each l-power-order element to its exponent on eps.  The
+    power table (eps^0, ..., eps^(l^r - 1)) is kept next to it in
+    ``field._sylow_powers``."""
     if ell in field._sylow:
         return field._sylow[ell]
     n = field.order - 1
@@ -535,12 +538,11 @@ def sylow_generator(field: FiniteField, ell: int):
             break
     if eps is None:
         raise AssertionFailure(f"no element of order {target} in F_{field.order}")
-    dlog = {}
-    x = field.one
-    for k in range(target):
-        dlog[x] = k
-        x = x * eps
-    field._sylow[ell] = (eps, r, dlog)
+    powers = [field.one]
+    for _ in range(target - 1):
+        powers.append(powers[-1] * eps)
+    field._sylow[ell] = (eps, r, {x: k for k, x in enumerate(powers)})
+    field._sylow_powers[ell] = tuple(powers)
     return field._sylow[ell]
 
 
@@ -550,15 +552,17 @@ def ell_part_and_dlog(t: FFElement, ell: int) -> int:
     if not t:
         raise ZeroElement("ell-part of zero")
     field = t.field
-    eps, r, dlog = sylow_generator(field, ell)
+    _, r, dlog = sylow_generator(field, ell)
+    powers = field._sylow_powers[ell]
     n = field.order - 1
     lr = ell**r
     m = n // lr
-    # 1 = alpha*l^r + beta*m  ->  t = t^(alpha*l^r) * t^(beta*m)
+    # 1 = alpha*l^r + beta*m, so t = t^(alpha*l^r) * t^(beta*m) and the
+    # ell-part is t^(beta*m) = u^beta with u = t^m
+    u = t**m
     beta = pow(m, -1, lr) if lr > 1 else 0
-    t_ell = t ** (beta * m % n) if n > 1 else field.one
-    j = dlog[t_ell]
-    t_reg = t * (eps**j).inverse()
-    if t_reg**m != field.one:
+    j = dlog[u**beta]
+    # t = eps^j * t_reg with t_reg^m = 1 exactly when u = eps^(j*m)
+    if u != powers[j * m % lr]:
         raise AssertionFailure(f"l-regular part of {t!r} has order divisible by {ell}")
     return j

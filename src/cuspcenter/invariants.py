@@ -25,27 +25,51 @@ from math import comb
 
 from . import linalg
 from .arith import ord_frac
-from .cyclotomic import CyclotomicNumber, ell_valuation, phi_prime_power, zeta
+from .cyclotomic import (
+    CyclotomicNumber,
+    add_numerators,
+    convolve,
+    ell_valuation,
+    lowest_terms,
+    phi_prime_power,
+    zeta,
+)
 from .errors import AssertionFailure, IntegralityFailure
 from .params import ParameterSet, require_reduced
 from .polynomials import Poly, from_roots
 
 
 class GroupRingElement:
-    """Element of Q[X]/(X^modulus - 1), dense rational coefficients."""
+    """Element of Q[X]/(X^modulus - 1): dense integer numerators over one
+    common denominator, in lowest terms like ``CyclotomicNumber``.
+    Products share ``cyclotomic.convolve`` and fold modulo X^modulus - 1;
+    ``coeffs`` is the read-only ``Fraction`` view."""
 
-    __slots__ = ("modulus", "coeffs")
+    __slots__ = ("modulus", "nums", "den")
 
     def __init__(self, modulus: int, coeffs):
+        nums, den = linalg.clear_denominators(coeffs)
+        assert len(nums) == modulus
         self.modulus = modulus
-        cs = tuple(Fraction(c) for c in coeffs)
-        assert len(cs) == modulus
-        self.coeffs = cs
+        self.nums, self.den = lowest_terms(nums, den)
+
+    @classmethod
+    def _make(cls, modulus: int, nums, den: int) -> "GroupRingElement":
+        """Element from numerators already in lowest terms over ``den``."""
+        x = object.__new__(cls)
+        x.modulus = modulus
+        x.nums = nums
+        x.den = den
+        return x
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(x, self.den) for x in self.nums)
 
     @classmethod
     def unit(cls, modulus: int, exponent: int = 0, scale=1):
-        cs = [Fraction(0)] * modulus
-        cs[exponent % modulus] = Fraction(scale)
+        cs = [0] * modulus
+        cs[exponent % modulus] = scale
         return cls(modulus, cs)
 
     def _coerce(self, other):
@@ -56,41 +80,43 @@ class GroupRingElement:
             return GroupRingElement.unit(self.modulus, 0, other)
         return None
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
+        """self + sign * other for sign = +-1."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return GroupRingElement(
-            self.modulus, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
+        return GroupRingElement._make(
+            self.modulus, *add_numerators(self.nums, self.den, other.nums, other.den, sign)
         )
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GroupRingElement(self.modulus, tuple(-a for a in self.coeffs))
+        return GroupRingElement._make(self.modulus, tuple(-x for x in self.nums), self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        m = self.modulus
         if isinstance(other, (int, Fraction)):
-            return GroupRingElement(self.modulus, tuple(a * other for a in self.coeffs))
+            sn = other.numerator
+            return GroupRingElement._make(
+                m, *lowest_terms([x * sn for x in self.nums], self.den * other.denominator)
+            )
         if not isinstance(other, GroupRingElement):
             return NotImplemented
-        m = self.modulus
-        out = [Fraction(0)] * m
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[(i + j) % m] += a * b
-        return GroupRingElement(m, out)
+        raw = convolve(self.nums, other.nums)
+        out = raw[:m]
+        for e in range(m, len(raw)):
+            out[e - m] += raw[e]
+        return GroupRingElement._make(m, *lowest_terms(out, self.den * other.den))
 
     __rmul__ = __mul__
 
@@ -108,25 +134,25 @@ class GroupRingElement:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash((self.modulus, self.coeffs))
+        return hash((self.modulus, self.nums, self.den))
 
     def is_zero(self):
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def frobenius(self, a: int) -> "GroupRingElement":
         """The map X^b -> X^(ab)."""
         m = self.modulus
-        out = [Fraction(0)] * m
-        for e, c in enumerate(self.coeffs):
-            if c:
-                out[e * a % m] += c
-        return GroupRingElement(m, out)
+        out = [0] * m
+        for e, x in enumerate(self.nums):
+            if x:
+                out[e * a % m] += x
+        return GroupRingElement._make(m, *lowest_terms(out, self.den))
 
     def is_ell_integral(self, ell: int) -> bool:
-        return all(c.denominator % ell != 0 for c in self.coeffs)
+        return self.den % ell != 0
 
     def __repr__(self):
         terms = [
@@ -149,9 +175,9 @@ class OrbitStructure:
     def orbit_sum(self, a: int) -> GroupRingElement:
         rep = self.rep_of(a)
         orbit = self.orbits[self.reps.index(rep)]
-        cs = [Fraction(0)] * self.modulus
+        cs = [0] * self.modulus
         for e in orbit:
-            cs[e] = Fraction(1)
+            cs[e] = 1
         return GroupRingElement(self.modulus, cs)
 
 
@@ -199,7 +225,7 @@ def is_invariant(v: GroupRingElement, orbits: OrbitStructure) -> bool:
 def trace_element(ps: ParameterSet) -> GroupRingElement:
     ps = require_reduced(ps)
     m = ps.ell_power
-    cs = [Fraction(0)] * m
+    cs = [0] * m
     for k in range(ps.n):
         cs[pow(ps.q, k, m)] += 1
     return GroupRingElement(m, cs)
@@ -381,9 +407,9 @@ def invariant_ring(ps: ParameterSet) -> InvariantRingData:
     for k, fk in enumerate(powers):
         if not is_invariant(fk, orbits):
             raise AssertionFailure(f"f^{k} is not q-invariant")
-    rows = []
-    for rep in orbits.reps:
-        rows.append(tuple(fk.coeffs[rep] for fk in powers))
+    # column k of the matrix is f^k, read off its numerators once
+    columns = [[Fraction(fk.nums[rep], fk.den) for rep in orbits.reps] for fk in powers]
+    rows = list(zip(*columns))
     inverse = linalg.invert([list(r) for r in rows])
     for row in inverse:
         for entry in row:

@@ -1,41 +1,75 @@
-"""Exact Gaussian elimination over Fraction.
+"""Exact linear algebra over Q, fraction-free.
 
-``_echelon`` is the one elimination routine.  ``solve_columns`` solves
-A x = b for several right-hand sides with a single reduction of
-[A | b_1 ... b_k]; ``solve_unique`` is its one-column case, and
-``invert`` reduces [A | I] the same way.  ``determinant`` is kept as the
-referee for the cyclotomic norm.
+``_echelon`` is the one elimination routine.  It clears each row to
+integers, eliminates by integer cross-multiplication, divides each row
+by its content, and turns the pivot rows back into ``Fraction``s only
+at the end.  ``solve_columns`` solves A x = b for several right-hand
+sides with a single reduction of [A | b_1 ... b_k]; ``solve_unique`` is
+its one-column case, and ``invert`` reduces [A | I] the same way; all
+three return ``Fraction``s.  ``determinant`` is kept over ``Fraction``
+as the referee for the cyclotomic norm.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .errors import NoSolution
 
+_ZERO = Fraction(0)
 
-def _echelon(aug: list[list[Fraction]], ncols: int) -> list[int]:
+
+def clear_denominators(values) -> tuple[list[int], int]:
+    """(nums, den) with nums[i] / den == values[i] and den the least
+    common denominator; entries may be ints or ``Fraction``s."""
+    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    den = 1
+    for v in values:
+        d = v.denominator
+        if den % d:
+            den = den // gcd(den, d) * d
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """``row`` divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _echelon(aug: list[list], ncols: int) -> list[int]:
     """Row-reduce ``aug`` in place over its first ``ncols`` columns.
 
-    Returns the list of pivot column indices.
+    Returns the list of pivot column indices.  Row i < len(pivots)
+    becomes the i-th row of the reduced echelon form, as ``Fraction``s
+    with a 1 at its pivot; the rows below keep their primitive integer
+    form, which vanishes on the first ``ncols`` columns.
     """
+    rows = [_primitive(clear_denominators(r)[0]) for r in aug]
     pivots = []
     row = 0
     for col in range(ncols):
-        piv = next((i for i in range(row, len(aug)) if aug[i][col] != 0), None)
+        piv = next((i for i in range(row, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for i in range(len(aug)):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
+        rows[row], rows[piv] = rows[piv], rows[row]
+        p = rows[row]
+        pv = p[col]
+        for i, r in enumerate(rows):
+            f = r[col]
+            if f and i != row:
+                g = gcd(pv, f)
+                a, b = pv // g, f // g
+                rows[i] = _primitive([a * x - b * y for x, y in zip(r, p)])
         pivots.append(col)
         row += 1
-        if row == len(aug):
+        if row == len(rows):
             break
+    for i, col in enumerate(pivots):
+        pv = rows[i][col]
+        aug[i] = [Fraction(x, pv) if x else _ZERO for x in rows[i]]
+    aug[len(pivots):] = rows[len(pivots):]
     return pivots
 
 
@@ -49,17 +83,14 @@ def solve_columns(rows, rhs_list) -> list[list[Fraction]]:
     """
     ncols = len(rows[0]) if rows else 0
     k = len(rhs_list)
-    aug = [
-        [Fraction(x) for x in r] + [Fraction(b[i]) for b in rhs_list]
-        for i, r in enumerate(rows)
-    ]
+    aug = [list(r) + [b[i] for b in rhs_list] for i, r in enumerate(rows)]
     pivots = _echelon(aug, ncols)
     for r in aug[len(pivots):]:
         if any(r[ncols:]):
             raise NoSolution("inconsistent linear system")
     if len(pivots) < ncols:
         raise ValueError("underdetermined linear system")
-    sols = [[Fraction(0)] * ncols for _ in range(k)]
+    sols = [[_ZERO] * ncols for _ in range(k)]
     for i, col in enumerate(pivots):
         for j in range(k):
             sols[j][col] = aug[i][ncols + j]
@@ -73,10 +104,7 @@ def solve_unique(rows, rhs) -> list[Fraction]:
 
 def invert(rows) -> list[list[Fraction]]:
     n = len(rows)
-    aug = [
-        [Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
-        for i, r in enumerate(rows)
-    ]
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
     pivots = _echelon(aug, n)
     if len(pivots) < n:
         raise NoSolution("matrix is singular")

@@ -266,6 +266,18 @@ def test_regularity_check_catches_a_corrupted_dlog_table(monkeypatch):
         ell_part_and_dlog(field.one, 3)
 
 
+def test_regularity_check_catches_a_corrupted_power_table(monkeypatch):
+    field = finite_field(64)
+    eps, r, _ = sylow_generator(field, 3)
+    powers = field._sylow_powers[3]
+    assert powers == tuple(eps**k for k in range(3**r))
+    # powers of eps^-1 instead of eps: u = eps^m is compared with eps^-m
+    monkeypatch.setitem(field._sylow_powers, 3, (powers[0],) + powers[:0:-1])
+    with pytest.raises(AssertionFailure):
+        ell_part_and_dlog(eps, 3)
+    assert ell_part_and_dlog(field.one, 3) == 0  # eps^0 = 1 is unchanged
+
+
 def test_fqpoly_ring_operations():
     f = finite_field(4)
     a, b = f.element(2), f.element(3)

@@ -3,9 +3,19 @@ it replaced.  The pi-adic valuation is checked against ord_l of the
 field norm (a determinant), the integer product against a schoolbook
 Fraction product reduced by long division by Phi_{l^r}, scaling by a
 rational against coefficientwise products, and the multi-column solve
-against one solve per column."""
+against one solve per column.
+
+The integer exact kernel is checked against the Fraction arithmetic it
+replaced: ``RefCyclotomic``, ``RefGroupRing`` and ``ref_echelon`` are
+the earlier implementations on tuples of ``Fraction``s, kept here only
+as referees.  Every operation of ``CyclotomicNumber``,
+``GroupRingElement`` and the fraction-free ``linalg._echelon`` is
+compared with them on drawn operands, and every cyclotomic or
+group-ring result is checked to be in the one normal form (den > 0,
+gcd(*nums, den) == 1) that equality and hashing rely on."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +23,18 @@ from hypothesis import strategies as st
 
 from cuspcenter import linalg
 from cuspcenter.arith import ord_frac
-from cuspcenter.cyclotomic import CyclotomicNumber, ell_valuation, phi_prime_power
+from cuspcenter.cyclotomic import (
+    CyclotomicNumber,
+    congruent_mod,
+    ell_valuation,
+    is_ell_integral,
+    phi_prime_power,
+    zeta,
+)
 from cuspcenter.errors import NoSolution, ZeroArgument
+from cuspcenter.invariants import GroupRingElement
+
+ZERO = Fraction(0)
 
 LEVELS = [(2, 1), (2, 3), (3, 1), (3, 3), (5, 2), (7, 1), (31, 1)]
 
@@ -57,24 +77,31 @@ def test_valuation_of_zero_raises(ell, level):
         ell_valuation(CyclotomicNumber.zero(ell, level))
 
 
-def schoolbook_product(ell, level, a, b):
-    """Fraction convolution, then long division by
-    Phi_{l^r}(X) = sum_{j < l} X^(j l^(r-1)) (monic, degree phi)."""
+def ref_reduce(ell, level, raw):
+    """Fraction long division by Phi_{l^level}(X) = sum_{j < l} X^(j l^(level-1))
+    (monic, degree phi)."""
+    if level == 0:
+        return (sum(raw, ZERO),)
     phi = phi_prime_power(ell, level)
     step = ell ** (level - 1)
-    out = [Fraction(0)] * (2 * phi - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    phi_poly = [Fraction(0)] * (phi + 1)
-    for j in range(ell):
-        phi_poly[j * step] = Fraction(1)
+    out = [ZERO] * max(len(raw), phi)
+    for e, c in enumerate(raw):
+        out[e] += Fraction(c)
     for top in range(len(out) - 1, phi - 1, -1):
         c = out[top]
         if c:
-            for k, p in enumerate(phi_poly):
-                out[top - phi + k] -= c * p
+            for j in range(ell):
+                out[top - phi + j * step] -= c
     return tuple(out[:phi])
+
+
+def schoolbook_product(ell, level, a, b):
+    """Fraction convolution, then long division by Phi_{l^r}."""
+    out = [ZERO] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_reduce(ell, level, out)
 
 
 def stretched(x, level):
@@ -151,3 +178,424 @@ def test_solve_columns_matches_solve_unique(data):
     assert sols == outcomes
     for sol, b in zip(sols, rhs_list):
         assert [sum(a * s for a, s in zip(r, sol)) for r in rows] == b
+
+
+# -- referees -----------------------------------------------------------------
+
+
+def ref_echelon(aug, ncols):
+    """Gauss-Jordan over Fraction, in place; returns the pivot columns."""
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        piv = next((i for i in range(row, len(aug)) if aug[i][col] != 0), None)
+        if piv is None:
+            continue
+        aug[row], aug[piv] = aug[piv], aug[row]
+        inv = 1 / aug[row][col]
+        aug[row] = [x * inv for x in aug[row]]
+        for i in range(len(aug)):
+            if i != row and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(aug):
+            break
+    return pivots
+
+
+def ref_solve_columns(rows, rhs_list):
+    ncols = len(rows[0])
+    aug = [[Fraction(x) for x in r] + [Fraction(b[i]) for b in rhs_list]
+           for i, r in enumerate(rows)]
+    pivots = ref_echelon(aug, ncols)
+    if any(any(r[ncols:]) for r in aug[len(pivots):]):
+        raise NoSolution("inconsistent")
+    if len(pivots) < ncols:
+        raise ValueError("underdetermined")
+    sols = [[ZERO] * ncols for _ in rhs_list]
+    for i, col in enumerate(pivots):
+        for j in range(len(rhs_list)):
+            sols[j][col] = aug[i][ncols + j]
+    return sols
+
+
+def ref_invert(rows):
+    n = len(rows)
+    aug = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
+           for i, r in enumerate(rows)]
+    if len(ref_echelon(aug, n)) < n:
+        raise NoSolution("singular")
+    return [r[n:] for r in aug]
+
+
+class RefCyclotomic:
+    """A power-basis vector of ``Fraction``s at ``level``."""
+
+    def __init__(self, ell, level, coeffs):
+        self.ell, self.level = ell, level
+        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        assert len(self.coeffs) == phi_prime_power(ell, level)
+
+    def embed_to(self, level):
+        stretch = 0 if self.level == 0 else self.ell ** (level - self.level)
+        out = [ZERO] * phi_prime_power(self.ell, level)
+        for e, c in enumerate(self.coeffs):
+            out[e * stretch] = c
+        return RefCyclotomic(self.ell, level, out)
+
+    def _common(self, other):
+        if not isinstance(other, RefCyclotomic):
+            other = RefCyclotomic(self.ell, 0, (other,))
+        lvl = max(self.level, other.level)
+        return self.embed_to(lvl), other.embed_to(lvl)
+
+    def __add__(self, other):
+        a, b = self._common(other)
+        return RefCyclotomic(a.ell, a.level, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+    def __neg__(self):
+        return RefCyclotomic(self.ell, self.level, [-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        a, b = self._common(other)
+        return a + (-b)
+
+    def __mul__(self, other):
+        a, b = self._common(other)
+        product = schoolbook_product(a.ell, a.level, a.coeffs, b.coeffs)
+        return RefCyclotomic(a.ell, a.level, product)
+
+    def mult_matrix(self):
+        n = len(self.coeffs)
+        cols = [ref_reduce(self.ell, self.level, [ZERO] * j + list(self.coeffs)) for j in range(n)]
+        return [[cols[j][i] for j in range(n)] for i in range(n)]
+
+    def inverse(self):
+        n = len(self.coeffs)
+        sol = ref_solve_columns(self.mult_matrix(), [[Fraction(int(i == 0)) for i in range(n)]])[0]
+        return RefCyclotomic(self.ell, self.level, sol)
+
+    def power(self, k):
+        base = self.inverse() if k < 0 else self
+        out = RefCyclotomic(self.ell, 0, (1,))
+        for _ in range(abs(k)):
+            out = out * base
+        return out
+
+    def canonical(self):
+        cur = self
+        while cur.level >= 1:
+            if cur.level == 1:
+                if any(cur.coeffs[1:]):
+                    return cur
+                return RefCyclotomic(cur.ell, 0, cur.coeffs[:1])
+            if any(c for e, c in enumerate(cur.coeffs) if e % cur.ell):
+                return cur
+            cur = RefCyclotomic(cur.ell, cur.level - 1, cur.coeffs[:: cur.ell])
+        return cur
+
+    def norm(self):
+        return linalg.determinant(self.mult_matrix())
+
+    def is_ell_integral(self):
+        return all(c.denominator % self.ell for c in self.coeffs)
+
+
+class RefGroupRing:
+    """Dense ``Fraction`` coefficients in Q[X]/(X^modulus - 1)."""
+
+    def __init__(self, modulus, coeffs):
+        self.modulus = modulus
+        self.coeffs = tuple(Fraction(c) for c in coeffs)
+
+    def __add__(self, other):
+        return RefGroupRing(self.modulus, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        return RefGroupRing(self.modulus, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __mul__(self, other):
+        m = self.modulus
+        if not isinstance(other, RefGroupRing):
+            return RefGroupRing(m, [a * other for a in self.coeffs])
+        out = [ZERO] * m
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[(i + j) % m] += a * b
+        return RefGroupRing(m, out)
+
+    def power(self, k):
+        out = RefGroupRing(self.modulus, [1] + [0] * (self.modulus - 1))
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def frobenius(self, a):
+        out = [ZERO] * self.modulus
+        for e, c in enumerate(self.coeffs):
+            out[e * a % self.modulus] += c
+        return RefGroupRing(self.modulus, out)
+
+
+# -- helpers and strategies -----------------------------------------------------
+
+
+def assert_lowest_terms(x):
+    assert x.den > 0
+    assert gcd(x.den, *x.nums) == 1
+    assert all(type(v) is int for v in x.nums)
+
+
+def agree(x, ref):
+    assert_lowest_terms(x)
+    assert x.level == ref.level
+    assert x.coeffs == ref.coeffs
+
+
+def rational(ell):
+    """``coefficient``, often zero."""
+    return st.one_of(st.just(ZERO), coefficient(ell))
+
+
+def draw_pair(data, ell, level):
+    """A cyclotomic number at ``level`` and its referee; sometimes one
+    embedded from a lower level, so canonical() has something to demote."""
+    low = data.draw(st.integers(0, level))
+    phi = phi_prime_power(ell, low)
+    cs = data.draw(st.lists(rational(ell), min_size=phi, max_size=phi))
+    x = CyclotomicNumber(ell, low, cs, reduced=True).embed_to(level)
+    return x, RefCyclotomic(ell, low, cs).embed_to(level)
+
+
+TOWERS = [(2, 3), (3, 2), (5, 2), (7, 1)]  # (l, top level)
+KERNEL = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+# -- cyclotomic numbers ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("ell,top", TOWERS)
+@KERNEL
+@given(data=st.data())
+def test_constructor_reduces_like_long_division(ell, top, data):
+    level = data.draw(st.integers(1, top))
+    raw = data.draw(st.lists(rational(ell), min_size=1, max_size=3 * ell**level))
+    x = CyclotomicNumber(ell, level, raw)
+    agree(x, RefCyclotomic(ell, level, ref_reduce(ell, level, raw)))
+    assert CyclotomicNumber(ell, level, x.coeffs, reduced=True) == x
+
+
+@pytest.mark.parametrize("ell,top", TOWERS)
+@KERNEL
+@given(data=st.data())
+def test_ring_operations_match_fraction_referee(ell, top, data):
+    x, rx = draw_pair(data, ell, data.draw(st.integers(0, top)))
+    y, ry = draw_pair(data, ell, data.draw(st.integers(0, top)))
+    agree(x + y, rx + ry)
+    agree(x - y, rx - ry)
+    agree(x * y, rx * ry)
+    agree(y * x, rx * ry)
+    agree(-x, -rx)
+    assert (x == y) == (not any((rx - ry).coeffs))
+
+
+@pytest.mark.parametrize("ell,top", TOWERS)
+@KERNEL
+@given(data=st.data())
+def test_scaling_by_int_fraction_and_level_zero(ell, top, data):
+    x, rx = draw_pair(data, ell, data.draw(st.integers(0, top)))
+    s = data.draw(st.one_of(st.sampled_from([1, -1]), st.integers(-6, 6), rational(ell)))
+    for scalar in (s, Fraction(s), CyclotomicNumber.rational(ell, s)):
+        for product in (x * scalar, scalar * x):
+            agree(product, rx * s)
+        agree(x + scalar, rx + s)
+        agree(scalar + x, rx + s)
+        agree(x - scalar, rx - s)
+        agree(scalar - x, -rx + s)
+
+
+@pytest.mark.parametrize("ell,top", TOWERS)
+@KERNEL
+@given(data=st.data())
+def test_powers_and_inverse(ell, top, data):
+    x, rx = draw_pair(data, ell, data.draw(st.integers(0, top)))
+    k = data.draw(st.integers(-3, 4))
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        if k >= 0:
+            agree(x**k, rx.power(k))
+        return
+    agree(x.inverse(), rx.inverse())
+    agree(x**k, rx.power(k))
+    assert (x * x.inverse() - 1).is_zero()
+
+
+@pytest.mark.parametrize("ell,top", TOWERS)
+@KERNEL
+@given(data=st.data())
+def test_canonical_valuation_and_integrality(ell, top, data):
+    x, rx = draw_pair(data, ell, data.draw(st.integers(0, top)))
+    agree(x.canonical(), rx.canonical())
+    ref_rational = rx.canonical().coeffs[0] if rx.canonical().level == 0 else None
+    assert x.as_rational() == ref_rational
+    assert x.is_rational() == (ref_rational is not None)
+    if x.is_zero():
+        with pytest.raises(ZeroArgument):
+            ell_valuation(x)
+    else:
+        assert ell_valuation(x) == ord_frac(rx.norm(), ell)
+    assert is_ell_integral(x) == rx.is_ell_integral()
+    y, ry = draw_pair(data, ell, x.level)
+    for modulus in (1, ell, ell**2, Fraction(1, ell), Fraction(ell, 2)):
+        scaled = (rx - ry) * (1 / Fraction(modulus))
+        assert congruent_mod(x, y, modulus) == scaled.is_ell_integral()
+
+
+@pytest.mark.parametrize("ell,top", TOWERS)
+@KERNEL
+@given(data=st.data())
+def test_equal_elements_hash_equal_across_levels(ell, top, data):
+    x, _ = draw_pair(data, ell, data.draw(st.integers(0, top)))
+    up = x.embed_to(data.draw(st.integers(x.level, top)))
+    assert_lowest_terms(up)
+    assert up == x and hash(up) == hash(x)
+    assert {x: "key"}[up] == "key"
+    assert len({x, up, x.canonical()}) == 1
+    r = x.as_rational()
+    if r is not None:
+        assert hash(x) == hash(r) and x == r
+    s = data.draw(rational(ell))
+    embedded = CyclotomicNumber.rational(ell, s).embed_to(top)
+    assert hash(embedded) == hash(s) and embedded == s
+
+
+def test_zeta_tower_is_in_lowest_terms():
+    for ell, top in TOWERS:
+        for level in range(top + 1):
+            for e in range(ell**level + 2):
+                z = zeta(ell, level, e)
+                assert_lowest_terms(z)
+                assert z == zeta(ell, level + 1, e * ell)
+
+
+# -- group ring ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("modulus,ell", [(3, 3), (7, 7), (8, 2), (9, 3), (25, 5)])
+@KERNEL
+@given(data=st.data())
+def test_group_ring_matches_fraction_referee(modulus, ell, data):
+    def draw():
+        cs = data.draw(st.lists(rational(ell), min_size=modulus, max_size=modulus))
+        return GroupRingElement(modulus, cs), RefGroupRing(modulus, cs)
+
+    (x, rx), (y, ry) = draw(), draw()
+
+    def check(got, ref):
+        assert_lowest_terms(got)
+        assert got.coeffs == ref.coeffs
+
+    check(x + y, rx + ry)
+    check(x - y, rx - ry)
+    check(x * y, rx * ry)
+    check(-x, rx * -1)
+    s = data.draw(st.one_of(st.integers(-6, 6), rational(ell)))
+    check(x * s, rx * s)
+    check(s * x, rx * s)
+    check(x + s, rx + RefGroupRing(modulus, [s] + [0] * (modulus - 1)))
+    k = data.draw(st.integers(0, 4))
+    check(x**k, rx.power(k))
+    a = data.draw(st.integers(0, 2 * modulus))
+    check(x.frobenius(a), rx.frobenius(a))
+    assert x.is_ell_integral(ell) == all(c.denominator % ell for c in rx.coeffs)
+    assert (x == y) == (rx.coeffs == ry.coeffs)
+    same = GroupRingElement(modulus, rx.coeffs)
+    assert same == x and hash(same) == hash(x)
+
+
+# -- fraction-free elimination ---------------------------------------------------------
+
+
+def entries():
+    ratios = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    return st.one_of(st.integers(-4, 4), ratios)
+
+
+def matrix(data, nrows, ncols):
+    row = st.lists(entries(), min_size=ncols, max_size=ncols)
+    return data.draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+
+@KERNEL
+@given(data=st.data())
+def test_integer_echelon_matches_fraction_echelon(data):
+    nrows, ncols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    extra = data.draw(st.integers(0, 3))
+    rows = matrix(data, nrows, ncols + extra)
+    if data.draw(st.booleans()) and nrows > 1:
+        # a dependent row makes rank deficiency likely
+        rows[-1] = [a + 2 * b for a, b in zip(rows[0], rows[1 % nrows])]
+    got = [list(r) for r in rows]
+    ref = [[Fraction(x) for x in r] for r in rows]
+    pivots = linalg._echelon(got, ncols)
+    assert pivots == ref_echelon(ref, ncols)
+    k = len(pivots)
+    assert got[:k] == ref[:k]
+    assert all(type(x) is Fraction for r in got[:k] for x in r)
+    assert all(not any(r[:ncols]) for r in got[k:])
+    assert any(any(r[ncols:]) for r in got[k:]) == any(any(r[ncols:]) for r in ref[k:])
+
+
+def solve_outcome(solve, *args):
+    try:
+        return solve(*args)
+    except (NoSolution, ValueError) as exc:
+        return type(exc)
+
+
+@KERNEL
+@given(data=st.data())
+def test_solve_columns_matches_fraction_referee(data):
+    nrows = data.draw(st.integers(1, 6))
+    ncols = data.draw(st.integers(1, nrows))
+    rows = matrix(data, nrows, ncols)
+    if data.draw(st.integers(0, 3)) == 0 and ncols > 1:
+        for r in rows:  # a dependent column: underdetermined when consistent
+            r[-1] = r[0] - r[1]
+    rhs_list = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        if data.draw(st.integers(0, 3)):
+            x = data.draw(st.lists(entries(), min_size=ncols, max_size=ncols))
+            rhs_list.append([sum((a * b for a, b in zip(r, x)), ZERO) for r in rows])
+        else:
+            rhs_list.append(data.draw(st.lists(entries(), min_size=nrows, max_size=nrows)))
+    got = solve_outcome(linalg.solve_columns, rows, rhs_list)
+    assert got == solve_outcome(ref_solve_columns, rows, rhs_list)
+    if isinstance(got, list):
+        assert all(type(v) is Fraction for sol in got for v in sol)
+
+
+@KERNEL
+@given(data=st.data())
+def test_invert_matches_fraction_referee(data):
+    n = data.draw(st.integers(1, 5))
+    rows = matrix(data, n, n)
+    if data.draw(st.integers(0, 3)) == 0 and n > 1:
+        rows[-1] = [3 * x for x in rows[0]]  # singular
+    got = solve_outcome(linalg.invert, rows)
+    assert got == solve_outcome(ref_invert, rows)
+
+
+def test_elimination_outcomes():
+    # full rank, rank deficient, inconsistent, singular
+    assert linalg.solve_unique([[2, 1], [1, 3], [1, -2]], [3, 4, -1]) == [1, 1]
+    with pytest.raises(ValueError):
+        linalg.solve_unique([[1, 2], [2, 4]], [1, 2])
+    with pytest.raises(NoSolution):
+        linalg.solve_unique([[1, 2], [2, 4]], [1, 3])
+    with pytest.raises(NoSolution):
+        linalg.invert([[Fraction(1, 2), 1], [1, 2]])
+    assert linalg.invert([[Fraction(1, 2), 1], [1, 3]]) == [[6, -2], [-2, 1]]
