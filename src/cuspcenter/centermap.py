@@ -220,12 +220,14 @@ class CaseReport:
     witness_unit: Fraction
 
 
-def case_analysis(ps: ParameterSet, deltas: dict) -> CaseReport:
-    """deltas: class type -> BlockVector.  Checks the per-bucket shape
-    of every vector; S-membership is asserted on the non-primary and
-    both small-degree primary buckets, recorded (but deliberately not
-    asserted either way) on the degree-n bucket, and the witness bucket
-    must consist of the single regular-unipotent class whose vector is
+def case_analysis(ps: ParameterSet, deltas: dict, labels: dict) -> CaseReport:
+    """deltas: class type -> BlockVector; labels: class type -> its
+    label, rendered once by the caller and used as the key of every
+    per-class result.  Checks the per-bucket shape of every vector;
+    S-membership is asserted on the non-primary and both small-degree
+    primary buckets, recorded (but deliberately not asserted either
+    way) on the degree-n bucket, and the witness bucket must consist of
+    the single regular-unipotent class whose vector is
     (0, u*l^r, ..., u*l^r) with u an l-unit.  S-membership is computed
     once per vector object: classes of one type key share theirs.
     """
@@ -239,7 +241,7 @@ def case_analysis(ps: ParameterSet, deltas: dict) -> CaseReport:
     flag_of = {}  # id(vec) -> flag; deltas keeps every vector alive
     for ct, vec in deltas.items():
         bucket = case_bucket(ct, ps)
-        label = ct.label()
+        label = labels[ct]
         bucket_of[label] = bucket
         counts[bucket] += 1
         flag = flag_of.get(id(vec))
@@ -573,8 +575,9 @@ def verify_endo_ring(
 
     field = finite_field(ps.q)
     classes = enumerate_classes(field, ps.n, scale_bound)
+    labels = {ct: ct.label() for ct in classes}  # each label rendered once
     class_info = {
-        ct.label(): dict(pred, label=ct.label())
+        labels[ct]: dict(pred, label=labels[ct])
         for ct, pred in _by_type(classes, ps, lambda ct: class_predicates(ct, ps))
     }
     checks.append(f"classes: {len(classes)} types, centralizer orders verified")
@@ -582,14 +585,13 @@ def verify_endo_ring(
     deltas = type_deltas(classes, ps, ring.orbits.reps)
     checks.append("delta: all vectors l-integral and residue-consistent")
 
-    case_report = case_analysis(ps, deltas)
+    case_report = case_analysis(ps, deltas, labels)
     checks.append("case analysis: bucket shapes verified")
     signs = lemma_signs_check(ps)
     checks.append("sign congruences: all divisor pairs verified")
 
-    witness_ct = next(
-        ct for ct in classes if case_report.bucket_of[ct.label()] == REALIZED_WITNESS
-    )
+    bucket_of = case_report.bucket_of
+    witness_ct = next(ct for ct in classes if bucket_of[labels[ct]] == REALIZED_WITNESS)
     scaled_idem, idem_unit = reconstruct_scaled_idempotent(ps, deltas[witness_ct])
     checks.append("scaled idempotent reconstructed from the witness class")
 
@@ -607,13 +609,13 @@ def verify_endo_ring(
     singular = [
         ct
         for ct in classes
-        if case_report.bucket_of[ct.label()] == DEGREE_N and theta_exponent(ct, ps) != 0
+        if bucket_of[labels[ct]] == DEGREE_N and theta_exponent(ct, ps) != 0
     ]
     replayed = _by_type(
         singular, ps, lambda ct: reconstruct_gamma(ps, ct, deltas[ct], scaled_idem)
     )
     for ct, rec in replayed:
-        rec = dict(rec, label=ct.label())
+        rec = dict(rec, label=labels[ct])
         reconstructions.append(rec)
         if ct.factors[0][0] == eps_poly:
             found_eps_class = True
@@ -631,7 +633,7 @@ def verify_endo_ring(
 
     gamma_pows = gamma_power_basis(gamma, ring.dimension)
     certs = express_all_in_gamma([deltas[ct] for ct in classes], gamma_pows, ps)
-    certificates = {ct.label(): h for ct, h in zip(classes, certs)}
+    certificates = {labels[ct]: h for ct, h in zip(classes, certs)}
     checks.append("closure: every delta vector is an l-integral polynomial in gamma")
 
     g_report = g_of_gamma_check(ring, gamma)
@@ -643,7 +645,7 @@ def verify_endo_ring(
         ring=ring,
         classes=tuple(classes),
         class_info=class_info,
-        deltas={ct.label(): vec for ct, vec in deltas.items()},
+        deltas={labels[ct]: vec for ct, vec in deltas.items()},
         case_report=case_report,
         signs=signs,
         scaled_idempotent=scaled_idem,

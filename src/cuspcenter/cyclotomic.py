@@ -1,17 +1,19 @@
-"""Exact arithmetic in the prime-power cyclotomic tower Q(zeta_{l^i}).
+"""Exact arithmetic in the prime-power cyclotomic tower Q(zeta_{l^i}),
+on the integer base ``ExactVector`` that the group ring and ``Poly``
+share.
 
-An element is a vector of rationals on the power basis
-1, z, ..., z^(phi(l^i) - 1) of Q(zeta_{l^i}), always kept reduced modulo
-the cyclotomic polynomial Phi_{l^i}(X) = Phi_l(X^(l^(i-1))).  It is
-stored as integer numerators over one common denominator, in lowest
-terms: ``den > 0`` and ``gcd(*nums, den) == 1``.  Equality is therefore
-a tuple compare, and no arithmetic builds a ``Fraction``; ``Fraction``s
-appear only at the interfaces: the constructor, the ``coeffs`` view,
-``as_rational`` and the hash of a rational element.
-Level 0 is plain Q.  Elements of different levels over the same l mix
-freely: the lower one embeds via zeta_i = zeta_j^(l^(j-i)).
-``convolve`` is the one dense integer product and ``_reduce`` the only
-fold modulo Phi.
+``ExactVector`` keeps a vector of rationals as integer numerators over
+one common denominator, in lowest terms: ``den > 0`` and
+``gcd(*nums, den) == 1``.  It owns that normal form and all arithmetic
+that does not depend on the ring; a subclass aligns the operands and
+folds the ``convolve`` product.  A ``CyclotomicNumber`` is a vector on
+the power basis 1, z, ..., z^(phi(l^i) - 1), kept reduced modulo
+Phi_{l^i}(X) = Phi_l(X^(l^(i-1))) by ``_reduce``, the only fold modulo
+Phi.  Level 0 is plain Q.  Elements of different levels over the same l
+mix freely: the lower one embeds via zeta_i = zeta_j^(l^(j-i)).
+Equality is a tuple compare, and no arithmetic builds a ``Fraction``;
+``Fraction``s appear only at the interfaces: the constructors, the
+``coeffs`` view, ``as_rational`` and the hash of a rational element.
 
 The l-adic valuation is normalised so that nu(zeta_{l^i} - 1) = 1 at
 level i >= 1, hence nu(l) = phi(l^i) and on rationals embedded at level
@@ -30,6 +32,9 @@ True
 1
 >>> ell_valuation(CyclotomicNumber.rational(3, Fraction(-3)).embed_to(1))
 2
+>>> x = CyclotomicNumber(3, 1, [Fraction(1, 2), Fraction(3, 4)])
+>>> x.nums, x.den, x * 4 - 2
+((2, 3), 4, 3*z3)
 """
 
 from __future__ import annotations
@@ -102,6 +107,90 @@ def _reduce(ell: int, level: int, raw) -> list:
     return folded[:phi]
 
 
+class ExactVector:
+    """Integer numerators over one positive denominator, in lowest terms.
+    Subclasses supply ``_with`` (an element of the same ring from
+    numerators already in lowest terms), ``_coerce`` (an operand of the
+    same kind, or None), ``_align`` (both operands on numerator vectors
+    of one length) and ``_fold`` (the reduction of a product)."""
+
+    __slots__ = ("nums", "den")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as ``Fraction``s (read-only)."""
+        den = self.den
+        return tuple(Fraction(x, den) if x else _ZERO for x in self.nums)
+
+    def is_zero(self) -> bool:
+        return not any(self.nums)
+
+    def is_ell_integral(self, ell: int) -> bool:
+        """No coefficient has l in its denominator (l prime)."""
+        return self.den % ell != 0
+
+    def _normal(self, nums, den: int):
+        return self._with(*lowest_terms(nums, den))
+
+    def _scaled(self, num: int, den: int):
+        """self * num / den for integers num, den > 0."""
+        if den == 1 and num in (1, -1):
+            return self if num == 1 else -self
+        return self._normal([x * num for x in self.nums], self.den * den)
+
+    def _plus(self, other, sign: int):
+        """self + sign * other for sign = +-1."""
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b = self._align(other)
+        return a._with(*add_numerators(a.nums, a.den, b.nums, b.den, sign))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._with(tuple(-x for x in self.nums), self.den)
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other.numerator, other.denominator)
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b = self._align(other)
+        return a._normal(a._fold(convolve(a.nums, b.nums)), a.den * b.den)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k: int):
+        if k < 0:
+            return self.inverse() ** (-k)
+        out = self._coerce(1)
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        a, b = self._align(other)
+        return a.den == b.den and a.nums == b.nums
+
+
 def _new(ell: int, level: int, nums: tuple, den: int) -> "CyclotomicNumber":
     """Element from reduced numerators already in lowest terms."""
     x = object.__new__(CyclotomicNumber)
@@ -112,12 +201,8 @@ def _new(ell: int, level: int, nums: tuple, den: int) -> "CyclotomicNumber":
     return x
 
 
-def _normalised(ell: int, level: int, nums, den: int) -> "CyclotomicNumber":
-    return _new(ell, level, *lowest_terms(nums, den))
-
-
-class CyclotomicNumber:
-    __slots__ = ("ell", "level", "nums", "den")
+class CyclotomicNumber(ExactVector):
+    __slots__ = ("ell", "level")
 
     def __init__(self, ell: int, level: int, coeffs, reduced: bool = False):
         nums, den = linalg.clear_denominators(coeffs)
@@ -127,12 +212,6 @@ class CyclotomicNumber:
         self.level = level
         self.nums, self.den = lowest_terms(nums, den)
         assert len(self.nums) == phi_prime_power(ell, level)
-
-    @property
-    def coeffs(self) -> tuple:
-        """The power-basis coefficients as ``Fraction``s (read-only)."""
-        den = self.den
-        return tuple(Fraction(x, den) if x else _ZERO for x in self.nums)
 
     @classmethod
     def rational(cls, ell: int, x) -> "CyclotomicNumber":
@@ -181,10 +260,10 @@ class CyclotomicNumber:
     def is_rational(self) -> bool:
         return self.canonical().level == 0
 
-    def is_zero(self) -> bool:
-        return not any(self.nums)
+    # -- the ring-specific hooks of ExactVector -------------------------------
 
-    # -- arithmetic --------------------------------------------------------
+    def _with(self, nums: tuple, den: int) -> "CyclotomicNumber":
+        return _new(self.ell, self.level, nums, den)
 
     def _coerce(self, other):
         if isinstance(other, CyclotomicNumber):
@@ -195,45 +274,25 @@ class CyclotomicNumber:
             return _new(self.ell, 0, (other.numerator,), other.denominator)
         return None
 
-    def _common(self, other):
+    def _align(self, other):
         lvl = max(self.level, other.level)
         return self.embed_to(lvl), other.embed_to(lvl)
 
-    def _plus(self, other, sign: int):
-        """self + sign * other for sign = +-1."""
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self._common(other)
-        return _new(a.ell, a.level, *add_numerators(a.nums, a.den, b.nums, b.den, sign))
+    def _fold(self, raw) -> list:
+        return _reduce(self.ell, self.level, raw)
 
-    def __add__(self, other):
-        return self._plus(other, 1)
+    # -- arithmetic --------------------------------------------------------
 
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _new(self.ell, self.level, tuple(-x for x in self.nums), self.den)
-
-    def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    # bound in this class's own namespace, where perfbench/traced_cli.py
+    # looks them up to count calls
+    __add__ = __radd__ = ExactVector.__add__
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.level == 0 or other.level == 0:
+        if isinstance(other, CyclotomicNumber) and not (self.level and other.level):
+            # a level-0 factor scales the other one
             a, s = (self, other) if other.level == 0 else (other, self)
-            sn, sd = s.nums[0], s.den
-            if sd == 1 and sn in (1, -1):
-                return a if sn == 1 else -a
-            return _normalised(a.ell, a.level, [x * sn for x in a.nums], a.den * sd)
-        a, b = self._common(other)
-        folded = _reduce(a.ell, a.level, convolve(a.nums, b.nums))
-        return _normalised(a.ell, a.level, folded, a.den * b.den)
+            return a._scaled(s.nums[0], s.den)
+        return ExactVector.__mul__(self, other)
 
     __rmul__ = __mul__
 
@@ -242,18 +301,6 @@ class CyclotomicNumber:
         if other is None:
             return NotImplemented
         return self * other.inverse()
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = CyclotomicNumber.rational(self.ell, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def inverse(self) -> "CyclotomicNumber":
         if self.is_zero():
@@ -279,13 +326,6 @@ class CyclotomicNumber:
         return linalg.determinant(self._mult_matrix()) / self.den ** len(self.nums)
 
     # -- comparisons -------------------------------------------------------
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self._common(other)
-        return a.den == b.den and a.nums == b.nums
 
     def __hash__(self):
         c = self.canonical()
@@ -350,7 +390,7 @@ def is_ell_integral(x: CyclotomicNumber) -> bool:
     exactly "every coefficient has denominator prime to l"; in lowest
     terms the common denominator is the lcm of those denominators.
     """
-    return x.den % x.ell != 0
+    return x.is_ell_integral(x.ell)
 
 
 def congruent_mod(x: CyclotomicNumber, y: CyclotomicNumber, modulus) -> bool:

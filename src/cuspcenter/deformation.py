@@ -1,10 +1,10 @@
 """Point-level checks of the two-generator matrix deformation ring and
 emission of the center presentation.
 
-A point is a pair of n x n matrices over Q(zeta_{l^r}): Psi diagonal
-with entries zeta^(a q^i), and Fr supported on the cyclic shift with
-configurable unit entries, chosen so that Fr Psi Fr^{-1} = Psi^q holds
-exactly.  Writing Y for the trace of Psi and T_1..T_n for the
+A point is a pair of n x n matrices: Psi over Q(zeta_{l^r}), diagonal
+with entries zeta^(a q^i), and Fr over Z, supported on the cyclic shift
+with configurable unit entries, chosen so that Fr Psi Fr^{-1} = Psi^q
+holds exactly.  Writing Y for the trace of Psi and T_1..T_n for the
 characteristic-polynomial coefficients of Fr, every point must satisfy
 m(Y) = 0 and (Y - n) T_k = 0 for k < n, with T_n invertible — the
 relations of the presentation
@@ -13,8 +13,8 @@ relations of the presentation
 
 Psi, Y and m(Y) depend on a alone, and Fr, its characteristic
 polynomial and det Fr on the units alone, so each side is built and
-checked on its own; only the commutation relation and the T_k relations
-need both.  ``make_point`` and ``check_relations`` compose the same
+checked on its own, Fr and its T-values in plain ints; only the
+commutation relation and the T_k relations need both.  ``make_point`` and ``check_relations`` compose the same
 helpers for one point that ``deformation_suite`` runs once per side.
 """
 
@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .cyclotomic import CyclotomicNumber, ell_valuation, zeta
+from .arith import ord_frac
+from .cyclotomic import CyclotomicNumber, zeta
 from .errors import AssertionFailure, ParameterError, RelationFailure
 from .invariants import InvariantRingData
 from .matrices import charpoly
@@ -37,9 +38,9 @@ class DeformationPoint:
     zeta_exponent: int
     units: tuple
     psi_diagonal: tuple           # zeta^(a q^i), i = 0..n-1
-    fr: tuple
+    fr: tuple                     # int entries
     trace: CyclotomicNumber       # Y-coordinate
-    t_values: tuple               # (T_1, ..., T_n)
+    t_values: tuple               # (T_1, ..., T_n), ints
 
 
 def _psi_side(ps: ParameterSet, a: int) -> tuple:
@@ -54,17 +55,16 @@ def _psi_side(ps: ParameterSet, a: int) -> tuple:
 
 
 def _fr_side(ps: ParameterSet, units: tuple) -> tuple:
-    """(Fr, (T_1, ..., T_n)) over Q: row i of Fr holds units[j] in
+    """(Fr, (T_1, ..., T_n)) over Z: row i of Fr holds units[j] in
     column j = i + 1 mod n, and T_k is the coefficient of Y^(n-k) in
     det(Y I - Fr)."""
     n = ps.n
-    zero = CyclotomicNumber.zero(ps.ell)
-    rows = [[zero] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for i in range(n):
         j = (i + 1) % n
-        rows[i][j] = CyclotomicNumber.rational(ps.ell, units[j])
+        rows[i][j] = units[j]
     fr = tuple(tuple(row) for row in rows)
-    char = charpoly(fr, zero, CyclotomicNumber.rational(ps.ell, 1))
+    char = charpoly(fr, 0, 1)
     return fr, tuple(char[n - k] for k in range(1, n + 1))
 
 
@@ -82,7 +82,7 @@ def _check_commutation(a: int, diagonal: tuple, diagonal_q: tuple, fr: tuple) ->
 
 def _check_trace(a: int, trace, ps: ParameterSet, ring: InvariantRingData) -> None:
     """The relations on Y alone: m(Y) = 0, and Y = n at a = 0."""
-    mval = ring.m(trace) * 1
+    mval = ring.m(trace)
     if not mval.is_zero():
         raise AssertionFailure(
             f"generator m(Y) does not vanish at a = {a}", witness=repr(mval)
@@ -98,8 +98,8 @@ def _check_det(units: tuple, t_values: tuple) -> None:
     expected = (-1) ** (n - 1)
     for u in units:
         expected *= u
-    det_fr = t_values[n - 1] * ((-1) ** n)
-    if not (det_fr - expected).is_zero():
+    det_fr = t_values[n - 1] * (-1) ** n
+    if det_fr != expected:
         raise AssertionFailure(
             "det Fr is not the signed product of the free unit entries",
             witness={"expected": expected, "got": repr(det_fr)},
@@ -112,11 +112,11 @@ def _check_t_values(a: int, y_minus_n, t_values: tuple) -> None:
     n = len(t_values)
     if a:
         for k in range(n - 1):
-            if not t_values[k].is_zero():
+            if t_values[k]:
                 raise AssertionFailure(
                     f"generator T_{k + 1} nonzero at a = {a}", witness=repr(t_values[k])
                 )
-        if ell_valuation(t_values[n - 1]) != 0:
+        if ord_frac(t_values[n - 1], y_minus_n.ell) != 0:
             raise AssertionFailure(f"T_{n} is not an l-unit at a = {a}")
     for k in range(n - 1):
         if not (y_minus_n * t_values[k]).is_zero():
@@ -129,7 +129,7 @@ def make_point(ps: ParameterSet, zeta_exponent: int, units=None) -> DeformationP
     """Psi = diag(zeta^a, zeta^(aq), ..., zeta^(aq^(n-1))) and the
     cyclic-shift Fr with the given unit entries; the commutation
     relation Fr Psi = Psi^q Fr is asserted exactly.  Psi lives at level
-    r, Fr and its T-values over Q (level 0)."""
+    r, Fr and its T-values over Z."""
     ps = require_reduced(ps)
     units = (1,) * ps.n if units is None else tuple(units)
     if len(units) != ps.n:
@@ -229,7 +229,7 @@ def deformation_suite(
             f"trace sweep produced {len(distinct)} values, expected deg m = {ring.m.degree}"
         )
     for t in distinct:
-        if not (ring.m(t) * 1).is_zero():
+        if not ring.m(t).is_zero():
             raise AssertionFailure("a trace value is not a root of m")
     return {
         "points_checked": points_checked,

@@ -4,8 +4,12 @@ R = W(k)[X]/(X^(l^r) - 1) carries the ring endomorphism X^b -> X^(qb).
 Because ord(q) = n in (Z/l^i)^x for every 1 <= i <= r, the orbits of
 multiplication by q on Z/l^r are {0} and (l^r - 1)/n further orbits of
 size exactly n, and the invariant subring has the orbit sums as a
-W(k)-basis.  Everything here is computed over Q with exact rationals;
-l-integrality is asserted where the theory demands it.
+W(k)-basis.  Everything here is computed over Q with exact rationals
+on the integer kernel of ``cyclotomic.ExactVector``: group-ring elements
+(``GroupRingElement``, products folded modulo X^(l^r) - 1), cyclotomic
+numbers and the polynomials m, m_i and h (``Poly``) all keep integer
+numerators over one denominator.  l-integrality is asserted where the
+theory demands it.
 
 Main outputs:
   * orbit_structure     - the orbits, with the order facts asserted
@@ -27,8 +31,7 @@ from . import linalg
 from .arith import ord_frac
 from .cyclotomic import (
     CyclotomicNumber,
-    add_numerators,
-    convolve,
+    ExactVector,
     ell_valuation,
     lowest_terms,
     phi_prime_power,
@@ -39,13 +42,13 @@ from .params import ParameterSet, require_reduced
 from .polynomials import Poly, from_roots
 
 
-class GroupRingElement:
-    """Element of Q[X]/(X^modulus - 1): dense integer numerators over one
-    common denominator, in lowest terms like ``CyclotomicNumber``.
-    Products share ``cyclotomic.convolve`` and fold modulo X^modulus - 1;
-    ``coeffs`` is the read-only ``Fraction`` view."""
+class GroupRingElement(ExactVector):
+    """Element of Q[X]/(X^modulus - 1) on the ``ExactVector`` base: dense
+    integer numerators over one common denominator, in lowest terms.
+    Operands must share the modulus, and products fold modulo
+    X^modulus - 1."""
 
-    __slots__ = ("modulus", "nums", "den")
+    __slots__ = ("modulus",)
 
     def __init__(self, modulus: int, coeffs):
         nums, den = linalg.clear_denominators(coeffs)
@@ -53,18 +56,12 @@ class GroupRingElement:
         self.modulus = modulus
         self.nums, self.den = lowest_terms(nums, den)
 
-    @classmethod
-    def _make(cls, modulus: int, nums, den: int) -> "GroupRingElement":
-        """Element from numerators already in lowest terms over ``den``."""
-        x = object.__new__(cls)
-        x.modulus = modulus
+    def _with(self, nums: tuple, den: int) -> "GroupRingElement":
+        x = object.__new__(GroupRingElement)
+        x.modulus = self.modulus
         x.nums = nums
         x.den = den
         return x
-
-    @property
-    def coeffs(self) -> tuple:
-        return tuple(Fraction(x, self.den) for x in self.nums)
 
     @classmethod
     def unit(cls, modulus: int, exponent: int = 0, scale=1):
@@ -74,73 +71,25 @@ class GroupRingElement:
 
     def _coerce(self, other):
         if isinstance(other, GroupRingElement):
-            assert other.modulus == self.modulus
             return other
         if isinstance(other, (int, Fraction)):
             return GroupRingElement.unit(self.modulus, 0, other)
         return None
 
-    def _plus(self, other, sign: int):
-        """self + sign * other for sign = +-1."""
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return GroupRingElement._make(
-            self.modulus, *add_numerators(self.nums, self.den, other.nums, other.den, sign)
-        )
+    def _align(self, other):
+        if other.modulus != self.modulus:
+            raise ValueError("mixing group rings of different moduli")
+        return self, other
 
-    def __add__(self, other):
-        return self._plus(other, 1)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GroupRingElement._make(self.modulus, tuple(-x for x in self.nums), self.den)
-
-    def __sub__(self, other):
-        return self._plus(other, -1)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
+    def _fold(self, raw) -> list:
         m = self.modulus
-        if isinstance(other, (int, Fraction)):
-            sn = other.numerator
-            return GroupRingElement._make(
-                m, *lowest_terms([x * sn for x in self.nums], self.den * other.denominator)
-            )
-        if not isinstance(other, GroupRingElement):
-            return NotImplemented
-        raw = convolve(self.nums, other.nums)
         out = raw[:m]
         for e in range(m, len(raw)):
             out[e - m] += raw[e]
-        return GroupRingElement._make(m, *lowest_terms(out, self.den * other.den))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        out = GroupRingElement.unit(self.modulus, 0, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
         return out
-
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
         return hash((self.modulus, self.nums, self.den))
-
-    def is_zero(self):
-        return not any(self.nums)
 
     def frobenius(self, a: int) -> "GroupRingElement":
         """The map X^b -> X^(ab)."""
@@ -149,10 +98,7 @@ class GroupRingElement:
         for e, x in enumerate(self.nums):
             if x:
                 out[e * a % m] += x
-        return GroupRingElement._make(m, *lowest_terms(out, self.den))
-
-    def is_ell_integral(self, ell: int) -> bool:
-        return self.den % ell != 0
+        return self._normal(out, self.den)
 
     def __repr__(self):
         terms = [
@@ -272,7 +218,7 @@ def omega_and_min_poly(ps: ParameterSet, i: int):
             if rc is None:
                 raise AssertionFailure(f"m_{i} coefficient not rational: {c!r}")
         else:
-            rc = Fraction(c)
+            rc = c
         if rc.denominator != 1:
             raise AssertionFailure(f"m_{i} coefficient not an integer: {rc}")
         rational_coeffs.append(rc)
@@ -280,8 +226,7 @@ def omega_and_min_poly(ps: ParameterSet, i: int):
     if m_i.degree != phi_prime_power(ell, i) // n:
         raise AssertionFailure(f"deg m_{i} = {m_i.degree} != phi(l^{i})/n", witness=i)
     omega = omega_value(ps, i)
-    value = m_i(omega)
-    if not (value * 1).is_zero():
+    if not m_i(omega).is_zero():
         raise AssertionFailure(f"m_{i}(omega_{i}) != 0", witness=i)
     return omega, m_i
 
@@ -417,8 +362,7 @@ def invariant_ring(ps: ParameterSet) -> InvariantRingData:
                 raise IntegralityFailure(
                     f"basis-change inverse entry {entry} is not l-integral"
                 )
-    mf = m(f)
-    if not (mf * 1).is_zero():
+    if not m(f).is_zero():
         raise AssertionFailure("m(f) != 0 in the group ring")
     return InvariantRingData(
         ps=ps,

@@ -1,125 +1,119 @@
-"""Dense univariate polynomials with exact rational coefficients.
+"""Dense univariate polynomials over Q on the integer exact kernel.
 
-Coefficients are stored low degree first and kept trimmed; the zero
-polynomial has an empty coefficient tuple and degree -1.  Evaluation is
-generic Horner, so a Poly can be evaluated at anything that supports
-addition and multiplication with Fraction (cyclotomic numbers, group
-ring elements, other polynomials).
+A ``Poly`` is a ``cyclotomic.ExactVector``: integer numerators, low
+degree first, over one positive common denominator in lowest terms.
+The numerators are kept trimmed, so the zero polynomial has ``nums ==
+()``, ``den == 1`` and degree -1.  Sums zero-pad the shorter operand and
+products are a bare ``convolve``.  Division is integer pseudo-division
+by the divisor's leading numerator, and Horner evaluation runs on the
+numerators with one division by ``den`` at the end; at an ``int`` or a
+``Fraction`` it stays in integers throughout.  A Poly can be evaluated
+at anything that supports ``+`` and ``*`` with ints and ``Fraction``s
+(cyclotomic numbers, group-ring elements).
+
+>>> m = Poly((Fraction(-1, 2), 0, 2))
+>>> m.nums, m.den, m.degree
+((-1, 0, 4), 2, 2)
+>>> m
+-1/2 + 2*Y^2
+>>> m(Fraction(1, 2))
+Fraction(0, 1)
+>>> divmod(m, Poly((1, 2)))
+(-1/2 + Y, 0)
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import ord_frac
+from . import linalg
+from .cyclotomic import ExactVector, lowest_terms
 from .errors import DegreeMismatch
 
 
-def _trim(cs):
+def _trim(cs) -> tuple:
     cs = list(cs)
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
 
 
-class Poly:
-    __slots__ = ("coeffs",)
+def _raw(nums: tuple, den: int) -> "Poly":
+    """Poly from numerators in lowest terms, taken as they are."""
+    x = object.__new__(Poly)
+    x.nums = nums
+    x.den = den
+    return x
+
+
+class Poly(ExactVector):
+    __slots__ = ()
 
     def __init__(self, coeffs=()):
-        self.coeffs = _trim(Fraction(c) for c in coeffs)
-
-    @classmethod
-    def x(cls) -> "Poly":
-        return cls((0, 1))
-
-    @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls((c,))
+        nums, den = linalg.clear_denominators(coeffs)
+        self.nums, self.den = lowest_terms(_trim(nums), den)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
-    def __eq__(self, other) -> bool:
+    # -- the ring-specific hooks of ExactVector -------------------------------
+
+    def _with(self, nums, den: int) -> "Poly":
+        return _raw(_trim(nums), den)
+
+    def _coerce(self, other):
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return other
         if isinstance(other, (int, Fraction)):
-            return self == Poly((other,))
-        return NotImplemented
+            return self._with((other.numerator,), other.denominator)
+        return None
+
+    def _align(self, other):
+        """Both operands zero-padded to one length (not trimmed)."""
+        n = max(len(self.nums), len(other.nums))
+        return tuple(_raw(p.nums + (0,) * (n - len(p.nums)), p.den) for p in (self, other))
+
+    def _fold(self, raw) -> list:
+        return raw
 
     def __hash__(self):
-        return hash(("Poly", self.coeffs))
+        if len(self.nums) <= 1:
+            return hash(Fraction(self.nums[0], self.den) if self.nums else 0)
+        return hash(("Poly", self.nums, self.den))
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Poly((other,))
-        if not isinstance(other, Poly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return Poly(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, Poly) else Poly((-Fraction(other),)))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly(tuple(c * other for c in self.coeffs))
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if not self or not other:
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int):
-        out, base = Poly((1,)), self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+    # -- division and evaluation -------------------------------------------
 
     def __divmod__(self, other: "Poly"):
+        """Pseudo-division on the numerators: with L the leading
+        numerator of ``other`` and k quotient steps, L^k A = Q B + R over
+        the integers, then both sides are divided by L^k and the
+        denominators."""
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dv = other.coeffs
+        dv = other.nums
         dd = len(dv) - 1
         lead = dv[-1]
-        quo = [Fraction(0)] * max(0, len(rem) - dd)
-        for i in range(len(rem) - dd - 1, -1, -1):
-            c = rem[i + dd] / lead
+        rem = list(self.nums)
+        steps = max(0, len(rem) - dd)
+        quo = [0] * steps
+        for i in range(steps - 1, -1, -1):
+            c = rem[i + dd]
+            if lead != 1:
+                rem = [lead * x for x in rem]
+                quo = [lead * x for x in quo]
+            quo[i] = c
             if c:
-                quo[i] = c
                 for j, b in enumerate(dv):
                     rem[i + j] -= c * b
-        return Poly(quo), Poly(rem[:dd])
-
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
+        den = lead**steps * self.den
+        return (
+            self._normal([x * other.den for x in quo], den),
+            self._normal(rem[:dd], den),
+        )
 
     def exact_div(self, other: "Poly") -> "Poly":
         q, r = divmod(self, other)
@@ -128,36 +122,42 @@ class Poly:
         return q
 
     def __call__(self, x):
-        """Horner evaluation; works for any Fraction-compatible ring."""
-        if not self.coeffs:
-            return 0 * x if not isinstance(x, (int, Fraction)) else Fraction(0)
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
+        """Horner evaluation on the numerators, divided by ``den`` once
+        at the end.  At an int or a ``Fraction`` p/s it runs on the
+        homogenised integer form sum_k nums_k p^k s^(deg - k)."""
+        nums = self.nums
+        number = isinstance(x, (int, Fraction))
+        if not nums:
+            return Fraction(0) if number else 0 * x
+        acc = nums[-1]
+        if number:
+            p, s = x.numerator, x.denominator
+            scale = 1
+            for c in reversed(nums[:-1]):
+                scale *= s
+                acc = acc * p + c * scale
+            return Fraction(acc, self.den * scale)
+        for c in reversed(nums[:-1]):
             acc = acc * x + c
-        return acc
+        if isinstance(acc, int):
+            return Fraction(acc, self.den)
+        return acc * Fraction(1, self.den) if self.den != 1 else acc
+
+    # -- integrality and reduction ---------------------------------------------
 
     def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
+        return bool(self.nums) and self.nums[-1] == self.den
 
     def has_integer_coeffs(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def is_ell_integral(self, ell: int) -> bool:
-        return all(c == 0 or ord_frac(c, ell) >= 0 for c in self.coeffs)
+        return self.den == 1
 
     def reduce_mod(self, ell: int) -> tuple[int, ...]:
         """Coefficients mod ell (requires ell-integral coefficients)."""
-        out = []
-        for c in self.coeffs:
-            den_inv = pow(c.denominator % ell, -1, ell)
-            out.append(c.numerator * den_inv % ell)
-        return _trim(out)
-
-    def derivative(self) -> "Poly":
-        return Poly(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
+        den_inv = pow(self.den % ell, -1, ell)
+        return _trim(x * den_inv % ell for x in self.nums)
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         parts = []
         for k, c in enumerate(self.coeffs):
@@ -180,11 +180,11 @@ def from_roots(roots) -> list:
     """Coefficients (low degree first) of the monic prod of (Y - t).
 
     Roots may live in any commutative Fraction-algebra; the returned
-    coefficients live there too.
+    coefficients live there too (the leading one stays the int 1).
     """
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     for t in roots:
-        shifted = [Fraction(0)] + coeffs  # multiply by Y
+        shifted = [0] + coeffs  # multiply by Y
         for k, c in enumerate(coeffs):
             shifted[k] = shifted[k] - t * c
         coeffs = shifted

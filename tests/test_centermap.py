@@ -35,7 +35,7 @@ from cuspcenter.centermap import (
     theta_orbit_vector,
 )
 from cuspcenter import centermap, linalg
-from cuspcenter.classes import class_predicates, theta_exponent
+from cuspcenter.classes import ClassType, class_predicates, theta_exponent
 from cuspcenter.cyclotomic import CyclotomicNumber, zeta
 from cuspcenter.errors import AssertionFailure, IntegralityFailure, NoSolution
 from cuspcenter.invariants import invariant_ring
@@ -365,6 +365,22 @@ def test_endo_ring_computes_once_per_type_at_17_3(monkeypatch):
     assert [rec["label"] for rec in res.reconstructions] == singular
 
 
+def test_labels_rendered_once_per_class_at_17_3(monkeypatch):
+    # 288 classes; class_predicates (12 type keys) and reconstruct_gamma
+    # (8) still put a label in their own records, once per key
+    renders = []
+    plain_label = ClassType.label
+
+    def counted(ct):
+        renders.append(1)
+        return plain_label(ct)
+
+    monkeypatch.setattr(ClassType, "label", counted)
+    res = verify_endo_ring(17, 3, 2)
+    assert len(res.classes) == 288
+    assert len(renders) <= 288 + 2 * 12
+
+
 def test_s_membership_once_per_vector_at_17_3(monkeypatch):
     calls = []
 
@@ -381,21 +397,45 @@ def test_s_membership_once_per_vector_at_17_3(monkeypatch):
     assert flags == {label: s_membership(vec) for label, vec in res.deltas.items()}
 
 
-# sha256 of `endo-ring --out json`, recorded before per-type records
-ENDO_RING_SHA256 = {
-    ("17", "3"): "2d87d4d376e6ff2f89db2ab3a8498e5643278307eb56dcad60a7c0f2559a190c",
-    ("7", "5"): "bb3502f78f845d9dc9800f843dc775067afb7faf2301a750c7cefa482f21cbab",
+# sha256 of `--out json` stdout by command.  The endo-ring pins were
+# recorded before per-type records, the deformation and invariants pins
+# before Poly and Fr moved onto integer numerators.
+PINNED_JSON = {
+    "17-3": (
+        "endo-ring --q 17 --ell 3",
+        "2d87d4d376e6ff2f89db2ab3a8498e5643278307eb56dcad60a7c0f2559a190c",
+    ),
+    "7-5": (
+        "endo-ring --q 7 --ell 5",
+        "bb3502f78f845d9dc9800f843dc775067afb7faf2301a750c7cefa482f21cbab",
+    ),
+    "deformation-3-5": (
+        "deformation --q 3 --ell 5",
+        "cfde5c28e87a7218779782dd7848f269093ef8faa3bf68af08f36cb60ed4df9b",
+    ),
+    "deformation-2-7": (
+        "deformation --q 2 --ell 7",
+        "e3393e7a496e0b6deb6a9acd21f080c77ecdf8b7c2fd92603d6025029051f386",
+    ),
+    "invariants-2-127": (
+        "invariants --q 2 --ell 127",
+        "22fbf27cfba4c8abaf934240b2a6c40df426ff133f61ffa6dcad15bd91f11ba5",
+    ),
+    "invariants-8-3": (
+        "invariants --q 8 --ell 3",
+        "d70aded49ed98726922eac10ffa02b2e3d02f6eff2f011c461d8046c99009133",
+    ),
 }
 
 
-@pytest.mark.parametrize("q,ell", sorted(ENDO_RING_SHA256))
-def test_endo_ring_json_pinned(q, ell):
+@pytest.mark.parametrize("command,digest", PINNED_JSON.values(), ids=PINNED_JSON)
+def test_endo_ring_json_pinned(command, digest):
     proc = subprocess.run(
-        [sys.executable, "-m", "cuspcenter", "endo-ring", "--q", q, "--ell", ell, "--out", "json"],
+        [sys.executable, "-m", "cuspcenter", *command.split(), "--out", "json"],
         capture_output=True,
     )
     assert proc.returncode == 0, proc.stderr.decode()[-1000:]
-    assert hashlib.sha256(proc.stdout).hexdigest() == ENDO_RING_SHA256[(q, ell)]
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_reduced_twin_agrees(endo_results):

@@ -4,6 +4,7 @@ import doctest
 
 import cuspcenter.cyclotomic
 import cuspcenter.matrixoracle
+import cuspcenter.polynomials
 
 
 def test_cyclotomic_doctests():
@@ -14,5 +15,11 @@ def test_cyclotomic_doctests():
 
 def test_matrixoracle_doctests():
     result = doctest.testmod(cuspcenter.matrixoracle)
+    assert result.attempted > 0
+    assert result.failed == 0
+
+
+def test_polynomials_doctests():
+    result = doctest.testmod(cuspcenter.polynomials)
     assert result.attempted > 0
     assert result.failed == 0

@@ -6,13 +6,16 @@ rational against coefficientwise products, and the multi-column solve
 against one solve per column.
 
 The integer exact kernel is checked against the Fraction arithmetic it
-replaced: ``RefCyclotomic``, ``RefGroupRing`` and ``ref_echelon`` are
-the earlier implementations on tuples of ``Fraction``s, kept here only
-as referees.  Every operation of ``CyclotomicNumber``,
-``GroupRingElement`` and the fraction-free ``linalg._echelon`` is
-compared with them on drawn operands, and every cyclotomic or
-group-ring result is checked to be in the one normal form (den > 0,
-gcd(*nums, den) == 1) that equality and hashing rely on."""
+replaced: ``RefCyclotomic``, ``RefGroupRing``, ``RefPoly`` and
+``ref_echelon`` are the earlier implementations on tuples of
+``Fraction``s, kept here only as referees.  Every operation of
+``CyclotomicNumber``, ``GroupRingElement``, ``Poly`` and the
+fraction-free ``linalg._echelon`` is compared with them on drawn
+operands, and every cyclotomic, group-ring or polynomial result is
+checked to be in the one normal form (den > 0, gcd(*nums, den) == 1,
+and for a polynomial no trailing zero numerator) that equality and
+hashing rely on.  A guard counts ``Fraction`` arithmetic in the
+deformation sweep and the invariant ring, which must make none."""
 
 from fractions import Fraction
 from math import gcd
@@ -31,8 +34,11 @@ from cuspcenter.cyclotomic import (
     phi_prime_power,
     zeta,
 )
-from cuspcenter.errors import NoSolution, ZeroArgument
-from cuspcenter.invariants import GroupRingElement
+from cuspcenter.deformation import deformation_suite
+from cuspcenter.errors import DegreeMismatch, NoSolution, ZeroArgument
+from cuspcenter.invariants import GroupRingElement, invariant_ring
+from cuspcenter.params import validate_parameters
+from cuspcenter.polynomials import Poly
 
 ZERO = Fraction(0)
 
@@ -599,3 +605,307 @@ def test_elimination_outcomes():
     with pytest.raises(NoSolution):
         linalg.invert([[Fraction(1, 2), 1], [1, 2]])
     assert linalg.invert([[Fraction(1, 2), 1], [1, 3]]) == [[6, -2], [-2, 1]]
+
+
+# -- polynomials ---------------------------------------------------------------------
+
+
+def _ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+class RefPoly:
+    """Dense ``Fraction`` coefficients, low degree first, trimmed."""
+
+    def __init__(self, coeffs=()):
+        self.coeffs = _ref_trim(Fraction(c) for c in coeffs)
+
+    @property
+    def degree(self):
+        return len(self.coeffs) - 1
+
+    def __bool__(self):
+        return bool(self.coeffs)
+
+    def __eq__(self, other):
+        if isinstance(other, RefPoly):
+            return self.coeffs == other.coeffs
+        if isinstance(other, (int, Fraction)):
+            return self == RefPoly((other,))
+        return NotImplemented
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = RefPoly((other,))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return RefPoly(tuple(x + y for x, y in zip(a, b)) + a[len(b):])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RefPoly(tuple(-c for c in self.coeffs))
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, RefPoly) else RefPoly((-Fraction(other),)))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return RefPoly(tuple(c * other for c in self.coeffs))
+        if not self or not other:
+            return RefPoly()
+        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] += a * b
+        return RefPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        out, base = RefPoly((1,)), self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base
+            k >>= 1
+        return out
+
+    def __divmod__(self, other):
+        if not other:
+            raise ZeroDivisionError("polynomial division by zero")
+        rem = list(self.coeffs)
+        dv = other.coeffs
+        dd = len(dv) - 1
+        lead = dv[-1]
+        quo = [ZERO] * max(0, len(rem) - dd)
+        for i in range(len(rem) - dd - 1, -1, -1):
+            c = rem[i + dd] / lead
+            if c:
+                quo[i] = c
+                for j, b in enumerate(dv):
+                    rem[i + j] -= c * b
+        return RefPoly(quo), RefPoly(rem[:dd])
+
+    def exact_div(self, other):
+        q, r = divmod(self, other)
+        if r:
+            raise DegreeMismatch(f"{self} is not divisible by {other}")
+        return q
+
+    def __call__(self, x):
+        if not self.coeffs:
+            return 0 * x if not isinstance(x, (int, Fraction)) else Fraction(0)
+        acc = self.coeffs[-1]
+        for c in reversed(self.coeffs[:-1]):
+            acc = acc * x + c
+        return acc
+
+    def is_monic(self):
+        return bool(self.coeffs) and self.coeffs[-1] == 1
+
+    def has_integer_coeffs(self):
+        return all(c.denominator == 1 for c in self.coeffs)
+
+    def is_ell_integral(self, ell):
+        return all(c == 0 or ord_frac(c, ell) >= 0 for c in self.coeffs)
+
+    def reduce_mod(self, ell):
+        out = []
+        for c in self.coeffs:
+            den_inv = pow(c.denominator % ell, -1, ell)
+            out.append(c.numerator * den_inv % ell)
+        return _ref_trim(out)
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for k, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            if k == 0:
+                parts.append(str(c))
+            else:
+                mono = "Y" if k == 1 else f"Y^{k}"
+                if c == 1:
+                    parts.append(mono)
+                elif c == -1:
+                    parts.append(f"-{mono}")
+                else:
+                    parts.append(f"{c}*{mono}")
+        return " + ".join(parts).replace("+ -", "- ")
+
+
+def poly_agrees(p, ref):
+    assert type(p) is Poly
+    assert_lowest_terms(p)
+    assert not p.nums or p.nums[-1] != 0
+    assert p.coeffs == ref.coeffs
+    assert p.degree == ref.degree
+
+
+def draw_poly(data, ell, max_len=6):
+    """A polynomial and its referee, built from coefficients that may
+    end in zeros, so trimming is exercised."""
+    cs = data.draw(st.lists(rational(ell), max_size=max_len))
+    if data.draw(st.booleans()):
+        cs = cs + [0] * data.draw(st.integers(1, 2))
+    return Poly(cs), RefPoly(cs)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ZeroDivisionError, DegreeMismatch, ValueError) as exc:
+        return type(exc)
+
+
+POLY_ELLS = [2, 3, 5, 7]
+
+
+def test_zero_polynomial_normal_form():
+    for zero in (Poly(), Poly((0, 0)), Poly((Fraction(0, 5),)), Poly((1, 2)) - Poly((1, 2)),
+                 Poly((3,)) * 0, Poly((Fraction(1, 3), 1)) * Poly()):
+        assert zero.nums == () and zero.den == 1
+        assert zero.degree == -1 and not zero and zero.is_zero()
+        assert zero == 0 and hash(zero) == hash(0)
+        assert repr(zero) == "0"
+
+
+@pytest.mark.parametrize("ell", POLY_ELLS)
+@KERNEL
+@given(data=st.data())
+def test_poly_ring_operations_match_fraction_referee(ell, data):
+    (p, rp), (q, rq) = draw_poly(data, ell), draw_poly(data, ell)
+    poly_agrees(p, rp)
+    poly_agrees(p + q, rp + rq)
+    poly_agrees(p - q, rp - rq)
+    poly_agrees(p * q, rp * rq)
+    poly_agrees(q * p, rp * rq)
+    poly_agrees(-p, -rp)
+    k = data.draw(st.integers(0, 4))
+    poly_agrees(p**k, rp**k)
+    s = data.draw(st.one_of(st.sampled_from([0, 1, -1]), st.integers(-6, 6), rational(ell)))
+    for scalar in (s, Fraction(s)):
+        poly_agrees(p * scalar, rp * s)
+        poly_agrees(scalar * p, rp * s)
+        poly_agrees(p + scalar, rp + s)
+        poly_agrees(scalar + p, rp + s)
+        poly_agrees(p - scalar, rp - s)
+        poly_agrees(scalar - p, s - rp)
+        assert (p == scalar) == (rp == scalar)
+        assert (Poly((scalar,)) == scalar) and hash(Poly((scalar,))) == hash(scalar)
+    assert (p == q) == (rp == rq)
+    same = Poly(list(rp.coeffs) + [0])
+    assert same == p and hash(same) == hash(p)
+
+
+@pytest.mark.parametrize("ell", POLY_ELLS)
+@KERNEL
+@given(data=st.data())
+def test_poly_division_matches_fraction_referee(ell, data):
+    (a, ra), (b, rb) = draw_poly(data, ell), draw_poly(data, ell, max_len=4)
+    got, want = outcome(divmod, a, b), outcome(divmod, ra, rb)
+    if isinstance(want, tuple):
+        poly_agrees(got[0], want[0])
+        poly_agrees(got[1], want[1])
+    else:
+        assert got is want
+    # a multiple of b divides exactly; a perturbed one does not
+    prod, rprod = a * b, ra * rb
+    got, want = outcome(Poly.exact_div, prod, b), outcome(RefPoly.exact_div, rprod, rb)
+    if isinstance(want, RefPoly):
+        poly_agrees(got, want)
+    else:
+        assert got is want
+    if b.degree >= 1:
+        off = prod + 1
+        assert outcome(Poly.exact_div, off, b) is DegreeMismatch
+        assert outcome(RefPoly.exact_div, rprod + 1, rb) is DegreeMismatch
+
+
+def same_value(got, want):
+    assert type(got) is type(want)
+    assert got == want
+    if isinstance(got, CyclotomicNumber):
+        assert got.level == want.level
+    if isinstance(got, (CyclotomicNumber, GroupRingElement)):
+        assert_lowest_terms(got)
+        assert (got.nums, got.den) == (want.nums, want.den)
+
+
+@pytest.mark.parametrize("ell,top", TOWERS)
+@KERNEL
+@given(data=st.data())
+def test_poly_evaluation_matches_fraction_referee(ell, top, data):
+    p, rp = draw_poly(data, ell, max_len=5)
+    n = data.draw(st.integers(-6, 6))
+    same_value(p(n), rp(n))
+    x = data.draw(rational(ell))
+    same_value(p(x), rp(x))
+    z, _ = draw_pair(data, ell, data.draw(st.integers(0, top)))
+    same_value(p(z), rp(z))
+    modulus = ell ** data.draw(st.integers(1, top))
+    g = GroupRingElement(
+        modulus, data.draw(st.lists(rational(ell), min_size=modulus, max_size=modulus))
+    )
+    same_value(p(g), rp(g))
+
+
+@pytest.mark.parametrize("ell", POLY_ELLS)
+@KERNEL
+@given(data=st.data())
+def test_poly_integrality_reduction_and_repr(ell, data):
+    p, rp = draw_poly(data, ell)
+    assert p.is_ell_integral(ell) == rp.is_ell_integral(ell)
+    assert outcome(p.reduce_mod, ell) == outcome(rp.reduce_mod, ell)
+    assert p.has_integer_coeffs() == rp.has_integer_coeffs()
+    assert p.is_monic() == rp.is_monic()
+    assert repr(p) == repr(rp)
+    assert bool(p) == bool(rp)
+    top = (0,) * len(rp.coeffs) + (1,)  # Y^(deg + 1)
+    monic, rmonic = p + Poly(top), rp + RefPoly(top)
+    assert monic.is_monic() == rmonic.is_monic()
+    assert repr(monic) == repr(rmonic)
+
+
+# -- no Fraction arithmetic on the integer paths ------------------------------------------
+
+FRACTION_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__",
+    "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+)
+
+
+def count_fraction_arithmetic(monkeypatch) -> list:
+    """Wrap Fraction's arithmetic dunders; returns the list of calls."""
+    calls = []
+    for name in FRACTION_ARITHMETIC:
+        def counted(*args, _name=name, _plain=getattr(Fraction, name)):
+            calls.append(_name)
+            return _plain(*args)
+
+        monkeypatch.setattr(Fraction, name, counted)
+    return calls
+
+
+def test_deformation_sweep_and_invariant_ring_do_no_fraction_arithmetic(monkeypatch):
+    sweep = validate_parameters(3, 5, 4)
+    ring = invariant_ring(sweep)
+    wide = validate_parameters(2, 127, 7)
+    calls = count_fraction_arithmetic(monkeypatch)
+    assert Fraction(1, 2) + 1 == Fraction(3, 2) and calls == ["__add__"]
+    calls.clear()
+    deformation_suite(sweep, ring)
+    assert calls == []
+    invariant_ring(wide)
+    assert calls == []
