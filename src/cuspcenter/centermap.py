@@ -15,8 +15,8 @@ with m the minimal polynomial computed from the invariant ring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import ord_frac
 from .characters import (
@@ -59,21 +59,26 @@ class BlockVector:
                 e = CyclotomicNumber.rational(ell, e)
             embedded.append(e.embed_to(r))
         self.entries = tuple(embedded)
-        assert len(self.entries) == len(self.reps)
+        if len(self.entries) != len(self.reps):
+            raise ValueError(f"{len(self.entries)} entries for {len(self.reps)} slots")
 
     @property
     def entry0(self) -> CyclotomicNumber:
         return self.entries[0]
 
+    def _check_slots(self, other: "BlockVector") -> None:
+        if self.reps != other.reps:
+            raise ValueError("block vectors on different slots")
+
     def __add__(self, other: "BlockVector") -> "BlockVector":
-        assert self.reps == other.reps
+        self._check_slots(other)
         return BlockVector(
             self.ell, self.r, self.reps,
             [a + b for a, b in zip(self.entries, other.entries)],
         )
 
     def __sub__(self, other: "BlockVector") -> "BlockVector":
-        assert self.reps == other.reps
+        self._check_slots(other)
         return BlockVector(
             self.ell, self.r, self.reps,
             [a - b for a, b in zip(self.entries, other.entries)],
@@ -211,8 +216,7 @@ def case_bucket(ct: ClassType, ps: ParameterSet) -> str:
     return PRIMARY_SMALL_NONDIAG
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(NamedTuple):
     bucket_of: dict
     bucket_counts: dict
     s_flags: dict
@@ -533,8 +537,7 @@ def g_of_gamma_check(ring: InvariantRingData, gamma: BlockVector) -> dict:
     return {"g": repr(g), "g_at_n": g_n, "valuation": ps.r}
 
 
-@dataclass(frozen=True)
-class EndoRingResult:
+class EndoRingResult(NamedTuple):
     params_input: ParameterSet
     params: ParameterSet
     ring: InvariantRingData

@@ -17,9 +17,9 @@ prod_j (1 - u^j)/(1 - q u^j).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import ord_int
 from .errors import AssertionFailure, ScaleLimit
@@ -84,8 +84,7 @@ def _z_factor(big_q: int, lam: tuple) -> int:
     return int(val)
 
 
-@dataclass(frozen=True)
-class ClassType:
+class ClassType(NamedTuple):
     factors: tuple  # ((FqPoly, partition), ...) canonically sorted
     n: int
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import traceback
 
 from . import centermap, deformation, gl2table, matrixoracle, report
 from .arith import multiplicative_order, prime_power
@@ -299,6 +298,8 @@ def main(argv=None) -> int:
         env = report.failure_envelope(args.command, parameters, exc)
         code = 1
     except Exception as exc:
+        import traceback  # imported here: only exit 3 prints one
+
         traceback.print_exc(file=sys.stderr)  # stdout carries only the envelope
         env = report.failure_envelope(args.command, parameters, exc)
         code = 3

@@ -211,7 +211,8 @@ class CyclotomicNumber(ExactVector):
         self.ell = ell
         self.level = level
         self.nums, self.den = lowest_terms(nums, den)
-        assert len(self.nums) == phi_prime_power(ell, level)
+        if len(self.nums) != phi_prime_power(ell, level):
+            raise ValueError(f"{len(self.nums)} coefficients at level {level}")
 
     @classmethod
     def rational(cls, ell: int, x) -> "CyclotomicNumber":

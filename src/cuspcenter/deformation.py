@@ -20,8 +20,8 @@ helpers for one point that ``deformation_suite`` runs once per side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .arith import ord_frac
 from .cyclotomic import CyclotomicNumber, zeta
@@ -32,8 +32,7 @@ from .params import ParameterSet, require_reduced
 from .polynomials import Poly
 
 
-@dataclass(frozen=True)
-class DeformationPoint:
+class DeformationPoint(NamedTuple):
     ps: ParameterSet
     zeta_exponent: int
     units: tuple
@@ -165,8 +164,7 @@ def check_relations(pt: DeformationPoint, ps: ParameterSet, ring: InvariantRingD
     }
 
 
-@dataclass(frozen=True)
-class CenterPresentation:
+class CenterPresentation(NamedTuple):
     """Generators-and-relations form of the endomorphism ring with the
     deformation parameters adjoined: Y plus n T-variables, the last of
     them invertible."""

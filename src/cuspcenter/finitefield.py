@@ -24,7 +24,7 @@ brute-force evaluation as the tests' referee.
 from __future__ import annotations
 
 from .arith import divisors, is_prime, moebius, ord_int, prime_power
-from .errors import AssertionFailure, ScaleLimit, ZeroElement
+from .errors import AssertionFailure, InvalidPrime, ScaleLimit, ZeroElement
 
 # ---------------------------------------------------------------------------
 # F_p[x] on plain integer tuples (low degree first), for modulus hunting
@@ -110,7 +110,8 @@ def finite_field(q: int) -> "FiniteField":
 
 class FiniteField:
     def __init__(self, p: int, e: int):
-        assert is_prime(p)
+        if not is_prime(p):
+            raise InvalidPrime(f"characteristic {p} is not prime")
         self.p = p
         self.e = e
         self.order = p**e
@@ -129,7 +130,8 @@ class FiniteField:
 
     def from_coeffs(self, coeffs) -> "FFElement":
         cs = tuple(c % self.p for c in coeffs)
-        assert len(cs) == self.e
+        if len(cs) != self.e:
+            raise ValueError(f"{len(cs)} coefficients for a degree-{self.e} field")
         return FFElement(self, cs)
 
     def elements(self):
@@ -178,7 +180,8 @@ class FFElement:
         return hash((self.field.p, self.field.e, self.coeffs))
 
     def __lt__(self, other):
-        assert self.field is other.field
+        if self.field is not other.field:
+            raise TypeError("elements of different fields")
         return self.encoding < other.encoding
 
     def __add__(self, other):
@@ -205,7 +208,8 @@ class FFElement:
         if isinstance(other, int):
             s = other % self.field.p
             return FFElement(self.field, tuple(a * s % self.field.p for a in self.coeffs))
-        assert self.field is other.field
+        if self.field is not other.field:
+            raise TypeError("elements of different fields")
         f = self.field
         prod = _pp_mulmod(_pp_trim(self.coeffs), _pp_trim(other.coeffs), f.modulus, f.p)
         return f.from_coeffs(prod + (0,) * (f.e - len(prod)))

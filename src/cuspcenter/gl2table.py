@@ -15,10 +15,10 @@ cyclotomic polynomial.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .arith import divisors, inverse_mod
 from .classes import ClassType, make_class_type
@@ -145,24 +145,21 @@ class RootSum:
         return " + ".join(parts)
 
 
-@dataclass(frozen=True)
-class GL2Class:
+class GL2Class(NamedTuple):
     label: str
     kind: str           # central | unipotent | split | elliptic
     ctype: ClassType
     size: int
 
 
-@dataclass(frozen=True)
-class GL2Character:
+class GL2Character(NamedTuple):
     label: str
     family: str         # det | steinberg | principal | cuspidal
     dim: int
     values: tuple
 
 
-@dataclass(frozen=True)
-class GL2Table:
+class GL2Table(NamedTuple):
     q: int
     modulus: int
     group_order: int

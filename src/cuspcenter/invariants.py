@@ -23,9 +23,9 @@ Main outputs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from . import linalg
 from .arith import ord_frac
@@ -37,7 +37,7 @@ from .cyclotomic import (
     phi_prime_power,
     zeta,
 )
-from .errors import AssertionFailure, IntegralityFailure
+from .errors import AssertionFailure, IntegralityFailure, ParameterError
 from .params import ParameterSet, require_reduced
 from .polynomials import Poly, from_roots
 
@@ -52,7 +52,8 @@ class GroupRingElement(ExactVector):
 
     def __init__(self, modulus: int, coeffs):
         nums, den = linalg.clear_denominators(coeffs)
-        assert len(nums) == modulus
+        if len(nums) != modulus:
+            raise ValueError(f"{len(nums)} coefficients for modulus {modulus}")
         self.modulus = modulus
         self.nums, self.den = lowest_terms(nums, den)
 
@@ -89,6 +90,9 @@ class GroupRingElement(ExactVector):
         return out
 
     def __hash__(self):
+        # a rational element equals, so hashes as, that rational
+        if not any(self.nums[1:]):
+            return hash(Fraction(self.nums[0], self.den))
         return hash((self.modulus, self.nums, self.den))
 
     def frobenius(self, a: int) -> "GroupRingElement":
@@ -107,8 +111,7 @@ class GroupRingElement(ExactVector):
         return " + ".join(terms) if terms else "0"
 
 
-@dataclass(frozen=True)
-class OrbitStructure:
+class OrbitStructure(NamedTuple):
     modulus: int
     multiplier: int
     orbits: tuple[tuple[int, ...], ...]
@@ -181,7 +184,8 @@ def omega_value(ps: ParameterSet, i: int, exponent: int = 1) -> CyclotomicNumber
     """Trace of zeta_{l^i}^exponent under the q-power orbit: the sum of
     zeta_{l^i}^(exponent q^k) over k < n, at level i."""
     ps = require_reduced(ps)
-    assert 1 <= i <= ps.r
+    if not 1 <= i <= ps.r:
+        raise ParameterError(f"level {i} is outside 1..r = {ps.r}")
     m = ps.ell**i
     total = CyclotomicNumber.zero(ps.ell, i)
     for k in range(ps.n):
@@ -318,8 +322,7 @@ def pullback_mod_ell_check(ps: ParameterSet) -> dict:
     return {"multiplicity": multiplicity, "degree": deg}
 
 
-@dataclass(frozen=True)
-class InvariantRingData:
+class InvariantRingData(NamedTuple):
     ps: ParameterSet
     orbits: OrbitStructure
     f: GroupRingElement

@@ -18,8 +18,8 @@ engine's kernels in ``matrices`` or ``linalg``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations, product
+from typing import NamedTuple
 
 from .classes import ClassType, group_order, representative_matrix
 from .errors import AssertionFailure, ScaleLimit
@@ -148,8 +148,7 @@ def encode_matrix(rows) -> tuple:
     return tuple(x.encoding for row in rows for x in row)
 
 
-@dataclass(frozen=True)
-class MatrixCensus:
+class MatrixCensus(NamedTuple):
     q: int
     n: int
     group_order: int

@@ -12,15 +12,14 @@ in which n equals w and the cuspidal support is the trivial-degree one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .arith import is_prime, multiplicative_order, ord_int, prime_power
 from .errors import AssertionFailure, DegenerateBlock, InvalidPrime, SupercuspidalCase
 
 
-@dataclass(frozen=True)
-class ParameterSet:
+class ParameterSet(NamedTuple):
     q: int
     ell: int
     n: int

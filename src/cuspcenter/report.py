@@ -9,7 +9,6 @@ ASCII, fixed-indent — two identical runs must be byte-identical.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from fractions import Fraction
@@ -134,6 +133,8 @@ def _text_value(v) -> str:
 
 
 def cache_key(q: int, n: int) -> str:
+    import hashlib  # imported here: no other path needs it at start-up
+
     payload = f"census:{SCHEMA_VERSION}:{q}:{n}".encode("ascii")
     return hashlib.sha256(payload).hexdigest()
 

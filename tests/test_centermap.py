@@ -438,6 +438,43 @@ def test_endo_ring_json_pinned(command, digest):
     assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
+# sha256 of `--out text` stdout, one command per subcommand, recorded
+# while the record types were still dataclasses: `report._text_value`
+# lists every tuple, so a record reaching the text envelope shows here.
+PINNED_TEXT = {
+    "endo-ring-2-3": (
+        "endo-ring --q 2 --ell 3",
+        "59ee780702867dfcf0cddeedeb405924078460f966e83b12cb3f4102bf2e9097",
+    ),
+    "invariants-2-127": (
+        "invariants --q 2 --ell 127",
+        "a742bdc041c8fdee93569cda3618db540885b16630d5f80788de42879b222926",
+    ),
+    "classes-4-2-5": (
+        "classes --q 4 --n 2 --ell 5",
+        "a9270cd952b6d867d4ca554af353a8535ed8d11fc4608775f21a78e424e070f6",
+    ),
+    "oracle-4-2-5": (
+        "oracle --q 4 --n 2 --ell 5",
+        "41c8a779fe1960662b3cd773562994c728e950fa8d5893401be802a74cce8dd8",
+    ),
+    "deformation-2-7": (
+        "deformation --q 2 --ell 7",
+        "5aa541ad467b6731f4868681fe3fc8d2078660b588f5c1a51b481df63094972b",
+    ),
+}
+
+
+@pytest.mark.parametrize("command,digest", PINNED_TEXT.values(), ids=PINNED_TEXT)
+def test_text_output_pinned(command, digest):
+    proc = subprocess.run(
+        [sys.executable, "-m", "cuspcenter", *command.split(), "--out", "text"],
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()[-1000:]
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+
+
 def test_reduced_twin_agrees(endo_results):
     p4, u4 = endo_results["P4"], endo_results["U4"]
     assert u4.params == p4.params

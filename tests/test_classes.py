@@ -4,7 +4,6 @@ centralizer-order dichotomy."""
 
 import sys
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -235,4 +234,4 @@ def test_representative_matrix_checks_its_size():
     ct = make_class_type(((x_plus_1, (2,)),))
     assert len(representative_matrix(ct)) == 2
     with pytest.raises(AssertionFailure):
-        representative_matrix(replace(ct, n=3))
+        representative_matrix(ct._replace(n=3))

@@ -2,6 +2,8 @@
 installed console script."""
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -202,3 +204,26 @@ def test_supercuspidal_rejected(capsys):
     assert code == 2
     env = json.loads(out)
     assert env["artifacts"]["error"]["type"] == "SupercuspidalCase"
+
+
+# the modules perfbench/traced_cli.py spans: it finds them in sys.modules
+# right after `import cuspcenter.cli`
+SPANNED_MODULES = (
+    "finitefield", "classes", "characters", "centermap", "linalg", "cyclotomic",
+    "invariants", "polynomials", "matrices", "deformation", "report",
+    "matrixoracle", "gl2table",
+)
+
+
+def test_cli_import_loads_every_spanned_module_and_nothing_heavy():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, cuspcenter.cli; print(*sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr[-1000:]
+    loaded = set(proc.stdout.split())
+    assert {"dataclasses", "hashlib", "traceback"}.isdisjoint(loaded)
+    assert {f"cuspcenter.{name}" for name in SPANNED_MODULES} <= loaded

@@ -8,8 +8,9 @@ from math import gcd
 import pytest
 
 from cuspcenter.arith import divisors, euler_phi, is_prime
-from cuspcenter.errors import AssertionFailure, ScaleLimit, ZeroElement
+from cuspcenter.errors import AssertionFailure, InvalidPrime, ScaleLimit, ZeroElement
 from cuspcenter.finitefield import (
+    FiniteField,
     FqPoly,
     ell_part_and_dlog,
     embedding,
@@ -291,3 +292,15 @@ def test_fqpoly_ring_operations():
     assert not prod(a)  # a is a root (char 2: a + a = 0)
     assert prod(f.zero) == a * b
     assert (p + q).coeffs == (a + b,)  # leading terms cancel, trimmed
+
+
+def test_field_guards_are_raises():
+    with pytest.raises(InvalidPrime):
+        FiniteField(4, 1)
+    f4, f8 = finite_field(4), finite_field(8)
+    with pytest.raises(ValueError):
+        f4.from_coeffs((1, 0, 0))
+    with pytest.raises(TypeError):
+        f4.one * f8.one
+    with pytest.raises(TypeError):
+        f4.one < f8.one

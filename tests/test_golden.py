@@ -2,6 +2,7 @@
 golden files.  Any change to serialization, check wording, artifact
 layout, or the mathematics itself shows up here first."""
 
+import ast
 import pathlib
 import subprocess
 import sys
@@ -31,3 +32,26 @@ def test_golden_endo_ring(name):
     )
     assert proc.returncode == 0, proc.stderr.decode()[-1000:]
     assert proc.stdout == expected
+
+
+def test_golden_endo_ring_under_optimize():
+    # -O strips assert statements: no check may depend on one
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "cuspcenter", "endo-ring"]
+        + CASES["p1-q2-l3"]
+        + ["--out", "json"],
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()[-1000:]
+    assert proc.stdout == (GOLDEN_DIR / "p1-q2-l3.json").read_bytes()
+
+
+def test_no_assert_statements_in_src():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from cuspcenter import invariants
-from cuspcenter.errors import AssertionFailure
+from cuspcenter.errors import AssertionFailure, ParameterError
 from cuspcenter.invariants import (
     GroupRingElement,
     express_orbit_sum,
@@ -203,3 +203,10 @@ def test_orbit_reps_out_of_order_raise(monkeypatch):
     )
     with pytest.raises(AssertionFailure):
         orbit_structure(validate_parameters(2, 7, 3))
+
+
+def test_omega_value_rejects_a_level_outside_1_to_r():
+    ps = validate_parameters(2, 3, 2)
+    for level in (0, ps.r + 1):
+        with pytest.raises(ParameterError):
+            omega_value(ps, level)

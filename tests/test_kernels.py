@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from cuspcenter import linalg
 from cuspcenter.arith import ord_frac
+from cuspcenter.centermap import BlockVector
 from cuspcenter.cyclotomic import (
     CyclotomicNumber,
     congruent_mod,
@@ -520,6 +521,22 @@ def test_group_ring_matches_fraction_referee(modulus, ell, data):
     assert (x == y) == (rx.coeffs == ry.coeffs)
     same = GroupRingElement(modulus, rx.coeffs)
     assert same == x and hash(same) == hash(x)
+    const = GroupRingElement.unit(modulus, 0, s)
+    assert const == s and hash(const) == hash(s) and len({const, s}) == 1
+
+
+def test_shape_guards_are_raises():
+    with pytest.raises(ValueError):
+        CyclotomicNumber(3, 1, (1, 0, 0), reduced=True)
+    with pytest.raises(ValueError):
+        GroupRingElement(3, (1, 0))
+    with pytest.raises(ValueError):
+        BlockVector(3, 1, (0, 1), (1,))
+    u, v = BlockVector(3, 1, (0, 1), (1, 2)), BlockVector(3, 1, (0, 2), (1, 2))
+    with pytest.raises(ValueError):
+        u + v
+    with pytest.raises(ValueError):
+        u - v
 
 
 # -- fraction-free elimination ---------------------------------------------------------
