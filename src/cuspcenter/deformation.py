@@ -13,9 +13,13 @@ relations of the presentation
 
 Psi, Y and m(Y) depend on a alone, and Fr, its characteristic
 polynomial and det Fr on the units alone, so each side is built and
-checked on its own, Fr and its T-values in plain ints; only the
-commutation relation and the T_k relations need both.  ``make_point`` and ``check_relations`` compose the same
-helpers for one point that ``deformation_suite`` runs once per side.
+checked on its own, Fr and its T-values in plain ints.  The commutation
+relation factors too: Fr's entries are nonzero integers and Q(zeta) is
+a field, so it holds exactly when Psi's diagonal is the q-power ladder,
+checked once per a, and every unit is nonzero, checked once per unit
+assignment.  Only the T_k relations are checked per point, on integers.
+``make_point`` and ``check_relations`` compose the same helpers for one
+point that ``deformation_suite`` runs once per side.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 from itertools import product
 from typing import NamedTuple
 
-from .arith import ord_frac
+from .arith import ord_int
 from .cyclotomic import CyclotomicNumber, zeta
 from .errors import AssertionFailure, ParameterError, RelationFailure
 from .invariants import InvariantRingData
@@ -56,26 +60,30 @@ def _psi_side(ps: ParameterSet, a: int) -> tuple:
 def _fr_side(ps: ParameterSet, units: tuple) -> tuple:
     """(Fr, (T_1, ..., T_n)) over Z: row i of Fr holds units[j] in
     column j = i + 1 mod n, and T_k is the coefficient of Y^(n-k) in
-    det(Y I - Fr)."""
+    det(Y I - Fr).  Every unit must be nonzero: Fr must be invertible,
+    and ``_check_commutation`` relies on it."""
     n = ps.n
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         j = (i + 1) % n
+        if units[j] == 0:
+            raise ParameterError(f"unit entry {j} of Fr is zero; units must be nonzero")
         rows[i][j] = units[j]
     fr = tuple(tuple(row) for row in rows)
     char = charpoly(fr, 0, 1)
     return fr, tuple(char[n - k] for k in range(1, n + 1))
 
 
-def _check_commutation(a: int, diagonal: tuple, diagonal_q: tuple, fr: tuple) -> None:
-    """Fr Psi = Psi^q Fr.  Psi and Psi^q are diagonal, so both sides
-    vanish off Fr's support, and at Fr's entry (i, j) they read
-    Fr[i][j] Psi[j][j] and Psi^q[i][i] Fr[i][j]."""
-    n = len(fr)
+def _check_commutation(a: int, diagonal: tuple, diagonal_q: tuple) -> None:
+    """Fr Psi = Psi^q Fr for every Fr that ``_fr_side`` builds.  Psi and
+    Psi^q are diagonal, so both sides vanish off Fr's support, and at
+    Fr's entry (i, j), j = i + 1 mod n, they read f Psi[j][j] and
+    Psi^q[i][i] f.  ``_fr_side`` has checked f != 0, and Q(zeta) is a
+    field, so they agree exactly when Psi[j][j] == Psi^q[i][i]."""
+    n = len(diagonal)
     for i in range(n):
         j = (i + 1) % n
-        f = fr[i][j]
-        if f * diagonal[j] != diagonal_q[i] * f:
+        if diagonal[j] != diagonal_q[i]:
             raise RelationFailure(f"Fr Psi != Psi^q Fr at entry ({i}, {j}) for a = {a}")
 
 
@@ -105,30 +113,31 @@ def _check_det(units: tuple, t_values: tuple) -> None:
         )
 
 
-def _check_t_values(a: int, y_minus_n, t_values: tuple) -> None:
+def _check_t_values(a: int, ell: int, t_values: tuple) -> None:
     """The relations that need both sides: for a != 0, T_1..T_{n-1}
-    vanish and T_n is an l-unit; (Y - n) T_k = 0 for every k < n."""
+    vanish and T_n is an l-unit; (Y - n) T_k = 0 for every k < n.
+
+    The product (Y - n) T_k is never formed, because one factor is
+    already proved zero: for a != 0 this call proves T_k == 0 as an
+    integer, and for a = 0 the caller has run ``_check_trace``, which
+    proves Y - n = 0."""
+    if not a:
+        return
     n = len(t_values)
-    if a:
-        for k in range(n - 1):
-            if t_values[k]:
-                raise AssertionFailure(
-                    f"generator T_{k + 1} nonzero at a = {a}", witness=repr(t_values[k])
-                )
-        if ord_frac(t_values[n - 1], y_minus_n.ell) != 0:
-            raise AssertionFailure(f"T_{n} is not an l-unit at a = {a}")
     for k in range(n - 1):
-        if not (y_minus_n * t_values[k]).is_zero():
+        if t_values[k]:
             raise AssertionFailure(
-                f"generator (Y - n) T_{k + 1} does not vanish at a = {a}"
+                f"generator T_{k + 1} nonzero at a = {a}", witness=repr(t_values[k])
             )
+    if ord_int(t_values[n - 1], ell) != 0:
+        raise AssertionFailure(f"T_{n} is not an l-unit at a = {a}")
 
 
 def make_point(ps: ParameterSet, zeta_exponent: int, units=None) -> DeformationPoint:
     """Psi = diag(zeta^a, zeta^(aq), ..., zeta^(aq^(n-1))) and the
-    cyclic-shift Fr with the given unit entries; the commutation
-    relation Fr Psi = Psi^q Fr is asserted exactly.  Psi lives at level
-    r, Fr and its T-values over Z."""
+    cyclic-shift Fr with the given nonzero unit entries; the
+    commutation relation Fr Psi = Psi^q Fr is asserted exactly.  Psi
+    lives at level r, Fr and its T-values over Z."""
     ps = require_reduced(ps)
     units = (1,) * ps.n if units is None else tuple(units)
     if len(units) != ps.n:
@@ -136,7 +145,7 @@ def make_point(ps: ParameterSet, zeta_exponent: int, units=None) -> DeformationP
     a = zeta_exponent % ps.ell_power
     diagonal, diagonal_q, trace = _psi_side(ps, a)
     fr, t_values = _fr_side(ps, units)
-    _check_commutation(a, diagonal, diagonal_q, fr)
+    _check_commutation(a, diagonal, diagonal_q)
     return DeformationPoint(
         ps=ps,
         zeta_exponent=a,
@@ -154,7 +163,7 @@ def check_relations(pt: DeformationPoint, ps: ParameterSet, ring: InvariantRingD
     ps = require_reduced(ps)
     a = pt.zeta_exponent % ps.ell_power
     _check_trace(a, pt.trace, ps, ring)
-    _check_t_values(a, pt.trace - ps.n, pt.t_values)
+    _check_t_values(a, ps.ell, pt.t_values)
     _check_det(pt.units, pt.t_values)
     return {
         "zeta_exponent": pt.zeta_exponent,
@@ -197,24 +206,24 @@ def deformation_suite(
 ) -> dict:
     """Every zeta-exponent with every unit assignment: check all
     relations, and confirm that the trace values sweep out exactly the
-    root set of m.  Fr and its charpoly are built once per unit
-    assignment and Psi once per a; each point checks only the
-    commutation relation and the T_k relations."""
+    root set of m.  Fr and its charpoly are built and checked once
+    per unit assignment, and Psi, its trace and the commutation
+    relation once per a; each point checks only the T_k relations,
+    on integers."""
     ps = require_reduced(ps)
-    fr_sides = []
+    t_sides = []
     for units in product(unit_choices, repeat=ps.n):
-        fr, t_values = _fr_side(ps, units)
+        _, t_values = _fr_side(ps, units)
         _check_det(units, t_values)
-        fr_sides.append((fr, t_values))
+        t_sides.append(t_values)
     traces = []
     points_checked = 0
     for a in range(ps.ell_power):
         diagonal, diagonal_q, trace = _psi_side(ps, a)
         _check_trace(a, trace, ps, ring)
-        y_minus_n = trace - ps.n
-        for fr, t_values in fr_sides:
-            _check_commutation(a, diagonal, diagonal_q, fr)
-            _check_t_values(a, y_minus_n, t_values)
+        _check_commutation(a, diagonal, diagonal_q)
+        for t_values in t_sides:
+            _check_t_values(a, ps.ell, t_values)
             points_checked += 1
         traces.append(trace)
 

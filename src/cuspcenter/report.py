@@ -123,7 +123,7 @@ def to_text(env: dict) -> str:
 
 def _text_value(v) -> str:
     if isinstance(v, dict):
-        return "{" + ", ".join(f"{k}: {_text_value(v[k])}" for k in sorted(map(str, v))) + "}"
+        return "{" + ", ".join(f"{k}: {_text_value(v[k])}" for k in sorted(v, key=str)) + "}"
     if isinstance(v, (list, tuple)):
         return "[" + ", ".join(_text_value(x) for x in v) + "]"
     return str(v)

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from cuspcenter import validate_parameters, verify_endo_ring
@@ -38,3 +40,25 @@ def table4():
 @pytest.fixture(scope="session")
 def table8():
     return gl2_character_table(8)
+
+
+def leibniz_charpoly(a, zero, one) -> list:
+    """The referee for ``matrices.charpoly``: coefficients c_0..c_n (low
+    first) of det(Y*I - A) as the Leibniz sum over all n! permutations,
+    each term a product of linear factors in Y with its inversion-count
+    sign.  Generic over a commutative ring, division-free."""
+    n = len(a)
+    total = [zero] * (n + 1)
+    for perm in permutations(range(n)):
+        prod = [one]  # polynomial in Y, ring coefficients
+        for i in range(n):
+            lin = [zero - a[i][perm[i]], one] if perm[i] == i else [zero - a[i][perm[i]]]
+            new = [zero] * (len(prod) + len(lin) - 1)
+            for s, x in enumerate(prod):
+                for t, y in enumerate(lin):
+                    new[s + t] = new[s + t] + x * y
+            prod = new
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        for k, c in enumerate(prod):
+            total[k] = total[k] - c if inversions % 2 else total[k] + c
+    return total

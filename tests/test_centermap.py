@@ -399,7 +399,9 @@ def test_s_membership_once_per_vector_at_17_3(monkeypatch):
 
 # sha256 of `--out json` stdout by command.  The endo-ring pins were
 # recorded before per-type records, the deformation and invariants pins
-# before Poly and Fr moved onto integer numerators.
+# before Poly and Fr moved onto integer numerators, and the (3,7,6) and
+# (2,31,5) deformation pins with the Leibniz charpoly and per-point
+# commutation products.
 PINNED_JSON = {
     "17-3": (
         "endo-ring --q 17 --ell 3",
@@ -416,6 +418,14 @@ PINNED_JSON = {
     "deformation-2-7": (
         "deformation --q 2 --ell 7",
         "e3393e7a496e0b6deb6a9acd21f080c77ecdf8b7c2fd92603d6025029051f386",
+    ),
+    "deformation-3-7": (
+        "deformation --q 3 --ell 7",
+        "21a5ada004257f1a441428cc40f40dcf89ae450a2af3d04ba26f46eca15af638",
+    ),
+    "deformation-2-31": (
+        "deformation --q 2 --ell 31",
+        "1aaee79564b0670d02ec6f892351b31e505b0778f1cfc0a307c867324991753d",
     ),
     "invariants-2-127": (
         "invariants --q 2 --ell 127",

@@ -3,6 +3,7 @@
 from itertools import product
 
 import pytest
+from conftest import leibniz_charpoly
 
 from cuspcenter import deformation, matrices
 from cuspcenter.arith import ord_frac
@@ -42,8 +43,20 @@ def dense_point(ps, a, units):
     trace = zero
     for e in entries:
         trace = trace + e
-    char = charpoly(fr, q_zero, q_one)
+    char = leibniz_charpoly(fr, q_zero, q_one)
     return trace, tuple(char[n - k] for k in range(1, n + 1))
+
+
+def pointwise_commutation(a, diagonal, diagonal_q, fr):
+    """The referee for the engine's once-per-a commutation check: at
+    every entry (i, j) of Fr's support, Fr[i][j] Psi[j][j] and
+    Psi^q[i][i] Fr[i][j] are multiplied out and compared."""
+    n = len(fr)
+    for i in range(n):
+        j = (i + 1) % n
+        f = fr[i][j]
+        if f * diagonal[j] != diagonal_q[i] * f:
+            raise RelationFailure(f"Fr Psi != Psi^q Fr at entry ({i}, {j}) for a = {a}")
 
 
 def test_p1_point_a1():
@@ -92,20 +105,52 @@ def test_units_enter_determinant():
 
 def test_commutation_relation_is_tight():
     # a wrong diagonal (not the q-power ladder) must be rejected by the
-    # engine's own commutation check
+    # engine's own once-per-a commutation check
     ps = validate_parameters(2, 3, 2)
     pt = make_point(ps, 1)
     good_q = tuple(e**2 for e in pt.psi_diagonal)
-    deformation._check_commutation(1, pt.psi_diagonal, good_q, pt.fr)
+    deformation._check_commutation(1, pt.psi_diagonal, good_q)
     bad = (zeta(3, 1, 1), zeta(3, 1, 1))  # should be (zeta, zeta^q) = (zeta, zeta^2)
-    with pytest.raises(RelationFailure):
-        deformation._check_commutation(1, bad, tuple(e**2 for e in bad), pt.fr)
+    with pytest.raises(RelationFailure, match=r"at entry \(0, 1\) for a = 1"):
+        deformation._check_commutation(1, bad, tuple(e**2 for e in bad))
+
+
+@pytest.mark.parametrize("q,ell,n", [(2, 3, 2), (2, 7, 3), (8, 3, 2), (4, 5, 2), (3, 5, 4)])
+def test_commutation_matches_pointwise_referee(q, ell, n):
+    # at the golden sizes the once-per-a check agrees with the per-point
+    # products on every point, and on a diagonal shifted out of the
+    # q-power ladder both raise the same message
+    ps = validate_parameters(q, ell, n)
+    frs = [deformation._fr_side(ps, units)[0] for units in product((1, -1, 2), repeat=n)]
+    for a in range(ps.ell_power):
+        diagonal, diagonal_q, _ = deformation._psi_side(ps, a)
+        deformation._check_commutation(a, diagonal, diagonal_q)
+        for fr in frs:
+            pointwise_commutation(a, diagonal, diagonal_q, fr)
+        if a:
+            shifted = diagonal[1:] + diagonal[:1]
+            with pytest.raises(RelationFailure) as engine:
+                deformation._check_commutation(a, shifted, diagonal_q)
+            for fr in frs:
+                with pytest.raises(RelationFailure) as referee:
+                    pointwise_commutation(a, shifted, diagonal_q, fr)
+                assert str(referee.value) == str(engine.value)
 
 
 def test_units_length_is_a_parameter_error():
     ps = validate_parameters(2, 7, 3)
     with pytest.raises(ParameterError):
         make_point(ps, 1, units=(1, 1))
+
+
+def test_zero_unit_is_a_parameter_error():
+    # Fr must be invertible, and the commutation check relies on nonzero
+    # entries: a zero unit is refused as bad input, never checked
+    ps = validate_parameters(2, 7, 3)
+    with pytest.raises(ParameterError, match="unit entry 1 of Fr is zero"):
+        make_point(ps, 1, units=(1, 0, 1))
+    with pytest.raises(ParameterError):
+        deformation_suite(ps, invariant_ring(ps), unit_choices=(1, 0))
 
 
 @pytest.mark.parametrize("q,ell,n", [(2, 3, 2), (2, 7, 3), (4, 5, 2)])
@@ -152,13 +197,44 @@ def test_deformation_suite(q, ell, n):
     assert report["distinct_traces"] == ring.m.degree
 
 
-@pytest.mark.slow
 def test_full_sweep_2_31_5():
     # the full l^r * 3^n sweep at the widest phi of the ladder (phi = 30)
     ps = validate_parameters(2, 31, 5)
     report = deformation_suite(ps, invariant_ring(ps))
     assert report["points_checked"] == 7533
     assert report["distinct_traces"] == 7
+
+
+def test_full_sweep_3_7_6():
+    # n = 6: 3^6 charpolys of 6 x 6 matrices
+    ps = validate_parameters(3, 7, 6)
+    ring = invariant_ring(ps)
+    report = deformation_suite(ps, ring)
+    assert report["points_checked"] == 5103
+    assert report["distinct_traces"] == ring.m.degree == 2
+
+
+def test_sweep_makes_no_cyclotomic_product_per_point(monkeypatch):
+    # at (3,5,4) three unit choices give 81 times the points of one, yet
+    # the same number of CyclotomicNumber products: every product is per a
+    ps = validate_parameters(3, 5, 4)
+    ring = invariant_ring(ps)
+    calls = []
+    plain = CyclotomicNumber.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return plain(self, other)
+
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", counted)
+    monkeypatch.setattr(CyclotomicNumber, "__rmul__", counted)
+    counts = []
+    for unit_choices in ((1,), (1, -1, 2)):
+        calls.clear()
+        report = deformation_suite(ps, ring, unit_choices=unit_choices)
+        counts.append((report["points_checked"], len(calls)))
+    assert counts[0][0] == 5 and counts[1][0] == 405
+    assert counts[0][1] == counts[1][1] > 0
 
 
 def test_presentation_describe_p1():

@@ -15,7 +15,11 @@ operands, and every cyclotomic, group-ring or polynomial result is
 checked to be in the one normal form (den > 0, gcd(*nums, den) == 1,
 and for a polynomial no trailing zero numerator) that equality and
 hashing rely on.  A guard counts ``Fraction`` arithmetic in the
-deformation sweep and the invariant ring, which must make none."""
+deformation sweep and the invariant ring, which must make none.
+
+``matrices.charpoly`` (Berkowitz) is checked against the Leibniz sum
+it replaced, ``conftest.leibniz_charpoly``, over the integers, GF(9)
+and Q(zeta_5)."""
 
 from fractions import Fraction
 from math import gcd
@@ -23,6 +27,8 @@ from math import gcd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import leibniz_charpoly
 
 from cuspcenter import linalg
 from cuspcenter.arith import ord_frac
@@ -37,7 +43,9 @@ from cuspcenter.cyclotomic import (
 )
 from cuspcenter.deformation import deformation_suite
 from cuspcenter.errors import DegreeMismatch, NoSolution, ZeroArgument
+from cuspcenter.finitefield import finite_field
 from cuspcenter.invariants import GroupRingElement, invariant_ring
+from cuspcenter.matrices import charpoly
 from cuspcenter.params import validate_parameters
 from cuspcenter.polynomials import Poly
 
@@ -896,6 +904,38 @@ def test_poly_integrality_reduction_and_repr(ell, data):
 
 
 # -- no Fraction arithmetic on the integer paths ------------------------------------------
+
+# -- characteristic polynomial ----------------------------------------------------
+
+
+def square(data, entry, max_n):
+    n = data.draw(st.integers(0, max_n))
+    row = st.lists(entry, min_size=n, max_size=n).map(tuple)
+    return tuple(data.draw(st.lists(row, min_size=n, max_size=n)))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(data=st.data())
+def test_berkowitz_charpoly_matches_leibniz_over_integers(data):
+    a = square(data, st.integers(-9, 9), 5)
+    assert charpoly(a, 0, 1) == leibniz_charpoly(a, 0, 1)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_berkowitz_charpoly_matches_leibniz_over_gf9(data):
+    f9 = finite_field(9)
+    a = square(data, st.sampled_from(list(f9.elements())), 4)
+    assert charpoly(a, f9.zero, f9.one) == leibniz_charpoly(a, f9.zero, f9.one)
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(data=st.data())
+def test_berkowitz_charpoly_matches_leibniz_over_q_zeta_5(data):
+    zero, one = CyclotomicNumber.zero(5, 1), CyclotomicNumber.rational(5, 1).embed_to(1)
+    a = square(data, element(5, 1), 3)
+    assert charpoly(a, zero, one) == leibniz_charpoly(a, zero, one)
+
 
 FRACTION_ARITHMETIC = (
     "__add__", "__radd__", "__sub__", "__rsub__",

@@ -117,6 +117,15 @@ def test_failure_envelope():
     assert "FAIL AssertionFailure" in text
 
 
+def test_text_value_with_non_str_keys():
+    # keys sort by their text, and each value is read under its own key
+    assert report._text_value({10: "a", 2: ("b", 3), "1": {5: None}}) == (
+        "{1: {5: None}, 10: a, 2: [b, 3]}"
+    )
+    text = to_text(envelope("demo", {"q": 2}, [], {"by_degree": {1: 4, 2: 6}}))
+    assert "by_degree: {1: 4, 2: 6}" in text
+
+
 def test_cache_key_stability():
     # the key binds the schema version; freeze one value so an
     # accidental schema bump is visible here
