@@ -67,21 +67,6 @@ def ord_frac(x, p: int) -> int:
     return ord_int(x.numerator, p) - ord_int(x.denominator, p)
 
 
-def euler_phi(m: int) -> int:
-    out, x, p = 1, m, 2
-    while x > 1:
-        if p * p > x:
-            p = x
-        if x % p == 0:
-            x //= p
-            out *= p - 1
-            while x % p == 0:
-                x //= p
-                out *= p
-        p += 1
-    return out
-
-
 def moebius(m: int) -> int:
     out, x, p = 1, m, 2
     while x > 1:
@@ -94,10 +79,6 @@ def moebius(m: int) -> int:
             out = -out
         p += 1
     return out
-
-
-def inverse_mod(a: int, m: int) -> int:
-    return pow(a, -1, m)
 
 
 def divisors(m: int) -> list[int]:

@@ -26,18 +26,19 @@ from .characters import (
     steinberg_value,
 )
 from .classes import ClassType, class_predicates, enumerate_classes, theta_exponent
-from .cyclotomic import CyclotomicNumber, ell_valuation, is_ell_integral
+from .cyclotomic import CyclotomicNumber, ell_valuation, is_ell_integral, phi_prime_power
 from .errors import AssertionFailure, IntegralityFailure, NoSolution
 from .finitefield import finite_field, minimal_polynomial, sylow_generator
 from .invariants import (
     InvariantRingData,
     invariant_ring,
     omega_value,
+    orbit_structure,
     pullback_mod_ell_check,
     uniformizer_check,
 )
 from .linalg import solve_columns
-from .params import ParameterSet, reduce_parameters, require_reduced
+from .params import ParameterSet, reduce_parameters, require_reduced, validate_parameters
 from .polynomials import Poly
 
 
@@ -70,13 +71,6 @@ class BlockVector:
         if self.reps != other.reps:
             raise ValueError("block vectors on different slots")
 
-    def __add__(self, other: "BlockVector") -> "BlockVector":
-        self._check_slots(other)
-        return BlockVector(
-            self.ell, self.r, self.reps,
-            [a + b for a, b in zip(self.entries, other.entries)],
-        )
-
     def __sub__(self, other: "BlockVector") -> "BlockVector":
         self._check_slots(other)
         return BlockVector(
@@ -97,9 +91,6 @@ class BlockVector:
     def __hash__(self):
         return hash((self.reps, self.entries))
 
-    def is_ell_integral(self) -> bool:
-        return all(is_ell_integral(e) for e in self.entries)
-
     def rational_entries(self):
         return tuple(e.as_rational() for e in self.entries)
 
@@ -109,12 +100,10 @@ class BlockVector:
 
 def block_slots(ps: ParameterSet):
     """Slot labels: 0 then the nonzero orbit representatives."""
-    from .invariants import orbit_structure
-
     return orbit_structure(ps).reps
 
 
-def delta_class(ct: ClassType, ps: ParameterSet, reps=None) -> BlockVector:
+def delta_class(ct: ClassType, ps: ParameterSet) -> BlockVector:
     """Delta vector of one class: |C| chi(C) / dim, slot by slot.
 
     Raises IntegralityFailure if any entry is not l-integral and
@@ -127,8 +116,7 @@ def delta_class(ct: ClassType, ps: ParameterSet, reps=None) -> BlockVector:
     messages alone.  ``type_deltas`` relies on this.
     """
     ps = require_reduced(ps)
-    if reps is None:
-        reps = block_slots(ps)
+    reps = block_slots(ps)
     size = ct.class_size()
     st = Fraction(size * steinberg_value(ct, ps), steinberg_dimension(ps))
     entries = [CyclotomicNumber.rational(ps.ell, st)]
@@ -166,13 +154,11 @@ def _by_type(classes, ps: ParameterSet, compute):
         yield ct, memo[key]
 
 
-def type_deltas(classes, ps: ParameterSet, reps=None) -> dict:
+def type_deltas(classes, ps: ParameterSet) -> dict:
     """class -> delta_class(class), computed once per type key and theta
     exponent; classes of one key share the vector object."""
     ps = require_reduced(ps)
-    if reps is None:
-        reps = block_slots(ps)
-    return dict(_by_type(classes, ps, lambda ct: delta_class(ct, ps, reps)))
+    return dict(_by_type(classes, ps, lambda ct: delta_class(ct, ps)))
 
 
 def s_membership(vec: BlockVector) -> bool:
@@ -341,24 +327,21 @@ def theta_orbit_vector(ps: ParameterSet, j: int) -> BlockVector:
     return BlockVector(ps.ell, ps.r, reps, entries)
 
 
-def reconstruct_scaled_idempotent(ps: ParameterSet, witness: BlockVector):
-    """From the regular-unipotent delta vector (0, u l^r, ..., u l^r)
-    rebuild l^r * e_0 = l^r * 1 - (1/u) * delta as an element of the
-    image; returns (vector, unit u)."""
+def reconstruct_scaled_idempotent(ps: ParameterSet, witness: BlockVector, unit: Fraction):
+    """From the regular-unipotent delta vector (0, u l^r, ..., u l^r),
+    whose shape ``case_analysis`` has checked and whose unit u it
+    returns, rebuild l^r * e_0 = l^r * 1 - (1/u) * delta as an element of
+    the image.  With u an l-unit, the result has the shape
+    (l^r, 0, ..., 0) exactly when the witness has the shape above, so
+    those two facts are all that is checked here."""
     ps = require_reduced(ps)
-    if not witness.entry0.is_zero():
-        raise AssertionFailure("witness vector must vanish in slot 0")
-    vals = witness.rational_entries()[1:]
-    if any(v is None or v != vals[0] for v in vals):
-        raise AssertionFailure("witness vector must be constant on cuspidal slots")
-    unit = vals[0] / ps.ell_power
     if ord_frac(unit, ps.ell) != 0:
-        raise AssertionFailure(f"witness scalar {vals[0]} is not l^r times a unit")
+        raise AssertionFailure(f"witness unit {unit} is not an l-unit")
     idem = one_vector(ps).scale(ps.ell_power) - witness.scale(1 / unit)
     expected = [Fraction(ps.ell_power)] + [0] * (len(witness.reps) - 1)
     if idem.rational_entries() != tuple(Fraction(e) for e in expected):
         raise AssertionFailure("scaled idempotent has the wrong shape", witness=repr(idem))
-    return idem, unit
+    return idem
 
 
 def reconstruct_gamma(
@@ -434,8 +417,6 @@ def express_all_in_gamma(vecs, gamma_pows, ps: ParameterSet) -> list:
     identity first (the classes of one type share one vector object),
     then by equality among the few left, so each distinct vector is
     solved and checked once."""
-    from .cyclotomic import phi_prime_power
-
     column_of_id = {}
     column_of = {}
     columns = []
@@ -562,8 +543,6 @@ def verify_endo_ring(
     """Full pipeline: validate and reduce parameters, build the
     invariant ring, enumerate classes, compute and classify all delta
     vectors, reconstruct the generator, and certify the presentation."""
-    from .params import validate_parameters
-
     ps_input = validate_parameters(q, ell, n, d)
     ps = reduce_parameters(ps_input)
     checks = []
@@ -585,7 +564,7 @@ def verify_endo_ring(
     }
     checks.append(f"classes: {len(classes)} types, centralizer orders verified")
 
-    deltas = type_deltas(classes, ps, ring.orbits.reps)
+    deltas = type_deltas(classes, ps)
     checks.append("delta: all vectors l-integral and residue-consistent")
 
     case_report = case_analysis(ps, deltas, labels)
@@ -593,9 +572,10 @@ def verify_endo_ring(
     signs = lemma_signs_check(ps)
     checks.append("sign congruences: all divisor pairs verified")
 
-    bucket_of = case_report.bucket_of
-    witness_ct = next(ct for ct in classes if bucket_of[labels[ct]] == REALIZED_WITNESS)
-    scaled_idem, idem_unit = reconstruct_scaled_idempotent(ps, deltas[witness_ct])
+    delta_of = {labels[ct]: vec for ct, vec in deltas.items()}
+    scaled_idem = reconstruct_scaled_idempotent(
+        ps, delta_of[case_report.witness_label], case_report.witness_unit
+    )
     checks.append("scaled idempotent reconstructed from the witness class")
 
     gamma = gamma_vector(ps)
@@ -609,6 +589,7 @@ def verify_endo_ring(
     eps_poly = minimal_polynomial(eps, field)
     reconstructions = []
     found_eps_class = False
+    bucket_of = case_report.bucket_of
     singular = [
         ct
         for ct in classes
@@ -648,11 +629,11 @@ def verify_endo_ring(
         ring=ring,
         classes=tuple(classes),
         class_info=class_info,
-        deltas={labels[ct]: vec for ct, vec in deltas.items()},
+        deltas=delta_of,
         case_report=case_report,
         signs=signs,
         scaled_idempotent=scaled_idem,
-        idempotent_unit=idem_unit,
+        idempotent_unit=case_report.witness_unit,
         gamma=gamma,
         minimality=minimality,
         reconstructions=reconstructions,

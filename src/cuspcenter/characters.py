@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from .classes import ClassType, theta_exponent
 from .cyclotomic import CyclotomicNumber
-from .errors import AssertionFailure
 from .invariants import omega_value
 from .params import ParameterSet, require_reduced
 
@@ -77,19 +76,3 @@ def steinberg_value(ct: ClassType, ps: ParameterSet) -> int:
     require_reduced(ps)
     return steinberg_value_raw(ct, ps.p, ps.n)
 
-
-def dimension_check(ps: ParameterSet, identity_type: ClassType) -> None:
-    """The two value formulas must reproduce the dimensions at the
-    identity class."""
-    val = cuspidal_value(0, identity_type, ps)
-    if not val.is_rational() or val.as_rational() != cuspidal_dimension(ps):
-        raise AssertionFailure(
-            "cuspidal dimension mismatch at identity",
-            witness={"value": repr(val), "expected": cuspidal_dimension(ps)},
-        )
-    st = steinberg_value(identity_type, ps)
-    if st != steinberg_dimension(ps):
-        raise AssertionFailure(
-            "Steinberg dimension mismatch at identity",
-            witness={"value": st, "expected": steinberg_dimension(ps)},
-        )

@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import centermap, deformation, gl2table, matrixoracle, report
-from .arith import multiplicative_order, prime_power
+from .arith import is_prime, multiplicative_order, prime_power
 from .classes import class_predicates, enumerate_classes, group_order
 from .errors import CuspCenterError, ParameterError, ScaleLimit
 from .finitefield import finite_field
@@ -68,15 +68,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _default_n(q: int, ell: int | None, n: int | None) -> int:
+    """``n``, or ord_l(q) when it is not given."""
     if n is not None:
         return n
     if ell is None:
         raise ParameterError("--n is required when --ell is not given")
-    if ell < 2 or q < 2:
-        raise ParameterError("--q and --ell must be at least 2")
-    if ell == 1 or q % ell == 0:
-        raise ParameterError("l must not divide q")
+    if q < 2 or not is_prime(ell) or q % ell == 0:
+        raise ParameterError(f"need q >= 2 and a prime l not dividing q; got {q}, {ell}")
     return multiplicative_order(q, ell)
+
+
+def _check_census_args(args) -> None:
+    """The arguments of ``classes`` and ``oracle``: an --n >= 1 and a
+    prime-power q."""
+    if args.n is None:
+        raise ParameterError(f"--n is required for the {args.command} command")
+    if prime_power(args.q) is None:
+        raise ParameterError(f"q = {args.q} is not a prime power")
+    if args.n < 1:
+        raise ParameterError("n must be positive")
 
 
 def _resolve_cache_dir(arg) -> str | None:
@@ -151,12 +161,7 @@ def cmd_endo_ring(args) -> dict:
 
 
 def cmd_classes(args) -> dict:
-    if args.n is None:
-        raise ParameterError("--n is required for the classes command")
-    if prime_power(args.q) is None:
-        raise ParameterError(f"q = {args.q} is not a prime power")
-    if args.n < 1:
-        raise ParameterError("n must be positive")
+    _check_census_args(args)
     field = finite_field(args.q)
     cache_dir = _resolve_cache_dir(args.cache_dir)
     checks = []
@@ -195,10 +200,7 @@ def cmd_classes(args) -> dict:
 
 
 def cmd_oracle(args) -> dict:
-    if args.n is None:
-        raise ParameterError("--n is required for the oracle command")
-    if prime_power(args.q) is None:
-        raise ParameterError(f"q = {args.q} is not a prime power")
+    _check_census_args(args)
     field = finite_field(args.q)
     checks = []
     artifacts = {}

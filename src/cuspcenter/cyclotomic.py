@@ -173,7 +173,7 @@ class ExactVector:
 
     def __pow__(self, k: int):
         if k < 0:
-            return self.inverse() ** (-k)
+            raise ValueError(f"negative exponent {k}")
         out = self._coerce(1)
         base = self
         while k:
@@ -204,15 +204,11 @@ def _new(ell: int, level: int, nums: tuple, den: int) -> "CyclotomicNumber":
 class CyclotomicNumber(ExactVector):
     __slots__ = ("ell", "level")
 
-    def __init__(self, ell: int, level: int, coeffs, reduced: bool = False):
+    def __init__(self, ell: int, level: int, coeffs):
         nums, den = linalg.clear_denominators(coeffs)
-        if not reduced:
-            nums = _reduce(ell, level, nums)
         self.ell = ell
         self.level = level
-        self.nums, self.den = lowest_terms(nums, den)
-        if len(self.nums) != phi_prime_power(ell, level):
-            raise ValueError(f"{len(self.nums)} coefficients at level {level}")
+        self.nums, self.den = lowest_terms(_reduce(ell, level, nums), den)
 
     @classmethod
     def rational(cls, ell: int, x) -> "CyclotomicNumber":
@@ -258,9 +254,6 @@ class CyclotomicNumber(ExactVector):
         c = self.canonical()
         return Fraction(c.nums[0], c.den) if c.level == 0 else None
 
-    def is_rational(self) -> bool:
-        return self.canonical().level == 0
-
     # -- the ring-specific hooks of ExactVector -------------------------------
 
     def _with(self, nums: tuple, den: int) -> "CyclotomicNumber":
@@ -296,35 +289,6 @@ class CyclotomicNumber(ExactVector):
         return ExactVector.__mul__(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self * other.inverse()
-
-    def inverse(self) -> "CyclotomicNumber":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero cyclotomic number")
-        if self.level == 0:
-            return CyclotomicNumber.rational(self.ell, Fraction(self.den, self.nums[0]))
-        # (nums / den) * y = 1  <=>  nums * y = den
-        rhs = [self.den] + [0] * (len(self.nums) - 1)
-        sol = linalg.solve_unique(self._mult_matrix(), rhs)
-        return CyclotomicNumber(self.ell, self.level, sol, reduced=True)
-
-    def _mult_matrix(self):
-        """Integer matrix of y -> den * self * y on the power basis
-        (columns indexed by basis)."""
-        n = len(self.nums)
-        cols = [_reduce(self.ell, self.level, [0] * j + list(self.nums)) for j in range(n)]
-        return [[cols[j][i] for j in range(n)] for i in range(n)]
-
-    def norm(self) -> Fraction:
-        """Field norm to Q (det of the multiplication-by-self matrix)."""
-        if self.level == 0:
-            return Fraction(self.nums[0], self.den)
-        return linalg.determinant(self._mult_matrix()) / self.den ** len(self.nums)
 
     # -- comparisons -------------------------------------------------------
 
@@ -393,8 +357,3 @@ def is_ell_integral(x: CyclotomicNumber) -> bool:
     """
     return x.is_ell_integral(x.ell)
 
-
-def congruent_mod(x: CyclotomicNumber, y: CyclotomicNumber, modulus) -> bool:
-    """x = y mod ``modulus`` in the l-local integers (modulus rational)."""
-    scaled = (x - y) * (1 / Fraction(modulus))
-    return is_ell_integral(scaled)

@@ -145,12 +145,6 @@ class FiniteField:
     def __repr__(self):
         return f"GF({self.order})"
 
-    def __eq__(self, other):
-        return isinstance(other, FiniteField) and (self.p, self.e) == (other.p, other.e)
-
-    def __hash__(self):
-        return hash(("GF", self.p, self.e))
-
 
 class FFElement:
     __slots__ = ("field", "coeffs")
@@ -201,9 +195,6 @@ class FFElement:
             other = self.field.from_coeffs((other,) + (0,) * (self.field.e - 1))
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, int):
             s = other % self.field.p
@@ -231,9 +222,6 @@ class FFElement:
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
         return self ** (self.field.order - 2)
-
-    def __truediv__(self, other):
-        return self * other.inverse()
 
     def __repr__(self):
         return f"{self.field!r}:{self.encoding}"
@@ -315,9 +303,6 @@ class FqPoly:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
-
     def sort_key(self):
         return (self.degree, tuple(c.encoding for c in self.coeffs))
 
@@ -330,9 +315,6 @@ class FqPoly:
 
     def __hash__(self):
         return hash((self.field.p, self.field.e, tuple(c.encoding for c in self.coeffs)))
-
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -369,25 +351,6 @@ class FqPoly:
             k >>= 1
         return out
 
-    def __divmod__(self, other: "FqPoly"):
-        if not other.coeffs:
-            raise ZeroDivisionError
-        rem = list(self.coeffs)
-        dv = other.coeffs
-        dd = len(dv) - 1
-        inv_lead = dv[-1].inverse()
-        quo = [self.field.zero] * max(0, len(rem) - dd)
-        for i in range(len(rem) - dd - 1, -1, -1):
-            c = rem[i + dd] * inv_lead
-            if c:
-                quo[i] = c
-                for j, b in enumerate(dv):
-                    rem[i + j] = rem[i + j] - c * b
-        return FqPoly(self.field, quo), FqPoly(self.field, rem[:dd])
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def __call__(self, x: FFElement):
         acc = x.field.zero
         for c in reversed(self.coeffs):
@@ -419,11 +382,11 @@ def irreducible_polys(field: FiniteField, a: int, scale_bound: int = 10**6):
     in deterministic (coefficient-encoding) order.  Includes x.
 
     They are the degree-a orbits of the Frobenius pass over GF(q^a)."""
-    if a in field._irreducibles:
-        return field._irreducibles[a]
     q = field.order
     if q**a > scale_bound:
         raise ScaleLimit(f"irreducible_polys over GF({q}) at degree {a}")
+    if a in field._irreducibles:
+        return field._irreducibles[a]
     orbits = frobenius_orbits(field, finite_field(q**a))
     # monic of one degree: encoding order is lexicographic from the top
     found = sorted((cs for cs in orbits if len(cs) == a + 1), key=lambda cs: cs[::-1])

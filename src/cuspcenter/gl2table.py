@@ -20,7 +20,7 @@ from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .arith import divisors, inverse_mod
+from .arith import divisors
 from .classes import ClassType, make_class_type
 from .characters import steinberg_value_raw
 from .errors import AssertionFailure
@@ -404,7 +404,7 @@ def block_slot_rows(table: GL2Table, ps: ParameterSet) -> dict:
     c = c_big // big_m
     if gcd(c, ps.ell) != 1:
         raise AssertionFailure("Sylow generator dlog has l in it")
-    v = inverse_mod((big_m * c) % lr, lr)
+    v = pow(big_m * c, -1, lr)
     u0 = big_m * v
     if (u0 * c_big) % m != big_m % m:
         raise AssertionFailure("slot-identification exponent fails its defining identity")

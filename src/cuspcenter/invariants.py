@@ -17,13 +17,15 @@ Main outputs:
   * omega_and_min_poly  - zeta-trace at level i and its minimal poly m_i
   * min_polynomial      - m = (Y - n) * prod_i m_i, degree = #orbits
   * invariant_ring      - change of basis between orbit sums and powers
-                          of f, invertible with l-integral inverse
-  * express_orbit_sum   - h with h(f) = given orbit sum, l-integral
+                          of f, invertible with l-integral inverse; column
+                          j of the inverse holds the h with h(f) = the
+                          orbit sum of X^(reps[j])
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
@@ -116,29 +118,18 @@ class OrbitStructure(NamedTuple):
     multiplier: int
     orbits: tuple[tuple[int, ...], ...]
     reps: tuple[int, ...]
-    rep_map: tuple[int, ...]
-
-    def rep_of(self, a: int) -> int:
-        return self.rep_map[a % self.modulus]
-
-    def orbit_sum(self, a: int) -> GroupRingElement:
-        rep = self.rep_of(a)
-        orbit = self.orbits[self.reps.index(rep)]
-        cs = [0] * self.modulus
-        for e in orbit:
-            cs[e] = 1
-        return GroupRingElement(self.modulus, cs)
 
 
+@lru_cache(maxsize=None)
 def orbit_structure(ps: ParameterSet) -> OrbitStructure:
     """Orbits of multiplication by q on Z/l^r, with the order facts
-    (every nonzero orbit has size exactly n) verified exhaustively."""
+    (every nonzero orbit has size exactly n) verified exhaustively.
+    Memoised: the slots of every block vector come from here."""
     ps = require_reduced(ps)
     m = ps.ell_power
     q = ps.q % m
     seen = [False] * m
     orbits = []
-    rep_map = [0] * m
     for a in range(m):
         if seen[a]:
             continue
@@ -149,8 +140,6 @@ def orbit_structure(ps: ParameterSet) -> OrbitStructure:
             orbit.append(b)
             b = b * q % m
         orbits.append(tuple(sorted(orbit)))
-        for e in orbit:
-            rep_map[e] = min(orbit)
     for orbit in orbits:
         if orbit != (0,) and len(orbit) != ps.n:
             raise AssertionFailure(
@@ -162,9 +151,7 @@ def orbit_structure(ps: ParameterSet) -> OrbitStructure:
     reps = tuple(o[0] for o in orbits)
     if reps != tuple(sorted(reps)) or reps[0] != 0:
         raise AssertionFailure(f"orbit representatives {reps} are not sorted from 0")
-    return OrbitStructure(
-        modulus=m, multiplier=q, orbits=tuple(orbits), reps=reps, rep_map=tuple(rep_map)
-    )
+    return OrbitStructure(modulus=m, multiplier=q, orbits=tuple(orbits), reps=reps)
 
 
 def is_invariant(v: GroupRingElement, orbits: OrbitStructure) -> bool:
@@ -378,16 +365,3 @@ def invariant_ring(ps: ParameterSet) -> InvariantRingData:
         basis_matrix_inv=tuple(tuple(r) for r in inverse),
     )
 
-
-def express_orbit_sum(data: InvariantRingData, a: int) -> Poly:
-    """h of degree < D with h(f) = the orbit sum of X^a, l-integral."""
-    d = data.dimension
-    rep = data.orbits.rep_of(a)
-    target = [Fraction(int(r == rep)) for r in data.orbits.reps]
-    sol = linalg.solve_unique([list(r) for r in data.basis_matrix], target)
-    h = Poly(sol)
-    if not h.is_ell_integral(data.ps.ell):
-        raise IntegralityFailure(f"certificate for orbit of {a} not l-integral")
-    if not (h(data.f) - data.orbits.orbit_sum(a)).is_zero():
-        raise AssertionFailure(f"h(f) does not reproduce the orbit sum of {a}")
-    return h

@@ -6,8 +6,9 @@ by its content, and turns the pivot rows back into ``Fraction``s only
 at the end.  ``solve_columns`` solves A x = b for several right-hand
 sides with a single reduction of [A | b_1 ... b_k]; ``solve_unique`` is
 its one-column case, and ``invert`` reduces [A | I] the same way; all
-three return ``Fraction``s.  ``determinant`` is kept over ``Fraction``
-as the referee for the cyclotomic norm.
+three return ``Fraction``s.  No command calls ``determinant`` (over
+``Fraction``) or ``solve_unique``: the tests use the first as the
+referee for the cyclotomic norm, and perfbench times both.
 """
 
 from __future__ import annotations

@@ -40,9 +40,6 @@ class ParameterSet(NamedTuple):
     def p(self) -> int:
         return prime_power(self.q)[0]
 
-    def label(self) -> str:
-        return f"q={self.q} ell={self.ell} n={self.n} d={self.d}"
-
 
 def validate_parameters(q: int, ell: int, n: int, d: int = 1) -> ParameterSet:
     for name, val in (("q", q), ("ell", ell), ("n", n), ("d", d)):

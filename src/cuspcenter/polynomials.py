@@ -145,9 +145,6 @@ class Poly(ExactVector):
 
     # -- integrality and reduction ---------------------------------------------
 
-    def is_monic(self) -> bool:
-        return bool(self.nums) and self.nums[-1] == self.den
-
     def has_integer_coeffs(self) -> bool:
         return self.den == 1
 

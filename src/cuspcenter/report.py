@@ -81,21 +81,8 @@ def failure_envelope(command: str, parameters: dict, error: Exception) -> dict:
 
 def to_json_bytes(obj) -> bytes:
     return (
-        json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True, default=_default)
-        + "\n"
+        json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
     ).encode("ascii")
-
-
-def _default(obj):
-    if isinstance(obj, Fraction):
-        return frac_json(obj)
-    if isinstance(obj, CyclotomicNumber):
-        return cyclo_json(obj)
-    if isinstance(obj, Poly):
-        return poly_json(obj)
-    if isinstance(obj, (set, frozenset)):
-        return sorted(obj)
-    raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
 
 
 def to_text(env: dict) -> str:

@@ -114,7 +114,7 @@ def test_criterion_4_oracle_equivalence(table2, table4, table8):
         ps = validate_parameters(q, ell, 2)
         reps = block_slots(ps)
         formula = {
-            ct: delta_class(ct, ps, reps)
+            ct: delta_class(ct, ps)
             for ct in enumerate_classes(finite_field(q), 2)
         }
         checked = delta_equivalence_check(table, ps, formula)

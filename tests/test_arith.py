@@ -1,12 +1,11 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
 
 from cuspcenter.arith import (
     divisors,
-    euler_phi,
-    inverse_mod,
     is_prime,
     moebius,
     multiplicative_order,
@@ -61,17 +60,14 @@ def test_ord_frac_additive_on_products():
 
 
 def test_euler_phi_and_moebius():
-    assert [euler_phi(k) for k in (1, 3, 9, 7, 49, 5, 25)] == [1, 2, 6, 6, 42, 4, 20]
+    # Moebius inversion: phi(m) = sum over d | m of mu(d) m/d, with phi
+    # counted as the residues prime to m
+    for m in (1, 3, 9, 7, 49, 5, 25, 12, 30):
+        phi = sum(1 for k in range(1, m + 1) if gcd(k, m) == 1)
+        assert phi == sum(moebius(d) * (m // d) for d in divisors(m))
     assert [moebius(k) for k in range(1, 11)] == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
 
 
 def test_divisors():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(63) == [1, 3, 7, 9, 21, 63]
-
-
-def test_inverse_mod():
-    for m in (3, 9, 7, 25):
-        for a in range(1, m):
-            if sympy.gcd(a, m) == 1:
-                assert a * inverse_mod(a, m) % m == 1

@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, JSON determinism, cache wiring, and the
 installed console script."""
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -49,6 +50,24 @@ def test_invariants_wrong_n_exits_2(capsys):
     env = json.loads(out)
     assert env["status"] == "fail"
     assert env["artifacts"]["error"]["type"] == "DegenerateBlock"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "invariants --q 2 --ell 4",
+        "endo-ring --q 3 --ell 6",
+        "deformation --q 4 --ell 6",
+        "oracle --q 2 --n 0",
+        "oracle --q 3 --n -1",
+        "classes --q 2 --n 0",
+    ],
+)
+def test_bad_arguments_exit_2_with_a_parameter_error(capsys, argv):
+    # a non-prime l sharing a factor with q, and n < 1 for oracle as for classes
+    code, out = run_cli(capsys, *argv.split(), "--out", "json")
+    assert code == 2
+    assert json.loads(out)["artifacts"]["error"]["type"] == "ParameterError"
 
 
 def test_bad_q_exits_2(capsys):
@@ -227,3 +246,28 @@ def test_cli_import_loads_every_spanned_module_and_nothing_heavy():
     loaded = set(proc.stdout.split())
     assert {"dataclasses", "hashlib", "traceback"}.isdisjoint(loaded)
     assert {f"cuspcenter.{name}" for name in SPANNED_MODULES} <= loaded
+
+
+def load_perfbench(name):
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_name_perfbench_wraps_resolves_after_cli_import():
+    # perfbench/traced_cli.py rebinds these by name, and kernels.py
+    # imports from the package: a deletion that breaks either shows here
+    import cuspcenter.cli  # noqa: F401  (the import traced_cli makes first)
+
+    traced = load_perfbench("traced_cli")
+    for mod, names in traced.SPANNED.items():
+        module = sys.modules[f"cuspcenter.{mod}"]
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{mod}.{name}"
+    for mod, cls_name, dunders in traced.COUNTED.values():
+        cls = getattr(sys.modules[f"cuspcenter.{mod}"], cls_name)
+        for dunder in dunders:
+            assert dunder in cls.__dict__, f"{cls_name}.{dunder}"
+    load_perfbench("kernels")

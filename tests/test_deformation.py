@@ -214,6 +214,36 @@ def test_full_sweep_3_7_6():
     assert report["distinct_traces"] == ring.m.degree == 2
 
 
+def test_t_relations_checked_once_per_unit_assignment(monkeypatch):
+    # they read a only through a != 0: 3^4 checks at (3,5,4), all at
+    # a = 1, while the report still counts all 5 * 3^4 points
+    calls = []
+    plain = deformation._check_t_values
+
+    def counted(a, ell, t_values):
+        calls.append(a)
+        plain(a, ell, t_values)
+
+    monkeypatch.setattr(deformation, "_check_t_values", counted)
+    ps = validate_parameters(3, 5, 4)
+    report = deformation_suite(ps, invariant_ring(ps))
+    assert len(calls) == 81 and set(calls) == {1}
+    assert report["points_checked"] == 405
+
+
+def test_tampered_t_value_fails_at_the_first_point(monkeypatch):
+    plain = deformation._fr_side
+
+    def tampered(ps, units):
+        fr, t_values = plain(ps, units)
+        return fr, (t_values[0] + 1,) + t_values[1:]
+
+    monkeypatch.setattr(deformation, "_fr_side", tampered)
+    ps = validate_parameters(3, 5, 4)
+    with pytest.raises(AssertionFailure, match=r"^generator T_1 nonzero at a = 1$"):
+        deformation_suite(ps, invariant_ring(ps))
+
+
 def test_sweep_makes_no_cyclotomic_product_per_point(monkeypatch):
     # at (3,5,4) three unit choices give 81 times the points of one, yet
     # the same number of CyclotomicNumber products: every product is per a

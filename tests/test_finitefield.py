@@ -7,7 +7,7 @@ from math import gcd
 
 import pytest
 
-from cuspcenter.arith import divisors, euler_phi, is_prime
+from cuspcenter.arith import divisors, is_prime
 from cuspcenter.errors import AssertionFailure, InvalidPrime, ScaleLimit, ZeroElement
 from cuspcenter.finitefield import (
     FiniteField,
@@ -46,6 +46,18 @@ def brute_order(t):
     return k
 
 
+def monic_remainder(a, b):
+    """a mod b for FqPolys with b monic, by schoolbook long division."""
+    rem = list(a.coeffs)
+    dd = b.degree
+    for i in range(len(rem) - dd - 1, -1, -1):
+        c = rem[i + dd]
+        if c:
+            for j, y in enumerate(b.coeffs):
+                rem[i + j] = rem[i + j] - c * y
+    return FqPoly(a.field, rem[:dd])
+
+
 def trial_division_irreducibles(field, a):
     """The referee: every monic polynomial of degree a, in coefficient-
     encoding order, that no monic irreducible of degree <= a/2 divides."""
@@ -60,7 +72,7 @@ def trial_division_irreducibles(field, a):
             digits.append(enc % q)
             enc //= q
         cand = FqPoly(field, tuple(field.element(d) for d in digits) + (field.one,))
-        if all((cand % small).coeffs for small in smaller):
+        if all(monic_remainder(cand, small).coeffs for small in smaller):
             out.append(cand)
     return tuple(out)
 
@@ -103,7 +115,6 @@ def test_inverses_all_units():
     f = finite_field(64)
     for t in f.units():
         assert t * t.inverse() == f.one
-        assert t / t == f.one
 
 
 def test_multiplicative_order():
@@ -111,11 +122,11 @@ def test_multiplicative_order():
     assert brute_order(f8.element(2)) == 7
     f9 = finite_field(9)
     assert brute_order(f9.element(3)) == 4  # x, with x^2 = -1
-    # generator counts match euler_phi(q - 1)
+    # generator counts match phi(q - 1), the residues prime to q - 1
     for q in (8, 9, 16):
         f = finite_field(q)
         gens = sum(1 for t in f.units() if brute_order(t) == q - 1)
-        assert gens == euler_phi(q - 1)
+        assert gens == sum(1 for k in range(1, q) if gcd(k, q - 1) == 1)
     # order sum identity: every unit order divides q - 1
     f = finite_field(9)
     for t in f.units():
@@ -162,6 +173,13 @@ def test_irreducible_polys_scale_limit():
         irreducible_polys(f8, 5, scale_bound=1000)
 
 
+def test_irreducible_polys_scale_limit_holds_with_a_warm_cache():
+    f17 = finite_field(17)
+    assert len(irreducible_polys(f17, 2)) == 136  # fills the cache
+    with pytest.raises(ScaleLimit):
+        irreducible_polys(f17, 2, scale_bound=100)
+
+
 @pytest.mark.parametrize("q,n", ORBIT_CASES)
 def test_orbit_roots_match_brute_force(q, n):
     sub, big = finite_field(q), finite_field(q**n)
@@ -193,7 +211,7 @@ def test_roots_and_minimal_polynomials_roundtrip():
     f3, f9 = finite_field(3), finite_field(9)
     for t in f9.elements():
         m = minimal_polynomial(t, f3)
-        assert m.is_monic() and m.degree in (1, 2)
+        assert m.coeffs[-1] == f3.one and m.degree in (1, 2)
         lifted = m.map_coeffs(embedding(f3, f9), f9)
         assert not lifted(t)
         assert t in roots_in(m, f9)
@@ -285,10 +303,7 @@ def test_fqpoly_ring_operations():
     p = FqPoly(f, (a, f.one))  # x + a
     q = FqPoly(f, (b, f.one))  # x + b
     prod = p * q
-    assert prod.degree == 2 and prod.is_monic()
-    quo, rem = divmod(prod, p)
-    assert quo == q
-    assert rem.degree == -1
+    assert prod == FqPoly(f, (a * b, a + b, f.one))
     assert not prod(a)  # a is a root (char 2: a + a = 0)
     assert prod(f.zero) == a * b
     assert (p + q).coeffs == (a + b,)  # leading terms cancel, trimmed

@@ -122,7 +122,7 @@ def test_delta_equivalence(q, ell):
     table = gl2_character_table(q)
     reps = block_slots(ps)
     formula = {
-        ct: delta_class(ct, ps, reps) for ct in enumerate_classes(finite_field(q), 2)
+        ct: delta_class(ct, ps) for ct in enumerate_classes(finite_field(q), 2)
     }
     checked = delta_equivalence_check(table, ps, formula)
     assert checked == len(formula) * len(reps)

@@ -10,7 +10,6 @@ from cuspcenter import invariants
 from cuspcenter.errors import AssertionFailure, ParameterError
 from cuspcenter.invariants import (
     GroupRingElement,
-    express_orbit_sum,
     invariant_ring,
     is_invariant,
     min_polynomial,
@@ -22,6 +21,7 @@ from cuspcenter.invariants import (
 )
 from cuspcenter.cyclotomic import ell_valuation
 from cuspcenter.params import validate_parameters
+from cuspcenter.polynomials import Poly
 
 # (label, q, ell, n) -> frozen (orbit reps, min poly coefficients low-first)
 FROZEN = {
@@ -49,9 +49,7 @@ def test_orbit_contents_p2():
     ps = validate_parameters(2, 7, 3)
     orbits = orbit_structure(ps)
     assert orbits.orbits == ((0,), (1, 2, 4), (3, 5, 6))
-    assert orbits.rep_of(4) == 1
-    assert orbits.rep_of(6) == 3
-    assert orbits.rep_of(7) == 0  # reduced mod 7
+    assert orbits.reps == (0, 1, 3)
 
 
 def test_orbit_contents_p3():
@@ -151,13 +149,30 @@ def test_invariant_ring_basis(label):
     assert (mf * 1).is_zero()
 
 
+def orbit_sum(orbits, rep):
+    """The sum of X^e over the orbit of ``rep``."""
+    cs = [0] * orbits.modulus
+    for e in orbits.orbits[orbits.reps.index(rep)]:
+        cs[e] = 1
+    return GroupRingElement(orbits.modulus, cs)
+
+
+def orbit_certificate(data, rep):
+    """h with h(f) = the orbit sum of X^rep: the column of
+    ``basis_matrix_inv`` that belongs to ``rep``."""
+    j = data.orbits.reps.index(rep)
+    return Poly([row[j] for row in data.basis_matrix_inv])
+
+
 def test_express_orbit_sum_p1():
     ps = validate_parameters(2, 3, 2)
     data = invariant_ring(ps)
-    h = express_orbit_sum(data, 1)
+    h = orbit_certificate(data, 1)
     assert h.coeffs == (Fraction(0), Fraction(1))  # orbit of 1 is f itself
-    h0 = express_orbit_sum(data, 0)
+    assert h(data.f) == orbit_sum(data.orbits, 1)
+    h0 = orbit_certificate(data, 0)
     assert h0.coeffs == (Fraction(1),)  # orbit of 0 is the identity
+    assert h0(data.f) == orbit_sum(data.orbits, 0)
 
 
 def test_express_orbit_sum_all_reps():
@@ -166,10 +181,10 @@ def test_express_orbit_sum_all_reps():
         ps = validate_parameters(q, ell, n)
         data = invariant_ring(ps)
         for rep in reps:
-            h = express_orbit_sum(data, rep)
+            h = orbit_certificate(data, rep)
             assert h.degree < data.dimension
             assert h.is_ell_integral(ell)
-            assert (h(data.f) - data.orbits.orbit_sum(rep)).is_zero()
+            assert (h(data.f) - orbit_sum(data.orbits, rep)).is_zero()
 
 
 def test_min_poly_mod_ell_shape():
@@ -201,6 +216,7 @@ def test_orbit_reps_out_of_order_raise(monkeypatch):
     monkeypatch.setattr(
         invariants, "range", lambda m: builtins.range(m - 1, -1, -1), raising=False
     )
+    invariants.orbit_structure.cache_clear()  # compute, do not recall
     with pytest.raises(AssertionFailure):
         orbit_structure(validate_parameters(2, 7, 3))
 

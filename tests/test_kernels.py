@@ -35,7 +35,6 @@ from cuspcenter.arith import ord_frac
 from cuspcenter.centermap import BlockVector
 from cuspcenter.cyclotomic import (
     CyclotomicNumber,
-    congruent_mod,
     ell_valuation,
     is_ell_integral,
     phi_prime_power,
@@ -68,7 +67,7 @@ def element(ell, level):
     """A cyclotomic number at ``level``; sometimes an embedded rational."""
     phi = phi_prime_power(ell, level)
     dense = st.lists(coefficient(ell), min_size=phi, max_size=phi).map(
-        lambda cs: CyclotomicNumber(ell, level, cs, reduced=True)
+        lambda cs: CyclotomicNumber(ell, level, cs)
     )
     embedded = coefficient(ell).map(lambda c: CyclotomicNumber.rational(ell, c).embed_to(level))
     return st.one_of(dense, embedded)
@@ -83,7 +82,7 @@ def test_pi_adic_valuation_matches_norm(ell, level, data):
         with pytest.raises(ZeroArgument):
             ell_valuation(x)
     else:
-        assert ell_valuation(x) == ord_frac(x.norm(), ell)
+        assert ell_valuation(x) == ord_frac(RefCyclotomic(ell, level, x.coeffs).norm(), ell)
 
 
 @pytest.mark.parametrize("ell,level", LEVELS)
@@ -287,16 +286,10 @@ class RefCyclotomic:
         cols = [ref_reduce(self.ell, self.level, [ZERO] * j + list(self.coeffs)) for j in range(n)]
         return [[cols[j][i] for j in range(n)] for i in range(n)]
 
-    def inverse(self):
-        n = len(self.coeffs)
-        sol = ref_solve_columns(self.mult_matrix(), [[Fraction(int(i == 0)) for i in range(n)]])[0]
-        return RefCyclotomic(self.ell, self.level, sol)
-
     def power(self, k):
-        base = self.inverse() if k < 0 else self
         out = RefCyclotomic(self.ell, 0, (1,))
-        for _ in range(abs(k)):
-            out = out * base
+        for _ in range(k):
+            out = out * self
         return out
 
     def canonical(self):
@@ -380,7 +373,7 @@ def draw_pair(data, ell, level):
     low = data.draw(st.integers(0, level))
     phi = phi_prime_power(ell, low)
     cs = data.draw(st.lists(rational(ell), min_size=phi, max_size=phi))
-    x = CyclotomicNumber(ell, low, cs, reduced=True).embed_to(level)
+    x = CyclotomicNumber(ell, low, cs).embed_to(level)
     return x, RefCyclotomic(ell, low, cs).embed_to(level)
 
 
@@ -399,7 +392,7 @@ def test_constructor_reduces_like_long_division(ell, top, data):
     raw = data.draw(st.lists(rational(ell), min_size=1, max_size=3 * ell**level))
     x = CyclotomicNumber(ell, level, raw)
     agree(x, RefCyclotomic(ell, level, ref_reduce(ell, level, raw)))
-    assert CyclotomicNumber(ell, level, x.coeffs, reduced=True) == x
+    assert CyclotomicNumber(ell, level, x.coeffs) == x
 
 
 @pytest.mark.parametrize("ell,top", TOWERS)
@@ -435,17 +428,12 @@ def test_scaling_by_int_fraction_and_level_zero(ell, top, data):
 @KERNEL
 @given(data=st.data())
 def test_powers_and_inverse(ell, top, data):
+    # the engine never divides in Q(zeta): a negative power is refused
     x, rx = draw_pair(data, ell, data.draw(st.integers(0, top)))
-    k = data.draw(st.integers(-3, 4))
-    if x.is_zero():
-        with pytest.raises(ZeroDivisionError):
-            x.inverse()
-        if k >= 0:
-            agree(x**k, rx.power(k))
-        return
-    agree(x.inverse(), rx.inverse())
+    k = data.draw(st.integers(0, 4))
     agree(x**k, rx.power(k))
-    assert (x * x.inverse() - 1).is_zero()
+    with pytest.raises(ValueError):
+        x ** -(k + 1)
 
 
 @pytest.mark.parametrize("ell,top", TOWERS)
@@ -456,17 +444,12 @@ def test_canonical_valuation_and_integrality(ell, top, data):
     agree(x.canonical(), rx.canonical())
     ref_rational = rx.canonical().coeffs[0] if rx.canonical().level == 0 else None
     assert x.as_rational() == ref_rational
-    assert x.is_rational() == (ref_rational is not None)
     if x.is_zero():
         with pytest.raises(ZeroArgument):
             ell_valuation(x)
     else:
         assert ell_valuation(x) == ord_frac(rx.norm(), ell)
     assert is_ell_integral(x) == rx.is_ell_integral()
-    y, ry = draw_pair(data, ell, x.level)
-    for modulus in (1, ell, ell**2, Fraction(1, ell), Fraction(ell, 2)):
-        scaled = (rx - ry) * (1 / Fraction(modulus))
-        assert congruent_mod(x, y, modulus) == scaled.is_ell_integral()
 
 
 @pytest.mark.parametrize("ell,top", TOWERS)
@@ -535,14 +518,10 @@ def test_group_ring_matches_fraction_referee(modulus, ell, data):
 
 def test_shape_guards_are_raises():
     with pytest.raises(ValueError):
-        CyclotomicNumber(3, 1, (1, 0, 0), reduced=True)
-    with pytest.raises(ValueError):
         GroupRingElement(3, (1, 0))
     with pytest.raises(ValueError):
         BlockVector(3, 1, (0, 1), (1,))
     u, v = BlockVector(3, 1, (0, 1), (1, 2)), BlockVector(3, 1, (0, 2), (1, 2))
-    with pytest.raises(ValueError):
-        u + v
     with pytest.raises(ValueError):
         u - v
 
@@ -734,9 +713,6 @@ class RefPoly:
             acc = acc * x + c
         return acc
 
-    def is_monic(self):
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
     def has_integer_coeffs(self):
         return all(c.denominator == 1 for c in self.coeffs)
 
@@ -894,12 +870,10 @@ def test_poly_integrality_reduction_and_repr(ell, data):
     assert p.is_ell_integral(ell) == rp.is_ell_integral(ell)
     assert outcome(p.reduce_mod, ell) == outcome(rp.reduce_mod, ell)
     assert p.has_integer_coeffs() == rp.has_integer_coeffs()
-    assert p.is_monic() == rp.is_monic()
     assert repr(p) == repr(rp)
     assert bool(p) == bool(rp)
     top = (0,) * len(rp.coeffs) + (1,)  # Y^(deg + 1)
     monic, rmonic = p + Poly(top), rp + RefPoly(top)
-    assert monic.is_monic() == rmonic.is_monic()
     assert repr(monic) == repr(rmonic)
 
 

@@ -50,7 +50,7 @@ def _inverse(a, zero, one):
     for col in range(n):
         piv = next(i for i in range(col, n) if aug[i][col] != zero)
         aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = one / aug[col][col]
+        inv_p = aug[col][col].inverse()
         aug[col] = [x * inv_p for x in aug[col]]
         for i in range(n):
             if i != col and aug[i][col] != zero:

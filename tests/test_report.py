@@ -4,6 +4,8 @@ determinism, and defensive cache revalidation."""
 import json
 from fractions import Fraction
 
+import pytest
+
 from cuspcenter import report
 from cuspcenter.classes import enumerate_classes, make_class_type
 from cuspcenter.errors import AssertionFailure
@@ -69,8 +71,11 @@ def test_params_json():
 
 def test_no_floats_anywhere():
     v = zeta(3, 1) * Fraction(1, 2)
-    blob = to_json_bytes({"x": v, "y": Fraction(22, 7), "p": Poly((1, 2))})
-    parsed = json.loads(blob)
+    doc = {"x": cyclo_json(v), "y": frac_json(Fraction(22, 7)), "p": poly_json(Poly((1, 2)))}
+    parsed = json.loads(to_json_bytes(doc))
+    # a value not converted by the *_json helpers is refused, not encoded
+    with pytest.raises(TypeError):
+        to_json_bytes({"y": Fraction(22, 7)})
 
     def walk(node):
         assert not isinstance(node, float)
@@ -85,7 +90,11 @@ def test_no_floats_anywhere():
 
 
 def test_json_bytes_deterministic():
-    doc = {"b": Fraction(1, 3), "a": [zeta(5, 1), Poly((0, 1))], "s": {3, 1, 2}}
+    doc = {
+        "b": frac_json(Fraction(1, 3)),
+        "a": [cyclo_json(zeta(5, 1)), poly_json(Poly((0, 1)))],
+        "s": [1, 2, 3],
+    }
     assert to_json_bytes(doc) == to_json_bytes(doc)
     # trailing newline, ascii, stable key order
     blob = to_json_bytes(doc)
