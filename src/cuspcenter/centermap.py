@@ -16,6 +16,7 @@ with m the minimal polynomial computed from the invariant ring.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 from typing import NamedTuple
 
 from .arith import ord_frac
@@ -469,12 +470,24 @@ def evaluate_poly_vector(h: Poly, gamma: BlockVector) -> BlockVector:
     )
 
 
+def _checked_factors(ring: InvariantRingData) -> tuple[Poly, ...]:
+    """The listed factors of m, after checking that they multiply to m
+    and that the first is Y - n."""
+    factors = ring.m_factors
+    if prod(factors, start=Poly((1,))) != ring.m:
+        raise AssertionFailure("the listed factors of m do not multiply to m")
+    if factors[0] != Poly((-ring.ps.n, 1)):
+        raise AssertionFailure(f"first factor of m is {factors[0]!r}, not Y - n")
+    return factors
+
+
 def minimality_certificate(ring: InvariantRingData, gamma: BlockVector) -> dict:
     """Proof that m is THE minimal polynomial of gamma acting on the
     block: the D slot values are pairwise distinct (so any annihilating
     polynomial has degree >= D), deg m = D, and m(gamma) = 0.  As a
-    cross-check, dropping any single irreducible factor of m leaves a
-    polynomial that no longer kills gamma."""
+    cross-check, dropping any single irreducible factor of m, that is
+    taking the product of the others, leaves a polynomial that no longer
+    kills gamma."""
     d = ring.dimension
     if ring.m.degree != d:
         raise AssertionFailure(f"deg m = {ring.m.degree} but there are {d} slots")
@@ -487,10 +500,11 @@ def minimality_certificate(ring: InvariantRingData, gamma: BlockVector) -> dict:
     mg = evaluate_poly_vector(ring.m, gamma)
     if any(not e.is_zero() for e in mg.entries):
         raise AssertionFailure("m(gamma) != 0")
+    factors = _checked_factors(ring)
     dropped = []
-    for factor in ring.m_factors:
-        quotient = ring.m.exact_div(factor)
-        vals = evaluate_poly_vector(quotient, gamma)
+    for k, factor in enumerate(factors):
+        others = prod(factors[:k] + factors[k + 1 :], start=Poly((1,)))
+        vals = evaluate_poly_vector(others, gamma)
         if all(e.is_zero() for e in vals.entries):
             raise AssertionFailure(
                 f"m/{factor!r} still annihilates gamma — m is not minimal"
@@ -500,10 +514,11 @@ def minimality_certificate(ring: InvariantRingData, gamma: BlockVector) -> dict:
 
 
 def g_of_gamma_check(ring: InvariantRingData, gamma: BlockVector) -> dict:
-    """g = m / (Y - n) must vanish on every cuspidal slot while its
-    Steinberg value g(n) has l-valuation exactly r."""
+    """g = m / (Y - n), the product of the factors after Y - n, must
+    vanish on every cuspidal slot while its Steinberg value g(n) has
+    l-valuation exactly r."""
     ps = ring.ps
-    g = ring.m.exact_div(Poly((-ps.n, 1)))
+    g = prod(_checked_factors(ring)[1:], start=Poly((1,)))
     vals = evaluate_poly_vector(g, gamma)
     for slot, e in zip(vals.reps[1:], vals.entries[1:]):
         if not e.is_zero():

@@ -23,7 +23,7 @@ from .invariants import (
     pullback_mod_ell_check,
     uniformizer_check,
 )
-from .params import reduce_parameters, validate_parameters
+from .params import ParameterSet, reduce_parameters, validate_parameters
 
 MAX_TABLE_MODULUS = 127  # largest q^2 - 1 for which the GL_2 table is built
 
@@ -78,15 +78,18 @@ def _default_n(q: int, ell: int | None, n: int | None) -> int:
     return multiplicative_order(q, ell)
 
 
-def _check_census_args(args) -> None:
+def _check_census_args(args) -> ParameterSet | None:
     """The arguments of ``classes`` and ``oracle``: an --n >= 1 and a
-    prime-power q."""
+    prime-power q; with --ell, the block (q, ell, n, d), reduced."""
     if args.n is None:
         raise ParameterError(f"--n is required for the {args.command} command")
     if prime_power(args.q) is None:
         raise ParameterError(f"q = {args.q} is not a prime power")
     if args.n < 1:
         raise ParameterError("n must be positive")
+    if args.ell is None:
+        return None
+    return reduce_parameters(validate_parameters(args.q, args.ell, args.n, args.d))
 
 
 def _resolve_cache_dir(arg) -> str | None:
@@ -161,7 +164,7 @@ def cmd_endo_ring(args) -> dict:
 
 
 def cmd_classes(args) -> dict:
-    _check_census_args(args)
+    ps = _check_census_args(args)
     field = finite_field(args.q)
     cache_dir = _resolve_cache_dir(args.cache_dir)
     checks = []
@@ -188,8 +191,7 @@ def cmd_classes(args) -> dict:
             for ct in classes
         ],
     }
-    if args.ell is not None:
-        ps = reduce_parameters(validate_parameters(args.q, args.ell, args.n, args.d))
+    if ps is not None:
         for ct, ct_art in zip(classes, artifacts["classes"]):
             pred = class_predicates(ct, ps)
             ct_art["ell_regular"] = pred["ell_regular"]
@@ -200,7 +202,7 @@ def cmd_classes(args) -> dict:
 
 
 def cmd_oracle(args) -> dict:
-    _check_census_args(args)
+    ps = _check_census_args(args)
     field = finite_field(args.q)
     checks = []
     artifacts = {}
@@ -229,8 +231,7 @@ def cmd_oracle(args) -> dict:
         st = gl2table.steinberg_cross_check(table)
         checks.append(f"GL2 table: Steinberg row matches the sign formula on {st} classes")
         ran_any = True
-        if args.ell is not None:
-            ps = reduce_parameters(validate_parameters(args.q, args.ell, 2, 1))
+        if ps is not None:
             deltas = centermap.type_deltas(enumerate_classes(field, 2, args.scale_bound), ps)
             compared = gl2table.delta_equivalence_check(table, ps, deltas)
             checks.append(

@@ -45,10 +45,6 @@ class IntegralityFailure(CuspCenterError):
     """A value required to be ell-integral is not."""
 
 
-class DegreeMismatch(CuspCenterError):
-    """Polynomial degrees inconsistent with the requested operation."""
-
-
 class NoSolution(CuspCenterError):
     """An exact linear system is inconsistent."""
 

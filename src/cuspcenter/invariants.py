@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 from typing import NamedTuple
 
 from . import linalg
@@ -183,24 +183,20 @@ def omega_value(ps: ParameterSet, i: int, exponent: int = 1) -> CyclotomicNumber
 def omega_and_min_poly(ps: ParameterSet, i: int):
     """(omega_i, m_i) where m_i is the minimal polynomial of omega_i.
 
-    m_i is built as the product over cosets a<q> of (Z/l^i)^x of
+    The orbit representatives of l-valuation exactly r - i, divided by
+    l^(r-i), are the minima of the cosets a<q> of (Z/l^i)^x in ascending
+    order, the first being 1.  m_i is the product over them of
     (Y - sum_j zeta^(a q^j)); its coefficients must come out as plain
     integers, which is asserted.
     """
     ps = require_reduced(ps)
-    ell, n = ps.ell, ps.n
-    m = ell**i
-    subgroup = sorted(pow(ps.q, k, m) for k in range(n))
-    if len(set(subgroup)) != n:
-        raise AssertionFailure(f"ord of q mod l^{i} is below n", witness=i)
-    units = [a for a in range(1, m) if a % ell != 0]
-    assigned = set()
-    conj_sums = []
-    for a in units:
-        if a in assigned:
-            continue
-        assigned |= {a * h % m for h in subgroup}
-        conj_sums.append(omega_value(ps, i, a))
+    ell = ps.ell
+    step = ell ** (ps.r - i)
+    conj_sums = [
+        omega_value(ps, i, rep // step)
+        for rep in orbit_structure(ps).reps
+        if rep % step == 0 and (rep // step) % ell
+    ]
     coeffs = from_roots(conj_sums)
     rational_coeffs = []
     for c in coeffs:
@@ -214,9 +210,9 @@ def omega_and_min_poly(ps: ParameterSet, i: int):
             raise AssertionFailure(f"m_{i} coefficient not an integer: {rc}")
         rational_coeffs.append(rc)
     m_i = Poly(rational_coeffs)
-    if m_i.degree != phi_prime_power(ell, i) // n:
+    if m_i.degree != phi_prime_power(ell, i) // ps.n:
         raise AssertionFailure(f"deg m_{i} = {m_i.degree} != phi(l^{i})/n", witness=i)
-    omega = omega_value(ps, i)
+    omega = conj_sums[0]
     if not m_i(omega).is_zero():
         raise AssertionFailure(f"m_{i}(omega_{i}) != 0", witness=i)
     return omega, m_i
@@ -235,9 +231,7 @@ def min_polynomial(ps: ParameterSet):
         omega, m_i = omega_and_min_poly(ps, i)
         factors.append(m_i)
         omegas.append(omega)
-    m = Poly((1,))
-    for f in factors:
-        m = m * f
+    m = prod(factors, start=Poly((1,)))
     degree_expected = 1 + (ps.ell_power - 1) // ps.n
     if m.degree != degree_expected:
         raise AssertionFailure(f"deg m = {m.degree}, expected {degree_expected}")

@@ -4,12 +4,13 @@ A ``Poly`` is a ``cyclotomic.ExactVector``: integer numerators, low
 degree first, over one positive common denominator in lowest terms.
 The numerators are kept trimmed, so the zero polynomial has ``nums ==
 ()``, ``den == 1`` and degree -1.  Sums zero-pad the shorter operand and
-products are a bare ``convolve``.  Division is integer pseudo-division
-by the divisor's leading numerator, and Horner evaluation runs on the
-numerators with one division by ``den`` at the end; at an ``int`` or a
-``Fraction`` it stays in integers throughout.  A Poly can be evaluated
-at anything that supports ``+`` and ``*`` with ints and ``Fraction``s
-(cyclotomic numbers, group-ring elements).
+products are a bare ``convolve``.  There is no division: each quotient
+of the minimal polynomial m that the engine needs is the product of the
+other factors that ``invariants.min_polynomial`` lists.  Horner
+evaluation runs on the numerators with one division by ``den`` at the
+end; at an ``int`` or a ``Fraction`` it stays in integers throughout.
+A Poly can be evaluated at anything that supports ``+`` and ``*`` with
+ints and ``Fraction``s (cyclotomic numbers, group-ring elements).
 
 >>> m = Poly((Fraction(-1, 2), 0, 2))
 >>> m.nums, m.den, m.degree
@@ -18,8 +19,6 @@ at anything that supports ``+`` and ``*`` with ints and ``Fraction``s
 -1/2 + 2*Y^2
 >>> m(Fraction(1, 2))
 Fraction(0, 1)
->>> divmod(m, Poly((1, 2)))
-(-1/2 + Y, 0)
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from fractions import Fraction
 
 from . import linalg
 from .cyclotomic import ExactVector, lowest_terms
-from .errors import DegreeMismatch
 
 
 def _trim(cs) -> tuple:
@@ -85,41 +83,7 @@ class Poly(ExactVector):
             return hash(Fraction(self.nums[0], self.den) if self.nums else 0)
         return hash(("Poly", self.nums, self.den))
 
-    # -- division and evaluation -------------------------------------------
-
-    def __divmod__(self, other: "Poly"):
-        """Pseudo-division on the numerators: with L the leading
-        numerator of ``other`` and k quotient steps, L^k A = Q B + R over
-        the integers, then both sides are divided by L^k and the
-        denominators."""
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        dv = other.nums
-        dd = len(dv) - 1
-        lead = dv[-1]
-        rem = list(self.nums)
-        steps = max(0, len(rem) - dd)
-        quo = [0] * steps
-        for i in range(steps - 1, -1, -1):
-            c = rem[i + dd]
-            if lead != 1:
-                rem = [lead * x for x in rem]
-                quo = [lead * x for x in quo]
-            quo[i] = c
-            if c:
-                for j, b in enumerate(dv):
-                    rem[i + j] -= c * b
-        den = lead**steps * self.den
-        return (
-            self._normal([x * other.den for x in quo], den),
-            self._normal(rem[:dd], den),
-        )
-
-    def exact_div(self, other: "Poly") -> "Poly":
-        q, r = divmod(self, other)
-        if r:
-            raise DegreeMismatch(f"{self} is not divisible by {other}")
-        return q
+    # -- evaluation ------------------------------------------------------------
 
     def __call__(self, x):
         """Horner evaluation on the numerators, divided by ``den`` once

@@ -9,6 +9,7 @@ import hashlib
 import subprocess
 import sys
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -25,6 +26,7 @@ from cuspcenter.centermap import (
     verify_endo_ring,
     express_all_in_gamma,
     express_in_gamma,
+    g_of_gamma_check,
     gamma_power_basis,
     gamma_vector,
     lemma_signs_check,
@@ -229,6 +231,29 @@ def test_minimality_negative():
         minimality_certificate(ring, fake)
 
 
+def test_minimality_rejects_factors_that_do_not_multiply_to_m():
+    ps = validate_parameters(8, 3, 2)
+    ring = invariant_ring(ps)
+    gamma = gamma_vector(ps)
+    minimality_certificate(ring, gamma)
+    # every listed factor still divides m, but their product does not equal it
+    repeated = ring._replace(m_factors=ring.m_factors + ring.m_factors[-1:])
+    with pytest.raises(AssertionFailure):
+        minimality_certificate(repeated, gamma)
+
+
+def test_g_of_gamma_rejects_a_first_factor_other_than_y_minus_n():
+    ps = validate_parameters(8, 3, 2)
+    ring = invariant_ring(ps)
+    gamma = gamma_vector(ps)
+    g_of_gamma_check(ring, gamma)
+    # the same factors, so the same product m, in another order
+    swapped = ring._replace(m_factors=ring.m_factors[1:] + ring.m_factors[:1])
+    assert prod(swapped.m_factors, start=Poly((1,))) == ring.m
+    with pytest.raises(AssertionFailure):
+        g_of_gamma_check(swapped, gamma)
+
+
 def test_express_in_gamma_failure_modes():
     ps = validate_parameters(2, 3, 2)
     gamma = gamma_vector(ps)
@@ -399,9 +424,10 @@ def test_s_membership_once_per_vector_at_17_3(monkeypatch):
 
 # sha256 of `--out json` stdout by command.  The endo-ring pins were
 # recorded before per-type records, the deformation and invariants pins
-# before Poly and Fr moved onto integer numerators, and the (3,7,6) and
+# before Poly and Fr moved onto integer numerators, the (3,7,6) and
 # (2,31,5) deformation pins with the Leibniz charpoly and per-point
-# commutation products.
+# commutation products, and the (53,3,2) invariants pin with the coset
+# walk that built each m_i before it read the orbit representatives.
 PINNED_JSON = {
     "17-3": (
         "endo-ring --q 17 --ell 3",
@@ -434,6 +460,11 @@ PINNED_JSON = {
     "invariants-8-3": (
         "invariants --q 8 --ell 3",
         "d70aded49ed98726922eac10ffa02b2e3d02f6eff2f011c461d8046c99009133",
+    ),
+    # r = 3: levels map to orbit representatives through l^(r-i)
+    "invariants-53-3": (
+        "invariants --q 53 --ell 3",
+        "a905980694c43e140b4568434de0781346c8871efc22bcbbc38475d295f1239a",
     ),
 }
 

@@ -52,6 +52,13 @@ def test_invariants_wrong_n_exits_2(capsys):
     assert env["artifacts"]["error"]["type"] == "DegenerateBlock"
 
 
+# the error type where it is a subclass of ParameterError
+BAD_D = {
+    "oracle --q 4 --n 2 --ell 5 --d 2": "SupercuspidalCase",
+    "oracle --q 4 --n 2 --ell 5 --d 7": "DegenerateBlock",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -61,13 +68,16 @@ def test_invariants_wrong_n_exits_2(capsys):
         "oracle --q 2 --n 0",
         "oracle --q 3 --n -1",
         "classes --q 2 --n 0",
+        *BAD_D,
     ],
 )
 def test_bad_arguments_exit_2_with_a_parameter_error(capsys, argv):
-    # a non-prime l sharing a factor with q, and n < 1 for oracle as for classes
+    # a non-prime l sharing a factor with q, n < 1 for oracle as for
+    # classes, and a d that names no block we handle
     code, out = run_cli(capsys, *argv.split(), "--out", "json")
     assert code == 2
-    assert json.loads(out)["artifacts"]["error"]["type"] == "ParameterError"
+    error = json.loads(out)["artifacts"]["error"]["type"]
+    assert error == BAD_D.get(argv, "ParameterError")
 
 
 def test_bad_q_exits_2(capsys):

@@ -21,7 +21,7 @@ from cuspcenter.invariants import (
 )
 from cuspcenter.cyclotomic import ell_valuation
 from cuspcenter.params import validate_parameters
-from cuspcenter.polynomials import Poly
+from cuspcenter.polynomials import Poly, from_roots
 
 # (label, q, ell, n) -> frozen (orbit reps, min poly coefficients low-first)
 FROZEN = {
@@ -73,6 +73,52 @@ def test_min_polynomial_frozen(label):
     # each omega_i actually kills its factor
     for omega, m_i in zip(omegas, factors[1:]):
         assert (m_i(omega) * 1).is_zero()
+
+
+def coset_walk(ps, i):
+    """Referee for the conjugate sums at level i: walk the units of
+    Z/l^i upwards and open one coset a<q> at each unit not yet covered,
+    as the engine did before it read the orbit representatives.
+    Returns the coset minima and their conjugate sums."""
+    ell, n = ps.ell, ps.n
+    m = ell**i
+    subgroup = sorted(pow(ps.q, k, m) for k in range(n))
+    assert len(set(subgroup)) == n  # ord of q mod l^i is n
+    assigned = set()
+    minima = []
+    for a in range(1, m):
+        if a % ell == 0 or a in assigned:
+            continue
+        assigned |= {a * h % m for h in subgroup}
+        minima.append(a)
+    return minima, [omega_value(ps, i, a) for a in minima]
+
+
+REFEREE_CASES = sorted(v[0] for v in FROZEN.values()) + [
+    (17, 3, 2),
+    (7, 5, 4),
+    (53, 3, 2),
+    (2, 31, 5),
+    (2, 127, 7),
+]
+
+
+@pytest.mark.parametrize("q,ell,n", REFEREE_CASES)
+def test_conjugate_sums_match_the_coset_walk(q, ell, n):
+    ps = validate_parameters(q, ell, n)
+    _, factors, omegas = min_polynomial(ps)
+    scaled = [0]
+    for i in range(1, ps.r + 1):
+        minima, sums = coset_walk(ps, i)
+        scaled += [a * ell ** (ps.r - i) for a in minima]
+        roots = from_roots(sums)
+        m_i = Poly([c if isinstance(c, int) else c.as_rational() for c in roots])
+        assert factors[i] == m_i
+        assert omegas[i - 1] == sums[0] == omega_value(ps, i)
+        assert all(m_i(s).is_zero() for s in sums)
+    # the coset minima of every level, scaled by l^(r-i), are the orbit
+    # representatives: so each level reads its minima from them in order
+    assert orbit_structure(ps).reps == tuple(sorted(scaled))
 
 
 def test_omega_values_are_roots_of_m_only():

@@ -41,7 +41,7 @@ from cuspcenter.cyclotomic import (
     zeta,
 )
 from cuspcenter.deformation import deformation_suite
-from cuspcenter.errors import DegreeMismatch, NoSolution, ZeroArgument
+from cuspcenter.errors import NoSolution, ZeroArgument
 from cuspcenter.finitefield import finite_field
 from cuspcenter.invariants import GroupRingElement, invariant_ring
 from cuspcenter.matrices import charpoly
@@ -683,28 +683,6 @@ class RefPoly:
             k >>= 1
         return out
 
-    def __divmod__(self, other):
-        if not other:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dv = other.coeffs
-        dd = len(dv) - 1
-        lead = dv[-1]
-        quo = [ZERO] * max(0, len(rem) - dd)
-        for i in range(len(rem) - dd - 1, -1, -1):
-            c = rem[i + dd] / lead
-            if c:
-                quo[i] = c
-                for j, b in enumerate(dv):
-                    rem[i + j] -= c * b
-        return RefPoly(quo), RefPoly(rem[:dd])
-
-    def exact_div(self, other):
-        q, r = divmod(self, other)
-        if r:
-            raise DegreeMismatch(f"{self} is not divisible by {other}")
-        return q
-
     def __call__(self, x):
         if not self.coeffs:
             return 0 * x if not isinstance(x, (int, Fraction)) else Fraction(0)
@@ -766,7 +744,7 @@ def draw_poly(data, ell, max_len=6):
 def outcome(fn, *args):
     try:
         return fn(*args)
-    except (ZeroDivisionError, DegreeMismatch, ValueError) as exc:
+    except (ZeroDivisionError, ValueError) as exc:
         return type(exc)
 
 
@@ -808,30 +786,6 @@ def test_poly_ring_operations_match_fraction_referee(ell, data):
     assert (p == q) == (rp == rq)
     same = Poly(list(rp.coeffs) + [0])
     assert same == p and hash(same) == hash(p)
-
-
-@pytest.mark.parametrize("ell", POLY_ELLS)
-@KERNEL
-@given(data=st.data())
-def test_poly_division_matches_fraction_referee(ell, data):
-    (a, ra), (b, rb) = draw_poly(data, ell), draw_poly(data, ell, max_len=4)
-    got, want = outcome(divmod, a, b), outcome(divmod, ra, rb)
-    if isinstance(want, tuple):
-        poly_agrees(got[0], want[0])
-        poly_agrees(got[1], want[1])
-    else:
-        assert got is want
-    # a multiple of b divides exactly; a perturbed one does not
-    prod, rprod = a * b, ra * rb
-    got, want = outcome(Poly.exact_div, prod, b), outcome(RefPoly.exact_div, rprod, rb)
-    if isinstance(want, RefPoly):
-        poly_agrees(got, want)
-    else:
-        assert got is want
-    if b.degree >= 1:
-        off = prod + 1
-        assert outcome(Poly.exact_div, off, b) is DegreeMismatch
-        assert outcome(RefPoly.exact_div, rprod + 1, rb) is DegreeMismatch
 
 
 def same_value(got, want):

@@ -1,8 +1,5 @@
 from fractions import Fraction
 
-import pytest
-
-from cuspcenter.errors import DegreeMismatch
 from cuspcenter.polynomials import Poly, from_roots
 
 
@@ -15,16 +12,6 @@ def test_basic_arithmetic():
     assert (q**2).coeffs == (1, -2, 1)
     assert p.degree == 2
     assert Poly(()).degree == -1
-
-
-def test_divmod_and_exact_div():
-    m = Poly((-2, -1, 1))        # (Y - 2)(Y + 1)
-    quo, rem = divmod(m, Poly((-2, 1)))
-    assert quo.coeffs == (1, 1)
-    assert rem.degree == -1
-    assert m.exact_div(Poly((1, 1))).coeffs == (-2, 1)
-    with pytest.raises(DegreeMismatch):
-        m.exact_div(Poly((1, 1, 1)))
 
 
 def test_evaluation():

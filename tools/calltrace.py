@@ -78,6 +78,7 @@ COMMANDS = (
     (2, "oracle --q 2 --n 0"),
     (2, "oracle --q 3 --n -1"),
     (2, "oracle --q 16 --n 2"),
+    (2, "oracle --q 4 --n 2 --ell 5 --d 2"),
     (2, "classes --q 4"),
 )
 
