@@ -208,6 +208,7 @@ def cmd_oracle(args) -> dict:
     artifacts = {}
     ran_any = False
     skipped = []
+    classes = None
 
     try:
         classes = enumerate_classes(field, args.n, args.scale_bound)
@@ -232,7 +233,9 @@ def cmd_oracle(args) -> dict:
         checks.append(f"GL2 table: Steinberg row matches the sign formula on {st} classes")
         ran_any = True
         if ps is not None:
-            deltas = centermap.type_deltas(enumerate_classes(field, 2, args.scale_bound), ps)
+            if classes is None:  # raises the census's ScaleLimit again
+                classes = enumerate_classes(field, 2, args.scale_bound)
+            deltas = centermap.type_deltas(classes, ps)
             compared = gl2table.delta_equivalence_check(table, ps, deltas)
             checks.append(
                 f"GL2 table: {compared} delta entries agree with the block engine"

@@ -2,32 +2,52 @@
 
 Each field is F_p[u] modulo one fixed monic irreducible per (p, e): the
 first irreducible in integer-encoding order, where a monic polynomial
-u^e + c_{e-1} u^{e-1} + ... + c_0 is encoded by sum(c_k p^k).  Elements
-are coefficient tuples over F_p; their integer encoding gives the
-deterministic enumeration order used for every "first element such
-that" choice below (subfield embeddings, Sylow generators, roots).
+u^e + c_{e-1} u^{e-1} + ... + c_0 is encoded by sum(c_k p^k).  An
+element is stored as the integer encoding sum(c_k p^k) of its
+coefficients c_0, ..., c_{e-1} (``coeffs`` is a derived view); that
+integer also gives the deterministic enumeration order used for every
+"first element such that" choice below (subfield embeddings, Sylow
+generators, roots).
+
+Sums and differences work digit by digit on encodings (XOR when p = 2).
+Products, powers and inverses go through the field's exp/log tables,
+built on its first product by walking the powers of its generator g, the
+first primitive element in encoding order: ``exp[k]`` is the encoding of
+g^k and ``log`` inverts it on the units.  The tuple arithmetic on
+coefficient lists (``_pp_mulmod``, ``_pp_rem``) finds the moduli, tests
+generators and seeds the walk; the tests keep it as the referee.
 
 Subfields embed by sending the small field's generator to the smallest
 root of its modulus in the big field.  All such choices are pure
 functions of (p, e), so independent runs agree.
 
-Roots and irreducible polynomials come from Frobenius orbits: one lazy
-pass over a big field per subfield (``frobenius_orbits``) walks the
-elements in encoding order, follows each new element x through
-x, x^q, x^(q^2), ... and records the orbit's product of (Y - x_i), the
-minimal polynomial, against x, its smallest-encoding root.  So every
+Roots and irreducible polynomials come from Frobenius orbits.  In log
+form the orbit of g^k under x -> x^Q is the cyclotomic coset
+{k Q^i mod (p^e - 1)} (Lidl & Niederreiter, *Finite Fields*, ch. 2-3),
+so one lazy pass over a big field per subfield
+(``frobenius_orbits``) walks the encodings in order, reads the coset of
+each new one off its log and records the orbit's product of (Y - x_i),
+the minimal polynomial (``minimal_polynomial`` takes the same product
+for one element), against x, its smallest-encoding root.  So every
 monic irreducible of degree dividing [big : sub] is found together with
 the root ``roots_in(...)[0]`` would return; ``roots_in`` keeps its
-brute-force evaluation as the tests' referee.
+brute-force evaluation as the tests' referee.  Discrete logs on the
+Sylow l-subgroup are read off the same log table (``ell_part_and_dlog``).
 """
 
 from __future__ import annotations
 
+from math import gcd
+from operator import xor
+
 from .arith import divisors, is_prime, moebius, ord_int, prime_power
 from .errors import AssertionFailure, InvalidPrime, ScaleLimit, ZeroElement
 
+ARRAY_TABLES_OVER = 2**16  # fields larger than this keep exp/log in an array
+
 # ---------------------------------------------------------------------------
-# F_p[x] on plain integer tuples (low degree first), for modulus hunting
+# F_p[x] on plain integer tuples (low degree first), for modulus hunting,
+# generator tests and the table walk's seed
 # ---------------------------------------------------------------------------
 
 
@@ -59,6 +79,16 @@ def _pp_rem(a, mod, p):
     return _pp_trim(a[:dm])
 
 
+def _pp_pow(a, k, mod, p):
+    out = (1,)
+    while k:
+        if k & 1:
+            out = _pp_mulmod(out, a, mod, p)
+        a = _pp_mulmod(a, a, mod, p)
+        k >>= 1
+    return out
+
+
 def _pp_is_irreducible(cand, p):
     """Monic ``cand`` irreducible over F_p?  Trial division by every
     monic polynomial of degree 1..deg/2 (desk scale keeps this cheap)."""
@@ -79,6 +109,13 @@ def _decode_poly(enc, length, p):
     return tuple(out)
 
 
+def _encode_poly(cs, p):
+    enc = 0
+    for c in reversed(cs):
+        enc = enc * p + c
+    return enc
+
+
 def smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     """The fixed monic modulus for F_{p^e}: first irreducible in
     integer-encoding order of the non-leading coefficients."""
@@ -92,20 +129,96 @@ def smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# arithmetic on encodings
+# ---------------------------------------------------------------------------
+
+
+def _digitwise(p: int, e: int, sign: int):
+    """The map (a, b) -> encoding of a + sign*b, digit by digit mod p."""
+    if p == 2:
+        return xor
+    if e == 1:
+        return lambda a, b: (a + sign * b) % p
+
+    def combine(a, b):
+        out, place = 0, 1
+        while a or b:
+            a, x = divmod(a, p)
+            b, y = divmod(b, p)
+            out += (x + sign * y) % p * place
+            place *= p
+        return out
+
+    return combine
+
+
+def _first_primitive(field: "FiniteField") -> int:
+    """Encoding of the first element of multiplicative order p^e - 1,
+    tested by tuple powers against each prime divisor of that order."""
+    p, e, units = field.p, field.e, field.order - 1
+    cofactors = [units // r for r in divisors(units) if is_prime(r)]
+    for enc in range(1, field.order):
+        g = _pp_trim(_decode_poly(enc, e, p))
+        if all(_pp_pow(g, k, field.modulus, p) != (1,) for k in cofactors):
+            return enc
+    raise AssertionFailure(f"no primitive element found in {field!r}")
+
+
+def _log_tables(field: "FiniteField") -> tuple:
+    """(exp, log) for the field's generator g.  ``exp[k]`` is the
+    encoding of g^k, stored twice over so exponent sums need no
+    reduction; ``log`` inverts it on the units (its entry 0 is -1).
+
+    The walk multiplies by g through two tables of about sqrt(p^e)
+    entries each, g times the low digits and g times the high digits of
+    an encoding, which is linear in the digits; every unit must be met
+    exactly once."""
+    p, e, order = field.p, field.e, field.order
+    units = order - 1
+    g = _pp_trim(_decode_poly(_first_primitive(field), e, p))
+    split = p ** (e // 2)
+
+    def times_g(enc):
+        return _encode_poly(_pp_mulmod(_pp_trim(_decode_poly(enc, e, p)), g, field.modulus, p), p)
+
+    low = [times_g(lo) for lo in range(split)]
+    high = [times_g(hi * split) for hi in range(order // split)]
+    add = field._add
+    if order > ARRAY_TABLES_OVER:
+        from array import array
+
+        exp = array("l", [0]) * units
+        log = array("l", [-1]) * order
+    else:
+        exp = [0] * units
+        log = [-1] * order
+    x = 1
+    for k in range(units):
+        if log[x] >= 0:
+            raise AssertionFailure(f"g^{k} repeats g^{log[x]} in {field!r}")
+        exp[k] = x
+        log[x] = k
+        x = add(low[x % split], high[x // split])
+    if x != 1:
+        raise AssertionFailure(f"g^{units} is not 1 in {field!r}")
+    return exp + exp, log
+
+
+# ---------------------------------------------------------------------------
 # fields and elements
 # ---------------------------------------------------------------------------
 
-_FIELDS: dict[tuple[int, int], "FiniteField"] = {}  # write-once registry
+_FIELDS: dict[int, "FiniteField"] = {}  # write-once registry, keyed by order
 
 
 def finite_field(q: int) -> "FiniteField":
-    pe = prime_power(q)
-    if pe is None:
-        raise ValueError(f"{q} is not a prime power")
-    p, e = pe
-    if pe not in _FIELDS:
-        _FIELDS[pe] = FiniteField(p, e)
-    return _FIELDS[pe]
+    field = _FIELDS.get(q)
+    if field is None:
+        pe = prime_power(q)
+        if pe is None:
+            raise ValueError(f"{q} is not a prime power")
+        field = _FIELDS[q] = FiniteField(*pe)
+    return field
 
 
 class FiniteField:
@@ -116,112 +229,117 @@ class FiniteField:
         self.e = e
         self.order = p**e
         self.modulus = smallest_irreducible(p, e)
-        self.zero = FFElement(self, (0,) * e)
-        self.one = FFElement(self, (1,) + (0,) * (e - 1))
+        self.zero = FFElement(self, 0)
+        self.one = FFElement(self, 1)
+        self._add = _digitwise(p, e, 1)
+        self._sub = _digitwise(p, e, -1)
+        self._tables = None  # (exp, log), built by log_tables()
         self._embeddings: dict[tuple[int, int], dict] = {}
         self._inverse_embeddings: dict[tuple[int, int], dict] = {}
         self._orbits: dict[tuple[int, int], dict] = {}
         self._irreducibles: dict[int, tuple] = {}
         self._sylow: dict[int, tuple] = {}
-        self._sylow_powers: dict[int, tuple] = {}
+        self._sylow_logs: dict[int, tuple] = {}
+
+    def log_tables(self) -> tuple:
+        """(exp, log) on encodings; see ``_log_tables``."""
+        if self._tables is None:
+            self._tables = _log_tables(self)
+        return self._tables
 
     def element(self, encoding: int) -> "FFElement":
-        return FFElement(self, _decode_poly(encoding, self.e, self.p))
+        return FFElement(self, encoding % self.order)
 
     def from_coeffs(self, coeffs) -> "FFElement":
         cs = tuple(c % self.p for c in coeffs)
         if len(cs) != self.e:
             raise ValueError(f"{len(cs)} coefficients for a degree-{self.e} field")
-        return FFElement(self, cs)
+        return FFElement(self, _encode_poly(cs, self.p))
 
     def elements(self):
         for enc in range(self.order):
-            yield self.element(enc)
+            yield FFElement(self, enc)
 
     def units(self):
         for enc in range(1, self.order):
-            yield self.element(enc)
+            yield FFElement(self, enc)
 
     def __repr__(self):
         return f"GF({self.order})"
 
 
 class FFElement:
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "encoding")
 
-    def __init__(self, field: FiniteField, coeffs: tuple):
+    def __init__(self, field: FiniteField, encoding: int):
         self.field = field
-        self.coeffs = coeffs
+        self.encoding = encoding
 
     @property
-    def encoding(self) -> int:
-        enc = 0
-        for c in reversed(self.coeffs):
-            enc = enc * self.field.p + c
-        return enc
+    def coeffs(self) -> tuple:
+        return _decode_poly(self.encoding, self.field.e, self.field.p)
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.encoding != 0
 
     def __eq__(self, other):
         return (
             isinstance(other, FFElement)
             and self.field is other.field
-            and self.coeffs == other.coeffs
+            and self.encoding == other.encoding
         )
 
     def __hash__(self):
-        return hash((self.field.p, self.field.e, self.coeffs))
+        return hash(self.encoding)
 
     def __lt__(self, other):
         if self.field is not other.field:
             raise TypeError("elements of different fields")
         return self.encoding < other.encoding
 
-    def __add__(self, other):
+    def _operand(self, other) -> int:
+        """The encoding of ``other``; an int stands for its residue mod p."""
         if isinstance(other, int):
-            other = self.field.from_coeffs((other,) + (0,) * (self.field.e - 1))
-        p = self.field.p
-        return FFElement(self.field, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+            return other % self.field.p
+        if self.field is not other.field:
+            raise TypeError("elements of different fields")
+        return other.encoding
+
+    def __add__(self, other):
+        f = self.field
+        return FFElement(f, f._add(self.encoding, self._operand(other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = self.field.p
-        return FFElement(self.field, tuple(-a % p for a in self.coeffs))
+        f = self.field
+        return FFElement(f, f._sub(0, self.encoding))
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.field.from_coeffs((other,) + (0,) * (self.field.e - 1))
-        return self + (-other)
+        f = self.field
+        return FFElement(f, f._sub(self.encoding, self._operand(other)))
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            s = other % self.field.p
-            return FFElement(self.field, tuple(a * s % self.field.p for a in self.coeffs))
-        if self.field is not other.field:
-            raise TypeError("elements of different fields")
         f = self.field
-        prod = _pp_mulmod(_pp_trim(self.coeffs), _pp_trim(other.coeffs), f.modulus, f.p)
-        return f.from_coeffs(prod + (0,) * (f.e - len(prod)))
+        a, b = self.encoding, self._operand(other)
+        if not (a and b):
+            return f.zero
+        exp, log = f.log_tables()
+        return FFElement(f, exp[log[a] + log[b]])
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if k < 0:
-            return self.inverse() ** (-k)
-        out, base = self.field.one, self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        f = self.field
+        if not self.encoding:
+            if k < 0:
+                raise ZeroDivisionError("inverse of zero field element")
+            return f.zero if k else f.one
+        exp, log = f.log_tables()
+        return FFElement(f, exp[log[self.encoding] * k % (f.order - 1)])
 
     def inverse(self) -> "FFElement":
-        if not self:
-            raise ZeroDivisionError("inverse of zero field element")
-        return self ** (self.field.order - 2)
+        return self ** -1
 
     def __repr__(self):
         return f"{self.field!r}:{self.encoding}"
@@ -286,7 +404,7 @@ def inverse_embedding(src: FiniteField, dst: FiniteField) -> dict:
 class FqPoly:
     """Dense polynomial over a FiniteField, low degree first, trimmed."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "_hash")
 
     def __init__(self, field: FiniteField, coeffs):
         self.field = field
@@ -294,6 +412,7 @@ class FqPoly:
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._hash = None  # class types key dicts and caches: hash once
 
     @classmethod
     def from_encodings(cls, field, encs):
@@ -314,7 +433,9 @@ class FqPoly:
         )
 
     def __hash__(self):
-        return hash((self.field.p, self.field.e, tuple(c.encoding for c in self.coeffs)))
+        if self._hash is None:
+            self._hash = hash((self.field.p, self.field.e, tuple(c.encoding for c in self.coeffs)))
+        return self._hash
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -408,33 +529,39 @@ def roots_in(poly: FqPoly, big: FiniteField) -> list[FFElement]:
     return [t for t in big.elements() if not lifted(t)]
 
 
-def _frobenius_orbit(x: FFElement, q: int) -> list:
-    """x, x^q, x^(q^2), ... up to the first return to x."""
-    orbit = [x]
-    y = x**q
-    while y != x:
-        orbit.append(y)
-        y = y**q
-    return orbit
+def _coset(k: int, q: int, units: int) -> list:
+    """k, k q, k q^2, ... mod ``units`` up to the first return to k: the
+    logs of the Frobenius orbit of g^k over the field of order q."""
+    coset = [k]
+    kq = k * q % units
+    while kq != k:
+        coset.append(kq)
+        kq = kq * q % units
+    return coset
 
 
-def _orbit_product(orbit, big: FiniteField) -> list:
-    """Coefficients in ``big``, low degree first, of prod (Y - x) over
-    the orbit."""
-    coeffs = [big.one]
-    for root in orbit:
-        shifted = [big.zero] + coeffs
-        for k, c in enumerate(coeffs):
-            shifted[k] = shifted[k] - root * c
+def _coset_product(big: FiniteField, coset) -> list:
+    """Encodings, low degree first, of prod (Y - g^i) over i in ``coset``."""
+    exp, log = big.log_tables()
+    minus = big._sub
+    coeffs = [1]
+    for i in coset:
+        shifted = [0] + coeffs
+        for d, c in enumerate(coeffs):
+            if c:
+                shifted[d] = minus(shifted[d], exp[log[c] + i])
         coeffs = shifted
     return coeffs
 
 
 def minimal_polynomial(t: FFElement, sub: FiniteField) -> FqPoly:
     """Minimal polynomial of t over the subfield ``sub``."""
-    back = inverse_embedding(sub, t.field)
-    orbit = _frobenius_orbit(t, sub.order)
-    return FqPoly(sub, tuple(back[c] for c in _orbit_product(orbit, t.field)))
+    big = t.field
+    back = inverse_embedding(sub, big)
+    if not t:
+        return FqPoly(sub, (sub.zero, sub.one))
+    coset = _coset(big.log_tables()[1][t.encoding], sub.order, big.order - 1)
+    return FqPoly(sub, tuple(back[FFElement(big, c)] for c in _coset_product(big, coset)))
 
 
 def frobenius_orbits(sub: FiniteField, big: FiniteField) -> dict:
@@ -452,23 +579,24 @@ def frobenius_orbits(sub: FiniteField, big: FiniteField) -> dict:
 
 
 def _orbit_pass(sub: FiniteField, big: FiniteField) -> dict:
-    back = inverse_embedding(sub, big)
+    back = {x.encoding: y.encoding for x, y in inverse_embedding(sub, big).items()}
     degree = big.e // sub.e
+    exp, log = big.log_tables()
     visited = bytearray(big.order)
-    table = {}
-    for enc in range(big.order):
+    table = {(0, 1): 0}  # zero is an orbit of its own, with minimal polynomial Y
+    for enc in range(1, big.order):
         if visited[enc]:
             continue
         # enc is the smallest encoding in its orbit: all before it are visited
-        orbit = _frobenius_orbit(big.element(enc), sub.order)
-        if degree % len(orbit):
+        coset = _coset(log[enc], sub.order, big.order - 1)
+        if degree % len(coset):
             raise AssertionFailure(
-                f"Frobenius orbit of {orbit[0]!r} over {sub!r} has length {len(orbit)},"
-                f" which does not divide {degree}"
+                f"Frobenius orbit of {big.element(enc)!r} over {sub!r} has length"
+                f" {len(coset)}, which does not divide {degree}"
             )
-        for y in orbit:
-            visited[y.encoding] = 1
-        table[tuple(back[c].encoding for c in _orbit_product(orbit, big))] = enc
+        for i in coset:
+            visited[exp[i]] = 1
+        table[tuple(back[c] for c in _coset_product(big, coset))] = enc
     return table
 
 
@@ -489,47 +617,48 @@ def smallest_root(poly: FqPoly, big: FiniteField) -> FFElement:
 def sylow_generator(field: FiniteField, ell: int):
     """(eps, r, dlog) where eps is the first element in encoding order
     of multiplicative order exactly l^r, l^r the ell-part of |F^x|, and
-    dlog maps each l-power-order element to its exponent on eps.  The
-    power table (eps^0, ..., eps^(l^r - 1)) is kept next to it in
-    ``field._sylow_powers``."""
+    dlog maps each l-power-order element to its exponent on eps.
+
+    g^k has order |F^x| / gcd(k, |F^x|), so eps is the first encoding
+    whose log k has gcd(k, |F^x|) = |F^x| / l^r.  Next to it,
+    ``field._sylow_logs[ell]`` keeps (log eps, residues) with
+    ``residues[k mod l^r]`` the exponent j that makes g^k eps^-j
+    l-regular."""
     if ell in field._sylow:
         return field._sylow[ell]
-    n = field.order - 1
-    r = ord_int(n, ell) if n % ell == 0 else 0
+    units = field.order - 1
+    r = ord_int(units, ell) if units % ell == 0 else 0
     target = ell**r
-    eps = None
-    for t in field.units():
-        # t^(l^r) = 1 with t^(l^(r-1)) != 1 is order exactly l^r
-        if t**target == field.one and (r == 0 or t ** (target // ell) != field.one):
-            eps = t
-            break
-    if eps is None:
+    exp, log = field.log_tables()
+    eps_log = next(
+        (log[enc] for enc in range(1, field.order) if gcd(log[enc], units) == units // target),
+        None,
+    )
+    if eps_log is None:
         raise AssertionFailure(f"no element of order {target} in F_{field.order}")
-    powers = [field.one]
-    for _ in range(target - 1):
-        powers.append(powers[-1] * eps)
-    field._sylow[ell] = (eps, r, {x: k for k, x in enumerate(powers)})
-    field._sylow_powers[ell] = tuple(powers)
+    residues = [0] * target
+    for j in range(target):
+        residues[eps_log * j % target] = j
+    dlog = {FFElement(field, exp[eps_log * j % units]): j for j in range(target)}
+    field._sylow[ell] = (FFElement(field, exp[eps_log]), r, dlog)
+    field._sylow_logs[ell] = (eps_log, tuple(residues))
     return field._sylow[ell]
 
 
 def ell_part_and_dlog(t: FFElement, ell: int) -> int:
     """j such that the ell-part of t is eps^j for the deterministic
-    Sylow generator eps of t's field."""
+    Sylow generator eps of t's field, read off the log of t."""
     if not t:
         raise ZeroElement("ell-part of zero")
     field = t.field
-    _, r, dlog = sylow_generator(field, ell)
-    powers = field._sylow_powers[ell]
-    n = field.order - 1
-    lr = ell**r
-    m = n // lr
-    # 1 = alpha*l^r + beta*m, so t = t^(alpha*l^r) * t^(beta*m) and the
-    # ell-part is t^(beta*m) = u^beta with u = t^m
-    u = t**m
-    beta = pow(m, -1, lr) if lr > 1 else 0
-    j = dlog[u**beta]
-    # t = eps^j * t_reg with t_reg^m = 1 exactly when u = eps^(j*m)
-    if u != powers[j * m % lr]:
+    sylow_generator(field, ell)
+    eps_log, residues = field._sylow_logs[ell]
+    lr = len(residues)
+    k = field.log_tables()[1][t.encoding]
+    j = residues[k % lr]
+    # t = eps^j * t_reg with t_reg = g^(k - j log eps), whose order
+    # |F^x| / gcd(k - j log eps, |F^x|) is prime to l exactly when l^r
+    # divides k - j log eps
+    if (k - j * eps_log) % lr:
         raise AssertionFailure(f"l-regular part of {t!r} has order divisible by {ell}")
     return j

@@ -121,6 +121,39 @@ def test_oracle_gl2_f8_table_without_census(capsys):
     assert any("delta entries agree" in c for c in env["checks"])
 
 
+def test_oracle_enumerates_the_classes_once(capsys, monkeypatch):
+    # the census cross-check and the GL_2 delta comparison share one list
+    from cuspcenter import classes
+
+    original = classes.enumerate_classes
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("cuspcenter") and (
+            getattr(module, "enumerate_classes", None) is original
+        ):
+            monkeypatch.setattr(module, "enumerate_classes", counted)
+    code, out = run_cli(capsys, "oracle", "--q", "4", "--n", "2", "--ell", "5", "--out", "json")
+    assert code == 0
+    assert "delta entries agree" in " ".join(json.loads(out)["checks"])
+    assert len(calls) == 1
+
+
+def test_oracle_refused_enumeration_still_exits_2(capsys):
+    # the census skips the refused enumeration; the delta comparison
+    # needs it and raises the same ScaleLimit
+    code, out = run_cli(
+        capsys, "oracle", "--q", "4", "--n", "2", "--ell", "5", "--scale-bound", "10",
+        "--out", "json",
+    )
+    assert code == 2
+    assert json.loads(out)["artifacts"]["error"]["type"] == "ScaleLimit"
+
+
 def test_json_byte_determinism(capsys):
     _, out1 = run_cli(capsys, "endo-ring", "--q", "2", "--ell", "3", "--out", "json")
     _, out2 = run_cli(capsys, "endo-ring", "--q", "2", "--ell", "3", "--out", "json")

@@ -1,17 +1,24 @@
 """Finite-field layer: fixed moduli, exhaustive axiom checks on the
-small fields the pipeline actually touches, the Frobenius-orbit pass
-against brute-force roots and trial-division irreducibles, and the
-Sylow machinery against brute-force element orders."""
+small fields the pipeline actually touches, the encoded arithmetic and
+its exp/log tables against polynomial products of coefficient tuples,
+the Frobenius-orbit pass against brute-force roots and trial-division
+irreducibles, and the Sylow machinery against brute-force element
+orders."""
 
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspcenter.arith import divisors, is_prime
 from cuspcenter.errors import AssertionFailure, InvalidPrime, ScaleLimit, ZeroElement
 from cuspcenter.finitefield import (
+    ARRAY_TABLES_OVER,
     FiniteField,
     FqPoly,
+    _pp_mulmod,
+    _pp_trim,
     ell_part_and_dlog,
     embedding,
     finite_field,
@@ -36,12 +43,35 @@ ORBIT_CASES = [(2, n) for n in range(1, 7)] + [(3, n) for n in range(1, 5)] + [
 ]
 
 
+FIELD_ORDERS = sorted({q**n for q, n in ORBIT_CASES})
+
+
+def ref_element(field, cs):
+    """The element with coefficient tuple ``cs`` (trimmed or not)."""
+    cs = tuple(cs)
+    return field.from_coeffs(cs + (0,) * (field.e - len(cs)))
+
+
+def ref_mul(x, y):
+    """The referee product: polynomial multiplication of the coefficient
+    tuples, reduced by the field's modulus, with no table involved."""
+    f = x.field
+    return ref_element(f, _pp_mulmod(_pp_trim(x.coeffs), _pp_trim(y.coeffs), f.modulus, f.p))
+
+
+def ref_pow(x, k):
+    out = x.field.one
+    for _ in range(k):
+        out = ref_mul(out, x)
+    return out
+
+
 def brute_order(t):
     """The referee: the least k >= 1 with t^k = 1, by repeated
-    multiplication."""
+    tuple multiplication."""
     k, x = 1, t
     while x != t.field.one:
-        x = x * t
+        x = ref_mul(x, t)
         k += 1
     return k
 
@@ -226,6 +256,66 @@ def test_minimal_polynomial_frozen():
     assert tuple(c.encoding for c in m.coeffs) == (1, 0, 1)
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_encoded_arithmetic_matches_tuple_arithmetic(data):
+    field = finite_field(data.draw(st.sampled_from(FIELD_ORDERS)))
+    p, e, units = field.p, field.e, field.order - 1
+    encodings = st.one_of(st.just(0), st.integers(0, units))
+    x, y = field.element(data.draw(encodings)), field.element(data.draw(encodings))
+    k = data.draw(st.integers(-2 * field.order, 2 * field.order))
+    s = data.draw(st.integers(-2 * p, 2 * p))
+    xs, ys = x.coeffs, y.coeffs
+    # coeffs <-> encoding: e digits base p, low degree first
+    assert len(xs) == e and all(0 <= c < p for c in xs)
+    assert sum(c * p**i for i, c in enumerate(xs)) == x.encoding
+    assert field.from_coeffs(xs) == x and field.element(x.encoding) == x
+    assert x + y == ref_element(field, ((a + b) % p for a, b in zip(xs, ys)))
+    assert x - y == ref_element(field, ((a - b) % p for a, b in zip(xs, ys)))
+    assert -x == ref_element(field, (-a % p for a in xs))
+    assert x + s == ref_element(field, ((xs[0] + s) % p,) + xs[1:])
+    assert x * y == ref_mul(x, y) == y * x
+    assert x * s == s * x == ref_element(field, (a * s % p for a in xs))
+    if x:
+        assert x**k == ref_pow(x, k % units)
+        assert ref_mul(x, x.inverse()) == field.one
+    else:
+        assert x**0 == field.one
+        assert x ** abs(k or 1) == field.zero
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        with pytest.raises(ZeroDivisionError):
+            x ** -abs(k or 1)
+
+
+@pytest.mark.parametrize("q,n", ORBIT_CASES)
+def test_log_tables_walk_the_powers_of_the_first_primitive_element(q, n):
+    field = finite_field(q**n)
+    units = field.order - 1
+    exp, log = field.log_tables()
+    assert len(exp) == 2 * units and list(exp[units:]) == list(exp[:units])
+    for enc in range(1, field.order):
+        assert 0 <= log[enc] < units
+        assert exp[log[enc]] == enc
+    g = field.element(exp[1])
+    assert g == next(t for t in field.units() if brute_order(t) == units)
+    for i in range(units):
+        assert exp[i + 1] == ref_mul(field.element(exp[i]), g).encoding
+
+
+def test_large_fields_keep_their_tables_in_arrays():
+    field = finite_field(257**2)
+    assert field.order > ARRAY_TABLES_OVER
+    exp, log = field.log_tables()
+    assert type(exp).__name__ == type(log).__name__ == "array"
+    units = field.order - 1
+    assert exp[log[12345]] == 12345 and exp[units] == 1
+    for a, b in ((2, 3), (258, 66048), (12345, 54321), (257, 257)):
+        x, y = field.element(a), field.element(b)
+        assert x * y == ref_mul(x, y)
+        assert ref_mul(x, x.inverse()) == field.one
+
+
 def test_sylow_generator_parameters():
     eps4, r4, dlog4 = sylow_generator(finite_field(4), 3)
     assert r4 == 1 and brute_order(eps4) == 3
@@ -246,7 +336,7 @@ def test_ell_part_and_dlog_exhaustive():
     for t in f.units():
         j = ell_part_and_dlog(t, 3)
         assert 0 <= j < lr
-        regular = t * (eps**j).inverse()
+        regular = ref_mul(t, ref_pow(eps, lr - j))
         assert gcd(brute_order(regular), 3) == 1
     # the dlog is a homomorphism on the ell-part
     units = list(f.units())
@@ -272,15 +362,16 @@ def test_sylow_generator_and_dlogs_match_brute_force_orders(q, n):
         for t in units:
             j = ell_part_and_dlog(t, ell)
             assert 0 <= j < ell**r
-            assert gcd(orders[t * (eps**j).inverse()], ell) == 1
+            assert gcd(orders[ref_mul(t, ref_pow(eps, ell**r - j))], ell) == 1
 
 
 def test_regularity_check_catches_a_corrupted_dlog_table(monkeypatch):
     field = finite_field(64)
-    eps, r, dlog = sylow_generator(field, 3)
+    sylow_generator(field, 3)
+    eps_log, residues = field._sylow_logs[3]
     # off by 3 = l^(r-1): the claimed regular part keeps an l-part of order l
-    shifted = {x: (k + 3) % 3**r for x, k in dlog.items()}
-    monkeypatch.setitem(field._sylow, 3, (eps, r, shifted))
+    shifted = tuple((j + 3) % len(residues) for j in residues)
+    monkeypatch.setitem(field._sylow_logs, 3, (eps_log, shifted))
     with pytest.raises(AssertionFailure):
         ell_part_and_dlog(field.one, 3)
 
@@ -288,10 +379,13 @@ def test_regularity_check_catches_a_corrupted_dlog_table(monkeypatch):
 def test_regularity_check_catches_a_corrupted_power_table(monkeypatch):
     field = finite_field(64)
     eps, r, _ = sylow_generator(field, 3)
-    powers = field._sylow_powers[3]
-    assert powers == tuple(eps**k for k in range(3**r))
-    # powers of eps^-1 instead of eps: u = eps^m is compared with eps^-m
-    monkeypatch.setitem(field._sylow_powers, 3, (powers[0],) + powers[:0:-1])
+    eps_log, residues = field._sylow_logs[3]
+    exp, _ = field.log_tables()
+    assert tuple(exp[eps_log * k % 63] for k in range(3**r)) == tuple(
+        (eps**k).encoding for k in range(3**r)
+    )
+    # the log of eps^-1 instead of eps: eps = g^k is compared with eps^-1
+    monkeypatch.setitem(field._sylow_logs, 3, (63 - eps_log, residues))
     with pytest.raises(AssertionFailure):
         ell_part_and_dlog(eps, 3)
     assert ell_part_and_dlog(field.one, 3) == 0  # eps^0 = 1 is unchanged
