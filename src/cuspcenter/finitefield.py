@@ -15,7 +15,8 @@ built on its first product by walking the powers of its generator g, the
 first primitive element in encoding order: ``exp[k]`` is the encoding of
 g^k and ``log`` inverts it on the units.  The tuple arithmetic on
 coefficient lists (``_pp_mulmod``, ``_pp_rem``) finds the moduli, tests
-generators and seeds the walk; the tests keep it as the referee.
+generators and takes each step of the walk; the tests keep it as the
+referee.
 
 Subfields embed by sending the small field's generator to the smallest
 root of its modulus in the big field.  All such choices are pure
@@ -43,11 +44,9 @@ from operator import xor
 from .arith import divisors, is_prime, moebius, ord_int, prime_power
 from .errors import AssertionFailure, InvalidPrime, ScaleLimit, ZeroElement
 
-ARRAY_TABLES_OVER = 2**16  # fields larger than this keep exp/log in an array
-
 # ---------------------------------------------------------------------------
 # F_p[x] on plain integer tuples (low degree first), for modulus hunting,
-# generator tests and the table walk's seed
+# generator tests and the table walk
 # ---------------------------------------------------------------------------
 
 
@@ -168,37 +167,20 @@ def _log_tables(field: "FiniteField") -> tuple:
     """(exp, log) for the field's generator g.  ``exp[k]`` is the
     encoding of g^k, stored twice over so exponent sums need no
     reduction; ``log`` inverts it on the units (its entry 0 is -1).
-
-    The walk multiplies by g through two tables of about sqrt(p^e)
-    entries each, g times the low digits and g times the high digits of
-    an encoding, which is linear in the digits; every unit must be met
-    exactly once."""
+    The walk multiplies by g with the tuple arithmetic; every unit must
+    be met exactly once."""
     p, e, order = field.p, field.e, field.order
     units = order - 1
     g = _pp_trim(_decode_poly(_first_primitive(field), e, p))
-    split = p ** (e // 2)
-
-    def times_g(enc):
-        return _encode_poly(_pp_mulmod(_pp_trim(_decode_poly(enc, e, p)), g, field.modulus, p), p)
-
-    low = [times_g(lo) for lo in range(split)]
-    high = [times_g(hi * split) for hi in range(order // split)]
-    add = field._add
-    if order > ARRAY_TABLES_OVER:
-        from array import array
-
-        exp = array("l", [0]) * units
-        log = array("l", [-1]) * order
-    else:
-        exp = [0] * units
-        log = [-1] * order
+    exp = [0] * units
+    log = [-1] * order
     x = 1
     for k in range(units):
         if log[x] >= 0:
             raise AssertionFailure(f"g^{k} repeats g^{log[x]} in {field!r}")
         exp[k] = x
         log[x] = k
-        x = add(low[x % split], high[x // split])
+        x = _encode_poly(_pp_mulmod(_decode_poly(x, e, p), g, field.modulus, p), p)
     if x != 1:
         raise AssertionFailure(f"g^{units} is not 1 in {field!r}")
     return exp + exp, log
@@ -404,7 +386,7 @@ def inverse_embedding(src: FiniteField, dst: FiniteField) -> dict:
 class FqPoly:
     """Dense polynomial over a FiniteField, low degree first, trimmed."""
 
-    __slots__ = ("field", "coeffs", "_hash")
+    __slots__ = ("field", "coeffs")
 
     def __init__(self, field: FiniteField, coeffs):
         self.field = field
@@ -412,7 +394,6 @@ class FqPoly:
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
-        self._hash = None  # class types key dicts and caches: hash once
 
     @classmethod
     def from_encodings(cls, field, encs):
@@ -433,9 +414,7 @@ class FqPoly:
         )
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.field.p, self.field.e, tuple(c.encoding for c in self.coeffs)))
-        return self._hash
+        return hash((self.field.p, self.field.e, tuple(c.encoding for c in self.coeffs)))
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from cuspcenter.arith import divisors, is_prime
 from cuspcenter.errors import AssertionFailure, InvalidPrime, ScaleLimit, ZeroElement
 from cuspcenter.finitefield import (
-    ARRAY_TABLES_OVER,
     FiniteField,
     FqPoly,
     _pp_mulmod,
@@ -303,11 +302,9 @@ def test_log_tables_walk_the_powers_of_the_first_primitive_element(q, n):
         assert exp[i + 1] == ref_mul(field.element(exp[i]), g).encoding
 
 
-def test_large_fields_keep_their_tables_in_arrays():
+def test_large_field_tables_match_tuple_arithmetic():
     field = finite_field(257**2)
-    assert field.order > ARRAY_TABLES_OVER
     exp, log = field.log_tables()
-    assert type(exp).__name__ == type(log).__name__ == "array"
     units = field.order - 1
     assert exp[log[12345]] == 12345 and exp[units] == 1
     for a, b in ((2, 3), (258, 66048), (12345, 54321), (257, 257)):
