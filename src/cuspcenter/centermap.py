@@ -26,7 +26,13 @@ from .characters import (
     steinberg_dimension,
     steinberg_value,
 )
-from .classes import ClassType, class_predicates, enumerate_classes, theta_exponent
+from .classes import (
+    ClassType,
+    class_predicates,
+    enumerate_classes,
+    group_classes,
+    theta_exponent,
+)
 from .cyclotomic import CyclotomicNumber, ell_valuation, is_ell_integral, phi_prime_power
 from .errors import AssertionFailure, IntegralityFailure, NoSolution
 from .finitefield import finite_field, minimal_polynomial, sylow_generator
@@ -114,7 +120,7 @@ def delta_class(ct: ClassType, ps: ParameterSet) -> BlockVector:
     The vector depends on the class only through ``ct.type_key`` and
     ``theta_exponent(ct, ps)`` (size, centralizer order, primary and
     semisimple flags, part counts, deg P); the label appears in failure
-    messages alone.  ``type_deltas`` relies on this.
+    messages alone.  ``classes.group_classes`` relies on this.
     """
     ps = require_reduced(ps)
     reps = block_slots(ps)
@@ -140,26 +146,6 @@ def delta_class(ct: ClassType, ps: ParameterSet) -> BlockVector:
                 witness={"slot": slot},
             )
     return vec
-
-
-def _by_type(classes, ps: ParameterSet, compute):
-    """Yield (class, compute(c)) for each class, where c is the first
-    class of ``classes`` with the same type key and theta exponent: each
-    value is computed once per key and shared.  Lazy, so a failure
-    surfaces at the same class, in the same order, as a plain loop."""
-    memo = {}
-    for ct in classes:
-        key = (ct.type_key, theta_exponent(ct, ps))
-        if key not in memo:
-            memo[key] = compute(ct)
-        yield ct, memo[key]
-
-
-def type_deltas(classes, ps: ParameterSet) -> dict:
-    """class -> delta_class(class), computed once per type key and theta
-    exponent; classes of one key share the vector object."""
-    ps = require_reduced(ps)
-    return dict(_by_type(classes, ps, lambda ct: delta_class(ct, ps)))
 
 
 def s_membership(vec: BlockVector) -> bool:
@@ -211,16 +197,18 @@ class CaseReport(NamedTuple):
     witness_unit: Fraction
 
 
-def case_analysis(ps: ParameterSet, deltas: dict, labels: dict) -> CaseReport:
-    """deltas: class type -> BlockVector; labels: class type -> its
-    label, rendered once by the caller and used as the key of every
-    per-class result.  Checks the per-bucket shape of every vector;
+def case_analysis(ps: ParameterSet, classes, labels, key_of, vecs) -> CaseReport:
+    """classes in census order with their labels, rendered once by the
+    caller and used as the key of every per-class result, and their key
+    indices from ``group_classes``; vecs[k] is the delta vector of key
+    k.  Checks the per-bucket shape of every class's vector;
     S-membership is asserted on the non-primary and both small-degree
     primary buckets, recorded (but deliberately not asserted either
     way) on the degree-n bucket, and the witness bucket must consist of
     the single regular-unipotent class whose vector is
-    (0, u*l^r, ..., u*l^r) with u an l-unit.  S-membership is computed
-    once per vector object: classes of one type key share theirs.
+    (0, u*l^r, ..., u*l^r) with u an l-unit.  Buckets are read per
+    class, as the witness x - 1 shares its key with the other linear
+    polynomials; S-membership is computed once per key.
     """
     ps = require_reduced(ps)
     bucket_of = {}
@@ -229,15 +217,12 @@ def case_analysis(ps: ParameterSet, deltas: dict, labels: dict) -> CaseReport:
     witness_label = None
     witness_unit = None
     lr = Fraction(ps.ell_power)
-    flag_of = {}  # id(vec) -> flag; deltas keeps every vector alive
-    for ct, vec in deltas.items():
+    flags = [s_membership(vec) for vec in vecs]
+    for ct, label, k in zip(classes, labels, key_of):
+        vec, flag = vecs[k], flags[k]
         bucket = case_bucket(ct, ps)
-        label = labels[ct]
         bucket_of[label] = bucket
         counts[bucket] += 1
-        flag = flag_of.get(id(vec))
-        if flag is None:
-            flag = flag_of[id(vec)] = s_membership(vec)
         s_flags[label] = flag
         if bucket == REALIZED_WITNESS:
             if not vec.entry0.is_zero():
@@ -414,18 +399,10 @@ def express_all_in_gamma(vecs, gamma_pows, ps: ParameterSet) -> list:
     system; NoSolution if any vec is outside Q[gamma],
     IntegralityFailure if its coordinates exist but are not l-integral.
 
-    Equal vectors share one certificate.  Duplicates are found by
-    identity first (the classes of one type share one vector object),
-    then by equality among the few left, so each distinct vector is
+    Equal vectors share one certificate, so each distinct vector is
     solved and checked once."""
-    column_of_id = {}
     column_of = {}
-    columns = []
-    for vec in vecs:
-        k = column_of_id.get(id(vec))
-        if k is None:
-            k = column_of_id[id(vec)] = column_of.setdefault(vec, len(column_of))
-        columns.append(k)
+    columns = [column_of.setdefault(vec, len(column_of)) for vec in vecs]
     distinct = list(column_of)
 
     phi = phi_prime_power(ps.ell, ps.r)
@@ -572,22 +549,21 @@ def verify_endo_ring(
 
     field = finite_field(ps.q)
     classes = enumerate_classes(field, ps.n, scale_bound)
-    labels = {ct: ct.label() for ct in classes}  # each label rendered once
-    class_info = {
-        labels[ct]: dict(pred, label=labels[ct])
-        for ct, pred in _by_type(classes, ps, lambda ct: class_predicates(ct, ps))
-    }
+    firsts, key_of = group_classes(classes, ps)
+    labels = [ct.label() for ct in classes]  # each label rendered once
+    preds = [class_predicates(ct, ps) for ct in firsts]
+    class_info = {label: dict(preds[k], label=label) for label, k in zip(labels, key_of)}
     checks.append(f"classes: {len(classes)} types, centralizer orders verified")
 
-    deltas = type_deltas(classes, ps)
+    vecs = [delta_class(ct, ps) for ct in firsts]
     checks.append("delta: all vectors l-integral and residue-consistent")
 
-    case_report = case_analysis(ps, deltas, labels)
+    case_report = case_analysis(ps, classes, labels, key_of, vecs)
     checks.append("case analysis: bucket shapes verified")
     signs = lemma_signs_check(ps)
     checks.append("sign congruences: all divisor pairs verified")
 
-    delta_of = {labels[ct]: vec for ct, vec in deltas.items()}
+    delta_of = {label: vecs[k] for label, k in zip(labels, key_of)}
     scaled_idem = reconstruct_scaled_idempotent(
         ps, delta_of[case_report.witness_label], case_report.witness_unit
     )
@@ -602,19 +578,17 @@ def verify_endo_ring(
     if r_found != ps.r:
         raise AssertionFailure("Sylow depth mismatch in the big field")
     eps_poly = minimal_polynomial(eps, field)
+    replayed = {
+        k: reconstruct_gamma(ps, ct, vecs[k], scaled_idem)
+        for k, ct in enumerate(firsts)
+        if case_bucket(ct, ps) == DEGREE_N and not preds[k]["ell_regular"]
+    }
     reconstructions = []
     found_eps_class = False
-    bucket_of = case_report.bucket_of
-    singular = [
-        ct
-        for ct in classes
-        if bucket_of[labels[ct]] == DEGREE_N and theta_exponent(ct, ps) != 0
-    ]
-    replayed = _by_type(
-        singular, ps, lambda ct: reconstruct_gamma(ps, ct, deltas[ct], scaled_idem)
-    )
-    for ct, rec in replayed:
-        rec = dict(rec, label=labels[ct])
+    for ct, label, k in zip(classes, labels, key_of):
+        if k not in replayed:
+            continue
+        rec = dict(replayed[k], label=label)
         reconstructions.append(rec)
         if ct.factors[0][0] == eps_poly:
             found_eps_class = True
@@ -631,8 +605,8 @@ def verify_endo_ring(
     )
 
     gamma_pows = gamma_power_basis(gamma, ring.dimension)
-    certs = express_all_in_gamma([deltas[ct] for ct in classes], gamma_pows, ps)
-    certificates = {labels[ct]: h for ct, h in zip(classes, certs)}
+    certs = express_all_in_gamma(vecs, gamma_pows, ps)
+    certificates = {label: certs[k] for label, k in zip(labels, key_of)}
     checks.append("closure: every delta vector is an l-integral polynomial in gamma")
 
     g_report = g_of_gamma_check(ring, gamma)

@@ -201,7 +201,6 @@ def enumerate_classes(field: FiniteField, n: int, scale_bound: int = 10**6):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
 def theta_exponent(ct: ClassType, ps: ParameterSet) -> int:
     """Discrete log (base the canonical Sylow generator) of the l-part
     of a root of the type's first polynomial.  Zero exactly when the
@@ -216,6 +215,23 @@ def theta_exponent(ct: ClassType, ps: ParameterSet) -> int:
         return 0
     root = smallest_root(poly, finite_field(ps.q**ps.n))
     return ell_part_and_dlog(root, ps.ell)
+
+
+def group_classes(classes, ps: ParameterSet) -> tuple[list, list]:
+    """Group the census by (type key, theta exponent), the pair on which
+    every per-class quantity of the block depends: ``firsts[k]`` is the
+    first class, in census order, with the k-th distinct pair and
+    ``key_of[i]`` is the index of class i's pair.  Work done once per
+    class of ``firsts`` is shared through ``key_of``; as ``firsts``
+    keeps census order, a check that fails on a key fails at the same
+    first class as a loop over every class would."""
+    index, firsts, key_of = {}, [], []
+    for ct in classes:
+        k = index.setdefault((ct.type_key, theta_exponent(ct, ps)), len(firsts))
+        if k == len(firsts):
+            firsts.append(ct)
+        key_of.append(k)
+    return firsts, key_of
 
 
 def is_ell_regular(ct: ClassType, ps: ParameterSet) -> bool:

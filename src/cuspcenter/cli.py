@@ -15,7 +15,7 @@ import sys
 
 from . import centermap, deformation, gl2table, matrixoracle, report
 from .arith import is_prime, multiplicative_order, prime_power
-from .classes import class_predicates, enumerate_classes, group_order
+from .classes import class_predicates, enumerate_classes, group_classes, group_order
 from .errors import CuspCenterError, ParameterError, ScaleLimit
 from .finitefield import finite_field
 from .invariants import (
@@ -192,10 +192,11 @@ def cmd_classes(args) -> dict:
         ],
     }
     if ps is not None:
-        for ct, ct_art in zip(classes, artifacts["classes"]):
-            pred = class_predicates(ct, ps)
-            ct_art["ell_regular"] = pred["ell_regular"]
-            ct_art["diagonalizable"] = pred["diagonalizable"]
+        firsts, key_of = group_classes(classes, ps)
+        preds = [class_predicates(ct, ps) for ct in firsts]
+        for ct_art, k in zip(artifacts["classes"], key_of):
+            ct_art["ell_regular"] = preds[k]["ell_regular"]
+            ct_art["diagonalizable"] = preds[k]["diagonalizable"]
         checks.append("centralizer l-valuation dichotomy verified per class")
     parameters = {"q": args.q, "ell": args.ell, "n": args.n, "d": args.d}
     return report.envelope("classes", parameters, checks, artifacts)
@@ -235,7 +236,9 @@ def cmd_oracle(args) -> dict:
         if ps is not None:
             if classes is None:  # raises the census's ScaleLimit again
                 classes = enumerate_classes(field, 2, args.scale_bound)
-            deltas = centermap.type_deltas(classes, ps)
+            firsts, key_of = group_classes(classes, ps)
+            vecs = [centermap.delta_class(ct, ps) for ct in firsts]
+            deltas = {ct: vecs[k] for ct, k in zip(classes, key_of)}
             compared = gl2table.delta_equivalence_check(table, ps, deltas)
             checks.append(
                 f"GL2 table: {compared} delta entries agree with the block engine"

@@ -16,7 +16,13 @@ from math import gcd
 from typing import NamedTuple
 
 from .arith import is_prime, multiplicative_order, ord_int, prime_power
-from .errors import AssertionFailure, DegenerateBlock, InvalidPrime, SupercuspidalCase
+from .errors import (
+    AssertionFailure,
+    DegenerateBlock,
+    InvalidPrime,
+    ParameterError,
+    SupercuspidalCase,
+)
 
 
 class ParameterSet(NamedTuple):
@@ -44,7 +50,7 @@ class ParameterSet(NamedTuple):
 def validate_parameters(q: int, ell: int, n: int, d: int = 1) -> ParameterSet:
     for name, val in (("q", q), ("ell", ell), ("n", n), ("d", d)):
         if not isinstance(val, int) or val < 1:
-            raise InvalidPrime(f"{name} must be a positive integer, got {val!r}")
+            raise ParameterError(f"{name} must be a positive integer, got {val!r}")
     if prime_power(q) is None:
         raise InvalidPrime(f"q = {q} is not a prime power")
     if not is_prime(ell):

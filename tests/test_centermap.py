@@ -36,10 +36,11 @@ from cuspcenter.centermap import (
     s_membership,
     theta_orbit_vector,
 )
-from cuspcenter import centermap, linalg
+from cuspcenter import centermap, cli, linalg
 from cuspcenter.classes import ClassType, class_predicates, theta_exponent
 from cuspcenter.cyclotomic import CyclotomicNumber, zeta
 from cuspcenter.errors import AssertionFailure, IntegralityFailure, NoSolution
+from cuspcenter.finitefield import FqPoly
 from cuspcenter.invariants import invariant_ring
 from cuspcenter.params import validate_parameters
 from cuspcenter.polynomials import Poly
@@ -404,6 +405,48 @@ def test_labels_rendered_once_per_class_at_17_3(monkeypatch):
     res = verify_endo_ring(17, 3, 2)
     assert len(res.classes) == 288
     assert len(renders) <= 288 + 2 * 12
+
+
+def test_fqpoly_hashed_once_per_factor_at_17_3(monkeypatch):
+    # only the duplicate check of enumerate_classes hashes class types;
+    # the census grouping keys on type keys and theta exponents
+    hashes = []
+    plain_hash = FqPoly.__hash__
+
+    def counted(poly):
+        hashes.append(1)
+        return plain_hash(poly)
+
+    monkeypatch.setattr(FqPoly, "__hash__", counted)
+    res = verify_endo_ring(17, 3, 2)
+    assert len(hashes) <= sum(len(ct.factors) for ct in res.classes) == 408
+
+
+def test_classes_ell_groups_the_census_at_17_3(capsys, monkeypatch):
+    # one label per class for the artifact, plus one inside each of the
+    # 12 class_predicates calls, one per (type key, theta exponent)
+    renders, preds = [], []
+    plain_label, plain_preds = ClassType.label, cli.class_predicates
+
+    def counted_label(ct):
+        renders.append(1)
+        return plain_label(ct)
+
+    def counted_preds(ct, ps):
+        preds.append(1)
+        return plain_preds(ct, ps)
+
+    monkeypatch.setattr(ClassType, "label", counted_label)
+    monkeypatch.setattr(cli, "class_predicates", counted_preds)
+    monkeypatch.delenv("CUSPCENTER_CACHE", raising=False)
+    code = cli.main(["classes", "--q", "17", "--n", "2", "--ell", "3", "--out", "json"])
+    out = capsys.readouterr().out.encode("ascii")
+    assert code == 0
+    assert len(renders) <= 288 + 12
+    assert len(preds) == 12
+    assert hashlib.sha256(out).hexdigest() == (
+        "a949195cf0761271fc83f72ca95b503fd19226686f1d8a684e017c54669dc122"
+    )
 
 
 def test_s_membership_once_per_vector_at_17_3(monkeypatch):

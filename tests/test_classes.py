@@ -13,6 +13,7 @@ from cuspcenter.classes import (
     class_predicates,
     conjugacy_class_count,
     enumerate_classes,
+    group_classes,
     group_order,
     is_ell_regular,
     make_class_type,
@@ -208,7 +209,6 @@ def test_theta_exponent_reads_roots_from_one_orbit_pass(monkeypatch):
         return used_roots[poly]
 
     monkeypatch.setattr(classes, "smallest_root", recording_smallest_root)
-    theta_exponent.cache_clear()
     result = verify_endo_ring(8, 3, 2)
     assert roots_in_calls == []
     assert passes.count((f8, f64)) == 1
@@ -221,6 +221,23 @@ def test_theta_exponent_reads_roots_from_one_orbit_pass(monkeypatch):
     assert set(used_roots) == set(degree_2)
     for poly in degree_2:
         assert used_roots[poly] == original_roots_in(poly, f64)[0]
+
+
+def test_group_classes_keys_by_type_and_theta_exponent():
+    ps = validate_parameters(8, 3, 2)
+    classes = enumerate_classes(finite_field(8), 2)
+    firsts, key_of = group_classes(classes, ps)
+
+    def key(ct):
+        return ct.type_key, theta_exponent(ct, ps)
+
+    assert len(key_of) == len(classes) == 63
+    assert len({key(ct) for ct in firsts}) == len(firsts) == 11
+    assert all(key(ct) == key(firsts[k]) for ct, k in zip(classes, key_of))
+    # firsts[k] is the first class with key k, and firsts keep census order
+    first_at = [key_of.index(k) for k in range(len(firsts))]
+    assert [classes[i] for i in first_at] == firsts
+    assert first_at == sorted(first_at)
 
 
 def test_make_class_type_checks_the_degree_total():

@@ -68,12 +68,13 @@ BAD_D = {
         "oracle --q 2 --n 0",
         "oracle --q 3 --n -1",
         "classes --q 2 --n 0",
+        "endo-ring --q 2 --ell 3 --d 0",
         *BAD_D,
     ],
 )
 def test_bad_arguments_exit_2_with_a_parameter_error(capsys, argv):
     # a non-prime l sharing a factor with q, n < 1 for oracle as for
-    # classes, and a d that names no block we handle
+    # classes, a d < 1, and a d that names no block we handle
     code, out = run_cli(capsys, *argv.split(), "--out", "json")
     assert code == 2
     error = json.loads(out)["artifacts"]["error"]["type"]

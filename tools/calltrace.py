@@ -74,6 +74,7 @@ COMMANDS = (
     (2, "endo-ring --q 3 --ell 6"),
     (2, "deformation --q 4 --ell 6"),
     (2, "endo-ring --q 2 --ell 3 --n 2 --d 2"),
+    (2, "endo-ring --q 2 --ell 3 --d 0"),
     (2, "endo-ring --q 17 --ell 3 --scale-bound 100"),
     (2, "oracle --q 2 --n 0"),
     (2, "oracle --q 3 --n -1"),
