@@ -16,7 +16,7 @@ import sys
 from . import centermap, deformation, gl2table, matrixoracle, report
 from .arith import is_prime, multiplicative_order, prime_power
 from .classes import class_predicates, enumerate_classes, group_classes, group_order
-from .errors import CuspCenterError, ParameterError, ScaleLimit
+from .errors import AssertionFailure, CuspCenterError, ParameterError, ScaleLimit
 from .finitefield import finite_field
 from .invariants import (
     invariant_ring,
@@ -179,18 +179,20 @@ def cmd_classes(args) -> dict:
         if cache_dir:
             report.save_census(cache_dir, args.q, args.n, classes)
             checks.append("census written to cache")
-    artifacts = {
-        "group_order": group_order(args.q, args.n),
-        "class_count": len(classes),
-        "classes": [
-            {
-                "label": ct.label(),
-                "size": ct.class_size(),
-                "centralizer_order": ct.centralizer_order(),
-            }
-            for ct in classes
-        ],
-    }
+    order = group_order(args.q, args.n)
+    centralizers = {}  # type key -> centralizer order, checked once
+    rows = []
+    for ct in classes:
+        cent = centralizers.get(ct.type_key)
+        if cent is None:
+            cent = centralizers[ct.type_key] = ct.centralizer_order()
+            if order % cent:
+                raise AssertionFailure(
+                    f"centralizer order {cent} of {ct.label()} does not divide {order}",
+                    witness=ct.label(),
+                )
+        rows.append({"label": ct.label(), "size": order // cent, "centralizer_order": cent})
+    artifacts = {"group_order": order, "class_count": len(classes), "classes": rows}
     if ps is not None:
         firsts, key_of = group_classes(classes, ps)
         preds = [class_predicates(ct, ps) for ct in firsts]

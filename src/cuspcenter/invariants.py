@@ -11,9 +11,18 @@ numbers and the polynomials m, m_i and h (``Poly``) all keep integer
 numerators over one denominator.  l-integrality is asserted where the
 theory demands it.
 
+The minimal polynomials m_i come out of the group ring, with no
+cyclotomic arithmetic: the power sums of the conjugates of omega_i are
+integers read off the powers of f against Ramanujan sums, and Newton's
+identities turn them into the coefficients.  Each m_i is then certified
+by evaluating it at the trace element of Z[Z/l^i], which maps onto
+omega_i, and reducing the result once modulo Phi_{l^i}.
+
 Main outputs:
   * orbit_structure     - the orbits, with the order facts asserted
   * trace_element       - f = X + X^q + ... + X^(q^(n-1))
+  * trace_powers        - f^0, ..., f^(D-1), D = #orbits, built once
+  * power_sums          - power sums of the conjugates of omega_i
   * omega_and_min_poly  - zeta-trace at level i and its minimal poly m_i
   * min_polynomial      - m = (Y - n) * prod_i m_i, degree = #orbits
   * invariant_ring      - change of basis between orbit sums and powers
@@ -34,6 +43,7 @@ from .arith import ord_frac
 from .cyclotomic import (
     CyclotomicNumber,
     ExactVector,
+    _reduce,
     ell_valuation,
     lowest_terms,
     phi_prime_power,
@@ -41,7 +51,7 @@ from .cyclotomic import (
 )
 from .errors import AssertionFailure, IntegralityFailure, ParameterError
 from .params import ParameterSet, require_reduced
-from .polynomials import Poly, from_roots
+from .polynomials import Poly, from_power_sums
 
 
 class GroupRingElement(ExactVector):
@@ -68,9 +78,14 @@ class GroupRingElement(ExactVector):
 
     @classmethod
     def unit(cls, modulus: int, exponent: int = 0, scale=1):
-        cs = [0] * modulus
-        cs[exponent % modulus] = scale
-        return cls(modulus, cs)
+        """scale * X^exponent for an int or ``Fraction`` scale."""
+        nums = [0] * modulus
+        nums[exponent % modulus] = scale.numerator
+        x = object.__new__(cls)
+        x.modulus = modulus
+        x.nums = tuple(nums)
+        x.den = scale.denominator
+        return x
 
     def _coerce(self, other):
         if isinstance(other, GroupRingElement):
@@ -158,13 +173,55 @@ def is_invariant(v: GroupRingElement, orbits: OrbitStructure) -> bool:
     return v.frobenius(orbits.multiplier) == v
 
 
-def trace_element(ps: ParameterSet) -> GroupRingElement:
+def trace_element(ps: ParameterSet, level: int | None = None) -> GroupRingElement:
+    """f = X + X^q + ... + X^(q^(n-1)) in Q[Z/l^level], level r by
+    default.  The ring map X -> zeta_{l^i} sends the level-i element to
+    omega_i."""
     ps = require_reduced(ps)
-    m = ps.ell_power
+    m = ps.ell ** (ps.r if level is None else level)
     cs = [0] * m
     for k in range(ps.n):
         cs[pow(ps.q, k, m)] += 1
     return GroupRingElement(m, cs)
+
+
+def trace_powers(ps: ParameterSet) -> list[GroupRingElement]:
+    """f^0, f^1, ..., f^(D-1) in Q[Z/l^r], D the number of orbits: the
+    columns of the basis matrix and the source of every power sum."""
+    f = trace_element(ps)
+    powers = [GroupRingElement.unit(f.modulus)]
+    for _ in range(len(orbit_structure(ps).reps) - 1):
+        powers.append(powers[-1] * f)
+    return powers
+
+
+def power_sums(ps: ParameterSet, i: int, powers) -> list[int]:
+    """p_1, ..., p_d of the d = phi(l^i)/n conjugates of omega_i.
+
+    Under X -> zeta_{l^i}^a, f goes to the conjugate of omega_i on the
+    coset a<q>, and the phi(l^i) units a hit each conjugate n times.
+    Summing f^k = sum_e c_e X^e over all units therefore gives
+    p_k = (1/n) sum_e c_e c_{l^i}(e), with the Ramanujan sum c_{l^i}(e)
+    = phi(l^i) where l^i | e, -l^(i-1) where only l^(i-1) | e, and 0
+    elsewhere.  With T_j the sum of the c_e over l^j | e that is
+    (l^i T_i - l^(i-1) T_(i-1)) / n, and n must divide it.
+    """
+    ps = require_reduced(ps)
+    n = ps.n
+    step = ps.ell ** (i - 1)
+    sums = []
+    for k in range(1, phi_prime_power(ps.ell, i) // n + 1):
+        nums = powers[k].nums
+        total = ps.ell * step * sum(nums[:: ps.ell * step]) - step * sum(nums[::step])
+        p, rem = divmod(total, n * powers[k].den)
+        if rem:
+            raise AssertionFailure(
+                f"level-{i} power sum {total}/{powers[k].den} of f^{k} "
+                f"is not divisible by n = {n}",
+                witness={"level": i, "power": k},
+            )
+        sums.append(p)
+    return sums
 
 
 def omega_value(ps: ParameterSet, i: int, exponent: int = 1) -> CyclotomicNumber:
@@ -180,55 +237,47 @@ def omega_value(ps: ParameterSet, i: int, exponent: int = 1) -> CyclotomicNumber
     return total
 
 
-def omega_and_min_poly(ps: ParameterSet, i: int):
+def omega_and_min_poly(ps: ParameterSet, i: int, powers):
     """(omega_i, m_i) where m_i is the minimal polynomial of omega_i.
 
-    The orbit representatives of l-valuation exactly r - i, divided by
-    l^(r-i), are the minima of the cosets a<q> of (Z/l^i)^x in ascending
-    order, the first being 1.  m_i is the product over them of
-    (Y - sum_j zeta^(a q^j)); its coefficients must come out as plain
-    integers, which is asserted.
+    ``powers`` are f^0, ..., f^(D-1) (``trace_powers``).  Their level-i
+    power sums (``power_sums``) give the coefficients of m_i by Newton's
+    identities (``polynomials.from_power_sums``); they must be integers
+    and m_i must have degree phi(l^i)/n.  The certificate m_i(omega_i)
+    = 0 is one Horner pass at the trace element of Z[Z/l^i] and one
+    reduction of the result modulo Phi_{l^i}: the ring map
+    Z[Z/l^i] -> Z[zeta_{l^i}] sends that element to omega_i and has
+    kernel (Phi_{l^i}), so the reduction is exactly m_i(omega_i).
+    omega_i itself is built only after the certificate, for the report.
     """
     ps = require_reduced(ps)
     ell = ps.ell
-    step = ell ** (ps.r - i)
-    conj_sums = [
-        omega_value(ps, i, rep // step)
-        for rep in orbit_structure(ps).reps
-        if rep % step == 0 and (rep // step) % ell
-    ]
-    coeffs = from_roots(conj_sums)
-    rational_coeffs = []
+    coeffs = from_power_sums(power_sums(ps, i, powers))
     for c in coeffs:
-        if isinstance(c, CyclotomicNumber):
-            rc = c.as_rational()
-            if rc is None:
-                raise AssertionFailure(f"m_{i} coefficient not rational: {c!r}")
-        else:
-            rc = c
-        if rc.denominator != 1:
-            raise AssertionFailure(f"m_{i} coefficient not an integer: {rc}")
-        rational_coeffs.append(rc)
-    m_i = Poly(rational_coeffs)
+        if c.denominator != 1:
+            raise AssertionFailure(f"m_{i} coefficient not an integer: {c}", witness=i)
+    m_i = Poly(coeffs)
     if m_i.degree != phi_prime_power(ell, i) // ps.n:
         raise AssertionFailure(f"deg m_{i} = {m_i.degree} != phi(l^{i})/n", witness=i)
-    omega = conj_sums[0]
-    if not m_i(omega).is_zero():
+    if any(_reduce(ell, i, m_i(trace_element(ps, i)).nums)):
         raise AssertionFailure(f"m_{i}(omega_{i}) != 0", witness=i)
-    return omega, m_i
+    return omega_value(ps, i), m_i
 
 
-def min_polynomial(ps: ParameterSet):
-    """(m, factors) with m = (Y - n) * prod_{i=1}^r m_i.
+def min_polynomial(ps: ParameterSet, powers=None):
+    """(m, factors, omegas) with m = (Y - n) * prod_{i=1}^r m_i.
 
-    Asserts: integer coefficients, degree = number of orbits, and
-    m = (Y - n)^ceil(l^r / n) mod l.
+    ``powers`` are the ``trace_powers`` of ps, built here when not
+    given.  Asserts: integer coefficients, degree = number of orbits,
+    and m = (Y - n)^ceil(l^r / n) mod l.
     """
     ps = require_reduced(ps)
+    if powers is None:
+        powers = trace_powers(ps)
     factors = [Poly((-ps.n, 1))]
     omegas = []
     for i in range(1, ps.r + 1):
-        omega, m_i = omega_and_min_poly(ps, i)
+        omega, m_i = omega_and_min_poly(ps, i, powers)
         factors.append(m_i)
         omegas.append(omega)
     m = prod(factors, start=Poly((1,)))
@@ -327,12 +376,9 @@ def invariant_ring(ps: ParameterSet) -> InvariantRingData:
     """
     ps = require_reduced(ps)
     orbits = orbit_structure(ps)
-    f = trace_element(ps)
-    m, factors, omegas = min_polynomial(ps)
-    d = len(orbits.reps)
-    powers = [GroupRingElement.unit(orbits.modulus, 0, 1)]
-    for _ in range(d - 1):
-        powers.append(powers[-1] * f)
+    powers = trace_powers(ps)
+    f = powers[1]
+    m, factors, omegas = min_polynomial(ps, powers)
     for k, fk in enumerate(powers):
         if not is_invariant(fk, orbits):
             raise AssertionFailure(f"f^{k} is not q-invariant")

@@ -142,6 +142,8 @@ def from_roots(roots) -> list:
 
     Roots may live in any commutative Fraction-algebra; the returned
     coefficients live there too (the leading one stays the int 1).
+    The engine builds its minimal polynomials with ``from_power_sums``;
+    this product over the roots is kept as the tests' referee for it.
     """
     coeffs = [1]
     for t in roots:
@@ -150,3 +152,27 @@ def from_roots(roots) -> list:
             shifted[k] = shifted[k] - t * c
         coeffs = shifted
     return coeffs
+
+
+def from_power_sums(sums) -> list:
+    """Coefficients (low degree first) of the monic polynomial of degree
+    d = len(sums) whose roots have the power sums p_1, ..., p_d = sums.
+
+    Newton's identities k e_k = sum_{j=1}^k (-1)^(j-1) e_(k-j) p_j give
+    the elementary symmetric functions e_k, and the coefficient of Y^k
+    is (-1)^(d-k) e_(d-k).  Power sums may be ints or ``Fraction``s; a
+    coefficient comes back as an int exactly when it is an integer.
+
+    >>> from_power_sums([3, 5])  # roots 1 and 2
+    [2, -3, 1]
+    """
+    e = [1]
+    for k in range(1, len(sums) + 1):
+        acc = 0
+        for j in range(1, k + 1):
+            term = e[k - j] * sums[j - 1]
+            acc = acc + term if j % 2 else acc - term
+        ek = Fraction(acc, k)
+        e.append(ek.numerator if ek.denominator == 1 else ek)
+    d = len(sums)
+    return [e[d - k] if (d - k) % 2 == 0 else -e[d - k] for k in range(d + 1)]

@@ -6,6 +6,7 @@ unit 2, P5 unit -216 = -1080/5, and the reconstruction scalars
 degree-4 semisimple classes of GL_4(F_3)."""
 
 import hashlib
+import json
 import subprocess
 import sys
 from fractions import Fraction
@@ -449,6 +450,39 @@ def test_classes_ell_groups_the_census_at_17_3(capsys, monkeypatch):
     )
 
 
+def test_classes_centralizer_once_per_type_key_at_17_2(capsys, monkeypatch):
+    calls = []
+    plain = ClassType.centralizer_order
+
+    def counted(ct):
+        calls.append(ct.type_key)
+        return plain(ct)
+
+    monkeypatch.setattr(ClassType, "centralizer_order", counted)
+    monkeypatch.delenv("CUSPCENTER_CACHE", raising=False)
+    code = cli.main(["classes", "--q", "17", "--n", "2", "--out", "json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0
+    # GL_2 has four class types: central, non-central unipotent times a
+    # scalar, split semisimple and elliptic
+    assert sorted(calls) == sorted(set(calls)) and len(calls) == 4
+    rows = out["artifacts"]["classes"]
+    assert len(rows) == 288
+    assert sum(row["size"] for row in rows) == out["artifacts"]["group_order"]
+
+
+def test_classes_centralizer_not_dividing_the_order_raises(capsys, monkeypatch):
+    monkeypatch.setattr(ClassType, "centralizer_order", lambda ct: 7)
+    monkeypatch.delenv("CUSPCENTER_CACHE", raising=False)
+    code = cli.main(["classes", "--q", "3", "--n", "2", "--out", "json"])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 1
+    error = out["artifacts"]["error"]
+    assert error["type"] == "AssertionFailure"
+    assert error["message"].endswith("does not divide 48")
+    assert error["witness"] == repr(error["message"].split()[4])  # the label
+
+
 def test_s_membership_once_per_vector_at_17_3(monkeypatch):
     calls = []
 
@@ -508,6 +542,15 @@ PINNED_JSON = {
     "invariants-53-3": (
         "invariants --q 53 --ell 3",
         "a905980694c43e140b4568434de0781346c8871efc22bcbbc38475d295f1239a",
+    ),
+    # recorded while m_i was still the product over its conjugate sums
+    "invariants-2-73": (
+        "invariants --q 2 --ell 73",
+        "99c82c2ab175ab6198b6130780ad98cb087af30851ff0655ed90d8567abd0e70",
+    ),
+    "invariants-211-53": (
+        "invariants --q 211 --ell 53",
+        "8309a8ffdde93d15a18e58c0ed4f40bc58b9962944c250be0932462c12a9f579",
     ),
 }
 

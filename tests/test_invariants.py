@@ -15,11 +15,13 @@ from cuspcenter.invariants import (
     min_polynomial,
     omega_value,
     orbit_structure,
+    power_sums,
     pullback_mod_ell_check,
     trace_element,
+    trace_powers,
     uniformizer_check,
 )
-from cuspcenter.cyclotomic import ell_valuation
+from cuspcenter.cyclotomic import CyclotomicNumber, ell_valuation
 from cuspcenter.params import validate_parameters
 from cuspcenter.polynomials import Poly, from_roots
 
@@ -272,3 +274,94 @@ def test_omega_value_rejects_a_level_outside_1_to_r():
     for level in (0, ps.r + 1):
         with pytest.raises(ParameterError):
             omega_value(ps, level)
+
+
+def test_invariant_ring_builds_the_powers_of_f_once(monkeypatch):
+    calls = []
+    plain = invariants.trace_powers
+
+    def counted(ps):
+        calls.append(ps)
+        return plain(ps)
+
+    monkeypatch.setattr(invariants, "trace_powers", counted)
+    invariant_ring(validate_parameters(53, 3, 2))
+    assert len(calls) == 1
+
+
+def test_min_polynomial_runs_no_cyclotomic_product(monkeypatch):
+    # power sums and Newton's identities stay in the integers, and the
+    # certificate runs in the group ring
+    calls = []
+    plain = CyclotomicNumber.__mul__
+
+    def counted(a, b):
+        calls.append(1)
+        return plain(a, b)
+
+    monkeypatch.setattr(CyclotomicNumber, "__mul__", counted)
+    monkeypatch.setattr(CyclotomicNumber, "__rmul__", counted)
+    m, _, _ = min_polynomial(validate_parameters(2, 127, 7))
+    assert m.degree == 19
+    assert calls == []
+
+
+@pytest.mark.parametrize("q,ell,n", [(2, 7, 3), (8, 3, 2), (53, 3, 2), (2, 31, 5)])
+def test_power_sums_are_those_of_the_conjugate_sums(q, ell, n):
+    ps = validate_parameters(q, ell, n)
+    powers = trace_powers(ps)
+    for i in range(1, ps.r + 1):
+        _, sums = coset_walk(ps, i)
+        expected = [sum(s**k for s in sums) for k in range(1, len(sums) + 1)]
+        assert power_sums(ps, i, powers) == [x.as_rational() for x in expected]
+
+
+def _shift_index(sums):
+    return sums[1:] + [sums[0]]  # p_(k+1) in place of p_k
+
+
+def _shift_first(sums):
+    return [sums[0] + 1] + sums[1:]
+
+
+@pytest.mark.parametrize("shift", [_shift_index, _shift_first])
+@pytest.mark.parametrize("q,ell,n", [(2, 7, 3), (8, 3, 2), (2, 31, 5), (53, 3, 2)])
+def test_shifted_power_sums_raise(monkeypatch, shift, q, ell, n):
+    plain = invariants.power_sums
+    monkeypatch.setattr(invariants, "power_sums", lambda *a: shift(plain(*a)))
+    # at (8,3,2) and (53,3,2) level 1 has a single power sum, which the
+    # index shift leaves in place: level 2 is the first to fail there
+    failed = r"m_\d( coefficient not an integer|\(omega_\d\) != 0)"
+    with pytest.raises(AssertionFailure, match=failed):
+        min_polynomial(validate_parameters(q, ell, n))
+
+
+@pytest.mark.parametrize("k", [0, 1, -2])
+@pytest.mark.parametrize("q,ell,n", [(2, 7, 3), (8, 3, 2), (2, 31, 5)])
+def test_one_corrupted_coefficient_fails_the_certificate(monkeypatch, k, q, ell, n):
+    plain = invariants.from_power_sums
+
+    def corrupted(sums):
+        coeffs = plain(sums)
+        coeffs[k] += 1
+        return coeffs
+
+    monkeypatch.setattr(invariants, "from_power_sums", corrupted)
+    with pytest.raises(AssertionFailure, match=r"m_1\(omega_1\) != 0"):
+        min_polynomial(validate_parameters(q, ell, n))
+
+
+def test_a_power_sum_not_divisible_by_n_raises():
+    ps = validate_parameters(2, 7, 3)
+    powers = trace_powers(ps)
+    # one more X^1 in f^1 moves the level-1 sum by -1
+    powers[1] = powers[1] + GroupRingElement.unit(7, 1)
+    with pytest.raises(AssertionFailure, match="not divisible by n = 3"):
+        power_sums(ps, 1, powers)
+
+
+def test_a_non_integer_coefficient_raises(monkeypatch):
+    # p_1 = 1, p_2 = 0 give Y^2 - Y + 1/2
+    monkeypatch.setattr(invariants, "power_sums", lambda ps, i, powers: [1, 0])
+    with pytest.raises(AssertionFailure, match="not an integer: 1/2"):
+        min_polynomial(validate_parameters(4, 5, 2))

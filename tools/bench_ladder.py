@@ -8,8 +8,8 @@ fresh process per run, and record one column of a BENCH file.
 Each row runs `python -m cuspcenter COMMAND --q Q --ell L [--n N]
 [--d D] --out json` with `PYTHONPATH=SRC`: the median of 3 runs, or a
 single run when the first one takes over 30 s.  The command defaults to
-`deformation`; `deformation` and `endo-ring` have default ladders, the
-others need `--rows` (`classes` needs the n).  The column records the
+`deformation`; `deformation`, `endo-ring` and `invariants` have default
+ladders, `classes` needs `--rows` with the n.  The column records the
 wall times, their median, the exit code and the sha256 of stdout.  An
 existing OUT file is read and the column is added to it (replacing one
 of the same name), so two invocations against two source trees give a
@@ -35,6 +35,7 @@ SINGLE_RUN_OVER_S = 30.0
 DEFAULT_ROWS = {
     "deformation": ("2,3", "2,7", "3,5", "2,31", "3,7", "2,127"),
     "endo-ring": ("17,3,2", "7,5,4", "53,3,2", "101,17,2", "211,53,2"),
+    "invariants": ("2,31", "2,73", "2,127", "211,53", "997,499"),
 }
 COMMANDS = ("deformation", "endo-ring", "invariants", "classes")
 FLAGS = ("--q", "--ell", "--n", "--d")
