@@ -16,7 +16,8 @@ with m the minimal polynomial computed from the invariant ring.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
+from operator import mul
 from typing import NamedTuple
 
 from .arith import ord_frac
@@ -33,7 +34,7 @@ from .classes import (
     group_classes,
     theta_exponent,
 )
-from .cyclotomic import CyclotomicNumber, ell_valuation, is_ell_integral, phi_prime_power
+from .cyclotomic import CyclotomicNumber, is_ell_integral, phi_prime_power
 from .errors import AssertionFailure, IntegralityFailure, NoSolution
 from .finitefield import finite_field, minimal_polynomial, sylow_generator
 from .invariants import (
@@ -44,7 +45,7 @@ from .invariants import (
     pullback_mod_ell_check,
     uniformizer_check,
 )
-from .linalg import solve_columns
+from .linalg import clear_denominators, solve_columns
 from .params import ParameterSet, reduce_parameters, require_reduced, validate_parameters
 from .polynomials import Poly
 
@@ -114,8 +115,9 @@ def delta_class(ct: ClassType, ps: ParameterSet) -> BlockVector:
     """Delta vector of one class: |C| chi(C) / dim, slot by slot.
 
     Raises IntegralityFailure if any entry is not l-integral and
-    AssertionFailure if the entries fail to agree in the residue field;
-    both properties hold for every class of the group.
+    AssertionFailure if the entries fail to agree in the residue field
+    F_l, read at zeta = 1; both properties hold for every class of the
+    group.
 
     The vector depends on the class only through ``ct.type_key`` and
     ``theta_exponent(ct, ps)`` (size, centralizer order, primary and
@@ -137,10 +139,12 @@ def delta_class(ct: ClassType, ps: ParameterSet) -> BlockVector:
             raise IntegralityFailure(
                 f"delta entry at slot {slot} of {ct.label()} is not l-integral"
             )
+    # the entries are l-integral, and Z_(l)[zeta]/(zeta - 1) = F_l by
+    # zeta -> 1, so two entries agree there iff the numerators of their
+    # difference sum to 0 mod l
     e0 = vec.entry0
     for slot, e in zip(vec.reps[1:], vec.entries[1:]):
-        diff = e - e0
-        if not diff.is_zero() and ell_valuation(diff) < 1:
+        if sum((e - e0).nums) % ps.ell:
             raise AssertionFailure(
                 f"delta entries of {ct.label()} differ in the residue field",
                 witness={"slot": slot},
@@ -377,27 +381,31 @@ def reconstruct_gamma(
     }
 
 
-def _coordinates(vec: BlockVector, phi: int) -> list:
-    """Flatten a block vector to rationals, one per (slot, power-basis
-    coordinate)."""
-    out = []
+def _numerators(vec: BlockVector, phi: int) -> tuple[list[int], int]:
+    """(nums, den): the power-basis coordinates of a block vector, slot
+    by slot, as integer numerators over one denominator."""
+    den = lcm(*(e.den for e in vec.entries))
+    nums = []
     for e in vec.entries:
-        den = e.den
-        out += [Fraction(x, den) for x in e.nums]
-        out += [0] * (phi - len(e.nums))
-    return out
-
-
-def _coordinate_rows(vectors, phi):
-    """The matrix whose columns are the flattened ``vectors``."""
-    return [list(row) for row in zip(*(_coordinates(v, phi) for v in vectors))]
+        scale = den // e.den
+        nums += [x * scale for x in e.nums]
+        nums += [0] * (phi - len(e.nums))
+    return nums, den
 
 
 def express_all_in_gamma(vecs, gamma_pows, ps: ParameterSet) -> list:
     """For each vec the unique h with deg h < D and h(gamma) = vec, as an
-    l-integral polynomial, from one elimination of the gamma-power
-    system; NoSolution if any vec is outside Q[gamma],
+    l-integral polynomial; NoSolution if any vec is outside Q[gamma],
     IntegralityFailure if its coordinates exist but are not l-integral.
+    Every NoSolution is raised before any IntegralityFailure.
+
+    A is the integer matrix whose column k holds the coordinate
+    numerators of gamma^k (D * phi rows, D columns).  Each candidate
+    comes from the D x D normal equations (A^T A) y = A^T b, all
+    solved by one elimination; rank A^T A = rank A, so a singular A
+    still raises ValueError.  The candidate is then certified by the
+    integer identity A y_num = y_den b on all D * phi coordinates,
+    which says that h(gamma) equals the vector entry by entry.
 
     Equal vectors share one certificate, so each distinct vector is
     solved and checked once."""
@@ -406,20 +414,19 @@ def express_all_in_gamma(vecs, gamma_pows, ps: ParameterSet) -> list:
     distinct = list(column_of)
 
     phi = phi_prime_power(ps.ell, ps.r)
-    rows = _coordinate_rows(gamma_pows, phi)
-    sols = solve_columns(rows, [_coordinates(vec, phi) for vec in distinct])
+    cols, col_dens = zip(*(_numerators(pw, phi) for pw in gamma_pows))
+    gram = [[sum(map(mul, a, b)) for b in cols] for a in cols]
+    targets = [_numerators(vec, phi) for vec in distinct]
+    sols = solve_columns(gram, [[sum(map(mul, a, b)) for a in cols] for b, _ in targets])
+    rows = list(zip(*cols))
     out = []
-    for vec, sol in zip(distinct, sols):
-        h = Poly(sol)
-        if not h.is_ell_integral(ps.ell):
-            raise IntegralityFailure("gamma-certificate is not l-integral")
-        for s in range(len(vec.entries)):
-            acc = CyclotomicNumber.zero(ps.ell, ps.r)
-            for coeff, pw in zip(sol, gamma_pows):
-                acc = acc + pw.entries[s] * coeff
-            if not (acc - vec.entries[s]).is_zero():
-                raise AssertionFailure("gamma-certificate fails to reproduce the vector")
-        out.append(h)
+    for (b, den), sol in zip(targets, sols):
+        y_nums, y_den = clear_denominators(sol)
+        if any(sum(map(mul, row, y_nums)) != y_den * x for row, x in zip(rows, b)):
+            raise NoSolution("vector is not a polynomial in gamma")
+        out.append(Poly([Fraction(y * d, den) for y, d in zip(sol, col_dens)]))
+    if not all(h.is_ell_integral(ps.ell) for h in out):
+        raise IntegralityFailure("gamma-certificate is not l-integral")
     return [out[k] for k in columns]
 
 

@@ -26,9 +26,10 @@ Main outputs:
   * omega_and_min_poly  - zeta-trace at level i and its minimal poly m_i
   * min_polynomial      - m = (Y - n) * prod_i m_i, degree = #orbits
   * invariant_ring      - change of basis between orbit sums and powers
-                          of f, invertible with l-integral inverse; column
-                          j of the inverse holds the h with h(f) = the
-                          orbit sum of X^(reps[j])
+                          of f, certified invertible with l-integral
+                          inverse by its rank mod l; column j of the
+                          inverse holds the h with h(f) = the orbit sum
+                          of X^(reps[j])
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from math import comb, prod
 from typing import NamedTuple
 
 from . import linalg
-from .arith import ord_frac
 from .cyclotomic import (
     CyclotomicNumber,
     ExactVector,
@@ -359,8 +359,7 @@ class InvariantRingData(NamedTuple):
     m: Poly
     m_factors: tuple[Poly, ...]
     omegas: tuple[CyclotomicNumber, ...]
-    basis_matrix: tuple[tuple[Fraction, ...], ...]
-    basis_matrix_inv: tuple[tuple[Fraction, ...], ...]
+    basis_matrix: tuple[tuple[int, ...], ...]
 
     @property
     def dimension(self) -> int:
@@ -370,9 +369,12 @@ class InvariantRingData(NamedTuple):
 def invariant_ring(ps: ParameterSet) -> InvariantRingData:
     """Change-of-basis data between {orbit sums} and {1, f, ..., f^(D-1)}.
 
-    M[j][k] = coefficient of X^(rep_j) in f^k.  Asserts that every f^k
-    is q-invariant, that M is invertible over Q, and that M^(-1) is
-    l-integral; also that m(f) = 0 in the group ring.
+    M[j][k] = coefficient of X^(rep_j) in f^k, an integer.  Asserts that
+    every f^k is q-invariant, that M lies in GL_D(Z_(l)) and that
+    m(f) = 0 in the group ring.  M is integral, so M^(-1) exists and is
+    l-integral iff det M is prime to l, iff M has full rank modulo l:
+    one elimination over F_l, and M^(-1) is never built.  Column j of
+    M^(-1) holds the h with h(f) = the orbit sum of X^(reps[j]).
     """
     ps = require_reduced(ps)
     orbits = orbit_structure(ps)
@@ -382,16 +384,13 @@ def invariant_ring(ps: ParameterSet) -> InvariantRingData:
     for k, fk in enumerate(powers):
         if not is_invariant(fk, orbits):
             raise AssertionFailure(f"f^{k} is not q-invariant")
-    # column k of the matrix is f^k, read off its numerators once
-    columns = [[Fraction(fk.nums[rep], fk.den) for rep in orbits.reps] for fk in powers]
-    rows = list(zip(*columns))
-    inverse = linalg.invert([list(r) for r in rows])
-    for row in inverse:
-        for entry in row:
-            if entry and ord_frac(entry, ps.ell) < 0:
-                raise IntegralityFailure(
-                    f"basis-change inverse entry {entry} is not l-integral"
-                )
+        if fk.den != 1:
+            raise AssertionFailure(f"f^{k} has non-integer coefficients")
+    rows = tuple(tuple(fk.nums[rep] for fk in powers) for rep in orbits.reps)
+    if linalg.rank_mod(rows, ps.ell) < len(rows):
+        raise IntegralityFailure(
+            "basis matrix is singular mod l: its inverse is not l-integral"
+        )
     if not m(f).is_zero():
         raise AssertionFailure("m(f) != 0 in the group ring")
     return InvariantRingData(
@@ -401,7 +400,5 @@ def invariant_ring(ps: ParameterSet) -> InvariantRingData:
         m=m,
         m_factors=tuple(factors),
         omegas=tuple(omegas),
-        basis_matrix=tuple(tuple(r) for r in rows),
-        basis_matrix_inv=tuple(tuple(r) for r in inverse),
+        basis_matrix=rows,
     )
-

@@ -4,11 +4,13 @@
 integers, eliminates by integer cross-multiplication, divides each row
 by its content, and turns the pivot rows back into ``Fraction``s only
 at the end.  ``solve_columns`` solves A x = b for several right-hand
-sides with a single reduction of [A | b_1 ... b_k]; ``solve_unique`` is
-its one-column case, and ``invert`` reduces [A | I] the same way; all
-three return ``Fraction``s.  No command calls ``determinant`` (over
-``Fraction``) or ``solve_unique``: the tests use the first as the
-referee for the cyclotomic norm, and perfbench times both.
+sides with a single reduction of [A | b_1 ... b_k], and
+``solve_unique`` is its one-column case; both return ``Fraction``s.
+``rank_mod`` is the rank of an integer matrix over F_p, so
+``rank_mod(M, l) == len(M)`` certifies M in GL_D(Z_(l)) without
+building M^(-1).  No command calls ``determinant`` (over ``Fraction``)
+or ``solve_unique``: the tests use the first as the referee for the
+cyclotomic norm, and perfbench times both.
 """
 
 from __future__ import annotations
@@ -103,13 +105,25 @@ def solve_unique(rows, rhs) -> list[Fraction]:
     return solve_columns(rows, [rhs])[0]
 
 
-def invert(rows) -> list[list[Fraction]]:
-    n = len(rows)
-    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
-    pivots = _echelon(aug, n)
-    if len(pivots) < n:
-        raise NoSolution("matrix is singular")
-    return [r[n:] for r in aug]
+def rank_mod(rows, p: int) -> int:
+    """Rank over F_p (p prime) of an integer matrix, by one forward
+    elimination of its entries reduced mod p."""
+    rows = [[x % p for x in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        inv = pow(top[col], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                c = f * inv % p
+                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
 
 
 def determinant(rows) -> Fraction:

@@ -2,7 +2,8 @@ from itertools import permutations
 
 import pytest
 
-from cuspcenter import validate_parameters, verify_endo_ring
+from cuspcenter import linalg, validate_parameters, verify_endo_ring
+from cuspcenter.errors import NoSolution
 from cuspcenter.gl2table import gl2_character_table
 
 # the test matrix: every reduced case plus the one unreduced alias
@@ -62,3 +63,15 @@ def leibniz_charpoly(a, zero, one) -> list:
         for k, c in enumerate(prod):
             total[k] = total[k] - c if inversions % 2 else total[k] + c
     return total
+
+
+def invert(rows) -> list:
+    """The inverse of a square matrix as ``Fraction``s, by one reduction
+    of [A | I] with the engine's ``linalg._echelon``; NoSolution if A is
+    singular.  ``invariant_ring`` certifies its basis matrix by its rank
+    mod l instead, and the tests use this inverse as the referee."""
+    n = len(rows)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    if len(linalg._echelon(aug, n)) < n:
+        raise NoSolution("matrix is singular")
+    return [r[n:] for r in aug]

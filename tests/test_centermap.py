@@ -37,11 +37,14 @@ from cuspcenter.centermap import (
     s_membership,
     theta_orbit_vector,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from cuspcenter import centermap, cli, linalg
-from cuspcenter.classes import ClassType, class_predicates, theta_exponent
-from cuspcenter.cyclotomic import CyclotomicNumber, zeta
+from cuspcenter.classes import ClassType, class_predicates, enumerate_classes, theta_exponent
+from cuspcenter.cyclotomic import CyclotomicNumber, phi_prime_power, zeta
 from cuspcenter.errors import AssertionFailure, IntegralityFailure, NoSolution
-from cuspcenter.finitefield import FqPoly
+from cuspcenter.finitefield import FqPoly, finite_field
 from cuspcenter.invariants import invariant_ring
 from cuspcenter.params import validate_parameters
 from cuspcenter.polynomials import Poly
@@ -312,6 +315,113 @@ def test_express_all_in_gamma_eliminates_once(endo_results, monkeypatch):
     assert len(calls) == 1
 
 
+def _coordinates(vec, phi):
+    """A block vector flattened to rationals, one per (slot, power-basis
+    coordinate)."""
+    out = []
+    for e in vec.entries:
+        out += [Fraction(x, e.den) for x in e.nums]
+        out += [0] * (phi - len(e.nums))
+    return out
+
+
+def ref_express_all_in_gamma(vecs, gamma_pows, ps):
+    """Referee for ``express_all_in_gamma``: the path it replaced.  One
+    elimination of the full D * phi-row gamma-power system, then each
+    certificate re-checked slot by slot in cyclotomic arithmetic."""
+    column_of = {}
+    columns = [column_of.setdefault(vec, len(column_of)) for vec in vecs]
+    distinct = list(column_of)
+    phi = phi_prime_power(ps.ell, ps.r)
+    rows = [list(row) for row in zip(*(_coordinates(v, phi) for v in gamma_pows))]
+    sols = linalg.solve_columns(rows, [_coordinates(vec, phi) for vec in distinct])
+    out = []
+    for vec, sol in zip(distinct, sols):
+        h = Poly(sol)
+        if not h.is_ell_integral(ps.ell):
+            raise IntegralityFailure("gamma-certificate is not l-integral")
+        for s in range(len(vec.entries)):
+            acc = CyclotomicNumber.zero(ps.ell, ps.r)
+            for coeff, pw in zip(sol, gamma_pows):
+                acc = acc + pw.entries[s] * coeff
+            if not (acc - vec.entries[s]).is_zero():
+                raise AssertionFailure("gamma-certificate fails to reproduce the vector")
+        out.append(h)
+    return [out[k] for k in columns]
+
+
+def express_outcome(express, vecs, pows, ps):
+    try:
+        return express(vecs, pows, ps)
+    except (NoSolution, IntegralityFailure, AssertionFailure, ValueError) as exc:
+        return type(exc)
+
+
+@pytest.fixture(scope="module")
+def endo_2_31():
+    return verify_endo_ring(2, 31, 5)
+
+
+def test_express_all_matches_full_system_referee(endo_results, endo_2_31, endo_17_3):
+    for res in [*endo_results.values(), endo_2_31, endo_17_3]:
+        pows = gamma_power_basis(res.gamma, res.ring.dimension)
+        vecs = list(res.deltas.values())
+        got = express_all_in_gamma(vecs, pows, res.params)
+        assert got == ref_express_all_in_gamma(vecs, pows, res.params)
+        assert got == list(res.certificates.values())
+
+
+def perturbed(data, res):
+    """The distinct delta vectors of ``res`` with some of them moved:
+    off Q[gamma] (a zeta or a rational on one cuspidal slot), or scaled
+    by 1/l, or shifted on the Steinberg slot by a multiple of l^r (still
+    an l-integral polynomial in gamma) or of l^(r-1)."""
+    ps = res.params
+    vecs = list(dict.fromkeys(res.deltas.values()))
+    for _ in range(data.draw(st.integers(0, 3))):
+        k = data.draw(st.integers(0, len(vecs) - 1))
+        vec = vecs[k]
+        kind = data.draw(st.sampled_from(["zeta", "rational", "scale", "steinberg"]))
+        entries = list(vec.entries)
+        if kind == "scale":
+            vecs[k] = vec.scale(Fraction(1, ps.ell))
+            continue
+        if kind == "steinberg":
+            s = 0
+            shift = data.draw(st.integers(1, 9)) * ps.ell ** data.draw(st.integers(ps.r - 1, ps.r))
+        else:
+            s = data.draw(st.integers(1, len(entries) - 1))
+            c = data.draw(st.integers(1, 9))
+            shift = c * zeta(ps.ell, ps.r, data.draw(st.integers(1, 5))) if kind == "zeta" else c
+        entries[s] = entries[s] + shift
+        vecs[k] = BlockVector(ps.ell, ps.r, vec.reps, entries)
+    return vecs
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_express_all_matches_referee_on_perturbed_batches(endo_results, data):
+    res = endo_results[data.draw(st.sampled_from(sorted(endo_results)))]
+    pows = gamma_power_basis(res.gamma, res.ring.dimension)
+    vecs = perturbed(data, res)
+    got = express_outcome(express_all_in_gamma, vecs, pows, res.params)
+    assert got == express_outcome(ref_express_all_in_gamma, vecs, pows, res.params)
+    assert got is not AssertionFailure
+
+
+def test_no_solution_wins_over_integrality_failure():
+    ps = validate_parameters(2, 7, 3)
+    gamma = gamma_vector(ps)
+    pows = gamma_power_basis(gamma, 3)
+    reps = block_slots(ps)
+    outside = BlockVector(7, 1, reps, [0, zeta(7, 1), 0])
+    fractional = gamma.scale(Fraction(1, 7))
+    for batch in ([fractional, outside], [outside, fractional], [gamma, fractional, outside]):
+        for express in (express_all_in_gamma, ref_express_all_in_gamma):
+            with pytest.raises(NoSolution):
+                express(batch, pows, ps)
+
+
 def test_certificates_reproduce_deltas(endo_results):
     for res in endo_results.values():
         gamma = res.gamma
@@ -349,6 +459,31 @@ def assert_matches_per_class(res):
 def test_delta_class_standalone_matches_pipeline(endo_results):
     for res in endo_results.values():
         assert_matches_per_class(res)
+
+
+@pytest.mark.parametrize(
+    "shift,error", [(1, AssertionFailure), (7, None), (Fraction(1, 7), IntegralityFailure)]
+)
+def test_delta_class_residue_and_integrality_checks(monkeypatch, shift, error):
+    # shift the delta entry of the first cuspidal slot by ``shift``: a
+    # unit moves it in the residue field, a multiple of l does not
+    ps = validate_parameters(2, 7, 3)
+    ct = next(ct for ct in enumerate_classes(finite_field(2), 3) if ct.class_size() > 1)
+    size, dim = ct.class_size(), centermap.cuspidal_dimension(ps)
+    value = centermap.cuspidal_value
+    first = block_slots(ps)[1]
+
+    def shifted(i, c, p):
+        v = value(i, c, p)
+        return v + shift * Fraction(dim, size) if i == first else v
+
+    expected = delta_class(ct, ps)
+    monkeypatch.setattr(centermap, "cuspidal_value", shifted)
+    if error is None:
+        assert delta_class(ct, ps).entries[1] == expected.entries[1] + shift
+    else:
+        with pytest.raises(error):
+            delta_class(ct, ps)
 
 
 @pytest.fixture(scope="module")
@@ -503,9 +638,19 @@ def test_s_membership_once_per_vector_at_17_3(monkeypatch):
 # recorded before per-type records, the deformation and invariants pins
 # before Poly and Fr moved onto integer numerators, the (3,7,6) and
 # (2,31,5) deformation pins with the Leibniz charpoly and per-point
-# commutation products, and the (53,3,2) invariants pin with the coset
-# walk that built each m_i before it read the orbit representatives.
+# commutation products, the (53,3,2) invariants pin with the coset
+# walk that built each m_i before it read the orbit representatives,
+# and the (2,31,5) and (2,127,7) endo-ring pins with the full-system
+# gamma solve and the valuation-based residue test.
 PINNED_JSON = {
+    "2-31": (
+        "endo-ring --q 2 --ell 31",
+        "6a4f7dc6e243746322eaf8128eeb3cc8f0b1cb6d5a3b8c38a13177dc74aca435",
+    ),
+    "2-127": (
+        "endo-ring --q 2 --ell 127",
+        "6f3d2122a6326f1210557b2740851080ef6a973c9a04970c4ae7bb355842aae4",
+    ),
     "17-3": (
         "endo-ring --q 17 --ell 3",
         "2d87d4d376e6ff2f89db2ab3a8498e5643278307eb56dcad60a7c0f2559a190c",

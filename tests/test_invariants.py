@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from cuspcenter import invariants
-from cuspcenter.errors import AssertionFailure, ParameterError
+from conftest import invert
+
+from cuspcenter import invariants, linalg
+from cuspcenter.arith import ord_frac
+from cuspcenter.errors import AssertionFailure, IntegralityFailure, ParameterError
 from cuspcenter.invariants import (
     GroupRingElement,
     invariant_ring,
@@ -185,16 +188,35 @@ def test_invariant_ring_basis(label):
     data = invariant_ring(ps)
     d = data.dimension
     assert d == len(reps) == data.m.degree
-    # basis matrix times inverse is the identity
+    # basis matrix times inverse is the identity, and the inverse is
+    # l-integral, as its rank mod l certifies
+    inverse = invert(data.basis_matrix)
     for i in range(d):
         for j in range(d):
-            acc = sum(
-                data.basis_matrix[i][k] * data.basis_matrix_inv[k][j] for k in range(d)
-            )
+            acc = sum(data.basis_matrix[i][k] * inverse[k][j] for k in range(d))
             assert acc == Fraction(int(i == j))
+            assert inverse[i][j] == 0 or ord_frac(inverse[i][j], ell) >= 0
     # m(f) = 0 holds (invariant_ring itself asserts it; re-check here)
     mf = data.m(data.f)
     assert (mf * 1).is_zero()
+
+
+@pytest.mark.parametrize("q,ell,n", [(2, 31, 5), (17, 3, 2), (53, 3, 2), (2, 73, 9)])
+def test_basis_matrix_rank_mod_ell_matches_inverse(q, ell, n):
+    # the rank certificate against its referee, the inverse over Q built
+    # explicitly, beyond the frozen cases
+    data = invariant_ring(validate_parameters(q, ell, n))
+    rows = data.basis_matrix
+    assert all(type(x) is int for row in rows for x in row)
+    assert linalg.rank_mod(rows, ell) == data.dimension
+    for row in invert(rows):
+        assert all(x == 0 or ord_frac(x, ell) >= 0 for x in row)
+
+
+def test_invariant_ring_rejects_a_basis_matrix_singular_mod_ell(monkeypatch):
+    monkeypatch.setattr(linalg, "rank_mod", lambda rows, p: len(rows) - 1)
+    with pytest.raises(IntegralityFailure):
+        invariant_ring(validate_parameters(2, 7, 3))
 
 
 def orbit_sum(orbits, rep):
@@ -206,10 +228,10 @@ def orbit_sum(orbits, rep):
 
 
 def orbit_certificate(data, rep):
-    """h with h(f) = the orbit sum of X^rep: the column of
-    ``basis_matrix_inv`` that belongs to ``rep``."""
+    """h with h(f) = the orbit sum of X^rep: the column of the inverse
+    basis matrix that belongs to ``rep``."""
     j = data.orbits.reps.index(rep)
-    return Poly([row[j] for row in data.basis_matrix_inv])
+    return Poly([row[j] for row in invert(data.basis_matrix)])
 
 
 def test_express_orbit_sum_p1():

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import leibniz_charpoly
+from conftest import invert, leibniz_charpoly
 
 from cuspcenter import linalg
 from cuspcenter.arith import ord_frac
@@ -83,6 +83,27 @@ def test_pi_adic_valuation_matches_norm(ell, level, data):
             ell_valuation(x)
     else:
         assert ell_valuation(x) == ord_frac(RefCyclotomic(ell, level, x.coeffs).norm(), ell)
+
+
+@pytest.mark.parametrize("ell,level", LEVELS)
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_residue_test_matches_valuation(ell, level, data):
+    # centermap.delta_class compares l-integral entries in the residue
+    # field Z_(l)[zeta]/(zeta - 1) = F_l through the sum of numerators
+    phi = phi_prime_power(ell, level)
+    nums = data.draw(st.lists(st.integers(-40, 40), min_size=phi, max_size=phi))
+    if data.draw(st.booleans()):
+        nums[0] -= sum(nums)  # residue 0, so valuation >= 1
+    if data.draw(st.booleans()):
+        nums = [ell * x for x in nums]
+    den = data.draw(st.integers(1, 30).filter(lambda d: d % ell))
+    x = CyclotomicNumber(ell, level, [Fraction(c, den) for c in nums])
+    if data.draw(st.integers(0, 4)) == 0:
+        x = CyclotomicNumber.rational(ell, Fraction(nums[0], den)).embed_to(level)
+    assert is_ell_integral(x)
+    if not x.is_zero():
+        assert (sum(x.nums) % ell == 0) == (ell_valuation(x) >= 1)
 
 
 @pytest.mark.parametrize("ell,level", LEVELS)
@@ -595,7 +616,7 @@ def test_invert_matches_fraction_referee(data):
     rows = matrix(data, n, n)
     if data.draw(st.integers(0, 3)) == 0 and n > 1:
         rows[-1] = [3 * x for x in rows[0]]  # singular
-    got = solve_outcome(linalg.invert, rows)
+    got = solve_outcome(invert, rows)
     assert got == solve_outcome(ref_invert, rows)
 
 
@@ -607,8 +628,29 @@ def test_elimination_outcomes():
     with pytest.raises(NoSolution):
         linalg.solve_unique([[1, 2], [2, 4]], [1, 3])
     with pytest.raises(NoSolution):
-        linalg.invert([[Fraction(1, 2), 1], [1, 2]])
-    assert linalg.invert([[Fraction(1, 2), 1], [1, 3]]) == [[6, -2], [-2, 1]]
+        invert([[Fraction(1, 2), 1], [1, 2]])
+    assert invert([[Fraction(1, 2), 1], [1, 3]]) == [[6, -2], [-2, 1]]
+
+
+@KERNEL
+@given(data=st.data())
+def test_rank_mod_matches_determinant(data):
+    # full rank mod p iff p does not divide the determinant
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    n = data.draw(st.integers(1, 5))
+    rows = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    if data.draw(st.integers(0, 3)) == 0 and n > 1:
+        rows[-1] = [x + p * y for x, y in zip(rows[0], rows[-1])]  # singular mod p
+    det = linalg.determinant(rows)
+    assert (linalg.rank_mod(rows, p) == n) == (det % p != 0)
+
+
+def test_rank_mod_outcomes():
+    assert linalg.rank_mod([[1, 2], [3, 4]], 2) == 1
+    assert linalg.rank_mod([[1, 2], [3, 4]], 3) == 2
+    assert linalg.rank_mod([[0, 5], [5, 0], [1, 1]], 5) == 1
+    assert linalg.rank_mod([], 3) == 0
 
 
 # -- polynomials ---------------------------------------------------------------------
