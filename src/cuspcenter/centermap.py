@@ -40,8 +40,8 @@ from .finitefield import finite_field, minimal_polynomial, sylow_generator
 from .invariants import (
     InvariantRingData,
     invariant_ring,
-    omega_value,
     orbit_structure,
+    orbit_sums,
     pullback_mod_ell_check,
     uniformizer_check,
 )
@@ -128,11 +128,8 @@ def delta_class(ct: ClassType, ps: ParameterSet) -> BlockVector:
     reps = block_slots(ps)
     size = ct.class_size()
     st = Fraction(size * steinberg_value(ct, ps), steinberg_dimension(ps))
-    entries = [CyclotomicNumber.rational(ps.ell, st)]
-    dim = cuspidal_dimension(ps)
-    for i in reps[1:]:
-        val = cuspidal_value(i, ct, ps)
-        entries.append(val * Fraction(size, dim))
+    scale = Fraction(size, cuspidal_dimension(ps))
+    entries = [st] + [cuspidal_value(i, ct, ps) * scale for i in reps[1:]]
     vec = BlockVector(ps.ell, ps.r, reps, entries)
     for slot, e in zip(vec.reps, vec.entries):
         if not is_ell_integral(e):
@@ -312,8 +309,8 @@ def theta_orbit_vector(ps: ParameterSet, j: int) -> BlockVector:
     slot 0 is n, slot i is sum_k zeta^(i j q^k)."""
     ps = require_reduced(ps)
     reps = block_slots(ps)
-    entries = [CyclotomicNumber.rational(ps.ell, ps.n)]
-    entries += [omega_value(ps, ps.r, i * j) for i in reps[1:]]
+    sums = orbit_sums(ps)
+    entries = [ps.n] + [sums[i * j % ps.ell_power] for i in reps[1:]]
     return BlockVector(ps.ell, ps.r, reps, entries)
 
 
@@ -448,30 +445,32 @@ def gamma_power_basis(gamma: BlockVector, count: int):
     return powers
 
 
-def evaluate_poly_vector(h: Poly, gamma: BlockVector) -> BlockVector:
-    return BlockVector(
-        gamma.ell, gamma.r, gamma.reps, [h(e) for e in gamma.entries]
-    )
-
-
-def _checked_factors(ring: InvariantRingData) -> tuple[Poly, ...]:
-    """The listed factors of m, after checking that they multiply to m
-    and that the first is Y - n."""
+def factor_values(ring: InvariantRingData, gamma: BlockVector) -> tuple[tuple, ...]:
+    """values[k][s] is the k-th listed factor of m at slot s of gamma;
+    the factors must multiply to m, with Y - n first.  Q(zeta) is a
+    field, so a product of factors vanishes at a slot iff one of them
+    does: this table's zero pattern says where m, m/factor and g do."""
     factors = ring.m_factors
     if prod(factors, start=Poly((1,))) != ring.m:
         raise AssertionFailure("the listed factors of m do not multiply to m")
     if factors[0] != Poly((-ring.ps.n, 1)):
         raise AssertionFailure(f"first factor of m is {factors[0]!r}, not Y - n")
-    return factors
+    return tuple(tuple(h(e) for e in gamma.entries) for h in factors)
 
 
-def minimality_certificate(ring: InvariantRingData, gamma: BlockVector) -> dict:
+def _zero_slots(rows) -> list[bool]:
+    """Per slot, whether the product of these ``factor_values`` rows
+    vanishes there."""
+    return [any(e.is_zero() for e in col) for col in zip(*rows)]
+
+
+def minimality_certificate(ring: InvariantRingData, gamma: BlockVector, values: tuple) -> dict:
     """Proof that m is THE minimal polynomial of gamma acting on the
     block: the D slot values are pairwise distinct (so any annihilating
     polynomial has degree >= D), deg m = D, and m(gamma) = 0.  As a
     cross-check, dropping any single irreducible factor of m, that is
     taking the product of the others, leaves a polynomial that no longer
-    kills gamma."""
+    kills gamma.  Both are read off the zero pattern of ``values``."""
     d = ring.dimension
     if ring.m.degree != d:
         raise AssertionFailure(f"deg m = {ring.m.degree} but there are {d} slots")
@@ -481,15 +480,11 @@ def minimality_certificate(ring: InvariantRingData, gamma: BlockVector) -> dict:
                 raise AssertionFailure(
                     f"gamma slots {gamma.reps[a]} and {gamma.reps[b]} coincide"
                 )
-    mg = evaluate_poly_vector(ring.m, gamma)
-    if any(not e.is_zero() for e in mg.entries):
+    if not all(_zero_slots(values)):
         raise AssertionFailure("m(gamma) != 0")
-    factors = _checked_factors(ring)
     dropped = []
-    for k, factor in enumerate(factors):
-        others = prod(factors[:k] + factors[k + 1 :], start=Poly((1,)))
-        vals = evaluate_poly_vector(others, gamma)
-        if all(e.is_zero() for e in vals.entries):
+    for k, factor in enumerate(ring.m_factors):
+        if all(_zero_slots(values[:k] + values[k + 1 :])):
             raise AssertionFailure(
                 f"m/{factor!r} still annihilates gamma — m is not minimal"
             )
@@ -497,23 +492,24 @@ def minimality_certificate(ring: InvariantRingData, gamma: BlockVector) -> dict:
     return {"degree": d, "distinct_slots": True, "proper_divisors_checked": dropped}
 
 
-def g_of_gamma_check(ring: InvariantRingData, gamma: BlockVector) -> dict:
+def g_of_gamma_check(ring: InvariantRingData, values: tuple) -> dict:
     """g = m / (Y - n), the product of the factors after Y - n, must
     vanish on every cuspidal slot while its Steinberg value g(n) has
-    l-valuation exactly r."""
+    l-valuation exactly r, read off ``values``: the zero pattern of its
+    rows after the first, and the product of their slot-0 entries."""
     ps = ring.ps
-    g = prod(_checked_factors(ring)[1:], start=Poly((1,)))
-    vals = evaluate_poly_vector(g, gamma)
-    for slot, e in zip(vals.reps[1:], vals.entries[1:]):
-        if not e.is_zero():
+    rows = values[1:]
+    for slot, zero in zip(ring.orbits.reps[1:], _zero_slots(rows)[1:]):
+        if not zero:
             raise AssertionFailure(f"g(gamma) nonzero at cuspidal slot {slot}")
-    g_n = vals.entry0.as_rational()
+    g_n = prod(row[0] for row in rows).as_rational()
     if g_n is None or g_n == 0:
         raise AssertionFailure("g(n) must be a nonzero rational")
     if ord_frac(g_n, ps.ell) != ps.r:
         raise AssertionFailure(
             f"ord_l g(n) = {ord_frac(g_n, ps.ell)}, expected r = {ps.r}"
         )
+    g = prod(ring.m_factors[1:], start=Poly((1,)))
     return {"g": repr(g), "g_at_n": g_n, "valuation": ps.r}
 
 
@@ -577,7 +573,8 @@ def verify_endo_ring(
     checks.append("scaled idempotent reconstructed from the witness class")
 
     gamma = gamma_vector(ps)
-    minimality = minimality_certificate(ring, gamma)
+    values = factor_values(ring, gamma)
+    minimality = minimality_certificate(ring, gamma, values)
     checks.append("gamma: minimal polynomial certified")
 
     big = finite_field(ps.q**ps.n)
@@ -616,7 +613,7 @@ def verify_endo_ring(
     certificates = {label: certs[k] for label, k in zip(labels, key_of)}
     checks.append("closure: every delta vector is an l-integral polynomial in gamma")
 
-    g_report = g_of_gamma_check(ring, gamma)
+    g_report = g_of_gamma_check(ring, values)
     checks.append("g = m/(Y - n): vanishes on cuspidal slots, ord g(n) = r")
 
     return EndoRingResult(

@@ -10,7 +10,8 @@ Conventions for a class type with factor list ((P_1, lam_1), ...):
 * cuspidal lifts vanish unless the type is primary (single P);
 * on a primary type with deg P = a and x = len(lam) parts the value is
   (-1)^(n-x) * prod_{k=1}^{x-1} (q^{ka} - 1) * sum_{k<a} theta^(i q^k)(t)
-  with t a root of P;
+  with t a root of P; for a = n the sum is the orbit sum of i times
+  the class's theta exponent, read from ``invariants.orbit_sums``;
 * the Steinberg lift vanishes on non-semisimple types and on semisimple
   ones contributes the p-part of the centralizer order with the sign
   (-1)^(n - number of blocks).
@@ -18,17 +19,16 @@ Conventions for a class type with factor list ((P_1, lam_1), ...):
 
 from __future__ import annotations
 
+from math import prod
+
 from .classes import ClassType, theta_exponent
 from .cyclotomic import CyclotomicNumber
-from .invariants import omega_value
+from .invariants import orbit_sums
 from .params import ParameterSet, require_reduced
 
 
 def cuspidal_dimension(ps: ParameterSet) -> int:
-    dim = 1
-    for k in range(1, ps.n):
-        dim *= ps.q**k - 1
-    return dim
+    return prod(ps.q**k - 1 for k in range(1, ps.n))
 
 
 def steinberg_dimension(ps: ParameterSet) -> int:
@@ -44,13 +44,9 @@ def cuspidal_value(i: int, ct: ClassType, ps: ParameterSet) -> CyclotomicNumber:
     poly, lam = ct.factors[0]
     a = poly.degree
     x = len(lam)
-    scalar = 1
-    for k in range(1, x):
-        scalar *= ps.q ** (k * a) - 1
-    if (ps.n - x) % 2:
-        scalar = -scalar
+    scalar = (-1) ** (ps.n - x) * prod(ps.q ** (k * a) - 1 for k in range(1, x))
     if a == ps.n:
-        theta_sum = omega_value(ps, ps.r, i * theta_exponent(ct, ps))
+        theta_sum = orbit_sums(ps)[i * theta_exponent(ct, ps) % ps.ell_power]
     else:
         # roots of smaller degree are l-regular here, so every theta
         # factor is 1 and the orbit sum collapses to its length

@@ -23,6 +23,7 @@ Main outputs:
   * trace_element       - f = X + X^q + ... + X^(q^(n-1))
   * trace_powers        - f^0, ..., f^(D-1), D = #orbits, built once
   * power_sums          - power sums of the conjugates of omega_i
+  * orbit_sums          - sum_k zeta^(e q^k) for every e, once per orbit
   * omega_and_min_poly  - zeta-trace at level i and its minimal poly m_i
   * min_polynomial      - m = (Y - n) * prod_i m_i, degree = #orbits
   * invariant_ring      - change of basis between orbit sums and powers
@@ -235,6 +236,19 @@ def omega_value(ps: ParameterSet, i: int, exponent: int = 1) -> CyclotomicNumber
     for k in range(ps.n):
         total = total + zeta(ps.ell, i, exponent * pow(ps.q, k, m))
     return total
+
+
+@lru_cache(maxsize=None)
+def orbit_sums(ps: ParameterSet) -> tuple[CyclotomicNumber, ...]:
+    """sums[e] = omega_value(ps, r, e) for every e in Z/l^r, one call
+    per q-orbit.  Memoised: every slot value of Y is read from here."""
+    orbits = orbit_structure(ps)
+    sums = [None] * orbits.modulus
+    for orbit in orbits.orbits:
+        value = omega_value(ps, ps.r, orbit[0])
+        for e in orbit:
+            sums[e] = value
+    return tuple(sums)
 
 
 def omega_and_min_poly(ps: ParameterSet, i: int, powers):

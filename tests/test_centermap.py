@@ -27,6 +27,7 @@ from cuspcenter.centermap import (
     verify_endo_ring,
     express_all_in_gamma,
     express_in_gamma,
+    factor_values,
     g_of_gamma_check,
     gamma_power_basis,
     gamma_vector,
@@ -40,13 +41,13 @@ from cuspcenter.centermap import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspcenter import centermap, cli, linalg
+from cuspcenter import centermap, cli, invariants, linalg
 from cuspcenter.classes import ClassType, class_predicates, enumerate_classes, theta_exponent
 from cuspcenter.cyclotomic import CyclotomicNumber, phi_prime_power, zeta
 from cuspcenter.errors import AssertionFailure, IntegralityFailure, NoSolution
 from cuspcenter.finitefield import FqPoly, finite_field
-from cuspcenter.invariants import invariant_ring
-from cuspcenter.params import validate_parameters
+from cuspcenter.invariants import invariant_ring, omega_value
+from cuspcenter.params import reduce_parameters, validate_parameters
 from cuspcenter.polynomials import Poly
 
 # frozen bucket counts, in BUCKETS order, and the idempotent units
@@ -228,35 +229,133 @@ def test_theta_orbit_vector_q_orbit_invariance():
         assert theta_orbit_vector(ps, j) == theta_orbit_vector(ps, j * 8 % 9)
 
 
+ORBIT_SUM_CASES = [(2, 3, 2), (8, 3, 2), (53, 3, 2), (7, 5, 4), (2, 127, 7), (2, 5, 4, 2)]
+
+
+@pytest.mark.parametrize("args", ORBIT_SUM_CASES)
+def test_theta_orbit_vector_matches_per_slot_omega_values(args):
+    # the referee: every slot's orbit sum built on its own
+    ps = validate_parameters(*args)
+    reduced = reduce_parameters(ps)
+    reps = block_slots(ps)
+    for j in range(ps.ell_power):
+        entries = [CyclotomicNumber.rational(ps.ell, reduced.n)]
+        entries += [omega_value(ps, ps.r, i * j) for i in reps[1:]]
+        assert theta_orbit_vector(ps, j) == BlockVector(ps.ell, ps.r, reps, entries)
+
+
+def test_endo_ring_builds_each_orbit_sum_and_factor_value_once(monkeypatch):
+    # (2,127,7): 19 slots, m = (Y - 7) m_1; 19 orbit sums plus one omega_1
+    # each for uniformizer_check and min_polynomial, and 2 * 19 factor
+    # values plus the certificates m_1(f_1) and m(f)
+    counts = {"omega": 0, "poly": 0}
+    plain_omega, plain_call = invariants.omega_value, Poly.__call__
+
+    def omega(*args):
+        counts["omega"] += 1
+        return plain_omega(*args)
+
+    def call(self, x):
+        counts["poly"] += 1
+        return plain_call(self, x)
+
+    monkeypatch.setattr(invariants, "omega_value", omega)
+    monkeypatch.setattr(Poly, "__call__", call)
+    invariants.orbit_sums.cache_clear()  # compute, do not recall
+    verify_endo_ring(2, 127, 7)
+    assert counts == {"omega": 21, "poly": 40}
+
+
 def test_minimality_negative():
     ps = validate_parameters(2, 3, 2)
     ring = invariant_ring(ps)
     fake = BlockVector(3, 1, block_slots(ps), [2, 2])  # repeated slot value
     with pytest.raises(AssertionFailure):
-        minimality_certificate(ring, fake)
+        minimality_certificate(ring, fake, factor_values(ring, fake))
 
 
 def test_minimality_rejects_factors_that_do_not_multiply_to_m():
     ps = validate_parameters(8, 3, 2)
     ring = invariant_ring(ps)
     gamma = gamma_vector(ps)
-    minimality_certificate(ring, gamma)
+    minimality_certificate(ring, gamma, factor_values(ring, gamma))
     # every listed factor still divides m, but their product does not equal it
     repeated = ring._replace(m_factors=ring.m_factors + ring.m_factors[-1:])
-    with pytest.raises(AssertionFailure):
-        minimality_certificate(repeated, gamma)
+    with pytest.raises(AssertionFailure, match="do not multiply to m"):
+        minimality_certificate(repeated, gamma, factor_values(repeated, gamma))
 
 
 def test_g_of_gamma_rejects_a_first_factor_other_than_y_minus_n():
     ps = validate_parameters(8, 3, 2)
     ring = invariant_ring(ps)
     gamma = gamma_vector(ps)
-    g_of_gamma_check(ring, gamma)
+    g_of_gamma_check(ring, factor_values(ring, gamma))
     # the same factors, so the same product m, in another order
     swapped = ring._replace(m_factors=ring.m_factors[1:] + ring.m_factors[:1])
     assert prod(swapped.m_factors, start=Poly((1,))) == ring.m
-    with pytest.raises(AssertionFailure):
-        g_of_gamma_check(swapped, gamma)
+    with pytest.raises(AssertionFailure, match="not Y - n"):
+        g_of_gamma_check(swapped, factor_values(swapped, gamma))
+
+
+def evaluate_poly_vector(h: Poly, gamma: BlockVector) -> BlockVector:
+    """The referee for ``factor_values``: h at every slot of gamma, by
+    one Horner pass per slot in Q(zeta)."""
+    return BlockVector(gamma.ell, gamma.r, gamma.reps, [h(e) for e in gamma.entries])
+
+
+def zero_pattern(vec: BlockVector) -> list:
+    return [e.is_zero() for e in vec.entries]
+
+
+REFEREE_CASES = [(2, 3, 2), (2, 7, 3), (8, 3, 2), (4, 5, 2), (3, 5, 4), (2, 5, 4, 2)]
+REFEREE_CASES += [(2, 127, 7), (53, 3, 2), (7, 5, 4)]
+
+
+@pytest.mark.parametrize("args", REFEREE_CASES)
+def test_factor_table_matches_horner_referee(args):
+    # m, each m/factor and g, each by its own Horner pass, vanish exactly
+    # where the table says their factors do
+    ps = validate_parameters(*args)
+    ring = invariant_ring(ps)
+    gamma = gamma_vector(ps)
+    values = factor_values(ring, gamma)
+    factors = ring.m_factors
+    assert len(values) == len(factors)
+    assert all(len(row) == len(gamma.entries) for row in values)
+
+    def table_zeros(rows):
+        return [any(row[s].is_zero() for row in rows) for s in range(len(gamma.entries))]
+
+    one = Poly((1,))
+    assert zero_pattern(evaluate_poly_vector(ring.m, gamma)) == table_zeros(values)
+    for k in range(len(factors)):
+        others = prod(factors[:k] + factors[k + 1 :], start=one)
+        pattern = zero_pattern(evaluate_poly_vector(others, gamma))
+        assert pattern == table_zeros(values[:k] + values[k + 1 :])
+        assert not all(pattern)
+    g = prod(factors[1:], start=one)
+    assert zero_pattern(evaluate_poly_vector(g, gamma)) == table_zeros(values[1:])
+    report = g_of_gamma_check(ring, values)
+    assert report["g_at_n"] == g(Fraction(ring.ps.n))  # n of the reduced set
+    assert report["g"] == repr(g)
+
+
+def test_g_of_gamma_rejects_a_cuspidal_slot_equal_to_n():
+    ps = validate_parameters(2, 3, 2)
+    ring = invariant_ring(ps)
+    fake = BlockVector(3, 1, block_slots(ps), [2, 2])
+    with pytest.raises(AssertionFailure, match=r"^g\(gamma\) nonzero at cuspidal slot 1$"):
+        g_of_gamma_check(ring, factor_values(ring, fake))
+
+
+def test_g_of_gamma_rejects_an_irrational_steinberg_slot():
+    # g = Y + 1 still vanishes at the cuspidal slot -1, but g(zeta) is
+    # not rational
+    ps = validate_parameters(2, 3, 2)
+    ring = invariant_ring(ps)
+    fake = BlockVector(3, 1, block_slots(ps), [zeta(3, 1), -1])
+    with pytest.raises(AssertionFailure, match="nonzero rational"):
+        g_of_gamma_check(ring, factor_values(ring, fake))
 
 
 def test_express_in_gamma_failure_modes():

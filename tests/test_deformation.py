@@ -267,6 +267,42 @@ def test_sweep_makes_no_cyclotomic_product_per_point(monkeypatch):
     assert counts[0][1] == counts[1][1] > 0
 
 
+def test_trace_relations_checked_once_per_distinct_trace(monkeypatch):
+    # (2,31,5): 31 exponents a, but only deg m = 7 distinct traces
+    calls = []
+    plain = deformation._check_trace
+
+    def counted(a, trace, ps, ring):
+        calls.append(a)
+        plain(a, trace, ps, ring)
+
+    monkeypatch.setattr(deformation, "_check_trace", counted)
+    ps = validate_parameters(2, 31, 5)
+    ring = invariant_ring(ps)
+    report = deformation_suite(ps, ring)
+    assert len(calls) == ring.m.degree == report["distinct_traces"] == 7
+    assert calls[0] == 0
+    # each check runs at the first a with its trace
+    traces = [make_point(ps, a).trace for a in range(ps.ell_power)]
+    assert calls == [a for a in range(ps.ell_power) if traces[a] not in traces[:a]]
+
+
+def test_dropped_factor_of_m_fails_at_the_first_missed_root():
+    # (8,3,2): m = (Y - 2) m_1 m_2; without m_1 the first a whose trace
+    # is a root of m_1 fails, found here by trying every a
+    ps = validate_parameters(8, 3, 2)
+    ring = invariant_ring(ps)
+    y_minus_n, _, m_2 = ring.m_factors
+    broken = ring._replace(m=y_minus_n * m_2)
+    first = next(
+        a for a in range(ps.ell_power) if not broken.m(make_point(ps, a).trace).is_zero()
+    )
+    with pytest.raises(
+        AssertionFailure, match=rf"^generator m\(Y\) does not vanish at a = {first}$"
+    ):
+        deformation_suite(ps, broken)
+
+
 def test_presentation_describe_p1():
     ps = validate_parameters(2, 3, 2)
     ring = invariant_ring(ps)

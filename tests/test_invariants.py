@@ -18,6 +18,7 @@ from cuspcenter.invariants import (
     min_polynomial,
     omega_value,
     orbit_structure,
+    orbit_sums,
     power_sums,
     pullback_mod_ell_check,
     trace_element,
@@ -296,6 +297,36 @@ def test_omega_value_rejects_a_level_outside_1_to_r():
     for level in (0, ps.r + 1):
         with pytest.raises(ParameterError):
             omega_value(ps, level)
+
+
+ORBIT_SUM_CASES = [(2, 3, 2), (8, 3, 2), (53, 3, 2), (7, 5, 4), (2, 127, 7), (2, 5, 4, 2)]
+
+
+@pytest.mark.parametrize("args", ORBIT_SUM_CASES)
+def test_orbit_sums_match_omega_value(args):
+    ps = validate_parameters(*args)
+    sums = orbit_sums(ps)
+    assert len(sums) == ps.ell_power
+    for e in range(ps.ell_power):
+        assert sums[e] == omega_value(ps, ps.r, e)
+        assert sums[e].level == ps.r
+
+
+def test_orbit_sums_call_omega_value_once_per_orbit(monkeypatch):
+    calls = []
+    plain = invariants.omega_value
+
+    def counted(ps, i, exponent=1):
+        calls.append(exponent)
+        return plain(ps, i, exponent)
+
+    monkeypatch.setattr(invariants, "omega_value", counted)
+    ps = validate_parameters(53, 3, 2)
+    invariants.orbit_sums.cache_clear()  # compute, do not recall
+    orbit_sums(ps)
+    assert calls == list(orbit_structure(ps).reps)
+    orbit_sums(ps)
+    assert len(calls) == len(orbit_structure(ps).reps) == 14
 
 
 def test_invariant_ring_builds_the_powers_of_f_once(monkeypatch):
