@@ -34,7 +34,7 @@ from .classes import (
     group_classes,
     theta_exponent,
 )
-from .cyclotomic import CyclotomicNumber, is_ell_integral, phi_prime_power
+from .cyclotomic import CyclotomicNumber, is_ell_integral
 from .errors import AssertionFailure, IntegralityFailure, NoSolution
 from .finitefield import finite_field, minimal_polynomial, sylow_generator
 from .invariants import (
@@ -378,31 +378,30 @@ def reconstruct_gamma(
     }
 
 
-def _numerators(vec: BlockVector, phi: int) -> tuple[list[int], int]:
-    """(nums, den): the power-basis coordinates of a block vector, slot
-    by slot, as integer numerators over one denominator."""
+def _numerators(vec: BlockVector) -> tuple[list[int], int]:
+    """(nums, den): the power-basis coordinates of a block vector, phi
+    per slot, as integer numerators over one denominator."""
     den = lcm(*(e.den for e in vec.entries))
     nums = []
     for e in vec.entries:
         scale = den // e.den
         nums += [x * scale for x in e.nums]
-        nums += [0] * (phi - len(e.nums))
     return nums, den
 
 
-def express_all_in_gamma(vecs, gamma_pows, ps: ParameterSet) -> list:
+def express_all_in_gamma(vecs, ring: InvariantRingData) -> list:
     """For each vec the unique h with deg h < D and h(gamma) = vec, as an
     l-integral polynomial; NoSolution if any vec is outside Q[gamma],
     IntegralityFailure if its coordinates exist but are not l-integral.
     Every NoSolution is raised before any IntegralityFailure.
 
-    A is the integer matrix whose column k holds the coordinate
-    numerators of gamma^k (D * phi rows, D columns).  Each candidate
-    comes from the D x D normal equations (A^T A) y = A^T b, all
-    solved by one elimination; rank A^T A = rank A, so a singular A
-    still raises ValueError.  The candidate is then certified by the
-    integer identity A y_num = y_den b on all D * phi coordinates,
-    which says that h(gamma) equals the vector entry by entry.
+    Column k of the integer matrix A (D * phi rows, D columns) holds
+    gamma^k slot by slot: the images of the integral f^k.  Each candidate
+    comes from the D x D normal equations (A^T A) y = A^T b, all solved
+    by one elimination; rank A^T A = rank A, so a singular A still
+    raises ValueError.  The candidate is then certified by the integer
+    identity A y_num = y_den b on all D * phi coordinates, which says
+    that h(gamma) equals the vector entry by entry.
 
     Equal vectors share one certificate, so each distinct vector is
     solved and checked once."""
@@ -410,10 +409,10 @@ def express_all_in_gamma(vecs, gamma_pows, ps: ParameterSet) -> list:
     columns = [column_of.setdefault(vec, len(column_of)) for vec in vecs]
     distinct = list(column_of)
 
-    phi = phi_prime_power(ps.ell, ps.r)
-    cols, col_dens = zip(*(_numerators(pw, phi) for pw in gamma_pows))
+    ps, reps = ring.ps, ring.orbits.reps
+    cols = [[x for rep in reps for x in fk.at_zeta(ps.ell, ps.r, rep).nums] for fk in ring.powers]
     gram = [[sum(map(mul, a, b)) for b in cols] for a in cols]
-    targets = [_numerators(vec, phi) for vec in distinct]
+    targets = [_numerators(vec) for vec in distinct]
     sols = solve_columns(gram, [[sum(map(mul, a, b)) for a in cols] for b, _ in targets])
     rows = list(zip(*cols))
     out = []
@@ -421,19 +420,21 @@ def express_all_in_gamma(vecs, gamma_pows, ps: ParameterSet) -> list:
         y_nums, y_den = clear_denominators(sol)
         if any(sum(map(mul, row, y_nums)) != y_den * x for row, x in zip(rows, b)):
             raise NoSolution("vector is not a polynomial in gamma")
-        out.append(Poly([Fraction(y * d, den) for y, d in zip(sol, col_dens)]))
+        out.append(Poly([Fraction(y, den) for y in sol]))
     if not all(h.is_ell_integral(ps.ell) for h in out):
         raise IntegralityFailure("gamma-certificate is not l-integral")
     return [out[k] for k in columns]
 
 
-def express_in_gamma(vec: BlockVector, gamma_pows, ps: ParameterSet) -> Poly:
+def express_in_gamma(vec: BlockVector, ring: InvariantRingData) -> Poly:
     """``express_all_in_gamma`` for a single vector."""
-    return express_all_in_gamma([vec], gamma_pows, ps)[0]
+    return express_all_in_gamma([vec], ring)[0]
 
 
 def gamma_power_basis(gamma: BlockVector, count: int):
-    """[1, gamma, gamma^2, ...] as block vectors (entrywise powers)."""
+    """[1, gamma, gamma^2, ...] multiplied out in Q(zeta): the tests'
+    referee for the images of f^k, and the gamma system of
+    ``perfbench/kernels.py``."""
     reps = gamma.reps
     ell, r = gamma.ell, gamma.r
     powers = [BlockVector(ell, r, reps, [1] * len(reps))]
@@ -445,17 +446,18 @@ def gamma_power_basis(gamma: BlockVector, count: int):
     return powers
 
 
-def factor_values(ring: InvariantRingData, gamma: BlockVector) -> tuple[tuple, ...]:
-    """values[k][s] is the k-th listed factor of m at slot s of gamma;
-    the factors must multiply to m, with Y - n first.  Q(zeta) is a
-    field, so a product of factors vanishes at a slot iff one of them
-    does: this table's zero pattern says where m, m/factor and g do."""
+def factor_values(ring: InvariantRingData) -> tuple[tuple, ...]:
+    """values[k][s] is the image of h(f), h the k-th listed factor of m,
+    at slot s; the factors must multiply to m, with Y - n first.  Q(zeta)
+    is a field, so a product of factors vanishes at a slot iff one of
+    them does: this table's zero pattern says where m, m/factor and g do."""
     factors = ring.m_factors
     if prod(factors, start=Poly((1,))) != ring.m:
         raise AssertionFailure("the listed factors of m do not multiply to m")
     if factors[0] != Poly((-ring.ps.n, 1)):
         raise AssertionFailure(f"first factor of m is {factors[0]!r}, not Y - n")
-    return tuple(tuple(h(e) for e in gamma.entries) for h in factors)
+    ps, reps, f = ring.ps, ring.orbits.reps, ring.powers[1]
+    return tuple(tuple(x.at_zeta(ps.ell, ps.r, e) for e in reps) for x in (h(f) for h in factors))
 
 
 def _zero_slots(rows) -> list[bool]:
@@ -573,7 +575,7 @@ def verify_endo_ring(
     checks.append("scaled idempotent reconstructed from the witness class")
 
     gamma = gamma_vector(ps)
-    values = factor_values(ring, gamma)
+    values = factor_values(ring)
     minimality = minimality_certificate(ring, gamma, values)
     checks.append("gamma: minimal polynomial certified")
 
@@ -608,8 +610,7 @@ def verify_endo_ring(
         f"gamma reconstruction: {len(reconstructions)} l-singular classes replayed"
     )
 
-    gamma_pows = gamma_power_basis(gamma, ring.dimension)
-    certs = express_all_in_gamma(vecs, gamma_pows, ps)
+    certs = express_all_in_gamma(vecs, ring)
     certificates = {label: certs[k] for label, k in zip(labels, key_of)}
     checks.append("closure: every delta vector is an l-integral polynomial in gamma")
 

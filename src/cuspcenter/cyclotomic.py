@@ -87,7 +87,8 @@ def add_numerators(a, da: int, b, db: int, sign: int = 1) -> tuple[tuple, int]:
 
 
 def _reduce(ell: int, level: int, raw) -> list:
-    """Reduce dense integer coefficients to the power basis at ``level``."""
+    """Reduce dense integer coefficients to the power basis at ``level``:
+    the fold of every product and of ``GroupRingElement.at_zeta``."""
     if level == 0:
         return [sum(raw)]
     m = ell**level

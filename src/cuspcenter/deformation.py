@@ -17,9 +17,10 @@ its own, Fr and its T-values in plain ints; m(Y) is checked once per
 distinct Y, deg m times in all.  The commutation
 relation factors too: Fr's entries are nonzero integers and Q(zeta) is
 a field, so it holds exactly when Psi's diagonal is the q-power ladder,
-checked once per a, and every unit is nonzero, checked once per unit
-assignment.  The T_k relations read a only through whether a != 0, so
-they are checked once per unit assignment, at a = 1, on integers.
+checked once per a on the exponents of zeta, and every unit is nonzero,
+checked once per unit assignment.  The T_k relations read a only
+through whether a != 0, so they are checked once per unit assignment,
+at a = 1, on integers.
 ``make_point`` and ``check_relations`` compose the same helpers for one
 point that ``deformation_suite`` runs once per side.
 """
@@ -49,12 +50,12 @@ class DeformationPoint(NamedTuple):
 
 
 def _psi_side(ps: ParameterSet, a: int) -> tuple:
-    """(diagonal of Psi, diagonal of Psi^q, trace Y), all at level r.
+    """(diagonal of Psi, diagonal of Psi^q, trace Y), the diagonals as
+    the exponents a q^i and a q^(i+1) mod l^r of zeta at level r.
     Y = sum_i zeta^(a q^i) is the orbit sum of a."""
-    diagonal = tuple(
-        zeta(ps.ell, ps.r, a * pow(ps.q, i, ps.ell_power)) for i in range(ps.n)
-    )
-    return diagonal, tuple(e**ps.q for e in diagonal), orbit_sums(ps)[a]
+    m = ps.ell_power
+    ladder = tuple(a * pow(ps.q, i, m) % m for i in range(ps.n + 1))
+    return ladder[:-1], ladder[1:], orbit_sums(ps)[a]
 
 
 def _fr_side(ps: ParameterSet, units: tuple) -> tuple:
@@ -78,8 +79,9 @@ def _check_commutation(a: int, diagonal: tuple, diagonal_q: tuple) -> None:
     """Fr Psi = Psi^q Fr for every Fr that ``_fr_side`` builds.  Psi and
     Psi^q are diagonal, so both sides vanish off Fr's support, and at
     Fr's entry (i, j), j = i + 1 mod n, they read f Psi[j][j] and
-    Psi^q[i][i] f.  ``_fr_side`` has checked f != 0, and Q(zeta) is a
-    field, so they agree exactly when Psi[j][j] == Psi^q[i][i]."""
+    Psi^q[i][i] f.  ``_fr_side`` has checked f != 0, Q(zeta) is a field
+    and zeta has order l^r, so they agree exactly when the exponents of
+    Psi[j][j] and Psi^q[i][i] are equal."""
     n = len(diagonal)
     for i in range(n):
         j = (i + 1) % n
@@ -150,7 +152,7 @@ def make_point(ps: ParameterSet, zeta_exponent: int, units=None) -> DeformationP
         ps=ps,
         zeta_exponent=a,
         units=units,
-        psi_diagonal=diagonal,
+        psi_diagonal=tuple(zeta(ps.ell, ps.r, e) for e in diagonal),
         fr=fr,
         trace=trace,
         t_values=t_values,

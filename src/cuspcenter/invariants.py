@@ -14,23 +14,27 @@ theory demands it.
 The minimal polynomials m_i come out of the group ring, with no
 cyclotomic arithmetic: the power sums of the conjugates of omega_i are
 integers read off the powers of f against Ramanujan sums, and Newton's
-identities turn them into the coefficients.  Each m_i is then certified
-by evaluating it at the trace element of Z[Z/l^i], which maps onto
-omega_i, and reducing the result once modulo Phi_{l^i}.
+identities turn them into the coefficients.  Each m_i is certified by
+the image of m_i(f) at level i.
+
+Every value at a slot is an image under one ring map,
+``GroupRingElement.at_zeta``: X -> zeta_{l^i}^e.  It sends f to n at
+e = 0 (the Steinberg slot), to the orbit sum of e at level r (a
+cuspidal slot), and to omega_i at level i with e = 1.
 
 Main outputs:
   * orbit_structure     - the orbits, with the order facts asserted
   * trace_element       - f = X + X^q + ... + X^(q^(n-1))
   * trace_powers        - f^0, ..., f^(D-1), D = #orbits, built once
   * power_sums          - power sums of the conjugates of omega_i
-  * orbit_sums          - sum_k zeta^(e q^k) for every e, once per orbit
-  * omega_and_min_poly  - zeta-trace at level i and its minimal poly m_i
+  * orbit_sums          - the image of f at every e, once per orbit
+  * omega_and_min_poly  - omega_i (f at level i) and its minimal poly m_i
   * min_polynomial      - m = (Y - n) * prod_i m_i, degree = #orbits
-  * invariant_ring      - change of basis between orbit sums and powers
-                          of f, certified invertible with l-integral
-                          inverse by its rank mod l; column j of the
-                          inverse holds the h with h(f) = the orbit sum
-                          of X^(reps[j])
+  * invariant_ring      - the powers of f and the change of basis
+                          between orbit sums and them, certified
+                          invertible with l-integral inverse by its rank
+                          mod l; column j of the inverse holds the h with
+                          h(f) = the orbit sum of X^(reps[j])
 """
 
 from __future__ import annotations
@@ -44,11 +48,11 @@ from . import linalg
 from .cyclotomic import (
     CyclotomicNumber,
     ExactVector,
+    _new,
     _reduce,
     ell_valuation,
     lowest_terms,
     phi_prime_power,
-    zeta,
 )
 from .errors import AssertionFailure, IntegralityFailure, ParameterError
 from .params import ParameterSet, require_reduced
@@ -122,6 +126,18 @@ class GroupRingElement(ExactVector):
                 out[e * a % m] += x
         return self._normal(out, self.den)
 
+    def at_zeta(self, ell: int, level: int, exponent: int) -> CyclotomicNumber:
+        """The image under the ring map X -> zeta_{l^level}^exponent
+        (l^level must divide the modulus): one fold by ``_reduce``."""
+        m = ell**level
+        if self.modulus % m:
+            raise ValueError(f"X -> zeta_{m} is not defined on Q[Z/{self.modulus}]")
+        raw = [0] * m
+        for k, x in enumerate(self.nums):
+            if x:
+                raw[k * exponent % m] += x
+        return _new(ell, level, *lowest_terms(_reduce(ell, level, raw), self.den))
+
     def __repr__(self):
         terms = [
             f"{c}*X^{e}" if e else str(c) for e, c in enumerate(self.coeffs) if c
@@ -174,12 +190,10 @@ def is_invariant(v: GroupRingElement, orbits: OrbitStructure) -> bool:
     return v.frobenius(orbits.multiplier) == v
 
 
-def trace_element(ps: ParameterSet, level: int | None = None) -> GroupRingElement:
-    """f = X + X^q + ... + X^(q^(n-1)) in Q[Z/l^level], level r by
-    default.  The ring map X -> zeta_{l^i} sends the level-i element to
-    omega_i."""
+def trace_element(ps: ParameterSet) -> GroupRingElement:
+    """f = X + X^q + ... + X^(q^(n-1)) in Q[Z/l^r]."""
     ps = require_reduced(ps)
-    m = ps.ell ** (ps.r if level is None else level)
+    m = ps.ell_power
     cs = [0] * m
     for k in range(ps.n):
         cs[pow(ps.q, k, m)] += 1
@@ -225,27 +239,16 @@ def power_sums(ps: ParameterSet, i: int, powers) -> list[int]:
     return sums
 
 
-def omega_value(ps: ParameterSet, i: int, exponent: int = 1) -> CyclotomicNumber:
-    """Trace of zeta_{l^i}^exponent under the q-power orbit: the sum of
-    zeta_{l^i}^(exponent q^k) over k < n, at level i."""
-    ps = require_reduced(ps)
-    if not 1 <= i <= ps.r:
-        raise ParameterError(f"level {i} is outside 1..r = {ps.r}")
-    m = ps.ell**i
-    total = CyclotomicNumber.zero(ps.ell, i)
-    for k in range(ps.n):
-        total = total + zeta(ps.ell, i, exponent * pow(ps.q, k, m))
-    return total
-
-
 @lru_cache(maxsize=None)
 def orbit_sums(ps: ParameterSet) -> tuple[CyclotomicNumber, ...]:
-    """sums[e] = omega_value(ps, r, e) for every e in Z/l^r, one call
-    per q-orbit.  Memoised: every slot value of Y is read from here."""
+    """sums[e] = sum_k zeta^(e q^k), the image of f at level r, for every
+    e in Z/l^r, one per q-orbit.  Memoised: every slot value of Y is
+    read from here."""
     orbits = orbit_structure(ps)
+    f = trace_element(ps)
     sums = [None] * orbits.modulus
     for orbit in orbits.orbits:
-        value = omega_value(ps, ps.r, orbit[0])
+        value = f.at_zeta(ps.ell, ps.r, orbit[0])
         for e in orbit:
             sums[e] = value
     return tuple(sums)
@@ -258,11 +261,8 @@ def omega_and_min_poly(ps: ParameterSet, i: int, powers):
     power sums (``power_sums``) give the coefficients of m_i by Newton's
     identities (``polynomials.from_power_sums``); they must be integers
     and m_i must have degree phi(l^i)/n.  The certificate m_i(omega_i)
-    = 0 is one Horner pass at the trace element of Z[Z/l^i] and one
-    reduction of the result modulo Phi_{l^i}: the ring map
-    Z[Z/l^i] -> Z[zeta_{l^i}] sends that element to omega_i and has
-    kernel (Phi_{l^i}), so the reduction is exactly m_i(omega_i).
-    omega_i itself is built only after the certificate, for the report.
+    = 0 is the image of m_i(f) under X -> zeta_{l^i}, which sends f to
+    omega_i; omega_i itself is built after it, for the report.
     """
     ps = require_reduced(ps)
     ell = ps.ell
@@ -273,21 +273,17 @@ def omega_and_min_poly(ps: ParameterSet, i: int, powers):
     m_i = Poly(coeffs)
     if m_i.degree != phi_prime_power(ell, i) // ps.n:
         raise AssertionFailure(f"deg m_{i} = {m_i.degree} != phi(l^{i})/n", witness=i)
-    if any(_reduce(ell, i, m_i(trace_element(ps, i)).nums)):
+    if not m_i(powers[1]).at_zeta(ell, i, 1).is_zero():
         raise AssertionFailure(f"m_{i}(omega_{i}) != 0", witness=i)
-    return omega_value(ps, i), m_i
+    return powers[1].at_zeta(ell, i, 1), m_i
 
 
-def min_polynomial(ps: ParameterSet, powers=None):
-    """(m, factors, omegas) with m = (Y - n) * prod_{i=1}^r m_i.
-
-    ``powers`` are the ``trace_powers`` of ps, built here when not
-    given.  Asserts: integer coefficients, degree = number of orbits,
-    and m = (Y - n)^ceil(l^r / n) mod l.
+def min_polynomial(ps: ParameterSet, powers):
+    """(m, factors, omegas) with m = (Y - n) * prod_{i=1}^r m_i, from
+    the ``trace_powers`` of ps.  Asserts: integer coefficients, degree =
+    number of orbits, and m = (Y - n)^ceil(l^r / n) mod l.
     """
     ps = require_reduced(ps)
-    if powers is None:
-        powers = trace_powers(ps)
     factors = [Poly((-ps.n, 1))]
     omegas = []
     for i in range(1, ps.r + 1):
@@ -310,20 +306,20 @@ def min_polynomial(ps: ParameterSet, powers=None):
 
 
 def uniformizer_check(ps: ParameterSet, i: int) -> dict:
-    """nu(omega_i - n) must be exactly n at level i; also checks the
-    auxiliary product N(zeta_i) = prod_k (zeta^(q^k) - 1) has nu = n."""
+    """nu(omega_i - n) must be exactly n at level i, 1 <= i <= r; also
+    checks that N(zeta_i) = prod_k (zeta^(q^k) - 1), the image of
+    prod_k (X^(q^k) - 1), has nu = n."""
     ps = require_reduced(ps)
-    omega = omega_value(ps, i)
-    val = ell_valuation(omega - ps.n)
+    if not 1 <= i <= ps.r:
+        raise ParameterError(f"level {i} is outside 1..r = {ps.r}")
+    val = ell_valuation((trace_element(ps) - ps.n).at_zeta(ps.ell, i, 1))
     if val != ps.n:
         raise AssertionFailure(
             f"nu(omega_{i} - n) = {val} != n = {ps.n}", witness={"level": i, "nu": val}
         )
-    m = ps.ell**i
-    prod = CyclotomicNumber.rational(ps.ell, 1)
-    for k in range(ps.n):
-        prod = prod * (zeta(ps.ell, i, pow(ps.q, k, m)) - 1)
-    aux = ell_valuation(prod)
+    m = ps.ell_power
+    norm = prod((GroupRingElement.unit(m, pow(ps.q, k, m)) - 1 for k in range(ps.n)), start=1)
+    aux = ell_valuation(norm.at_zeta(ps.ell, i, 1))
     if aux != ps.n:
         raise AssertionFailure(f"nu(N(zeta_{i})) = {aux} != n", witness={"level": i})
     return {"level": i, "valuation": val, "aux_valuation": aux}
@@ -369,7 +365,7 @@ def pullback_mod_ell_check(ps: ParameterSet) -> dict:
 class InvariantRingData(NamedTuple):
     ps: ParameterSet
     orbits: OrbitStructure
-    f: GroupRingElement
+    powers: tuple[GroupRingElement, ...]  # f^0, ..., f^(D-1)
     m: Poly
     m_factors: tuple[Poly, ...]
     omegas: tuple[CyclotomicNumber, ...]
@@ -381,7 +377,8 @@ class InvariantRingData(NamedTuple):
 
 
 def invariant_ring(ps: ParameterSet) -> InvariantRingData:
-    """Change-of-basis data between {orbit sums} and {1, f, ..., f^(D-1)}.
+    """The powers 1, f, ..., f^(D-1) and the change-of-basis data
+    between them and the orbit sums.
 
     M[j][k] = coefficient of X^(rep_j) in f^k, an integer.  Asserts that
     every f^k is q-invariant, that M lies in GL_D(Z_(l)) and that
@@ -393,7 +390,6 @@ def invariant_ring(ps: ParameterSet) -> InvariantRingData:
     ps = require_reduced(ps)
     orbits = orbit_structure(ps)
     powers = trace_powers(ps)
-    f = powers[1]
     m, factors, omegas = min_polynomial(ps, powers)
     for k, fk in enumerate(powers):
         if not is_invariant(fk, orbits):
@@ -405,12 +401,12 @@ def invariant_ring(ps: ParameterSet) -> InvariantRingData:
         raise IntegralityFailure(
             "basis matrix is singular mod l: its inverse is not l-integral"
         )
-    if not m(f).is_zero():
+    if not m(powers[1]).is_zero():
         raise AssertionFailure("m(f) != 0 in the group ring")
     return InvariantRingData(
         ps=ps,
         orbits=orbits,
-        f=f,
+        powers=tuple(powers),
         m=m,
         m_factors=tuple(factors),
         omegas=tuple(omegas),

@@ -3,8 +3,10 @@ from itertools import permutations
 import pytest
 
 from cuspcenter import linalg, validate_parameters, verify_endo_ring
+from cuspcenter.cyclotomic import CyclotomicNumber, zeta
 from cuspcenter.errors import NoSolution
 from cuspcenter.gl2table import gl2_character_table
+from cuspcenter.params import require_reduced
 
 # the test matrix: every reduced case plus the one unreduced alias
 CASES = {
@@ -75,3 +77,16 @@ def invert(rows) -> list:
     if len(linalg._echelon(aug, n)) < n:
         raise NoSolution("matrix is singular")
     return [r[n:] for r in aug]
+
+
+def omega_value(ps, i, exponent=1):
+    """The referee for the images of f under ``GroupRingElement.at_zeta``:
+    the trace of zeta_{l^i}^exponent under the q-power orbit, the sum of
+    zeta_{l^i}^(exponent q^k) over k < n, added up term by term in
+    Q(zeta) at level i."""
+    ps = require_reduced(ps)
+    m = ps.ell**i
+    total = CyclotomicNumber.zero(ps.ell, i)
+    for k in range(ps.n):
+        total = total + zeta(ps.ell, i, exponent * pow(ps.q, k, m))
+    return total

@@ -28,14 +28,13 @@ from cuspcenter.gl2table import (
 )
 from cuspcenter.invariants import (
     invariant_ring,
-    omega_value,
     orbit_structure,
     pullback_mod_ell_check,
 )
 from cuspcenter.matrixoracle import census_cross_check
 from cuspcenter.params import validate_parameters
 
-from conftest import CASES
+from conftest import CASES, omega_value
 
 EXPECTED_MIN_POLY = {
     "P1": (-2, -1, 1),

@@ -38,6 +38,7 @@ from cuspcenter.centermap import (
     s_membership,
     theta_orbit_vector,
 )
+from conftest import omega_value
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -46,7 +47,7 @@ from cuspcenter.classes import ClassType, class_predicates, enumerate_classes, t
 from cuspcenter.cyclotomic import CyclotomicNumber, phi_prime_power, zeta
 from cuspcenter.errors import AssertionFailure, IntegralityFailure, NoSolution
 from cuspcenter.finitefield import FqPoly, finite_field
-from cuspcenter.invariants import invariant_ring, omega_value
+from cuspcenter.invariants import GroupRingElement, invariant_ring
 from cuspcenter.params import reduce_parameters, validate_parameters
 from cuspcenter.polynomials import Poly
 
@@ -245,61 +246,71 @@ def test_theta_orbit_vector_matches_per_slot_omega_values(args):
 
 
 def test_endo_ring_builds_each_orbit_sum_and_factor_value_once(monkeypatch):
-    # (2,127,7): 19 slots, m = (Y - 7) m_1; 19 orbit sums plus one omega_1
-    # each for uniformizer_check and min_polynomial, and 2 * 19 factor
-    # values plus the certificates m_1(f_1) and m(f)
-    counts = {"omega": 0, "poly": 0}
-    plain_omega, plain_call = invariants.omega_value, Poly.__call__
+    # (2,127,7): 19 slots, m = (Y - 7) m_1.  Images under the one map:
+    # 19 orbit sums, omega_1 and N(zeta_1) for uniformizer_check, m_1(f)
+    # and omega_1 in min_polynomial, 2 * 19 factor values and 19 * 19
+    # coordinates of the gamma system.  Every Poly evaluation is at f in the group ring:
+    # m_1(f) for its certificate, each factor once for the table, m(f).
+    counts = {"map": 0, "poly": 0}
+    plain_map, plain_call = GroupRingElement.at_zeta, Poly.__call__
 
-    def omega(*args):
-        counts["omega"] += 1
-        return plain_omega(*args)
+    def at_zeta(self, *args):
+        counts["map"] += 1
+        return plain_map(self, *args)
 
     def call(self, x):
         counts["poly"] += 1
         return plain_call(self, x)
 
-    monkeypatch.setattr(invariants, "omega_value", omega)
+    monkeypatch.setattr(GroupRingElement, "at_zeta", at_zeta)
     monkeypatch.setattr(Poly, "__call__", call)
     invariants.orbit_sums.cache_clear()  # compute, do not recall
     verify_endo_ring(2, 127, 7)
-    assert counts == {"omega": 21, "poly": 40}
+    assert counts == {"map": 19 + 2 + 2 + 2 * 19 + 19 * 19, "poly": 1 + 2 + 1}
+
+
+def horner_table(ring, gamma: BlockVector) -> tuple:
+    """The referee for ``factor_values``: each listed factor of m at
+    every slot of gamma, by one Horner pass per slot in Q(zeta).  At a
+    made-up gamma it feeds the certificates a table the engine cannot
+    build."""
+    return tuple(tuple(h(e) for e in gamma.entries) for h in ring.m_factors)
 
 
 def test_minimality_negative():
     ps = validate_parameters(2, 3, 2)
     ring = invariant_ring(ps)
     fake = BlockVector(3, 1, block_slots(ps), [2, 2])  # repeated slot value
-    with pytest.raises(AssertionFailure):
-        minimality_certificate(ring, fake, factor_values(ring, fake))
+    with pytest.raises(AssertionFailure, match=r"^gamma slots 0 and 1 coincide$"):
+        minimality_certificate(ring, fake, horner_table(ring, fake))
 
 
 def test_minimality_rejects_factors_that_do_not_multiply_to_m():
     ps = validate_parameters(8, 3, 2)
     ring = invariant_ring(ps)
     gamma = gamma_vector(ps)
-    minimality_certificate(ring, gamma, factor_values(ring, gamma))
+    minimality_certificate(ring, gamma, factor_values(ring))
     # every listed factor still divides m, but their product does not equal it
     repeated = ring._replace(m_factors=ring.m_factors + ring.m_factors[-1:])
     with pytest.raises(AssertionFailure, match="do not multiply to m"):
-        minimality_certificate(repeated, gamma, factor_values(repeated, gamma))
+        minimality_certificate(repeated, gamma, factor_values(repeated))
 
 
 def test_g_of_gamma_rejects_a_first_factor_other_than_y_minus_n():
     ps = validate_parameters(8, 3, 2)
     ring = invariant_ring(ps)
     gamma = gamma_vector(ps)
-    g_of_gamma_check(ring, factor_values(ring, gamma))
+    g_of_gamma_check(ring, factor_values(ring))
     # the same factors, so the same product m, in another order
     swapped = ring._replace(m_factors=ring.m_factors[1:] + ring.m_factors[:1])
     assert prod(swapped.m_factors, start=Poly((1,))) == ring.m
     with pytest.raises(AssertionFailure, match="not Y - n"):
-        g_of_gamma_check(swapped, factor_values(swapped, gamma))
+        g_of_gamma_check(swapped, factor_values(swapped))
 
 
 def evaluate_poly_vector(h: Poly, gamma: BlockVector) -> BlockVector:
-    """The referee for ``factor_values``: h at every slot of gamma, by
-    one Horner pass per slot in Q(zeta)."""
+    """h at every slot of gamma, by one Horner pass per slot in
+    Q(zeta)."""
     return BlockVector(gamma.ell, gamma.r, gamma.reps, [h(e) for e in gamma.entries])
 
 
@@ -318,10 +329,11 @@ def test_factor_table_matches_horner_referee(args):
     ps = validate_parameters(*args)
     ring = invariant_ring(ps)
     gamma = gamma_vector(ps)
-    values = factor_values(ring, gamma)
+    values = factor_values(ring)
     factors = ring.m_factors
     assert len(values) == len(factors)
     assert all(len(row) == len(gamma.entries) for row in values)
+    assert values == horner_table(ring, gamma)
 
     def table_zeros(rows):
         return [any(row[s].is_zero() for row in rows) for s in range(len(gamma.entries))]
@@ -345,7 +357,7 @@ def test_g_of_gamma_rejects_a_cuspidal_slot_equal_to_n():
     ring = invariant_ring(ps)
     fake = BlockVector(3, 1, block_slots(ps), [2, 2])
     with pytest.raises(AssertionFailure, match=r"^g\(gamma\) nonzero at cuspidal slot 1$"):
-        g_of_gamma_check(ring, factor_values(ring, fake))
+        g_of_gamma_check(ring, horner_table(ring, fake))
 
 
 def test_g_of_gamma_rejects_an_irrational_steinberg_slot():
@@ -354,46 +366,44 @@ def test_g_of_gamma_rejects_an_irrational_steinberg_slot():
     ps = validate_parameters(2, 3, 2)
     ring = invariant_ring(ps)
     fake = BlockVector(3, 1, block_slots(ps), [zeta(3, 1), -1])
-    with pytest.raises(AssertionFailure, match="nonzero rational"):
-        g_of_gamma_check(ring, factor_values(ring, fake))
+    with pytest.raises(AssertionFailure, match=r"^g\(n\) must be a nonzero rational$"):
+        g_of_gamma_check(ring, horner_table(ring, fake))
 
 
 def test_express_in_gamma_failure_modes():
     ps = validate_parameters(2, 3, 2)
-    gamma = gamma_vector(ps)
-    pows = gamma_power_basis(gamma, 2)
+    ring = invariant_ring(ps)
     reps = block_slots(ps)
     # a vector with an irrational slot cannot be a polynomial in gamma
     outside = BlockVector(3, 1, reps, [0, zeta(3, 1)])
     with pytest.raises(NoSolution):
-        express_in_gamma(outside, pows, ps)
+        express_in_gamma(outside, ring)
     # rationally consistent but with non-l-integral coordinates
     fractional = BlockVector(3, 1, reps, [Fraction(1, 3), Fraction(1, 3)])
     with pytest.raises(IntegralityFailure):
-        express_in_gamma(fractional, pows, ps)
+        express_in_gamma(fractional, ring)
 
 
 def test_express_all_in_gamma_failure_modes():
     ps = validate_parameters(2, 3, 2)
+    ring = invariant_ring(ps)
     gamma = gamma_vector(ps)
-    pows = gamma_power_basis(gamma, 2)
     reps = block_slots(ps)
     valid = [one_vector(ps), gamma, gamma.scale(5)]
     outside = BlockVector(3, 1, reps, [0, zeta(3, 1)])
     with pytest.raises(NoSolution):
-        express_all_in_gamma(valid[:2] + [outside] + valid[2:], pows, ps)
+        express_all_in_gamma(valid[:2] + [outside] + valid[2:], ring)
     fractional = BlockVector(3, 1, reps, [Fraction(1, 3), Fraction(1, 3)])
     with pytest.raises(IntegralityFailure):
-        express_all_in_gamma(valid + [fractional], pows, ps)
-    assert express_all_in_gamma(valid, pows, ps) == [Poly((1,)), Poly((0, 1)), Poly((0, 5))]
+        express_all_in_gamma(valid + [fractional], ring)
+    assert express_all_in_gamma(valid, ring) == [Poly((1,)), Poly((0, 1)), Poly((0, 5))]
 
 
 def test_express_all_matches_per_vector(endo_results):
     res = endo_results["P3"]
-    pows = gamma_power_basis(res.gamma, res.ring.dimension)
     vecs = list(res.deltas.values())
-    batch = express_all_in_gamma(vecs, pows, res.params)
-    assert batch == [express_in_gamma(v, pows, res.params) for v in vecs]
+    batch = express_all_in_gamma(vecs, res.ring)
+    assert batch == [express_in_gamma(v, res.ring) for v in vecs]
     assert batch == list(res.certificates.values())
 
 
@@ -407,11 +417,30 @@ def test_express_all_in_gamma_eliminates_once(endo_results, monkeypatch):
         return echelon(*args)
 
     monkeypatch.setattr(linalg, "_echelon", counted)
-    pows = gamma_power_basis(res.gamma, res.ring.dimension)
     vecs = list(res.deltas.values())
     assert len(vecs) == 6
-    express_all_in_gamma(vecs, pows, res.params)
+    express_all_in_gamma(vecs, res.ring)
     assert len(calls) == 1
+
+
+POWER_COLUMN_CASES = [(2, 3, 2), (2, 7, 3), (8, 3, 2), (4, 5, 2), (3, 5, 4), (2, 5, 4, 2)]
+POWER_COLUMN_CASES += [(2, 127, 7), (53, 3, 2), (7, 5, 4), (2, 73, 9)]
+
+
+@pytest.mark.parametrize("args", POWER_COLUMN_CASES)
+def test_power_images_match_gamma_power_basis(args):
+    # column k of the gamma system, the images of f^k slot by slot,
+    # against the powers of gamma multiplied out in Q(zeta)
+    ps = validate_parameters(*args)
+    ring = invariant_ring(ps)
+    ell, r = ring.ps.ell, ring.ps.r
+    pows = gamma_power_basis(gamma_vector(ps), ring.dimension)
+    assert len(ring.powers) == len(pows) == ring.dimension
+    for fk, pw in zip(ring.powers, pows):
+        images = [fk.at_zeta(ell, r, rep) for rep in ring.orbits.reps]
+        assert all(x.den == 1 and x.level == r for x in images)
+        col = [x for image in images for x in image.nums]
+        assert (col, 1) == centermap._numerators(pw)
 
 
 def _coordinates(vec, phi):
@@ -449,9 +478,9 @@ def ref_express_all_in_gamma(vecs, gamma_pows, ps):
     return [out[k] for k in columns]
 
 
-def express_outcome(express, vecs, pows, ps):
+def outcome(express, *args):
     try:
-        return express(vecs, pows, ps)
+        return express(*args)
     except (NoSolution, IntegralityFailure, AssertionFailure, ValueError) as exc:
         return type(exc)
 
@@ -465,7 +494,7 @@ def test_express_all_matches_full_system_referee(endo_results, endo_2_31, endo_1
     for res in [*endo_results.values(), endo_2_31, endo_17_3]:
         pows = gamma_power_basis(res.gamma, res.ring.dimension)
         vecs = list(res.deltas.values())
-        got = express_all_in_gamma(vecs, pows, res.params)
+        got = express_all_in_gamma(vecs, res.ring)
         assert got == ref_express_all_in_gamma(vecs, pows, res.params)
         assert got == list(res.certificates.values())
 
@@ -503,22 +532,24 @@ def test_express_all_matches_referee_on_perturbed_batches(endo_results, data):
     res = endo_results[data.draw(st.sampled_from(sorted(endo_results)))]
     pows = gamma_power_basis(res.gamma, res.ring.dimension)
     vecs = perturbed(data, res)
-    got = express_outcome(express_all_in_gamma, vecs, pows, res.params)
-    assert got == express_outcome(ref_express_all_in_gamma, vecs, pows, res.params)
+    got = outcome(express_all_in_gamma, vecs, res.ring)
+    assert got == outcome(ref_express_all_in_gamma, vecs, pows, res.params)
     assert got is not AssertionFailure
 
 
 def test_no_solution_wins_over_integrality_failure():
     ps = validate_parameters(2, 7, 3)
+    ring = invariant_ring(ps)
     gamma = gamma_vector(ps)
     pows = gamma_power_basis(gamma, 3)
     reps = block_slots(ps)
     outside = BlockVector(7, 1, reps, [0, zeta(7, 1), 0])
     fractional = gamma.scale(Fraction(1, 7))
     for batch in ([fractional, outside], [outside, fractional], [gamma, fractional, outside]):
-        for express in (express_all_in_gamma, ref_express_all_in_gamma):
-            with pytest.raises(NoSolution):
-                express(batch, pows, ps)
+        with pytest.raises(NoSolution):
+            express_all_in_gamma(batch, ring)
+        with pytest.raises(NoSolution):
+            ref_express_all_in_gamma(batch, pows, ps)
 
 
 def test_certificates_reproduce_deltas(endo_results):

@@ -108,11 +108,13 @@ def test_commutation_relation_is_tight():
     # engine's own once-per-a commutation check
     ps = validate_parameters(2, 3, 2)
     pt = make_point(ps, 1)
-    good_q = tuple(e**2 for e in pt.psi_diagonal)
-    deformation._check_commutation(1, pt.psi_diagonal, good_q)
-    bad = (zeta(3, 1, 1), zeta(3, 1, 1))  # should be (zeta, zeta^q) = (zeta, zeta^2)
+    assert pt.psi_diagonal == (zeta(3, 1, 1), zeta(3, 1, 2))
+    diagonal, diagonal_q, _ = deformation._psi_side(ps, 1)
+    assert (diagonal, diagonal_q) == ((1, 2), (2, 1))  # exponents of zeta, mod 3
+    deformation._check_commutation(1, diagonal, diagonal_q)
+    bad = (1, 1)  # should be (zeta, zeta^q) = (zeta, zeta^2)
     with pytest.raises(RelationFailure, match=r"at entry \(0, 1\) for a = 1"):
-        deformation._check_commutation(1, bad, tuple(e**2 for e in bad))
+        deformation._check_commutation(1, bad, (2, 2))
 
 
 @pytest.mark.parametrize("q,ell,n", [(2, 3, 2), (2, 7, 3), (8, 3, 2), (4, 5, 2), (3, 5, 4)])
@@ -120,20 +122,28 @@ def test_commutation_matches_pointwise_referee(q, ell, n):
     # at the golden sizes the once-per-a check agrees with the per-point
     # products on every point, and on a diagonal shifted out of the
     # q-power ladder both raise the same message
+    # the engine compares exponents of zeta; the referee multiplies the
+    # zeta values built from them, with Psi^q's diagonal raised to q
     ps = validate_parameters(q, ell, n)
     frs = [deformation._fr_side(ps, units)[0] for units in product((1, -1, 2), repeat=n)]
+
+    def zetas(exponents):
+        return tuple(zeta(ps.ell, ps.r, e) for e in exponents)
+
     for a in range(ps.ell_power):
         diagonal, diagonal_q, _ = deformation._psi_side(ps, a)
+        psi = zetas(diagonal)
+        psi_q = tuple(e**ps.q for e in psi)
         deformation._check_commutation(a, diagonal, diagonal_q)
         for fr in frs:
-            pointwise_commutation(a, diagonal, diagonal_q, fr)
+            pointwise_commutation(a, psi, psi_q, fr)
         if a:
             shifted = diagonal[1:] + diagonal[:1]
             with pytest.raises(RelationFailure) as engine:
                 deformation._check_commutation(a, shifted, diagonal_q)
             for fr in frs:
                 with pytest.raises(RelationFailure) as referee:
-                    pointwise_commutation(a, shifted, diagonal_q, fr)
+                    pointwise_commutation(a, zetas(shifted), psi_q, fr)
                 assert str(referee.value) == str(engine.value)
 
 

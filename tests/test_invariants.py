@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import invert
+from conftest import invert, omega_value
 
 from cuspcenter import invariants, linalg
 from cuspcenter.arith import ord_frac
@@ -16,7 +16,6 @@ from cuspcenter.invariants import (
     invariant_ring,
     is_invariant,
     min_polynomial,
-    omega_value,
     orbit_structure,
     orbit_sums,
     power_sums,
@@ -68,7 +67,7 @@ def test_orbit_contents_p3():
 def test_min_polynomial_frozen(label):
     (q, ell, n), _, coeffs = FROZEN[label]
     ps = validate_parameters(q, ell, n)
-    m, factors, omegas = min_polynomial(ps)
+    m, factors, omegas = min_polynomial(ps, trace_powers(ps))
     assert m.coeffs == tuple(Fraction(c) for c in coeffs)
     assert factors[0].coeffs == (Fraction(-n), Fraction(1))
     prod = factors[0]
@@ -112,7 +111,7 @@ REFEREE_CASES = sorted(v[0] for v in FROZEN.values()) + [
 @pytest.mark.parametrize("q,ell,n", REFEREE_CASES)
 def test_conjugate_sums_match_the_coset_walk(q, ell, n):
     ps = validate_parameters(q, ell, n)
-    _, factors, omegas = min_polynomial(ps)
+    _, factors, omegas = min_polynomial(ps, trace_powers(ps))
     scaled = [0]
     for i in range(1, ps.r + 1):
         minima, sums = coset_walk(ps, i)
@@ -130,7 +129,7 @@ def test_conjugate_sums_match_the_coset_walk(q, ell, n):
 def test_omega_values_are_roots_of_m_only():
     # the r+1 roots n, omega_1, ..., omega_r are pairwise distinct
     ps = validate_parameters(8, 3, 2)
-    m, _, omegas = min_polynomial(ps)
+    m, _, omegas = min_polynomial(ps, trace_powers(ps))
     assert len(omegas) == 2
     assert omegas[0] != omegas[1]
     for omega in omegas:
@@ -198,7 +197,7 @@ def test_invariant_ring_basis(label):
             assert acc == Fraction(int(i == j))
             assert inverse[i][j] == 0 or ord_frac(inverse[i][j], ell) >= 0
     # m(f) = 0 holds (invariant_ring itself asserts it; re-check here)
-    mf = data.m(data.f)
+    mf = data.m(data.powers[1])
     assert (mf * 1).is_zero()
 
 
@@ -240,10 +239,10 @@ def test_express_orbit_sum_p1():
     data = invariant_ring(ps)
     h = orbit_certificate(data, 1)
     assert h.coeffs == (Fraction(0), Fraction(1))  # orbit of 1 is f itself
-    assert h(data.f) == orbit_sum(data.orbits, 1)
+    assert h(data.powers[1]) == orbit_sum(data.orbits, 1)
     h0 = orbit_certificate(data, 0)
     assert h0.coeffs == (Fraction(1),)  # orbit of 0 is the identity
-    assert h0(data.f) == orbit_sum(data.orbits, 0)
+    assert h0(data.powers[1]) == orbit_sum(data.orbits, 0)
 
 
 def test_express_orbit_sum_all_reps():
@@ -255,17 +254,17 @@ def test_express_orbit_sum_all_reps():
             h = orbit_certificate(data, rep)
             assert h.degree < data.dimension
             assert h.is_ell_integral(ell)
-            assert (h(data.f) - orbit_sum(data.orbits, rep)).is_zero()
+            assert (h(data.powers[1]) - orbit_sum(data.orbits, rep)).is_zero()
 
 
 def test_min_poly_mod_ell_shape():
     # m = (Y - n)^D mod l; spot-check the reduction for two cases
     ps = validate_parameters(2, 7, 3)
-    m, _, _ = min_polynomial(ps)
+    m, _, _ = min_polynomial(ps, trace_powers(ps))
     # (Y - 3)^3 = Y^3 - 9Y^2 + 27Y - 27 = Y^3 + 5Y^2 + 6Y + 1 mod 7
     assert m.reduce_mod(7) == (1, 6, 5, 1)
     ps = validate_parameters(8, 3, 2)
-    m, _, _ = min_polynomial(ps)
+    m, _, _ = min_polynomial(ps, trace_powers(ps))
     # (Y - 2)^5 mod 3 = (Y + 1)^5 = Y^5 + 5Y^4 + ... binomials mod 3
     assert m.reduce_mod(3) == (1, 2, 1, 1, 2, 1)
 
@@ -276,8 +275,8 @@ def test_unreduced_parameters_silently_reduce():
     unreduced = validate_parameters(2, 5, 4, 2)
     reduced = validate_parameters(4, 5, 2)
     assert orbit_structure(unreduced) == orbit_structure(reduced)
-    m_u, _, _ = min_polynomial(unreduced)
-    m_r, _, _ = min_polynomial(reduced)
+    m_u, _, _ = min_polynomial(unreduced, trace_powers(unreduced))
+    m_r, _, _ = min_polynomial(reduced, trace_powers(reduced))
     assert m_u == m_r
 
 
@@ -292,11 +291,20 @@ def test_orbit_reps_out_of_order_raise(monkeypatch):
         orbit_structure(validate_parameters(2, 7, 3))
 
 
-def test_omega_value_rejects_a_level_outside_1_to_r():
+def test_uniformizer_check_rejects_a_level_outside_1_to_r():
     ps = validate_parameters(2, 3, 2)
     for level in (0, ps.r + 1):
-        with pytest.raises(ParameterError):
-            omega_value(ps, level)
+        with pytest.raises(ParameterError, match=rf"^level {level} is outside 1..r = 1$"):
+            uniformizer_check(ps, level)
+
+
+def test_at_zeta_needs_l_to_the_level_to_divide_the_modulus():
+    f = trace_element(validate_parameters(8, 3, 2))  # Q[Z/9]
+    assert f.at_zeta(3, 2, 1) == f.at_zeta(3, 2, 10)
+    with pytest.raises(ValueError, match="not defined"):
+        f.at_zeta(3, 3, 1)
+    with pytest.raises(ValueError, match="not defined"):
+        f.at_zeta(2, 1, 1)
 
 
 ORBIT_SUM_CASES = [(2, 3, 2), (8, 3, 2), (53, 3, 2), (7, 5, 4), (2, 127, 7), (2, 5, 4, 2)]
@@ -312,15 +320,30 @@ def test_orbit_sums_match_omega_value(args):
         assert sums[e].level == ps.r
 
 
-def test_orbit_sums_call_omega_value_once_per_orbit(monkeypatch):
+@pytest.mark.parametrize("args", ORBIT_SUM_CASES)
+def test_at_zeta_matches_the_omega_value_referee(args):
+    # the image of f under X -> zeta_{l^i}^e, at every level and exponent,
+    # from f at level r; and the image of a power is the power of the image
+    ps = validate_parameters(*args)
+    f = trace_element(ps)
+    f2 = f * f
+    for i in range(1, ps.r + 1):
+        for e in range(ps.ell**i):
+            image = f.at_zeta(ps.ell, i, e)
+            assert image == omega_value(ps, i, e)
+            assert image.level == i
+            assert f2.at_zeta(ps.ell, i, e) == image * image
+
+
+def test_orbit_sums_map_f_once_per_orbit(monkeypatch):
     calls = []
-    plain = invariants.omega_value
+    plain = GroupRingElement.at_zeta
 
-    def counted(ps, i, exponent=1):
+    def counted(self, ell, level, exponent):
         calls.append(exponent)
-        return plain(ps, i, exponent)
+        return plain(self, ell, level, exponent)
 
-    monkeypatch.setattr(invariants, "omega_value", counted)
+    monkeypatch.setattr(GroupRingElement, "at_zeta", counted)
     ps = validate_parameters(53, 3, 2)
     invariants.orbit_sums.cache_clear()  # compute, do not recall
     orbit_sums(ps)
@@ -354,7 +377,8 @@ def test_min_polynomial_runs_no_cyclotomic_product(monkeypatch):
 
     monkeypatch.setattr(CyclotomicNumber, "__mul__", counted)
     monkeypatch.setattr(CyclotomicNumber, "__rmul__", counted)
-    m, _, _ = min_polynomial(validate_parameters(2, 127, 7))
+    ps = validate_parameters(2, 127, 7)
+    m, _, _ = min_polynomial(ps, trace_powers(ps))
     assert m.degree == 19
     assert calls == []
 
@@ -386,7 +410,8 @@ def test_shifted_power_sums_raise(monkeypatch, shift, q, ell, n):
     # index shift leaves in place: level 2 is the first to fail there
     failed = r"m_\d( coefficient not an integer|\(omega_\d\) != 0)"
     with pytest.raises(AssertionFailure, match=failed):
-        min_polynomial(validate_parameters(q, ell, n))
+        ps = validate_parameters(q, ell, n)
+        min_polynomial(ps, trace_powers(ps))
 
 
 @pytest.mark.parametrize("k", [0, 1, -2])
@@ -401,7 +426,8 @@ def test_one_corrupted_coefficient_fails_the_certificate(monkeypatch, k, q, ell,
 
     monkeypatch.setattr(invariants, "from_power_sums", corrupted)
     with pytest.raises(AssertionFailure, match=r"m_1\(omega_1\) != 0"):
-        min_polynomial(validate_parameters(q, ell, n))
+        ps = validate_parameters(q, ell, n)
+        min_polynomial(ps, trace_powers(ps))
 
 
 def test_a_power_sum_not_divisible_by_n_raises():
@@ -417,4 +443,5 @@ def test_a_non_integer_coefficient_raises(monkeypatch):
     # p_1 = 1, p_2 = 0 give Y^2 - Y + 1/2
     monkeypatch.setattr(invariants, "power_sums", lambda ps, i, powers: [1, 0])
     with pytest.raises(AssertionFailure, match="not an integer: 1/2"):
-        min_polynomial(validate_parameters(4, 5, 2))
+        ps = validate_parameters(4, 5, 2)
+        min_polynomial(ps, trace_powers(ps))

@@ -7,9 +7,11 @@ fresh process per run, and record one column of a BENCH file.
 
 Each row runs `python -m cuspcenter COMMAND --q Q --ell L [--n N]
 [--d D] --out json` with `PYTHONPATH=SRC`: the median of 3 runs, or a
-single run when the first one takes over 30 s.  The command defaults to
-`deformation`; `deformation`, `endo-ring` and `invariants` have default
-ladders, `classes` needs `--rows` with the n.  The column records the
+single run when the first one takes over 30 s.  SRC is byte-compiled
+once before any run, so no run pays for compiling the package (a tree
+copied with PYTHONDONTWRITEBYTECODE set has no .pyc).  The command
+defaults to `deformation`; `deformation`, `endo-ring` and `invariants`
+have default ladders, `classes` needs `--rows` with the n.  The column records the
 wall times, their median, the exit code and the sha256 of stdout.  An
 existing OUT file is read and the column is added to it (replacing one
 of the same name), so two invocations against two source trees give a
@@ -21,6 +23,7 @@ otherwise.  This is a measurement script, not a test.
 from __future__ import annotations
 
 import argparse
+import compileall
 import hashlib
 import json
 import os
@@ -97,6 +100,7 @@ def main(argv=None) -> int:
         "machine": platform.machine(),
         "cpus": os.cpu_count(),
     }
+    compileall.compile_dir(os.path.abspath(args.src), quiet=1)  # before any timing
     for row in rows:
         cell = time_row(args.src, args.command, row)
         bench["rows"].setdefault(row, {})[args.column] = cell
