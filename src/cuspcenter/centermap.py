@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .arith import ord_frac
 from .characters import (
     cuspidal_dimension,
-    cuspidal_value,
+    cuspidal_values,
     steinberg_dimension,
     steinberg_value,
 )
@@ -129,7 +129,7 @@ def delta_class(ct: ClassType, ps: ParameterSet) -> BlockVector:
     size = ct.class_size()
     st = Fraction(size * steinberg_value(ct, ps), steinberg_dimension(ps))
     scale = Fraction(size, cuspidal_dimension(ps))
-    entries = [st] + [cuspidal_value(i, ct, ps) * scale for i in reps[1:]]
+    entries = [st] + [v * scale for v in cuspidal_values(ct, ps, reps[1:])]
     vec = BlockVector(ps.ell, ps.r, reps, entries)
     for slot, e in zip(vec.reps, vec.entries):
         if not is_ell_integral(e):

@@ -35,23 +35,31 @@ def steinberg_dimension(ps: ParameterSet) -> int:
     return ps.q ** (ps.n * (ps.n - 1) // 2)
 
 
-def cuspidal_value(i: int, ct: ClassType, ps: ParameterSet) -> CyclotomicNumber:
-    """Value of the slot-i cuspidal lift on the given class type, as an
-    element of Q(zeta_{l^r})."""
+def cuspidal_values(ct: ClassType, ps: ParameterSet, slots) -> list[CyclotomicNumber]:
+    """Values of the cuspidal lifts of the given slots on one class
+    type, as elements of Q(zeta_{l^r}).  The sign/product scalar and the
+    theta exponent depend on the class alone, so each is computed once
+    for the whole row."""
     require_reduced(ps)
     if not ct.is_primary:
-        return CyclotomicNumber.zero(ps.ell, ps.r)
+        return [CyclotomicNumber.zero(ps.ell, ps.r)] * len(slots)
     poly, lam = ct.factors[0]
     a = poly.degree
     x = len(lam)
     scalar = (-1) ** (ps.n - x) * prod(ps.q ** (k * a) - 1 for k in range(1, x))
     if a == ps.n:
-        theta_sum = orbit_sums(ps)[i * theta_exponent(ct, ps) % ps.ell_power]
-    else:
-        # roots of smaller degree are l-regular here, so every theta
-        # factor is 1 and the orbit sum collapses to its length
-        theta_sum = CyclotomicNumber.rational(ps.ell, a).embed_to(ps.r)
-    return theta_sum * scalar
+        sums, j = orbit_sums(ps), theta_exponent(ct, ps)
+        return [sums[i * j % ps.ell_power] * scalar for i in slots]
+    # roots of smaller degree are l-regular here, so every theta factor
+    # is 1 and the orbit sum collapses to its length, at every slot
+    value = CyclotomicNumber.rational(ps.ell, a).embed_to(ps.r) * scalar
+    return [value] * len(slots)
+
+
+def cuspidal_value(i: int, ct: ClassType, ps: ParameterSet) -> CyclotomicNumber:
+    """Value of the slot-i cuspidal lift on the given class type, as an
+    element of Q(zeta_{l^r})."""
+    return cuspidal_values(ct, ps, (i,))[0]
 
 
 def steinberg_value_raw(ct: ClassType, p: int, n: int) -> int:

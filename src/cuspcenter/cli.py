@@ -130,13 +130,23 @@ def cmd_endo_ring(args) -> dict:
     n = _default_n(args.q, args.ell, args.n)
     result = centermap.verify_endo_ring(args.q, args.ell, n, args.d, args.scale_bound)
     pres = deformation.emit_center_presentation(result.ring)
+    # the classes of one key share one certificate, unit and correction
+    # object: each becomes one JSON subtree, which report.to_json_bytes
+    # renders once; keyed by id, as result keeps every object alive
+    rendered = {}
+
+    def once(to_json, x):
+        if id(x) not in rendered:
+            rendered[id(x)] = to_json(x)
+        return rendered[id(x)]
+
     artifacts = {
         "min_poly": report.poly_json(result.ring.m),
         "gamma": report.blockvector_json(result.gamma),
         "scaled_idempotent": report.blockvector_json(result.scaled_idempotent),
         "idempotent_unit": report.frac_json(result.idempotent_unit),
         "certificates": {
-            label: report.poly_json(h) for label, h in result.certificates.items()
+            label: once(report.poly_json, h) for label, h in result.certificates.items()
         },
         "bucket_counts": dict(result.case_report.bucket_counts),
         "s_membership": dict(result.case_report.s_flags),
@@ -146,8 +156,8 @@ def cmd_endo_ring(args) -> dict:
             {
                 "label": rec["label"],
                 "theta_exponent": rec["theta_exponent"],
-                "unit": report.frac_json(rec["unit"]),
-                "correction": report.frac_json(rec["correction"]),
+                "unit": once(report.frac_json, rec["unit"]),
+                "correction": once(report.frac_json, rec["correction"]),
             }
             for rec in result.reconstructions
         ],
@@ -299,26 +309,29 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     parameters = {"q": args.q, "ell": args.ell, "n": args.n, "d": args.d}
+    render = report.to_json_bytes if args.out == "json" else report.to_text
     try:
-        env = _DISPATCH[args.command](args)
+        # rendered inside the guard: a value the writer refuses is an
+        # internal error (exit 3), never an empty stdout
+        rendered = render(_DISPATCH[args.command](args))
         code = 0
     except (ParameterError, ScaleLimit) as exc:
-        env = report.failure_envelope(args.command, parameters, exc)
+        rendered = render(report.failure_envelope(args.command, parameters, exc))
         code = 2
     except CuspCenterError as exc:
-        env = report.failure_envelope(args.command, parameters, exc)
+        rendered = render(report.failure_envelope(args.command, parameters, exc))
         code = 1
     except Exception as exc:
         import traceback  # imported here: only exit 3 prints one
 
         traceback.print_exc(file=sys.stderr)  # stdout carries only the envelope
-        env = report.failure_envelope(args.command, parameters, exc)
+        rendered = render(report.failure_envelope(args.command, parameters, exc))
         code = 3
     out = sys.stdout
     if args.out == "json":
-        out.buffer.write(report.to_json_bytes(env))
+        out.buffer.write(rendered)
     else:
-        out.write(report.to_text(env))
+        out.write(rendered)
     out.flush()
     return code
 

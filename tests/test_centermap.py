@@ -600,15 +600,14 @@ def test_delta_class_residue_and_integrality_checks(monkeypatch, shift, error):
     ps = validate_parameters(2, 7, 3)
     ct = next(ct for ct in enumerate_classes(finite_field(2), 3) if ct.class_size() > 1)
     size, dim = ct.class_size(), centermap.cuspidal_dimension(ps)
-    value = centermap.cuspidal_value
-    first = block_slots(ps)[1]
+    values = centermap.cuspidal_values
 
-    def shifted(i, c, p):
-        v = value(i, c, p)
-        return v + shift * Fraction(dim, size) if i == first else v
+    def shifted(c, p, slots):
+        first, *rest = values(c, p, slots)
+        return [first + shift * Fraction(dim, size), *rest]
 
     expected = delta_class(ct, ps)
-    monkeypatch.setattr(centermap, "cuspidal_value", shifted)
+    monkeypatch.setattr(centermap, "cuspidal_values", shifted)
     if error is None:
         assert delta_class(ct, ps).entries[1] == expected.entries[1] + shift
     else:
@@ -771,7 +770,8 @@ def test_s_membership_once_per_vector_at_17_3(monkeypatch):
 # commutation products, the (53,3,2) invariants pin with the coset
 # walk that built each m_i before it read the orbit representatives,
 # and the (2,31,5) and (2,127,7) endo-ring pins with the full-system
-# gamma solve and the valuation-based residue test.
+# gamma solve and the valuation-based residue test.  The classes and
+# oracle pins were recorded while json.dumps still wrote the envelope.
 PINNED_JSON = {
     "2-31": (
         "endo-ring --q 2 --ell 31",
@@ -826,6 +826,14 @@ PINNED_JSON = {
     "invariants-211-53": (
         "invariants --q 211 --ell 53",
         "8309a8ffdde93d15a18e58c0ed4f40bc58b9962944c250be0932462c12a9f579",
+    ),
+    "classes-17-2-3": (
+        "classes --q 17 --n 2 --ell 3",
+        "a949195cf0761271fc83f72ca95b503fd19226686f1d8a684e017c54669dc122",
+    ),
+    "oracle-4-2-5": (
+        "oracle --q 4 --n 2 --ell 5",
+        "191197a2afd2976fd421b66994ba38b9bdabf7045b4de1578633e661049241cf",
     ),
 }
 

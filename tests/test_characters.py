@@ -1,18 +1,26 @@
 """Character values on class types: dimensions, the regular-unipotent
 sign, and the slot-separation behaviour at l-singular classes."""
 
-import pytest
+from math import prod
 
+import pytest
+from conftest import CASES
+
+from cuspcenter import characters
+from cuspcenter.centermap import block_slots, delta_class
 from cuspcenter.characters import (
     cuspidal_dimension,
     cuspidal_value,
+    cuspidal_values,
     steinberg_dimension,
     steinberg_value,
     theta_exponent,
 )
-from cuspcenter.classes import enumerate_classes, make_class_type
+from cuspcenter.classes import enumerate_classes, group_classes, make_class_type
+from cuspcenter.cyclotomic import CyclotomicNumber
 from cuspcenter.finitefield import FqPoly, finite_field
-from cuspcenter.params import validate_parameters
+from cuspcenter.invariants import orbit_sums
+from cuspcenter.params import reduce_parameters, validate_parameters
 
 DIMS = {
     (2, 3, 2): (1, 2),
@@ -146,3 +154,50 @@ def test_theta_exponent_range():
         if ct.is_primary:
             j = theta_exponent(ct, ps)
             assert 0 <= j < 9
+
+
+def referee_cuspidal_value(i, ct, ps):
+    """The per-slot referee for ``cuspidal_values``: the character
+    formula of the module docstring at one slot, its scalar and theta
+    exponent computed afresh."""
+    if not ct.is_primary:
+        return CyclotomicNumber.zero(ps.ell, ps.r)
+    poly, lam = ct.factors[0]
+    a, x = poly.degree, len(lam)
+    scalar = (-1) ** (ps.n - x) * prod(ps.q ** (k * a) - 1 for k in range(1, x))
+    if a == ps.n:
+        return orbit_sums(ps)[i * theta_exponent(ct, ps) % ps.ell_power] * scalar
+    return CyclotomicNumber.rational(ps.ell, a).embed_to(ps.r) * scalar
+
+
+ROW_CASES = sorted({reduce_parameters(validate_parameters(*args)) for args in CASES.values()})
+
+
+@pytest.mark.parametrize(
+    "ps", [*ROW_CASES, validate_parameters(2, 127, 7)], ids=lambda ps: f"{ps.q}-{ps.ell}-{ps.n}"
+)
+def test_cuspidal_rows_match_the_per_slot_referee(ps):
+    slots = block_slots(ps)
+    for ct in enumerate_classes(finite_field(ps.q), ps.n):
+        row = cuspidal_values(ct, ps, slots)
+        assert row == [referee_cuspidal_value(i, ct, ps) for i in slots]
+        assert [cuspidal_value(i, ct, ps) for i in slots] == row
+
+
+def test_delta_class_reads_the_theta_exponent_once_per_key(monkeypatch):
+    # (2,127,7): one call per degree-n key, where one per slot made 529
+    ps = validate_parameters(2, 127, 7)
+    firsts, _ = group_classes(enumerate_classes(finite_field(2), 7), ps)
+    calls = []
+    plain = characters.theta_exponent
+
+    def counted(ct, p):
+        calls.append(ct)
+        return plain(ct, p)
+
+    monkeypatch.setattr(characters, "theta_exponent", counted)
+    for ct in firsts:
+        delta_class(ct, ps)
+    degree_n = [ct for ct in firsts if ct.is_primary and ct.factors[0][0].degree == 7]
+    assert len(firsts) == 70
+    assert calls == degree_n

@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, JSON determinism, cache wiring, and the
 installed console script."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -10,6 +11,7 @@ import sys
 
 import pytest
 
+from cuspcenter import report
 from cuspcenter.cli import main
 
 
@@ -79,6 +81,15 @@ def test_bad_arguments_exit_2_with_a_parameter_error(capsys, argv):
     assert code == 2
     error = json.loads(out)["artifacts"]["error"]["type"]
     assert error == BAD_D.get(argv, "ParameterError")
+
+
+def test_failure_envelope_pinned(capsys):
+    # sha256 recorded while json.dumps still wrote the envelope
+    code, out = run_cli(capsys, "invariants", "--q", "2", "--ell", "4", "--out", "json")
+    assert code == 2
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == (
+        "1937cf121044f7dd9365577de6d5f784b8a98966c67707bcb4bf595dfd227b52"
+    )
 
 
 def test_bad_q_exits_2(capsys):
@@ -180,6 +191,19 @@ def test_classes_cache_flag(capsys, tmp_path):
     assert env1["artifacts"] == env2["artifacts"]
 
 
+def test_census_cache_file_pinned(capsys, tmp_path):
+    # sha256 of the file save_census writes, recorded while json.dumps
+    # still wrote it
+    code, _ = run_cli(
+        capsys, "classes", "--q", "17", "--n", "2", "--cache-dir", str(tmp_path), "--out", "json"
+    )
+    assert code == 0
+    (path,) = tmp_path.iterdir()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "c0914ea2f43f71c3e828ae8a1a78a209364c561c3733cb10fb49761d611afbd0"
+    )
+
+
 def test_classes_cache_env(capsys, tmp_path, monkeypatch):
     cache = str(tmp_path / "envcache")
     monkeypatch.setenv("CUSPCENTER_CACHE", cache)
@@ -240,6 +264,25 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     env = json.loads(out)
     assert env["status"] == "fail"
     assert env["artifacts"]["error"] == {"type": "KeyError", "message": "'missing slot'"}
+
+
+def test_unrenderable_envelope_exits_3_with_the_failure_envelope(capsys, monkeypatch):
+    # the envelope is rendered inside the guard, so a value the writer
+    # refuses gives the exit-3 failure envelope, not an empty stdout
+    from fractions import Fraction
+
+    from cuspcenter import cli
+
+    def unconverted(args):
+        return report.envelope("invariants", {}, [], {"value": Fraction(1, 3)})
+
+    monkeypatch.setitem(cli._DISPATCH, "invariants", unconverted)
+    code, out = run_cli(capsys, "invariants", "--q", "2", "--ell", "3", "--out", "json")
+    assert code == 3
+    assert json.loads(out)["artifacts"]["error"] == {
+        "type": "TypeError",
+        "message": "Object of type Fraction is not JSON serializable",
+    }
 
 
 def test_console_script():

@@ -5,8 +5,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_centermap import PINNED_JSON
+from test_golden import CASES as GOLDEN_CASES
+from test_golden import GOLDEN_DIR
 
-from cuspcenter import report
+from cuspcenter import cli, report
 from cuspcenter.classes import enumerate_classes, make_class_type
 from cuspcenter.errors import AssertionFailure
 from cuspcenter.cyclotomic import zeta
@@ -87,6 +92,100 @@ def test_no_floats_anywhere():
                 walk(x)
 
     walk(parsed)
+
+
+def dumps_referee(obj) -> bytes:
+    """The referee for ``to_json_bytes``: the standard library encoder."""
+    return (json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n").encode("ascii")
+
+
+# id -> (command, golden file or None)
+COMMANDS = {
+    **{
+        f"golden-{name}": ("endo-ring " + " ".join(argv), GOLDEN_DIR / f"{name}.json")
+        for name, argv in GOLDEN_CASES.items()
+    },
+    **{name: (command, None) for name, (command, _) in PINNED_JSON.items()},
+}
+
+
+@pytest.mark.parametrize("command,golden", COMMANDS.values(), ids=COMMANDS)
+def test_writer_matches_json_dumps_on_every_pinned_envelope(command, golden):
+    args = cli.build_parser().parse_args([*command.split(), "--out", "json"])
+    env = cli._DISPATCH[args.command](args)
+    blob = to_json_bytes(env)
+    assert blob == dumps_referee(env)
+    if golden is not None:
+        assert blob == golden.read_bytes()
+
+
+# strings that need escaping: quotes, backslashes, control characters,
+# non-ASCII text beyond the BMP, and lone surrogates
+TEXT = st.text(st.characters(blacklist_categories=())) | st.sampled_from(
+    ['"', "\\", "\x00\x1f\n\t", "\u00e9", "\U0001f600", "\ud800", "\udfff x"]
+)
+SCALARS = TEXT | st.integers() | st.integers(min_value=10**20) | st.booleans() | st.none()
+
+
+def containers(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(TEXT, children, max_size=4)
+    )
+
+
+TREES = st.recursive(SCALARS, containers, max_leaves=20)
+
+
+@st.composite
+def shared_trees(draw):
+    # sampled_from hands back the pooled object itself, so a pooled
+    # container recurs at one depth or at several
+    pool = draw(st.lists(TREES, min_size=1, max_size=3))
+    return draw(st.recursive(st.sampled_from(pool) | SCALARS, containers, max_leaves=30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_trees())
+def test_writer_matches_json_dumps_on_random_trees(tree):
+    assert to_json_bytes(tree) == dumps_referee(tree)
+
+
+def test_writer_renders_a_shared_container_per_depth():
+    leaf = [1, {"a": "\u00e9"}]
+    empty = []
+    doc = {"x": leaf, "y": [leaf, leaf, {"z": leaf}], "e": [empty, empty, {}], "t": (leaf,)}
+    assert to_json_bytes(doc) == dumps_referee(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        Fraction(1, 3),
+        {"y": 0.5},
+        [1, [2, float("nan")]],
+        {1: "a"},
+        {"a": {None: 1}},
+        {("k",): 1},
+        {"s": {1, 2}},
+        {"b": b"raw"},
+    ],
+    ids=repr,
+)
+def test_writer_refuses_other_values_and_keys(doc):
+    with pytest.raises(TypeError):
+        to_json_bytes(doc)
+
+
+def test_writer_refuses_a_cycle():
+    loop = [1]
+    loop.append({"back": loop})
+    for doc in (loop, {"a": [loop]}):
+        with pytest.raises(ValueError, match="Circular reference"):
+            to_json_bytes(doc)
+        with pytest.raises(ValueError, match="Circular reference"):
+            dumps_referee(doc)
 
 
 def test_json_bytes_deterministic():

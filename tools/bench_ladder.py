@@ -1,23 +1,30 @@
-"""Time one `cuspcenter` command over a ladder of parameter sets, one
-fresh process per run, and record one column of a BENCH file.
+"""Time one `cuspcenter` command over a ladder of parameter sets on two
+source trees, interleaved run by run, and record both columns in one
+BENCH file.
 
-    python3 tools/bench_ladder.py --src SRC --column NAME --out BENCH.json \
+    python3 tools/bench_ladder.py --parent SRC --change SRC --out BENCH.json \
         [--command deformation|endo-ring|invariants|classes] \
         [--rows q,ell[,n[,d]] ...]
 
 Each row runs `python -m cuspcenter COMMAND --q Q --ell L [--n N]
-[--d D] --out json` with `PYTHONPATH=SRC`: the median of 3 runs, or a
-single run when the first one takes over 30 s.  SRC is byte-compiled
-once before any run, so no run pays for compiling the package (a tree
-copied with PYTHONDONTWRITEBYTECODE set has no .pyc).  The command
-defaults to `deformation`; `deformation`, `endo-ring` and `invariants`
-have default ladders, `classes` needs `--rows` with the n.  The column records the
-wall times, their median, the exit code and the sha256 of stdout.  An
-existing OUT file is read and the column is added to it (replacing one
-of the same name), so two invocations against two source trees give a
-before/after pair; an OUT file recorded for another command is refused.
-Where a row has two columns, their sha256 must agree; the script exits 1
-otherwise.  This is a measurement script, not a test.
+[--d D] --out json` with `PYTHONPATH=SRC`, one fresh process per run,
+3 pairs of runs, or a single pair when the first run takes over 30 s.
+The two trees alternate run by run, and the side that runs first
+alternates pair by pair (parent, change, change, parent, ...), so drift
+of the host's speed falls on both columns alike.  Both SRC trees are
+byte-compiled before any run, so no run pays for compiling the package
+(a tree copied with PYTHONDONTWRITEBYTECODE set has no .pyc).
+
+Each column records the wall times, their median, the command's peak
+RSS in MB per run (`ru_maxrss` from `os.wait4`, read by a small
+spawner process so that it does not inherit this script's high-water
+mark), the exit code and the sha256 of stdout.
+Each row also records `ratio_median`, the median over the pairs of
+change / parent wall time.  The command defaults to `deformation`;
+`deformation`, `endo-ring` and `invariants` have default ladders,
+`classes` needs `--rows` with the n.  The script exits 1 when the two
+columns of a row disagree on the sha256 (or a side's runs disagree
+among themselves).  This is a measurement script, not a test.
 """
 
 from __future__ import annotations
@@ -31,10 +38,9 @@ import platform
 import statistics
 import subprocess
 import sys
-import time
 
-RUNS = 3
-SINGLE_RUN_OVER_S = 30.0
+PAIRS = 3
+SINGLE_PAIR_OVER_S = 30.0
 DEFAULT_ROWS = {
     "deformation": ("2,3", "2,7", "3,5", "2,31", "3,7", "2,127"),
     "endo-ring": ("17,3,2", "7,5,4", "53,3,2", "101,17,2", "211,53,2"),
@@ -42,79 +48,112 @@ DEFAULT_ROWS = {
 }
 COMMANDS = ("deformation", "endo-ring", "invariants", "classes")
 FLAGS = ("--q", "--ell", "--n", "--d")
+SIDES = ("parent", "change")
 
 
-def run_once(src: str, command: str, row: str) -> tuple:
-    """(wall seconds, exit code, stdout sha256) of one fresh process."""
-    args = [sys.executable, "-m", "cuspcenter", command]
-    for flag, value in zip(FLAGS, row.split(",")):
-        args += [flag, value]
-    args += ["--out", "json"]
+# A child's ru_maxrss starts from the high-water mark of the process
+# that spawned it (the kernel carries it across fork, vfork and exec),
+# so the command is spawned by this small interpreter, not by the
+# ladder: it times the command, reaps it with os.wait4, prints
+# "wall_s maxrss_kb" to stderr and exits with the command's code.
+SPAWNER = """
+import os, sys, time
+start = time.perf_counter()
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 2, os.devnull, os.O_WRONLY, 0)])
+_, status, usage = os.wait4(pid, 0)
+print(time.perf_counter() - start, usage.ru_maxrss, file=sys.stderr)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+def run_once(src: str, argv: list) -> tuple:
+    """(wall seconds, peak RSS in MB, exit code, stdout sha256) of one
+    fresh process; stdout is hashed as it streams, never held whole."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    start = time.perf_counter()
-    proc = subprocess.run(args, capture_output=True, env=env)
-    wall = time.perf_counter() - start
-    return wall, proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
+    digest = hashlib.sha256()
+    with subprocess.Popen(
+        [sys.executable, "-S", "-c", SPAWNER, *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        for chunk in iter(lambda: proc.stdout.read(1 << 20), b""):
+            digest.update(chunk)
+        report = proc.stderr.read().split()
+    wall, maxrss_kb = float(report[0]), int(report[1])
+    return wall, maxrss_kb / 1024, proc.returncode, digest.hexdigest()
 
 
-def time_row(src: str, command: str, row: str) -> dict:
-    walls, codes, digests = [], set(), set()
-    while len(walls) < RUNS:
-        wall, code, digest = run_once(src, command, row)
-        walls.append(round(wall, 3))
-        codes.add(code)
-        digests.add(digest)
-        if walls[0] > SINGLE_RUN_OVER_S:
+def time_row(srcs: dict, command: str, row: str) -> dict:
+    argv = [sys.executable, "-m", "cuspcenter", command]
+    for flag, value in zip(FLAGS, row.split(",")):
+        argv += [flag, value]
+    argv += ["--out", "json"]
+    runs = {side: [] for side in SIDES}
+    for pair in range(PAIRS):
+        for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+            runs[side].append(run_once(srcs[side], argv))
+        if runs["parent"][0][0] > SINGLE_PAIR_OVER_S:
             break
-    if len(codes) != 1 or len(digests) != 1:
-        raise SystemExit(f"row {row}: runs disagree (exit codes {codes}, digests {digests})")
-    return {
-        "runs_s": walls,
-        "median_s": statistics.median(walls),
-        "exit_code": codes.pop(),
-        "sha256": digests.pop(),
-    }
+    cell = {}
+    for side, results in runs.items():
+        walls = [round(r[0], 3) for r in results]
+        codes, digests = {r[2] for r in results}, {r[3] for r in results}
+        if len(codes) != 1 or len(digests) != 1:
+            raise SystemExit(f"row {row} {side}: runs disagree ({codes}, {digests})")
+        cell[side] = {
+            "runs_s": walls,
+            "median_s": statistics.median(walls),
+            "peak_rss_mb": [round(r[1], 1) for r in results],
+            "exit_code": codes.pop(),
+            "sha256": digests.pop(),
+        }
+    ratios = [c[0] / p[0] for p, c in zip(runs["parent"], runs["change"])]
+    cell["ratio_median"] = round(statistics.median(ratios), 3)
+    return cell
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", required=True, help="directory holding the cuspcenter package")
-    parser.add_argument("--column", required=True, help="column name, e.g. parent or change")
-    parser.add_argument("--out", required=True, help="BENCH JSON file to create or extend")
+    parser.add_argument("--parent", required=True, help="cuspcenter source tree before the change")
+    parser.add_argument("--change", required=True, help="cuspcenter source tree with the change")
+    parser.add_argument("--out", required=True, help="BENCH JSON file to write")
     parser.add_argument("--command", choices=COMMANDS, default="deformation")
     parser.add_argument("--rows", nargs="+", help="q,ell[,n[,d]] per row")
     args = parser.parse_args(argv)
     rows = args.rows or DEFAULT_ROWS.get(args.command)
     if not rows:
         parser.error(f"--rows is required for {args.command}")
+    srcs = {"parent": args.parent, "change": args.change}
+    for src in srcs.values():
+        compileall.compile_dir(os.path.abspath(src), quiet=1)  # before any timing
 
-    bench = {"command": f"{args.command} --out json", "rows": {}}
-    if os.path.exists(args.out):
-        with open(args.out) as fh:
-            recorded = json.load(fh)
-        if recorded["command"] != bench["command"]:
-            parser.error(f"{args.out} holds `{recorded['command']}`, not `{bench['command']}`")
-        bench = recorded
-    bench["host"] = {
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
+    bench = {
+        "command": f"{args.command} --out json",
+        "host": {
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "cpus": os.cpu_count(),
+        },
+        "rows": {},
     }
-    compileall.compile_dir(os.path.abspath(args.src), quiet=1)  # before any timing
     for row in rows:
-        cell = time_row(args.src, args.command, row)
-        bench["rows"].setdefault(row, {})[args.column] = cell
-        print(f"{row:>10} {args.column}: {cell['median_s']:.3f} s {cell['sha256'][:12]}", flush=True)
-
+        cell = bench["rows"][row] = time_row(srcs, args.command, row)
+        print(
+            f"{row:>10} parent {cell['parent']['median_s']:.3f} s "
+            f"{max(cell['parent']['peak_rss_mb']):.0f} MB, change "
+            f"{cell['change']['median_s']:.3f} s {max(cell['change']['peak_rss_mb']):.0f} MB, "
+            f"ratio {cell['ratio_median']:.3f}",
+            flush=True,
+        )
     mismatched = [
-        row for row, cols in bench["rows"].items()
-        if len({c["sha256"] for c in cols.values()}) > 1
+        row for row, cell in bench["rows"].items()
+        if cell["parent"]["sha256"] != cell["change"]["sha256"]
     ]
     with open(args.out, "w") as fh:
         json.dump(bench, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if mismatched:
-        print(f"stdout differs between columns on rows {mismatched}", file=sys.stderr)
+        print(f"stdout differs between parent and change on rows {mismatched}", file=sys.stderr)
         return 1
     return 0
 
