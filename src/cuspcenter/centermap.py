@@ -5,25 +5,26 @@ Every conjugacy class sum acts on each characteristic-zero member of
 the block by a scalar; collecting those scalars over the block's slots
 (slot 0 for the generalized Steinberg member, one slot per nonzero
 orbit representative for the cuspidal members) gives the class's delta
-vector.  The engine computes every delta vector exactly, checks the
-required integrality and congruence properties case by case, rebuilds
-the scaled idempotent and the distinguished generator gamma from
-realized vectors, certifies each delta as an integral polynomial in
-gamma, and packages the result: the image of the center is W[Y]/(m(Y))
-with m the minimal polynomial computed from the invariant ring.
+vector, the image of one rational q-invariant element of Q[Z/l^r].
+The engine computes every delta vector exactly, checks the required
+integrality and congruence properties case by case, rebuilds the
+scaled idempotent and the distinguished generator gamma from realized
+vectors, certifies each delta as an integral polynomial in gamma from
+its orbit-sum coordinates, and packages the result: the image of the
+center is W[Y]/(m(Y)) with m the minimal polynomial computed from the
+invariant ring.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
-from operator import mul
+from math import prod
 from typing import NamedTuple
 
 from .arith import ord_frac
 from .characters import (
     cuspidal_dimension,
-    cuspidal_values,
+    cuspidal_form,
     steinberg_dimension,
     steinberg_value,
 )
@@ -35,7 +36,7 @@ from .classes import (
     theta_exponent,
 )
 from .cyclotomic import CyclotomicNumber, is_ell_integral
-from .errors import AssertionFailure, IntegralityFailure, NoSolution
+from .errors import AssertionFailure, IntegralityFailure
 from .finitefield import finite_field, minimal_polynomial, sylow_generator
 from .invariants import (
     InvariantRingData,
@@ -45,7 +46,7 @@ from .invariants import (
     pullback_mod_ell_check,
     uniformizer_check,
 )
-from .linalg import clear_denominators, solve_columns
+from .linalg import solve_columns
 from .params import ParameterSet, reduce_parameters, require_reduced, validate_parameters
 from .polynomials import Poly
 
@@ -96,9 +97,6 @@ class BlockVector:
             a == b for a, b in zip(self.entries, other.entries)
         )
 
-    def __hash__(self):
-        return hash((self.reps, self.entries))
-
     def rational_entries(self):
         return tuple(e.as_rational() for e in self.entries)
 
@@ -111,25 +109,27 @@ def block_slots(ps: ParameterSet):
     return orbit_structure(ps).reps
 
 
-def delta_class(ct: ClassType, ps: ParameterSet) -> BlockVector:
-    """Delta vector of one class: |C| chi(C) / dim, slot by slot.
-
-    Raises IntegralityFailure if any entry is not l-integral and
-    AssertionFailure if the entries fail to agree in the residue field
-    F_l, read at zeta = 1; both properties hold for every class of the
-    group.
-
-    The vector depends on the class only through ``ct.type_key`` and
-    ``theta_exponent(ct, ps)`` (size, centralizer order, primary and
-    semisimple flags, part counts, deg P); the label appears in failure
-    messages alone.  ``classes.group_classes`` relies on this.
-    """
-    ps = require_reduced(ps)
-    reps = block_slots(ps)
+def delta_form(ct: ClassType, ps: ParameterSet) -> tuple[Fraction, Fraction, int]:
+    """(st, c, j): the delta vector of one class carries st at slot 0 and
+    c times the orbit sum of i*j at slot i != 0, with (c / (|C|/dim), j)
+    the ``characters.cuspidal_form``.  It depends on the class only
+    through ``ct.type_key`` and ``theta_exponent(ct, ps)``, on which
+    ``classes.group_classes`` groups the census."""
     size = ct.class_size()
     st = Fraction(size * steinberg_value(ct, ps), steinberg_dimension(ps))
-    scale = Fraction(size, cuspidal_dimension(ps))
-    entries = [st] + [v * scale for v in cuspidal_values(ct, ps, reps[1:])]
+    c, j = cuspidal_form(ct, ps)
+    return st, c * Fraction(size, cuspidal_dimension(ps)), j
+
+
+def form_vector(ct: ClassType, form: tuple, ps: ParameterSet) -> BlockVector:
+    """The delta vector of the ``delta_form`` of ``ct``, slot by slot.
+    Raises IntegralityFailure if any entry is not l-integral and
+    AssertionFailure if the entries fail to agree in the residue field
+    F_l, read at zeta = 1; both hold for every class of the group."""
+    st, c, j = form
+    reps = block_slots(ps)
+    sums = orbit_sums(ps)
+    entries = [st] + [sums[i * j % ps.ell_power] * c for i in reps[1:]]
     vec = BlockVector(ps.ell, ps.r, reps, entries)
     for slot, e in zip(vec.reps, vec.entries):
         if not is_ell_integral(e):
@@ -149,22 +149,46 @@ def delta_class(ct: ClassType, ps: ParameterSet) -> BlockVector:
     return vec
 
 
-def s_membership(vec: BlockVector) -> bool:
-    """Membership in S = W*1 + W*(scaled idempotent): all nonzero slots
-    equal and rational, everything l-integral, and slot 0 congruent to
-    the common value mod l^r."""
-    vals = vec.rational_entries()
-    if any(v is None for v in vals):
-        return False
-    e0, tail = vals[0], vals[1:]
+def delta_class(ct: ClassType, ps: ParameterSet) -> BlockVector:
+    """Delta vector of one class: |C| chi(C) / dim, slot by slot, from
+    its ``delta_form`` and checked by ``form_vector``."""
+    ps = require_reduced(ps)
+    return form_vector(ct, delta_form(ct, ps), ps)
+
+
+def orbit_coordinates(form: tuple, ps: ParameterSet) -> tuple[Fraction, ...]:
+    """The orbit-sum coordinates, in the order of the orbit
+    representatives, of V = c f_j + ((st - c n) / l^r) N for the
+    ``delta_form`` (st, c, j): f_j = sum_k X^(j q^k) is the orbit sum of
+    j, or n * 1 for j = 0, and N = sum_e X^e has every coordinate 1.
+
+    V maps to the delta vector: at slot 0 (X -> 1) to c n + (st - c n)
+    = st, and at a slot i != 0 (X -> zeta^i), where N maps to 0, to c
+    times the orbit sum of i*j."""
+    st, c, j = form
+    m = ps.ell_power
+    reps = orbit_structure(ps).reps
+    coords = [(st - c * ps.n) / m] * len(reps)
+    rep = min(j * pow(ps.q, k, m) % m for k in range(ps.n))
+    coords[reps.index(rep)] += c * (ps.n if rep == 0 else 1)
+    return tuple(coords)
+
+
+def s_membership(coords, ell: int) -> bool:
+    """Whether the image of the orbit coordinates V = ``coords`` lies in
+    S = Z_(l)*1 + Z_(l)*(scaled idempotent): exactly when V_1 = ... =
+    V_(D-1) and both V_1 and V_0 - V_1 lie in Z_(l).
+
+    Proof: 1 is e_0, and N = sum_e X^e maps to (l^r, 0, ..., 0), the
+    scaled idempotent.  The map to the slots is injective on the
+    q-invariants over Q, which are Q[f] with f sent to D distinct slot
+    values.  So the image of V lies in S exactly when V = a e_0 + b N
+    with a, b in Z_(l): V_0 = a + b and V_1 = ... = V_(D-1) = b.  D = 2
+    needs no other case: there f_j = N - 1 for j != 0."""
+    head, tail = coords[0], coords[1:]
     if any(v != tail[0] for v in tail):
         return False
-    ell = vec.ell
-    for v in (e0, tail[0]):
-        if v != 0 and ord_frac(v, ell) < 0:
-            return False
-    diff = tail[0] - e0
-    return diff == 0 or ord_frac(diff, ell) >= vec.r
+    return all(v.denominator % ell for v in (tail[0], head - tail[0]))
 
 
 REALIZED_WITNESS = "realized-witness"
@@ -198,11 +222,12 @@ class CaseReport(NamedTuple):
     witness_unit: Fraction
 
 
-def case_analysis(ps: ParameterSet, classes, labels, key_of, vecs) -> CaseReport:
+def case_analysis(ps: ParameterSet, classes, labels, key_of, vecs, coords) -> CaseReport:
     """classes in census order with their labels, rendered once by the
     caller and used as the key of every per-class result, and their key
     indices from ``group_classes``; vecs[k] is the delta vector of key
-    k.  Checks the per-bucket shape of every class's vector;
+    k and coords[k] its ``orbit_coordinates``, which ``s_membership``
+    reads.  Checks the per-bucket shape of every class's vector;
     S-membership is asserted on the non-primary and both small-degree
     primary buckets, recorded (but deliberately not asserted either
     way) on the degree-n bucket, and the witness bucket must consist of
@@ -218,7 +243,7 @@ def case_analysis(ps: ParameterSet, classes, labels, key_of, vecs) -> CaseReport
     witness_label = None
     witness_unit = None
     lr = Fraction(ps.ell_power)
-    flags = [s_membership(vec) for vec in vecs]
+    flags = [s_membership(v, ps.ell) for v in coords]
     for ct, label, k in zip(classes, labels, key_of):
         vec, flag = vecs[k], flags[k]
         bucket = case_bucket(ct, ps)
@@ -378,55 +403,27 @@ def reconstruct_gamma(
     }
 
 
-def _numerators(vec: BlockVector) -> tuple[list[int], int]:
-    """(nums, den): the power-basis coordinates of a block vector, phi
-    per slot, as integer numerators over one denominator."""
-    den = lcm(*(e.den for e in vec.entries))
-    nums = []
-    for e in vec.entries:
-        scale = den // e.den
-        nums += [x * scale for x in e.nums]
-    return nums, den
-
-
 def express_all_in_gamma(vecs, ring: InvariantRingData) -> list:
-    """For each vec the unique h with deg h < D and h(gamma) = vec, as an
-    l-integral polynomial; NoSolution if any vec is outside Q[gamma],
-    IntegralityFailure if its coordinates exist but are not l-integral.
-    Every NoSolution is raised before any IntegralityFailure.
+    """For each tuple V of orbit coordinates (``orbit_coordinates``) the
+    unique h with deg h < D and h(f) = V, as an l-integral polynomial;
+    IntegralityFailure if any h is not l-integral.
 
-    Column k of the integer matrix A (D * phi rows, D columns) holds
-    gamma^k slot by slot: the images of the integral f^k.  Each candidate
-    comes from the D x D normal equations (A^T A) y = A^T b, all solved
-    by one elimination; rank A^T A = rank A, so a singular A still
-    raises ValueError.  The candidate is then certified by the integer
-    identity A y_num = y_den b on all D * phi coordinates, which says
-    that h(gamma) equals the vector entry by entry.
-
-    Equal vectors share one certificate, so each distinct vector is
-    solved and checked once."""
+    Column k of ``ring.basis_matrix`` M holds the orbit coordinates of
+    the q-invariant f^k, so M y = V is the group-ring identity h(f) = V
+    with h = sum_k y_k Y^k.  The map to the slots is a ring map sending
+    f to gamma, so h(gamma) is the image of V: the delta vector.  One
+    elimination of M solves every distinct V.  ``invariant_ring``
+    certifies M in GL_D(Z_(l)), so h is l-integral exactly when V is;
+    the check stays explicit."""
     column_of = {}
-    columns = [column_of.setdefault(vec, len(column_of)) for vec in vecs]
-    distinct = list(column_of)
-
-    ps, reps = ring.ps, ring.orbits.reps
-    cols = [[x for rep in reps for x in fk.at_zeta(ps.ell, ps.r, rep).nums] for fk in ring.powers]
-    gram = [[sum(map(mul, a, b)) for b in cols] for a in cols]
-    targets = [_numerators(vec) for vec in distinct]
-    sols = solve_columns(gram, [[sum(map(mul, a, b)) for a in cols] for b, _ in targets])
-    rows = list(zip(*cols))
-    out = []
-    for (b, den), sol in zip(targets, sols):
-        y_nums, y_den = clear_denominators(sol)
-        if any(sum(map(mul, row, y_nums)) != y_den * x for row, x in zip(rows, b)):
-            raise NoSolution("vector is not a polynomial in gamma")
-        out.append(Poly([Fraction(y, den) for y in sol]))
-    if not all(h.is_ell_integral(ps.ell) for h in out):
+    columns = [column_of.setdefault(v, len(column_of)) for v in vecs]
+    out = [Poly(sol) for sol in solve_columns(ring.basis_matrix, list(column_of))]
+    if not all(h.is_ell_integral(ring.ps.ell) for h in out):
         raise IntegralityFailure("gamma-certificate is not l-integral")
     return [out[k] for k in columns]
 
 
-def express_in_gamma(vec: BlockVector, ring: InvariantRingData) -> Poly:
+def express_in_gamma(vec, ring: InvariantRingData) -> Poly:
     """``express_all_in_gamma`` for a single vector."""
     return express_all_in_gamma([vec], ring)[0]
 
@@ -560,10 +557,12 @@ def verify_endo_ring(
     class_info = {label: dict(preds[k], label=label) for label, k in zip(labels, key_of)}
     checks.append(f"classes: {len(classes)} types, centralizer orders verified")
 
-    vecs = [delta_class(ct, ps) for ct in firsts]
+    forms = [delta_form(ct, ps) for ct in firsts]
+    vecs = [form_vector(ct, form, ps) for ct, form in zip(firsts, forms)]
+    coords = [orbit_coordinates(form, ps) for form in forms]
     checks.append("delta: all vectors l-integral and residue-consistent")
 
-    case_report = case_analysis(ps, classes, labels, key_of, vecs)
+    case_report = case_analysis(ps, classes, labels, key_of, vecs, coords)
     checks.append("case analysis: bucket shapes verified")
     signs = lemma_signs_check(ps)
     checks.append("sign congruences: all divisor pairs verified")
@@ -610,7 +609,7 @@ def verify_endo_ring(
         f"gamma reconstruction: {len(reconstructions)} l-singular classes replayed"
     )
 
-    certs = express_all_in_gamma(vecs, ring)
+    certs = express_all_in_gamma(coords, ring)
     certificates = {label: certs[k] for label, k in zip(labels, key_of)}
     checks.append("closure: every delta vector is an l-integral polynomial in gamma")
 

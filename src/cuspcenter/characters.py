@@ -19,6 +19,7 @@ Conventions for a class type with factor list ((P_1, lam_1), ...):
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import prod
 
 from .classes import ClassType, theta_exponent
@@ -35,31 +36,29 @@ def steinberg_dimension(ps: ParameterSet) -> int:
     return ps.q ** (ps.n * (ps.n - 1) // 2)
 
 
-def cuspidal_values(ct: ClassType, ps: ParameterSet, slots) -> list[CyclotomicNumber]:
-    """Values of the cuspidal lifts of the given slots on one class
-    type, as elements of Q(zeta_{l^r}).  The sign/product scalar and the
-    theta exponent depend on the class alone, so each is computed once
-    for the whole row."""
+def cuspidal_form(ct: ClassType, ps: ParameterSet) -> tuple[Fraction, int]:
+    """(c, j) such that the slot-i cuspidal lift takes the value c times
+    the orbit sum of i*j, sum_k zeta^(i j q^k), on the class type: j is
+    the theta exponent of a degree-n type and c = 0 off primary types.
+    Roots of smaller degree a are l-regular, so there j = 0, whose orbit
+    sum is n, and c = scalar * a / n."""
     require_reduced(ps)
     if not ct.is_primary:
-        return [CyclotomicNumber.zero(ps.ell, ps.r)] * len(slots)
+        return Fraction(0), 0
     poly, lam = ct.factors[0]
     a = poly.degree
     x = len(lam)
     scalar = (-1) ** (ps.n - x) * prod(ps.q ** (k * a) - 1 for k in range(1, x))
     if a == ps.n:
-        sums, j = orbit_sums(ps), theta_exponent(ct, ps)
-        return [sums[i * j % ps.ell_power] * scalar for i in slots]
-    # roots of smaller degree are l-regular here, so every theta factor
-    # is 1 and the orbit sum collapses to its length, at every slot
-    value = CyclotomicNumber.rational(ps.ell, a).embed_to(ps.r) * scalar
-    return [value] * len(slots)
+        return Fraction(scalar), theta_exponent(ct, ps)
+    return Fraction(scalar * a, ps.n), 0
 
 
 def cuspidal_value(i: int, ct: ClassType, ps: ParameterSet) -> CyclotomicNumber:
     """Value of the slot-i cuspidal lift on the given class type, as an
-    element of Q(zeta_{l^r})."""
-    return cuspidal_values(ct, ps, (i,))[0]
+    element of Q(zeta_{l^r}), read off ``cuspidal_form``."""
+    c, j = cuspidal_form(ct, ps)
+    return orbit_sums(ps)[i * j % ps.ell_power] * c
 
 
 def steinberg_value_raw(ct: ClassType, p: int, n: int) -> int:

@@ -3,6 +3,7 @@ from itertools import permutations
 import pytest
 
 from cuspcenter import linalg, validate_parameters, verify_endo_ring
+from cuspcenter.arith import ord_frac
 from cuspcenter.cyclotomic import CyclotomicNumber, zeta
 from cuspcenter.errors import NoSolution
 from cuspcenter.gl2table import gl2_character_table
@@ -90,3 +91,22 @@ def omega_value(ps, i, exponent=1):
     for k in range(ps.n):
         total = total + zeta(ps.ell, i, exponent * pow(ps.q, k, m))
     return total
+
+
+def slot_s_membership(vec) -> bool:
+    """The slot referee for ``centermap.s_membership``: a block vector
+    lies in S = Z_(l)*1 + Z_(l)*(scaled idempotent) when its nonzero
+    slots are equal and rational, everything is l-integral, and slot 0
+    is congruent to the common value mod l^r."""
+    vals = vec.rational_entries()
+    if any(v is None for v in vals):
+        return False
+    e0, tail = vals[0], vals[1:]
+    if any(v != tail[0] for v in tail):
+        return False
+    ell = vec.ell
+    for v in (e0, tail[0]):
+        if v != 0 and ord_frac(v, ell) < 0:
+            return False
+    diff = tail[0] - e0
+    return diff == 0 or ord_frac(diff, ell) >= vec.r

@@ -16,7 +16,6 @@ from cuspcenter.centermap import (
     REALIZED_WITNESS,
     block_slots,
     delta_class,
-    s_membership,
 )
 from cuspcenter.classes import enumerate_classes
 from cuspcenter.cyclotomic import ell_valuation
@@ -34,7 +33,7 @@ from cuspcenter.invariants import (
 from cuspcenter.matrixoracle import census_cross_check
 from cuspcenter.params import validate_parameters
 
-from conftest import CASES, omega_value
+from conftest import CASES, omega_value, slot_s_membership
 
 EXPECTED_MIN_POLY = {
     "P1": (-2, -1, 1),
@@ -141,8 +140,8 @@ def test_criterion_5_case_analysis(endo_results):
             if bucket == NON_PRIMARY:
                 assert all(e.is_zero() for e in vec.entries[1:])
             if bucket in (NON_PRIMARY, PRIMARY_SMALL_DIAG, PRIMARY_SMALL_NONDIAG):
-                assert s_membership(vec)
-            assert report.s_flags[class_label] == s_membership(vec)
+                assert slot_s_membership(vec)
+            assert report.s_flags[class_label] == slot_s_membership(vec)
     print("PASS criterion-5 (tolerance 0): case-analysis bucket shapes and "
           "S-membership on all six runs")
 

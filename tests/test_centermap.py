@@ -10,7 +10,8 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
+from operator import mul
 
 import pytest
 
@@ -24,6 +25,8 @@ from cuspcenter.centermap import (
     BlockVector,
     block_slots,
     delta_class,
+    delta_form,
+    orbit_coordinates,
     verify_endo_ring,
     express_all_in_gamma,
     express_in_gamma,
@@ -38,12 +41,18 @@ from cuspcenter.centermap import (
     s_membership,
     theta_orbit_vector,
 )
-from conftest import omega_value
+from conftest import omega_value, slot_s_membership
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspcenter import centermap, cli, invariants, linalg
-from cuspcenter.classes import ClassType, class_predicates, enumerate_classes, theta_exponent
+from cuspcenter.classes import (
+    ClassType,
+    class_predicates,
+    enumerate_classes,
+    group_classes,
+    theta_exponent,
+)
 from cuspcenter.cyclotomic import CyclotomicNumber, phi_prime_power, zeta
 from cuspcenter.errors import AssertionFailure, IntegralityFailure, NoSolution
 from cuspcenter.finitefield import FqPoly, finite_field
@@ -165,31 +174,56 @@ def test_lemma_signs_all_divisor_pairs():
                 assert ord_frac(diff, ell) >= ps.r
 
 
+def image(coords, ps) -> BlockVector:
+    """The referee for orbit coordinates: V spread over its orbits as a
+    ``GroupRingElement`` and mapped to every slot by ``at_zeta``."""
+    orbits = invariants.orbit_structure(ps)
+    spread = [0] * orbits.modulus
+    for v, orbit in zip(coords, orbits.orbits):
+        for e in orbit:
+            spread[e] = v
+    x = GroupRingElement(orbits.modulus, spread)
+    return BlockVector(
+        ps.ell, ps.r, orbits.reps, [x.at_zeta(ps.ell, ps.r, rep) for rep in orbits.reps]
+    )
+
+
+def in_s(coords, slots, ps) -> bool:
+    """Both S-membership predicates on the vector with these orbit
+    coordinates, whose image must be these slot values."""
+    coords = tuple(Fraction(v) for v in coords)
+    vec = BlockVector(ps.ell, ps.r, block_slots(ps), slots)
+    assert image(coords, ps) == vec
+    assert s_membership(coords, ps.ell) == slot_s_membership(vec)
+    return s_membership(coords, ps.ell)
+
+
 def test_s_membership_accepts():
     ps = validate_parameters(2, 7, 3)
-    reps = block_slots(ps)
-    assert s_membership(one_vector(ps))
-    # the scaled idempotent (l^r, 0, 0): slot difference has valuation r
-    idem = BlockVector(7, 1, reps, [7, 0, 0])
-    assert s_membership(idem)
-    # witness shape (0, 14, 14)
-    assert s_membership(BlockVector(7, 1, reps, [0, 14, 14]))
+    assert in_s((1, 0, 0), [1, 1, 1], ps)
+    # N, whose image is the scaled idempotent (l^r, 0, 0): slot
+    # difference has valuation r
+    assert in_s((1, 1, 1), [7, 0, 0], ps)
+    # witness shape (0, 14, 14) = 14 * 1 - 2 * N
+    assert in_s((12, -2, -2), [0, 14, 14], ps)
 
 
 def test_s_membership_rejects():
     ps = validate_parameters(2, 7, 3)
     reps = block_slots(ps)
-    # slot difference not divisible by l^r
-    assert not s_membership(BlockVector(7, 1, reps, [1, 2, 2]))
-    # unequal cuspidal slots
-    assert not s_membership(BlockVector(7, 1, reps, [0, 7, 14]))
+    # slot difference not divisible by l^r: 2 * 1 - N / 7
+    assert not in_s((Fraction(13, 7), Fraction(-1, 7), Fraction(-1, 7)), [1, 2, 2], ps)
+    # unequal cuspidal coordinates map to irrational cuspidal slots
+    assert not s_membership((Fraction(0), Fraction(7), Fraction(14)), 7)
+    assert image((0, 7, 14), ps).entries[1].as_rational() is None
     # denominators prime to l are units, so 7/2 entries stay inside S
-    assert s_membership(BlockVector(7, 1, reps, [0, Fraction(7, 2), Fraction(7, 2)]))
+    half = Fraction(-1, 2)
+    assert in_s((3, half, half), [0, Fraction(7, 2), Fraction(7, 2)], ps)
     third = Fraction(1, 7)
-    assert not s_membership(BlockVector(7, 1, reps, [third, third, third]))
-    # irrational cuspidal slot
-    irr = BlockVector(7, 1, reps, [3, zeta(7, 1), zeta(7, 1)])
-    assert not s_membership(irr)
+    assert not in_s((third, 0, 0), [third, third, third], ps)
+    # the slot referee on vectors outside the image of the invariants
+    assert not slot_s_membership(BlockVector(7, 1, reps, [0, 7, 14]))
+    assert not slot_s_membership(BlockVector(7, 1, reps, [3, zeta(7, 1), zeta(7, 1)]))
 
 
 def test_s_flags_by_bucket(endo_results):
@@ -200,7 +234,7 @@ def test_s_flags_by_bucket(endo_results):
         for label, bucket in report.bucket_of.items():
             if bucket in (NON_PRIMARY, PRIMARY_SMALL_DIAG, PRIMARY_SMALL_NONDIAG):
                 assert report.s_flags[label]
-            assert report.s_flags[label] == s_membership(res.deltas[label])
+            assert report.s_flags[label] == slot_s_membership(res.deltas[label])
 
 
 def test_degree_n_s_flags_observed(endo_results):
@@ -248,8 +282,9 @@ def test_theta_orbit_vector_matches_per_slot_omega_values(args):
 def test_endo_ring_builds_each_orbit_sum_and_factor_value_once(monkeypatch):
     # (2,127,7): 19 slots, m = (Y - 7) m_1.  Images under the one map:
     # 19 orbit sums, omega_1 and N(zeta_1) for uniformizer_check, m_1(f)
-    # and omega_1 in min_polynomial, 2 * 19 factor values and 19 * 19
-    # coordinates of the gamma system.  Every Poly evaluation is at f in the group ring:
+    # and omega_1 in min_polynomial, 2 * 19 factor values; the gamma
+    # system is solved in orbit coordinates and maps nothing.  Every
+    # Poly evaluation is at f in the group ring:
     # m_1(f) for its certificate, each factor once for the table, m(f).
     counts = {"map": 0, "poly": 0}
     plain_map, plain_call = GroupRingElement.at_zeta, Poly.__call__
@@ -266,7 +301,7 @@ def test_endo_ring_builds_each_orbit_sum_and_factor_value_once(monkeypatch):
     monkeypatch.setattr(Poly, "__call__", call)
     invariants.orbit_sums.cache_clear()  # compute, do not recall
     verify_endo_ring(2, 127, 7)
-    assert counts == {"map": 19 + 2 + 2 + 2 * 19 + 19 * 19, "poly": 1 + 2 + 1}
+    assert counts == {"map": 19 + 2 + 2 + 2 * 19, "poly": 1 + 2 + 1}
 
 
 def horner_table(ring, gamma: BlockVector) -> tuple:
@@ -374,14 +409,16 @@ def test_express_in_gamma_failure_modes():
     ps = validate_parameters(2, 3, 2)
     ring = invariant_ring(ps)
     reps = block_slots(ps)
-    # a vector with an irrational slot cannot be a polynomial in gamma
+    # a vector with an irrational slot cannot be a polynomial in gamma;
+    # no orbit coordinates map to it, so only the referee can be asked
     outside = BlockVector(3, 1, reps, [0, zeta(3, 1)])
     with pytest.raises(NoSolution):
-        express_in_gamma(outside, ring)
-    # rationally consistent but with non-l-integral coordinates
-    fractional = BlockVector(3, 1, reps, [Fraction(1, 3), Fraction(1, 3)])
+        gram_express_all_in_gamma([outside], ring)
+    # rationally consistent but with non-l-integral coordinates: 1/3
+    third = (Fraction(1, 3), Fraction(0))
+    assert image(third, ps) == BlockVector(3, 1, reps, [Fraction(1, 3), Fraction(1, 3)])
     with pytest.raises(IntegralityFailure):
-        express_in_gamma(fractional, ring)
+        express_in_gamma(third, ring)
 
 
 def test_express_all_in_gamma_failure_modes():
@@ -389,19 +426,28 @@ def test_express_all_in_gamma_failure_modes():
     ring = invariant_ring(ps)
     gamma = gamma_vector(ps)
     reps = block_slots(ps)
-    valid = [one_vector(ps), gamma, gamma.scale(5)]
+    # 1, f and 5 f in orbit coordinates, and on the slots
+    valid = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(0), Fraction(5))]
+    slots = [one_vector(ps), gamma, gamma.scale(5)]
+    assert [image(v, ps) for v in valid] == slots
     outside = BlockVector(3, 1, reps, [0, zeta(3, 1)])
     with pytest.raises(NoSolution):
-        express_all_in_gamma(valid[:2] + [outside] + valid[2:], ring)
-    fractional = BlockVector(3, 1, reps, [Fraction(1, 3), Fraction(1, 3)])
+        gram_express_all_in_gamma(slots[:2] + [outside] + slots[2:], ring)
+    fractional = (Fraction(1, 3), Fraction(0))
     with pytest.raises(IntegralityFailure):
         express_all_in_gamma(valid + [fractional], ring)
     assert express_all_in_gamma(valid, ring) == [Poly((1,)), Poly((0, 1)), Poly((0, 5))]
 
 
+def key_coordinates(res) -> dict:
+    """label -> the orbit coordinates of the class's delta vector."""
+    ps = res.params
+    return {ct.label(): orbit_coordinates(delta_form(ct, ps), ps) for ct in res.classes}
+
+
 def test_express_all_matches_per_vector(endo_results):
     res = endo_results["P3"]
-    vecs = list(res.deltas.values())
+    vecs = list(key_coordinates(res).values())
     batch = express_all_in_gamma(vecs, res.ring)
     assert batch == [express_in_gamma(v, res.ring) for v in vecs]
     assert batch == list(res.certificates.values())
@@ -416,11 +462,52 @@ def test_express_all_in_gamma_eliminates_once(endo_results, monkeypatch):
         calls.append(1)
         return echelon(*args)
 
+    vecs = list(key_coordinates(res).values())
     monkeypatch.setattr(linalg, "_echelon", counted)
-    vecs = list(res.deltas.values())
     assert len(vecs) == 6
     express_all_in_gamma(vecs, res.ring)
     assert len(calls) == 1
+
+
+def _numerators(vec: BlockVector) -> tuple[list[int], int]:
+    """(nums, den): the power-basis coordinates of a block vector, phi
+    per slot, as integer numerators over one denominator."""
+    den = lcm(*(e.den for e in vec.entries))
+    nums = []
+    for e in vec.entries:
+        scale = den // e.den
+        nums += [x * scale for x in e.nums]
+    return nums, den
+
+
+def gram_express_all_in_gamma(vecs, ring):
+    """Referee for ``express_all_in_gamma`` on slot vectors: the path it
+    replaced.  For each vec the unique h with deg h < D and h(gamma) =
+    vec; NoSolution if any vec is outside Q[gamma], IntegralityFailure
+    if its coordinates exist but are not l-integral, and every
+    NoSolution before any IntegralityFailure.
+
+    Column k of the integer matrix A (D * phi rows, D columns) holds the
+    images of f^k at every slot.  Each candidate comes from the D x D
+    normal equations (A^T A) y = A^T b, all solved by one elimination,
+    and is certified by the integer identity A y_num = y_den b on all
+    D * phi coordinates."""
+    distinct = {(vec.reps, vec.entries): vec for vec in vecs}
+    ps, reps = ring.ps, ring.orbits.reps
+    cols = [[x for rep in reps for x in fk.at_zeta(ps.ell, ps.r, rep).nums] for fk in ring.powers]
+    gram = [[sum(map(mul, a, b)) for b in cols] for a in cols]
+    targets = [_numerators(vec) for vec in distinct.values()]
+    sols = linalg.solve_columns(gram, [[sum(map(mul, a, b)) for a in cols] for b, _ in targets])
+    rows = list(zip(*cols))
+    out = {}
+    for key, (b, den), sol in zip(distinct, targets, sols):
+        y_nums, y_den = linalg.clear_denominators(sol)
+        if any(sum(map(mul, row, y_nums)) != y_den * x for row, x in zip(rows, b)):
+            raise NoSolution("vector is not a polynomial in gamma")
+        out[key] = Poly([Fraction(y, den) for y in sol])
+    if not all(h.is_ell_integral(ps.ell) for h in out.values()):
+        raise IntegralityFailure("gamma-certificate is not l-integral")
+    return [out[(vec.reps, vec.entries)] for vec in vecs]
 
 
 POWER_COLUMN_CASES = [(2, 3, 2), (2, 7, 3), (8, 3, 2), (4, 5, 2), (3, 5, 4), (2, 5, 4, 2)]
@@ -440,7 +527,23 @@ def test_power_images_match_gamma_power_basis(args):
         images = [fk.at_zeta(ell, r, rep) for rep in ring.orbits.reps]
         assert all(x.den == 1 and x.level == r for x in images)
         col = [x for image in images for x in image.nums]
-        assert (col, 1) == centermap._numerators(pw)
+        assert (col, 1) == _numerators(pw)
+
+
+@pytest.mark.parametrize("args", POWER_COLUMN_CASES)
+def test_orbit_coordinates_map_to_delta_vectors(args):
+    # per (type key, theta exponent): the image of V at every slot is the
+    # delta vector, the two S-membership predicates agree, and the
+    # orbit-coordinate certificates equal the D * phi referee's on the
+    # slot vectors
+    ps = reduce_parameters(validate_parameters(*args))
+    ring = invariant_ring(ps)
+    firsts, _ = group_classes(enumerate_classes(finite_field(ps.q), ps.n), ps)
+    coords = [orbit_coordinates(delta_form(ct, ps), ps) for ct in firsts]
+    vecs = [delta_class(ct, ps) for ct in firsts]
+    assert [image(v, ps) for v in coords] == vecs
+    assert [s_membership(v, ps.ell) for v in coords] == [slot_s_membership(v) for v in vecs]
+    assert express_all_in_gamma(coords, ring) == gram_express_all_in_gamma(vecs, ring)
 
 
 def _coordinates(vec, phi):
@@ -458,8 +561,8 @@ def ref_express_all_in_gamma(vecs, gamma_pows, ps):
     elimination of the full D * phi-row gamma-power system, then each
     certificate re-checked slot by slot in cyclotomic arithmetic."""
     column_of = {}
-    columns = [column_of.setdefault(vec, len(column_of)) for vec in vecs]
-    distinct = list(column_of)
+    columns = [column_of.setdefault((vec.reps, vec.entries), len(column_of)) for vec in vecs]
+    distinct = list({(vec.reps, vec.entries): vec for vec in vecs}.values())
     phi = phi_prime_power(ps.ell, ps.r)
     rows = [list(row) for row in zip(*(_coordinates(v, phi) for v in gamma_pows))]
     sols = linalg.solve_columns(rows, [_coordinates(vec, phi) for vec in distinct])
@@ -494,18 +597,47 @@ def test_express_all_matches_full_system_referee(endo_results, endo_2_31, endo_1
     for res in [*endo_results.values(), endo_2_31, endo_17_3]:
         pows = gamma_power_basis(res.gamma, res.ring.dimension)
         vecs = list(res.deltas.values())
-        got = express_all_in_gamma(vecs, res.ring)
+        got = express_all_in_gamma(list(key_coordinates(res).values()), res.ring)
+        assert got == gram_express_all_in_gamma(vecs, res.ring)
         assert got == ref_express_all_in_gamma(vecs, pows, res.params)
         assert got == list(res.certificates.values())
 
 
 def perturbed(data, res):
+    """The distinct orbit coordinates of the delta vectors of ``res``
+    with some of them moved: scaled by 1/l, or shifted by the multiple of
+    N that moves the Steinberg slot by a multiple of l^r (still an
+    l-integral polynomial in gamma) or of l^(r-1)."""
+    ps = res.params
+    vecs = list(dict.fromkeys(key_coordinates(res).values()))
+    for _ in range(data.draw(st.integers(0, 3))):
+        k = data.draw(st.integers(0, len(vecs) - 1))
+        if data.draw(st.sampled_from(["scale", "steinberg"])) == "scale":
+            vecs[k] = tuple(v / ps.ell for v in vecs[k])
+            continue
+        shift = data.draw(st.integers(1, 9)) * ps.ell ** data.draw(st.integers(ps.r - 1, ps.r))
+        vecs[k] = tuple(v + Fraction(shift, ps.ell_power) for v in vecs[k])
+    return vecs
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_express_all_matches_referee_on_perturbed_batches(endo_results, data):
+    res = endo_results[data.draw(st.sampled_from(sorted(endo_results)))]
+    vecs = perturbed(data, res)
+    got = outcome(express_all_in_gamma, vecs, res.ring)
+    images = [image(v, res.params) for v in vecs]
+    assert got == outcome(gram_express_all_in_gamma, images, res.ring)
+    assert got is not AssertionFailure
+
+
+def slot_perturbed(data, res):
     """The distinct delta vectors of ``res`` with some of them moved:
     off Q[gamma] (a zeta or a rational on one cuspidal slot), or scaled
     by 1/l, or shifted on the Steinberg slot by a multiple of l^r (still
     an l-integral polynomial in gamma) or of l^(r-1)."""
     ps = res.params
-    vecs = list(dict.fromkeys(res.deltas.values()))
+    vecs = list({(vec.reps, vec.entries): vec for vec in res.deltas.values()}.values())
     for _ in range(data.draw(st.integers(0, 3))):
         k = data.draw(st.integers(0, len(vecs) - 1))
         vec = vecs[k]
@@ -528,16 +660,18 @@ def perturbed(data, res):
 
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(data=st.data())
-def test_express_all_matches_referee_on_perturbed_batches(endo_results, data):
+def test_gram_referee_matches_full_system_on_perturbed_batches(endo_results, data):
     res = endo_results[data.draw(st.sampled_from(sorted(endo_results)))]
     pows = gamma_power_basis(res.gamma, res.ring.dimension)
-    vecs = perturbed(data, res)
-    got = outcome(express_all_in_gamma, vecs, res.ring)
+    vecs = slot_perturbed(data, res)
+    got = outcome(gram_express_all_in_gamma, vecs, res.ring)
     assert got == outcome(ref_express_all_in_gamma, vecs, pows, res.params)
     assert got is not AssertionFailure
 
 
 def test_no_solution_wins_over_integrality_failure():
+    # the ordering of the slot referees: no orbit coordinates map
+    # outside Q[gamma], so the engine cannot meet a NoSolution
     ps = validate_parameters(2, 7, 3)
     ring = invariant_ring(ps)
     gamma = gamma_vector(ps)
@@ -547,7 +681,7 @@ def test_no_solution_wins_over_integrality_failure():
     fractional = gamma.scale(Fraction(1, 7))
     for batch in ([fractional, outside], [outside, fractional], [gamma, fractional, outside]):
         with pytest.raises(NoSolution):
-            express_all_in_gamma(batch, ring)
+            gram_express_all_in_gamma(batch, ring)
         with pytest.raises(NoSolution):
             ref_express_all_in_gamma(batch, pows, ps)
 
@@ -595,19 +729,20 @@ def test_delta_class_standalone_matches_pipeline(endo_results):
     "shift,error", [(1, AssertionFailure), (7, None), (Fraction(1, 7), IntegralityFailure)]
 )
 def test_delta_class_residue_and_integrality_checks(monkeypatch, shift, error):
-    # shift the delta entry of the first cuspidal slot by ``shift``: a
-    # unit moves it in the residue field, a multiple of l does not
+    # shift the delta entries of the cuspidal slots by ``shift`` through
+    # the class's delta form, whose orbit sum of 0 is n: a unit moves
+    # them in the residue field, a multiple of l does not
     ps = validate_parameters(2, 7, 3)
     ct = next(ct for ct in enumerate_classes(finite_field(2), 3) if ct.class_size() > 1)
-    size, dim = ct.class_size(), centermap.cuspidal_dimension(ps)
-    values = centermap.cuspidal_values
+    form = centermap.delta_form
 
-    def shifted(c, p, slots):
-        first, *rest = values(c, p, slots)
-        return [first + shift * Fraction(dim, size), *rest]
+    def shifted(c, p):
+        st, scalar, j = form(c, p)
+        assert j == 0
+        return st, scalar + Fraction(shift, p.n), j
 
     expected = delta_class(ct, ps)
-    monkeypatch.setattr(centermap, "cuspidal_values", shifted)
+    monkeypatch.setattr(centermap, "delta_form", shifted)
     if error is None:
         assert delta_class(ct, ps).entries[1] == expected.entries[1] + shift
     else:
@@ -626,7 +761,7 @@ def test_per_type_records_match_per_class_at_17_3(endo_17_3):
 
 def test_endo_ring_computes_once_per_type_at_17_3(monkeypatch):
     deltas, columns = [], []
-    plain_delta, plain_solve = centermap.delta_class, centermap.solve_columns
+    plain_delta, plain_solve = centermap.delta_form, centermap.solve_columns
 
     def counted_delta(*args):
         deltas.append(1)
@@ -636,7 +771,7 @@ def test_endo_ring_computes_once_per_type_at_17_3(monkeypatch):
         columns.append(len(rhs_list))
         return plain_solve(rows, rhs_list)
 
-    monkeypatch.setattr(centermap, "delta_class", counted_delta)
+    monkeypatch.setattr(centermap, "delta_form", counted_delta)
     monkeypatch.setattr(centermap, "solve_columns", counted_solve)
     res = verify_endo_ring(17, 3, 2)
     # 288 classes, 12 (type key, theta exponent) pairs, 8 distinct vectors
@@ -750,9 +885,9 @@ def test_classes_centralizer_not_dividing_the_order_raises(capsys, monkeypatch):
 def test_s_membership_once_per_vector_at_17_3(monkeypatch):
     calls = []
 
-    def counted(vec):
-        calls.append(vec)
-        return s_membership(vec)
+    def counted(coords, ell):
+        calls.append(coords)
+        return s_membership(coords, ell)
 
     monkeypatch.setattr(centermap, "s_membership", counted)
     res = verify_endo_ring(17, 3, 2)
@@ -760,7 +895,7 @@ def test_s_membership_once_per_vector_at_17_3(monkeypatch):
     flags = res.case_report.s_flags
     assert list(flags) == [ct.label() for ct in res.classes]
     assert len(flags) == 288
-    assert flags == {label: s_membership(vec) for label, vec in res.deltas.items()}
+    assert flags == {label: slot_s_membership(vec) for label, vec in res.deltas.items()}
 
 
 # sha256 of `--out json` stdout by command.  The endo-ring pins were

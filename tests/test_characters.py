@@ -10,8 +10,8 @@ from cuspcenter import characters
 from cuspcenter.centermap import block_slots, delta_class
 from cuspcenter.characters import (
     cuspidal_dimension,
+    cuspidal_form,
     cuspidal_value,
-    cuspidal_values,
     steinberg_dimension,
     steinberg_value,
     theta_exponent,
@@ -157,7 +157,7 @@ def test_theta_exponent_range():
 
 
 def referee_cuspidal_value(i, ct, ps):
-    """The per-slot referee for ``cuspidal_values``: the character
+    """The per-slot referee for ``cuspidal_form``: the character
     formula of the module docstring at one slot, its scalar and theta
     exponent computed afresh."""
     if not ct.is_primary:
@@ -178,8 +178,10 @@ ROW_CASES = sorted({reduce_parameters(validate_parameters(*args)) for args in CA
 )
 def test_cuspidal_rows_match_the_per_slot_referee(ps):
     slots = block_slots(ps)
+    sums = orbit_sums(ps)
     for ct in enumerate_classes(finite_field(ps.q), ps.n):
-        row = cuspidal_values(ct, ps, slots)
+        c, j = cuspidal_form(ct, ps)
+        row = [sums[i * j % ps.ell_power] * c for i in slots]
         assert row == [referee_cuspidal_value(i, ct, ps) for i in slots]
         assert [cuspidal_value(i, ct, ps) for i in slots] == row
 
