@@ -10,7 +10,9 @@ from the matching table rows.
 
 Values live in Q(zeta_m), m = q^2 - 1, encoded as formal sums of roots
 of unity; equality is decided exactly by reduction modulo the m-th
-cyclotomic polynomial.
+cyclotomic polynomial.  The orthogonality checks gather each pair's
+Gram sum on one dense integer list indexed by exponent mod m and reduce
+it once.
 """
 
 from __future__ import annotations
@@ -63,6 +65,21 @@ def cyclotomic_polynomial(m: int) -> tuple:
     return tuple(num)
 
 
+def _cyclotomic_remainder(rem: list, m: int) -> tuple:
+    """Remainder modulo the m-th cyclotomic polynomial of the dense
+    integer list ``rem``, coefficient e at exponent e < m.  ``rem`` is
+    reduced in place."""
+    phi = cyclotomic_polynomial(m)
+    dd = len(phi) - 1
+    terms = [(k - dd, dc) for k, dc in enumerate(phi) if dc]
+    for i in range(m - 1, dd - 1, -1):
+        c = rem[i]
+        if c:
+            for k, dc in terms:
+                rem[i + k] -= c * dc
+    return tuple(rem[:dd])
+
+
 class RootSum:
     """Formal Z (or Q) linear combination of m-th roots of unity."""
 
@@ -107,24 +124,13 @@ class RootSum:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "RootSum":
-        return RootSum(self.modulus, {(-e) % self.modulus: c for e, c in self.coeffs.items()})
-
     def canonical(self) -> tuple:
         """Remainder modulo the m-th cyclotomic polynomial; two sums are
         equal as algebraic numbers iff their canonical forms agree."""
-        m = self.modulus
-        rem = [0] * m
+        rem = [0] * self.modulus
         for e, c in self.coeffs.items():
             rem[e] += c
-        phi = cyclotomic_polynomial(m)
-        dd = len(phi) - 1
-        for i in range(m - 1, dd - 1, -1):
-            c = rem[i]
-            if c:
-                for k, dc in enumerate(phi):
-                    rem[i - dd + k] -= c * dc
-        return tuple(rem[:dd])
+        return _cyclotomic_remainder(rem, self.modulus)
 
     def is_zero(self) -> bool:
         return not any(self.canonical())
@@ -323,17 +329,41 @@ def gl2_character_table(q: int) -> GL2Table:
     )
 
 
+def _gram_sum(m: int, weights, xs, ys) -> list:
+    """sum_k w_k x_k conj(y_k) on one dense list indexed by exponent mod
+    m, where x_k and y_k are given by their (exponent, coefficient)
+    items: zeta^e1 conj(zeta^e2) = zeta^(e1 - e2)."""
+    acc = [0] * m
+    for w, x, y in zip(weights, xs, ys):
+        for e1, c1 in x:
+            for e2, c2 in y:
+                acc[(e1 - e2) % m] += w * c1 * c2
+    return acc
+
+
+def _equals(acc: list, m: int, target: int) -> bool:
+    """Whether the dense sum ``acc`` equals the integer ``target``;
+    ``acc`` is reduced in place."""
+    acc[0] -= target
+    return not any(_cyclotomic_remainder(acc, m))
+
+
+def _items(values) -> list:
+    return [tuple(v.coeffs.items()) for v in values]
+
+
 def verify_row_orthogonality(table: GL2Table) -> int:
-    """<chi_i, chi_j> = delta_ij, checked exactly for all pairs."""
+    """<chi_i, chi_j> = delta_ij, checked exactly for all pairs, each as
+    one dense Gram sum reduced once modulo the cyclotomic polynomial."""
+    m = table.modulus
     rows = table.characters
+    sizes = [cls.size for cls in table.classes]
+    items = [_items(ch.values) for ch in rows]
     checked = 0
     for i in range(len(rows)):
         for j in range(i, len(rows)):
-            acc = RootSum.zero(table.modulus)
-            for cls, a, b in zip(table.classes, rows[i].values, rows[j].values):
-                acc = acc + cls.size * (a * b.conjugate())
             target = table.group_order if i == j else 0
-            if not (acc == target):
+            if not _equals(_gram_sum(m, sizes, items[i], items[j]), m, target):
                 raise AssertionFailure(
                     f"row orthogonality fails at ({rows[i].label}, {rows[j].label})"
                 )
@@ -342,19 +372,19 @@ def verify_row_orthogonality(table: GL2Table) -> int:
 
 
 def verify_column_orthogonality(table: GL2Table) -> int:
-    """Sum over characters of chi(C) conj(chi(C')) = delta_{C,C'} |centralizer|."""
-    cols = list(zip(*(ch.values for ch in table.characters)))
+    """Sum over characters of chi(C) conj(chi(C')) = delta_{C,C'} |centralizer|,
+    each pair as one dense Gram sum like the rows."""
+    m = table.modulus
+    items = [_items(col) for col in zip(*(ch.values for ch in table.characters))]
+    ones = [1] * len(table.characters)
     checked = 0
-    for i in range(len(cols)):
-        for j in range(i, len(cols)):
-            acc = RootSum.zero(table.modulus)
-            for a, b in zip(cols[i], cols[j]):
-                acc = acc + a * b.conjugate()
+    for i in range(len(items)):
+        for j in range(i, len(items)):
             if i == j:
                 target = table.group_order // table.classes[i].size
             else:
                 target = 0
-            if not (acc == target):
+            if not _equals(_gram_sum(m, ones, items[i], items[j]), m, target):
                 raise AssertionFailure(
                     f"column orthogonality fails at "
                     f"({table.classes[i].label}, {table.classes[j].label})"

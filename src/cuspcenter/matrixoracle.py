@@ -7,13 +7,19 @@ sides are matched through companion-block representatives and must
 agree class-by-class on sizes and centralizer orders.
 
 The census runs on integer encodings, not on field elements.  A field
-element is its ``FFElement.encoding``; a matrix is the flat row-major
-tuple of its n^2 entry encodings.  ``FieldTables`` derives F_q's
-arithmetic on encodings once per census from the field's own + and *
-(log and Zech-log tables, so O(q) entries even where q is large), and
-the matrix product, Leibniz determinant and Gauss-Jordan inverse below
-work through those tables alone.  None of this shares code with the
-engine's kernels in ``matrices`` or ``linalg``.
+element is its ``FFElement.encoding``; a matrix is enumerated, and
+keyed in ``MatrixCensus.orbit_of``, as the flat row-major tuple of its
+n^2 entry encodings.  ``FieldTables`` derives F_q's arithmetic on
+encodings once per census from the field's own + and * (log and
+Zech-log tables, so O(q) entries even where q is large); the flat
+matrix product, Leibniz determinant and Gauss-Jordan inverse below work
+through those tables alone.  The orbit loop works on a second encoding:
+a row vector v is the index sum_k v_k q^k, a matrix is the tuple of its
+n row indices, and ``RowVectors`` gives each group element h the table
+``v -> v h`` of q^n entries, built from ``FieldTables`` once per
+census.  Row i of A B is then ``act_B[row_i(A)]``, so a product costs n
+lookups.  None of this shares code with the engine's kernels in
+``matrices`` or ``linalg``.
 """
 
 from __future__ import annotations
@@ -101,6 +107,69 @@ def mat_mul(t: FieldTables, a: tuple, b: tuple, n: int) -> tuple:
     return tuple(out)
 
 
+class RowVectors:
+    """Row vectors of F_q^n as indices v = sum_k v_k q^k, and matrices
+    as the tuples of their n row indices.
+
+    ``add[u][w]`` is the index of u + w and ``scale[c][w]`` that of
+    c * w.  Both start as ``FieldTables``' own sums and products (the
+    vectors of length 1) and grow one digit at a time: with u = u_0 +
+    q u' and w = w_0 + q w', u + w = (u_0 + w_0) + q (u' + w').
+
+    >>> from cuspcenter.finitefield import finite_field
+    >>> t = FieldTables(finite_field(4))
+    >>> vecs = RowVectors(t, 4, 2)
+    >>> a = vecs.rows((2, 1, 0, 3))          # [[u, 1], [0, u+1]]
+    >>> a
+    (6, 12)
+    >>> act = vecs.action(vecs.rows(mat_inverse(t, (2, 1, 0, 3), 2)))
+    >>> vecs.flat(tuple(act[r] for r in a))  # row i of a a^-1 is act[row_i(a)]
+    (1, 0, 0, 1)
+    """
+
+    def __init__(self, t: FieldTables, q: int, n: int):
+        self.n = n
+        self.weights = [q**k for k in range(n)]
+        self.digits = [tuple(v // w % q for w in self.weights) for v in range(q**n)]
+        field = range(q)
+        f_add = [[t.add(x, y) for y in field] for x in field]
+        f_mul = [[t.mul(c, x) for x in field] for c in field]
+        add, scale = f_add, f_mul
+        for _ in range(n - 1):
+            high = range(len(add))
+            add = [
+                [f_add[u0][w0] + q * by_u[w] for w in high for w0 in field]
+                for by_u in add
+                for u0 in field
+            ]
+            scale = [
+                [f_mul[c][w0] + q * scale[c][w] for w in high for w0 in field] for c in field
+            ]
+        self.add, self.scale = add, scale
+
+    def index(self, entries) -> int:
+        return sum(x * w for x, w in zip(entries, self.weights))
+
+    def rows(self, flat: tuple) -> tuple:
+        """Row indices of a flat row-major matrix."""
+        n = self.n
+        return tuple(self.index(flat[i : i + n]) for i in range(0, n * n, n))
+
+    def flat(self, rows: tuple) -> tuple:
+        """Flat row-major entry encodings of a matrix given by rows."""
+        return tuple(x for r in rows for x in self.digits[r])
+
+    def action(self, rows: tuple) -> list:
+        """``act[v] = v h`` for every row vector v, where h has the row
+        indices ``rows``: v h = sum_k v_k row_k(h), built one digit of v
+        at a time."""
+        act = [0]
+        for row in rows:
+            multiples = [by_c[row] for by_c in self.scale]  # c * row_k(h), c in F_q
+            act = [self.add[m][a] for m in multiples for a in act]
+        return act
+
+
 def _signed_permutations(n: int) -> list:
     out = []
     for perm in permutations(range(n)):
@@ -164,39 +233,50 @@ def matrix_census(field: FiniteField, n: int, max_group_order: int = 1000) -> Ma
             f"|GL_{n}(F_{field.order})| = {expected_order} exceeds bound {max_group_order}"
         )
     t = FieldTables(field)
+    vecs = RowVectors(t, field.order, n)
     signed_perms = _signed_permutations(n)
     # entry k of a matrix is digit k (lowest first) of its index in base q
     candidates = (digits[::-1] for digits in product(range(field.order), repeat=n * n))
-    group = [g for g in candidates if mat_det(t, g, signed_perms)]
+    group = [vecs.rows(g) for g in candidates if mat_det(t, g, signed_perms)]
     if len(group) != expected_order:
         raise AssertionFailure(
             f"counted {len(group)} invertible matrices, formula says {expected_order}"
         )
     identity = tuple(int(i == j) for i in range(n) for j in range(n))
+    identity_rows = vecs.rows(identity)
+    act = {h: vecs.action(h) for h in group}
     pairs = []
-    for h in group:
-        hinv = mat_inverse(t, h, n)
-        if mat_mul(t, h, hinv, n) != identity:
+    for h, act_h in act.items():
+        h_flat = vecs.flat(h)
+        hinv_flat = mat_inverse(t, h_flat, n)
+        if mat_mul(t, h_flat, hinv_flat, n) != identity:
             raise AssertionFailure(
-                "h * h^-1 is not the identity in brute-force census", witness=list(h)
+                "h * h^-1 is not the identity in brute-force census", witness=list(h_flat)
             )
-        pairs.append((h, hinv))
-    orbit_of: dict = {}
+        act_hinv = act.get(vecs.rows(hinv_flat))
+        if act_hinv is None or tuple(act_hinv[r] for r in h) != identity_rows:
+            raise AssertionFailure(
+                "h * h^-1 is not the identity through the row-action tables",
+                witness=list(h_flat),
+            )
+        pairs.append((h, act_h, act_hinv))
+    orbit_rows: dict = {}
     sizes = []
     centralizers = []
-    for g in group:
-        if g in orbit_of:
+    for g, act_g in act.items():
+        if g in orbit_rows:
             continue
         idx = len(sizes)
+        by_g = act_g.__getitem__
         orbit = set()
         commuting = 0
-        for h, hinv in pairs:
-            hg = mat_mul(t, h, g, n)
-            orbit.add(mat_mul(t, hg, hinv, n))
-            if hg == mat_mul(t, g, h, n):
+        for h, act_h, act_hinv in pairs:
+            hg = tuple(map(by_g, h))
+            orbit.add(tuple(map(act_hinv.__getitem__, hg)))
+            if hg == tuple(map(act_h.__getitem__, g)):
                 commuting += 1
         for mat in orbit:
-            orbit_of[mat] = idx
+            orbit_rows[mat] = idx
         if commuting * len(orbit) != len(group):
             raise AssertionFailure(
                 "orbit-stabilizer mismatch in brute-force census",
@@ -212,7 +292,7 @@ def matrix_census(field: FiniteField, n: int, max_group_order: int = 1000) -> Ma
         group_order=len(group),
         sizes=tuple(sizes),
         centralizers=tuple(centralizers),
-        orbit_of=orbit_of,
+        orbit_of={vecs.flat(rows): idx for rows, idx in orbit_rows.items()},
     )
 
 

@@ -970,6 +970,21 @@ PINNED_JSON = {
         "oracle --q 4 --n 2 --ell 5",
         "191197a2afd2976fd421b66994ba38b9bdabf7045b4de1578633e661049241cf",
     ),
+    # recorded while the census multiplied flat matrices entry by entry
+    # and orthogonality summed RootSums: GL_3(F_2), GL_2(F_5) with the
+    # census, GL_2(F_8) with the table alone
+    "oracle-2-3-7": (
+        "oracle --q 2 --n 3 --ell 7",
+        "229fcc3f41c54ea27439d80e96850e0ba9bcdbad87e00e3b4d41657b1e06323a",
+    ),
+    "oracle-5-2-3": (
+        "oracle --q 5 --n 2 --ell 3",
+        "16969cbfed075a41f9a19e1477a744968736b42fe7cc9b8b703808f5a26f28c0",
+    ),
+    "oracle-8-2-3": (
+        "oracle --q 8 --n 2 --ell 3",
+        "413a80f74574d3aff6be08bcf97ae02a769fd371561664d03587e6187bb9c9c1",
+    ),
 }
 
 

@@ -1,6 +1,9 @@
 """Full GL_2 character tables over tiny fields, checked against sympy's
 cyclotomic polynomials, classical orthogonality, and the block engine's
-delta vectors."""
+delta vectors.
+
+The orthogonality checks run as dense integer Gram sums; their referee
+here is the same check summed pair by pair in ``RootSum`` arithmetic."""
 
 from fractions import Fraction
 
@@ -12,6 +15,7 @@ from cuspcenter.classes import enumerate_classes
 from cuspcenter.errors import AssertionFailure
 from cuspcenter.finitefield import finite_field
 from cuspcenter.gl2table import (
+    GL2Character,
     RootSum,
     cyclotomic_polynomial,
     delta_equivalence_check,
@@ -23,6 +27,54 @@ from cuspcenter.gl2table import (
     verify_row_orthogonality,
 )
 from cuspcenter.params import validate_parameters
+
+
+# ---------------------------------------------------------------------------
+# referee: orthogonality summed in RootSum arithmetic
+# ---------------------------------------------------------------------------
+
+
+def _conjugate(value):
+    m = value.modulus
+    return RootSum(m, {(-e) % m: c for e, c in value.coeffs.items()})
+
+
+def referee_row_orthogonality(table):
+    rows = table.characters
+    checked = 0
+    for i in range(len(rows)):
+        for j in range(i, len(rows)):
+            acc = RootSum.zero(table.modulus)
+            for cls, a, b in zip(table.classes, rows[i].values, rows[j].values):
+                acc = acc + cls.size * (a * _conjugate(b))
+            target = table.group_order if i == j else 0
+            if not (acc == target):
+                raise AssertionFailure(
+                    f"row orthogonality fails at ({rows[i].label}, {rows[j].label})"
+                )
+            checked += 1
+    return checked
+
+
+def referee_column_orthogonality(table):
+    cols = list(zip(*(ch.values for ch in table.characters)))
+    checked = 0
+    for i in range(len(cols)):
+        for j in range(i, len(cols)):
+            acc = RootSum.zero(table.modulus)
+            for a, b in zip(cols[i], cols[j]):
+                acc = acc + a * _conjugate(b)
+            if i == j:
+                target = table.group_order // table.classes[i].size
+            else:
+                target = 0
+            if not (acc == target):
+                raise AssertionFailure(
+                    f"column orthogonality fails at "
+                    f"({table.classes[i].label}, {table.classes[j].label})"
+                )
+            checked += 1
+    return checked
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8, 9, 12, 15, 63])
@@ -46,7 +98,7 @@ def test_rootsum_algebra():
         total = total + RootSum.root(4, e)
     assert total == 0
     # conjugation is exponent negation
-    assert RootSum.root(8, 3).conjugate() == RootSum.root(8, 5)
+    assert _conjugate(RootSum.root(8, 3)) == RootSum.root(8, 5)
     # scalar multiple
     assert RootSum.root(3, 0, 5) == 5
 
@@ -81,6 +133,41 @@ def test_orthogonality(q):
     k = len(table.classes)
     assert verify_row_orthogonality(table) == k * (k + 1) // 2
     assert verify_column_orthogonality(table) == k * (k + 1) // 2
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8])
+def test_orthogonality_matches_referee(q):
+    table = gl2_character_table(q)
+    assert verify_row_orthogonality(table) == referee_row_orthogonality(table)
+    assert verify_column_orthogonality(table) == referee_column_orthogonality(table)
+
+
+def _with_one_cuspidal_value_negated(table):
+    row = table.cuspidal_rows[min(table.cuspidal_rows)]
+    ch = table.characters[row]
+    k = next(k for k, cls in enumerate(table.classes) if cls.kind == "unipotent")
+    values = ch.values[:k] + (-ch.values[k],) + ch.values[k + 1 :]
+    characters = list(table.characters)
+    characters[row] = GL2Character(ch.label, ch.family, ch.dim, values)
+    return table._replace(characters=tuple(characters))
+
+
+@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize(
+    "check,referee",
+    [
+        (verify_row_orthogonality, referee_row_orthogonality),
+        (verify_column_orthogonality, referee_column_orthogonality),
+    ],
+)
+def test_negated_cuspidal_value_fails_both_paths_alike(q, check, referee):
+    table = _with_one_cuspidal_value_negated(gl2_character_table(q))
+    with pytest.raises(AssertionFailure) as ours:
+        check(table)
+    with pytest.raises(AssertionFailure) as theirs:
+        referee(table)
+    assert "orthogonality fails at" in str(ours.value)
+    assert str(ours.value) == str(theirs.value)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8])

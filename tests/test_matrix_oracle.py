@@ -1,10 +1,13 @@
-"""Brute-force census vs the product-formula class data.  These four
-groups (orders 6, 48, 180, 168) are small enough to enumerate outright,
-which makes them the referee for everything classes.py computes.
+"""Brute-force census vs the product-formula class data.  These five
+groups (orders 6, 48, 180, 480, 168: every GL_n(F_q) with n >= 2 and
+order at most the default bound 1000) are small enough to enumerate
+outright, which makes them the referee for everything classes.py
+computes.
 
-The census itself runs on integer encodings through ``FieldTables``.
-Its referee here is the plain census over ``FFElement`` matrices with
-generic product, Leibniz determinant and Gaussian inverse."""
+The census itself runs on integer encodings through ``FieldTables`` and
+the row-action tables of ``RowVectors``.  Its referee here is the plain
+census over ``FFElement`` matrices with generic product, Leibniz
+determinant and Gaussian inverse."""
 
 from itertools import permutations
 
@@ -17,6 +20,7 @@ from cuspcenter.finitefield import finite_field
 from cuspcenter.matrices import mat_mul
 from cuspcenter.matrixoracle import (
     FieldTables,
+    RowVectors,
     census_cross_check,
     encode_matrix,
     mat_inverse,
@@ -24,7 +28,7 @@ from cuspcenter.matrixoracle import (
     matrix_census,
 )
 
-GROUPS = [(2, 2, 6, 3), (3, 2, 48, 8), (4, 2, 180, 15), (2, 3, 168, 6)]
+GROUPS = [(2, 2, 6, 3), (3, 2, 48, 8), (4, 2, 180, 15), (5, 2, 480, 24), (2, 3, 168, 6)]
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +163,88 @@ def test_corrupted_inverse_is_caught(monkeypatch):
     monkeypatch.setattr(matrixoracle, "mat_inverse", corrupt_inverse)
     with pytest.raises(AssertionFailure, match=r"h \* h\^-1"):
         matrix_census(finite_field(2), 2)
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (4, 2), (2, 3), (3, 3), (7, 1)])
+def test_vector_tables_work_entry_by_entry(q, n):
+    t = FieldTables(finite_field(q))
+    vecs = RowVectors(t, q, n)
+    for u, du in enumerate(vecs.digits):
+        for w, dw in enumerate(vecs.digits):
+            assert vecs.add[u][w] == vecs.index(map(t.add, du, dw))
+        for c in range(q):
+            assert vecs.scale[c][u] == vecs.index(t.mul(c, x) for x in du)
+
+
+@pytest.mark.parametrize("q,n", [(2, 2), (3, 2), (2, 3)])
+def test_row_action_tables_match_the_flat_product(q, n):
+    t = FieldTables(finite_field(q))
+    vecs = RowVectors(t, q, n)
+    group = list(matrix_census(finite_field(q), n).orbit_of)
+    for b in group[::7]:
+        act = vecs.action(vecs.rows(b))
+        for a in group[::5]:
+            ab = tuple(act[r] for r in vecs.rows(a))
+            assert vecs.flat(ab) == enc_mat_mul(t, a, b, n)
+
+
+def _corrupt_identity_table(monkeypatch, vector):
+    """Make the identity matrix's row-action table send ``vector`` to
+    the wrong row."""
+
+    class CorruptRowVectors(RowVectors):
+        def action(self, rows):
+            act = super().action(rows)
+            if rows == self.rows((1, 0, 0, 1)):
+                act[vector] = self.add[act[vector]][1]
+            return act
+
+    monkeypatch.setattr(matrixoracle, "RowVectors", CorruptRowVectors)
+
+
+def test_corrupted_row_action_entry_is_caught_by_the_table_identity(monkeypatch):
+    # e_0 = (1, 0) is a row of I = I^-1, so h * h^-1 through the tables
+    # (h = I) reads the wrong entry
+    _corrupt_identity_table(monkeypatch, 1)
+    with pytest.raises(AssertionFailure, match="through the row-action tables"):
+        matrix_census(finite_field(3), 2)
+
+
+def test_corrupted_row_action_entry_is_caught_by_orbit_stabilizer(monkeypatch):
+    # (1, 1) is no row of I, so the table identity passes; but h I is
+    # read from I's table for every h, and the orbit of the central
+    # element I grows past its single element
+    _corrupt_identity_table(monkeypatch, 1 + 3)
+    with pytest.raises(AssertionFailure, match="orbit-stabilizer mismatch"):
+        matrix_census(finite_field(3), 2)
+
+
+def test_every_row_action_entry_is_caught_or_unread(monkeypatch):
+    # GL_2(F_2): each single wrong entry of each table either raises or
+    # sits where the census never reads it, leaving the census unchanged
+    field = finite_field(2)
+    expected = matrix_census(field, 2)
+    caught = 0
+    for target in range(expected.group_order):
+        for vector in range(1, 4):
+            calls = []
+
+            class CorruptRowVectors(RowVectors):
+                def action(self, rows):
+                    act = super().action(rows)
+                    if len(calls) == target:
+                        act[vector] = self.add[act[vector]][1]
+                    calls.append(rows)
+                    return act
+
+            monkeypatch.setattr(matrixoracle, "RowVectors", CorruptRowVectors)
+            try:
+                census = matrix_census(field, 2)
+            except AssertionFailure:
+                caught += 1
+            else:
+                assert census == expected
+    assert caught
 
 
 def test_census_scale_limit():

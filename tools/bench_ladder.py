@@ -3,7 +3,7 @@ source trees, interleaved run by run, and record both columns in one
 BENCH file.
 
     python3 tools/bench_ladder.py --parent SRC --change SRC --out BENCH.json \
-        [--command deformation|endo-ring|invariants|classes] \
+        [--command deformation|endo-ring|invariants|classes|oracle] \
         [--rows q,ell[,n[,d]] ...]
 
 Each row runs `python -m cuspcenter COMMAND --q Q --ell L [--n N]
@@ -12,8 +12,11 @@ Each row runs `python -m cuspcenter COMMAND --q Q --ell L [--n N]
 The two trees alternate run by run, and the side that runs first
 alternates pair by pair (parent, change, change, parent, ...), so drift
 of the host's speed falls on both columns alike.  Both SRC trees are
-byte-compiled before any run, so no run pays for compiling the package
-(a tree copied with PYTHONDONTWRITEBYTECODE set has no .pyc).
+first copied to `TMP/parent/src` and `TMP/change/src` in one temporary
+directory, so that both sides' paths have the same length (the peak
+RSS moves by up to 0.3 MB with the length of the tree's path).  The
+copies are byte-compiled before any run, so no run pays for compiling
+the package.
 
 Each column records the wall times, their median, the command's peak
 RSS in MB per run (`ru_maxrss` from `os.wait4`, read by a small
@@ -21,10 +24,11 @@ spawner process so that it does not inherit this script's high-water
 mark), the exit code and the sha256 of stdout.
 Each row also records `ratio_median`, the median over the pairs of
 change / parent wall time.  The command defaults to `deformation`;
-`deformation`, `endo-ring` and `invariants` have default ladders,
-`classes` needs `--rows` with the n.  The script exits 1 when the two
-columns of a row disagree on the sha256 (or a side's runs disagree
-among themselves).  This is a measurement script, not a test.
+`deformation`, `endo-ring`, `invariants` and `oracle` (rows q,ell,n)
+have default ladders, `classes` needs `--rows` with the n.  The script
+exits 1 when the two columns of a row disagree on the sha256 (or a
+side's runs disagree among themselves).  This is a measurement script,
+not a test.
 """
 
 from __future__ import annotations
@@ -35,9 +39,11 @@ import hashlib
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 PAIRS = 3
 SINGLE_PAIR_OVER_S = 30.0
@@ -45,8 +51,9 @@ DEFAULT_ROWS = {
     "deformation": ("2,3", "2,7", "3,5", "2,31", "3,7", "2,127"),
     "endo-ring": ("17,3,2", "7,5,4", "53,3,2", "101,17,2", "211,53,2"),
     "invariants": ("2,31", "2,73", "2,127", "211,53", "997,499"),
+    "oracle": ("4,5,2", "2,7,3", "5,3,2", "8,3,2", "9,5,2", "11,3,2"),
 }
-COMMANDS = ("deformation", "endo-ring", "invariants", "classes")
+COMMANDS = ("deformation", "endo-ring", "invariants", "classes", "oracle")
 FLAGS = ("--q", "--ell", "--n", "--d")
 SIDES = ("parent", "change")
 
@@ -123,12 +130,18 @@ def main(argv=None) -> int:
     rows = args.rows or DEFAULT_ROWS.get(args.command)
     if not rows:
         parser.error(f"--rows is required for {args.command}")
-    srcs = {"parent": args.parent, "change": args.change}
-    for src in srcs.values():
-        compileall.compile_dir(os.path.abspath(src), quiet=1)  # before any timing
+    with tempfile.TemporaryDirectory() as tmp:
+        srcs = {}
+        for side, src in (("parent", args.parent), ("change", args.change)):
+            srcs[side] = os.path.join(tmp, side, "src")
+            shutil.copytree(src, srcs[side], ignore=shutil.ignore_patterns("__pycache__"))
+            compileall.compile_dir(srcs[side], quiet=1)  # before any timing
+        return run_ladder(srcs, args.command, rows, args.out)
 
+
+def run_ladder(srcs: dict, command: str, rows, out: str) -> int:
     bench = {
-        "command": f"{args.command} --out json",
+        "command": f"{command} --out json",
         "host": {
             "python": platform.python_version(),
             "machine": platform.machine(),
@@ -137,7 +150,7 @@ def main(argv=None) -> int:
         "rows": {},
     }
     for row in rows:
-        cell = bench["rows"][row] = time_row(srcs, args.command, row)
+        cell = bench["rows"][row] = time_row(srcs, command, row)
         print(
             f"{row:>10} parent {cell['parent']['median_s']:.3f} s "
             f"{max(cell['parent']['peak_rss_mb']):.0f} MB, change "
@@ -149,7 +162,7 @@ def main(argv=None) -> int:
         row for row, cell in bench["rows"].items()
         if cell["parent"]["sha256"] != cell["change"]["sha256"]
     ]
-    with open(args.out, "w") as fh:
+    with open(out, "w") as fh:
         json.dump(bench, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if mismatched:
