@@ -35,7 +35,7 @@ from .classes import (
     group_classes,
     theta_exponent,
 )
-from .cyclotomic import CyclotomicNumber, is_ell_integral
+from .cyclotomic import CyclotomicNumber
 from .errors import AssertionFailure, IntegralityFailure
 from .finitefield import finite_field, minimal_polynomial, sylow_generator
 from .invariants import (
@@ -43,6 +43,7 @@ from .invariants import (
     invariant_ring,
     orbit_structure,
     orbit_sums,
+    poly_at_f,
     pullback_mod_ell_check,
     uniformizer_check,
 )
@@ -122,31 +123,37 @@ def delta_form(ct: ClassType, ps: ParameterSet) -> tuple[Fraction, Fraction, int
 
 
 def form_vector(ct: ClassType, form: tuple, ps: ParameterSet) -> BlockVector:
-    """The delta vector of the ``delta_form`` of ``ct``, slot by slot.
-    Raises IntegralityFailure if any entry is not l-integral and
+    """The delta vector of the ``delta_form`` (st, c, j) of ``ct``, slot
+    by slot.  Raises IntegralityFailure if an entry is not l-integral
+    (witness: slot 0 for st, else the first cuspidal slot) and
     AssertionFailure if the entries fail to agree in the residue field
-    F_l, read at zeta = 1; both hold for every class of the group."""
+    F_l, read at zeta = 1 (witness: the first cuspidal slot); both hold
+    for every class of the group.
+
+    Both are read off the form.  Slot 0 is st.  A cuspidal slot is c
+    times an orbit sum s = sum_k zeta^(e q^k), which lies in Z_(l)[zeta]
+    and maps to n under Z_(l)[zeta] -> Z_(l)[zeta]/(zeta - 1) = F_l.
+    As 0 < n < l, s is an l-adic unit, so c s is l-integral iff c is,
+    and then its residue is c n.  So the entries are l-integral iff st
+    and c are, and then they agree in F_l iff st = c n (mod l); every
+    cuspidal slot fails or passes alike, so the first one is the
+    witness."""
     st, c, j = form
     reps = block_slots(ps)
     sums = orbit_sums(ps)
     entries = [st] + [sums[i * j % ps.ell_power] * c for i in reps[1:]]
-    vec = BlockVector(ps.ell, ps.r, reps, entries)
-    for slot, e in zip(vec.reps, vec.entries):
-        if not is_ell_integral(e):
+    ell = ps.ell
+    for slot, x in ((reps[0], st), (reps[1], c)):
+        if not x.denominator % ell:
             raise IntegralityFailure(
                 f"delta entry at slot {slot} of {ct.label()} is not l-integral"
             )
-    # the entries are l-integral, and Z_(l)[zeta]/(zeta - 1) = F_l by
-    # zeta -> 1, so two entries agree there iff the numerators of their
-    # difference sum to 0 mod l
-    e0 = vec.entry0
-    for slot, e in zip(vec.reps[1:], vec.entries[1:]):
-        if sum((e - e0).nums) % ps.ell:
-            raise AssertionFailure(
-                f"delta entries of {ct.label()} differ in the residue field",
-                witness={"slot": slot},
-            )
-    return vec
+    if (st - c * require_reduced(ps).n).numerator % ell:
+        raise AssertionFailure(
+            f"delta entries of {ct.label()} differ in the residue field",
+            witness={"slot": reps[1]},
+        )
+    return BlockVector(ell, ps.r, reps, entries)
 
 
 def delta_class(ct: ClassType, ps: ParameterSet) -> BlockVector:
@@ -453,8 +460,9 @@ def factor_values(ring: InvariantRingData) -> tuple[tuple, ...]:
         raise AssertionFailure("the listed factors of m do not multiply to m")
     if factors[0] != Poly((-ring.ps.n, 1)):
         raise AssertionFailure(f"first factor of m is {factors[0]!r}, not Y - n")
-    ps, reps, f = ring.ps, ring.orbits.reps, ring.powers[1]
-    return tuple(tuple(x.at_zeta(ps.ell, ps.r, e) for e in reps) for x in (h(f) for h in factors))
+    ps, reps = ring.ps, ring.orbits.reps
+    images = (poly_at_f(h, ring.powers) for h in factors)
+    return tuple(tuple(x.at_zeta(ps.ell, ps.r, e) for e in reps) for x in images)
 
 
 def _zero_slots(rows) -> list[bool]:

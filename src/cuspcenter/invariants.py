@@ -15,17 +15,22 @@ The minimal polynomials m_i come out of the group ring, with no
 cyclotomic arithmetic: the power sums of the conjugates of omega_i are
 integers read off the powers of f against Ramanujan sums, and Newton's
 identities turn them into the coefficients.  Each m_i is certified by
-the image of m_i(f) at level i.
+the image of m_i(f) at level i, and m by m(f) = 0.
 
-Every value at a slot is an image under one ring map,
-``GroupRingElement.at_zeta``: X -> zeta_{l^i}^e.  It sends f to n at
-e = 0 (the Steinberg slot), to the orbit sum of e at level r (a
-cuspidal slot), and to omega_i at level i with e = 1.
+A polynomial h is evaluated in one way, at f: ``poly_at_f`` sums
+h(f) = sum_k h_k f^k from the stored powers of f.  Every value at a
+slot is then an image under one ring map, ``GroupRingElement.at_zeta``:
+X -> zeta_{l^i}^e.  It sends f to n at e = 0 (the Steinberg slot), to
+the orbit sum of e at level r (a cuspidal slot), and to omega_i at
+level i with e = 1; so it sends h(f) to h at that value.  No
+polynomial is evaluated at a cyclotomic number: the Horner passes over
+Q(zeta) and over the group ring are the tests' referees.
 
 Main outputs:
   * orbit_structure     - the orbits, with the order facts asserted
   * trace_element       - f = X + X^q + ... + X^(q^(n-1))
   * trace_powers        - f^0, ..., f^(D-1), D = #orbits, built once
+  * poly_at_f           - h(f) for a polynomial h, from those powers
   * power_sums          - power sums of the conjugates of omega_i
   * orbit_sums          - the image of f at every e, once per orbit
   * omega_and_min_poly  - omega_i (f at level i) and its minimal poly m_i
@@ -41,7 +46,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, prod
+from math import comb, lcm, prod
 from typing import NamedTuple
 
 from . import linalg
@@ -210,6 +215,26 @@ def trace_powers(ps: ParameterSet) -> list[GroupRingElement]:
     return powers
 
 
+def poly_at_f(h: Poly, powers) -> GroupRingElement:
+    """h(f) = sum_k h_k f^k from the stored powers f^0, ..., f^(D-1)
+    (``trace_powers``): one pass of integer multiply-adds over the
+    numerators, divided by h's denominator and the powers' common one
+    once at the end.  A power past the stored ones costs one product
+    each; only m, of degree D, needs one, f^D = f^(D-1) f.  This is the
+    engine's one evaluation of a polynomial in f: every value of h at
+    a slot is the image of h(f) under ``GroupRingElement.at_zeta``."""
+    terms = list(powers[: len(h.nums)])
+    while len(terms) < len(h.nums):
+        terms.append(terms[-1] * powers[1])
+    den = lcm(*(fk.den for fk in terms))
+    acc = [0] * powers[0].modulus
+    for c, fk in zip(h.nums, terms):
+        if c:
+            c *= den // fk.den
+            acc = [a + c * x for a, x in zip(acc, fk.nums)]
+    return powers[0]._normal(acc, h.den * den)
+
+
 def power_sums(ps: ParameterSet, i: int, powers) -> list[int]:
     """p_1, ..., p_d of the d = phi(l^i)/n conjugates of omega_i.
 
@@ -261,8 +286,9 @@ def omega_and_min_poly(ps: ParameterSet, i: int, powers):
     power sums (``power_sums``) give the coefficients of m_i by Newton's
     identities (``polynomials.from_power_sums``); they must be integers
     and m_i must have degree phi(l^i)/n.  The certificate m_i(omega_i)
-    = 0 is the image of m_i(f) under X -> zeta_{l^i}, which sends f to
-    omega_i; omega_i itself is built after it, for the report.
+    = 0 is the image of m_i(f) (``poly_at_f``) under X -> zeta_{l^i},
+    which sends f to omega_i; omega_i itself is built after it, for the
+    report.
     """
     ps = require_reduced(ps)
     ell = ps.ell
@@ -273,7 +299,7 @@ def omega_and_min_poly(ps: ParameterSet, i: int, powers):
     m_i = Poly(coeffs)
     if m_i.degree != phi_prime_power(ell, i) // ps.n:
         raise AssertionFailure(f"deg m_{i} = {m_i.degree} != phi(l^{i})/n", witness=i)
-    if not m_i(powers[1]).at_zeta(ell, i, 1).is_zero():
+    if not poly_at_f(m_i, powers).at_zeta(ell, i, 1).is_zero():
         raise AssertionFailure(f"m_{i}(omega_{i}) != 0", witness=i)
     return powers[1].at_zeta(ell, i, 1), m_i
 
@@ -382,7 +408,8 @@ def invariant_ring(ps: ParameterSet) -> InvariantRingData:
 
     M[j][k] = coefficient of X^(rep_j) in f^k, an integer.  Asserts that
     every f^k is q-invariant, that M lies in GL_D(Z_(l)) and that
-    m(f) = 0 in the group ring.  M is integral, so M^(-1) exists and is
+    m(f) = 0 in the group ring (``poly_at_f``, the one product f^D =
+    f^(D-1) f).  M is integral, so M^(-1) exists and is
     l-integral iff det M is prime to l, iff M has full rank modulo l:
     one elimination over F_l, and M^(-1) is never built.  Column j of
     M^(-1) holds the h with h(f) = the orbit sum of X^(reps[j]).
@@ -401,7 +428,7 @@ def invariant_ring(ps: ParameterSet) -> InvariantRingData:
         raise IntegralityFailure(
             "basis matrix is singular mod l: its inverse is not l-integral"
         )
-    if not m(powers[1]).is_zero():
+    if not poly_at_f(m, powers).is_zero():
         raise AssertionFailure("m(f) != 0 in the group ring")
     return InvariantRingData(
         ps=ps,

@@ -10,7 +10,10 @@ other factors that ``invariants.min_polynomial`` lists.  Horner
 evaluation runs on the numerators with one division by ``den`` at the
 end; at an ``int`` or a ``Fraction`` it stays in integers throughout.
 A Poly can be evaluated at anything that supports ``+`` and ``*`` with
-ints and ``Fraction``s (cyclotomic numbers, group-ring elements).
+ints and ``Fraction``s.  The engine itself evaluates a polynomial only
+at f, by ``invariants.poly_at_f``, and maps the result to the slots;
+Horner at cyclotomic numbers and group-ring elements is the tests'
+referee for it.
 
 >>> m = Poly((Fraction(-1, 2), 0, 2))
 >>> m.nums, m.den, m.degree

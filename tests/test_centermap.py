@@ -284,10 +284,13 @@ def test_endo_ring_builds_each_orbit_sum_and_factor_value_once(monkeypatch):
     # 19 orbit sums, omega_1 and N(zeta_1) for uniformizer_check, m_1(f)
     # and omega_1 in min_polynomial, 2 * 19 factor values; the gamma
     # system is solved in orbit coordinates and maps nothing.  Every
-    # Poly evaluation is at f in the group ring:
-    # m_1(f) for its certificate, each factor once for the table, m(f).
+    # polynomial in f is summed from the stored powers by poly_at_f:
+    # m_1(f) for its certificate, m(f), then each factor once for the
+    # table.  No Poly is evaluated by Horner.
     counts = {"map": 0, "poly": 0}
+    evaluated = []
     plain_map, plain_call = GroupRingElement.at_zeta, Poly.__call__
+    plain_at_f = invariants.poly_at_f
 
     def at_zeta(self, *args):
         counts["map"] += 1
@@ -297,11 +300,19 @@ def test_endo_ring_builds_each_orbit_sum_and_factor_value_once(monkeypatch):
         counts["poly"] += 1
         return plain_call(self, x)
 
+    def at_f(h, powers):
+        evaluated.append(h)
+        return plain_at_f(h, powers)
+
     monkeypatch.setattr(GroupRingElement, "at_zeta", at_zeta)
     monkeypatch.setattr(Poly, "__call__", call)
+    monkeypatch.setattr(invariants, "poly_at_f", at_f)
+    monkeypatch.setattr(centermap, "poly_at_f", at_f)
     invariants.orbit_sums.cache_clear()  # compute, do not recall
-    verify_endo_ring(2, 127, 7)
-    assert counts == {"map": 19 + 2 + 2 + 2 * 19, "poly": 1 + 2 + 1}
+    res = verify_endo_ring(2, 127, 7)
+    y_minus_n, m_1 = res.ring.m_factors
+    assert counts == {"map": 19 + 2 + 2 + 2 * 19, "poly": 0}
+    assert evaluated == [m_1, res.ring.m, y_minus_n, m_1]
 
 
 def horner_table(ring, gamma: BlockVector) -> tuple:
@@ -748,6 +759,70 @@ def test_delta_class_residue_and_integrality_checks(monkeypatch, shift, error):
     else:
         with pytest.raises(error):
             delta_class(ct, ps)
+
+
+def slot_form_vector(ct, form, ps) -> BlockVector:
+    """The referee for ``form_vector``'s checks: every slot multiplied
+    out in Q(zeta), each entry tested for l-integrality, then each
+    cuspidal entry against slot 0 in the residue field at zeta = 1."""
+    st, c, j = form
+    reps = block_slots(ps)
+    sums = invariants.orbit_sums(ps)
+    entries = [st] + [sums[i * j % ps.ell_power] * c for i in reps[1:]]
+    vec = BlockVector(ps.ell, ps.r, reps, entries)
+    for slot, e in zip(vec.reps, vec.entries):
+        if not e.is_ell_integral(ps.ell):
+            raise IntegralityFailure(
+                f"delta entry at slot {slot} of {ct.label()} is not l-integral"
+            )
+    e0 = vec.entry0
+    for slot, e in zip(vec.reps[1:], vec.entries[1:]):
+        if sum((e - e0).nums) % ps.ell:
+            raise AssertionFailure(
+                f"delta entries of {ct.label()} differ in the residue field",
+                witness={"slot": slot},
+            )
+    return vec
+
+
+def failure_or_vector(fn, *args):
+    """The vector, or the type, message and witness of the failure."""
+    try:
+        return fn(*args)
+    except (AssertionFailure, IntegralityFailure) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+@pytest.mark.parametrize("args", REFEREE_CASES)
+def test_form_vector_matches_the_slot_referee(args):
+    # every key's delta form, and forms moved off it: st or c shifted by
+    # a unit (the residues disagree) or by a multiple of l (they agree
+    # again), divided by l (not l-integral once l no longer divides it),
+    # or with another theta exponent
+    ps = reduce_parameters(validate_parameters(*args))
+    ell, n = ps.ell, ps.n
+    firsts, _ = group_classes(enumerate_classes(finite_field(ps.q), ps.n), ps)
+    moves = [
+        lambda st, c, j: (st, c, j),
+        lambda st, c, j: (st + 1, c, j),
+        lambda st, c, j: (st + ell, c, j),
+        lambda st, c, j: (st, c + 1, j),
+        lambda st, c, j: (st + n, c + 1, j),
+        lambda st, c, j: (st / ell, c, j),
+        lambda st, c, j: (st, c / ell, j),
+        lambda st, c, j: (st / ell, c / ell, j),
+        lambda st, c, j: (st, c, j + 1),
+    ]
+    seen = set()
+    for ct in firsts:
+        form = delta_form(ct, ps)
+        for move in moves:
+            moved = move(*form)
+            got = failure_or_vector(centermap.form_vector, ct, moved, ps)
+            assert got == failure_or_vector(slot_form_vector, ct, moved, ps)
+            seen.add(type(got) if isinstance(got, BlockVector) else got[0])
+        assert isinstance(failure_or_vector(centermap.form_vector, ct, form, ps), BlockVector)
+    assert seen == {BlockVector, AssertionFailure, IntegralityFailure}
 
 
 @pytest.fixture(scope="module")

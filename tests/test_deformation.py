@@ -1,11 +1,12 @@
 """Matrix deformation points and the emitted center presentation."""
 
 from itertools import product
+from math import prod
 
 import pytest
 from conftest import leibniz_charpoly
 
-from cuspcenter import deformation, matrices
+from cuspcenter import deformation, invariants, matrices
 from cuspcenter.arith import ord_frac
 from cuspcenter.cyclotomic import CyclotomicNumber, zeta
 from cuspcenter.deformation import (
@@ -15,9 +16,15 @@ from cuspcenter.deformation import (
     make_point,
 )
 from cuspcenter.errors import AssertionFailure, ParameterError, RelationFailure
-from cuspcenter.invariants import invariant_ring
+from cuspcenter.invariants import (
+    GroupRingElement,
+    invariant_ring,
+    orbit_structure,
+    poly_at_f,
+)
 from cuspcenter.matrices import charpoly, mat_mul
 from cuspcenter.params import validate_parameters
+from cuspcenter.polynomials import Poly
 
 
 def dense_point(ps, a, units):
@@ -255,8 +262,9 @@ def test_tampered_t_value_fails_at_the_first_point(monkeypatch):
 
 
 def test_sweep_makes_no_cyclotomic_product_per_point(monkeypatch):
-    # at (3,5,4) three unit choices give 81 times the points of one, yet
-    # the same number of CyclotomicNumber products: every product is per a
+    # at (3,5,4) three unit choices give 81 times the points of one, and
+    # neither makes a CyclotomicNumber product: m(Y) is the image of m(f)
+    # at each a, and every other relation compares integers or exponents
     ps = validate_parameters(3, 5, 4)
     ring = invariant_ring(ps)
     calls = []
@@ -273,8 +281,9 @@ def test_sweep_makes_no_cyclotomic_product_per_point(monkeypatch):
         calls.clear()
         report = deformation_suite(ps, ring, unit_choices=unit_choices)
         counts.append((report["points_checked"], len(calls)))
-    assert counts[0][0] == 5 and counts[1][0] == 405
-    assert counts[0][1] == counts[1][1] > 0
+    assert counts == [(5, 0), (405, 0)]
+    zeta(5, 1) * zeta(5, 1)  # the counter is live
+    assert len(calls) == 1
 
 
 def test_trace_relations_checked_once_per_distinct_trace(monkeypatch):
@@ -295,6 +304,55 @@ def test_trace_relations_checked_once_per_distinct_trace(monkeypatch):
     # each check runs at the first a with its trace
     traces = [make_point(ps, a).trace for a in range(ps.ell_power)]
     assert calls == [a for a in range(ps.ell_power) if traces[a] not in traces[:a]]
+
+
+def test_suite_sums_m_of_f_once_and_runs_no_horner_pass(monkeypatch):
+    # (2,31,5): m(f) is built once, and each of the 7 distinct traces
+    # reads m(Y) as its image
+    ps = validate_parameters(2, 31, 5)
+    ring = invariant_ring(ps)
+    evaluated, maps, horner = [], [], []
+    plain_at_f = invariants.poly_at_f
+    plain_map, plain_call = GroupRingElement.at_zeta, Poly.__call__
+
+    def at_f(h, powers):
+        evaluated.append(h)
+        return plain_at_f(h, powers)
+
+    def at_zeta(self, ell, level, exponent):
+        maps.append(exponent)
+        return plain_map(self, ell, level, exponent)
+
+    def call(self, x):
+        horner.append(x)
+        return plain_call(self, x)
+
+    monkeypatch.setattr(deformation, "poly_at_f", at_f)
+    monkeypatch.setattr(GroupRingElement, "at_zeta", at_zeta)
+    monkeypatch.setattr(Poly, "__call__", call)
+    report = deformation_suite(ps, ring)
+    assert evaluated == [ring.m]
+    assert maps == list(orbit_structure(ps).reps) and report["distinct_traces"] == 7
+    assert horner == []
+
+
+@pytest.mark.parametrize("args", [(2, 31, 5), (3, 7, 6), (8, 3, 2)])
+def test_m_of_y_reads_as_horner_over_q_zeta(args):
+    # the referee: one Horner pass in Q(zeta) at every trace, for m and
+    # for each m with one factor dropped, which is nonzero at some traces
+    ps = validate_parameters(*args)
+    ring = invariant_ring(ps)
+    traces = [make_point(ps, a).trace for a in range(ps.ell_power)]
+    factors = ring.m_factors
+    polys = [ring.m] + [
+        prod(factors[:k] + factors[k + 1 :], start=Poly((1,))) for k in range(len(factors))
+    ]
+    for h in polys:
+        h_of_f = poly_at_f(h, ring.powers)
+        assert [h_of_f.at_zeta(ps.ell, ps.r, a) for a in range(ps.ell_power)] == [
+            h(y) for y in traces
+        ]
+    assert all(ring.m(y).is_zero() for y in traces)
 
 
 def test_dropped_factor_of_m_fails_at_the_first_missed_root():

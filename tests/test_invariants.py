@@ -2,13 +2,14 @@
 the distinguished generator f, and its minimal polynomial."""
 
 import builtins
+import json
 from fractions import Fraction
 
 import pytest
 
 from conftest import invert, omega_value
 
-from cuspcenter import invariants, linalg
+from cuspcenter import cli, invariants, linalg
 from cuspcenter.arith import ord_frac
 from cuspcenter.errors import AssertionFailure, IntegralityFailure, ParameterError
 from cuspcenter.invariants import (
@@ -18,6 +19,7 @@ from cuspcenter.invariants import (
     min_polynomial,
     orbit_structure,
     orbit_sums,
+    poly_at_f,
     power_sums,
     pullback_mod_ell_check,
     trace_element,
@@ -106,6 +108,60 @@ REFEREE_CASES = sorted(v[0] for v in FROZEN.values()) + [
     (2, 31, 5),
     (2, 127, 7),
 ]
+
+
+@pytest.mark.parametrize("q,ell,n", REFEREE_CASES + [(211, 53, 2)])
+def test_poly_at_f_matches_horner(q, ell, n):
+    # the referee: one group-ring Horner pass at f, for every listed
+    # factor of m and for m, whose degree D asks for f^D
+    data = invariant_ring(validate_parameters(q, ell, n))
+    f = data.powers[1]
+    for h in data.m_factors + (data.m,):
+        assert poly_at_f(h, data.powers) == h(f)
+    assert data.m.degree == len(data.powers)
+
+
+def test_poly_at_f_on_denominators_and_high_degree():
+    # Fraction coefficients, the zero polynomial, degrees past D, and
+    # the powers of an element with a denominator
+    data = invariant_ring(validate_parameters(2, 7, 3))
+    d = data.dimension
+    g = data.powers[1] * Fraction(2, 3) + Fraction(1, 5)
+    for powers in (data.powers, [g**k for k in range(d)]):
+        for h in (
+            Poly(()),
+            Poly((Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6))),
+            data.m * data.m + Poly((0, Fraction(1, 7))),
+            Poly([1] * (3 * d)),
+        ):
+            assert poly_at_f(h, powers) == h(powers[1])
+
+
+def test_invariants_reports_a_corrupted_m_1_as_at_the_horner_certificate(
+    monkeypatch, capsys
+):
+    # one wrong coefficient of m_1: the invariants command fails with
+    # the envelope that the Horner certificate m_1(f) gave
+    plain = invariants.from_power_sums
+    levels = []
+
+    def corrupted(sums):
+        coeffs = plain(sums)
+        levels.append(len(coeffs))
+        if len(levels) == 1:
+            coeffs[1] += 1
+        return coeffs
+
+    monkeypatch.setattr(invariants, "from_power_sums", corrupted)
+    code = cli.main(["invariants", "--q", "2", "--ell", "31", "--out", "json"])
+    env = json.loads(capsys.readouterr().out)
+    assert code == 1 and levels == [7]
+    assert env["status"] == "fail"
+    assert env["artifacts"]["error"] == {
+        "type": "AssertionFailure",
+        "message": "m_1(omega_1) != 0",
+        "witness": "1",
+    }
 
 
 @pytest.mark.parametrize("q,ell,n", REFEREE_CASES)
