@@ -5,14 +5,14 @@ Every conjugacy class sum acts on each characteristic-zero member of
 the block by a scalar; collecting those scalars over the block's slots
 (slot 0 for the generalized Steinberg member, one slot per nonzero
 orbit representative for the cuspidal members) gives the class's delta
-vector, the image of one rational q-invariant element of Q[Z/l^r].
-The engine computes every delta vector exactly, checks the required
-integrality and congruence properties case by case, rebuilds the
-scaled idempotent and the distinguished generator gamma from realized
-vectors, certifies each delta as an integral polynomial in gamma from
-its orbit-sum coordinates, and packages the result: the image of the
-center is W[Y]/(m(Y)) with m the minimal polynomial computed from the
-invariant ring.
+vector, the image of one rational q-invariant element V of Q[Z/l^r].
+The engine holds each delta as V's orbit-sum coordinates, on which the
+map to the slots is injective: it checks the integrality, congruence
+and per-case shapes, rebuilds the scaled idempotent and the generator
+gamma and certifies each delta as an integral polynomial in gamma, all
+in rational arithmetic on V.  The image of the center is W[Y]/(m(Y))
+with m the minimal polynomial computed from the invariant ring.  Slot
+vectors in Q(zeta) are built for the printed gamma and idempotent.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from .invariants import (
     invariant_ring,
     orbit_structure,
     orbit_sums,
-    poly_at_f,
     pullback_mod_ell_check,
     uniformizer_check,
 )
@@ -72,24 +71,6 @@ class BlockVector:
         self.entries = tuple(embedded)
         if len(self.entries) != len(self.reps):
             raise ValueError(f"{len(self.entries)} entries for {len(self.reps)} slots")
-
-    @property
-    def entry0(self) -> CyclotomicNumber:
-        return self.entries[0]
-
-    def _check_slots(self, other: "BlockVector") -> None:
-        if self.reps != other.reps:
-            raise ValueError("block vectors on different slots")
-
-    def __sub__(self, other: "BlockVector") -> "BlockVector":
-        self._check_slots(other)
-        return BlockVector(
-            self.ell, self.r, self.reps,
-            [a - b for a, b in zip(self.entries, other.entries)],
-        )
-
-    def scale(self, c) -> "BlockVector":
-        return BlockVector(self.ell, self.r, self.reps, [e * c for e in self.entries])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BlockVector):
@@ -122,13 +103,13 @@ def delta_form(ct: ClassType, ps: ParameterSet) -> tuple[Fraction, Fraction, int
     return st, c * Fraction(size, cuspidal_dimension(ps)), j
 
 
-def form_vector(ct: ClassType, form: tuple, ps: ParameterSet) -> BlockVector:
-    """The delta vector of the ``delta_form`` (st, c, j) of ``ct``, slot
-    by slot.  Raises IntegralityFailure if an entry is not l-integral
-    (witness: slot 0 for st, else the first cuspidal slot) and
-    AssertionFailure if the entries fail to agree in the residue field
-    F_l, read at zeta = 1 (witness: the first cuspidal slot); both hold
-    for every class of the group.
+def check_form(ct: ClassType, form: tuple, ps: ParameterSet) -> None:
+    """Checks the delta vector of the ``delta_form`` (st, c, j) of
+    ``ct``: IntegralityFailure if an entry is not l-integral (witness:
+    slot 0 for st, else the first cuspidal slot), AssertionFailure if
+    the entries fail to agree in the residue field F_l, read at zeta = 1
+    (witness: the first cuspidal slot); both hold for every class of
+    the group.
 
     Both are read off the form.  Slot 0 is st.  A cuspidal slot is c
     times an orbit sum s = sum_k zeta^(e q^k), which lies in Z_(l)[zeta]
@@ -138,10 +119,8 @@ def form_vector(ct: ClassType, form: tuple, ps: ParameterSet) -> BlockVector:
     and c are, and then they agree in F_l iff st = c n (mod l); every
     cuspidal slot fails or passes alike, so the first one is the
     witness."""
-    st, c, j = form
+    st, c, _ = form
     reps = block_slots(ps)
-    sums = orbit_sums(ps)
-    entries = [st] + [sums[i * j % ps.ell_power] * c for i in reps[1:]]
     ell = ps.ell
     for slot, x in ((reps[0], st), (reps[1], c)):
         if not x.denominator % ell:
@@ -153,49 +132,81 @@ def form_vector(ct: ClassType, form: tuple, ps: ParameterSet) -> BlockVector:
             f"delta entries of {ct.label()} differ in the residue field",
             witness={"slot": reps[1]},
         )
-    return BlockVector(ell, ps.r, reps, entries)
 
 
 def delta_class(ct: ClassType, ps: ParameterSet) -> BlockVector:
-    """Delta vector of one class: |C| chi(C) / dim, slot by slot, from
-    its ``delta_form`` and checked by ``form_vector``."""
+    """Delta vector of one class, |C| chi(C) / dim slot by slot, from its
+    ``delta_form`` once ``check_form`` passes; ``oracle`` compares it
+    with the GL_2 table, the engine holds the ``orbit_coordinates``."""
     ps = require_reduced(ps)
-    return form_vector(ct, delta_form(ct, ps), ps)
+    form = delta_form(ct, ps)
+    check_form(ct, form, ps)
+    st, c, j = form
+    reps, sums = block_slots(ps), orbit_sums(ps)
+    entries = [st] + [sums[i * j % ps.ell_power] * c for i in reps[1:]]
+    return BlockVector(ps.ell, ps.r, reps, entries)
+
+
+def theta_coordinates(ps: ParameterSet, j: int) -> tuple[Fraction, ...]:
+    """The orbit-sum coordinates of f_j = sum_k X^(j q^k), in the order
+    of the orbit representatives (each orbit's least element): n at 0
+    for j = 0, else 1 at the orbit of j."""
+    m = ps.ell_power
+    rep = min(j * pow(ps.q, k, m) % m for k in range(ps.n))
+    value = Fraction(ps.n if rep == 0 else 1)
+    return tuple(value if e == rep else Fraction(0) for e in orbit_structure(ps).reps)
 
 
 def orbit_coordinates(form: tuple, ps: ParameterSet) -> tuple[Fraction, ...]:
-    """The orbit-sum coordinates, in the order of the orbit
-    representatives, of V = c f_j + ((st - c n) / l^r) N for the
-    ``delta_form`` (st, c, j): f_j = sum_k X^(j q^k) is the orbit sum of
-    j, or n * 1 for j = 0, and N = sum_e X^e has every coordinate 1.
-
-    V maps to the delta vector: at slot 0 (X -> 1) to c n + (st - c n)
-    = st, and at a slot i != 0 (X -> zeta^i), where N maps to 0, to c
-    times the orbit sum of i*j."""
+    """The orbit-sum coordinates of V = c f_j + ((st - c n) / l^r) N for
+    the ``delta_form`` (st, c, j), with N = sum_e X^e (all coordinates
+    1).  V maps to the delta vector: at slot 0 (X -> 1) to c n +
+    (st - c n) = st, and at a slot i != 0 (X -> zeta^i), where N maps
+    to 0, to c times the orbit sum of i*j."""
     st, c, j = form
-    m = ps.ell_power
-    reps = orbit_structure(ps).reps
-    coords = [(st - c * ps.n) / m] * len(reps)
-    rep = min(j * pow(ps.q, k, m) % m for k in range(ps.n))
-    coords[reps.index(rep)] += c * (ps.n if rep == 0 else 1)
-    return tuple(coords)
+    b = (st - c * ps.n) / ps.ell_power
+    return tuple(b + c * x if x else b for x in theta_coordinates(ps, j))
+
+
+def steinberg_slot(coords, ps: ParameterSet) -> Fraction:
+    """Slot 0 of the image of the orbit coordinates V: X -> 1 sends the
+    orbit sum of 0 to 1 and every other one to its size n."""
+    return coords[0] + ps.n * sum(coords[1:])
+
+
+def orbit_split(coords):
+    """(a, b) with V = a 1 + b N for the orbit coordinates V: a = V_0 -
+    V_1 and b = V_1 when V_1 = ... = V_(D-1), else None.  a 1 + b N maps
+    to (a + l^r b, a, ..., a), so by the injectivity in ``s_membership``
+    the split exists iff the cuspidal slots share one rational value."""
+    head, tail = coords[0], coords[1:]
+    if any(v != tail[0] for v in tail):
+        return None
+    return head - tail[0], tail[0]
+
+
+def coordinate_image(coords, ps: ParameterSet) -> BlockVector:
+    """The slot vector of the orbit coordinates V: slot i is V_0 plus
+    each nonzero V_k times the orbit sum of i rep_k."""
+    reps, sums = block_slots(ps), orbit_sums(ps)
+    tail = [(v, e) for v, e in zip(coords[1:], reps[1:]) if v]
+    entries = [coords[0] + sum(v * sums[i * e % ps.ell_power] for v, e in tail) for i in reps]
+    return BlockVector(ps.ell, ps.r, reps, entries)
 
 
 def s_membership(coords, ell: int) -> bool:
     """Whether the image of the orbit coordinates V = ``coords`` lies in
-    S = Z_(l)*1 + Z_(l)*(scaled idempotent): exactly when V_1 = ... =
-    V_(D-1) and both V_1 and V_0 - V_1 lie in Z_(l).
+    S = Z_(l)*1 + Z_(l)*(scaled idempotent): exactly when V = a 1 + b N
+    (``orbit_split``) with a, b in Z_(l).
 
     Proof: 1 is e_0, and N = sum_e X^e maps to (l^r, 0, ..., 0), the
     scaled idempotent.  The map to the slots is injective on the
     q-invariants over Q, which are Q[f] with f sent to D distinct slot
     values.  So the image of V lies in S exactly when V = a e_0 + b N
-    with a, b in Z_(l): V_0 = a + b and V_1 = ... = V_(D-1) = b.  D = 2
-    needs no other case: there f_j = N - 1 for j != 0."""
-    head, tail = coords[0], coords[1:]
-    if any(v != tail[0] for v in tail):
-        return False
-    return all(v.denominator % ell for v in (tail[0], head - tail[0]))
+    with a, b in Z_(l).  D = 2 needs no other case: there f_j = N - 1
+    for j != 0."""
+    split = orbit_split(coords)
+    return split is not None and all(v.denominator % ell for v in split)
 
 
 REALIZED_WITNESS = "realized-witness"
@@ -229,19 +240,19 @@ class CaseReport(NamedTuple):
     witness_unit: Fraction
 
 
-def case_analysis(ps: ParameterSet, classes, labels, key_of, vecs, coords) -> CaseReport:
+def case_analysis(ps: ParameterSet, classes, labels, key_of, coords) -> CaseReport:
     """classes in census order with their labels, rendered once by the
-    caller and used as the key of every per-class result, and their key
-    indices from ``group_classes``; vecs[k] is the delta vector of key
-    k and coords[k] its ``orbit_coordinates``, which ``s_membership``
-    reads.  Checks the per-bucket shape of every class's vector;
-    S-membership is asserted on the non-primary and both small-degree
-    primary buckets, recorded (but deliberately not asserted either
-    way) on the degree-n bucket, and the witness bucket must consist of
-    the single regular-unipotent class whose vector is
-    (0, u*l^r, ..., u*l^r) with u an l-unit.  Buckets are read per
-    class, as the witness x - 1 shares its key with the other linear
-    polynomials; S-membership is computed once per key.
+    caller and used as the key of every per-class result, their key
+    indices from ``group_classes``, and coords[k] the
+    ``orbit_coordinates`` V of key k.  Checks the per-bucket shape of
+    every class's vector, read off V: S-membership is asserted on the
+    non-primary and both small-degree primary buckets, recorded (but
+    deliberately not asserted either way) on the degree-n bucket, and
+    the witness bucket must consist of the single regular-unipotent
+    class whose vector is (0, u*l^r, ..., u*l^r) with u an l-unit: slot
+    0 is 0 and V = a 1 + b N (``orbit_split``) with ord_l a = r, u = a /
+    l^r.  Non-primary cuspidal slots vanish iff a = 0.  Buckets are read
+    per class, as x - 1 shares its key with the other linear factors.
     """
     ps = require_reduced(ps)
     bucket_of = {}
@@ -249,34 +260,32 @@ def case_analysis(ps: ParameterSet, classes, labels, key_of, vecs, coords) -> Ca
     s_flags = {}
     witness_label = None
     witness_unit = None
-    lr = Fraction(ps.ell_power)
     flags = [s_membership(v, ps.ell) for v in coords]
+    splits = [orbit_split(v) for v in coords]
     for ct, label, k in zip(classes, labels, key_of):
-        vec, flag = vecs[k], flags[k]
+        split, flag = splits[k], flags[k]
         bucket = case_bucket(ct, ps)
         bucket_of[label] = bucket
         counts[bucket] += 1
         s_flags[label] = flag
         if bucket == REALIZED_WITNESS:
-            if not vec.entry0.is_zero():
+            if steinberg_slot(coords[k], ps):
                 raise AssertionFailure(
                     "witness vector has nonzero Steinberg slot", witness=label
                 )
-            vals = vec.rational_entries()
-            tail = vals[1:]
-            if any(v is None or v != tail[0] for v in tail):
+            if split is None:
                 raise AssertionFailure(
                     "witness vector is not constant on cuspidal slots", witness=label
                 )
-            if ord_frac(tail[0], ps.ell) != ps.r:
+            if ord_frac(split[0], ps.ell) != ps.r:
                 raise AssertionFailure(
-                    f"witness valuation is {ord_frac(tail[0], ps.ell)}, expected r = {ps.r}",
+                    f"witness valuation is {ord_frac(split[0], ps.ell)}, expected r = {ps.r}",
                     witness=label,
                 )
             witness_label = label
-            witness_unit = tail[0] / lr
+            witness_unit = split[0] / ps.ell_power
         elif bucket == NON_PRIMARY:
-            if any(not e.is_zero() for e in vec.entries[1:]):
+            if split is None or split[0]:
                 raise AssertionFailure(
                     "cuspidal slots must vanish on a non-primary class", witness=label
                 )
@@ -326,80 +335,67 @@ def lemma_signs_check(ps: ParameterSet) -> list:
     return out
 
 
-def one_vector(ps: ParameterSet) -> BlockVector:
-    reps = block_slots(ps)
-    return BlockVector(ps.ell, ps.r, reps, [1] * len(reps))
-
-
 def gamma_vector(ps: ParameterSet) -> BlockVector:
     """Slot 0 carries n; slot i carries sum_k zeta^(i q^k)."""
     return theta_orbit_vector(ps, 1)
 
 
 def theta_orbit_vector(ps: ParameterSet, j: int) -> BlockVector:
-    """Expected action vector of a degree-n class with theta exponent j:
-    slot 0 is n, slot i is sum_k zeta^(i j q^k)."""
+    """Expected action vector of a degree-n class with theta exponent j,
+    the image of f_j: slot 0 is n, slot i is sum_k zeta^(i j q^k)."""
     ps = require_reduced(ps)
-    reps = block_slots(ps)
-    sums = orbit_sums(ps)
-    entries = [ps.n] + [sums[i * j % ps.ell_power] for i in reps[1:]]
-    return BlockVector(ps.ell, ps.r, reps, entries)
+    return coordinate_image(theta_coordinates(ps, j), ps)
 
 
-def reconstruct_scaled_idempotent(ps: ParameterSet, witness: BlockVector, unit: Fraction):
-    """From the regular-unipotent delta vector (0, u l^r, ..., u l^r),
-    whose shape ``case_analysis`` has checked and whose unit u it
-    returns, rebuild l^r * e_0 = l^r * 1 - (1/u) * delta as an element of
-    the image.  With u an l-unit, the result has the shape
-    (l^r, 0, ..., 0) exactly when the witness has the shape above, so
-    those two facts are all that is checked here."""
+def reconstruct_scaled_idempotent(ps: ParameterSet, witness, unit: Fraction) -> BlockVector:
+    """From the orbit coordinates V = u l^r 1 - u N of the
+    regular-unipotent delta, whose shape ``case_analysis`` has checked
+    and whose unit u it returns, rebuild l^r * e_0 = l^r * 1 - (1/u) * V
+    and return its image.  With u an l-unit, that is N, with image
+    (l^r, 0, ..., 0), exactly when the witness has the shape above."""
     ps = require_reduced(ps)
     if ord_frac(unit, ps.ell) != 0:
         raise AssertionFailure(f"witness unit {unit} is not an l-unit")
-    idem = one_vector(ps).scale(ps.ell_power) - witness.scale(1 / unit)
-    expected = [Fraction(ps.ell_power)] + [0] * (len(witness.reps) - 1)
-    if idem.rational_entries() != tuple(Fraction(e) for e in expected):
-        raise AssertionFailure("scaled idempotent has the wrong shape", witness=repr(idem))
-    return idem
+    idem = [-v / unit for v in witness]
+    idem[0] += ps.ell_power
+    if any(v != 1 for v in idem):
+        raise AssertionFailure(
+            "scaled idempotent has the wrong shape", witness=repr(coordinate_image(idem, ps))
+        )
+    return BlockVector(ps.ell, ps.r, block_slots(ps), [ps.ell_power] + [0] * (len(idem) - 1))
 
 
-def reconstruct_gamma(
-    ps: ParameterSet,
-    ct: ClassType,
-    vec: BlockVector,
-    scaled_idem: BlockVector,
-) -> dict:
+def reconstruct_gamma(ps: ParameterSet, ct: ClassType, coords) -> dict:
     """Chain of moves recovering the theta-orbit vector of a degree-n
-    class from its delta vector: divide by the sign/unit scalar, then
-    subtract the l-integral multiple of the scaled idempotent that
-    corrects slot 0 to n.  Every step is asserted exactly.
+    class from the orbit coordinates V of its delta vector: W = V / unit
+    minus the l-integral multiple c of N (the scaled idempotent) that
+    corrects the ``steinberg_slot`` w0 of W to n must be f_j, j the
+    class's theta exponent.  These are the slot moves, by the
+    injectivity in ``s_membership``; w0 is rational as V is.
 
     Apart from the "label" entry and failure messages, the result
     depends on the class only through ``ct.type_key``, its theta
-    exponent and ``vec``, which is itself a function of those two."""
+    exponent and ``coords``, which is itself a function of those two."""
     ps = require_reduced(ps)
-    size = ct.class_size()
-    unit = Fraction(size * (-1) ** (ps.n - 1), cuspidal_dimension(ps))
+    unit = Fraction(ct.class_size() * (-1) ** (ps.n - 1), cuspidal_dimension(ps))
     if ord_frac(unit, ps.ell) != 0:
         raise AssertionFailure(
             f"|C|/dim is not an l-unit on {ct.label()}", witness=str(unit)
         )
-    w = vec.scale(1 / unit)
-    w0 = w.entry0.as_rational()
-    if w0 is None:
-        raise AssertionFailure("normalized Steinberg slot is not rational")
+    w = [v / unit for v in coords]
+    w0 = steinberg_slot(w, ps)
     c = (w0 - ps.n) / ps.ell_power
     if ord_frac(c, ps.ell) < 0:
         raise AssertionFailure(
             f"idempotent correction {c} is not l-integral on {ct.label()}"
         )
-    candidate = w - scaled_idem.scale(c)
+    candidate = tuple(v - c for v in w)
     j = theta_exponent(ct, ps)
-    expected = theta_orbit_vector(ps, j)
-    if candidate != expected:
+    if candidate != theta_coordinates(ps, j):
+        got, expected = coordinate_image(candidate, ps), theta_orbit_vector(ps, j)
         raise AssertionFailure(
             f"reconstruction of {ct.label()} missed its theta-orbit vector",
-            witness={"got": repr(candidate), "expected": repr(expected)},
+            witness={"got": repr(got), "expected": repr(expected)},
         )
     return {
         "label": ct.label(),
@@ -452,7 +448,8 @@ def gamma_power_basis(gamma: BlockVector, count: int):
 
 def factor_values(ring: InvariantRingData) -> tuple[tuple, ...]:
     """values[k][s] is the image of h(f), h the k-th listed factor of m,
-    at slot s; the factors must multiply to m, with Y - n first.  Q(zeta)
+    at slot s, mapped from the ``factor_images`` that ``min_polynomial``
+    summed; the factors must multiply to m, with Y - n first.  Q(zeta)
     is a field, so a product of factors vanishes at a slot iff one of
     them does: this table's zero pattern says where m, m/factor and g do."""
     factors = ring.m_factors
@@ -461,8 +458,7 @@ def factor_values(ring: InvariantRingData) -> tuple[tuple, ...]:
     if factors[0] != Poly((-ring.ps.n, 1)):
         raise AssertionFailure(f"first factor of m is {factors[0]!r}, not Y - n")
     ps, reps = ring.ps, ring.orbits.reps
-    images = (poly_at_f(h, ring.powers) for h in factors)
-    return tuple(tuple(x.at_zeta(ps.ell, ps.r, e) for e in reps) for x in images)
+    return tuple(tuple(x.at_zeta(ps.ell, ps.r, e) for e in reps) for x in ring.factor_images)
 
 
 def _zero_slots(rows) -> list[bool]:
@@ -526,7 +522,7 @@ class EndoRingResult(NamedTuple):
     ring: InvariantRingData
     classes: tuple
     class_info: dict
-    deltas: dict
+    coordinates: dict
     case_report: CaseReport
     signs: list
     scaled_idempotent: BlockVector
@@ -566,18 +562,19 @@ def verify_endo_ring(
     checks.append(f"classes: {len(classes)} types, centralizer orders verified")
 
     forms = [delta_form(ct, ps) for ct in firsts]
-    vecs = [form_vector(ct, form, ps) for ct, form in zip(firsts, forms)]
+    for ct, form in zip(firsts, forms):
+        check_form(ct, form, ps)
     coords = [orbit_coordinates(form, ps) for form in forms]
     checks.append("delta: all vectors l-integral and residue-consistent")
 
-    case_report = case_analysis(ps, classes, labels, key_of, vecs, coords)
+    case_report = case_analysis(ps, classes, labels, key_of, coords)
     checks.append("case analysis: bucket shapes verified")
     signs = lemma_signs_check(ps)
     checks.append("sign congruences: all divisor pairs verified")
 
-    delta_of = {label: vecs[k] for label, k in zip(labels, key_of)}
+    coordinates = {label: coords[k] for label, k in zip(labels, key_of)}
     scaled_idem = reconstruct_scaled_idempotent(
-        ps, delta_of[case_report.witness_label], case_report.witness_unit
+        ps, coordinates[case_report.witness_label], case_report.witness_unit
     )
     checks.append("scaled idempotent reconstructed from the witness class")
 
@@ -592,7 +589,7 @@ def verify_endo_ring(
         raise AssertionFailure("Sylow depth mismatch in the big field")
     eps_poly = minimal_polynomial(eps, field)
     replayed = {
-        k: reconstruct_gamma(ps, ct, vecs[k], scaled_idem)
+        k: reconstruct_gamma(ps, ct, coords[k])
         for k, ct in enumerate(firsts)
         if case_bucket(ct, ps) == DEGREE_N and not preds[k]["ell_regular"]
     }
@@ -605,14 +602,12 @@ def verify_endo_ring(
         reconstructions.append(rec)
         if ct.factors[0][0] == eps_poly:
             found_eps_class = True
-            if theta_orbit_vector(ps, rec["theta_exponent"]) != gamma:
+            if theta_coordinates(ps, rec["theta_exponent"]) != theta_coordinates(ps, 1):
                 raise AssertionFailure(
                     "class of the canonical Sylow generator does not rebuild gamma"
                 )
     if not found_eps_class:
         raise AssertionFailure("no class carries the canonical Sylow generator")
-    if not reconstructions:
-        raise AssertionFailure("no l-singular degree-n class found")
     checks.append(
         f"gamma reconstruction: {len(reconstructions)} l-singular classes replayed"
     )
@@ -630,7 +625,7 @@ def verify_endo_ring(
         ring=ring,
         classes=tuple(classes),
         class_info=class_info,
-        deltas=delta_of,
+        coordinates=coordinates,
         case_report=case_report,
         signs=signs,
         scaled_idempotent=scaled_idem,

@@ -33,8 +33,8 @@ Main outputs:
   * poly_at_f           - h(f) for a polynomial h, from those powers
   * power_sums          - power sums of the conjugates of omega_i
   * orbit_sums          - the image of f at every e, once per orbit
-  * omega_and_min_poly  - omega_i (f at level i) and its minimal poly m_i
-  * min_polynomial      - m = (Y - n) * prod_i m_i, degree = #orbits
+  * omega_and_min_poly  - omega_i (f at level i), m_i and m_i(f)
+  * min_polynomial      - m = (Y - n) * prod_i m_i and each factor at f
   * invariant_ring      - the powers of f and the change of basis
                           between orbit sums and them, certified
                           invertible with l-integral inverse by its rank
@@ -280,7 +280,7 @@ def orbit_sums(ps: ParameterSet) -> tuple[CyclotomicNumber, ...]:
 
 
 def omega_and_min_poly(ps: ParameterSet, i: int, powers):
-    """(omega_i, m_i) where m_i is the minimal polynomial of omega_i.
+    """(omega_i, m_i, m_i(f)), m_i the minimal polynomial of omega_i.
 
     ``powers`` are f^0, ..., f^(D-1) (``trace_powers``).  Their level-i
     power sums (``power_sums``) give the coefficients of m_i by Newton's
@@ -299,23 +299,23 @@ def omega_and_min_poly(ps: ParameterSet, i: int, powers):
     m_i = Poly(coeffs)
     if m_i.degree != phi_prime_power(ell, i) // ps.n:
         raise AssertionFailure(f"deg m_{i} = {m_i.degree} != phi(l^{i})/n", witness=i)
-    if not poly_at_f(m_i, powers).at_zeta(ell, i, 1).is_zero():
+    image = poly_at_f(m_i, powers)
+    if not image.at_zeta(ell, i, 1).is_zero():
         raise AssertionFailure(f"m_{i}(omega_{i}) != 0", witness=i)
-    return powers[1].at_zeta(ell, i, 1), m_i
+    return powers[1].at_zeta(ell, i, 1), m_i, image
 
 
 def min_polynomial(ps: ParameterSet, powers):
-    """(m, factors, omegas) with m = (Y - n) * prod_{i=1}^r m_i, from
-    the ``trace_powers`` of ps.  Asserts: integer coefficients, degree =
-    number of orbits, and m = (Y - n)^ceil(l^r / n) mod l.
+    """(m, factors, omegas, images) with m = (Y - n) * prod_{i=1}^r m_i
+    from the ``trace_powers`` of ps and images[k] = factors[k](f).
+    Asserts: integer coefficients, degree = number of orbits, and
+    m = (Y - n)^ceil(l^r / n) mod l.
     """
     ps = require_reduced(ps)
-    factors = [Poly((-ps.n, 1))]
-    omegas = []
-    for i in range(1, ps.r + 1):
-        omega, m_i = omega_and_min_poly(ps, i, powers)
-        factors.append(m_i)
-        omegas.append(omega)
+    levels = [omega_and_min_poly(ps, i, powers) for i in range(1, ps.r + 1)]
+    omegas, m_is, images = zip(*levels)
+    factors = [Poly((-ps.n, 1)), *m_is]
+    images = [poly_at_f(factors[0], powers), *images]
     m = prod(factors, start=Poly((1,)))
     degree_expected = 1 + (ps.ell_power - 1) // ps.n
     if m.degree != degree_expected:
@@ -328,7 +328,7 @@ def min_polynomial(ps: ParameterSet, powers):
     binom = [comb(d, k) * pow(-ps.n, d - k, ell) % ell for k in range(d + 1)]
     if m.reduce_mod(ell) != tuple(binom):
         raise AssertionFailure("m mod l is not (Y - n)^D")
-    return m, factors, omegas
+    return m, factors, omegas, images
 
 
 def uniformizer_check(ps: ParameterSet, i: int) -> dict:
@@ -394,6 +394,7 @@ class InvariantRingData(NamedTuple):
     powers: tuple[GroupRingElement, ...]  # f^0, ..., f^(D-1)
     m: Poly
     m_factors: tuple[Poly, ...]
+    factor_images: tuple[GroupRingElement, ...]  # h(f) for each listed factor h
     omegas: tuple[CyclotomicNumber, ...]
     basis_matrix: tuple[tuple[int, ...], ...]
 
@@ -417,7 +418,7 @@ def invariant_ring(ps: ParameterSet) -> InvariantRingData:
     ps = require_reduced(ps)
     orbits = orbit_structure(ps)
     powers = trace_powers(ps)
-    m, factors, omegas = min_polynomial(ps, powers)
+    m, factors, omegas, images = min_polynomial(ps, powers)
     for k, fk in enumerate(powers):
         if not is_invariant(fk, orbits):
             raise AssertionFailure(f"f^{k} is not q-invariant")
@@ -436,6 +437,7 @@ def invariant_ring(ps: ParameterSet) -> InvariantRingData:
         powers=tuple(powers),
         m=m,
         m_factors=tuple(factors),
+        factor_images=tuple(images),
         omegas=tuple(omegas),
         basis_matrix=rows,
     )

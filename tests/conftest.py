@@ -4,6 +4,8 @@ import pytest
 
 from cuspcenter import linalg, validate_parameters, verify_endo_ring
 from cuspcenter.arith import ord_frac
+from cuspcenter.centermap import delta_class
+from cuspcenter.classes import group_classes
 from cuspcenter.cyclotomic import CyclotomicNumber, zeta
 from cuspcenter.errors import NoSolution
 from cuspcenter.gl2table import gl2_character_table
@@ -110,3 +112,12 @@ def slot_s_membership(vec) -> bool:
             return False
     diff = tail[0] - e0
     return diff == 0 or ord_frac(diff, ell) >= vec.r
+
+
+def class_deltas(res) -> dict:
+    """label -> the ``delta_class`` slot vector of every class of an
+    endo-ring result, built once per key: the slot referee for the orbit
+    coordinates that the engine holds."""
+    firsts, key_of = group_classes(res.classes, res.params)
+    vecs = [delta_class(ct, res.params) for ct in firsts]
+    return {ct.label(): vecs[k] for ct, k in zip(res.classes, key_of)}

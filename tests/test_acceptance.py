@@ -33,7 +33,7 @@ from cuspcenter.invariants import (
 from cuspcenter.matrixoracle import census_cross_check
 from cuspcenter.params import validate_parameters
 
-from conftest import CASES, omega_value, slot_s_membership
+from conftest import CASES, class_deltas, omega_value, slot_s_membership
 
 EXPECTED_MIN_POLY = {
     "P1": (-2, -1, 1),
@@ -129,13 +129,14 @@ def test_criterion_5_case_analysis(endo_results):
         ps = res.params
         assert report.bucket_counts[REALIZED_WITNESS] == 1
         assert sum(report.bucket_counts.values()) == len(res.classes)
-        wit = res.deltas[report.witness_label]
-        assert wit.entry0.is_zero()
+        deltas = class_deltas(res)  # the slot vectors, an independent referee
+        wit = deltas[report.witness_label]
+        assert wit.entries[0].is_zero()
         tail = wit.rational_entries()[1:]
         assert all(v == tail[0] for v in tail)
         assert ord_frac(tail[0], ps.ell) == ps.r
         for class_label, bucket in report.bucket_of.items():
-            vec = res.deltas[class_label]
+            vec = deltas[class_label]
             assert bucket in BUCKETS
             if bucket == NON_PRIMARY:
                 assert all(e.is_zero() for e in vec.entries[1:])

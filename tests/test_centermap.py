@@ -24,6 +24,7 @@ from cuspcenter.centermap import (
     REALIZED_WITNESS,
     BlockVector,
     block_slots,
+    case_bucket,
     delta_class,
     delta_form,
     orbit_coordinates,
@@ -36,16 +37,16 @@ from cuspcenter.centermap import (
     gamma_vector,
     lemma_signs_check,
     minimality_certificate,
-    one_vector,
-    reconstruct_gamma,
     s_membership,
     theta_orbit_vector,
 )
-from conftest import omega_value, slot_s_membership
+from conftest import CASES, class_deltas, omega_value, slot_s_membership
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspcenter import centermap, cli, invariants, linalg
+from cuspcenter.arith import ord_frac
+from cuspcenter.characters import cuspidal_dimension
 from cuspcenter.classes import (
     ClassType,
     class_predicates,
@@ -55,7 +56,7 @@ from cuspcenter.classes import (
 )
 from cuspcenter.cyclotomic import CyclotomicNumber, phi_prime_power, zeta
 from cuspcenter.errors import AssertionFailure, IntegralityFailure, NoSolution
-from cuspcenter.finitefield import FqPoly, finite_field
+from cuspcenter.finitefield import FqPoly, finite_field, minimal_polynomial, sylow_generator
 from cuspcenter.invariants import GroupRingElement, invariant_ring
 from cuspcenter.params import reduce_parameters, validate_parameters
 from cuspcenter.polynomials import Poly
@@ -100,17 +101,18 @@ def test_p1_gamma_and_certificates(endo_results):
 
 
 def test_p1_deltas_frozen(endo_results):
-    res = endo_results["P1"]
-    assert res.deltas["x+1:(1,1)"].rational_entries() == (Fraction(1), Fraction(1))
-    assert res.deltas["x+1:(2)"].rational_entries() == (Fraction(0), Fraction(-3))
-    assert res.deltas["x^2+x+1:(1)"].rational_entries() == (Fraction(-1), Fraction(2))
+    deltas = class_deltas(endo_results["P1"])
+    assert deltas["x+1:(1,1)"].rational_entries() == (Fraction(1), Fraction(1))
+    assert deltas["x+1:(2)"].rational_entries() == (Fraction(0), Fraction(-3))
+    assert deltas["x^2+x+1:(1)"].rational_entries() == (Fraction(-1), Fraction(2))
 
 
 def test_p2_witness_delta_and_certificate(endo_results):
     res = endo_results["P2"]
     wit = res.case_report.witness_label
     assert wit == "x+1:(3)"
-    assert res.deltas[wit].rational_entries() == (
+    assert res.coordinates[wit] == (12, -2, -2)  # 14 * 1 - 2 * N
+    assert class_deltas(res)[wit].rational_entries() == (
         Fraction(0),
         Fraction(14),
         Fraction(14),
@@ -230,11 +232,11 @@ def test_s_flags_by_bucket(endo_results):
     # asserted True off the degree-n bucket by case_analysis; verify the
     # recorded flags are consistent with an independent recomputation
     for res in endo_results.values():
-        report = res.case_report
+        report, deltas = res.case_report, class_deltas(res)
         for label, bucket in report.bucket_of.items():
             if bucket in (NON_PRIMARY, PRIMARY_SMALL_DIAG, PRIMARY_SMALL_NONDIAG):
                 assert report.s_flags[label]
-            assert report.s_flags[label] == slot_s_membership(res.deltas[label])
+            assert report.s_flags[label] == slot_s_membership(deltas[label])
 
 
 def test_degree_n_s_flags_observed(endo_results):
@@ -284,9 +286,10 @@ def test_endo_ring_builds_each_orbit_sum_and_factor_value_once(monkeypatch):
     # 19 orbit sums, omega_1 and N(zeta_1) for uniformizer_check, m_1(f)
     # and omega_1 in min_polynomial, 2 * 19 factor values; the gamma
     # system is solved in orbit coordinates and maps nothing.  Every
-    # polynomial in f is summed from the stored powers by poly_at_f:
-    # m_1(f) for its certificate, m(f), then each factor once for the
-    # table.  No Poly is evaluated by Horner.
+    # polynomial in f is summed from the stored powers by poly_at_f,
+    # once: each factor in min_polynomial, whose images the table maps
+    # (m_1(f) is also its certificate), then m(f).  No Poly is evaluated
+    # by Horner.
     counts = {"map": 0, "poly": 0}
     evaluated = []
     plain_map, plain_call = GroupRingElement.at_zeta, Poly.__call__
@@ -307,12 +310,53 @@ def test_endo_ring_builds_each_orbit_sum_and_factor_value_once(monkeypatch):
     monkeypatch.setattr(GroupRingElement, "at_zeta", at_zeta)
     monkeypatch.setattr(Poly, "__call__", call)
     monkeypatch.setattr(invariants, "poly_at_f", at_f)
-    monkeypatch.setattr(centermap, "poly_at_f", at_f)
     invariants.orbit_sums.cache_clear()  # compute, do not recall
     res = verify_endo_ring(2, 127, 7)
     y_minus_n, m_1 = res.ring.m_factors
     assert counts == {"map": 19 + 2 + 2 + 2 * 19, "poly": 0}
-    assert evaluated == [m_1, res.ring.m, y_minus_n, m_1]
+    assert evaluated == [m_1, y_minus_n, res.ring.m]
+
+
+@pytest.mark.parametrize("args", [(17, 3, 2), (2, 127, 7)])
+def test_endo_ring_builds_two_slot_vectors_and_no_slot_product(monkeypatch, args):
+    # every key is held as its orbit coordinates: the only slot vectors
+    # are gamma and the scaled idempotent, and the case analysis, the
+    # idempotent and the gamma replay multiply no cyclotomic numbers
+    built, products, entered, inside = [], [], [], []
+    plain_init = BlockVector.__init__
+
+    def init(self, *args):
+        built.append(1)
+        plain_init(self, *args)
+
+    def counted(plain):
+        def mul(a, b):
+            products.append(bool(inside))
+            return plain(a, b)
+
+        return mul
+
+    def watched(name, plain):
+        def call(*args):
+            entered.append(name)
+            inside.append(name)
+            try:
+                return plain(*args)
+            finally:
+                inside.pop()
+
+        return call
+
+    monkeypatch.setattr(BlockVector, "__init__", init)
+    for dunder in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(CyclotomicNumber, dunder, counted(getattr(CyclotomicNumber, dunder)))
+    names = ("case_analysis", "reconstruct_scaled_idempotent", "reconstruct_gamma")
+    for name in names:
+        monkeypatch.setattr(centermap, name, watched(name, getattr(centermap, name)))
+    res = verify_endo_ring(*args)
+    assert len(built) == 2
+    assert res.scaled_idempotent.rational_entries()[0] == res.params.ell_power
+    assert set(entered) == set(names) and not any(products)
 
 
 def horner_table(ring, gamma: BlockVector) -> tuple:
@@ -439,7 +483,7 @@ def test_express_all_in_gamma_failure_modes():
     reps = block_slots(ps)
     # 1, f and 5 f in orbit coordinates, and on the slots
     valid = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(0), Fraction(5))]
-    slots = [one_vector(ps), gamma, gamma.scale(5)]
+    slots = [BlockVector(3, 1, reps, [1, 1]), gamma, slot_scale(gamma, 5)]
     assert [image(v, ps) for v in valid] == slots
     outside = BlockVector(3, 1, reps, [0, zeta(3, 1)])
     with pytest.raises(NoSolution):
@@ -607,7 +651,7 @@ def endo_2_31():
 def test_express_all_matches_full_system_referee(endo_results, endo_2_31, endo_17_3):
     for res in [*endo_results.values(), endo_2_31, endo_17_3]:
         pows = gamma_power_basis(res.gamma, res.ring.dimension)
-        vecs = list(res.deltas.values())
+        vecs = list(class_deltas(res).values())
         got = express_all_in_gamma(list(key_coordinates(res).values()), res.ring)
         assert got == gram_express_all_in_gamma(vecs, res.ring)
         assert got == ref_express_all_in_gamma(vecs, pows, res.params)
@@ -648,14 +692,14 @@ def slot_perturbed(data, res):
     by 1/l, or shifted on the Steinberg slot by a multiple of l^r (still
     an l-integral polynomial in gamma) or of l^(r-1)."""
     ps = res.params
-    vecs = list({(vec.reps, vec.entries): vec for vec in res.deltas.values()}.values())
+    vecs = list({(vec.reps, vec.entries): vec for vec in class_deltas(res).values()}.values())
     for _ in range(data.draw(st.integers(0, 3))):
         k = data.draw(st.integers(0, len(vecs) - 1))
         vec = vecs[k]
         kind = data.draw(st.sampled_from(["zeta", "rational", "scale", "steinberg"]))
         entries = list(vec.entries)
         if kind == "scale":
-            vecs[k] = vec.scale(Fraction(1, ps.ell))
+            vecs[k] = slot_scale(vec, Fraction(1, ps.ell))
             continue
         if kind == "steinberg":
             s = 0
@@ -689,7 +733,7 @@ def test_no_solution_wins_over_integrality_failure():
     pows = gamma_power_basis(gamma, 3)
     reps = block_slots(ps)
     outside = BlockVector(7, 1, reps, [0, zeta(7, 1), 0])
-    fractional = gamma.scale(Fraction(1, 7))
+    fractional = slot_scale(gamma, Fraction(1, 7))
     for batch in ([fractional, outside], [outside, fractional], [gamma, fractional, outside]):
         with pytest.raises(NoSolution):
             gram_express_all_in_gamma(batch, ring)
@@ -699,10 +743,10 @@ def test_no_solution_wins_over_integrality_failure():
 
 def test_certificates_reproduce_deltas(endo_results):
     for res in endo_results.values():
-        gamma = res.gamma
+        gamma, deltas = res.gamma, class_deltas(res)
         pows = gamma_power_basis(gamma, res.ring.dimension)
         for label, h in res.certificates.items():
-            vec = res.deltas[label]
+            vec = deltas[label]
             for slot_idx in range(len(vec.entries)):
                 acc = CyclotomicNumber.zero(res.params.ell, res.params.r)
                 for coeff, pw in zip(h.coeffs, pows):
@@ -713,19 +757,21 @@ def test_certificates_reproduce_deltas(endo_results):
 
 
 def assert_matches_per_class(res):
-    """Referee for the per-type records: plain class_predicates,
-    delta_class and reconstruct_gamma on every class, one by one."""
+    """Referee for the per-type records: plain class_predicates on every
+    class, and each class's delta_class vector, one by one, against the
+    image of its orbit coordinates and through the slot chain's
+    reconstruction."""
     ps = res.params
     assert list(res.class_info) == [ct.label() for ct in res.classes]
-    assert list(res.deltas) == list(res.class_info)
+    assert list(res.coordinates) == list(res.class_info)
     singular = []
     for ct in res.classes:
         pred = class_predicates(ct, ps)
         assert list(pred.items()) == list(res.class_info[ct.label()].items())
         vec = delta_class(ct, ps)
-        assert vec == res.deltas[ct.label()]
+        assert image(res.coordinates[ct.label()], ps) == vec
         if res.case_report.bucket_of[ct.label()] == DEGREE_N and theta_exponent(ct, ps):
-            singular.append(reconstruct_gamma(ps, ct, vec, res.scaled_idempotent))
+            singular.append(slot_reconstruct_gamma(ps, ct, vec, res.scaled_idempotent))
     assert [list(rec.items()) for rec in singular] == [
         list(rec.items()) for rec in res.reconstructions
     ]
@@ -761,10 +807,18 @@ def test_delta_class_residue_and_integrality_checks(monkeypatch, shift, error):
             delta_class(ct, ps)
 
 
+def form_vector(ct, form, ps) -> BlockVector:
+    """The engine's reading of a delta form: ``check_form``, then the
+    image of its ``orbit_coordinates``."""
+    centermap.check_form(ct, form, ps)
+    return image(orbit_coordinates(form, ps), ps)
+
+
 def slot_form_vector(ct, form, ps) -> BlockVector:
-    """The referee for ``form_vector``'s checks: every slot multiplied
-    out in Q(zeta), each entry tested for l-integrality, then each
-    cuspidal entry against slot 0 in the residue field at zeta = 1."""
+    """The referee for ``check_form`` and ``orbit_coordinates``: every
+    slot multiplied out in Q(zeta), each entry tested for l-integrality,
+    then each cuspidal entry against slot 0 in the residue field at
+    zeta = 1."""
     st, c, j = form
     reps = block_slots(ps)
     sums = invariants.orbit_sums(ps)
@@ -775,7 +829,7 @@ def slot_form_vector(ct, form, ps) -> BlockVector:
             raise IntegralityFailure(
                 f"delta entry at slot {slot} of {ct.label()} is not l-integral"
             )
-    e0 = vec.entry0
+    e0 = vec.entries[0]
     for slot, e in zip(vec.reps[1:], vec.entries[1:]):
         if sum((e - e0).nums) % ps.ell:
             raise AssertionFailure(
@@ -818,11 +872,268 @@ def test_form_vector_matches_the_slot_referee(args):
         form = delta_form(ct, ps)
         for move in moves:
             moved = move(*form)
-            got = failure_or_vector(centermap.form_vector, ct, moved, ps)
+            got = failure_or_vector(form_vector, ct, moved, ps)
             assert got == failure_or_vector(slot_form_vector, ct, moved, ps)
             seen.add(type(got) if isinstance(got, BlockVector) else got[0])
-        assert isinstance(failure_or_vector(centermap.form_vector, ct, form, ps), BlockVector)
+        assert isinstance(failure_or_vector(form_vector, ct, form, ps), BlockVector)
     assert seen == {BlockVector, AssertionFailure, IntegralityFailure}
+
+
+# -- the slot chain: the referee for the orbit-coordinate checks --------------------
+
+
+def slot_scale(vec, c) -> BlockVector:
+    return BlockVector(vec.ell, vec.r, vec.reps, [e * c for e in vec.entries])
+
+
+def slot_minus(u, v) -> BlockVector:
+    assert u.reps == v.reps
+    return BlockVector(u.ell, u.r, u.reps, [a - b for a, b in zip(u.entries, v.entries)])
+
+
+def slot_witness_unit(vec, label, ps) -> Fraction:
+    """The slot referee for the witness check of ``case_analysis``: the
+    vector must be (0, a, ..., a) with a rational and ord_l a = r; the
+    unit is a / l^r."""
+    if not vec.entries[0].is_zero():
+        raise AssertionFailure("witness vector has nonzero Steinberg slot", witness=label)
+    tail = vec.rational_entries()[1:]
+    if any(v is None or v != tail[0] for v in tail):
+        raise AssertionFailure("witness vector is not constant on cuspidal slots", witness=label)
+    if ord_frac(tail[0], ps.ell) != ps.r:
+        raise AssertionFailure(
+            f"witness valuation is {ord_frac(tail[0], ps.ell)}, expected r = {ps.r}",
+            witness=label,
+        )
+    return tail[0] / ps.ell_power
+
+
+def slot_case_analysis(ps, classes, vecs):
+    """The slot referee for ``case_analysis`` on the delta vector of
+    every class: the witness shape, cuspidal slots that vanish on a
+    non-primary class and S-membership where it is asserted.  Returns
+    the witness's label, vector and unit."""
+    found = []
+    for ct, vec in zip(classes, vecs):
+        label, bucket = ct.label(), case_bucket(ct, ps)
+        if bucket == REALIZED_WITNESS:
+            found.append((label, vec, slot_witness_unit(vec, label, ps)))
+        elif bucket == NON_PRIMARY:
+            if any(not e.is_zero() for e in vec.entries[1:]):
+                raise AssertionFailure(
+                    "cuspidal slots must vanish on a non-primary class", witness=label
+                )
+            if not slot_s_membership(vec):
+                raise AssertionFailure("non-primary class outside S", witness=label)
+        elif bucket != DEGREE_N and not slot_s_membership(vec):
+            raise AssertionFailure(f"{bucket} class outside S", witness=label)
+    if len(found) != 1:
+        raise AssertionFailure(f"expected exactly one realized-witness class, found {len(found)}")
+    return found[0]
+
+
+def slot_scaled_idempotent(ps, witness, unit) -> BlockVector:
+    """The slot referee for ``reconstruct_scaled_idempotent``: l^r * 1 -
+    (1/u) * witness, multiplied out in Q(zeta), must be (l^r, 0, ..., 0)."""
+    if ord_frac(unit, ps.ell) != 0:
+        raise AssertionFailure(f"witness unit {unit} is not an l-unit")
+    one = BlockVector(ps.ell, ps.r, witness.reps, [1] * len(witness.reps))
+    idem = slot_minus(slot_scale(one, ps.ell_power), slot_scale(witness, 1 / unit))
+    expected = (Fraction(ps.ell_power),) + (Fraction(0),) * (len(witness.reps) - 1)
+    if idem.rational_entries() != expected:
+        raise AssertionFailure("scaled idempotent has the wrong shape", witness=repr(idem))
+    return idem
+
+
+def slot_reconstruct_gamma(ps, ct, vec, scaled_idem) -> dict:
+    """The slot referee for ``reconstruct_gamma``: divide the delta
+    vector by the sign/unit scalar, subtract the multiple of the scaled
+    idempotent that corrects slot 0 to n, and compare with the
+    theta-orbit vector, every step in Q(zeta)."""
+    unit = Fraction(ct.class_size() * (-1) ** (ps.n - 1), cuspidal_dimension(ps))
+    if ord_frac(unit, ps.ell) != 0:
+        raise AssertionFailure(f"|C|/dim is not an l-unit on {ct.label()}", witness=str(unit))
+    w = slot_scale(vec, 1 / unit)
+    w0 = w.entries[0].as_rational()
+    assert w0 is not None
+    c = (w0 - ps.n) / ps.ell_power
+    if ord_frac(c, ps.ell) < 0:
+        raise AssertionFailure(f"idempotent correction {c} is not l-integral on {ct.label()}")
+    candidate = slot_minus(w, slot_scale(scaled_idem, c))
+    j = theta_exponent(ct, ps)
+    expected = theta_orbit_vector(ps, j)
+    if candidate != expected:
+        raise AssertionFailure(
+            f"reconstruction of {ct.label()} missed its theta-orbit vector",
+            witness={"got": repr(candidate), "expected": repr(expected)},
+        )
+    return {"label": ct.label(), "theta_exponent": j, "unit": unit, "steinberg_slot": w0,
+            "correction": c}
+
+
+def slot_endo_ring(ps):
+    """The slot referee for the per-class half of ``verify_endo_ring``,
+    on each key's ``delta_class`` vector: the case analysis, the scaled
+    idempotent, the replay of every l-singular degree-n key and the
+    class of the canonical Sylow generator.  Returns the witness label,
+    its unit, the scaled idempotent and the reconstruction records."""
+    classes = enumerate_classes(finite_field(ps.q), ps.n)
+    firsts, key_of = group_classes(classes, ps)
+    vecs = [delta_class(ct, ps) for ct in firsts]
+    label, witness, unit = slot_case_analysis(ps, classes, [vecs[k] for k in key_of])
+    idem = slot_scaled_idempotent(ps, witness, unit)
+    replayed = {
+        k: slot_reconstruct_gamma(ps, ct, vecs[k], idem)
+        for k, ct in enumerate(firsts)
+        if case_bucket(ct, ps) == DEGREE_N and theta_exponent(ct, ps)
+    }
+    records = [dict(replayed[k], label=ct.label()) for ct, k in zip(classes, key_of) if k in replayed]
+    eps, _, _ = sylow_generator(finite_field(ps.q**ps.n), ps.ell)
+    eps_poly = minimal_polynomial(eps, finite_field(ps.q))
+    for ct, rec in zip([ct for ct, k in zip(classes, key_of) if k in replayed], records):
+        if ct.factors[0][0] == eps_poly and theta_orbit_vector(ps, rec["theta_exponent"]) != (
+            gamma_vector(ps)
+        ):
+            raise AssertionFailure("class of the canonical Sylow generator does not rebuild gamma")
+    return label, unit, idem, records
+
+
+SLOT_CHAIN_CASES = [*CASES.values(), (2, 31, 5), (7, 5, 4), (53, 3, 2), (2, 73, 9)]
+SLOT_CHAIN_CASES += [(2, 127, 7), (101, 17, 2)]
+
+
+@pytest.mark.parametrize("args", SLOT_CHAIN_CASES)
+def test_endo_ring_matches_the_slot_chain(args):
+    res = verify_endo_ring(*args)
+    label, unit, idem, records = slot_endo_ring(res.params)
+    assert (res.case_report.witness_label, res.idempotent_unit) == (label, unit)
+    assert res.scaled_idempotent == idem
+    assert [list(rec.items()) for rec in res.reconstructions] == [
+        list(rec.items()) for rec in records
+    ]
+
+
+# -- failure paths: one key's delta form moved --------------------------------------
+
+
+def move_forms(monkeypatch, pick, move):
+    """Patch ``centermap.delta_form`` to move the form of every class
+    that ``pick`` accepts.  verify_endo_ring asks for one form per key,
+    at the key's first class in census order, so this moves whole keys."""
+    plain = centermap.delta_form
+
+    def moved(ct, ps):
+        form = plain(ct, ps)
+        return move(ps, *form) if pick(ct, ps) else form
+
+    monkeypatch.setattr(centermap, "delta_form", moved)
+
+
+def first_in(bucket):
+    return lambda ct, ps: centermap.case_bucket(ct, ps) == bucket
+
+
+def l_singular(ct, ps):
+    return centermap.case_bucket(ct, ps) == DEGREE_N and theta_exponent(ct, ps) != 0
+
+
+def cli_failure(capsys, args) -> tuple:
+    """The exit code and the error of the endo-ring JSON envelope."""
+    q, ell, n = args
+    code = cli.main(["endo-ring", "--q", str(q), "--ell", str(ell), "--n", str(n), "--out", "json"])
+    return code, json.loads(capsys.readouterr().out)["artifacts"]["error"]
+
+
+def envelope_error(failure) -> dict:
+    kind, message, witness = failure
+    error = {"type": kind.__name__, "message": message}
+    if witness is not None:
+        error["witness"] = repr(witness)
+    return error
+
+
+REPLAY_MISSED = "reconstruction of x^3+x^2+1:(1) missed its theta-orbit vector"
+MOVED_FORMS = {
+    "witness-steinberg": (
+        (2, 7, 3), first_in(REALIZED_WITNESS), lambda ps, st, c, j: (st + ps.ell, c, j),
+        "witness vector has nonzero Steinberg slot", "x+1:(3)",
+    ),
+    "witness-shape": (
+        (2, 7, 3), first_in(REALIZED_WITNESS), lambda ps, st, c, j: (st, c, 1),
+        "witness vector is not constant on cuspidal slots", "x+1:(3)",
+    ),
+    "witness-valuation": (
+        (2, 7, 3), first_in(REALIZED_WITNESS), lambda ps, st, c, j: (st, c * ps.ell, j),
+        "witness valuation is 2, expected r = 1", "x+1:(3)",
+    ),
+    "non-primary-cuspidal": (
+        (2, 7, 3), first_in(NON_PRIMARY), lambda ps, st, c, j: (st, c + ps.ell, j),
+        "cuspidal slots must vanish on a non-primary class", "x+1:(1)|x^2+x+1:(1)",
+    ),
+    "non-primary-outside-s": (
+        (8, 3, 2), first_in(NON_PRIMARY), lambda ps, st, c, j: (st + ps.ell, c, j),
+        "non-primary class outside S", "x+1:(1)|x+2:(1)",
+    ),
+    "diagonalizable-outside-s": (
+        (17, 3, 2), first_in(PRIMARY_SMALL_DIAG), lambda ps, st, c, j: (st + ps.ell, c, j),
+        "primary-small-diagonalizable class outside S", "x+1:(1,1)",
+    ),
+    "nondiagonalizable-outside-s": (
+        (17, 3, 2), first_in(PRIMARY_SMALL_NONDIAG), lambda ps, st, c, j: (st + ps.ell, c, j),
+        "primary-small-nondiagonalizable class outside S", "x+1:(2)",
+    ),
+    "replay-correction": (
+        (8, 3, 2), l_singular, lambda ps, st, c, j: (st + ps.ell, c, j),
+        "idempotent correction -1/6 is not l-integral on x^2+x+1:(1)", None,
+    ),
+    "replay-scalar": (
+        (2, 7, 3), l_singular, lambda ps, st, c, j: (st, c + ps.ell, j), REPLAY_MISSED, dict,
+    ),
+    "replay-exponent": (
+        (2, 7, 3), l_singular, lambda ps, st, c, j: (st, c, 3 * j % 7), REPLAY_MISSED, dict,
+    ),
+}
+
+
+@pytest.mark.parametrize("args,pick,move,message,witness", MOVED_FORMS.values(), ids=MOVED_FORMS)
+def test_a_moved_delta_form_fails_as_on_the_slots(
+    monkeypatch, capsys, args, pick, move, message, witness
+):
+    # each reachable failure of the case analysis and the gamma replay,
+    # with the slot chain's type, message and witness, in process and as
+    # the exit-1 envelope; a missed replay's witness is the slot vectors
+    move_forms(monkeypatch, pick, move)
+    got = failure_or_vector(verify_endo_ring, *args)
+    assert got[:2] == (AssertionFailure, message)
+    assert set(got[2]) == {"got", "expected"} if witness is dict else got[2] == witness
+    assert got == failure_or_vector(slot_endo_ring, validate_parameters(*args))
+    assert cli_failure(capsys, args) == (1, envelope_error(got))
+
+
+def test_a_sylow_class_off_the_orbit_of_one_fails(monkeypatch, capsys):
+    # every l-singular theta exponent, in the forms and in the replay,
+    # moved to 3 j: each replay matches, but the class of the canonical
+    # Sylow generator no longer rebuilds gamma
+    plain = centermap.theta_exponent
+    move_forms(monkeypatch, l_singular, lambda ps, st, c, j: (st, c, 3 * j % 7))
+    monkeypatch.setattr(centermap, "theta_exponent", lambda ct, ps: 3 * plain(ct, ps) % 7)
+    got = failure_or_vector(verify_endo_ring, 2, 7, 3)
+    message = "class of the canonical Sylow generator does not rebuild gamma"
+    assert got == (AssertionFailure, message, None)
+    assert cli_failure(capsys, (2, 7, 3)) == (1, envelope_error(got))
+
+
+def test_a_census_without_the_witness_class_fails(monkeypatch, capsys):
+    plain = centermap.case_bucket
+
+    def bucket(ct, ps):
+        found = plain(ct, ps)
+        return PRIMARY_SMALL_NONDIAG if found == REALIZED_WITNESS else found
+
+    monkeypatch.setattr(centermap, "case_bucket", bucket)
+    got = failure_or_vector(verify_endo_ring, 2, 7, 3)
+    assert got == (AssertionFailure, "expected exactly one realized-witness class, found 0", None)
+    assert cli_failure(capsys, (2, 7, 3)) == (1, envelope_error(got))
 
 
 @pytest.fixture(scope="module")
@@ -970,7 +1281,7 @@ def test_s_membership_once_per_vector_at_17_3(monkeypatch):
     flags = res.case_report.s_flags
     assert list(flags) == [ct.label() for ct in res.classes]
     assert len(flags) == 288
-    assert flags == {label: slot_s_membership(vec) for label, vec in res.deltas.items()}
+    assert flags == {label: slot_s_membership(vec) for label, vec in class_deltas(res).items()}
 
 
 # sha256 of `--out json` stdout by command.  The endo-ring pins were

@@ -69,7 +69,7 @@ def test_orbit_contents_p3():
 def test_min_polynomial_frozen(label):
     (q, ell, n), _, coeffs = FROZEN[label]
     ps = validate_parameters(q, ell, n)
-    m, factors, omegas = min_polynomial(ps, trace_powers(ps))
+    m, factors, omegas, _ = min_polynomial(ps, trace_powers(ps))
     assert m.coeffs == tuple(Fraction(c) for c in coeffs)
     assert factors[0].coeffs == (Fraction(-n), Fraction(1))
     prod = factors[0]
@@ -118,6 +118,7 @@ def test_poly_at_f_matches_horner(q, ell, n):
     f = data.powers[1]
     for h in data.m_factors + (data.m,):
         assert poly_at_f(h, data.powers) == h(f)
+    assert data.factor_images == tuple(h(f) for h in data.m_factors)
     assert data.m.degree == len(data.powers)
 
 
@@ -167,7 +168,7 @@ def test_invariants_reports_a_corrupted_m_1_as_at_the_horner_certificate(
 @pytest.mark.parametrize("q,ell,n", REFEREE_CASES)
 def test_conjugate_sums_match_the_coset_walk(q, ell, n):
     ps = validate_parameters(q, ell, n)
-    _, factors, omegas = min_polynomial(ps, trace_powers(ps))
+    _, factors, omegas, _ = min_polynomial(ps, trace_powers(ps))
     scaled = [0]
     for i in range(1, ps.r + 1):
         minima, sums = coset_walk(ps, i)
@@ -185,7 +186,7 @@ def test_conjugate_sums_match_the_coset_walk(q, ell, n):
 def test_omega_values_are_roots_of_m_only():
     # the r+1 roots n, omega_1, ..., omega_r are pairwise distinct
     ps = validate_parameters(8, 3, 2)
-    m, _, omegas = min_polynomial(ps, trace_powers(ps))
+    m, _, omegas, _ = min_polynomial(ps, trace_powers(ps))
     assert len(omegas) == 2
     assert omegas[0] != omegas[1]
     for omega in omegas:
@@ -316,11 +317,11 @@ def test_express_orbit_sum_all_reps():
 def test_min_poly_mod_ell_shape():
     # m = (Y - n)^D mod l; spot-check the reduction for two cases
     ps = validate_parameters(2, 7, 3)
-    m, _, _ = min_polynomial(ps, trace_powers(ps))
+    m, _, _, _ = min_polynomial(ps, trace_powers(ps))
     # (Y - 3)^3 = Y^3 - 9Y^2 + 27Y - 27 = Y^3 + 5Y^2 + 6Y + 1 mod 7
     assert m.reduce_mod(7) == (1, 6, 5, 1)
     ps = validate_parameters(8, 3, 2)
-    m, _, _ = min_polynomial(ps, trace_powers(ps))
+    m, _, _, _ = min_polynomial(ps, trace_powers(ps))
     # (Y - 2)^5 mod 3 = (Y + 1)^5 = Y^5 + 5Y^4 + ... binomials mod 3
     assert m.reduce_mod(3) == (1, 2, 1, 1, 2, 1)
 
@@ -331,8 +332,8 @@ def test_unreduced_parameters_silently_reduce():
     unreduced = validate_parameters(2, 5, 4, 2)
     reduced = validate_parameters(4, 5, 2)
     assert orbit_structure(unreduced) == orbit_structure(reduced)
-    m_u, _, _ = min_polynomial(unreduced, trace_powers(unreduced))
-    m_r, _, _ = min_polynomial(reduced, trace_powers(reduced))
+    m_u, _, _, _ = min_polynomial(unreduced, trace_powers(unreduced))
+    m_r, _, _, _ = min_polynomial(reduced, trace_powers(reduced))
     assert m_u == m_r
 
 
@@ -434,7 +435,7 @@ def test_min_polynomial_runs_no_cyclotomic_product(monkeypatch):
     monkeypatch.setattr(CyclotomicNumber, "__mul__", counted)
     monkeypatch.setattr(CyclotomicNumber, "__rmul__", counted)
     ps = validate_parameters(2, 127, 7)
-    m, _, _ = min_polynomial(ps, trace_powers(ps))
+    m, _, _, _ = min_polynomial(ps, trace_powers(ps))
     assert m.degree == 19
     assert calls == []
 

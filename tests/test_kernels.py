@@ -542,9 +542,6 @@ def test_shape_guards_are_raises():
         GroupRingElement(3, (1, 0))
     with pytest.raises(ValueError):
         BlockVector(3, 1, (0, 1), (1,))
-    u, v = BlockVector(3, 1, (0, 1), (1, 2)), BlockVector(3, 1, (0, 2), (1, 2))
-    with pytest.raises(ValueError):
-        u - v
 
 
 # -- fraction-free elimination ---------------------------------------------------------
