@@ -322,9 +322,12 @@ def main(argv=None) -> int:
         rendered = render(report.failure_envelope(args.command, parameters, exc))
         code = 1
     except Exception as exc:
-        import traceback  # imported here: only exit 3 prints one
+        try:
+            import traceback  # imported here: only exit 3 prints one
 
-        traceback.print_exc(file=sys.stderr)  # stdout carries only the envelope
+            traceback.print_exc(file=sys.stderr)  # stdout carries only the envelope
+        except Exception:  # out of memory again, say: free the failed frames
+            exc.__traceback__ = None
         rendered = render(report.failure_envelope(args.command, parameters, exc))
         code = 3
     out = sys.stdout

@@ -26,6 +26,11 @@ level i with e = 1; so it sends h(f) to h at that value.  No
 polynomial is evaluated at a cyclotomic number: the Horner passes over
 Q(zeta) and over the group ring are the tests' referees.
 
+The l-adic lemmas (``uniformizer_check``, ``pullback_mod_ell_check``,
+the rank of the basis matrix mod l) all read one number, j*
+(``t_valuation``); the Taylor shifts of ``cyclotomic.ell_valuation``,
+the synthetic division and the elimination mod l are the tests' referees.
+
 Main outputs:
   * orbit_structure     - the orbits, with the order facts asserted
   * trace_element       - f = X + X^q + ... + X^(q^(n-1))
@@ -35,10 +40,11 @@ Main outputs:
   * orbit_sums          - the image of f at every e, once per orbit
   * omega_and_min_poly  - omega_i (f at level i), m_i and m_i(f)
   * min_polynomial      - m = (Y - n) * prod_i m_i and each factor at f
+  * t_valuation         - j*, the t-adic valuation of f - n mod l
   * invariant_ring      - the powers of f and the change of basis
                           between orbit sums and them, certified
-                          invertible with l-integral inverse by its rank
-                          mod l; column j of the inverse holds the h with
+                          invertible with l-integral inverse by j* <= n;
+                          column j of the inverse holds the h with
                           h(f) = the orbit sum of X^(reps[j])
 """
 
@@ -46,16 +52,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm, prod
+from math import comb, inf, lcm, prod
 from typing import NamedTuple
 
 from . import linalg
+from .arith import ord_int
 from .cyclotomic import (
     CyclotomicNumber,
     ExactVector,
     _new,
     _reduce,
-    ell_valuation,
     lowest_terms,
     phi_prime_power,
 )
@@ -331,61 +337,65 @@ def min_polynomial(ps: ParameterSet, powers):
     return m, factors, omegas, images
 
 
+def t_valuation(f: GroupRingElement, n: int, ell: int) -> int | None:
+    """j*, the first j >= 1 with l not dividing c_j = sum_k binom(a_k, j),
+    a_k the n exponents of f, or None if no j < l qualifies.  Over F_l,
+    X^(l^i) - 1 = t^(l^i) with t = X - 1, and f - n maps to sum_j c_j t^j
+    in F_l[Z/l^i] = F_l[t]/(t^(l^i)): j* is the t-adic valuation of f - n,
+    the same at every level while below l, so only the a_k mod l count."""
+    if f.den != 1 or min(f.nums) < 0 or sum(f.nums) != n:
+        raise AssertionFailure(f"f is not a sum of n = {n} powers of X")
+    residues = sorted((e % ell for e, c in enumerate(f.nums) for _ in range(c)), reverse=True)
+    falling = [1] * n  # j! binom(a_k, j) mod l, and j! is prime to l
+    for j in range(1, ell):
+        while residues and residues[-1] < j:  # binom(a, j) = 0 for a < j
+            residues.pop()
+        falling = [x * (a - j + 1) % ell for x, a in zip(falling, residues)]
+        if sum(falling) % ell:
+            return j
+    return None
+
+
 def uniformizer_check(ps: ParameterSet, i: int) -> dict:
-    """nu(omega_i - n) must be exactly n at level i, 1 <= i <= r; also
-    checks that N(zeta_i) = prod_k (zeta^(q^k) - 1), the image of
-    prod_k (X^(q^k) - 1), has nu = n."""
+    """nu(omega_i - n) and nu(N(zeta_i)), N(zeta_i) = prod_k (zeta^(a_k) - 1)
+    with a_k the exponents of f, must be exactly n at level i, 1 <= i <= r.
+
+    With pi = zeta - 1 (nu(pi) = 1, nu(l) = phi(l^i) >= l - 1),
+    omega_i - n = sum_(j>=1) c_j pi^j (``t_valuation``).  Terms before j*
+    have nu >= j + phi(l^i) > j*, terms after it nu > j*, so nu = j*;
+    with no j* < l every term has nu >= l > n.  zeta^a is a primitive
+    l^(i - ord_l a)-th root of 1, so nu(zeta^a - 1) = l^(ord_l a): the norm
+    has nu = n iff every a_k is prime to l (and is 0 if some l^i | a_k)."""
     ps = require_reduced(ps)
     if not 1 <= i <= ps.r:
         raise ParameterError(f"level {i} is outside 1..r = {ps.r}")
-    val = ell_valuation((trace_element(ps) - ps.n).at_zeta(ps.ell, i, 1))
+    f, ell, m = trace_element(ps), ps.ell, ps.ell**i
+    val = t_valuation(f, ps.n, ell)
     if val != ps.n:
+        val = f"at least {ell}" if val is None else val
         raise AssertionFailure(
             f"nu(omega_{i} - n) = {val} != n = {ps.n}", witness={"level": i, "nu": val}
         )
-    m = ps.ell_power
-    norm = prod((GroupRingElement.unit(m, pow(ps.q, k, m)) - 1 for k in range(ps.n)), start=1)
-    aux = ell_valuation(norm.at_zeta(ps.ell, i, 1))
+    aux = sum(c * ell ** ord_int(e % m, ell) if e % m else inf for e, c in enumerate(f.nums) if c)
     if aux != ps.n:
         raise AssertionFailure(f"nu(N(zeta_{i})) = {aux} != n", witness={"level": i})
     return {"level": i, "valuation": val, "aux_valuation": aux}
 
 
 def pullback_mod_ell_check(ps: ParameterSet) -> dict:
-    """Multiplicity of (X - 1) in X + X^q + ... + X^(q^(n-1)) - n over
-    F_l, as an abstract polynomial (no reduction mod X^(l^r) - 1).
-    Must be exactly n."""
+    """Multiplicity of (X - 1) in P = X + X^q + ... + X^(q^(n-1)) - n over
+    F_l, as an abstract polynomial of degree q^(n-1).  Must be exactly n.
+    Below l it is the t-adic valuation of P mod X^l - 1 = t^l, which is
+    f - n mod t^l as l^r | q^k - a_k: j* (``t_valuation``)."""
     ps = require_reduced(ps)
-    ell = ps.ell
-    deg = ps.q ** (ps.n - 1)
-    coeffs = [0] * (deg + 1)
-    for k in range(ps.n):
-        coeffs[ps.q**k] = (coeffs[ps.q**k] + 1) % ell
-    coeffs[0] = (coeffs[0] - ps.n) % ell
-    multiplicity = 0
-    cur = coeffs
-    while True:
-        # synthetic division by (X - 1) mod l
-        acc = 0
-        quo = [0] * (len(cur) - 1)
-        for k in range(len(cur) - 1, 0, -1):
-            acc = (acc + cur[k]) % ell
-            quo[k - 1] = acc
-        rem = (acc + cur[0]) % ell
-        if rem != 0:
-            break
-        multiplicity += 1
-        cur = quo
-        if len(cur) == 1:
-            if cur[0] == 0 and multiplicity:
-                raise AssertionFailure("pullback polynomial vanished entirely")
-            break
+    multiplicity = t_valuation(trace_element(ps), ps.n, ps.ell)
     if multiplicity != ps.n:
+        multiplicity = f"at least {ps.ell}" if multiplicity is None else multiplicity
         raise AssertionFailure(
             f"(X-1)-multiplicity is {multiplicity}, expected n = {ps.n}",
             witness={"multiplicity": multiplicity},
         )
-    return {"multiplicity": multiplicity, "degree": deg}
+    return {"multiplicity": multiplicity, "degree": ps.q ** (ps.n - 1)}
 
 
 class InvariantRingData(NamedTuple):
@@ -410,10 +420,16 @@ def invariant_ring(ps: ParameterSet) -> InvariantRingData:
     M[j][k] = coefficient of X^(rep_j) in f^k, an integer.  Asserts that
     every f^k is q-invariant, that M lies in GL_D(Z_(l)) and that
     m(f) = 0 in the group ring (``poly_at_f``, the one product f^D =
-    f^(D-1) f).  M is integral, so M^(-1) exists and is
-    l-integral iff det M is prime to l, iff M has full rank modulo l:
-    one elimination over F_l, and M^(-1) is never built.  Column j of
-    M^(-1) holds the h with h(f) = the orbit sum of X^(reps[j]).
+    f^(D-1) f).  M is integral, so M^(-1) exists and is l-integral iff
+    det M is prime to l, iff M has full rank modulo l; M^(-1) is never
+    built.  Column j of M^(-1) holds the h with h(f) = the orbit sum of
+    X^(reps[j]).
+
+    The rank is read off j* (``t_valuation``).  Mod l, f^k = sum_j
+    M[j][k] S_j with orbit sums S_j of disjoint supports, so rank M = D iff
+    the powers of g = f - n below D are independent in F_l[t]/(t^(l^r)).
+    g^k has valuation k j* below l^r and is 0 after; (D - 1) n = l^r - 1,
+    so they are iff j* <= n (a relation g^(D-1) = 0 otherwise).
     """
     ps = require_reduced(ps)
     orbits = orbit_structure(ps)
@@ -425,7 +441,8 @@ def invariant_ring(ps: ParameterSet) -> InvariantRingData:
         if fk.den != 1:
             raise AssertionFailure(f"f^{k} has non-integer coefficients")
     rows = tuple(tuple(fk.nums[rep] for fk in powers) for rep in orbits.reps)
-    if linalg.rank_mod(rows, ps.ell) < len(rows):
+    j = t_valuation(powers[1], ps.n, ps.ell)
+    if j is None or j > ps.n:
         raise IntegralityFailure(
             "basis matrix is singular mod l: its inverse is not l-integral"
         )

