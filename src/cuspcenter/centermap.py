@@ -40,6 +40,7 @@ from .errors import AssertionFailure, IntegralityFailure
 from .finitefield import finite_field, minimal_polynomial, sylow_generator
 from .invariants import (
     InvariantRingData,
+    at_zeta,
     invariant_ring,
     orbit_structure,
     orbit_sums,
@@ -150,11 +151,12 @@ def delta_class(ct: ClassType, ps: ParameterSet) -> BlockVector:
 def theta_coordinates(ps: ParameterSet, j: int) -> tuple[Fraction, ...]:
     """The orbit-sum coordinates of f_j = sum_k X^(j q^k), in the order
     of the orbit representatives (each orbit's least element): n at 0
-    for j = 0, else 1 at the orbit of j."""
-    m = ps.ell_power
-    rep = min(j * pow(ps.q, k, m) % m for k in range(ps.n))
-    value = Fraction(ps.n if rep == 0 else 1)
-    return tuple(value if e == rep else Fraction(0) for e in orbit_structure(ps).reps)
+    for j = 0, else 1 at the orbit of j, read off the ``orbit_structure``
+    index."""
+    orbits = orbit_structure(ps)
+    k = orbits.index[j % ps.ell_power]
+    value = Fraction(ps.n if k == 0 else 1)
+    return tuple(value if i == k else Fraction(0) for i in range(len(orbits.reps)))
 
 
 def orbit_coordinates(form: tuple, ps: ParameterSet) -> tuple[Fraction, ...]:
@@ -186,12 +188,10 @@ def orbit_split(coords):
 
 
 def coordinate_image(coords, ps: ParameterSet) -> BlockVector:
-    """The slot vector of the orbit coordinates V: slot i is V_0 plus
-    each nonzero V_k times the orbit sum of i rep_k."""
-    reps, sums = block_slots(ps), orbit_sums(ps)
-    tail = [(v, e) for v, e in zip(coords[1:], reps[1:]) if v]
-    entries = [coords[0] + sum(v * sums[i * e % ps.ell_power] for v, e in tail) for i in reps]
-    return BlockVector(ps.ell, ps.r, reps, entries)
+    """The slot vector of the orbit coordinates V: slot i is the image
+    of V under X -> zeta^i (``invariants.at_zeta``)."""
+    reps = block_slots(ps)
+    return BlockVector(ps.ell, ps.r, reps, [at_zeta(ps, coords, ps.r, i) for i in reps])
 
 
 def s_membership(coords, ell: int) -> bool:
@@ -448,17 +448,18 @@ def gamma_power_basis(gamma: BlockVector, count: int):
 
 def factor_values(ring: InvariantRingData) -> tuple[tuple, ...]:
     """values[k][s] is the image of h(f), h the k-th listed factor of m,
-    at slot s, mapped from the ``factor_images`` that ``min_polynomial``
-    summed; the factors must multiply to m, with Y - n first.  Q(zeta)
-    is a field, so a product of factors vanishes at a slot iff one of
-    them does: this table's zero pattern says where m, m/factor and g do."""
+    at slot s, mapped by ``invariants.at_zeta`` from the orbit
+    coordinates ``factor_images`` that ``min_polynomial`` summed; the
+    factors must multiply to m, with Y - n first.  Q(zeta) is a field,
+    so a product of factors vanishes at a slot iff one of them does:
+    this table's zero pattern says where m, m/factor and g do."""
     factors = ring.m_factors
     if prod(factors, start=Poly((1,))) != ring.m:
         raise AssertionFailure("the listed factors of m do not multiply to m")
     if factors[0] != Poly((-ring.ps.n, 1)):
         raise AssertionFailure(f"first factor of m is {factors[0]!r}, not Y - n")
     ps, reps = ring.ps, ring.orbits.reps
-    return tuple(tuple(x.at_zeta(ps.ell, ps.r, e) for e in reps) for x in ring.factor_images)
+    return tuple(tuple(at_zeta(ps, x, ps.r, e) for e in reps) for x in ring.factor_images)
 
 
 def _zero_slots(rows) -> list[bool]:

@@ -11,7 +11,8 @@ Conventions for a class type with factor list ((P_1, lam_1), ...):
 * on a primary type with deg P = a and x = len(lam) parts the value is
   (-1)^(n-x) * prod_{k=1}^{x-1} (q^{ka} - 1) * sum_{k<a} theta^(i q^k)(t)
   with t a root of P; for a = n the sum is the orbit sum of i times
-  the class's theta exponent, read from ``invariants.orbit_sums``;
+  the class's theta exponent, read from ``invariants.orbit_sums``, the
+  images of f under ``invariants.at_zeta``;
 * the Steinberg lift vanishes on non-semisimple types and on semisimple
   ones contributes the p-part of the centralizer order with the sign
   (-1)^(n - number of blocks).

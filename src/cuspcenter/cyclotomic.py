@@ -1,6 +1,5 @@
 """Exact arithmetic in the prime-power cyclotomic tower Q(zeta_{l^i}),
-on the integer base ``ExactVector`` that the group ring and ``Poly``
-share.
+on the integer base ``ExactVector`` that ``Poly`` shares.
 
 ``ExactVector`` keeps a vector of rationals as integer numerators over
 one common denominator, in lowest terms: ``den > 0`` and
@@ -88,7 +87,7 @@ def add_numerators(a, da: int, b, db: int, sign: int = 1) -> tuple[tuple, int]:
 
 def _reduce(ell: int, level: int, raw) -> list:
     """Reduce dense integer coefficients to the power basis at ``level``:
-    the fold of every product and of ``GroupRingElement.at_zeta``."""
+    the fold of every product and of ``invariants.at_zeta``."""
     if level == 0:
         return [sum(raw)]
     m = ell**level

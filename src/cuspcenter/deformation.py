@@ -14,9 +14,10 @@ relations of the presentation
 Psi and Y depend on a alone, and Fr, its characteristic polynomial
 and det Fr on the units alone, so each side is built and checked on
 its own, Fr and its T-values in plain ints.  Y is the image of f under
-the ring map X -> zeta^a, so m(Y) is the image of m(f): m(f) is summed
-once per sweep (``invariants.poly_at_f``), and m(Y) = 0 is read from
-it once per distinct Y, deg m times in all.  The commutation
+the ring map X -> zeta^a, so m(Y) is the image of m(f): the orbit
+coordinates of m(f) are summed once per sweep (``invariants.poly_at_f``),
+and m(Y) = 0 is read from them by ``invariants.at_zeta`` once per
+distinct Y, deg m times in all.  The commutation
 relation factors too: Fr's entries are nonzero integers and Q(zeta) is
 a field, so it holds exactly when Psi's diagonal is the q-power ladder,
 checked once per a on the exponents of zeta, and every unit is nonzero,
@@ -35,7 +36,7 @@ from typing import NamedTuple
 from .arith import ord_int
 from .cyclotomic import CyclotomicNumber, zeta
 from .errors import AssertionFailure, ParameterError, RelationFailure
-from .invariants import GroupRingElement, InvariantRingData, orbit_sums, poly_at_f
+from .invariants import InvariantRingData, at_zeta, orbit_sums, poly_at_f
 from .matrices import charpoly
 from .params import ParameterSet, require_reduced
 from .polynomials import Poly
@@ -91,11 +92,12 @@ def _check_commutation(a: int, diagonal: tuple, diagonal_q: tuple) -> None:
             raise RelationFailure(f"Fr Psi != Psi^q Fr at entry ({i}, {j}) for a = {a}")
 
 
-def _check_trace(a: int, trace, ps: ParameterSet, m_of_f: GroupRingElement) -> None:
+def _check_trace(a: int, trace, ps: ParameterSet, m_of_f: tuple) -> None:
     """The relations on Y alone: m(Y) = 0, and Y = n at a = 0.  Y is the
     image of f under the ring map X -> zeta^a (``orbit_sums``), so m(Y)
-    is the image of ``m_of_f`` = m(f) (``poly_at_f``) under that map."""
-    mval = m_of_f.at_zeta(ps.ell, ps.r, a)
+    is the image of ``m_of_f``, the orbit coordinates of m(f)
+    (``poly_at_f``), under that map (``at_zeta``)."""
+    mval = at_zeta(ps, m_of_f, ps.r, a)
     if not mval.is_zero():
         raise AssertionFailure(
             f"generator m(Y) does not vanish at a = {a}", witness=repr(mval)
@@ -168,7 +170,7 @@ def check_relations(pt: DeformationPoint, ps: ParameterSet, ring: InvariantRingD
     generator on failure."""
     ps = require_reduced(ps)
     a = pt.zeta_exponent % ps.ell_power
-    _check_trace(a, pt.trace, ps, poly_at_f(ring.m, ring.powers))
+    _check_trace(a, pt.trace, ps, poly_at_f(ring.m, ring.basis_matrix, ring.times_f))
     _check_t_values(a, ps.ell, pt.t_values)
     _check_det(pt.units, pt.t_values)
     return {
@@ -228,7 +230,7 @@ def deformation_suite(
         _, t_values = _fr_side(ps, units)
         _check_det(units, t_values)
         t_sides.append(t_values)
-    m_of_f = poly_at_f(ring.m, ring.powers)
+    m_of_f = poly_at_f(ring.m, ring.basis_matrix, ring.times_f)
     traces = set()
     for a in range(ps.ell_power):
         diagonal, diagonal_q, trace = _psi_side(ps, a)

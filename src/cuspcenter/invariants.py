@@ -3,157 +3,79 @@
 R = W(k)[X]/(X^(l^r) - 1) carries the ring endomorphism X^b -> X^(qb).
 Because ord(q) = n in (Z/l^i)^x for every 1 <= i <= r, the orbits of
 multiplication by q on Z/l^r are {0} and (l^r - 1)/n further orbits of
-size exactly n, and the invariant subring has the orbit sums as a
-W(k)-basis.  Everything here is computed over Q with exact rationals
-on the integer kernel of ``cyclotomic.ExactVector``: group-ring elements
-(``GroupRingElement``, products folded modulo X^(l^r) - 1), cyclotomic
-numbers and the polynomials m, m_i and h (``Poly``) all keep integer
-numerators over one denominator.  l-integrality is asserted where the
-theory demands it.
+size exactly n, and the invariant subring has the orbit sums S_j as a
+W(k)-basis.  An invariant element is held only as its orbit
+coordinates V, with V = sum_j V_j S_j in the order of the orbit
+representatives (each orbit's least element).  Everything here is
+exact: the coordinates of the powers of f, the power sums and the
+minimal polynomials m and m_i are integers or ``Poly``s on integer
+numerators, and l-integrality is asserted where the theory demands it.
 
-The minimal polynomials m_i come out of the group ring, with no
+f = X^(a_0) + ... + X^(a_(n-1)), a_k = q^k mod l^r, is the orbit sum
+of 1.  Multiplication by f on orbit coordinates is a sparse D x D
+integer matrix, D = #orbits, the Gaussian-period structure of Gupta and
+Zagier (Math. Comp. 60, 1993): column j is f S_j read at the
+representatives.  It is built once, each column checked q-invariant,
+and applied to 1 it gives f^0, ..., f^(D-1), the columns of the basis
+matrix.
+
+The minimal polynomials m_i come out of those coordinates, with no
 cyclotomic arithmetic: the power sums of the conjugates of omega_i are
 integers read off the powers of f against Ramanujan sums, and Newton's
 identities turn them into the coefficients.  Each m_i is certified by
 the image of m_i(f) at level i, and m by m(f) = 0.
 
-A polynomial h is evaluated in one way, at f: ``poly_at_f`` sums
-h(f) = sum_k h_k f^k from the stored powers of f.  Every value at a
-slot is then an image under one ring map, ``GroupRingElement.at_zeta``:
+A polynomial h is evaluated in one way, at f: ``poly_at_f`` gives the
+coordinates of h(f) = sum_k h_k f^k from the basis matrix.  Every value
+at a slot is then an image under one ring map, ``at_zeta``:
 X -> zeta_{l^i}^e.  It sends f to n at e = 0 (the Steinberg slot), to
 the orbit sum of e at level r (a cuspidal slot), and to omega_i at
 level i with e = 1; so it sends h(f) to h at that value.  No
 polynomial is evaluated at a cyclotomic number: the Horner passes over
-Q(zeta) and over the group ring are the tests' referees.
+Q(zeta) and over the group ring are the tests' referees, and so is the
+dense group ring Q[X]/(X^(l^r) - 1) itself.
 
 The l-adic lemmas (``uniformizer_check``, ``pullback_mod_ell_check``,
 the rank of the basis matrix mod l) all read one number, j*
-(``t_valuation``); the Taylor shifts of ``cyclotomic.ell_valuation``,
-the synthetic division and the elimination mod l are the tests' referees.
+(``t_valuation``), off the exponents a_k; the Taylor shifts of
+``cyclotomic.ell_valuation``, the synthetic division and the
+elimination mod l are the tests' referees.
 
 Main outputs:
-  * orbit_structure     - the orbits, with the order facts asserted
-  * trace_element       - f = X + X^q + ... + X^(q^(n-1))
-  * trace_powers        - f^0, ..., f^(D-1), D = #orbits, built once
-  * poly_at_f           - h(f) for a polynomial h, from those powers
-  * power_sums          - power sums of the conjugates of omega_i
-  * orbit_sums          - the image of f at every e, once per orbit
-  * omega_and_min_poly  - omega_i (f at level i), m_i and m_i(f)
-  * min_polynomial      - m = (Y - n) * prod_i m_i and each factor at f
-  * t_valuation         - j*, the t-adic valuation of f - n mod l
-  * invariant_ring      - the powers of f and the change of basis
-                          between orbit sums and them, certified
-                          invertible with l-integral inverse by j* <= n;
-                          column j of the inverse holds the h with
-                          h(f) = the orbit sum of X^(reps[j])
+  * orbit_structure      - the orbits and the orbit index of every e,
+                           with the order facts asserted
+  * trace_exponents      - a_0, ..., a_(n-1), the exponents of f
+  * trace_multiplication - multiplication by f on orbit coordinates,
+                           each column checked q-invariant
+  * power_coordinates    - f^0, ..., f^(D-1) in orbit coordinates
+  * at_zeta              - the one map of orbit coordinates to Q(zeta)
+  * poly_at_f            - the orbit coordinates of h(f)
+  * power_sums           - power sums of the conjugates of omega_i
+  * orbit_sums           - the image of f at every e, once per orbit
+  * omega_and_min_poly   - omega_i (f at level i), m_i and m_i(f)
+  * min_polynomial       - m = (Y - n) * prod_i m_i and each factor at f
+  * t_valuation          - j*, the t-adic valuation of f - n mod l
+  * invariant_ring       - the basis matrix, whose column k holds f^k,
+                           certified invertible with l-integral
+                           inverse by j* <= n; column j of the inverse
+                           holds the h with h(f) = the orbit sum of
+                           X^(reps[j])
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections import Counter
 from functools import lru_cache
-from math import comb, inf, lcm, prod
+from math import comb, inf, prod
+from operator import mul
 from typing import NamedTuple
 
-from . import linalg
 from .arith import ord_int
-from .cyclotomic import (
-    CyclotomicNumber,
-    ExactVector,
-    _new,
-    _reduce,
-    lowest_terms,
-    phi_prime_power,
-)
+from .cyclotomic import CyclotomicNumber, _new, _reduce, lowest_terms, phi_prime_power
 from .errors import AssertionFailure, IntegralityFailure, ParameterError
+from .linalg import clear_denominators
 from .params import ParameterSet, require_reduced
 from .polynomials import Poly, from_power_sums
-
-
-class GroupRingElement(ExactVector):
-    """Element of Q[X]/(X^modulus - 1) on the ``ExactVector`` base: dense
-    integer numerators over one common denominator, in lowest terms.
-    Operands must share the modulus, and products fold modulo
-    X^modulus - 1."""
-
-    __slots__ = ("modulus",)
-
-    def __init__(self, modulus: int, coeffs):
-        nums, den = linalg.clear_denominators(coeffs)
-        if len(nums) != modulus:
-            raise ValueError(f"{len(nums)} coefficients for modulus {modulus}")
-        self.modulus = modulus
-        self.nums, self.den = lowest_terms(nums, den)
-
-    def _with(self, nums: tuple, den: int) -> "GroupRingElement":
-        x = object.__new__(GroupRingElement)
-        x.modulus = self.modulus
-        x.nums = nums
-        x.den = den
-        return x
-
-    @classmethod
-    def unit(cls, modulus: int, exponent: int = 0, scale=1):
-        """scale * X^exponent for an int or ``Fraction`` scale."""
-        nums = [0] * modulus
-        nums[exponent % modulus] = scale.numerator
-        x = object.__new__(cls)
-        x.modulus = modulus
-        x.nums = tuple(nums)
-        x.den = scale.denominator
-        return x
-
-    def _coerce(self, other):
-        if isinstance(other, GroupRingElement):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GroupRingElement.unit(self.modulus, 0, other)
-        return None
-
-    def _align(self, other):
-        if other.modulus != self.modulus:
-            raise ValueError("mixing group rings of different moduli")
-        return self, other
-
-    def _fold(self, raw) -> list:
-        m = self.modulus
-        out = raw[:m]
-        for e in range(m, len(raw)):
-            out[e - m] += raw[e]
-        return out
-
-    def __hash__(self):
-        # a rational element equals, so hashes as, that rational
-        if not any(self.nums[1:]):
-            return hash(Fraction(self.nums[0], self.den))
-        return hash((self.modulus, self.nums, self.den))
-
-    def frobenius(self, a: int) -> "GroupRingElement":
-        """The map X^b -> X^(ab)."""
-        m = self.modulus
-        out = [0] * m
-        for e, x in enumerate(self.nums):
-            if x:
-                out[e * a % m] += x
-        return self._normal(out, self.den)
-
-    def at_zeta(self, ell: int, level: int, exponent: int) -> CyclotomicNumber:
-        """The image under the ring map X -> zeta_{l^level}^exponent
-        (l^level must divide the modulus): one fold by ``_reduce``."""
-        m = ell**level
-        if self.modulus % m:
-            raise ValueError(f"X -> zeta_{m} is not defined on Q[Z/{self.modulus}]")
-        raw = [0] * m
-        for k, x in enumerate(self.nums):
-            if x:
-                raw[k * exponent % m] += x
-        return _new(ell, level, *lowest_terms(_reduce(ell, level, raw), self.den))
-
-    def __repr__(self):
-        terms = [
-            f"{c}*X^{e}" if e else str(c) for e, c in enumerate(self.coeffs) if c
-        ]
-        return " + ".join(terms) if terms else "0"
 
 
 class OrbitStructure(NamedTuple):
@@ -161,25 +83,27 @@ class OrbitStructure(NamedTuple):
     multiplier: int
     orbits: tuple[tuple[int, ...], ...]
     reps: tuple[int, ...]
+    index: tuple[int, ...]  # index[e]: the position of e's orbit in reps
 
 
 @lru_cache(maxsize=None)
 def orbit_structure(ps: ParameterSet) -> OrbitStructure:
     """Orbits of multiplication by q on Z/l^r, with the order facts
-    (every nonzero orbit has size exactly n) verified exhaustively.
-    Memoised: the slots of every block vector come from here."""
+    (every nonzero orbit has size exactly n) verified exhaustively, and
+    the orbit index of every e, recorded in the same pass.  Memoised:
+    the slots of every block vector come from here."""
     ps = require_reduced(ps)
     m = ps.ell_power
     q = ps.q % m
-    seen = [False] * m
+    index = [None] * m
     orbits = []
     for a in range(m):
-        if seen[a]:
+        if index[a] is not None:
             continue
         orbit = []
         b = a
-        while not seen[b]:
-            seen[b] = True
+        while index[b] is None:
+            index[b] = len(orbits)
             orbit.append(b)
             b = b * q % m
         orbits.append(tuple(sorted(orbit)))
@@ -194,80 +118,125 @@ def orbit_structure(ps: ParameterSet) -> OrbitStructure:
     reps = tuple(o[0] for o in orbits)
     if reps != tuple(sorted(reps)) or reps[0] != 0:
         raise AssertionFailure(f"orbit representatives {reps} are not sorted from 0")
-    return OrbitStructure(modulus=m, multiplier=q, orbits=tuple(orbits), reps=reps)
+    return OrbitStructure(
+        modulus=m, multiplier=q, orbits=tuple(orbits), reps=reps, index=tuple(index)
+    )
 
 
-def is_invariant(v: GroupRingElement, orbits: OrbitStructure) -> bool:
-    return v.frobenius(orbits.multiplier) == v
-
-
-def trace_element(ps: ParameterSet) -> GroupRingElement:
-    """f = X + X^q + ... + X^(q^(n-1)) in Q[Z/l^r]."""
+def trace_exponents(ps: ParameterSet) -> tuple[int, ...]:
+    """(a_0, ..., a_(n-1)), a_k = q^k mod l^r: f = sum_k X^(a_k)."""
     ps = require_reduced(ps)
-    m = ps.ell_power
-    cs = [0] * m
-    for k in range(ps.n):
-        cs[pow(ps.q, k, m)] += 1
-    return GroupRingElement(m, cs)
+    return tuple(pow(ps.q, k, ps.ell_power) for k in range(ps.n))
 
 
-def trace_powers(ps: ParameterSet) -> list[GroupRingElement]:
-    """f^0, f^1, ..., f^(D-1) in Q[Z/l^r], D the number of orbits: the
-    columns of the basis matrix and the source of every power sum."""
-    f = trace_element(ps)
-    powers = [GroupRingElement.unit(f.modulus)]
-    for _ in range(len(orbit_structure(ps).reps) - 1):
-        powers.append(powers[-1] * f)
+def trace_multiplication(ps: ParameterSet, exponents) -> tuple:
+    """Multiplication by f = sum_k X^(a_k), a_k the ``exponents``, on
+    orbit coordinates: column j lists the pairs (i, c), c != 0, with
+    f S_j = sum_i c S_i.  f S_j = sum_(e in S_j, k) X^(e + a_k) is counted
+    once and read at the representatives, after one check that it is
+    q-invariant: its count at b equals its count at q b for every b of
+    its support.  A column has at most n entries: its weights c |S_i|
+    sum to n |S_j|, every S_i but S_0 = 1 has n terms, and the weight
+    at S_0 is 0 or, when S_j is the orbit of -1, n."""
+    orbits = orbit_structure(ps)
+    m, q, index, reps = orbits.modulus, orbits.multiplier, orbits.index, orbits.reps
+    columns = []
+    for orbit in orbits.orbits:
+        counts = Counter((e + a) % m for e in orbit for a in exponents)
+        if any(counts[b * q % m] != c for b, c in counts.items()):
+            raise AssertionFailure(
+                f"f S_{orbit[0]} is not q-invariant", witness={"orbit": orbit[0]}
+            )
+        columns.append(tuple((index[b], c) for b, c in counts.items() if reps[index[b]] == b))
+    return tuple(columns)
+
+
+def _times(columns, coords) -> list:
+    """The orbit coordinates of f V for the coordinates V = ``coords``
+    and the ``trace_multiplication`` columns: O(n D) steps."""
+    out = [0] * len(coords)
+    for x, column in zip(coords, columns):
+        if x:
+            for i, c in column:
+                out[i] += c * x
+    return out
+
+
+def power_coordinates(times_f, count: int) -> list[list[int]]:
+    """f^0, ..., f^(count-1) in orbit coordinates, f^0 = 1 = S_0, each
+    from the last by one ``times_f`` product."""
+    powers = [[1] + [0] * (len(times_f) - 1)]
+    while len(powers) < count:
+        powers.append(_times(times_f, powers[-1]))
     return powers
 
 
-def poly_at_f(h: Poly, powers) -> GroupRingElement:
-    """h(f) = sum_k h_k f^k from the stored powers f^0, ..., f^(D-1)
-    (``trace_powers``): one pass of integer multiply-adds over the
-    numerators, divided by h's denominator and the powers' common one
-    once at the end.  A power past the stored ones costs one product
-    each; only m, of degree D, needs one, f^D = f^(D-1) f.  This is the
-    engine's one evaluation of a polynomial in f: every value of h at
-    a slot is the image of h(f) under ``GroupRingElement.at_zeta``."""
-    terms = list(powers[: len(h.nums)])
-    while len(terms) < len(h.nums):
-        terms.append(terms[-1] * powers[1])
-    den = lcm(*(fk.den for fk in terms))
-    acc = [0] * powers[0].modulus
-    for c, fk in zip(h.nums, terms):
-        if c:
-            c *= den // fk.den
-            acc = [a + c * x for a, x in zip(acc, fk.nums)]
-    return powers[0]._normal(acc, h.den * den)
+def at_zeta(ps: ParameterSet, coords, level: int, exponent: int) -> CyclotomicNumber:
+    """The image of V = sum_j coords[j] S_j (ints or ``Fraction``s) under
+    the ring map X -> zeta_{l^level}^exponent, 0 <= level <= r: the
+    coordinates are expanded over their orbits and folded once by
+    ``_reduce``.  This is the engine's one map of q-invariant elements
+    to Q(zeta): the m_i certificates, the omegas, ``orbit_sums``, the
+    factor values, m(Y) in ``deformation`` and the slot vectors of
+    ``centermap.coordinate_image`` are all its images."""
+    if not 0 <= level <= ps.r:
+        raise ValueError(f"X -> zeta_(l^{level}) is not defined on Q[Z/{ps.ell_power}]")
+    nums, den = clear_denominators(coords)
+    m = ps.ell**level
+    raw = [0] * m
+    for v, orbit in zip(nums, orbit_structure(ps).orbits):
+        if v:
+            for e in orbit:
+                raw[e * exponent % m] += v
+    return _new(ps.ell, level, *lowest_terms(_reduce(ps.ell, level, raw), den))
 
 
-def power_sums(ps: ParameterSet, i: int, powers) -> list[int]:
-    """p_1, ..., p_d of the d = phi(l^i)/n conjugates of omega_i.
+def poly_at_f(h: Poly, rows, times_f) -> tuple[int, ...]:
+    """The numerators, over h's denominator, of the orbit coordinates of
+    h(f) = sum_k h_k f^k: M h for the basis matrix M = ``rows``, whose
+    column k holds f^k for k < D, in integer multiply-adds.  A power
+    past the stored ones costs one ``times_f`` product each; only m, of
+    degree D, needs one, f^D = f f^(D-1).  This is the engine's one
+    evaluation of a polynomial in f: every value of h at a slot is the
+    image of h(f) under ``at_zeta``."""
+    nums = h.nums
+    acc = [sum(map(mul, row, nums)) for row in rows]
+    power = [row[-1] for row in rows]
+    for c in nums[len(rows) :]:
+        power = _times(times_f, power)
+        acc = [a + c * x for a, x in zip(acc, power)]
+    return tuple(acc)
+
+
+def power_sums(ps: ParameterSet, i: int, rows) -> list[int]:
+    """p_1, ..., p_d of the d = phi(l^i)/n conjugates of omega_i, from
+    the basis matrix ``rows``.
 
     Under X -> zeta_{l^i}^a, f goes to the conjugate of omega_i on the
     coset a<q>, and the phi(l^i) units a hit each conjugate n times.
     Summing f^k = sum_e c_e X^e over all units therefore gives
     p_k = (1/n) sum_e c_e c_{l^i}(e), with the Ramanujan sum c_{l^i}(e)
     = phi(l^i) where l^i | e, -l^(i-1) where only l^(i-1) | e, and 0
-    elsewhere.  With T_j the sum of the c_e over l^j | e that is
-    (l^i T_i - l^(i-1) T_(i-1)) / n, and n must divide it.
+    elsewhere: (l^i T_i - l^(i-1) T_(i-1)) / n with T_j the sum of the
+    c_e over l^j | e.  An orbit keeps the l-adic valuation of its
+    elements, so for the orbit coordinates V of f^k, T_j = V_0 +
+    n sum_(rep != 0, l^j | rep) V_rep, and
+    p_k = (phi(l^i)/n) V_0 + l^i sum_(l^i | rep) V_rep
+    - l^(i-1) sum_(l^(i-1) | rep) V_rep over rep != 0: an integer, as n,
+    the order of q mod l^i, divides phi(l^i).
     """
     ps = require_reduced(ps)
-    n = ps.n
+    reps = orbit_structure(ps).reps
     step = ps.ell ** (i - 1)
-    sums = []
-    for k in range(1, phi_prime_power(ps.ell, i) // n + 1):
-        nums = powers[k].nums
-        total = ps.ell * step * sum(nums[:: ps.ell * step]) - step * sum(nums[::step])
-        p, rem = divmod(total, n * powers[k].den)
-        if rem:
-            raise AssertionFailure(
-                f"level-{i} power sum {total}/{powers[k].den} of f^{k} "
-                f"is not divisible by n = {n}",
-                witness={"level": i, "power": k},
-            )
-        sums.append(p)
-    return sums
+    phi = phi_prime_power(ps.ell, i)
+    inner = [row for row, rep in zip(rows[1:], reps[1:]) if not rep % (ps.ell * step)]
+    outer = [row for row, rep in zip(rows[1:], reps[1:]) if not rep % step]
+    return [
+        phi // ps.n * rows[0][k]
+        + ps.ell * step * sum(row[k] for row in inner)
+        - step * sum(row[k] for row in outer)
+        for k in range(1, phi // ps.n + 1)
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -276,52 +245,55 @@ def orbit_sums(ps: ParameterSet) -> tuple[CyclotomicNumber, ...]:
     e in Z/l^r, one per q-orbit.  Memoised: every slot value of Y is
     read from here."""
     orbits = orbit_structure(ps)
-    f = trace_element(ps)
+    f = [0] * len(orbits.reps)
+    f[orbits.index[1]] = 1  # f is the orbit sum of 1
     sums = [None] * orbits.modulus
     for orbit in orbits.orbits:
-        value = f.at_zeta(ps.ell, ps.r, orbit[0])
+        value = at_zeta(ps, f, ps.r, orbit[0])
         for e in orbit:
             sums[e] = value
     return tuple(sums)
 
 
-def omega_and_min_poly(ps: ParameterSet, i: int, powers):
-    """(omega_i, m_i, m_i(f)), m_i the minimal polynomial of omega_i.
+def omega_and_min_poly(ps: ParameterSet, i: int, rows, times_f):
+    """(omega_i, m_i, m_i(f)), m_i the minimal polynomial of omega_i and
+    m_i(f) as its orbit coordinates.
 
-    ``powers`` are f^0, ..., f^(D-1) (``trace_powers``).  Their level-i
-    power sums (``power_sums``) give the coefficients of m_i by Newton's
-    identities (``polynomials.from_power_sums``); they must be integers
-    and m_i must have degree phi(l^i)/n.  The certificate m_i(omega_i)
-    = 0 is the image of m_i(f) (``poly_at_f``) under X -> zeta_{l^i},
-    which sends f to omega_i; omega_i itself is built after it, for the
+    ``rows`` is the basis matrix, whose column k holds f^k, and
+    ``times_f`` the ``trace_multiplication``.  The level-i power sums
+    (``power_sums``) give the coefficients of m_i by Newton's identities
+    (``polynomials.from_power_sums``); they must be integers and m_i
+    must have degree phi(l^i)/n.  The certificate m_i(omega_i) = 0 is
+    the image of m_i(f) (``poly_at_f``) under X -> zeta_{l^i}, which
+    sends f to omega_i; omega_i itself is built after it, for the
     report.
     """
     ps = require_reduced(ps)
-    ell = ps.ell
-    coeffs = from_power_sums(power_sums(ps, i, powers))
+    coeffs = from_power_sums(power_sums(ps, i, rows))
     for c in coeffs:
         if c.denominator != 1:
             raise AssertionFailure(f"m_{i} coefficient not an integer: {c}", witness=i)
     m_i = Poly(coeffs)
-    if m_i.degree != phi_prime_power(ell, i) // ps.n:
+    if m_i.degree != phi_prime_power(ps.ell, i) // ps.n:
         raise AssertionFailure(f"deg m_{i} = {m_i.degree} != phi(l^{i})/n", witness=i)
-    image = poly_at_f(m_i, powers)
-    if not image.at_zeta(ell, i, 1).is_zero():
+    image = poly_at_f(m_i, rows, times_f)
+    if not at_zeta(ps, image, i, 1).is_zero():
         raise AssertionFailure(f"m_{i}(omega_{i}) != 0", witness=i)
-    return powers[1].at_zeta(ell, i, 1), m_i, image
+    return at_zeta(ps, [row[1] for row in rows], i, 1), m_i, image
 
 
-def min_polynomial(ps: ParameterSet, powers):
+def min_polynomial(ps: ParameterSet, rows, times_f):
     """(m, factors, omegas, images) with m = (Y - n) * prod_{i=1}^r m_i
-    from the ``trace_powers`` of ps and images[k] = factors[k](f).
-    Asserts: integer coefficients, degree = number of orbits, and
+    from the basis matrix ``rows`` and the ``times_f`` of ps, and
+    images[k] the orbit coordinates of factors[k](f).  Asserts: integer
+    coefficients, degree = number of orbits, and
     m = (Y - n)^ceil(l^r / n) mod l.
     """
     ps = require_reduced(ps)
-    levels = [omega_and_min_poly(ps, i, powers) for i in range(1, ps.r + 1)]
+    levels = [omega_and_min_poly(ps, i, rows, times_f) for i in range(1, ps.r + 1)]
     omegas, m_is, images = zip(*levels)
     factors = [Poly((-ps.n, 1)), *m_is]
-    images = [poly_at_f(factors[0], powers), *images]
+    images = [poly_at_f(factors[0], rows, times_f), *images]
     m = prod(factors, start=Poly((1,)))
     degree_expected = 1 + (ps.ell_power - 1) // ps.n
     if m.degree != degree_expected:
@@ -337,15 +309,16 @@ def min_polynomial(ps: ParameterSet, powers):
     return m, factors, omegas, images
 
 
-def t_valuation(f: GroupRingElement, n: int, ell: int) -> int | None:
+def t_valuation(exponents, n: int, ell: int) -> int | None:
     """j*, the first j >= 1 with l not dividing c_j = sum_k binom(a_k, j),
-    a_k the n exponents of f, or None if no j < l qualifies.  Over F_l,
-    X^(l^i) - 1 = t^(l^i) with t = X - 1, and f - n maps to sum_j c_j t^j
-    in F_l[Z/l^i] = F_l[t]/(t^(l^i)): j* is the t-adic valuation of f - n,
-    the same at every level while below l, so only the a_k mod l count."""
-    if f.den != 1 or min(f.nums) < 0 or sum(f.nums) != n:
+    a_k the n ``exponents`` of f, or None if no j < l qualifies.  Over
+    F_l, X^(l^i) - 1 = t^(l^i) with t = X - 1, and f - n maps to
+    sum_j c_j t^j in F_l[Z/l^i] = F_l[t]/(t^(l^i)): j* is the t-adic
+    valuation of f - n, the same at every level while below l, so only
+    the a_k mod l count."""
+    if len(exponents) != n:
         raise AssertionFailure(f"f is not a sum of n = {n} powers of X")
-    residues = sorted((e % ell for e, c in enumerate(f.nums) for _ in range(c)), reverse=True)
+    residues = sorted((a % ell for a in exponents), reverse=True)
     falling = [1] * n  # j! binom(a_k, j) mod l, and j! is prime to l
     for j in range(1, ell):
         while residues and residues[-1] < j:  # binom(a, j) = 0 for a < j
@@ -369,14 +342,14 @@ def uniformizer_check(ps: ParameterSet, i: int) -> dict:
     ps = require_reduced(ps)
     if not 1 <= i <= ps.r:
         raise ParameterError(f"level {i} is outside 1..r = {ps.r}")
-    f, ell, m = trace_element(ps), ps.ell, ps.ell**i
-    val = t_valuation(f, ps.n, ell)
+    exponents, ell, m = trace_exponents(ps), ps.ell, ps.ell**i
+    val = t_valuation(exponents, ps.n, ell)
     if val != ps.n:
         val = f"at least {ell}" if val is None else val
         raise AssertionFailure(
             f"nu(omega_{i} - n) = {val} != n = {ps.n}", witness={"level": i, "nu": val}
         )
-    aux = sum(c * ell ** ord_int(e % m, ell) if e % m else inf for e, c in enumerate(f.nums) if c)
+    aux = sum(ell ** ord_int(a % m, ell) if a % m else inf for a in exponents)
     if aux != ps.n:
         raise AssertionFailure(f"nu(N(zeta_{i})) = {aux} != n", witness={"level": i})
     return {"level": i, "valuation": val, "aux_valuation": aux}
@@ -388,7 +361,7 @@ def pullback_mod_ell_check(ps: ParameterSet) -> dict:
     Below l it is the t-adic valuation of P mod X^l - 1 = t^l, which is
     f - n mod t^l as l^r | q^k - a_k: j* (``t_valuation``)."""
     ps = require_reduced(ps)
-    multiplicity = t_valuation(trace_element(ps), ps.n, ps.ell)
+    multiplicity = t_valuation(trace_exponents(ps), ps.n, ps.ell)
     if multiplicity != ps.n:
         multiplicity = f"at least {ps.ell}" if multiplicity is None else multiplicity
         raise AssertionFailure(
@@ -401,10 +374,10 @@ def pullback_mod_ell_check(ps: ParameterSet) -> dict:
 class InvariantRingData(NamedTuple):
     ps: ParameterSet
     orbits: OrbitStructure
-    powers: tuple[GroupRingElement, ...]  # f^0, ..., f^(D-1)
+    times_f: tuple  # the ``trace_multiplication`` columns
     m: Poly
     m_factors: tuple[Poly, ...]
-    factor_images: tuple[GroupRingElement, ...]  # h(f) for each listed factor h
+    factor_images: tuple[tuple[int, ...], ...]  # orbit coordinates of h(f), h a factor
     omegas: tuple[CyclotomicNumber, ...]
     basis_matrix: tuple[tuple[int, ...], ...]
 
@@ -417,12 +390,14 @@ def invariant_ring(ps: ParameterSet) -> InvariantRingData:
     """The powers 1, f, ..., f^(D-1) and the change-of-basis data
     between them and the orbit sums.
 
-    M[j][k] = coefficient of X^(rep_j) in f^k, an integer.  Asserts that
-    every f^k is q-invariant, that M lies in GL_D(Z_(l)) and that
-    m(f) = 0 in the group ring (``poly_at_f``, the one product f^D =
-    f^(D-1) f).  M is integral, so M^(-1) exists and is l-integral iff
-    det M is prime to l, iff M has full rank modulo l; M^(-1) is never
-    built.  Column j of M^(-1) holds the h with h(f) = the orbit sum of
+    M[j][k] = coefficient of X^(rep_j) in f^k, the j-th orbit coordinate
+    of f^k (``power_coordinates``), an integer.  Asserts that f S_j is
+    q-invariant for every orbit sum S_j (``trace_multiplication``), so
+    that every f^k is, that M lies in GL_D(Z_(l)) and that m(f) = 0 in
+    the group ring (``poly_at_f``, the one product f^D = f f^(D-1)).
+    M is integral, so M^(-1) exists and is l-integral iff det M is
+    prime to l, iff M has full rank modulo l; M^(-1) is never built.
+    Column j of M^(-1) holds the h with h(f) = the orbit sum of
     X^(reps[j]).
 
     The rank is read off j* (``t_valuation``).  Mod l, f^k = sum_j
@@ -433,25 +408,21 @@ def invariant_ring(ps: ParameterSet) -> InvariantRingData:
     """
     ps = require_reduced(ps)
     orbits = orbit_structure(ps)
-    powers = trace_powers(ps)
-    m, factors, omegas, images = min_polynomial(ps, powers)
-    for k, fk in enumerate(powers):
-        if not is_invariant(fk, orbits):
-            raise AssertionFailure(f"f^{k} is not q-invariant")
-        if fk.den != 1:
-            raise AssertionFailure(f"f^{k} has non-integer coefficients")
-    rows = tuple(tuple(fk.nums[rep] for fk in powers) for rep in orbits.reps)
-    j = t_valuation(powers[1], ps.n, ps.ell)
+    exponents = trace_exponents(ps)
+    times_f = trace_multiplication(ps, exponents)
+    rows = tuple(zip(*power_coordinates(times_f, len(orbits.reps))))
+    m, factors, omegas, images = min_polynomial(ps, rows, times_f)
+    j = t_valuation(exponents, ps.n, ps.ell)
     if j is None or j > ps.n:
         raise IntegralityFailure(
             "basis matrix is singular mod l: its inverse is not l-integral"
         )
-    if not poly_at_f(m, powers).is_zero():
+    if any(poly_at_f(m, rows, times_f)):
         raise AssertionFailure("m(f) != 0 in the group ring")
     return InvariantRingData(
         ps=ps,
         orbits=orbits,
-        powers=tuple(powers),
+        times_f=times_f,
         m=m,
         m_factors=tuple(factors),
         factor_images=tuple(images),

@@ -1,17 +1,28 @@
+from fractions import Fraction
 from itertools import permutations
-from math import inf, prod
+from math import comb, inf, lcm, prod
+from typing import NamedTuple
 
 import pytest
 
-from cuspcenter import linalg, validate_parameters, verify_endo_ring
+from cuspcenter import invariants, linalg, validate_parameters, verify_endo_ring
 from cuspcenter.arith import ord_frac
 from cuspcenter.centermap import delta_class
 from cuspcenter.classes import group_classes
-from cuspcenter.cyclotomic import CyclotomicNumber, ell_valuation, zeta
-from cuspcenter.errors import NoSolution
+from cuspcenter.cyclotomic import (
+    CyclotomicNumber,
+    ExactVector,
+    _new,
+    _reduce,
+    ell_valuation,
+    lowest_terms,
+    phi_prime_power,
+    zeta,
+)
+from cuspcenter.errors import AssertionFailure, IntegralityFailure, NoSolution
 from cuspcenter.gl2table import gl2_character_table
-from cuspcenter.invariants import GroupRingElement
 from cuspcenter.params import require_reduced
+from cuspcenter.polynomials import Poly, from_power_sums
 
 # the test matrix: every reduced case plus the one unreduced alias
 CASES = {
@@ -85,7 +96,7 @@ def invert(rows) -> list:
 
 
 def omega_value(ps, i, exponent=1):
-    """The referee for the images of f under ``GroupRingElement.at_zeta``:
+    """The referee for the images of f under ``invariants.at_zeta``:
     the trace of zeta_{l^i}^exponent under the q-power orbit, the sum of
     zeta_{l^i}^(exponent q^k) over k < n, added up term by term in
     Q(zeta) at level i."""
@@ -185,3 +196,226 @@ def rank_mod(rows, p: int) -> int:
                 rows[i] = [(x - c * y) % p for x, y in zip(rows[i], top)]
         rank += 1
     return rank
+
+
+# -- the group-ring referee --------------------------------------------------------
+#
+# ``invariants`` holds every q-invariant element as its orbit coordinates.
+# The dense group ring Q[X]/(X^(l^r) - 1) it replaced is kept here as the
+# referee: f^0, ..., f^(D-1) as full group-ring elements, each checked
+# q-invariant, power sums read off their coefficients, m_i(f) and m(f)
+# by sums of those powers, and every image by ``GroupRingElement.at_zeta``.
+
+
+class GroupRingElement(ExactVector):
+    """Element of Q[X]/(X^modulus - 1) on the ``ExactVector`` base: dense
+    integer numerators over one common denominator, in lowest terms.
+    Operands must share the modulus, and products fold modulo
+    X^modulus - 1."""
+
+    __slots__ = ("modulus",)
+
+    def __init__(self, modulus: int, coeffs):
+        nums, den = linalg.clear_denominators(coeffs)
+        if len(nums) != modulus:
+            raise ValueError(f"{len(nums)} coefficients for modulus {modulus}")
+        self.modulus = modulus
+        self.nums, self.den = lowest_terms(nums, den)
+
+    def _with(self, nums: tuple, den: int) -> "GroupRingElement":
+        x = object.__new__(GroupRingElement)
+        x.modulus = self.modulus
+        x.nums = nums
+        x.den = den
+        return x
+
+    @classmethod
+    def unit(cls, modulus: int, exponent: int = 0, scale=1):
+        """scale * X^exponent for an int or ``Fraction`` scale."""
+        nums = [0] * modulus
+        nums[exponent % modulus] = scale.numerator
+        x = object.__new__(cls)
+        x.modulus = modulus
+        x.nums = tuple(nums)
+        x.den = scale.denominator
+        return x
+
+    def _coerce(self, other):
+        if isinstance(other, GroupRingElement):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return GroupRingElement.unit(self.modulus, 0, other)
+        return None
+
+    def _align(self, other):
+        if other.modulus != self.modulus:
+            raise ValueError("mixing group rings of different moduli")
+        return self, other
+
+    def _fold(self, raw) -> list:
+        m = self.modulus
+        out = raw[:m]
+        for e in range(m, len(raw)):
+            out[e - m] += raw[e]
+        return out
+
+    def __hash__(self):
+        # a rational element equals, so hashes as, that rational
+        if not any(self.nums[1:]):
+            return hash(Fraction(self.nums[0], self.den))
+        return hash((self.modulus, self.nums, self.den))
+
+    def frobenius(self, a: int) -> "GroupRingElement":
+        """The map X^b -> X^(ab)."""
+        m = self.modulus
+        out = [0] * m
+        for e, x in enumerate(self.nums):
+            if x:
+                out[e * a % m] += x
+        return self._normal(out, self.den)
+
+    def at_zeta(self, ell: int, level: int, exponent: int) -> CyclotomicNumber:
+        """The image under the ring map X -> zeta_{l^level}^exponent
+        (l^level must divide the modulus): one fold by ``_reduce``."""
+        m = ell**level
+        if self.modulus % m:
+            raise ValueError(f"X -> zeta_{m} is not defined on Q[Z/{self.modulus}]")
+        raw = [0] * m
+        for k, x in enumerate(self.nums):
+            if x:
+                raw[k * exponent % m] += x
+        return _new(ell, level, *lowest_terms(_reduce(ell, level, raw), self.den))
+
+    def __repr__(self):
+        terms = [
+            f"{c}*X^{e}" if e else str(c) for e, c in enumerate(self.coeffs) if c
+        ]
+        return " + ".join(terms) if terms else "0"
+
+
+def spread(ps, coords) -> GroupRingElement:
+    """The q-invariant element with these orbit coordinates, each
+    coordinate spread over its orbit."""
+    orbits = invariants.orbit_structure(ps)
+    cs = [0] * orbits.modulus
+    for v, orbit in zip(coords, orbits.orbits):
+        for e in orbit:
+            cs[e] = v
+    return GroupRingElement(orbits.modulus, cs)
+
+
+def trace_element(ps) -> GroupRingElement:
+    """f = sum_k X^(a_k) in Q[Z/l^r], the a_k read from
+    ``invariants.trace_exponents``, as the engine reads them."""
+    m = ps.ell_power
+    cs = [0] * m
+    for a in invariants.trace_exponents(ps):
+        cs[a % m] += 1
+    return GroupRingElement(m, cs)
+
+
+def is_invariant(v: GroupRingElement, orbits) -> bool:
+    return v.frobenius(orbits.multiplier) == v
+
+
+def times_f(g: GroupRingElement, f: GroupRingElement) -> GroupRingElement:
+    """g f: the referee's one multiplication by f."""
+    return g * f
+
+
+def trace_powers(ps) -> list:
+    """f^0, f^1, ..., f^(D-1) in Q[Z/l^r], D the number of orbits."""
+    f = trace_element(ps)
+    powers = [GroupRingElement.unit(f.modulus)]
+    for _ in range(len(invariants.orbit_structure(ps).reps) - 1):
+        powers.append(times_f(powers[-1], f))
+    return powers
+
+
+def group_ring_poly_at_f(h: Poly, powers) -> GroupRingElement:
+    """h(f) = sum_k h_k f^k from the dense powers, one more product by f
+    per degree past them."""
+    terms = list(powers[: len(h.nums)])
+    while len(terms) < len(h.nums):
+        terms.append(times_f(terms[-1], powers[1]))
+    den = lcm(*(fk.den for fk in terms))
+    acc = [0] * powers[0].modulus
+    for c, fk in zip(h.nums, terms):
+        if c:
+            c *= den // fk.den
+            acc = [a + c * x for a, x in zip(acc, fk.nums)]
+    return powers[0]._normal(acc, h.den * den)
+
+
+def group_ring_power_sums(ps, i: int, powers) -> list:
+    """p_1, ..., p_d at level i from the dense coefficients c_e of f^k:
+    (l^i T_i - l^(i-1) T_(i-1)) / n with T_j the sum of the c_e over
+    l^j | e."""
+    n, step = ps.n, ps.ell ** (i - 1)
+    sums = []
+    for k in range(1, phi_prime_power(ps.ell, i) // n + 1):
+        nums = powers[k].nums
+        total = ps.ell * step * sum(nums[:: ps.ell * step]) - step * sum(nums[::step])
+        p, rem = divmod(total, n * powers[k].den)
+        if rem:
+            raise AssertionFailure(f"level-{i} power sum of f^{k} is not divisible by n = {n}")
+        sums.append(p)
+    return sums
+
+
+class GroupRingRing(NamedTuple):
+    powers: list
+    m: Poly
+    m_factors: tuple
+    factor_images: tuple  # h(f) as group-ring elements
+    omegas: tuple
+    basis_matrix: tuple
+
+
+def group_ring_invariant_ring(ps) -> GroupRingRing:
+    """The referee for ``invariants.invariant_ring``: the dense path it
+    replaced, with its checks in the engine's order (q-invariance, the
+    m_i pipeline and certificates, j* <= n for the rank of the basis
+    matrix mod l, here by synthetic division, m(f) = 0), each raising
+    the engine's exception class."""
+    ps = require_reduced(ps)
+    orbits = invariants.orbit_structure(ps)
+    powers = trace_powers(ps)
+    for k, fk in enumerate(powers):
+        if not is_invariant(fk, orbits):
+            raise AssertionFailure(f"f^{k} is not q-invariant")
+    ell = ps.ell
+    factors, omegas, images = [Poly((-ps.n, 1))], [], []
+    for i in range(1, ps.r + 1):
+        coeffs = from_power_sums(group_ring_power_sums(ps, i, powers))
+        if any(c.denominator != 1 for c in coeffs):
+            raise AssertionFailure(f"m_{i} coefficient not an integer")
+        m_i = Poly(coeffs)
+        if m_i.degree != phi_prime_power(ell, i) // ps.n:
+            raise AssertionFailure(f"deg m_{i} != phi(l^{i})/n")
+        image = group_ring_poly_at_f(m_i, powers)
+        if not image.at_zeta(ell, i, 1).is_zero():
+            raise AssertionFailure(f"m_{i}(omega_{i}) != 0")
+        factors.append(m_i)
+        omegas.append(powers[1].at_zeta(ell, i, 1))
+        images.append(image)
+    images.insert(0, group_ring_poly_at_f(factors[0], powers))
+    m = prod(factors, start=Poly((1,)))
+    d = m.degree
+    if d != len(orbits.reps) or not m.has_integer_coeffs():
+        raise AssertionFailure("m has the wrong degree or a non-integer coefficient")
+    if m.reduce_mod(ell) != tuple(comb(d, k) * pow(-ps.n, d - k, ell) % ell for k in range(d + 1)):
+        raise AssertionFailure("m mod l is not (Y - n)^D")
+    multiplicity = division_multiplicity(exponents(powers[1]), ps.n, ell)
+    if multiplicity is None or multiplicity > ps.n:
+        raise IntegralityFailure("basis matrix is singular mod l")
+    if not group_ring_poly_at_f(m, powers).is_zero():
+        raise AssertionFailure("m(f) != 0 in the group ring")
+    return GroupRingRing(
+        powers=powers,
+        m=m,
+        m_factors=tuple(factors),
+        factor_images=tuple(images),
+        omegas=tuple(omegas),
+        basis_matrix=tuple(tuple(fk.nums[rep] for fk in powers) for rep in orbits.reps),
+    )

@@ -40,7 +40,7 @@ from cuspcenter.centermap import (
     s_membership,
     theta_orbit_vector,
 )
-from conftest import CASES, class_deltas, omega_value, slot_s_membership
+from conftest import CASES, class_deltas, omega_value, slot_s_membership, spread, trace_powers
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -57,7 +57,7 @@ from cuspcenter.classes import (
 from cuspcenter.cyclotomic import CyclotomicNumber, phi_prime_power, zeta
 from cuspcenter.errors import AssertionFailure, IntegralityFailure, NoSolution
 from cuspcenter.finitefield import FqPoly, finite_field, minimal_polynomial, sylow_generator
-from cuspcenter.invariants import GroupRingElement, invariant_ring
+from cuspcenter.invariants import at_zeta, invariant_ring
 from cuspcenter.params import reduce_parameters, validate_parameters
 from cuspcenter.polynomials import Poly
 
@@ -178,13 +178,10 @@ def test_lemma_signs_all_divisor_pairs():
 
 def image(coords, ps) -> BlockVector:
     """The referee for orbit coordinates: V spread over its orbits as a
-    ``GroupRingElement`` and mapped to every slot by ``at_zeta``."""
+    dense ``conftest.GroupRingElement`` and mapped to every slot by its
+    ``at_zeta``."""
     orbits = invariants.orbit_structure(ps)
-    spread = [0] * orbits.modulus
-    for v, orbit in zip(coords, orbits.orbits):
-        for e in orbit:
-            spread[e] = v
-    x = GroupRingElement(orbits.modulus, spread)
+    x = spread(ps, coords)
     return BlockVector(
         ps.ell, ps.r, orbits.reps, [x.at_zeta(ps.ell, ps.r, rep) for rep in orbits.reps]
     )
@@ -282,38 +279,40 @@ def test_theta_orbit_vector_matches_per_slot_omega_values(args):
 
 
 def test_endo_ring_builds_each_orbit_sum_and_factor_value_once(monkeypatch):
-    # (2,127,7): 19 slots, m = (Y - 7) m_1.  Images under the one map:
-    # 19 orbit sums, m_1(f) and omega_1 in min_polynomial, 2 * 19 factor
-    # values; uniformizer_check reads f's exponents and the gamma system
-    # is solved in orbit coordinates, so neither maps anything.  Every
-    # polynomial in f is summed from the stored powers by poly_at_f,
+    # (2,127,7): 19 slots, m = (Y - 7) m_1.  Images under the one map,
+    # invariants.at_zeta: m_1(f) and omega_1 in min_polynomial, 2 * 19
+    # factor values and the 19 slots of gamma, its orbit sums;
+    # uniformizer_check reads f's exponents and the gamma system is
+    # solved in orbit coordinates, so neither maps anything.  Every
+    # polynomial in f is summed from the basis matrix by poly_at_f,
     # once: each factor in min_polynomial, whose images the table maps
     # (m_1(f) is also its certificate), then m(f).  No Poly is evaluated
     # by Horner.
     counts = {"map": 0, "poly": 0}
     evaluated = []
-    plain_map, plain_call = GroupRingElement.at_zeta, Poly.__call__
+    plain_map, plain_call = invariants.at_zeta, Poly.__call__
     plain_at_f = invariants.poly_at_f
 
-    def at_zeta(self, *args):
+    def at_zeta(*args):
         counts["map"] += 1
-        return plain_map(self, *args)
+        return plain_map(*args)
 
     def call(self, x):
         counts["poly"] += 1
         return plain_call(self, x)
 
-    def at_f(h, powers):
+    def at_f(h, rows, times_f):
         evaluated.append(h)
-        return plain_at_f(h, powers)
+        return plain_at_f(h, rows, times_f)
 
-    monkeypatch.setattr(GroupRingElement, "at_zeta", at_zeta)
+    for module in (invariants, centermap):
+        monkeypatch.setattr(module, "at_zeta", at_zeta)
     monkeypatch.setattr(Poly, "__call__", call)
     monkeypatch.setattr(invariants, "poly_at_f", at_f)
     invariants.orbit_sums.cache_clear()  # compute, do not recall
     res = verify_endo_ring(2, 127, 7)
     y_minus_n, m_1 = res.ring.m_factors
-    assert counts == {"map": 19 + 2 + 2 * 19, "poly": 0}
+    assert counts == {"map": 2 + 2 * 19 + 19, "poly": 0}
     assert evaluated == [m_1, y_minus_n, res.ring.m]
 
 
@@ -549,7 +548,8 @@ def gram_express_all_in_gamma(vecs, ring):
     D * phi coordinates."""
     distinct = {(vec.reps, vec.entries): vec for vec in vecs}
     ps, reps = ring.ps, ring.orbits.reps
-    cols = [[x for rep in reps for x in fk.at_zeta(ps.ell, ps.r, rep).nums] for fk in ring.powers]
+    powers = trace_powers(ps)
+    cols = [[x for rep in reps for x in fk.at_zeta(ps.ell, ps.r, rep).nums] for fk in powers]
     gram = [[sum(map(mul, a, b)) for b in cols] for a in cols]
     targets = [_numerators(vec) for vec in distinct.values()]
     sols = linalg.solve_columns(gram, [[sum(map(mul, a, b)) for a in cols] for b, _ in targets])
@@ -577,9 +577,10 @@ def test_power_images_match_gamma_power_basis(args):
     ring = invariant_ring(ps)
     ell, r = ring.ps.ell, ring.ps.r
     pows = gamma_power_basis(gamma_vector(ps), ring.dimension)
-    assert len(ring.powers) == len(pows) == ring.dimension
-    for fk, pw in zip(ring.powers, pows):
-        images = [fk.at_zeta(ell, r, rep) for rep in ring.orbits.reps]
+    columns = list(zip(*ring.basis_matrix))
+    assert len(columns) == len(pows) == ring.dimension
+    for fk, pw in zip(columns, pows):
+        images = [at_zeta(ps, fk, r, rep) for rep in ring.orbits.reps]
         assert all(x.den == 1 and x.level == r for x in images)
         col = [x for image in images for x in image.nums]
         assert (col, 1) == _numerators(pw)

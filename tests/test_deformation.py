@@ -4,7 +4,7 @@ from itertools import product
 from math import prod
 
 import pytest
-from conftest import leibniz_charpoly
+from conftest import group_ring_poly_at_f, leibniz_charpoly, trace_powers
 
 from cuspcenter import deformation, invariants, matrices
 from cuspcenter.arith import ord_frac
@@ -17,7 +17,7 @@ from cuspcenter.deformation import (
 )
 from cuspcenter.errors import AssertionFailure, ParameterError, RelationFailure
 from cuspcenter.invariants import (
-    GroupRingElement,
+    at_zeta,
     invariant_ring,
     orbit_structure,
     poly_at_f,
@@ -313,22 +313,22 @@ def test_suite_sums_m_of_f_once_and_runs_no_horner_pass(monkeypatch):
     ring = invariant_ring(ps)
     evaluated, maps, horner = [], [], []
     plain_at_f = invariants.poly_at_f
-    plain_map, plain_call = GroupRingElement.at_zeta, Poly.__call__
+    plain_map, plain_call = invariants.at_zeta, Poly.__call__
 
-    def at_f(h, powers):
+    def at_f(h, rows, times_f):
         evaluated.append(h)
-        return plain_at_f(h, powers)
+        return plain_at_f(h, rows, times_f)
 
-    def at_zeta(self, ell, level, exponent):
+    def at_zeta(ps, coords, level, exponent):
         maps.append(exponent)
-        return plain_map(self, ell, level, exponent)
+        return plain_map(ps, coords, level, exponent)
 
     def call(self, x):
         horner.append(x)
         return plain_call(self, x)
 
     monkeypatch.setattr(deformation, "poly_at_f", at_f)
-    monkeypatch.setattr(GroupRingElement, "at_zeta", at_zeta)
+    monkeypatch.setattr(deformation, "at_zeta", at_zeta)
     monkeypatch.setattr(Poly, "__call__", call)
     report = deformation_suite(ps, ring)
     assert evaluated == [ring.m]
@@ -347,11 +347,13 @@ def test_m_of_y_reads_as_horner_over_q_zeta(args):
     polys = [ring.m] + [
         prod(factors[:k] + factors[k + 1 :], start=Poly((1,))) for k in range(len(factors))
     ]
+    powers = trace_powers(ps)
     for h in polys:
-        h_of_f = poly_at_f(h, ring.powers)
-        assert [h_of_f.at_zeta(ps.ell, ps.r, a) for a in range(ps.ell_power)] == [
+        h_of_f = poly_at_f(h, ring.basis_matrix, ring.times_f)
+        dense = group_ring_poly_at_f(h, powers)
+        assert [at_zeta(ps, h_of_f, ps.r, a) for a in range(ps.ell_power)] == [
             h(y) for y in traces
-        ]
+        ] == [dense.at_zeta(ps.ell, ps.r, a) for a in range(ps.ell_power)]
     assert all(ring.m(y).is_zero() for y in traces)
 
 

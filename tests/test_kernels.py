@@ -9,7 +9,8 @@ The integer exact kernel is checked against the Fraction arithmetic it
 replaced: ``RefCyclotomic``, ``RefGroupRing``, ``RefPoly`` and
 ``ref_echelon`` are the earlier implementations on tuples of
 ``Fraction``s, kept here only as referees.  Every operation of
-``CyclotomicNumber``, ``GroupRingElement``, ``Poly`` and the
+``CyclotomicNumber``, ``Poly``, the dense group ring of ``conftest``
+(itself the referee of the invariant ring's orbit coordinates) and the
 fraction-free ``linalg._echelon`` is compared with them on drawn
 operands, and every cyclotomic, group-ring or polynomial result is
 checked to be in the one normal form (den > 0, gcd(*nums, den) == 1,
@@ -28,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import invert, leibniz_charpoly, rank_mod
+from conftest import GroupRingElement, invert, leibniz_charpoly, rank_mod
 
 from cuspcenter import linalg
 from cuspcenter.arith import ord_frac
@@ -43,7 +44,7 @@ from cuspcenter.cyclotomic import (
 from cuspcenter.deformation import deformation_suite
 from cuspcenter.errors import NoSolution, ZeroArgument
 from cuspcenter.finitefield import finite_field
-from cuspcenter.invariants import GroupRingElement, invariant_ring
+from cuspcenter.invariants import invariant_ring
 from cuspcenter.matrices import charpoly
 from cuspcenter.params import validate_parameters
 from cuspcenter.polynomials import Poly
