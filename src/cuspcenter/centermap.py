@@ -585,7 +585,7 @@ def verify_endo_ring(
     checks.append("gamma: minimal polynomial certified")
 
     big = finite_field(ps.q**ps.n)
-    eps, r_found, _ = sylow_generator(big, ps.ell)
+    eps, r_found = sylow_generator(big, ps.ell)
     if r_found != ps.r:
         raise AssertionFailure("Sylow depth mismatch in the big field")
     eps_poly = minimal_polynomial(eps, field)

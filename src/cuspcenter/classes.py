@@ -9,9 +9,10 @@ deg P = a, Q = q^a contributes
     z(Q, lambda) = Q^(|lambda| + 2*n(lambda)) * prod_i prod_{k=1}^{m_i} (1 - Q^-k)
 
 with n(lambda) = sum (i-1) lambda_i and m_i the multiplicity of the
-part i.  Class sizes follow by dividing the group order.  The full
-enumeration is validated against the generating-function count
-prod_j (1 - u^j)/(1 - q u^j).
+part i.  Class sizes follow by dividing the group order.  The census
+is built in ``ClassType.sort_key`` order, and one linear pass checks
+that its keys strictly increase and its count is the generating
+function's, prod_j (1 - u^j)/(1 - q u^j).
 """
 
 from __future__ import annotations
@@ -35,20 +36,15 @@ from .params import ParameterSet, require_reduced
 
 
 @lru_cache(maxsize=None)
-def partitions(b: int) -> tuple:
-    """All partitions of b as descending tuples, in descending lex order."""
-    if b == 0:
-        return ((),)
+def partitions_upto(m: int, top: int = 0) -> tuple:
+    """Every partition of size 1 to m with parts at most ``top`` (no
+    bound when 0), as descending tuples in increasing tuple order:
+    (1,), (1, 1), ..., (2,), (2, 1), ... -- each part p comes first on
+    its own, then followed by every smaller partition of the rest."""
     out = []
-
-    def rec(remaining, maxpart, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        for part in range(min(remaining, maxpart), 0, -1):
-            rec(remaining - part, part, prefix + [part])
-
-    rec(b, b, [])
+    for part in range(1, min(m, top or m) + 1):
+        out.append((part,))
+        out.extend((part,) + rest for rest in partitions_upto(m - part, part))
     return tuple(out)
 
 
@@ -161,44 +157,53 @@ def make_class_type(factors, n: int | None = None) -> ClassType:
     return ClassType(factors=factors, n=n)
 
 
-def enumerate_classes(field: FiniteField, n: int, scale_bound: int = 10**6):
-    """Every class type of GL_n over ``field``, deterministically
-    ordered; the total count is asserted against the generating
-    function."""
+def enumerate_classes(field: FiniteField, n: int, scale_bound: int = 10**6) -> tuple:
+    """Every class type of GL_n over ``field``, in ``ClassType.sort_key``
+    order by construction, checked by ``check_census``."""
     if field.order**n > scale_bound:
         raise ScaleLimit(f"class enumeration for GL_{n}(F_{field.order})")
-    polys = []
-    for a in range(1, n + 1):
-        for poly in irreducible_polys(field, a, scale_bound):
-            if poly.degree == 1 and not poly.coeffs[0]:
-                continue  # exclude x: invertible matrices only
-            polys.append(poly)
-    # depth-first over "the next polynomial used", with an explicit stack:
-    # recursion would nest once per polynomial, past the interpreter's
-    # limit over fields like GF(53)
+    polys = [p for a in range(1, n + 1) for p in irreducible_polys(field, a, scale_bound)]
+    # without x (invertible matrices only), by FqPoly.sort_key, not encoding order
+    polys = sorted((p for p in polys if p.degree > 1 or p.coeffs[0]), key=FqPoly.sort_key)
+    # depth-first over the next factor (polynomial, partition), children in
+    # increasing order pushed in reverse, so leaves come out in sort-key order;
+    # a stack, as recursion would nest once per polynomial (too deep at GF(53))
     out = []
     stack = [(0, n, ())]
     while stack:
         start, budget, chosen = stack.pop()
         if budget == 0:
-            out.append(make_class_type(chosen, n))
+            out.append(ClassType(chosen, n))
             continue
+        children = []
         for idx in range(start, len(polys)):
             a = polys[idx].degree
             if a > budget:
                 break  # polys are in increasing degree
-            for b in range(1, budget // a + 1):
-                for lam in partitions(b):
-                    stack.append((idx + 1, budget - a * b, chosen + ((polys[idx], lam),)))
-    expected = conjugacy_class_count(field.order, n)
-    if len(out) != expected:
-        raise AssertionFailure(
-            f"enumerated {len(out)} classes, generating function says {expected}"
-        )
-    if len(set(out)) != len(out):
-        raise AssertionFailure("class enumeration produced a class type twice")
-    out.sort(key=ClassType.sort_key)
-    return tuple(out)
+            for lam in partitions_upto(budget // a):
+                children.append((idx + 1, budget - a * sum(lam), chosen + ((polys[idx], lam),)))
+        stack += reversed(children)
+    out = tuple(out)
+    check_census(out, field.order, n)
+    return out
+
+
+def check_census(classes, q: int, n: int) -> None:
+    """The one check of a census, fresh or cached: its count is the
+    generating function's and its sort keys strictly increase.  Every
+    class uses the whole degree n, so no key is a proper prefix of
+    another, and strict increase proves both the order and that no
+    class comes twice."""
+    expected = conjugacy_class_count(q, n)
+    if len(classes) != expected:
+        raise AssertionFailure(f"{len(classes)} classes, generating function says {expected}")
+    prev = ()  # below every key, as no key is empty
+    for ct in classes:
+        key = ct.sort_key()
+        if not prev < key:
+            label = ct.label()
+            raise AssertionFailure(f"census not strictly increasing at {label}", witness=label)
+        prev = key
 
 
 def theta_exponent(ct: ClassType, ps: ParameterSet) -> int:

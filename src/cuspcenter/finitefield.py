@@ -594,9 +594,8 @@ def smallest_root(poly: FqPoly, big: FiniteField) -> FFElement:
 
 
 def sylow_generator(field: FiniteField, ell: int):
-    """(eps, r, dlog) where eps is the first element in encoding order
-    of multiplicative order exactly l^r, l^r the ell-part of |F^x|, and
-    dlog maps each l-power-order element to its exponent on eps.
+    """(eps, r) where eps is the first element in encoding order of
+    multiplicative order exactly l^r, l^r the ell-part of |F^x|.
 
     g^k has order |F^x| / gcd(k, |F^x|), so eps is the first encoding
     whose log k has gcd(k, |F^x|) = |F^x| / l^r.  Next to it,
@@ -618,8 +617,7 @@ def sylow_generator(field: FiniteField, ell: int):
     residues = [0] * target
     for j in range(target):
         residues[eps_log * j % target] = j
-    dlog = {FFElement(field, exp[eps_log * j % units]): j for j in range(target)}
-    field._sylow[ell] = (FFElement(field, exp[eps_log]), r, dlog)
+    field._sylow[ell] = (FFElement(field, exp[eps_log]), r)
     field._sylow_logs[ell] = (eps_log, tuple(residues))
     return field._sylow[ell]
 

@@ -422,7 +422,7 @@ def block_slot_rows(table: GL2Table, ps: ParameterSet) -> dict:
     if ps.n != 2 or ps.q != table.q:
         raise AssertionFailure("table/parameter mismatch")
     big = finite_field(ps.q**2)
-    eps, r, _ = sylow_generator(big, ps.ell)
+    eps, r = sylow_generator(big, ps.ell)
     if r != ps.r:
         raise AssertionFailure("Sylow depth mismatch between field and parameters")
     lr = ps.ell_power

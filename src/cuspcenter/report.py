@@ -28,12 +28,7 @@ import os
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .classes import (
-    ClassType,
-    conjugacy_class_count,
-    group_order,
-    make_class_type,
-)
+from .classes import ClassType, check_census, group_order, make_class_type
 from .cyclotomic import CyclotomicNumber
 from .finitefield import FiniteField, FqPoly
 from .polynomials import Poly
@@ -230,9 +225,10 @@ def save_census(cache_dir: str, q: int, n: int, classes) -> str:
 
 
 def load_census(cache_dir: str, q: int, n: int, field: FiniteField):
-    """Rebuild the cached census, revalidating counts and sizes; returns
-    None when the file is missing or fails any validation, in which case
-    the caller should enumerate afresh."""
+    """Rebuild the cached census, revalidating it by ``check_census``
+    and by its class sizes; returns None when the file is missing or
+    fails any validation, in which case the caller should enumerate
+    afresh."""
     path = cache_path(cache_dir, q, n)
     if not os.path.exists(path):
         return None
@@ -258,13 +254,8 @@ def load_census(cache_dir: str, q: int, n: int, field: FiniteField):
                 for item in entry
             ]
             classes.append(make_class_type(factors, n))
-        if len(classes) != conjugacy_class_count(q, n):
-            return None
+        check_census(classes, q, n)
         if sum(ct.class_size() for ct in classes) != group_order(q, n):
-            return None
-        if classes != sorted(classes, key=ClassType.sort_key):
-            return None
-        if len(set(classes)) != len(classes):
             return None
         return classes
     except Exception:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from itertools import permutations
 from math import comb, inf, lcm, prod
 from typing import NamedTuple
@@ -8,7 +9,7 @@ import pytest
 from cuspcenter import invariants, linalg, validate_parameters, verify_endo_ring
 from cuspcenter.arith import ord_frac
 from cuspcenter.centermap import delta_class
-from cuspcenter.classes import group_classes
+from cuspcenter.classes import ClassType, conjugacy_class_count, group_classes, make_class_type
 from cuspcenter.cyclotomic import (
     CyclotomicNumber,
     ExactVector,
@@ -20,6 +21,7 @@ from cuspcenter.cyclotomic import (
     zeta,
 )
 from cuspcenter.errors import AssertionFailure, IntegralityFailure, NoSolution
+from cuspcenter.finitefield import irreducible_polys
 from cuspcenter.gl2table import gl2_character_table
 from cuspcenter.params import require_reduced
 from cuspcenter.polynomials import Poly, from_power_sums
@@ -59,6 +61,51 @@ def table4():
 @pytest.fixture(scope="session")
 def table8():
     return gl2_character_table(8)
+
+
+@lru_cache(maxsize=None)
+def partitions(b: int) -> tuple:
+    """All partitions of b as descending tuples, in descending lex order."""
+    if b == 0:
+        return ((),)
+    return tuple(
+        (part,) + rest
+        for part in range(b, 0, -1)
+        for rest in partitions(b - part)
+        if not rest or rest[0] <= part
+    )
+
+
+def referee_census(field, n: int) -> tuple:
+    """The referee for ``classes.enumerate_classes``: a depth-first walk
+    over the polynomials in ``irreducible_polys`` order and the
+    partitions of each size, every leaf put in canonical form by
+    ``make_class_type``, a set to refuse a class that comes twice, and
+    one sort of the census by ``ClassType.sort_key``."""
+    polys = [
+        poly
+        for a in range(1, n + 1)
+        for poly in irreducible_polys(field, a)
+        if poly.degree > 1 or poly.coeffs[0]
+    ]
+    out = []
+    stack = [(0, n, ())]
+    while stack:
+        start, budget, chosen = stack.pop()
+        if budget == 0:
+            out.append(make_class_type(chosen, n))
+            continue
+        for idx in range(start, len(polys)):
+            a = polys[idx].degree
+            if a > budget:
+                break  # polys are in increasing degree
+            for b in range(1, budget // a + 1):
+                for lam in partitions(b):
+                    stack.append((idx + 1, budget - a * b, chosen + ((polys[idx], lam),)))
+    if len(out) != conjugacy_class_count(field.order, n) or len(set(out)) != len(out):
+        raise AssertionFailure("the referee census has a class too many, too few or twice")
+    out.sort(key=ClassType.sort_key)
+    return tuple(out)
 
 
 def leibniz_charpoly(a, zero, one) -> list:

@@ -2,12 +2,15 @@
 generating function, sizes against classical tables, and the
 centralizer-order dichotomy."""
 
+import json
 import sys
 from collections import Counter
 
 import pytest
+from conftest import partitions, referee_census
 
-from cuspcenter import finitefield
+from cuspcenter import classes, finitefield
+from cuspcenter.arith import prime_power
 from cuspcenter.centermap import verify_endo_ring
 from cuspcenter.classes import (
     class_predicates,
@@ -17,10 +20,11 @@ from cuspcenter.classes import (
     group_order,
     is_ell_regular,
     make_class_type,
-    partitions,
+    partitions_upto,
     representative_matrix,
     theta_exponent,
 )
+from cuspcenter.cli import main
 from cuspcenter.errors import AssertionFailure, ScaleLimit
 from cuspcenter.finitefield import FqPoly, embedding, finite_field
 from cuspcenter.matrices import charpoly as generic_charpoly
@@ -32,6 +36,12 @@ def test_partitions():
     assert partitions(1) == ((1,),)
     assert partitions(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
     assert len(partitions(7)) == 15
+    assert partitions_upto(0) == ()
+    assert partitions_upto(3) == ((1,), (1, 1), (1, 1, 1), (2,), (2, 1), (3,))
+    # every partition of each size 1..m, in increasing tuple order
+    for m in range(9):
+        merged = sorted(lam for b in range(1, m + 1) for lam in partitions(b))
+        assert list(partitions_upto(m)) == merged
 
 
 def test_group_orders():
@@ -110,6 +120,67 @@ def test_enumeration_deterministic_and_sorted():
     assert list(a) == sorted(a, key=lambda ct: ct.sort_key())
     labels = [ct.label() for ct in a]
     assert len(set(labels)) == len(labels)
+
+
+# every GL_n(F_q) with n >= 2 and q^n <= 10^4
+REFEREE_SETS = [
+    (q, n) for n in range(2, 14) for q in range(2, 101) if prime_power(q) and q**n <= 10**4
+]
+
+
+def test_referee_sets_cover_gl_n_up_to_10_4():
+    assert len(REFEREE_SETS) == 70
+    assert (97, 2) in REFEREE_SETS and (3, 8) in REFEREE_SETS and (2, 13) in REFEREE_SETS
+
+
+@pytest.mark.parametrize("q,n", REFEREE_SETS)
+def test_census_in_order_by_construction_matches_the_referee(q, n):
+    field = finite_field(q)
+    assert enumerate_classes(field, n) == referee_census(field, n)
+
+
+def mutate_partitions(monkeypatch, mutation):
+    """Make the census walk take ``mutation`` of each partitions_upto
+    list; the lists are taken first, so the cache never sees it."""
+    lists = {m: partitions_upto(m) for m in range(1, 5)}
+    monkeypatch.setattr(classes, "partitions_upto", lambda m: tuple(mutation(lists[m])))
+
+
+def emit_a_class_twice(lams):
+    # (2,) becomes (1, 1): the count stays, a class comes twice and one is missing
+    return [(1, 1) if lam == (2,) else lam for lam in lams]
+
+
+def test_census_check_refuses_a_class_emitted_twice(monkeypatch):
+    mutate_partitions(monkeypatch, emit_a_class_twice)
+    with pytest.raises(AssertionFailure, match="not strictly increasing"):
+        enumerate_classes(finite_field(4), 2)
+
+
+def test_census_check_refuses_partitions_out_of_order(monkeypatch):
+    mutate_partitions(monkeypatch, reversed)
+    with pytest.raises(AssertionFailure, match="not strictly increasing"):
+        enumerate_classes(finite_field(4), 2)
+
+
+def test_census_check_refuses_polynomials_out_of_order(monkeypatch):
+    # the walk orders the polynomials by FqPoly.sort_key; the check reads
+    # ClassType.sort_key, which does not go through it
+    monkeypatch.setattr(
+        FqPoly, "sort_key", lambda poly: (poly.degree, tuple(-c.encoding for c in poly.coeffs))
+    )
+    with pytest.raises(AssertionFailure, match="not strictly increasing"):
+        enumerate_classes(finite_field(4), 2)
+
+
+def test_classes_with_a_class_emitted_twice_exits_1(capsys, monkeypatch):
+    monkeypatch.delenv("CUSPCENTER_CACHE", raising=False)
+    mutate_partitions(monkeypatch, emit_a_class_twice)
+    code = main(["classes", "--q", "4", "--n", "2", "--out", "json"])
+    env = json.loads(capsys.readouterr().out)
+    assert code == 1 and env["status"] == "fail"
+    assert env["artifacts"]["error"]["type"] == "AssertionFailure"
+    assert "not strictly increasing" in env["artifacts"]["error"]["message"]
 
 
 def test_enumeration_many_polys_gf53():

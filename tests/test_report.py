@@ -12,7 +12,7 @@ from test_golden import CASES as GOLDEN_CASES
 from test_golden import GOLDEN_DIR
 
 from cuspcenter import cli, report
-from cuspcenter.classes import enumerate_classes, make_class_type
+from cuspcenter.classes import check_census, enumerate_classes, make_class_type
 from cuspcenter.errors import AssertionFailure
 from cuspcenter.cyclotomic import zeta
 from cuspcenter.finitefield import finite_field
@@ -288,6 +288,46 @@ def test_cache_tampered_classes_returns_none(tmp_path):
     with open(path, "w") as fh:
         json.dump(doc, fh)
     assert load_census(cache_dir, 4, 2, field) is None
+
+
+def rewrite_neighbours(tmp_path, monkeypatch, rewrite):
+    """Save the GL_2(F_4) census, rewrite the cached classes i and i + 1
+    of the first neighbours with equal sizes, and load it with a spy on
+    ``check_census``: the count and the size sum stay, so only the
+    census check can refuse it.  Returns (loaded, raised)."""
+    field = finite_field(4)
+    fresh = enumerate_classes(field, 2)
+    sizes = [ct.class_size() for ct in fresh]
+    i = next(i for i in range(len(sizes) - 1) if sizes[i] == sizes[i + 1])
+    cache_dir = str(tmp_path)
+    path = save_census(cache_dir, 4, 2, fresh)
+    doc = json.load(open(path))
+    doc["classes"][i : i + 2] = rewrite(doc["classes"][i], doc["classes"][i + 1])
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    raised = []
+
+    def spy(classes, q, n):
+        try:
+            return check_census(classes, q, n)
+        except AssertionFailure as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(report, "check_census", spy)
+    return load_census(cache_dir, 4, 2, field), raised
+
+
+def test_cache_with_two_classes_swapped_returns_none(tmp_path, monkeypatch):
+    loaded, raised = rewrite_neighbours(tmp_path, monkeypatch, lambda a, b: [b, a])
+    assert loaded is None
+    assert len(raised) == 1
+
+
+def test_cache_with_a_class_copied_over_its_neighbour_returns_none(tmp_path, monkeypatch):
+    loaded, raised = rewrite_neighbours(tmp_path, monkeypatch, lambda a, b: [a, a])
+    assert loaded is None
+    assert len(raised) == 1
 
 
 def test_cache_class_with_wrong_degree_total_returns_none(tmp_path, monkeypatch):
