@@ -41,6 +41,7 @@ from .finitefield import finite_field, minimal_polynomial, sylow_generator
 from .invariants import (
     InvariantRingData,
     at_zeta,
+    checked_factor_images,
     invariant_ring,
     orbit_structure,
     orbit_sums,
@@ -72,16 +73,6 @@ class BlockVector:
         self.entries = tuple(embedded)
         if len(self.entries) != len(self.reps):
             raise ValueError(f"{len(self.entries)} entries for {len(self.reps)} slots")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BlockVector):
-            return NotImplemented
-        return self.reps == other.reps and all(
-            a == b for a, b in zip(self.entries, other.entries)
-        )
-
-    def rational_entries(self):
-        return tuple(e.as_rational() for e in self.entries)
 
     def __repr__(self) -> str:
         return "(" + ", ".join(repr(e) for e in self.entries) + ")"
@@ -233,41 +224,36 @@ def case_bucket(ct: ClassType, ps: ParameterSet) -> str:
 
 
 class CaseReport(NamedTuple):
-    bucket_of: dict
     bucket_counts: dict
-    s_flags: dict
+    in_s: list  # per key: whether its vector lies in S (``s_membership``)
     witness_label: str
+    witness_key: int
     witness_unit: Fraction
 
 
 def case_analysis(ps: ParameterSet, classes, labels, key_of, coords) -> CaseReport:
     """classes in census order with their labels, rendered once by the
-    caller and used as the key of every per-class result, their key
-    indices from ``group_classes``, and coords[k] the
-    ``orbit_coordinates`` V of key k.  Checks the per-bucket shape of
-    every class's vector, read off V: S-membership is asserted on the
-    non-primary and both small-degree primary buckets, recorded (but
-    deliberately not asserted either way) on the degree-n bucket, and
-    the witness bucket must consist of the single regular-unipotent
-    class whose vector is (0, u*l^r, ..., u*l^r) with u an l-unit: slot
-    0 is 0 and V = a 1 + b N (``orbit_split``) with ord_l a = r, u = a /
-    l^r.  Non-primary cuspidal slots vanish iff a = 0.  Buckets are read
-    per class, as x - 1 shares its key with the other linear factors.
+    caller for the failure witnesses, their key indices from
+    ``group_classes``, and coords[k] the ``orbit_coordinates`` V of key
+    k.  Checks the per-bucket shape of every class's vector, read off
+    V: S-membership is asserted on the non-primary and both small-degree
+    primary buckets, recorded per key (but deliberately not asserted
+    either way) on the degree-n bucket, and the witness bucket must
+    consist of the single regular-unipotent class whose vector is
+    (0, u*l^r, ..., u*l^r) with u an l-unit: slot 0 is 0 and V = a 1 +
+    b N (``orbit_split``) with ord_l a = r, u = a / l^r.  Non-primary
+    cuspidal slots vanish iff a = 0.  Buckets are read per class, as
+    x - 1 shares its key with the other linear factors.
     """
     ps = require_reduced(ps)
-    bucket_of = {}
     counts = {b: 0 for b in BUCKETS}
-    s_flags = {}
-    witness_label = None
-    witness_unit = None
-    flags = [s_membership(v, ps.ell) for v in coords]
+    witness = (None, None, None)
+    in_s = [s_membership(v, ps.ell) for v in coords]
     splits = [orbit_split(v) for v in coords]
     for ct, label, k in zip(classes, labels, key_of):
-        split, flag = splits[k], flags[k]
+        split, flag = splits[k], in_s[k]
         bucket = case_bucket(ct, ps)
-        bucket_of[label] = bucket
         counts[bucket] += 1
-        s_flags[label] = flag
         if bucket == REALIZED_WITNESS:
             if steinberg_slot(coords[k], ps):
                 raise AssertionFailure(
@@ -282,8 +268,7 @@ def case_analysis(ps: ParameterSet, classes, labels, key_of, coords) -> CaseRepo
                     f"witness valuation is {ord_frac(split[0], ps.ell)}, expected r = {ps.r}",
                     witness=label,
                 )
-            witness_label = label
-            witness_unit = split[0] / ps.ell_power
+            witness = (label, k, split[0] / ps.ell_power)
         elif bucket == NON_PRIMARY:
             if split is None or split[0]:
                 raise AssertionFailure(
@@ -302,13 +287,7 @@ def case_analysis(ps: ParameterSet, classes, labels, key_of, coords) -> CaseRepo
         raise AssertionFailure(
             f"expected exactly one realized-witness class, found {counts[REALIZED_WITNESS]}"
         )
-    return CaseReport(
-        bucket_of=bucket_of,
-        bucket_counts=counts,
-        s_flags=s_flags,
-        witness_label=witness_label,
-        witness_unit=witness_unit,
-    )
+    return CaseReport(counts, in_s, *witness)
 
 
 def lemma_signs_check(ps: ParameterSet) -> list:
@@ -373,9 +352,9 @@ def reconstruct_gamma(ps: ParameterSet, ct: ClassType, coords) -> dict:
     class's theta exponent.  These are the slot moves, by the
     injectivity in ``s_membership``; w0 is rational as V is.
 
-    Apart from the "label" entry and failure messages, the result
-    depends on the class only through ``ct.type_key``, its theta
-    exponent and ``coords``, which is itself a function of those two."""
+    Apart from failure messages, the result depends on the class only
+    through ``ct.type_key``, its theta exponent and ``coords``, which is
+    itself a function of those two."""
     ps = require_reduced(ps)
     unit = Fraction(ct.class_size() * (-1) ** (ps.n - 1), cuspidal_dimension(ps))
     if ord_frac(unit, ps.ell) != 0:
@@ -398,7 +377,6 @@ def reconstruct_gamma(ps: ParameterSet, ct: ClassType, coords) -> dict:
             witness={"got": repr(got), "expected": repr(expected)},
         )
     return {
-        "label": ct.label(),
         "theta_exponent": j,
         "unit": unit,
         "steinberg_slot": w0,
@@ -406,16 +384,17 @@ def reconstruct_gamma(ps: ParameterSet, ct: ClassType, coords) -> dict:
     }
 
 
-def express_all_in_gamma(vecs, ring: InvariantRingData) -> list:
-    """For each tuple V of orbit coordinates (``orbit_coordinates``) the
-    unique h with deg h < D and h(f) = V, as an l-integral polynomial;
-    IntegralityFailure if any h is not l-integral.
+def express_all_in_gamma(vecs, ring: InvariantRingData) -> tuple[list, list]:
+    """(certificates, columns): for each distinct tuple V of orbit
+    coordinates (``orbit_coordinates``) the unique h with deg h < D and
+    h(f) = V, as an l-integral polynomial, and for each of ``vecs`` the
+    index of its h; IntegralityFailure if any h is not l-integral.
 
     Column k of ``ring.basis_matrix`` M holds the orbit coordinates of
     the q-invariant f^k, so M y = V is the group-ring identity h(f) = V
     with h = sum_k y_k Y^k.  The map to the slots is a ring map sending
     f to gamma, so h(gamma) is the image of V: the delta vector.  One
-    elimination of M solves every distinct V.  ``invariant_ring``
+    elimination of M solves every distinct V, once.  ``invariant_ring``
     certifies M in GL_D(Z_(l)), so h is l-integral exactly when V is;
     the check stays explicit."""
     column_of = {}
@@ -423,12 +402,12 @@ def express_all_in_gamma(vecs, ring: InvariantRingData) -> list:
     out = [Poly(sol) for sol in solve_columns(ring.basis_matrix, list(column_of))]
     if not all(h.is_ell_integral(ring.ps.ell) for h in out):
         raise IntegralityFailure("gamma-certificate is not l-integral")
-    return [out[k] for k in columns]
+    return out, columns
 
 
 def express_in_gamma(vec, ring: InvariantRingData) -> Poly:
     """``express_all_in_gamma`` for a single vector."""
-    return express_all_in_gamma([vec], ring)[0]
+    return express_all_in_gamma([vec], ring)[0][0]
 
 
 def gamma_power_basis(gamma: BlockVector, count: int):
@@ -449,17 +428,11 @@ def gamma_power_basis(gamma: BlockVector, count: int):
 def factor_values(ring: InvariantRingData) -> tuple[tuple, ...]:
     """values[k][s] is the image of h(f), h the k-th listed factor of m,
     at slot s, mapped by ``invariants.at_zeta`` from the orbit
-    coordinates ``factor_images`` that ``min_polynomial`` summed; the
-    factors must multiply to m, with Y - n first.  Q(zeta) is a field,
-    so a product of factors vanishes at a slot iff one of them does:
-    this table's zero pattern says where m, m/factor and g do."""
-    factors = ring.m_factors
-    if prod(factors, start=Poly((1,))) != ring.m:
-        raise AssertionFailure("the listed factors of m do not multiply to m")
-    if factors[0] != Poly((-ring.ps.n, 1)):
-        raise AssertionFailure(f"first factor of m is {factors[0]!r}, not Y - n")
+    coordinates of ``checked_factor_images``: this table's zero pattern
+    says where m, m/factor and g vanish."""
     ps, reps = ring.ps, ring.orbits.reps
-    return tuple(tuple(at_zeta(ps, x, ps.r, e) for e in reps) for x in ring.factor_images)
+    images = checked_factor_images(ring)
+    return tuple(tuple(at_zeta(ps, x, ps.r, e) for e in reps) for x in images)
 
 
 def _zero_slots(rows) -> list[bool]:
@@ -518,12 +491,19 @@ def g_of_gamma_check(ring: InvariantRingData, values: tuple) -> dict:
 
 
 class EndoRingResult(NamedTuple):
+    """The classes in census order with their ``labels`` and
+    ``group_classes`` index ``key_of``.  Per-class results are lists by
+    key: ``coordinates``, ``case_report.in_s``, ``reconstructions``
+    (None off the l-singular degree-n keys) and ``certificate_of``, an
+    index into the distinct ``certificates``."""
+
     params_input: ParameterSet
     params: ParameterSet
     ring: InvariantRingData
     classes: tuple
-    class_info: dict
-    coordinates: dict
+    labels: list
+    key_of: list
+    coordinates: list
     case_report: CaseReport
     signs: list
     scaled_idempotent: BlockVector
@@ -531,7 +511,8 @@ class EndoRingResult(NamedTuple):
     gamma: BlockVector
     minimality: dict
     reconstructions: list
-    certificates: dict
+    certificates: list
+    certificate_of: list
     g_report: dict
     checks: tuple
 
@@ -559,7 +540,6 @@ def verify_endo_ring(
     firsts, key_of = group_classes(classes, ps)
     labels = [ct.label() for ct in classes]  # each label rendered once
     preds = [class_predicates(ct, ps) for ct in firsts]
-    class_info = {label: dict(preds[k], label=label) for label, k in zip(labels, key_of)}
     checks.append(f"classes: {len(classes)} types, centralizer orders verified")
 
     forms = [delta_form(ct, ps) for ct in firsts]
@@ -573,9 +553,8 @@ def verify_endo_ring(
     signs = lemma_signs_check(ps)
     checks.append("sign congruences: all divisor pairs verified")
 
-    coordinates = {label: coords[k] for label, k in zip(labels, key_of)}
     scaled_idem = reconstruct_scaled_idempotent(
-        ps, coordinates[case_report.witness_label], case_report.witness_unit
+        ps, coords[case_report.witness_key], case_report.witness_unit
     )
     checks.append("scaled idempotent reconstructed from the witness class")
 
@@ -589,32 +568,26 @@ def verify_endo_ring(
     if r_found != ps.r:
         raise AssertionFailure("Sylow depth mismatch in the big field")
     eps_poly = minimal_polynomial(eps, field)
-    replayed = {
-        k: reconstruct_gamma(ps, ct, coords[k])
-        for k, ct in enumerate(firsts)
+    reconstructions = [
+        reconstruct_gamma(ps, ct, coords[k])
         if case_bucket(ct, ps) == DEGREE_N and not preds[k]["ell_regular"]
-    }
-    reconstructions = []
-    found_eps_class = False
-    for ct, label, k in zip(classes, labels, key_of):
-        if k not in replayed:
-            continue
-        rec = dict(replayed[k], label=label)
-        reconstructions.append(rec)
-        if ct.factors[0][0] == eps_poly:
-            found_eps_class = True
-            if theta_coordinates(ps, rec["theta_exponent"]) != theta_coordinates(ps, 1):
-                raise AssertionFailure(
-                    "class of the canonical Sylow generator does not rebuild gamma"
-                )
-    if not found_eps_class:
+        else None
+        for k, ct in enumerate(firsts)
+    ]
+    replayed = sum(reconstructions[k] is not None for k in key_of)
+    eps_recs = [
+        reconstructions[k]
+        for ct, k in zip(classes, key_of)
+        if reconstructions[k] is not None and ct.factors[0][0] == eps_poly
+    ]
+    if not eps_recs:
         raise AssertionFailure("no class carries the canonical Sylow generator")
-    checks.append(
-        f"gamma reconstruction: {len(reconstructions)} l-singular classes replayed"
-    )
+    gamma_coords = theta_coordinates(ps, 1)
+    if any(theta_coordinates(ps, rec["theta_exponent"]) != gamma_coords for rec in eps_recs):
+        raise AssertionFailure("class of the canonical Sylow generator does not rebuild gamma")
+    checks.append(f"gamma reconstruction: {replayed} l-singular classes replayed")
 
-    certs = express_all_in_gamma(coords, ring)
-    certificates = {label: certs[k] for label, k in zip(labels, key_of)}
+    certificates, certificate_of = express_all_in_gamma(coords, ring)
     checks.append("closure: every delta vector is an l-integral polynomial in gamma")
 
     g_report = g_of_gamma_check(ring, values)
@@ -624,9 +597,10 @@ def verify_endo_ring(
         params_input=ps_input,
         params=ps,
         ring=ring,
-        classes=tuple(classes),
-        class_info=class_info,
-        coordinates=coordinates,
+        classes=classes,
+        labels=labels,
+        key_of=key_of,
+        coordinates=coords,
         case_report=case_report,
         signs=signs,
         scaled_idempotent=scaled_idem,
@@ -635,6 +609,7 @@ def verify_endo_ring(
         minimality=minimality,
         reconstructions=reconstructions,
         certificates=certificates,
+        certificate_of=certificate_of,
         g_report=g_report,
         checks=tuple(checks),
     )

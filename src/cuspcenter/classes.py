@@ -162,9 +162,9 @@ def enumerate_classes(field: FiniteField, n: int, scale_bound: int = 10**6) -> t
     order by construction, checked by ``check_census``."""
     if field.order**n > scale_bound:
         raise ScaleLimit(f"class enumeration for GL_{n}(F_{field.order})")
+    # in FqPoly.sort_key order, without x (invertible matrices only)
     polys = [p for a in range(1, n + 1) for p in irreducible_polys(field, a, scale_bound)]
-    # without x (invertible matrices only), by FqPoly.sort_key, not encoding order
-    polys = sorted((p for p in polys if p.degree > 1 or p.coeffs[0]), key=FqPoly.sort_key)
+    polys = [p for p in polys if p.degree > 1 or p.coeffs[0]]
     # depth-first over the next factor (polynomial, partition), children in
     # increasing order pushed in reverse, so leaves come out in sort-key order;
     # a stack, as recursion would nest once per polynomial (too deep at GF(53))

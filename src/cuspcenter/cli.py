@@ -51,13 +51,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, help="rank; defaults to ord_l(q)")
         p.add_argument("--d", type=int, default=1, help="divisor for the unreduced case")
         p.add_argument("--out", choices=("json", "text"), default="text")
-        p.add_argument("--cache-dir", help="census cache directory (or $CUSPCENTER_CACHE)")
-        p.add_argument(
-            "--max-group-order",
-            type=int,
-            default=1000,
-            help="ceiling for brute-force group enumeration",
-        )
+        if name == "classes":
+            p.add_argument("--cache-dir", help="census cache directory (or $CUSPCENTER_CACHE)")
+        if name == "oracle":
+            p.add_argument(
+                "--max-group-order",
+                type=int,
+                default=1000,
+                help="ceiling for brute-force group enumeration",
+            )
         p.add_argument(
             "--scale-bound",
             type=int,
@@ -130,36 +132,34 @@ def cmd_endo_ring(args) -> dict:
     n = _default_n(args.q, args.ell, args.n)
     result = centermap.verify_endo_ring(args.q, args.ell, n, args.d, args.scale_bound)
     pres = deformation.emit_center_presentation(result.ring)
-    # the classes of one key share one certificate, unit and correction
-    # object: each becomes one JSON subtree, which report.to_json_bytes
-    # renders once; keyed by id, as result keeps every object alive
-    rendered = {}
-
-    def once(to_json, x):
-        if id(x) not in rendered:
-            rendered[id(x)] = to_json(x)
-        return rendered[id(x)]
-
+    labels, key_of = result.labels, result.key_of
+    # rendered once per distinct certificate and per key: the classes of
+    # one key share each JSON subtree, which report.to_json_bytes writes once
+    certs = [report.poly_json(h) for h in result.certificates]
+    cert_of = [certs[c] for c in result.certificate_of]
+    recs = result.reconstructions
+    units = [rec and report.frac_json(rec["unit"]) for rec in recs]
+    corrections = [rec and report.frac_json(rec["correction"]) for rec in recs]
+    in_s = result.case_report.in_s
     artifacts = {
         "min_poly": report.poly_json(result.ring.m),
         "gamma": report.blockvector_json(result.gamma),
         "scaled_idempotent": report.blockvector_json(result.scaled_idempotent),
         "idempotent_unit": report.frac_json(result.idempotent_unit),
-        "certificates": {
-            label: once(report.poly_json, h) for label, h in result.certificates.items()
-        },
+        "certificates": {label: cert_of[k] for label, k in zip(labels, key_of)},
         "bucket_counts": dict(result.case_report.bucket_counts),
-        "s_membership": dict(result.case_report.s_flags),
+        "s_membership": {label: in_s[k] for label, k in zip(labels, key_of)},
         "witness_class": result.case_report.witness_label,
         "class_count": len(result.classes),
         "reconstructions": [
             {
-                "label": rec["label"],
-                "theta_exponent": rec["theta_exponent"],
-                "unit": once(report.frac_json, rec["unit"]),
-                "correction": once(report.frac_json, rec["correction"]),
+                "label": label,
+                "theta_exponent": recs[k]["theta_exponent"],
+                "unit": units[k],
+                "correction": corrections[k],
             }
-            for rec in result.reconstructions
+            for label, k in zip(labels, key_of)
+            if recs[k] is not None
         ],
         "g_at_steinberg": report.frac_json(result.g_report["g_at_n"]),
         "presentation": pres.describe(),

@@ -14,10 +14,11 @@ relations of the presentation
 Psi and Y depend on a alone, and Fr, its characteristic polynomial
 and det Fr on the units alone, so each side is built and checked on
 its own, Fr and its T-values in plain ints.  Y is the image of f under
-the ring map X -> zeta^a, so m(Y) is the image of m(f): the orbit
-coordinates of m(f) are summed once per sweep (``invariants.poly_at_f``),
-and m(Y) = 0 is read from them by ``invariants.at_zeta`` once per
-distinct Y, deg m times in all.  The commutation
+the ring map X -> zeta^a, so h(Y) is the image of h(f) for each listed
+factor h of m, whose orbit coordinates ``invariant_ring`` keeps
+(``invariants.checked_factor_images``); Q(zeta) is a field, so m(Y) = 0
+exactly when one of them vanishes, read by ``invariants.at_zeta`` once
+per factor and distinct Y.  The commutation
 relation factors too: Fr's entries are nonzero integers and Q(zeta) is
 a field, so it holds exactly when Psi's diagonal is the q-power ladder,
 checked once per a on the exponents of zeta, and every unit is nonzero,
@@ -31,12 +32,13 @@ point that ``deformation_suite`` runs once per side.
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 from typing import NamedTuple
 
 from .arith import ord_int
 from .cyclotomic import CyclotomicNumber, zeta
 from .errors import AssertionFailure, ParameterError, RelationFailure
-from .invariants import InvariantRingData, at_zeta, orbit_sums, poly_at_f
+from .invariants import InvariantRingData, at_zeta, checked_factor_images, orbit_sums
 from .matrices import charpoly
 from .params import ParameterSet, require_reduced
 from .polynomials import Poly
@@ -92,15 +94,16 @@ def _check_commutation(a: int, diagonal: tuple, diagonal_q: tuple) -> None:
             raise RelationFailure(f"Fr Psi != Psi^q Fr at entry ({i}, {j}) for a = {a}")
 
 
-def _check_trace(a: int, trace, ps: ParameterSet, m_of_f: tuple) -> None:
+def _check_trace(a: int, trace, ps: ParameterSet, factor_images: tuple) -> None:
     """The relations on Y alone: m(Y) = 0, and Y = n at a = 0.  Y is the
-    image of f under the ring map X -> zeta^a (``orbit_sums``), so m(Y)
-    is the image of ``m_of_f``, the orbit coordinates of m(f)
-    (``poly_at_f``), under that map (``at_zeta``)."""
-    mval = at_zeta(ps, m_of_f, ps.r, a)
-    if not mval.is_zero():
+    image of f under the ring map X -> zeta^a (``orbit_sums``), so h(Y)
+    is the image of h(f) under that map (``at_zeta``) for each factor h
+    of m, ``factor_images`` holding their orbit coordinates; m(Y), their
+    product, vanishes iff one of them does."""
+    values = [at_zeta(ps, x, ps.r, a) for x in factor_images]
+    if not any(v.is_zero() for v in values):
         raise AssertionFailure(
-            f"generator m(Y) does not vanish at a = {a}", witness=repr(mval)
+            f"generator m(Y) does not vanish at a = {a}", witness=repr(prod(values))
         )
     if a == 0 and not (trace - ps.n).is_zero():
         raise AssertionFailure("generator Y - n does not vanish at a = 0")
@@ -170,7 +173,7 @@ def check_relations(pt: DeformationPoint, ps: ParameterSet, ring: InvariantRingD
     generator on failure."""
     ps = require_reduced(ps)
     a = pt.zeta_exponent % ps.ell_power
-    _check_trace(a, pt.trace, ps, poly_at_f(ring.m, ring.basis_matrix, ring.times_f))
+    _check_trace(a, pt.trace, ps, checked_factor_images(ring))
     _check_t_values(a, ps.ell, pt.t_values)
     _check_det(pt.units, pt.t_values)
     return {
@@ -216,12 +219,12 @@ def deformation_suite(
     relations, and confirm that the trace values sweep out exactly the
     root set of m.  Fr and its charpoly are built and checked once
     per unit assignment, Psi, its trace and the commutation relation
-    once per a, and m(Y), the image of m(f), at the first a of each
-    distinct trace, as a later a would repeat the same check.  The T_k
-    relations depend on a only through whether a != 0, so they are
-    checked once per unit assignment, right after the a = 1 side: a
-    failure names the same first point and carries the same message as
-    a check at every point would.  So every
+    once per a, and m(Y) = 0, read off the images of the factors of m,
+    at the first a of each distinct trace, as a later a would repeat
+    the same check.  The T_k relations depend on a only through
+    whether a != 0, so they are checked once per unit assignment, right
+    after the a = 1 side: a failure names the same first point and
+    carries the same message as a check at every point would.  So every
     point (a, units), l^r * len(unit_choices)^n of them, has all its
     relations checked, and ``points_checked`` counts them."""
     ps = require_reduced(ps)
@@ -230,12 +233,12 @@ def deformation_suite(
         _, t_values = _fr_side(ps, units)
         _check_det(units, t_values)
         t_sides.append(t_values)
-    m_of_f = poly_at_f(ring.m, ring.basis_matrix, ring.times_f)
+    factor_images = checked_factor_images(ring)
     traces = set()
     for a in range(ps.ell_power):
         diagonal, diagonal_q, trace = _psi_side(ps, a)
         if trace not in traces:
-            _check_trace(a, trace, ps, m_of_f)
+            _check_trace(a, trace, ps, factor_images)
             traces.add(trace)
         _check_commutation(a, diagonal, diagonal_q)
         if a == 1:

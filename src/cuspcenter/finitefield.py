@@ -32,7 +32,9 @@ the minimal polynomial (``minimal_polynomial`` takes the same product
 for one element), against x, its smallest-encoding root.  So every
 monic irreducible of degree dividing [big : sub] is found together with
 the root ``roots_in(...)[0]`` would return; ``roots_in`` keeps its
-brute-force evaluation as the tests' referee.  Discrete logs on the
+brute-force evaluation as the tests' referee.  ``irreducible_polys``
+lists each degree in the census's ``FqPoly.sort_key`` order, which
+compares coefficients from the constant term up.  Discrete logs on the
 Sylow l-subgroup are read off the same log table (``ell_part_and_dlog``).
 """
 
@@ -479,7 +481,8 @@ class FqPoly:
 
 def irreducible_polys(field: FiniteField, a: int, scale_bound: int = 10**6):
     """All monic irreducible polynomials of degree a over ``field``,
-    in deterministic (coefficient-encoding) order.  Includes x.
+    in ``FqPoly.sort_key`` order: coefficient encodings compared from
+    the constant term up.  Includes x.
 
     They are the degree-a orbits of the Frobenius pass over GF(q^a)."""
     q = field.order
@@ -488,8 +491,7 @@ def irreducible_polys(field: FiniteField, a: int, scale_bound: int = 10**6):
     if a in field._irreducibles:
         return field._irreducibles[a]
     orbits = frobenius_orbits(field, finite_field(q**a))
-    # monic of one degree: encoding order is lexicographic from the top
-    found = sorted((cs for cs in orbits if len(cs) == a + 1), key=lambda cs: cs[::-1])
+    found = sorted(cs for cs in orbits if len(cs) == a + 1)  # low coefficient first
     out = tuple(FqPoly.from_encodings(field, cs) for cs in found)
     expected = sum(moebius(a // b) * q**b for b in divisors(a)) // a
     if len(out) != expected:

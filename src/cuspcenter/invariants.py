@@ -54,6 +54,7 @@ Main outputs:
   * orbit_sums           - the image of f at every e, once per orbit
   * omega_and_min_poly   - omega_i (f at level i), m_i and m_i(f)
   * min_polynomial       - m = (Y - n) * prod_i m_i and each factor at f
+  * checked_factor_images - those factors at f, once they multiply to m
   * t_valuation          - j*, the t-adic valuation of f - n mod l
   * invariant_ring       - the basis matrix, whose column k holds f^k,
                            certified invertible with l-integral
@@ -384,6 +385,19 @@ class InvariantRingData(NamedTuple):
     @property
     def dimension(self) -> int:
         return len(self.orbits.reps)
+
+
+def checked_factor_images(ring: InvariantRingData) -> tuple:
+    """``ring.factor_images``, the orbit coordinates of h(f) for each
+    listed factor h of m, once the factors are checked to multiply to
+    m, Y - n first.  Q(zeta) is a field, so at any image of f a product
+    of factors vanishes iff one of them does."""
+    factors = ring.m_factors
+    if prod(factors, start=Poly((1,))) != ring.m:
+        raise AssertionFailure("the listed factors of m do not multiply to m")
+    if factors[0] != Poly((-ring.ps.n, 1)):
+        raise AssertionFailure(f"first factor of m is {factors[0]!r}, not Y - n")
+    return ring.factor_images
 
 
 def invariant_ring(ps: ParameterSet) -> InvariantRingData:

@@ -257,6 +257,6 @@ def load_census(cache_dir: str, q: int, n: int, field: FiniteField):
         check_census(classes, q, n)
         if sum(ct.class_size() for ct in classes) != group_order(q, n):
             return None
-        return classes
+        return tuple(classes)
     except Exception:
         return None

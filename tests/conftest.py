@@ -8,7 +8,7 @@ import pytest
 
 from cuspcenter import invariants, linalg, validate_parameters, verify_endo_ring
 from cuspcenter.arith import ord_frac
-from cuspcenter.centermap import delta_class
+from cuspcenter.centermap import case_bucket, delta_class
 from cuspcenter.classes import ClassType, conjugacy_class_count, group_classes, make_class_type
 from cuspcenter.cyclotomic import (
     CyclotomicNumber,
@@ -155,12 +155,25 @@ def omega_value(ps, i, exponent=1):
     return total
 
 
+def slots(vec) -> tuple:
+    """A block vector as a value to compare: (slot labels, entries).
+    ``BlockVector`` defines no equality, so ``==`` on two of them would
+    compare identities."""
+    return vec.reps, vec.entries
+
+
+def rationals(vec) -> tuple:
+    """The entries of a block vector as rationals, None where one is
+    irrational."""
+    return tuple(e.as_rational() for e in vec.entries)
+
+
 def slot_s_membership(vec) -> bool:
     """The slot referee for ``centermap.s_membership``: a block vector
     lies in S = Z_(l)*1 + Z_(l)*(scaled idempotent) when its nonzero
     slots are equal and rational, everything is l-integral, and slot 0
     is congruent to the common value mod l^r."""
-    vals = vec.rational_entries()
+    vals = rationals(vec)
     if any(v is None for v in vals):
         return False
     e0, tail = vals[0], vals[1:]
@@ -172,6 +185,34 @@ def slot_s_membership(vec) -> bool:
             return False
     diff = tail[0] - e0
     return diff == 0 or ord_frac(diff, ell) >= vec.r
+
+
+def per_class(res, per_key) -> dict:
+    """label -> per_key[k] for every class of an endo-ring result, k the
+    index of its (type key, theta exponent): a per-key list read class
+    by class, as the printed maps read it."""
+    return {label: per_key[k] for label, k in zip(res.labels, res.key_of)}
+
+
+def class_certificates(res) -> dict:
+    """label -> the gamma-certificate of every class."""
+    return per_class(res, [res.certificates[c] for c in res.certificate_of])
+
+
+def class_buckets(res) -> dict:
+    """label -> the case-analysis bucket of every class."""
+    return {label: case_bucket(ct, res.params) for label, ct in zip(res.labels, res.classes)}
+
+
+def class_reconstructions(res) -> list:
+    """The replayed reconstruction of every l-singular degree-n class,
+    in census order, each headed by the class's label."""
+    recs = res.reconstructions
+    return [
+        {"label": label, **recs[k]}
+        for label, k in zip(res.labels, res.key_of)
+        if recs[k] is not None
+    ]
 
 
 def class_deltas(res) -> dict:

@@ -33,7 +33,16 @@ from cuspcenter.invariants import (
 from cuspcenter.matrixoracle import census_cross_check
 from cuspcenter.params import validate_parameters
 
-from conftest import CASES, class_deltas, omega_value, slot_s_membership
+from conftest import (
+    CASES,
+    class_buckets,
+    class_certificates,
+    class_deltas,
+    omega_value,
+    per_class,
+    rationals,
+    slot_s_membership,
+)
 
 EXPECTED_MIN_POLY = {
     "P1": (-2, -1, 1),
@@ -53,8 +62,8 @@ def test_criterion_1_pipeline(endo_results):
         got = tuple(res.ring.m.coeffs)
         want = tuple(Fraction(c) for c in EXPECTED_MIN_POLY[label])
         assert got == want, (label, got)
-        assert res.certificates  # closure certificates exist for every class
-        assert len(res.certificates) == len(res.classes)
+        # closure certificates exist for every class, one per key
+        assert len(class_certificates(res)) == len(res.classes)
     print("PASS criterion-1 (tolerance 0): pipeline and minimal polynomials "
           "on P1-P5 and the unreduced twin")
 
@@ -132,17 +141,18 @@ def test_criterion_5_case_analysis(endo_results):
         deltas = class_deltas(res)  # the slot vectors, an independent referee
         wit = deltas[report.witness_label]
         assert wit.entries[0].is_zero()
-        tail = wit.rational_entries()[1:]
+        tail = rationals(wit)[1:]
         assert all(v == tail[0] for v in tail)
         assert ord_frac(tail[0], ps.ell) == ps.r
-        for class_label, bucket in report.bucket_of.items():
+        in_s = per_class(res, report.in_s)
+        for class_label, bucket in class_buckets(res).items():
             vec = deltas[class_label]
             assert bucket in BUCKETS
             if bucket == NON_PRIMARY:
                 assert all(e.is_zero() for e in vec.entries[1:])
             if bucket in (NON_PRIMARY, PRIMARY_SMALL_DIAG, PRIMARY_SMALL_NONDIAG):
                 assert slot_s_membership(vec)
-            assert report.s_flags[class_label] == slot_s_membership(vec)
+            assert in_s[class_label] == slot_s_membership(vec)
     print("PASS criterion-5 (tolerance 0): case-analysis bucket shapes and "
           "S-membership on all six runs")
 

@@ -40,7 +40,20 @@ from cuspcenter.centermap import (
     s_membership,
     theta_orbit_vector,
 )
-from conftest import CASES, class_deltas, omega_value, slot_s_membership, spread, trace_powers
+from conftest import (
+    CASES,
+    class_buckets,
+    class_certificates,
+    class_deltas,
+    class_reconstructions,
+    omega_value,
+    per_class,
+    rationals,
+    slot_s_membership,
+    slots,
+    spread,
+    trace_powers,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -80,21 +93,21 @@ def test_bucket_counts_and_idempotent_unit(label, endo_results):
     counts, unit = EXPECTED_BUCKETS[label]
     assert tuple(res.case_report.bucket_counts[b] for b in BUCKETS) == counts
     assert res.idempotent_unit == unit
-    assert len(res.reconstructions) == EXPECTED_RECONS[label]
+    assert len(class_reconstructions(res)) == EXPECTED_RECONS[label]
 
 
 def test_scaled_idempotent_shape(endo_results):
     for label, res in endo_results.items():
         ps = res.params
-        vals = res.scaled_idempotent.rational_entries()
+        vals = rationals(res.scaled_idempotent)
         assert vals[0] == ps.ell_power
         assert all(v == 0 for v in vals[1:])
 
 
 def test_p1_gamma_and_certificates(endo_results):
     res = endo_results["P1"]
-    assert res.gamma.rational_entries() == (Fraction(2), Fraction(-1))
-    certs = res.certificates
+    assert rationals(res.gamma) == (Fraction(2), Fraction(-1))
+    certs = class_certificates(res)
     assert certs["x+1:(1,1)"].coeffs == (Fraction(1),)
     assert certs["x+1:(2)"].coeffs == (Fraction(-2), Fraction(1))
     assert certs["x^2+x+1:(1)"].coeffs == (Fraction(1), Fraction(-1))
@@ -102,22 +115,23 @@ def test_p1_gamma_and_certificates(endo_results):
 
 def test_p1_deltas_frozen(endo_results):
     deltas = class_deltas(endo_results["P1"])
-    assert deltas["x+1:(1,1)"].rational_entries() == (Fraction(1), Fraction(1))
-    assert deltas["x+1:(2)"].rational_entries() == (Fraction(0), Fraction(-3))
-    assert deltas["x^2+x+1:(1)"].rational_entries() == (Fraction(-1), Fraction(2))
+    assert rationals(deltas["x+1:(1,1)"]) == (Fraction(1), Fraction(1))
+    assert rationals(deltas["x+1:(2)"]) == (Fraction(0), Fraction(-3))
+    assert rationals(deltas["x^2+x+1:(1)"]) == (Fraction(-1), Fraction(2))
 
 
 def test_p2_witness_delta_and_certificate(endo_results):
     res = endo_results["P2"]
     wit = res.case_report.witness_label
     assert wit == "x+1:(3)"
-    assert res.coordinates[wit] == (12, -2, -2)  # 14 * 1 - 2 * N
-    assert class_deltas(res)[wit].rational_entries() == (
+    assert per_class(res, res.coordinates)[wit] == (12, -2, -2)  # 14 * 1 - 2 * N
+    assert res.coordinates[res.case_report.witness_key] == (12, -2, -2)
+    assert rationals(class_deltas(res)[wit]) == (
         Fraction(0),
         Fraction(14),
         Fraction(14),
     )
-    h = res.certificates[wit]
+    h = class_certificates(res)[wit]
     assert h.coeffs == (Fraction(12), Fraction(-1), Fraction(-1))  # 12 - Y - Y^2
 
 
@@ -133,7 +147,7 @@ def test_g_reports(endo_results):
 def test_reconstruction_scalars_p3(endo_results):
     res = endo_results["P3"]
     # every elliptic class of GL_2(F_8) has |C| = 56 and the same chain
-    for rec in res.reconstructions:
+    for rec in class_reconstructions(res):
         assert rec["unit"] == Fraction(-8)
         assert rec["steinberg_slot"] == Fraction(7, 8)
         assert rec["correction"] == Fraction(-1, 8)
@@ -144,7 +158,7 @@ def test_reconstruction_scalars_p5(endo_results):
     res = endo_results["P5"]
     semisimple = [
         rec
-        for rec in res.reconstructions
+        for rec in class_reconstructions(res)
         if rec["steinberg_slot"] == Fraction(416, 729)
     ]
     assert semisimple  # the regular semisimple degree-4 chain appears
@@ -187,12 +201,12 @@ def image(coords, ps) -> BlockVector:
     )
 
 
-def in_s(coords, slots, ps) -> bool:
+def in_s(coords, entries, ps) -> bool:
     """Both S-membership predicates on the vector with these orbit
     coordinates, whose image must be these slot values."""
     coords = tuple(Fraction(v) for v in coords)
-    vec = BlockVector(ps.ell, ps.r, block_slots(ps), slots)
-    assert image(coords, ps) == vec
+    vec = BlockVector(ps.ell, ps.r, block_slots(ps), entries)
+    assert slots(image(coords, ps)) == slots(vec)
     assert s_membership(coords, ps.ell) == slot_s_membership(vec)
     return s_membership(coords, ps.ell)
 
@@ -229,38 +243,35 @@ def test_s_flags_by_bucket(endo_results):
     # asserted True off the degree-n bucket by case_analysis; verify the
     # recorded flags are consistent with an independent recomputation
     for res in endo_results.values():
-        report, deltas = res.case_report, class_deltas(res)
-        for label, bucket in report.bucket_of.items():
+        flags, deltas = per_class(res, res.case_report.in_s), class_deltas(res)
+        for label, bucket in class_buckets(res).items():
             if bucket in (NON_PRIMARY, PRIMARY_SMALL_DIAG, PRIMARY_SMALL_NONDIAG):
-                assert report.s_flags[label]
-            assert report.s_flags[label] == slot_s_membership(deltas[label])
+                assert flags[label]
+            assert flags[label] == slot_s_membership(deltas[label])
 
 
 def test_degree_n_s_flags_observed(endo_results):
     # not asserted by the engine, but these two cases happen to land
     # entirely inside S; record that observation so a change is loud
     res = endo_results["P1"]
-    assert res.case_report.s_flags["x^2+x+1:(1)"]
+    assert per_class(res, res.case_report.in_s)["x^2+x+1:(1)"]
     res5 = endo_results["P5"]
-    flags = [
-        res5.case_report.s_flags[label]
-        for label, bucket in res5.case_report.bucket_of.items()
-        if bucket == DEGREE_N
-    ]
+    in_s = per_class(res5, res5.case_report.in_s)
+    flags = [in_s[label] for label, bucket in class_buckets(res5).items() if bucket == DEGREE_N]
     assert len(flags) == 18 and all(flags)
 
 
 def test_gamma_is_theta_orbit_of_one():
     for q, ell, n in ((2, 3, 2), (8, 3, 2), (3, 5, 4)):
         ps = validate_parameters(q, ell, n)
-        assert theta_orbit_vector(ps, 1) == gamma_vector(ps)
+        assert slots(theta_orbit_vector(ps, 1)) == slots(gamma_vector(ps))
 
 
 def test_theta_orbit_vector_q_orbit_invariance():
     ps = validate_parameters(8, 3, 2)
     # j and j*q give the same vector (the sum is over the q-power orbit)
     for j in (1, 2, 4):
-        assert theta_orbit_vector(ps, j) == theta_orbit_vector(ps, j * 8 % 9)
+        assert slots(theta_orbit_vector(ps, j)) == slots(theta_orbit_vector(ps, j * 8 % 9))
 
 
 ORBIT_SUM_CASES = [(2, 3, 2), (8, 3, 2), (53, 3, 2), (7, 5, 4), (2, 127, 7), (2, 5, 4, 2)]
@@ -275,7 +286,7 @@ def test_theta_orbit_vector_matches_per_slot_omega_values(args):
     for j in range(ps.ell_power):
         entries = [CyclotomicNumber.rational(ps.ell, reduced.n)]
         entries += [omega_value(ps, ps.r, i * j) for i in reps[1:]]
-        assert theta_orbit_vector(ps, j) == BlockVector(ps.ell, ps.r, reps, entries)
+        assert slots(theta_orbit_vector(ps, j)) == slots(BlockVector(ps.ell, ps.r, reps, entries))
 
 
 def test_endo_ring_builds_each_orbit_sum_and_factor_value_once(monkeypatch):
@@ -354,7 +365,7 @@ def test_endo_ring_builds_two_slot_vectors_and_no_slot_product(monkeypatch, args
         monkeypatch.setattr(centermap, name, watched(name, getattr(centermap, name)))
     res = verify_endo_ring(*args)
     assert len(built) == 2
-    assert res.scaled_idempotent.rational_entries()[0] == res.params.ell_power
+    assert rationals(res.scaled_idempotent)[0] == res.params.ell_power
     assert set(entered) == set(names) and not any(products)
 
 
@@ -470,7 +481,8 @@ def test_express_in_gamma_failure_modes():
         gram_express_all_in_gamma([outside], ring)
     # rationally consistent but with non-l-integral coordinates: 1/3
     third = (Fraction(1, 3), Fraction(0))
-    assert image(third, ps) == BlockVector(3, 1, reps, [Fraction(1, 3), Fraction(1, 3)])
+    expected = BlockVector(3, 1, reps, [Fraction(1, 3), Fraction(1, 3)])
+    assert slots(image(third, ps)) == slots(expected)
     with pytest.raises(IntegralityFailure):
         express_in_gamma(third, ring)
 
@@ -482,15 +494,27 @@ def test_express_all_in_gamma_failure_modes():
     reps = block_slots(ps)
     # 1, f and 5 f in orbit coordinates, and on the slots
     valid = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(0), Fraction(5))]
-    slots = [BlockVector(3, 1, reps, [1, 1]), gamma, slot_scale(gamma, 5)]
-    assert [image(v, ps) for v in valid] == slots
+    vecs = [BlockVector(3, 1, reps, [1, 1]), gamma, slot_scale(gamma, 5)]
+    assert [slots(image(v, ps)) for v in valid] == [slots(v) for v in vecs]
     outside = BlockVector(3, 1, reps, [0, zeta(3, 1)])
     with pytest.raises(NoSolution):
-        gram_express_all_in_gamma(slots[:2] + [outside] + slots[2:], ring)
+        gram_express_all_in_gamma(vecs[:2] + [outside] + vecs[2:], ring)
     fractional = (Fraction(1, 3), Fraction(0))
     with pytest.raises(IntegralityFailure):
         express_all_in_gamma(valid + [fractional], ring)
-    assert express_all_in_gamma(valid, ring) == [Poly((1,)), Poly((0, 1)), Poly((0, 5))]
+    assert express_each(valid, ring) == [Poly((1,)), Poly((0, 1)), Poly((0, 5))]
+    # equal vectors share one certificate
+    assert express_all_in_gamma(valid + valid[:1], ring) == (
+        [Poly((1,)), Poly((0, 1)), Poly((0, 5))],
+        [0, 1, 2, 0],
+    )
+
+
+def express_each(vecs, ring) -> list:
+    """The certificate of each vector, read off ``express_all_in_gamma``'s
+    distinct certificates and columns."""
+    certificates, columns = express_all_in_gamma(vecs, ring)
+    return [certificates[c] for c in columns]
 
 
 def key_coordinates(res) -> dict:
@@ -502,9 +526,9 @@ def key_coordinates(res) -> dict:
 def test_express_all_matches_per_vector(endo_results):
     res = endo_results["P3"]
     vecs = list(key_coordinates(res).values())
-    batch = express_all_in_gamma(vecs, res.ring)
+    batch = express_each(vecs, res.ring)
     assert batch == [express_in_gamma(v, res.ring) for v in vecs]
-    assert batch == list(res.certificates.values())
+    assert batch == list(class_certificates(res).values())
 
 
 def test_express_all_in_gamma_eliminates_once(endo_results, monkeypatch):
@@ -597,9 +621,9 @@ def test_orbit_coordinates_map_to_delta_vectors(args):
     firsts, _ = group_classes(enumerate_classes(finite_field(ps.q), ps.n), ps)
     coords = [orbit_coordinates(delta_form(ct, ps), ps) for ct in firsts]
     vecs = [delta_class(ct, ps) for ct in firsts]
-    assert [image(v, ps) for v in coords] == vecs
+    assert [slots(image(v, ps)) for v in coords] == [slots(v) for v in vecs]
     assert [s_membership(v, ps.ell) for v in coords] == [slot_s_membership(v) for v in vecs]
-    assert express_all_in_gamma(coords, ring) == gram_express_all_in_gamma(vecs, ring)
+    assert express_each(coords, ring) == gram_express_all_in_gamma(vecs, ring)
 
 
 def _coordinates(vec, phi):
@@ -653,10 +677,10 @@ def test_express_all_matches_full_system_referee(endo_results, endo_2_31, endo_1
     for res in [*endo_results.values(), endo_2_31, endo_17_3]:
         pows = gamma_power_basis(res.gamma, res.ring.dimension)
         vecs = list(class_deltas(res).values())
-        got = express_all_in_gamma(list(key_coordinates(res).values()), res.ring)
+        got = express_each(list(key_coordinates(res).values()), res.ring)
         assert got == gram_express_all_in_gamma(vecs, res.ring)
         assert got == ref_express_all_in_gamma(vecs, pows, res.params)
-        assert got == list(res.certificates.values())
+        assert got == list(class_certificates(res).values())
 
 
 def perturbed(data, res):
@@ -681,7 +705,7 @@ def perturbed(data, res):
 def test_express_all_matches_referee_on_perturbed_batches(endo_results, data):
     res = endo_results[data.draw(st.sampled_from(sorted(endo_results)))]
     vecs = perturbed(data, res)
-    got = outcome(express_all_in_gamma, vecs, res.ring)
+    got = outcome(express_each, vecs, res.ring)
     images = [image(v, res.params) for v in vecs]
     assert got == outcome(gram_express_all_in_gamma, images, res.ring)
     assert got is not AssertionFailure
@@ -746,7 +770,7 @@ def test_certificates_reproduce_deltas(endo_results):
     for res in endo_results.values():
         gamma, deltas = res.gamma, class_deltas(res)
         pows = gamma_power_basis(gamma, res.ring.dimension)
-        for label, h in res.certificates.items():
+        for label, h in class_certificates(res).items():
             vec = deltas[label]
             for slot_idx in range(len(vec.entries)):
                 acc = CyclotomicNumber.zero(res.params.ell, res.params.r)
@@ -758,23 +782,25 @@ def test_certificates_reproduce_deltas(endo_results):
 
 
 def assert_matches_per_class(res):
-    """Referee for the per-type records: plain class_predicates on every
-    class, and each class's delta_class vector, one by one, against the
-    image of its orbit coordinates and through the slot chain's
+    """Referee for the per-key records: plain class_predicates on every
+    class against its key's first class (but for the label), and each
+    class's delta_class vector, one by one, against the image of its
+    key's orbit coordinates and through the slot chain's
     reconstruction."""
     ps = res.params
-    assert list(res.class_info) == [ct.label() for ct in res.classes]
-    assert list(res.coordinates) == list(res.class_info)
+    assert res.labels == [ct.label() for ct in res.classes]
+    firsts, key_of = group_classes(res.classes, ps)
+    assert res.key_of == key_of
     singular = []
-    for ct in res.classes:
-        pred = class_predicates(ct, ps)
-        assert list(pred.items()) == list(res.class_info[ct.label()].items())
+    for ct, k in zip(res.classes, key_of):
+        pred = dict(class_predicates(ct, ps), label=None)
+        assert pred == dict(class_predicates(firsts[k], ps), label=None)
         vec = delta_class(ct, ps)
-        assert image(res.coordinates[ct.label()], ps) == vec
-        if res.case_report.bucket_of[ct.label()] == DEGREE_N and theta_exponent(ct, ps):
+        assert slots(image(res.coordinates[k], ps)) == slots(vec)
+        if case_bucket(ct, ps) == DEGREE_N and theta_exponent(ct, ps):
             singular.append(slot_reconstruct_gamma(ps, ct, vec, res.scaled_idempotent))
     assert [list(rec.items()) for rec in singular] == [
-        list(rec.items()) for rec in res.reconstructions
+        list(rec.items()) for rec in class_reconstructions(res)
     ]
 
 
@@ -874,8 +900,13 @@ def test_form_vector_matches_the_slot_referee(args):
         for move in moves:
             moved = move(*form)
             got = failure_or_vector(form_vector, ct, moved, ps)
-            assert got == failure_or_vector(slot_form_vector, ct, moved, ps)
-            seen.add(type(got) if isinstance(got, BlockVector) else got[0])
+            want = failure_or_vector(slot_form_vector, ct, moved, ps)
+            if isinstance(got, BlockVector):
+                seen.add(BlockVector)
+                assert slots(got) == slots(want)
+            else:
+                seen.add(got[0])
+                assert got == want
         assert isinstance(failure_or_vector(form_vector, ct, form, ps), BlockVector)
     assert seen == {BlockVector, AssertionFailure, IntegralityFailure}
 
@@ -898,7 +929,7 @@ def slot_witness_unit(vec, label, ps) -> Fraction:
     unit is a / l^r."""
     if not vec.entries[0].is_zero():
         raise AssertionFailure("witness vector has nonzero Steinberg slot", witness=label)
-    tail = vec.rational_entries()[1:]
+    tail = rationals(vec)[1:]
     if any(v is None or v != tail[0] for v in tail):
         raise AssertionFailure("witness vector is not constant on cuspidal slots", witness=label)
     if ord_frac(tail[0], ps.ell) != ps.r:
@@ -941,7 +972,7 @@ def slot_scaled_idempotent(ps, witness, unit) -> BlockVector:
     one = BlockVector(ps.ell, ps.r, witness.reps, [1] * len(witness.reps))
     idem = slot_minus(slot_scale(one, ps.ell_power), slot_scale(witness, 1 / unit))
     expected = (Fraction(ps.ell_power),) + (Fraction(0),) * (len(witness.reps) - 1)
-    if idem.rational_entries() != expected:
+    if rationals(idem) != expected:
         raise AssertionFailure("scaled idempotent has the wrong shape", witness=repr(idem))
     return idem
 
@@ -963,7 +994,7 @@ def slot_reconstruct_gamma(ps, ct, vec, scaled_idem) -> dict:
     candidate = slot_minus(w, slot_scale(scaled_idem, c))
     j = theta_exponent(ct, ps)
     expected = theta_orbit_vector(ps, j)
-    if candidate != expected:
+    if slots(candidate) != slots(expected):
         raise AssertionFailure(
             f"reconstruction of {ct.label()} missed its theta-orbit vector",
             witness={"got": repr(candidate), "expected": repr(expected)},
@@ -992,9 +1023,8 @@ def slot_endo_ring(ps):
     eps, _ = sylow_generator(finite_field(ps.q**ps.n), ps.ell)
     eps_poly = minimal_polynomial(eps, finite_field(ps.q))
     for ct, rec in zip([ct for ct, k in zip(classes, key_of) if k in replayed], records):
-        if ct.factors[0][0] == eps_poly and theta_orbit_vector(ps, rec["theta_exponent"]) != (
-            gamma_vector(ps)
-        ):
+        rebuilt = theta_orbit_vector(ps, rec["theta_exponent"])
+        if ct.factors[0][0] == eps_poly and slots(rebuilt) != slots(gamma_vector(ps)):
             raise AssertionFailure("class of the canonical Sylow generator does not rebuild gamma")
     return label, unit, idem, records
 
@@ -1008,8 +1038,8 @@ def test_endo_ring_matches_the_slot_chain(args):
     res = verify_endo_ring(*args)
     label, unit, idem, records = slot_endo_ring(res.params)
     assert (res.case_report.witness_label, res.idempotent_unit) == (label, unit)
-    assert res.scaled_idempotent == idem
-    assert [list(rec.items()) for rec in res.reconstructions] == [
+    assert slots(res.scaled_idempotent) == slots(idem)
+    assert [list(rec.items()) for rec in class_reconstructions(res)] == [
         list(rec.items()) for rec in records
     ]
 
@@ -1165,22 +1195,23 @@ def test_endo_ring_computes_once_per_type_at_17_3(monkeypatch):
     assert len(deltas) == 12
     assert len(columns) == 1 and columns[0] <= 12
     labels = [ct.label() for ct in res.classes]
-    assert len(labels) == 288
-    assert list(res.certificates) == labels
-    assert list(res.class_info) == labels
+    assert len(labels) == 288 and res.labels == labels
+    # every per-class result is held once per key
+    assert len(res.coordinates) == len(res.reconstructions) == len(res.certificate_of) == 12
+    assert len(res.case_report.in_s) == 12 and len(res.certificates) == columns[0]
     singular = [
         ct.label()
         for ct in res.classes
-        if res.case_report.bucket_of[ct.label()] == DEGREE_N
-        and theta_exponent(ct, res.params)
+        if case_bucket(ct, res.params) == DEGREE_N and theta_exponent(ct, res.params)
     ]
     assert len(singular) == 128
-    assert [rec["label"] for rec in res.reconstructions] == singular
+    assert [rec["label"] for rec in class_reconstructions(res)] == singular
 
 
 def test_labels_rendered_once_per_class_at_17_3(monkeypatch):
-    # 288 classes; class_predicates (12 type keys) and reconstruct_gamma
-    # (8) still put a label in their own records, once per key
+    # 288 classes; class_predicates (12 type keys) still puts a label
+    # in its own record, once per key; reconstruct_gamma renders one
+    # only in a failure message
     renders = []
     plain_label = ClassType.label
 
@@ -1191,7 +1222,7 @@ def test_labels_rendered_once_per_class_at_17_3(monkeypatch):
     monkeypatch.setattr(ClassType, "label", counted)
     res = verify_endo_ring(17, 3, 2)
     assert len(res.classes) == 288
-    assert len(renders) <= 288 + 2 * 12
+    assert len(renders) <= 288 + 12
 
 
 def test_fqpoly_hashed_once_per_factor_at_17_3(monkeypatch):
@@ -1279,7 +1310,7 @@ def test_s_membership_once_per_vector_at_17_3(monkeypatch):
     monkeypatch.setattr(centermap, "s_membership", counted)
     res = verify_endo_ring(17, 3, 2)
     assert len(calls) <= 12
-    flags = res.case_report.s_flags
+    flags = per_class(res, res.case_report.in_s)
     assert list(flags) == [ct.label() for ct in res.classes]
     assert len(flags) == 288
     assert flags == {label: slot_s_membership(vec) for label, vec in class_deltas(res).items()}
@@ -1427,9 +1458,9 @@ def test_reduced_twin_agrees(endo_results):
     assert u4.params == p4.params
     assert u4.params_input != p4.params_input
     assert u4.ring.m == p4.ring.m
-    assert u4.gamma == p4.gamma
-    assert {k: v.coeffs for k, v in u4.certificates.items()} == {
-        k: v.coeffs for k, v in p4.certificates.items()
+    assert slots(u4.gamma) == slots(p4.gamma)
+    assert {k: v.coeffs for k, v in class_certificates(u4).items()} == {
+        k: v.coeffs for k, v in class_certificates(p4).items()
     }
     assert u4.idempotent_unit == p4.idempotent_unit
 

@@ -164,11 +164,17 @@ def test_census_check_refuses_partitions_out_of_order(monkeypatch):
 
 
 def test_census_check_refuses_polynomials_out_of_order(monkeypatch):
-    # the walk orders the polynomials by FqPoly.sort_key; the check reads
-    # ClassType.sort_key, which does not go through it
-    monkeypatch.setattr(
-        FqPoly, "sort_key", lambda poly: (poly.degree, tuple(-c.encoding for c in poly.coeffs))
-    )
+    # the walk takes the polynomials in irreducible_polys order, which is
+    # FqPoly.sort_key's; here each degree comes in encoding order instead
+    # (coefficients compared from the top), and the check, which reads
+    # ClassType.sort_key, refuses the census
+    plain = classes.irreducible_polys
+
+    def encoding_order(field, a, scale_bound):
+        polys = plain(field, a, scale_bound)
+        return sorted(polys, key=lambda p: [c.encoding for c in p.coeffs[::-1]])
+
+    monkeypatch.setattr(classes, "irreducible_polys", encoding_order)
     with pytest.raises(AssertionFailure, match="not strictly increasing"):
         enumerate_classes(finite_field(4), 2)
 

@@ -339,6 +339,27 @@ def test_supercuspidal_rejected(capsys):
     assert env["artifacts"]["error"]["type"] == "SupercuspidalCase"
 
 
+# each subcommand accepts only the options it reads: --cache-dir is the
+# census cache of `classes`, --max-group-order the brute-force ceiling
+# of `oracle`
+UNREAD_OPTIONS = [
+    (command, option)
+    for option, reader in (("--cache-dir", "classes"), ("--max-group-order", "oracle"))
+    for command in ("invariants", "endo-ring", "classes", "oracle", "deformation")
+    if command != reader
+]
+
+
+@pytest.mark.parametrize("command,option", UNREAD_OPTIONS)
+def test_an_option_the_subcommand_never_reads_exits_2(capsys, tmp_path, command, option):
+    value = str(tmp_path) if option == "--cache-dir" else "10"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--q", "2", "--ell", "3", "--n", "2", option, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 # the modules perfbench/traced_cli.py spans: it finds them in sys.modules
 # right after `import cuspcenter.cli`
 SPANNED_MODULES = (

@@ -306,11 +306,13 @@ def test_trace_relations_checked_once_per_distinct_trace(monkeypatch):
     assert calls == [a for a in range(ps.ell_power) if traces[a] not in traces[:a]]
 
 
-def test_suite_sums_m_of_f_once_and_runs_no_horner_pass(monkeypatch):
-    # (2,31,5): m(f) is built once, and each of the 7 distinct traces
-    # reads m(Y) as its image
+def test_suite_sums_no_polynomial_in_f_and_runs_no_horner_pass(monkeypatch):
+    # (2,31,5): m = (Y - 5) m_1, and each of the 7 distinct traces reads
+    # m(Y) = 0 off the images of the two factors that invariant_ring
+    # keeps; no polynomial in f is summed again
     ps = validate_parameters(2, 31, 5)
     ring = invariant_ring(ps)
+    assert len(ring.m_factors) == 2
     evaluated, maps, horner = [], [], []
     plain_at_f = invariants.poly_at_f
     plain_map, plain_call = invariants.at_zeta, Poly.__call__
@@ -327,12 +329,15 @@ def test_suite_sums_m_of_f_once_and_runs_no_horner_pass(monkeypatch):
         horner.append(x)
         return plain_call(self, x)
 
-    monkeypatch.setattr(deformation, "poly_at_f", at_f)
+    monkeypatch.setattr(invariants, "poly_at_f", at_f)
     monkeypatch.setattr(deformation, "at_zeta", at_zeta)
     monkeypatch.setattr(Poly, "__call__", call)
     report = deformation_suite(ps, ring)
-    assert evaluated == [ring.m]
-    assert maps == list(orbit_structure(ps).reps) and report["distinct_traces"] == 7
+    check_relations(make_point(ps, 3), ps, ring)
+    assert evaluated == []
+    reps = list(orbit_structure(ps).reps)
+    assert maps == [a for a in reps for _ in range(2)] + [3, 3]
+    assert report["distinct_traces"] == 7
     assert horner == []
 
 
@@ -358,19 +363,37 @@ def test_m_of_y_reads_as_horner_over_q_zeta(args):
 
 
 def test_dropped_factor_of_m_fails_at_the_first_missed_root():
-    # (8,3,2): m = (Y - 2) m_1 m_2; without m_1 the first a whose trace
-    # is a root of m_1 fails, found here by trying every a
+    # (8,3,2): m = (Y - 2) m_1 m_2; without m_1, from m, the listed
+    # factors and their images, the first a whose trace is a root of m_1
+    # fails, found here by trying every a
     ps = validate_parameters(8, 3, 2)
     ring = invariant_ring(ps)
     y_minus_n, _, m_2 = ring.m_factors
-    broken = ring._replace(m=y_minus_n * m_2)
+    image_0, _, image_2 = ring.factor_images
+    broken = ring._replace(
+        m=y_minus_n * m_2, m_factors=(y_minus_n, m_2), factor_images=(image_0, image_2)
+    )
     first = next(
         a for a in range(ps.ell_power) if not broken.m(make_point(ps, a).trace).is_zero()
     )
-    with pytest.raises(
-        AssertionFailure, match=rf"^generator m\(Y\) does not vanish at a = {first}$"
-    ):
+    message = rf"^generator m\(Y\) does not vanish at a = {first}$"
+    with pytest.raises(AssertionFailure, match=message):
         deformation_suite(ps, broken)
+    with pytest.raises(AssertionFailure, match=message):
+        check_relations(make_point(ps, first), ps, broken)
+
+
+def test_factors_that_do_not_multiply_to_m_fail():
+    # a factor dropped from the list alone: m(Y) = 0 would be read off
+    # a product that is not m
+    ps = validate_parameters(8, 3, 2)
+    ring = invariant_ring(ps)
+    broken = ring._replace(m_factors=ring.m_factors[:2], factor_images=ring.factor_images[:2])
+    message = "^the listed factors of m do not multiply to m$"
+    with pytest.raises(AssertionFailure, match=message):
+        deformation_suite(ps, broken)
+    with pytest.raises(AssertionFailure, match=message):
+        check_relations(make_point(ps, 1), ps, broken)
 
 
 def test_presentation_describe_p1():

@@ -88,8 +88,9 @@ def monic_remainder(a, b):
 
 
 def trial_division_irreducibles(field, a):
-    """The referee: every monic polynomial of degree a, in coefficient-
-    encoding order, that no monic irreducible of degree <= a/2 divides."""
+    """The referee: every monic polynomial of degree a that no monic
+    irreducible of degree <= a/2 divides, in ``FqPoly.sort_key`` order
+    (coefficients compared from the constant term up)."""
     q = field.order
     smaller = []
     for b in range(1, a // 2 + 1):
@@ -103,7 +104,7 @@ def trial_division_irreducibles(field, a):
         cand = FqPoly(field, tuple(field.element(d) for d in digits) + (field.one,))
         if all(monic_remainder(cand, small).coeffs for small in smaller):
             out.append(cand)
-    return tuple(out)
+    return tuple(sorted(out, key=FqPoly.sort_key))
 
 
 def test_fixed_moduli():

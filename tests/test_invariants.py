@@ -8,6 +8,7 @@ import builtins
 import json
 import re
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -737,10 +738,11 @@ def full_parameters(args):
 
 def assert_matches_the_group_ring(ps, sweep_deformation: bool) -> None:
     """basis_matrix, m, its factors, the omegas, the factor images and
-    ``factor_values``, and the m(Y) images that ``deformation`` reads,
-    against ``conftest.group_ring_invariant_ring``.  The deformation
-    sweep runs with one unit assignment, as the T-side does not touch
-    the ring."""
+    ``factor_values``, and the images of the factors of m that
+    ``deformation`` reads at each distinct trace, and their product
+    m(Y), against ``conftest.group_ring_invariant_ring``.  The
+    deformation sweep runs with one unit assignment, as the T-side does
+    not touch the ring."""
     ring, ref = invariant_ring(ps), group_ring_invariant_ring(ps)
     assert ring.basis_matrix == ref.basis_matrix
     assert rank_mod(ring.basis_matrix, ps.ell) == ring.dimension
@@ -752,15 +754,19 @@ def assert_matches_the_group_ring(ps, sweep_deformation: bool) -> None:
     )
     images = []
     if sweep_deformation:
+        factors_at = {}
         with pytest.MonkeyPatch.context() as mp:
             plain = deformation.at_zeta
 
             def recorded(ps, coords, level, a):
-                images.append((a, plain(ps, coords, level, a)))
-                return images[-1][1]
+                factors_at.setdefault(a, []).append(plain(ps, coords, level, a))
+                return factors_at[a][-1]
 
             mp.setattr(deformation, "at_zeta", recorded)
             deformation_suite(ps, ring, unit_choices=(1,))
+        for a, values in factors_at.items():
+            assert values == [x.at_zeta(ell, r, a) for x in ref.factor_images]
+            images.append((a, prod(values)))
     else:
         m_of_f = poly_at_f(ring.m, ring.basis_matrix, ring.times_f)
         images = [(a, at_zeta(ps, m_of_f, r, a)) for a in reps]

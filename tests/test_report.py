@@ -249,7 +249,7 @@ def test_cache_roundtrip(tmp_path):
     save_census(cache_dir, 4, 2, fresh)
     loaded = load_census(cache_dir, 4, 2, field)
     assert loaded is not None
-    assert tuple(loaded) == tuple(fresh)
+    assert loaded == fresh
 
 
 def test_cache_missing_returns_none(tmp_path):
