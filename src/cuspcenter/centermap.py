@@ -41,7 +41,7 @@ from .finitefield import finite_field, minimal_polynomial, sylow_generator
 from .invariants import (
     InvariantRingData,
     at_zeta,
-    checked_factor_images,
+    factor_values,
     invariant_ring,
     orbit_structure,
     orbit_sums,
@@ -89,6 +89,7 @@ def delta_form(ct: ClassType, ps: ParameterSet) -> tuple[Fraction, Fraction, int
     the ``characters.cuspidal_form``.  It depends on the class only
     through ``ct.type_key`` and ``theta_exponent(ct, ps)``, on which
     ``classes.group_classes`` groups the census."""
+    ps = require_reduced(ps)
     size = ct.class_size()
     st = Fraction(size * steinberg_value(ct, ps), steinberg_dimension(ps))
     c, j = cuspidal_form(ct, ps)
@@ -423,16 +424,6 @@ def gamma_power_basis(gamma: BlockVector, count: int):
             BlockVector(ell, r, reps, [a * b for a, b in zip(prev.entries, gamma.entries)])
         )
     return powers
-
-
-def factor_values(ring: InvariantRingData) -> tuple[tuple, ...]:
-    """values[k][s] is the image of h(f), h the k-th listed factor of m,
-    at slot s, mapped by ``invariants.at_zeta`` from the orbit
-    coordinates of ``checked_factor_images``: this table's zero pattern
-    says where m, m/factor and g vanish."""
-    ps, reps = ring.ps, ring.orbits.reps
-    images = checked_factor_images(ring)
-    return tuple(tuple(at_zeta(ps, x, ps.r, e) for e in reps) for x in images)
 
 
 def _zero_slots(rows) -> list[bool]:

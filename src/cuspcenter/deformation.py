@@ -15,10 +15,9 @@ Psi and Y depend on a alone, and Fr, its characteristic polynomial
 and det Fr on the units alone, so each side is built and checked on
 its own, Fr and its T-values in plain ints.  Y is the image of f under
 the ring map X -> zeta^a, so h(Y) is the image of h(f) for each listed
-factor h of m, whose orbit coordinates ``invariant_ring`` keeps
-(``invariants.checked_factor_images``); Q(zeta) is a field, so m(Y) = 0
-exactly when one of them vanishes, read by ``invariants.at_zeta`` once
-per factor and distinct Y.  The commutation
+factor h of m, the cell of ``invariants.factor_values`` at a's slot,
+the table that ``endo-ring`` reads too; Q(zeta) is a field, so
+m(Y) = 0 exactly when one of them vanishes.  The commutation
 relation factors too: Fr's entries are nonzero integers and Q(zeta) is
 a field, so it holds exactly when Psi's diagonal is the q-power ladder,
 checked once per a on the exponents of zeta, and every unit is nonzero,
@@ -38,7 +37,7 @@ from typing import NamedTuple
 from .arith import ord_int
 from .cyclotomic import CyclotomicNumber, zeta
 from .errors import AssertionFailure, ParameterError, RelationFailure
-from .invariants import InvariantRingData, at_zeta, checked_factor_images, orbit_sums
+from .invariants import InvariantRingData, factor_values, orbit_sums
 from .matrices import charpoly
 from .params import ParameterSet, require_reduced
 from .polynomials import Poly
@@ -94,13 +93,12 @@ def _check_commutation(a: int, diagonal: tuple, diagonal_q: tuple) -> None:
             raise RelationFailure(f"Fr Psi != Psi^q Fr at entry ({i}, {j}) for a = {a}")
 
 
-def _check_trace(a: int, trace, ps: ParameterSet, factor_images: tuple) -> None:
+def _check_trace(a: int, trace, ps: ParameterSet, values: list) -> None:
     """The relations on Y alone: m(Y) = 0, and Y = n at a = 0.  Y is the
     image of f under the ring map X -> zeta^a (``orbit_sums``), so h(Y)
-    is the image of h(f) under that map (``at_zeta``) for each factor h
-    of m, ``factor_images`` holding their orbit coordinates; m(Y), their
-    product, vanishes iff one of them does."""
-    values = [at_zeta(ps, x, ps.r, a) for x in factor_images]
+    is the image of h(f) under that map for each factor h of m, and
+    ``values`` holds them, the column of ``factor_values`` at a's slot;
+    m(Y), their product, vanishes iff one of them does."""
     if not any(v.is_zero() for v in values):
         raise AssertionFailure(
             f"generator m(Y) does not vanish at a = {a}", witness=repr(prod(values))
@@ -173,7 +171,8 @@ def check_relations(pt: DeformationPoint, ps: ParameterSet, ring: InvariantRingD
     generator on failure."""
     ps = require_reduced(ps)
     a = pt.zeta_exponent % ps.ell_power
-    _check_trace(a, pt.trace, ps, checked_factor_images(ring))
+    slot = ring.orbits.index[a]
+    _check_trace(a, pt.trace, ps, [row[slot] for row in factor_values(ring)])
     _check_t_values(a, ps.ell, pt.t_values)
     _check_det(pt.units, pt.t_values)
     return {
@@ -219,7 +218,7 @@ def deformation_suite(
     relations, and confirm that the trace values sweep out exactly the
     root set of m.  Fr and its charpoly are built and checked once
     per unit assignment, Psi, its trace and the commutation relation
-    once per a, and m(Y) = 0, read off the images of the factors of m,
+    once per a, and m(Y) = 0, read off the ``factor_values`` table,
     at the first a of each distinct trace, as a later a would repeat
     the same check.  The T_k relations depend on a only through
     whether a != 0, so they are checked once per unit assignment, right
@@ -233,12 +232,12 @@ def deformation_suite(
         _, t_values = _fr_side(ps, units)
         _check_det(units, t_values)
         t_sides.append(t_values)
-    factor_images = checked_factor_images(ring)
+    table, index = factor_values(ring), ring.orbits.index
     traces = set()
     for a in range(ps.ell_power):
         diagonal, diagonal_q, trace = _psi_side(ps, a)
         if trace not in traces:
-            _check_trace(a, trace, ps, factor_images)
+            _check_trace(a, trace, ps, [row[index[a]] for row in table])
             traces.add(trace)
         _check_commutation(a, diagonal, diagonal_q)
         if a == 1:

@@ -11,22 +11,25 @@ generators, roots).
 
 Sums and differences work digit by digit on encodings (XOR when p = 2).
 Products, powers and inverses go through the field's exp/log tables,
-built on its first product by walking the powers of its generator g, the
-first primitive element in encoding order: ``exp[k]`` is the encoding of
-g^k and ``log`` inverts it on the units.  The tuple arithmetic on
-coefficient lists (``_pp_mulmod``, ``_pp_rem``) finds the moduli, tests
-generators and takes each step of the walk; the tests keep it as the
-referee.
+the cached property ``FiniteField.log_tables``, built on its first
+product by walking the powers of its generator g, the first primitive
+element in encoding order: ``exp[k]`` is the encoding of g^k and
+``log`` inverts it on the units.  The tuple arithmetic on coefficient
+lists (``_pp_mulmod``, ``_pp_rem``) finds the moduli, tests generators
+and takes each step of the walk; the tests keep it as the referee.
 
 Subfields embed by sending the small field's generator to the smallest
 root of its modulus in the big field.  All such choices are pure
-functions of (p, e), so independent runs agree.
+functions of (p, e), so independent runs agree.  A field keeps nothing
+but its tables: ``finite_field`` and every table derived from fields
+(embeddings, Frobenius orbits, irreducibles, Sylow data) are memoised
+by ``functools.cache`` on the module functions that compute them.
 
 Roots and irreducible polynomials come from Frobenius orbits.  In log
 form the orbit of g^k under x -> x^Q is the cyclotomic coset
 {k Q^i mod (p^e - 1)} (Lidl & Niederreiter, *Finite Fields*, ch. 2-3),
-so one lazy pass over a big field per subfield
-(``frobenius_orbits``) walks the encodings in order, reads the coset of
+so one pass over a big field per subfield (``frobenius_orbits``)
+walks the encodings in order, reads the coset of
 each new one off its log and records the orbit's product of (Y - x_i),
 the minimal polynomial (``minimal_polynomial`` takes the same product
 for one element), against x, its smallest-encoding root.  So every
@@ -35,11 +38,14 @@ the root ``roots_in(...)[0]`` would return; ``roots_in`` keeps its
 brute-force evaluation as the tests' referee.  ``irreducible_polys``
 lists each degree in the census's ``FqPoly.sort_key`` order, which
 compares coefficients from the constant term up.  Discrete logs on the
-Sylow l-subgroup are read off the same log table (``ell_part_and_dlog``).
+Sylow l-subgroup are read off the same log table: ``_sylow`` finds the
+log of the Sylow generator and the residue table once per (field, l),
+and both ``sylow_generator`` and ``ell_part_and_dlog`` read it.
 """
 
 from __future__ import annotations
 
+from functools import cache, cached_property
 from math import gcd
 from operator import xor
 
@@ -165,44 +171,18 @@ def _first_primitive(field: "FiniteField") -> int:
     raise AssertionFailure(f"no primitive element found in {field!r}")
 
 
-def _log_tables(field: "FiniteField") -> tuple:
-    """(exp, log) for the field's generator g.  ``exp[k]`` is the
-    encoding of g^k, stored twice over so exponent sums need no
-    reduction; ``log`` inverts it on the units (its entry 0 is -1).
-    The walk multiplies by g with the tuple arithmetic; every unit must
-    be met exactly once."""
-    p, e, order = field.p, field.e, field.order
-    units = order - 1
-    g = _pp_trim(_decode_poly(_first_primitive(field), e, p))
-    exp = [0] * units
-    log = [-1] * order
-    x = 1
-    for k in range(units):
-        if log[x] >= 0:
-            raise AssertionFailure(f"g^{k} repeats g^{log[x]} in {field!r}")
-        exp[k] = x
-        log[x] = k
-        x = _encode_poly(_pp_mulmod(_decode_poly(x, e, p), g, field.modulus, p), p)
-    if x != 1:
-        raise AssertionFailure(f"g^{units} is not 1 in {field!r}")
-    return exp + exp, log
-
-
 # ---------------------------------------------------------------------------
 # fields and elements
 # ---------------------------------------------------------------------------
 
-_FIELDS: dict[int, "FiniteField"] = {}  # write-once registry, keyed by order
 
-
+@cache
 def finite_field(q: int) -> "FiniteField":
-    field = _FIELDS.get(q)
-    if field is None:
-        pe = prime_power(q)
-        if pe is None:
-            raise ValueError(f"{q} is not a prime power")
-        field = _FIELDS[q] = FiniteField(*pe)
-    return field
+    """The one field of order q."""
+    pe = prime_power(q)
+    if pe is None:
+        raise ValueError(f"{q} is not a prime power")
+    return FiniteField(*pe)
 
 
 class FiniteField:
@@ -217,19 +197,29 @@ class FiniteField:
         self.one = FFElement(self, 1)
         self._add = _digitwise(p, e, 1)
         self._sub = _digitwise(p, e, -1)
-        self._tables = None  # (exp, log), built by log_tables()
-        self._embeddings: dict[tuple[int, int], dict] = {}
-        self._inverse_embeddings: dict[tuple[int, int], dict] = {}
-        self._orbits: dict[tuple[int, int], dict] = {}
-        self._irreducibles: dict[int, tuple] = {}
-        self._sylow: dict[int, tuple] = {}
-        self._sylow_logs: dict[int, tuple] = {}
 
+    @cached_property
     def log_tables(self) -> tuple:
-        """(exp, log) on encodings; see ``_log_tables``."""
-        if self._tables is None:
-            self._tables = _log_tables(self)
-        return self._tables
+        """(exp, log) for the field's generator g.  ``exp[k]`` is the
+        encoding of g^k, stored twice over so exponent sums need no
+        reduction; ``log`` inverts it on the units (its entry 0 is -1).
+        The walk multiplies by g with the tuple arithmetic; every unit
+        must be met exactly once."""
+        p, e, order = self.p, self.e, self.order
+        units = order - 1
+        g = _pp_trim(_decode_poly(_first_primitive(self), e, p))
+        exp = [0] * units
+        log = [-1] * order
+        x = 1
+        for k in range(units):
+            if log[x] >= 0:
+                raise AssertionFailure(f"g^{k} repeats g^{log[x]} in {self!r}")
+            exp[k] = x
+            log[x] = k
+            x = _encode_poly(_pp_mulmod(_decode_poly(x, e, p), g, self.modulus, p), p)
+        if x != 1:
+            raise AssertionFailure(f"g^{units} is not 1 in {self!r}")
+        return exp + exp, log
 
     def element(self, encoding: int) -> "FFElement":
         return FFElement(self, encoding % self.order)
@@ -308,7 +298,7 @@ class FFElement:
         a, b = self.encoding, self._operand(other)
         if not (a and b):
             return f.zero
-        exp, log = f.log_tables()
+        exp, log = f.log_tables
         return FFElement(f, exp[log[a] + log[b]])
 
     __rmul__ = __mul__
@@ -319,7 +309,7 @@ class FFElement:
             if k < 0:
                 raise ZeroDivisionError("inverse of zero field element")
             return f.zero if k else f.one
-        exp, log = f.log_tables()
+        exp, log = f.log_tables
         return FFElement(f, exp[log[self.encoding] * k % (f.order - 1)])
 
     def inverse(self) -> "FFElement":
@@ -334,21 +324,17 @@ class FFElement:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def embedding(src: FiniteField, dst: FiniteField) -> dict:
     """The deterministic field embedding src -> dst as a lookup dict.
 
     Sends the source generator to the smallest root of the source
     modulus in dst.  Requires src.e | dst.e.
     """
-    key = (src.p, src.e)
-    if key in dst._embeddings:
-        return dst._embeddings[key]
     if src.p != dst.p or dst.e % src.e:
         raise AssertionFailure(f"{src!r} is not a subfield of {dst!r}")
     if src is dst:
-        table = {x: x for x in src.elements()}
-        dst._embeddings[key] = table
-        return table
+        return {x: x for x in src.elements()}
     root = None
     for t in dst.elements():
         acc = dst.zero
@@ -368,16 +354,13 @@ def embedding(src: FiniteField, dst: FiniteField) -> dict:
         for c, tp in zip(x.coeffs, powers):
             img = img + tp * c
         table[x] = img
-    dst._embeddings[key] = table
     return table
 
 
+@cache
 def inverse_embedding(src: FiniteField, dst: FiniteField) -> dict:
     """The inverse of ``embedding(src, dst)``, defined on its image."""
-    key = (src.p, src.e)
-    if key not in dst._inverse_embeddings:
-        dst._inverse_embeddings[key] = {v: k for k, v in embedding(src, dst).items()}
-    return dst._inverse_embeddings[key]
+    return {v: k for k, v in embedding(src, dst).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +468,14 @@ def irreducible_polys(field: FiniteField, a: int, scale_bound: int = 10**6):
     the constant term up.  Includes x.
 
     They are the degree-a orbits of the Frobenius pass over GF(q^a)."""
+    if field.order**a > scale_bound:
+        raise ScaleLimit(f"irreducible_polys over GF({field.order}) at degree {a}")
+    return _irreducibles(field, a)
+
+
+@cache
+def _irreducibles(field: FiniteField, a: int) -> tuple:
     q = field.order
-    if q**a > scale_bound:
-        raise ScaleLimit(f"irreducible_polys over GF({q}) at degree {a}")
-    if a in field._irreducibles:
-        return field._irreducibles[a]
     orbits = frobenius_orbits(field, finite_field(q**a))
     found = sorted(cs for cs in orbits if len(cs) == a + 1)  # low coefficient first
     out = tuple(FqPoly.from_encodings(field, cs) for cs in found)
@@ -498,7 +484,6 @@ def irreducible_polys(field: FiniteField, a: int, scale_bound: int = 10**6):
         raise AssertionFailure(
             f"found {len(out)} irreducibles of degree {a} over GF({q}), expected {expected}"
         )
-    field._irreducibles[a] = out
     return out
 
 
@@ -523,7 +508,7 @@ def _coset(k: int, q: int, units: int) -> list:
 
 def _coset_product(big: FiniteField, coset) -> list:
     """Encodings, low degree first, of prod (Y - g^i) over i in ``coset``."""
-    exp, log = big.log_tables()
+    exp, log = big.log_tables
     minus = big._sub
     coeffs = [1]
     for i in coset:
@@ -541,28 +526,21 @@ def minimal_polynomial(t: FFElement, sub: FiniteField) -> FqPoly:
     back = inverse_embedding(sub, big)
     if not t:
         return FqPoly(sub, (sub.zero, sub.one))
-    coset = _coset(big.log_tables()[1][t.encoding], sub.order, big.order - 1)
+    coset = _coset(big.log_tables[1][t.encoding], sub.order, big.order - 1)
     return FqPoly(sub, tuple(back[FFElement(big, c)] for c in _coset_product(big, coset)))
 
 
+@cache
 def frobenius_orbits(sub: FiniteField, big: FiniteField) -> dict:
     """Every monic irreducible over ``sub`` of degree dividing
     [big : sub], as the encodings of its coefficients (low degree first,
     leading 1 included), mapped to the encoding of its smallest root in
     ``big`` -- the root ``roots_in(poly, big)[0]`` returns.
 
-    Computed on first use by one pass over ``big`` and kept on ``big``
-    per subfield."""
-    key = (sub.p, sub.e)
-    if key not in big._orbits:
-        big._orbits[key] = _orbit_pass(sub, big)
-    return big._orbits[key]
-
-
-def _orbit_pass(sub: FiniteField, big: FiniteField) -> dict:
+    Computed on first use by one pass over ``big`` per subfield."""
     back = {x.encoding: y.encoding for x, y in inverse_embedding(sub, big).items()}
     degree = big.e // sub.e
-    exp, log = big.log_tables()
+    exp, log = big.log_tables
     visited = bytearray(big.order)
     table = {(0, 1): 0}  # zero is an orbit of its own, with minimal polynomial Y
     for enc in range(1, big.order):
@@ -595,21 +573,19 @@ def smallest_root(poly: FqPoly, big: FiniteField) -> FFElement:
 # ---------------------------------------------------------------------------
 
 
-def sylow_generator(field: FiniteField, ell: int):
-    """(eps, r) where eps is the first element in encoding order of
-    multiplicative order exactly l^r, l^r the ell-part of |F^x|.
+@cache
+def _sylow(field: FiniteField, ell: int) -> tuple:
+    """(eps_log, r, residues): eps = g^eps_log is the first element in
+    encoding order of multiplicative order exactly l^r, l^r the
+    ell-part of |F^x|, and ``residues[k mod l^r]`` is the exponent j
+    that makes g^k eps^-j l-regular.
 
     g^k has order |F^x| / gcd(k, |F^x|), so eps is the first encoding
-    whose log k has gcd(k, |F^x|) = |F^x| / l^r.  Next to it,
-    ``field._sylow_logs[ell]`` keeps (log eps, residues) with
-    ``residues[k mod l^r]`` the exponent j that makes g^k eps^-j
-    l-regular."""
-    if ell in field._sylow:
-        return field._sylow[ell]
+    whose log k has gcd(k, |F^x|) = |F^x| / l^r."""
     units = field.order - 1
     r = ord_int(units, ell) if units % ell == 0 else 0
     target = ell**r
-    exp, log = field.log_tables()
+    log = field.log_tables[1]
     eps_log = next(
         (log[enc] for enc in range(1, field.order) if gcd(log[enc], units) == units // target),
         None,
@@ -619,9 +595,14 @@ def sylow_generator(field: FiniteField, ell: int):
     residues = [0] * target
     for j in range(target):
         residues[eps_log * j % target] = j
-    field._sylow[ell] = (FFElement(field, exp[eps_log]), r)
-    field._sylow_logs[ell] = (eps_log, tuple(residues))
-    return field._sylow[ell]
+    return eps_log, r, tuple(residues)
+
+
+def sylow_generator(field: FiniteField, ell: int):
+    """(eps, r) of ``_sylow``: eps the first element in encoding order
+    of multiplicative order exactly l^r, l^r the ell-part of |F^x|."""
+    eps_log, r, _ = _sylow(field, ell)
+    return FFElement(field, field.log_tables[0][eps_log]), r
 
 
 def ell_part_and_dlog(t: FFElement, ell: int) -> int:
@@ -630,10 +611,9 @@ def ell_part_and_dlog(t: FFElement, ell: int) -> int:
     if not t:
         raise ZeroElement("ell-part of zero")
     field = t.field
-    sylow_generator(field, ell)
-    eps_log, residues = field._sylow_logs[ell]
+    eps_log, _, residues = _sylow(field, ell)
     lr = len(residues)
-    k = field.log_tables()[1][t.encoding]
+    k = field.log_tables[1][t.encoding]
     j = residues[k % lr]
     # t = eps^j * t_reg with t_reg = g^(k - j log eps), whose order
     # |F^x| / gcd(k - j log eps, |F^x|) is prime to l exactly when l^r

@@ -418,7 +418,7 @@ def block_slot_rows(table: GL2Table, ps: ParameterSet) -> dict:
     character sending the canonical Sylow generator to the canonical
     embedded root of unity; u0 is solved from the generator's discrete
     log in the table."""
-    require_reduced(ps)
+    ps = require_reduced(ps)
     if ps.n != 2 or ps.q != table.q:
         raise AssertionFailure("table/parameter mismatch")
     big = finite_field(ps.q**2)

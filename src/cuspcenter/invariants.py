@@ -55,6 +55,7 @@ Main outputs:
   * omega_and_min_poly   - omega_i (f at level i), m_i and m_i(f)
   * min_polynomial       - m = (Y - n) * prod_i m_i and each factor at f
   * checked_factor_images - those factors at f, once they multiply to m
+  * factor_values        - those factors at every slot, by ``at_zeta``
   * t_valuation          - j*, the t-adic valuation of f - n mod l
   * invariant_ring       - the basis matrix, whose column k holds f^k,
                            certified invertible with l-integral
@@ -398,6 +399,15 @@ def checked_factor_images(ring: InvariantRingData) -> tuple:
     if factors[0] != Poly((-ring.ps.n, 1)):
         raise AssertionFailure(f"first factor of m is {factors[0]!r}, not Y - n")
     return ring.factor_images
+
+
+def factor_values(ring: InvariantRingData) -> tuple[tuple, ...]:
+    """values[k][s] is the image of h(f), h the k-th listed factor of m,
+    at slot s, mapped by ``at_zeta`` from ``checked_factor_images``: the
+    zero pattern says where m, m/factor, g and, at each trace, m(Y) vanish."""
+    ps, reps = ring.ps, ring.orbits.reps
+    images = checked_factor_images(ring)
+    return tuple(tuple(at_zeta(ps, x, ps.r, e) for e in reps) for x in images)
 
 
 def invariant_ring(ps: ParameterSet) -> InvariantRingData:

@@ -31,7 +31,6 @@ from cuspcenter.centermap import (
     verify_endo_ring,
     express_all_in_gamma,
     express_in_gamma,
-    factor_values,
     g_of_gamma_check,
     gamma_power_basis,
     gamma_vector,
@@ -70,7 +69,7 @@ from cuspcenter.classes import (
 from cuspcenter.cyclotomic import CyclotomicNumber, phi_prime_power, zeta
 from cuspcenter.errors import AssertionFailure, IntegralityFailure, NoSolution
 from cuspcenter.finitefield import FqPoly, finite_field, minimal_polynomial, sylow_generator
-from cuspcenter.invariants import at_zeta, invariant_ring
+from cuspcenter.invariants import at_zeta, factor_values, invariant_ring
 from cuspcenter.params import reduce_parameters, validate_parameters
 from cuspcenter.polynomials import Poly
 

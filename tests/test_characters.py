@@ -7,7 +7,7 @@ import pytest
 from conftest import CASES
 
 from cuspcenter import characters
-from cuspcenter.centermap import block_slots, delta_class
+from cuspcenter.centermap import block_slots, delta_class, delta_form
 from cuspcenter.characters import (
     cuspidal_dimension,
     cuspidal_form,
@@ -19,6 +19,7 @@ from cuspcenter.characters import (
 from cuspcenter.classes import enumerate_classes, group_classes, make_class_type
 from cuspcenter.cyclotomic import CyclotomicNumber
 from cuspcenter.finitefield import FqPoly, finite_field
+from cuspcenter.gl2table import block_slot_rows, gl2_character_table
 from cuspcenter.invariants import orbit_sums
 from cuspcenter.params import reduce_parameters, validate_parameters
 
@@ -203,3 +204,20 @@ def test_delta_class_reads_the_theta_exponent_once_per_key(monkeypatch):
     degree_n = [ct for ct in firsts if ct.is_primary and ct.factors[0][0].degree == 7]
     assert len(firsts) == 70
     assert calls == degree_n
+
+
+def test_unreduced_parameters_compute_on_the_reduced_twin():
+    # (q, ell, n, d) = (2, 5, 4, 2) Morita-reduces to (4, 5, 2): every
+    # function that reads q and n sees the GL_2(F_4) picture from both
+    unreduced, twin = validate_parameters(2, 5, 4, 2), validate_parameters(4, 5, 2)
+    assert cuspidal_dimension(unreduced) == cuspidal_dimension(twin) == 3
+    assert steinberg_dimension(unreduced) == steinberg_dimension(twin) == 4
+    classes = enumerate_classes(finite_field(4), 2)
+    assert len(classes) == 15
+    for ct in classes:
+        for form in (cuspidal_form, steinberg_value, delta_form):
+            assert form(ct, unreduced) == form(ct, twin)
+        for i in block_slots(twin):
+            assert cuspidal_value(i, ct, unreduced) == cuspidal_value(i, ct, twin)
+    table = gl2_character_table(4)
+    assert block_slot_rows(table, unreduced) == block_slot_rows(table, twin)

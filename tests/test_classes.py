@@ -255,17 +255,8 @@ def test_theta_exponent_reads_roots_from_one_orbit_pass(monkeypatch):
     from cuspcenter import classes
 
     f8, f64 = finite_field(8), finite_field(64)
-    for field in (f8, f64):
-        monkeypatch.setattr(field, "_orbits", {})
-        monkeypatch.setattr(field, "_irreducibles", {})
-    original_pass = finitefield._orbit_pass
-    passes = []
-
-    def counting_pass(sub, big):
-        passes.append((sub, big))
-        return original_pass(sub, big)
-
-    monkeypatch.setattr(finitefield, "_orbit_pass", counting_pass)
+    finitefield.frobenius_orbits.cache_clear()  # compute, do not recall
+    finitefield._irreducibles.cache_clear()
     original_roots_in = finitefield.roots_in
     roots_in_calls = []
 
@@ -288,7 +279,12 @@ def test_theta_exponent_reads_roots_from_one_orbit_pass(monkeypatch):
     monkeypatch.setattr(classes, "smallest_root", recording_smallest_root)
     result = verify_endo_ring(8, 3, 2)
     assert roots_in_calls == []
-    assert passes.count((f8, f64)) == 1
+    # two passes, F_8 over itself (degree 1) and F_64 over F_8 (degree 2),
+    # each walked once and read again by every later lookup
+    passes = finitefield.frobenius_orbits.cache_info()
+    assert passes.misses == passes.currsize == 2 and passes.hits >= 28
+    finitefield.frobenius_orbits(f8, f64)
+    assert finitefield.frobenius_orbits.cache_info().misses == passes.misses
     degree_2 = [
         ct.factors[0][0]
         for ct in result.classes

@@ -20,6 +20,7 @@ from cuspcenter.invariants import (
     at_zeta,
     invariant_ring,
     orbit_structure,
+    orbit_sums,
     poly_at_f,
 )
 from cuspcenter.matrices import charpoly, mat_mul
@@ -309,9 +310,11 @@ def test_trace_relations_checked_once_per_distinct_trace(monkeypatch):
 def test_suite_sums_no_polynomial_in_f_and_runs_no_horner_pass(monkeypatch):
     # (2,31,5): m = (Y - 5) m_1, and each of the 7 distinct traces reads
     # m(Y) = 0 off the images of the two factors that invariant_ring
-    # keeps; no polynomial in f is summed again
+    # keeps, mapped once per factor and slot by factor_values; no
+    # polynomial in f is summed again
     ps = validate_parameters(2, 31, 5)
     ring = invariant_ring(ps)
+    orbit_sums(ps)  # recall the traces, so only the factor table is counted
     assert len(ring.m_factors) == 2
     evaluated, maps, horner = [], [], []
     plain_at_f = invariants.poly_at_f
@@ -330,13 +333,13 @@ def test_suite_sums_no_polynomial_in_f_and_runs_no_horner_pass(monkeypatch):
         return plain_call(self, x)
 
     monkeypatch.setattr(invariants, "poly_at_f", at_f)
-    monkeypatch.setattr(deformation, "at_zeta", at_zeta)
+    monkeypatch.setattr(invariants, "at_zeta", at_zeta)
     monkeypatch.setattr(Poly, "__call__", call)
     report = deformation_suite(ps, ring)
     check_relations(make_point(ps, 3), ps, ring)
     assert evaluated == []
     reps = list(orbit_structure(ps).reps)
-    assert maps == [a for a in reps for _ in range(2)] + [3, 3]
+    assert maps == [a for _ in range(2) for a in reps] * 2  # suite, then one point
     assert report["distinct_traces"] == 7
     assert horner == []
 

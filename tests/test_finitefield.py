@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspcenter import finitefield
 from cuspcenter.arith import divisors, is_prime
 from cuspcenter.errors import AssertionFailure, InvalidPrime, ScaleLimit, ZeroElement
 from cuspcenter.finitefield import (
@@ -292,7 +293,7 @@ def test_encoded_arithmetic_matches_tuple_arithmetic(data):
 def test_log_tables_walk_the_powers_of_the_first_primitive_element(q, n):
     field = finite_field(q**n)
     units = field.order - 1
-    exp, log = field.log_tables()
+    exp, log = field.log_tables
     assert len(exp) == 2 * units and list(exp[units:]) == list(exp[:units])
     for enc in range(1, field.order):
         assert 0 <= log[enc] < units
@@ -305,13 +306,26 @@ def test_log_tables_walk_the_powers_of_the_first_primitive_element(q, n):
 
 def test_large_field_tables_match_tuple_arithmetic():
     field = finite_field(257**2)
-    exp, log = field.log_tables()
+    exp, log = field.log_tables
     units = field.order - 1
     assert exp[log[12345]] == 12345 and exp[units] == 1
     for a, b in ((2, 3), (258, 66048), (12345, 54321), (257, 257)):
         x, y = field.element(a), field.element(b)
         assert x * y == ref_mul(x, y)
         assert ref_mul(x, x.inverse()) == field.one
+
+
+def test_fields_hold_no_derived_tables(monkeypatch):
+    # embeddings, orbit passes, irreducibles and the Sylow data are
+    # memoised on the module functions, not on the fields, and the
+    # discrete log reads _sylow without going through sylow_generator
+    f3, f9 = finite_field(3), finite_field(9)
+    monkeypatch.delattr(finitefield, "sylow_generator")
+    assert ell_part_and_dlog(f9.element(5) * f9.element(7), 2) in range(8)
+    assert len(irreducible_polys(f3, 2)) == 3
+    assert minimal_polynomial(f9.element(5), f3).degree == 2
+    for field in (f3, f9):
+        assert not any(isinstance(v, dict) for v in vars(field).values())
 
 
 def test_sylow_generator_parameters():
@@ -366,11 +380,10 @@ def test_sylow_generator_and_dlogs_match_brute_force_orders(q, n):
 
 def test_regularity_check_catches_a_corrupted_dlog_table(monkeypatch):
     field = finite_field(64)
-    sylow_generator(field, 3)
-    eps_log, residues = field._sylow_logs[3]
+    eps_log, r, residues = finitefield._sylow(field, 3)
     # off by 3 = l^(r-1): the claimed regular part keeps an l-part of order l
     shifted = tuple((j + 3) % len(residues) for j in residues)
-    monkeypatch.setitem(field._sylow_logs, 3, (eps_log, shifted))
+    monkeypatch.setattr(finitefield, "_sylow", lambda f, ell: (eps_log, r, shifted))
     with pytest.raises(AssertionFailure):
         ell_part_and_dlog(field.one, 3)
 
@@ -378,13 +391,13 @@ def test_regularity_check_catches_a_corrupted_dlog_table(monkeypatch):
 def test_regularity_check_catches_a_corrupted_power_table(monkeypatch):
     field = finite_field(64)
     eps, r = sylow_generator(field, 3)
-    eps_log, residues = field._sylow_logs[3]
-    exp, _ = field.log_tables()
+    eps_log, _, residues = finitefield._sylow(field, 3)
+    exp, _ = field.log_tables
     assert tuple(exp[eps_log * k % 63] for k in range(3**r)) == tuple(
         (eps**k).encoding for k in range(3**r)
     )
     # the log of eps^-1 instead of eps: eps = g^k is compared with eps^-1
-    monkeypatch.setitem(field._sylow_logs, 3, (63 - eps_log, residues))
+    monkeypatch.setattr(finitefield, "_sylow", lambda f, ell: (63 - eps_log, r, residues))
     with pytest.raises(AssertionFailure):
         ell_part_and_dlog(eps, 3)
     assert ell_part_and_dlog(field.one, 3) == 0  # eps^0 = 1 is unchanged

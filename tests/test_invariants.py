@@ -29,9 +29,8 @@ from conftest import (
     trace_powers,
 )
 
-from cuspcenter import cli, deformation, invariants
+from cuspcenter import cli, invariants
 from cuspcenter.arith import is_prime, multiplicative_order, ord_frac, prime_power
-from cuspcenter.centermap import factor_values
 from cuspcenter.deformation import deformation_suite
 from cuspcenter.errors import (
     AssertionFailure,
@@ -41,6 +40,7 @@ from cuspcenter.errors import (
 )
 from cuspcenter.invariants import (
     at_zeta,
+    factor_values,
     invariant_ring,
     min_polynomial,
     orbit_structure,
@@ -727,6 +727,7 @@ LADDER_SETS = [
     (17, 3, 2), (7, 5, 4), (53, 3, 2), (101, 17, 2), (211, 53, 2),
     (2, 73), (997, 499),
     (5, 3, 2), (9, 5, 2), (11, 3, 2),
+    (13, 5, 4), (64, 19, 3),
 ]
 
 
@@ -755,14 +756,15 @@ def assert_matches_the_group_ring(ps, sweep_deformation: bool) -> None:
     images = []
     if sweep_deformation:
         factors_at = {}
+        orbit_sums(ps)  # recall the traces, so only the factor table is recorded
         with pytest.MonkeyPatch.context() as mp:
-            plain = deformation.at_zeta
+            plain = invariants.at_zeta
 
             def recorded(ps, coords, level, a):
                 factors_at.setdefault(a, []).append(plain(ps, coords, level, a))
                 return factors_at[a][-1]
 
-            mp.setattr(deformation, "at_zeta", recorded)
+            mp.setattr(invariants, "at_zeta", recorded)
             deformation_suite(ps, ring, unit_choices=(1,))
         for a, values in factors_at.items():
             assert values == [x.at_zeta(ell, r, a) for x in ref.factor_images]

@@ -24,8 +24,8 @@ spawner process so that it does not inherit this script's high-water
 mark), the exit code and the sha256 of stdout.
 Each row also records `ratio_median`, the median over the pairs of
 change / parent wall time.  The command defaults to `deformation`;
-`deformation`, `endo-ring`, `invariants` and `oracle` (rows q,ell,n)
-have default ladders, `classes` needs `--rows` with the n.  The script
+every command has a default ladder, and the `endo-ring`, `classes` and
+`oracle` rows give the n (q,ell,n).  The script
 exits 1 when the two columns of a row disagree on the sha256 (or a
 side's runs disagree among themselves).  This is a measurement script,
 not a test.
@@ -51,6 +51,7 @@ DEFAULT_ROWS = {
     "deformation": ("2,3", "2,7", "3,5", "2,31", "3,7", "2,127"),
     "endo-ring": ("17,3,2", "7,5,4", "53,3,2", "101,17,2", "211,53,2"),
     "invariants": ("2,31", "2,73", "2,127", "211,53", "997,499"),
+    "classes": ("17,3,2", "101,17,2", "211,53,2", "13,5,4", "64,19,3"),
     "oracle": ("4,5,2", "2,7,3", "5,3,2", "8,3,2", "9,5,2", "11,3,2"),
 }
 COMMANDS = ("deformation", "endo-ring", "invariants", "classes", "oracle")
@@ -127,9 +128,7 @@ def main(argv=None) -> int:
     parser.add_argument("--command", choices=COMMANDS, default="deformation")
     parser.add_argument("--rows", nargs="+", help="q,ell[,n[,d]] per row")
     args = parser.parse_args(argv)
-    rows = args.rows or DEFAULT_ROWS.get(args.command)
-    if not rows:
-        parser.error(f"--rows is required for {args.command}")
+    rows = args.rows or DEFAULT_ROWS[args.command]
     with tempfile.TemporaryDirectory() as tmp:
         srcs = {}
         for side, src in (("parent", args.parent), ("change", args.change)):
