@@ -4,12 +4,18 @@ Subcommands: invariants, endo-ring, classes, oracle, deformation.
 Exit codes: 0 = all checks pass, 1 = a verification check failed,
 2 = invalid parameters or out-of-scale request, 3 = internal error
 (any exception outside the package's CuspCenterError taxonomy: the
-failure envelope names it, and its traceback goes to stderr).
+failure envelope names it, and its traceback goes to stderr), or stdout
+refused the output (one line on stderr names the error).
+
+``run`` is the command-line entry point (``python -m cuspcenter``, this
+module as a script, and the console script); ``main`` is the in-process
+one.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -326,13 +332,41 @@ def main(argv=None) -> int:
         rendered = render(report.failure_envelope(args.command, parameters, exc))
         code = 3
     out = sys.stdout
-    if args.out == "json":
-        out.buffer.write(rendered)
-    else:
-        out.write(rendered)
-    out.flush()
+    try:
+        if args.out == "json":
+            out.buffer.write(rendered)
+        else:
+            out.write(rendered)
+        out.flush()
+    except OSError as exc:  # a full disk, a closed pipe
+        # the interpreter flushes stdout again at exit: send what is left
+        # to devnull, or that flush reports the error again and exits 120
+        try:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, out.fileno())
+            os.close(devnull)
+        except OSError:  # no file descriptor behind out: no final flush to fail
+            pass
+        print(f"cuspcenter: cannot write the output: {exc}", file=sys.stderr)
+        return 3
     return code
 
 
+def run() -> int:
+    """``main()``'s exit code, for a process that ends with it.
+
+    Every object still alive is then frozen (``gc.freeze``): the
+    interpreter's final collections skip frozen objects, and they cost
+    several ms per process, over 200 ms after a large census.  atexit
+    handlers and the final flush of the standard streams still run.
+    ``main`` itself never freezes, since tests and tracers call it in a
+    process that goes on and must still be able to free its garbage.
+    """
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -11,7 +11,9 @@ ASCII, fixed-indent — two identical runs must be byte-identical.
 (the tests keep ``json.dumps`` as its referee), for trees of dicts with
 str keys, lists, tuples, str, int, bool and None; any other value,
 floats included, raises TypeError, and a cycle raises ValueError.
-Strings go through the C escaper ``encode_basestring_ascii``.  A
+Strings go through the C escaper ``_json.encode_basestring_ascii``, the
+one ``json.encoder`` uses; the rest of the ``json`` package is imported
+only by ``load_census``, the one reader that parses JSON.  A
 container reached more than once, such as the certificate that every
 class of one key shares, is rendered once per depth and its text
 spliced in wherever it recurs, so the output costs what the distinct
@@ -23,10 +25,9 @@ output twice.
 
 from __future__ import annotations
 
-import json
 import os
+from _json import encode_basestring_ascii
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 
 from .classes import ClassType, check_census, group_order, make_class_type
 from .cyclotomic import CyclotomicNumber
@@ -191,10 +192,8 @@ def _text_value(v) -> str:
 
 
 def cache_key(q: int, n: int) -> str:
-    import hashlib  # imported here: no other path needs it at start-up
-
-    payload = f"census:{SCHEMA_VERSION}:{q}:{n}".encode("ascii")
-    return hashlib.sha256(payload).hexdigest()
+    """The census file's key: the schema version, q and n, spelled out."""
+    return f"v{SCHEMA_VERSION}-q{q}-n{n}"
 
 
 def cache_path(cache_dir: str, q: int, n: int) -> str:
@@ -229,6 +228,8 @@ def load_census(cache_dir: str, q: int, n: int, field: FiniteField):
     and by its class sizes; returns None when the file is missing or
     fails any validation, in which case the caller should enumerate
     afresh."""
+    import json  # imported here: no other path parses JSON
+
     path = cache_path(cache_dir, q, n)
     if not os.path.exists(path):
         return None

@@ -1,8 +1,11 @@
 """CLI behaviour: exit codes, JSON determinism, cache wiring, and the
 installed console script."""
 
+import errno
+import gc
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import pathlib
@@ -11,8 +14,11 @@ import sys
 
 import pytest
 
-from cuspcenter import report
+from cuspcenter import errors, report
 from cuspcenter.cli import main
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+SRC_ENV = {**os.environ, "PYTHONPATH": str(SRC)}
 
 
 def run_cli(capsys, *argv):
@@ -370,17 +376,157 @@ SPANNED_MODULES = (
 
 
 def test_cli_import_loads_every_spanned_module_and_nothing_heavy():
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", "import sys, cuspcenter.cli; print(*sys.modules)"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=SRC_ENV,
     )
     assert proc.returncode == 0, proc.stderr[-1000:]
     loaded = set(proc.stdout.split())
-    assert {"dataclasses", "hashlib", "traceback"}.isdisjoint(loaded)
+    assert {"dataclasses", "hashlib", "json", "json.decoder", "traceback"}.isdisjoint(loaded)
     assert {f"cuspcenter.{name}" for name in SPANNED_MODULES} <= loaded
+
+
+# a cold then a warm census cache in one process: the file is named
+# without a hash, and only the warm run parses JSON
+CACHE_ROUND_TRIP = """
+import io, sys
+from cuspcenter.cli import main
+for _ in range(2):
+    sys.stdout = io.StringIO()
+    code = main(sys.argv[1:])
+    text, sys.stdout = sys.stdout.getvalue(), sys.__stdout__
+    print(code, "loaded from cache" in text)
+print("hashlib" in sys.modules)
+"""
+
+
+def test_census_cache_round_trip_never_loads_hashlib(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", CACHE_ROUND_TRIP,
+         "classes", "--q", "4", "--n", "2", "--cache-dir", str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=SRC_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr[-1000:]
+    assert proc.stdout.split("\n") == ["0 False", "0 True", "False", ""]
+    assert [path.name for path in tmp_path.iterdir()] == ["census-v1-q4-n2.json"]
+
+
+def test_main_never_freezes_the_collector(capsys):
+    # only run() freezes, after main returns: an in-process caller goes
+    # on and must still be able to free each command's garbage
+    code, _ = run_cli(capsys, "endo-ring", "--q", "2", "--ell", "3", "--out", "json")
+    assert code == 0
+    assert gc.get_freeze_count() == 0
+
+
+def test_run_returns_mains_code_and_freezes_after_it(monkeypatch):
+    from cuspcenter import cli
+
+    events = []
+    monkeypatch.setattr(cli, "main", lambda: events.append("main") or 3)
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    assert cli.run() == 3
+    assert events == ["main", "freeze"]
+
+
+def test_every_command_line_entry_goes_through_run():
+    package = SRC / "cuspcenter"
+    assert (package / "__main__.py").read_text().endswith("\nsys.exit(run())\n")
+    guard = (package / "cli.py").read_text().split('\nif __name__ == "__main__":\n')[1]
+    assert guard.strip() == "sys.exit(run())"
+    scripts = (SRC.parent / "pyproject.toml").read_text().split("[project.scripts]\n")[1]
+    assert scripts.startswith('cuspcenter = "cuspcenter.cli:run"\n')
+
+
+# python -m cuspcenter with the invariants command replaced by a raise:
+# the package's __main__ runs as `-m` runs it
+FAULTED_MAIN = """
+import runpy
+from cuspcenter import cli, errors
+def fault(args):
+    raise {0}
+cli._DISPATCH["invariants"] = fault
+runpy.run_module("cuspcenter", run_name="__main__", alter_sys=True)
+"""
+
+# (exit code, argv, the raise that replaces the invariants command)
+EXIT_CASES = {
+    "pass": (0, "invariants --q 2 --ell 3", None),
+    "verification-failed": (
+        1, "invariants --q 2 --ell 3", "errors.AssertionFailure('injected', witness=(1, 2))"
+    ),
+    "argparse": (2, "invariants --q 2 --ell 3 --max-group-order 5", None),
+    "parameter-error": (2, "invariants --q 6 --ell 5", None),
+    "internal-error": (3, "invariants --q 2 --ell 3", "KeyError('missing slot')"),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("expected,line,fault", EXIT_CASES.values(), ids=EXIT_CASES)
+def test_python_m_matches_main_in_process(capsysbinary, monkeypatch, fmt, expected, line, fault):
+    from cuspcenter import cli
+
+    argv = [*line.split(), "--out", fmt]
+    if fault is None:
+        command = ["-m", "cuspcenter"]
+    else:
+        command = ["-c", FAULTED_MAIN.format(fault)]
+
+        def faulted(args):
+            raise eval(fault, {"errors": errors})
+
+        monkeypatch.setitem(cli._DISPATCH, "invariants", faulted)
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refusals
+        code = exc.code
+    out = capsysbinary.readouterr().out
+    proc = subprocess.run(
+        [sys.executable, *command, *argv], capture_output=True, env=SRC_ENV
+    )
+    assert code == proc.returncode == expected, proc.stderr.decode()[-1000:]
+    assert proc.stdout == out
+    assert (b"Traceback" in proc.stderr) == (expected == 3)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("line", ["endo-ring --q 17 --ell 3", "invariants --q 2 --ell 3"])
+def test_a_full_stdout_exits_3_without_a_traceback(line, fmt):
+    # stdout buffered, as by default: output the failed flush leaves in
+    # the buffer must not fail again in the interpreter's final flush
+    env = {k: v for k, v in SRC_ENV.items() if k != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "cuspcenter", *line.split(), "--out", fmt],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("cuspcenter: cannot write the output: ")
+    assert "No space left on device" in proc.stderr
+    assert proc.stderr.count("\n") == 1  # no traceback, no "Exception ignored"
+
+
+class RefusingStdout(io.StringIO):
+    """A stdout with no file descriptor whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+
+def test_a_refused_write_in_process_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", RefusingStdout())
+    code = main(["invariants", "--q", "2", "--ell", "3"])
+    monkeypatch.undo()
+    assert code == 3
+    assert capsys.readouterr().err == "cuspcenter: cannot write the output: [Errno 32] Broken pipe\n"
 
 
 def load_perfbench(name):
