@@ -14,10 +14,10 @@ one.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
+import types
 
 from . import centermap, deformation, gl2table, matrixoracle, report
 from .arith import is_prime, multiplicative_order, prime_power
@@ -34,7 +34,47 @@ from .params import ParameterSet, reduce_parameters, validate_parameters
 MAX_TABLE_MODULUS = 127  # largest q^2 - 1 for which the GL_2 table is built
 
 
-def build_parser() -> argparse.ArgumentParser:
+SUBCOMMANDS = {
+    "invariants": "invariant subring, minimal polynomial, lemma checks",
+    "endo-ring": "full center pipeline: delta vectors, gamma, certificates",
+    "classes": "conjugacy class census by type",
+    "oracle": "brute-force and character-table cross-checks",
+    "deformation": "matrix deformation points and presentation checks",
+}
+
+REQUIRED = object()  # the default of an option every command line must give
+
+# The command-line grammar, one row per option, in the order of its help:
+# (flag, type: int, str for a path, or a tuple of choices; default;
+# the subcommands that take it, or None for all; help).
+OPTIONS = (
+    ("--q", int, REQUIRED, None, "order of the base field"),
+    ("--ell", int, None, None, "coefficient characteristic l"),
+    ("--n", int, None, None, "rank; defaults to ord_l(q)"),
+    ("--d", int, 1, None, "divisor for the unreduced case"),
+    ("--out", ("json", "text"), "text", None, None),
+    ("--cache-dir", str, None, ("classes",), "census cache directory (or $CUSPCENTER_CACHE)"),
+    ("--max-group-order", int, 1000, ("oracle",), "ceiling for brute-force group enumeration"),
+    ("--scale-bound", int, 10**6, None, "ceiling for field/class enumerations"),
+)
+
+
+def _options_of(command: str) -> list:
+    """The rows of ``OPTIONS`` that ``command`` takes."""
+    return [row for row in OPTIONS if row[3] is None or command in row[3]]
+
+
+def _dest(flag: str) -> str:
+    """The attribute argparse stores ``flag``'s value in."""
+    return flag[2:].replace("-", "_")
+
+
+def build_parser():
+    """The ``argparse.ArgumentParser`` for ``OPTIONS``: it reads every
+    line that ``read_args`` refuses, and prints the help and the usage
+    errors."""
+    import argparse  # imported here: a well-formed line never needs it
+
     parser = argparse.ArgumentParser(
         prog="cuspcenter",
         description=(
@@ -44,35 +84,48 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("invariants", "invariant subring, minimal polynomial, lemma checks"),
-        ("endo-ring", "full center pipeline: delta vectors, gamma, certificates"),
-        ("classes", "conjugacy class census by type"),
-        ("oracle", "brute-force and character-table cross-checks"),
-        ("deformation", "matrix deformation points and presentation checks"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--q", type=int, required=True, help="order of the base field")
-        p.add_argument("--ell", type=int, help="coefficient characteristic l")
-        p.add_argument("--n", type=int, help="rank; defaults to ord_l(q)")
-        p.add_argument("--d", type=int, default=1, help="divisor for the unreduced case")
-        p.add_argument("--out", choices=("json", "text"), default="text")
-        if name == "classes":
-            p.add_argument("--cache-dir", help="census cache directory (or $CUSPCENTER_CACHE)")
-        if name == "oracle":
-            p.add_argument(
-                "--max-group-order",
-                type=int,
-                default=1000,
-                help="ceiling for brute-force group enumeration",
-            )
-        p.add_argument(
-            "--scale-bound",
-            type=int,
-            default=10**6,
-            help="ceiling for field/class enumerations",
-        )
+    for name, description in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=description)
+        for flag, kind, default, _, helptext in _options_of(name):
+            kwargs = {"help": helptext}
+            if kind is int:
+                kwargs["type"] = int
+            elif kind is not str:
+                kwargs["choices"] = kind
+            if default is REQUIRED:
+                kwargs["required"] = True
+            else:
+                kwargs["default"] = default
+            p.add_argument(flag, **kwargs)
     return parser
+
+
+def read_args(argv) -> types.SimpleNamespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, for a
+    line ``COMMAND (--flag VALUE)*`` that gives ``--q``, spells every
+    flag exactly, starts no value with ``-`` and whose every value
+    converts; None for any other line, which argparse then reads.
+    """
+    if len(argv) % 2 == 0 or argv[0] not in SUBCOMMANDS:
+        return None
+    options = {row[0]: row for row in _options_of(argv[0])}
+    args = {"command": argv[0]}
+    args.update((_dest(flag), row[2]) for flag, row in options.items())
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        if flag not in options or value.startswith("-"):
+            return None
+        kind = options[flag][1]
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        args[_dest(flag)] = value  # a repeated flag: the last value wins, as in argparse
+    if REQUIRED in args.values():
+        return None
+    return types.SimpleNamespace(**args)
 
 
 def _default_n(q: int, ell: int | None, n: int | None) -> int:
@@ -307,8 +360,11 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = read_args(argv)
+    if args is None:  # help, a usage error, or a line only argparse reads
+        args = build_parser().parse_args(argv)
     parameters = {"q": args.q, "ell": args.ell, "n": args.n, "d": args.d}
     render = report.to_json_bytes if args.out == "json" else report.to_text
     try:

@@ -239,7 +239,8 @@ def load_census(cache_dir: str, q: int, n: int, field: FiniteField):
     except (OSError, ValueError):
         return None
     if (
-        doc.get("schema_version") != SCHEMA_VERSION
+        not isinstance(doc, dict)
+        or doc.get("schema_version") != SCHEMA_VERSION
         or doc.get("q") != q
         or doc.get("n") != n
     ):

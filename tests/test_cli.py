@@ -210,6 +210,18 @@ def test_census_cache_file_pinned(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize("content", ["[]", "null", "3", '"x"'])
+def test_a_cache_file_that_is_not_an_object_is_enumerated_again(capsys, tmp_path, content):
+    argv = ("classes", "--q", "4", "--n", "2", "--cache-dir", str(tmp_path), "--out", "json")
+    assert run_cli(capsys, *argv)[0] == 0
+    (tmp_path / "census-v1-q4-n2.json").write_text(content)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert "census enumerated and checked against the class-count series" in checks
+    assert "census written to cache" in checks
+
+
 def test_classes_cache_env(capsys, tmp_path, monkeypatch):
     cache = str(tmp_path / "envcache")
     monkeypatch.setenv("CUSPCENTER_CACHE", cache)
@@ -384,8 +396,45 @@ def test_cli_import_loads_every_spanned_module_and_nothing_heavy():
     )
     assert proc.returncode == 0, proc.stderr[-1000:]
     loaded = set(proc.stdout.split())
-    assert {"dataclasses", "hashlib", "json", "json.decoder", "traceback"}.isdisjoint(loaded)
+    assert {
+        "argparse", "dataclasses", "gettext", "hashlib", "json", "json.decoder", "locale",
+        "traceback",
+    }.isdisjoint(loaded)
     assert {f"cuspcenter.{name}" for name in SPANNED_MODULES} <= loaded
+
+
+def test_a_well_formed_command_never_imports_argparse(capsys):
+    argv = ["invariants", "--q", "2", "--ell", "3", "--out", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "cuspcenter", *argv],
+        capture_output=True,
+        text=True,
+        env=SRC_ENV,
+    )
+    assert (proc.returncode, proc.stdout) == run_cli(capsys, *argv), proc.stderr[-1000:]
+    # one stderr line per import: "import time: self | cumulative | <indent>name"
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()}
+    assert "cuspcenter.cli" in imported
+    assert {"argparse", "gettext", "locale"}.isdisjoint(imported)
+
+
+@pytest.mark.parametrize(
+    "line,usage,mention",
+    [
+        ("--help", "usage: cuspcenter [-h]", "{invariants,endo-ring,classes,oracle,deformation}"),
+        ("endo-ring --help", "usage: cuspcenter endo-ring [-h]", "--scale-bound SCALE_BOUND"),
+    ],
+)
+def test_help_exits_0_with_the_usage_text(line, usage, mention):
+    proc = subprocess.run(
+        [sys.executable, "-m", "cuspcenter", *line.split()],
+        capture_output=True,
+        text=True,
+        env=SRC_ENV,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(usage)
+    assert mention in proc.stdout
 
 
 # a cold then a warm census cache in one process: the file is named
@@ -460,6 +509,7 @@ EXIT_CASES = {
         1, "invariants --q 2 --ell 3", "errors.AssertionFailure('injected', witness=(1, 2))"
     ),
     "argparse": (2, "invariants --q 2 --ell 3 --max-group-order 5", None),
+    "argparse-reads": (0, "invariants --q=2 --ell 3", None),
     "parameter-error": (2, "invariants --q 6 --ell 5", None),
     "internal-error": (3, "invariants --q 2 --ell 3", "KeyError('missing slot')"),
 }

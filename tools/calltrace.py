@@ -6,12 +6,13 @@ Runs a fixed list of command lines (``COMMANDS``) through
 `cuspcenter.cli.main` in this one process, each with `--out json` and
 with `--out text`, under a `sys.setprofile` hook that records every
 Python frame it sees.  The list covers the benchmark workloads, the
-larger ladder rows, the deformation sweeps, the unreduced twins and the
-bad-input (exit 2) paths.  It then compiles every module of the package
-and prints each function or method whose code object no command
-entered.  A name that `perfbench/` refers to (a span or counter of
-`perfbench/traced_cli.py`, or a name `perfbench/kernels.py` imports or
-calls) is marked `pinned`: deleting it would break the benchmark.
+larger ladder rows, the deformation sweeps, the unreduced twins, the
+bad-input (exit 2) paths and a line only argparse reads.  It then
+compiles every module of the package and prints each function or
+method whose code object no command entered.  A name that `perfbench/`
+refers to (a span or counter of `perfbench/traced_cli.py`, or a name
+`perfbench/kernels.py` imports or calls) is marked `pinned`: deleting
+it would break the benchmark.
 
 Exits 1 if a command's exit code differs from the one listed next to
 it, else 0.  The run takes under a minute on one core.  This is a
@@ -82,6 +83,8 @@ COMMANDS = (
     (2, "oracle --q 16 --n 2"),
     (2, "oracle --q 4 --n 2 --ell 5 --d 2"),
     (2, "classes --q 4"),
+    # a line only argparse reads: build_parser and the fallback
+    (0, "invariants --q=2 --ell 3"),
 )
 
 
