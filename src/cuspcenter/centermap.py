@@ -17,9 +17,9 @@ vectors in Q(zeta) are built for the printed gamma and idempotent.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from math import prod
-from typing import NamedTuple
 
 from .arith import ord_frac
 from .characters import (
@@ -224,12 +224,13 @@ def case_bucket(ct: ClassType, ps: ParameterSet) -> str:
     return PRIMARY_SMALL_NONDIAG
 
 
-class CaseReport(NamedTuple):
-    bucket_counts: dict
-    in_s: list  # per key: whether its vector lies in S (``s_membership``)
-    witness_label: str
-    witness_key: int
-    witness_unit: Fraction
+class CaseReport(
+    namedtuple("CaseReport", "bucket_counts in_s witness_label witness_key witness_unit")
+):
+    """What ``case_analysis`` found; ``in_s`` holds, per key, whether its
+    vector lies in S (``s_membership``)."""
+
+    __slots__ = ()
 
 
 def case_analysis(ps: ParameterSet, classes, labels, key_of, coords) -> CaseReport:
@@ -481,31 +482,21 @@ def g_of_gamma_check(ring: InvariantRingData, values: tuple) -> dict:
     return {"g": repr(g), "g_at_n": g_n, "valuation": ps.r}
 
 
-class EndoRingResult(NamedTuple):
+class EndoRingResult(
+    namedtuple(
+        "EndoRingResult",
+        "params_input params ring classes labels key_of coordinates case_report signs"
+        " scaled_idempotent idempotent_unit gamma minimality reconstructions"
+        " certificates certificate_of g_report checks",
+    )
+):
     """The classes in census order with their ``labels`` and
     ``group_classes`` index ``key_of``.  Per-class results are lists by
     key: ``coordinates``, ``case_report.in_s``, ``reconstructions``
     (None off the l-singular degree-n keys) and ``certificate_of``, an
     index into the distinct ``certificates``."""
 
-    params_input: ParameterSet
-    params: ParameterSet
-    ring: InvariantRingData
-    classes: tuple
-    labels: list
-    key_of: list
-    coordinates: list
-    case_report: CaseReport
-    signs: list
-    scaled_idempotent: BlockVector
-    idempotent_unit: Fraction
-    gamma: BlockVector
-    minimality: dict
-    reconstructions: list
-    certificates: list
-    certificate_of: list
-    g_report: dict
-    checks: tuple
+    __slots__ = ()
 
 
 def verify_endo_ring(

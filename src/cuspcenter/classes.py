@@ -17,10 +17,9 @@ function's, prod_j (1 - u^j)/(1 - q u^j).
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
 
 from .arith import ord_int
 from .errors import AssertionFailure, ScaleLimit
@@ -80,9 +79,11 @@ def _z_factor(big_q: int, lam: tuple) -> int:
     return int(val)
 
 
-class ClassType(NamedTuple):
-    factors: tuple  # ((FqPoly, partition), ...) canonically sorted
-    n: int
+class ClassType(namedtuple("ClassType", "factors n")):
+    """The type of a conjugacy class of GL_n(F_q): ``factors`` is
+    ((FqPoly, partition), ...), canonically sorted."""
+
+    __slots__ = ()
 
     @property
     def field(self) -> FiniteField:

@@ -13,44 +13,46 @@ relations of the presentation
 
 Psi and Y depend on a alone, and Fr, its characteristic polynomial
 and det Fr on the units alone, so each side is built and checked on
-its own, Fr and its T-values in plain ints.  Y is the image of f under
+its own, Fr once, over Z[u_1..u_n] with the units as indeterminates
+(Berkowitz's recurrence divides by nothing).  Y is the image of f under
 the ring map X -> zeta^a, so h(Y) is the image of h(f) for each listed
 factor h of m, the cell of ``invariants.factor_values`` at a's slot,
 the table that ``endo-ring`` reads too; Q(zeta) is a field, so
 m(Y) = 0 exactly when one of them vanishes.  The commutation
 relation factors too: Fr's entries are nonzero integers and Q(zeta) is
 a field, so it holds exactly when Psi's diagonal is the q-power ladder,
-checked once per a on the exponents of zeta, and every unit is nonzero,
-checked once per unit assignment.  The T_k relations read a only
-through whether a != 0, so they are checked once per unit assignment,
-at a = 1, on integers.
+checked once per a on the exponents of zeta, and every unit is nonzero.
+The relations on Fr are proved as identities: T_n = -u_1...u_n before
+the sweep over a, and T_1..T_{n-1} = 0 with every unit choice an
+l-unit at a = 1, as they read a only through a != 0.  Only where one
+fails is the per-assignment check on integers replayed there.
 ``make_point`` and ``check_relations`` compose the same helpers for one
 point that ``deformation_suite`` runs once per side.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import product
 from math import prod
-from typing import NamedTuple
+from operator import add
 
 from .arith import ord_int
-from .cyclotomic import CyclotomicNumber, zeta
+from .cyclotomic import zeta
 from .errors import AssertionFailure, ParameterError, RelationFailure
 from .invariants import InvariantRingData, factor_values, orbit_sums
 from .matrices import charpoly
 from .params import ParameterSet, require_reduced
-from .polynomials import Poly
 
 
-class DeformationPoint(NamedTuple):
-    ps: ParameterSet
-    zeta_exponent: int
-    units: tuple
-    psi_diagonal: tuple           # zeta^(a q^i), i = 0..n-1
-    fr: tuple                     # int entries
-    trace: CyclotomicNumber       # Y-coordinate
-    t_values: tuple               # (T_1, ..., T_n), ints
+class DeformationPoint(
+    namedtuple("DeformationPoint", "ps zeta_exponent units psi_diagonal fr trace t_values")
+):
+    """One point: ``psi_diagonal`` holds zeta^(a q^i), i = 0..n-1, ``fr``
+    the int entries of Fr, ``trace`` the Y-coordinate and ``t_values``
+    the ints (T_1, ..., T_n)."""
+
+    __slots__ = ()
 
 
 def _psi_side(ps: ParameterSet, a: int) -> tuple:
@@ -62,11 +64,45 @@ def _psi_side(ps: ParameterSet, a: int) -> tuple:
     return ladder[:-1], ladder[1:], orbit_sums(ps)[a]
 
 
+class _ZPoly(dict):
+    """Z[u_1, u_2, ...], for Fr's units as indeterminates: {exponent tuple
+    without trailing zeros: nonzero int}, falsy exactly when zero, with
+    +, - and * (ints coerced by ``of``) for ``_fr_side`` and ``charpoly``."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, x):
+        return x if isinstance(x, cls) else cls({(): x} if x else {})
+
+    def __add__(self, other):
+        out = _ZPoly(self)
+        for e, c in _ZPoly.of(other).items():
+            out[e] = out.get(e, 0) + c
+        return _ZPoly({e: c for e, c in out.items() if c})
+
+    def __mul__(self, other):
+        out = {}
+        for e, c in self.items():
+            for f, d in _ZPoly.of(other).items():
+                g = tuple(map(add, e, f)) + (e[len(f):] or f[len(e):])
+                out[g] = out.get(g, 0) + c * d
+        return _ZPoly({g: c for g, c in out.items() if c})
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __rsub__(self, other):
+        return self * -1 + other
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
 def _fr_side(ps: ParameterSet, units: tuple) -> tuple:
-    """(Fr, (T_1, ..., T_n)) over Z: row i of Fr holds units[j] in
-    column j = i + 1 mod n, and T_k is the coefficient of Y^(n-k) in
-    det(Y I - Fr).  Every unit must be nonzero: Fr must be invertible,
-    and ``_check_commutation`` relies on it."""
+    """(Fr, (T_1, ..., T_n)) over Z, or Z[u_1..u_n] for ``_ZPoly`` units:
+    row i of Fr holds units[j] in column j = i + 1 mod n, and T_k is the
+    coefficient of Y^(n-k) in det(Y I - Fr).  Every unit must be nonzero:
+    Fr must be invertible, and ``_check_commutation`` relies on it."""
     n = ps.n
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -183,13 +219,12 @@ def check_relations(pt: DeformationPoint, ps: ParameterSet, ring: InvariantRingD
     }
 
 
-class CenterPresentation(NamedTuple):
+class CenterPresentation(namedtuple("CenterPresentation", "min_poly n")):
     """Generators-and-relations form of the endomorphism ring with the
     deformation parameters adjoined: Y plus n T-variables, the last of
-    them invertible."""
+    them invertible.  Y acts by ``n`` on the Steinberg slot."""
 
-    min_poly: Poly
-    n: int                       # Y acts by n on the Steinberg slot
+    __slots__ = ()
 
     @property
     def generators(self) -> tuple:
@@ -211,27 +246,39 @@ def emit_center_presentation(ring: InvariantRingData) -> CenterPresentation:
     return CenterPresentation(min_poly=ring.m, n=ring.ps.n)
 
 
-def deformation_suite(
-    ps: ParameterSet, ring: InvariantRingData, unit_choices=(1, -1, 2)
-) -> dict:
-    """Every zeta-exponent with every unit assignment: check all
-    relations, and confirm that the trace values sweep out exactly the
-    root set of m.  Fr and its charpoly are built and checked once
-    per unit assignment, Psi, its trace and the commutation relation
-    once per a, and m(Y) = 0, read off the ``factor_values`` table,
-    at the first a of each distinct trace, as a later a would repeat
-    the same check.  The T_k relations depend on a only through
-    whether a != 0, so they are checked once per unit assignment, right
-    after the a = 1 side: a failure names the same first point and
-    carries the same message as a check at every point would.  So every
-    point (a, units), l^r * len(unit_choices)^n of them, has all its
-    relations checked, and ``points_checked`` counts them."""
-    ps = require_reduced(ps)
+def _replay_fr_sides(ps: ParameterSet, unit_choices: tuple) -> list:
+    """(T_1, ..., T_n) over Z at each unit assignment in ``product``
+    order, each checked by ``_check_det``: the check at every point that
+    ``deformation_suite`` replays where an identity fails."""
     t_sides = []
     for units in product(unit_choices, repeat=ps.n):
         _, t_values = _fr_side(ps, units)
         _check_det(units, t_values)
         t_sides.append(t_values)
+    return t_sides
+
+
+def deformation_suite(
+    ps: ParameterSet, ring: InvariantRingData, unit_choices=(1, -1, 2)
+) -> dict:
+    """Every zeta-exponent with every unit assignment: check all
+    relations, and confirm that the trace values sweep out exactly the
+    root set of m.  Psi, its trace and the commutation relation are
+    built and checked once per a, and m(Y) = 0 (``factor_values``) at
+    the first a of each distinct trace.  Fr's charpoly is built once,
+    over Z[u_1..u_n], and its relations are proved as identities where
+    a check at every point would first run them: no unit choice is zero
+    and T_n = -u_1...u_n before the a-loop; T_1..T_{n-1} = 0 and every
+    unit choice is an l-unit at a = 1.  Where one fails,
+    ``_replay_fr_sides`` replays the per-assignment check there, so a
+    failure names the same first point with the same message, and a
+    nonzero T_k that vanishes at every assignment passes.
+    ``points_checked`` counts all l^r * len(unit_choices)^n points."""
+    ps = require_reduced(ps)
+    n, unit_choices = ps.n, tuple(unit_choices)
+    _, t_poly = _fr_side(ps, tuple(_ZPoly({(0,) * i + (1,): 1}) for i in range(n)))
+    replay = 0 in unit_choices or t_poly[n - 1] != _ZPoly({(1,) * n: -1})
+    t_sides = _replay_fr_sides(ps, unit_choices) if replay else None
     table, index = factor_values(ring), ring.orbits.index
     traces = set()
     for a in range(ps.ell_power):
@@ -241,14 +288,18 @@ def deformation_suite(
             traces.add(trace)
         _check_commutation(a, diagonal, diagonal_q)
         if a == 1:
-            for t_values in t_sides:
+            if t_sides is None and (
+                any(t_poly[: n - 1]) or any(ord_int(u, ps.ell) for u in unit_choices)
+            ):
+                t_sides = _replay_fr_sides(ps, unit_choices)
+            for t_values in t_sides or ():
                 _check_t_values(a, ps.ell, t_values)
     if len(traces) != ring.m.degree:
         raise AssertionFailure(
             f"trace sweep produced {len(traces)} values, expected deg m = {ring.m.degree}"
         )
     return {
-        "points_checked": ps.ell_power * len(t_sides),
+        "points_checked": ps.ell_power * len(unit_choices) ** n,
         "distinct_traces": len(traces),
         "presentation": emit_center_presentation(ring).describe(),
     }

@@ -17,13 +17,13 @@ it once.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple
 
 from .arith import divisors
-from .classes import ClassType, make_class_type
+from .classes import make_class_type
 from .characters import steinberg_value_raw
 from .errors import AssertionFailure
 from .finitefield import (
@@ -151,29 +151,32 @@ class RootSum:
         return " + ".join(parts)
 
 
-class GL2Class(NamedTuple):
-    label: str
-    kind: str           # central | unipotent | split | elliptic
-    ctype: ClassType
-    size: int
+class GL2Class(namedtuple("GL2Class", "label kind ctype size")):
+    """A class of GL_2(F_q); ``kind`` is central, unipotent, split or
+    elliptic."""
+
+    __slots__ = ()
 
 
-class GL2Character(NamedTuple):
-    label: str
-    family: str         # det | steinberg | principal | cuspidal
-    dim: int
-    values: tuple
+class GL2Character(namedtuple("GL2Character", "label family dim values")):
+    """An irreducible character of GL_2(F_q); ``family`` is det,
+    steinberg, principal or cuspidal."""
+
+    __slots__ = ()
 
 
-class GL2Table(NamedTuple):
-    q: int
-    modulus: int
-    group_order: int
-    classes: tuple
-    characters: tuple
-    dlog: dict                 # element of F_{q^2}^x -> exponent of generator
-    steinberg_rows: dict       # twist index u -> row index
-    cuspidal_rows: dict        # orbit representative u -> row index
+class GL2Table(
+    namedtuple(
+        "GL2Table",
+        "q modulus group_order classes characters dlog steinberg_rows cuspidal_rows",
+    )
+):
+    """The character table of GL_2(F_q): ``dlog`` maps an element of
+    F_{q^2}^x to the exponent of the generator, ``steinberg_rows`` a
+    twist index u to its row index, and ``cuspidal_rows`` an orbit
+    representative u to its row index."""
+
+    __slots__ = ()
 
 
 def _root(m, e, scale=1):

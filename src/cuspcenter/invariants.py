@@ -66,11 +66,10 @@ Main outputs:
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from functools import lru_cache
 from math import comb, inf, prod
 from operator import mul
-from typing import NamedTuple
 
 from .arith import ord_int
 from .cyclotomic import CyclotomicNumber, _new, _reduce, lowest_terms, phi_prime_power
@@ -80,12 +79,12 @@ from .params import ParameterSet, require_reduced
 from .polynomials import Poly, from_power_sums
 
 
-class OrbitStructure(NamedTuple):
-    modulus: int
-    multiplier: int
-    orbits: tuple[tuple[int, ...], ...]
-    reps: tuple[int, ...]
-    index: tuple[int, ...]  # index[e]: the position of e's orbit in reps
+class OrbitStructure(namedtuple("OrbitStructure", "modulus multiplier orbits reps index")):
+    """The orbits of multiplication by ``multiplier`` on Z/``modulus``,
+    their representatives ``reps``, and ``index[e]``, the position of
+    e's orbit in ``reps``."""
+
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)
@@ -373,15 +372,19 @@ def pullback_mod_ell_check(ps: ParameterSet) -> dict:
     return {"multiplicity": multiplicity, "degree": ps.q ** (ps.n - 1)}
 
 
-class InvariantRingData(NamedTuple):
-    ps: ParameterSet
-    orbits: OrbitStructure
-    times_f: tuple  # the ``trace_multiplication`` columns
-    m: Poly
-    m_factors: tuple[Poly, ...]
-    factor_images: tuple[tuple[int, ...], ...]  # orbit coordinates of h(f), h a factor
-    omegas: tuple[CyclotomicNumber, ...]
-    basis_matrix: tuple[tuple[int, ...], ...]
+class InvariantRingData(
+    namedtuple(
+        "InvariantRingData",
+        "ps orbits times_f m m_factors factor_images omegas basis_matrix",
+    )
+):
+    """The invariant ring of a block: ``times_f`` holds the
+    ``trace_multiplication`` columns, ``m`` the minimal polynomial and
+    ``m_factors`` its listed factors, ``factor_images`` the orbit
+    coordinates of h(f) for each factor h, ``omegas`` the images omega_i
+    of f, and ``basis_matrix`` the orbit coordinates of f^k in column k."""
+
+    __slots__ = ()
 
     @property
     def dimension(self) -> int:

@@ -24,10 +24,10 @@ lookups.  None of this shares code with the engine's kernels in
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import permutations, product
-from typing import NamedTuple
 
-from .classes import ClassType, group_order, representative_matrix
+from .classes import group_order, representative_matrix
 from .errors import AssertionFailure, ScaleLimit
 from .finitefield import FiniteField
 
@@ -217,13 +217,13 @@ def encode_matrix(rows) -> tuple:
     return tuple(x.encoding for row in rows for x in row)
 
 
-class MatrixCensus(NamedTuple):
-    q: int
-    n: int
-    group_order: int
-    sizes: tuple[int, ...]            # orbit sizes in discovery order
-    centralizers: tuple[int, ...]     # matching centralizer orders
-    orbit_of: dict                    # flat encoding tuple -> orbit index
+class MatrixCensus(namedtuple("MatrixCensus", "q n group_order sizes centralizers orbit_of")):
+    """The literal census of GL_n(F_q): ``sizes`` holds the orbit sizes
+    in discovery order, ``centralizers`` the matching centralizer
+    orders, and ``orbit_of`` maps a flat encoding tuple to its orbit
+    index."""
+
+    __slots__ = ()
 
 
 def matrix_census(field: FiniteField, n: int, max_group_order: int = 1000) -> MatrixCensus:

@@ -12,8 +12,8 @@ in which n equals w and the cuspidal support is the trivial-degree one.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd
-from typing import NamedTuple
 
 from .arith import is_prime, multiplicative_order, ord_int, prime_power
 from .errors import (
@@ -25,13 +25,11 @@ from .errors import (
 )
 
 
-class ParameterSet(NamedTuple):
-    q: int
-    ell: int
-    n: int
-    d: int
-    w: int
-    r: int
+class ParameterSet(namedtuple("ParameterSet", "q ell n d w r")):
+    """A validated block (q, ell, n, d) with w = ord_ell(q) and
+    r = ord_ell(q^w - 1)."""
+
+    __slots__ = ()
 
     @property
     def is_reduced(self) -> bool:

@@ -398,9 +398,54 @@ def test_cli_import_loads_every_spanned_module_and_nothing_heavy():
     loaded = set(proc.stdout.split())
     assert {
         "argparse", "dataclasses", "gettext", "hashlib", "json", "json.decoder", "locale",
-        "traceback",
+        "traceback", "typing",
     }.isdisjoint(loaded)
     assert {f"cuspcenter.{name}" for name in SPANNED_MODULES} <= loaded
+
+
+RECORD_TYPES = {
+    "params": {"ParameterSet"},
+    "classes": {"ClassType"},
+    "invariants": {"OrbitStructure", "InvariantRingData"},
+    "centermap": {"CaseReport", "EndoRingResult"},
+    "deformation": {"DeformationPoint", "CenterPresentation"},
+    "gl2table": {"GL2Class", "GL2Character", "GL2Table"},
+    "matrixoracle": {"MatrixCensus"},
+}
+
+
+def test_no_record_instance_has_a_dict():
+    # the record types are namedtuple subclasses with empty __slots__, so
+    # an instance is a bare tuple (ClassType is built once per class,
+    # 531 414 times at (27,5,4)); _replace keeps the type and repr names it
+    from cuspcenter import centermap, deformation, gl2table, matrixoracle
+    from cuspcenter.finitefield import finite_field
+
+    found = {
+        name: {
+            cls.__name__
+            for cls in vars(sys.modules[f"cuspcenter.{name}"]).values()
+            if isinstance(cls, type) and issubclass(cls, tuple) and hasattr(cls, "_fields")
+            and cls.__module__ == f"cuspcenter.{name}"
+        }
+        for name in RECORD_TYPES
+    }
+    assert found == RECORD_TYPES
+    result = centermap.verify_endo_ring(2, 3, 2)
+    table = gl2table.gl2_character_table(3)
+    records = [
+        result, result.params, result.ring, result.ring.orbits, result.case_report,
+        result.classes[0], deformation.make_point(result.params, 1),
+        deformation.emit_center_presentation(result.ring), table, table.classes[0],
+        table.characters[0], matrixoracle.matrix_census(finite_field(2), 2),
+    ]
+    assert {type(x).__name__ for x in records} == set().union(*RECORD_TYPES.values())
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
+        assert type(record).__slots__ == ()
+        copy = record._replace()
+        assert type(copy) is type(record) and copy == record
+        assert repr(record).startswith(f"{type(record).__name__}(")
 
 
 def test_a_well_formed_command_never_imports_argparse(capsys):

@@ -15,7 +15,12 @@ from cuspcenter.deformation import (
     emit_center_presentation,
     make_point,
 )
-from cuspcenter.errors import AssertionFailure, ParameterError, RelationFailure
+from cuspcenter.errors import (
+    AssertionFailure,
+    CuspCenterError,
+    ParameterError,
+    RelationFailure,
+)
 from cuspcenter.invariants import (
     at_zeta,
     invariant_ring,
@@ -65,6 +70,78 @@ def pointwise_commutation(a, diagonal, diagonal_q, fr):
         f = fr[i][j]
         if f * diagonal[j] != diagonal_q[i] * f:
             raise RelationFailure(f"Fr Psi != Psi^q Fr at entry ({i}, {j}) for a = {a}")
+
+
+def tamper_t_value(monkeypatch, k, change):
+    """Make ``_fr_side`` return T_(k+1) + change(units), over Z and over
+    Z[u_1..u_n] alike."""
+    plain = deformation._fr_side
+
+    def tampered(ps, units):
+        fr, t_values = plain(ps, units)
+        i = k % len(t_values)
+        return fr, t_values[:i] + (t_values[i] + change(units),) + t_values[i + 1 :]
+
+    monkeypatch.setattr(deformation, "_fr_side", tampered)
+
+
+def vanishing_on_unit_choices(units):
+    # nonzero in Z[u_1..u_n], zero wherever u_1 is 1, -1 or 2
+    return (units[0] - 1) * (units[0] + 1) * (units[0] - 2)
+
+
+def evaluate(t, units):
+    """A T-value over Z[u_1..u_n], an int or a ``_ZPoly``, at
+    u_i = units[i - 1]."""
+    return sum(
+        c * prod(u**k for u, k in zip(units, e)) for e, c in deformation._ZPoly.of(t).items()
+    )
+
+
+def per_point_suite(ps, ring, unit_choices=(1, -1, 2)):
+    """The referee for the suite's identities: Fr's charpoly over Z at
+    every unit assignment in ``product`` order, each checked by
+    ``_check_det``, then the sweep over a with ``_check_t_values`` on
+    every assignment at every a != 0.  Returns the points checked."""
+    t_sides = []
+    for units in product(unit_choices, repeat=ps.n):
+        _, t_values = deformation._fr_side(ps, units)
+        deformation._check_det(units, t_values)
+        t_sides.append(t_values)
+    table, index = invariants.factor_values(ring), ring.orbits.index
+    for a in range(ps.ell_power):
+        diagonal, diagonal_q, trace = deformation._psi_side(ps, a)
+        deformation._check_trace(a, trace, ps, [row[index[a]] for row in table])
+        deformation._check_commutation(a, diagonal, diagonal_q)
+        for t_values in t_sides if a else ():
+            deformation._check_t_values(a, ps.ell, t_values)
+    return ps.ell_power * len(t_sides)
+
+
+def logged_failure(monkeypatch, suite, ps, ring, unit_choices):
+    """(type, message, witness, point) of the error ``suite`` raises,
+    the point being the last integer unit assignment passed to
+    ``_fr_side``, or ("t", a, i) for the i-th ``_check_t_values`` call
+    at a."""
+    log = []
+    plain_fr, plain_t = deformation._fr_side, deformation._check_t_values
+
+    def fr_side(ps, units):
+        if not isinstance(units[0], deformation._ZPoly):
+            log.append(units)
+        return plain_fr(ps, units)
+
+    def check_t_values(a, ell, t_values):
+        log.append(("t", a, sum(e[0] == "t" and e[1] == a for e in log)))
+        plain_t(a, ell, t_values)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(deformation, "_fr_side", fr_side)
+        patch.setattr(deformation, "_check_t_values", check_t_values)
+        with pytest.raises(CuspCenterError) as exc:
+            suite(ps, ring, unit_choices=unit_choices)
+    err = exc.value
+    return type(err), str(err), getattr(err, "witness", None), log[-1]
 
 
 def test_p1_point_a1():
@@ -183,7 +260,8 @@ def test_points_match_dense_referee(q, ell, n):
 
 
 def test_suite_builds_each_side_once(monkeypatch):
-    # (3,5,4): one charpoly per unit assignment (3^4), no dense products
+    # (3,5,4): one charpoly, of the Fr whose units are indeterminates,
+    # for all 3^4 unit assignments, and no dense products
     calls = {"charpoly": 0, "mat_mul": 0}
 
     def counted(name, fn):
@@ -199,7 +277,7 @@ def test_suite_builds_each_side_once(monkeypatch):
             monkeypatch.setattr(mod, "mat_mul", counted("mat_mul", mat_mul))
     ps = validate_parameters(3, 5, 4)
     report = deformation_suite(ps, invariant_ring(ps))
-    assert calls == {"charpoly": 81, "mat_mul": 0}
+    assert calls == {"charpoly": 1, "mat_mul": 0}
     assert report["points_checked"] == 405
 
 
@@ -224,7 +302,7 @@ def test_full_sweep_2_31_5():
 
 
 def test_full_sweep_3_7_6():
-    # n = 6: 3^6 charpolys of 6 x 6 matrices
+    # n = 6: one charpoly of a 6 x 6 Fr over Z[u_1..u_6] for its 3^6 unit assignments
     ps = validate_parameters(3, 7, 6)
     ring = invariant_ring(ps)
     report = deformation_suite(ps, ring)
@@ -232,9 +310,28 @@ def test_full_sweep_3_7_6():
     assert report["distinct_traces"] == ring.m.degree == 2
 
 
+def test_full_sweep_2_73_9():
+    # 73 * 3^9 points; the T relations are identities in Z[u_1..u_9]
+    ps = validate_parameters(2, 73, 9)
+    report = deformation_suite(ps, invariant_ring(ps))
+    assert report["points_checked"] == 1436859
+    assert report["distinct_traces"] == 9
+
+
+def test_full_sweep_2_19_18():
+    # 19 * 3^18 points, n = 18 indeterminates, one charpoly
+    ps = validate_parameters(2, 19, 18)
+    report = deformation_suite(ps, invariant_ring(ps))
+    assert report["points_checked"] == 7360989291
+    assert report["distinct_traces"] == 2
+
+
 def test_t_relations_checked_once_per_unit_assignment(monkeypatch):
-    # they read a only through a != 0: 3^4 checks at (3,5,4), all at
-    # a = 1, while the report still counts all 5 * 3^4 points
+    # they read a only through a != 0 and hold as identities in
+    # Z[u_1..u_4] at (3,5,4), so no assignment is checked on integers;
+    # a T_1 that is nonzero as a polynomial but vanishes on {1, -1, 2}^4
+    # replays the check once per assignment, 3^4 checks, all at a = 1,
+    # while the report still counts all 5 * 3^4 points
     calls = []
     plain = deformation._check_t_values
 
@@ -244,7 +341,11 @@ def test_t_relations_checked_once_per_unit_assignment(monkeypatch):
 
     monkeypatch.setattr(deformation, "_check_t_values", counted)
     ps = validate_parameters(3, 5, 4)
-    report = deformation_suite(ps, invariant_ring(ps))
+    ring = invariant_ring(ps)
+    assert deformation_suite(ps, ring)["points_checked"] == 405
+    assert calls == []
+    tamper_t_value(monkeypatch, 0, vanishing_on_unit_choices)
+    report = deformation_suite(ps, ring)
     assert len(calls) == 81 and set(calls) == {1}
     assert report["points_checked"] == 405
 
@@ -260,6 +361,71 @@ def test_tampered_t_value_fails_at_the_first_point(monkeypatch):
     ps = validate_parameters(3, 5, 4)
     with pytest.raises(AssertionFailure, match=r"^generator T_1 nonzero at a = 1$"):
         deformation_suite(ps, invariant_ring(ps))
+
+
+SETS_BY_N = {2: (2, 3, 2), 3: (2, 7, 3), 4: (3, 5, 4), 5: (2, 31, 5), 6: (3, 7, 6), 7: (2, 127, 7)}
+
+
+@pytest.mark.parametrize("n", sorted(SETS_BY_N))
+def test_symbolic_t_values_match_berkowitz_and_leibniz_at_every_assignment(n):
+    # the suite's one charpoly, over Z[u_1..u_n], against Berkowitz over
+    # Z at each of the 3^n assignments and the Leibniz sum over
+    # Z[u_1..u_n], both evaluated there
+    ps = validate_parameters(*SETS_BY_N[n])
+    units = tuple(deformation._ZPoly({(0,) * i + (1,): 1}) for i in range(n))
+    fr, t_poly = deformation._fr_side(ps, units)
+    assert not any(t_poly[: n - 1])
+    assert t_poly[n - 1] == deformation._ZPoly({(1,) * n: -1})
+    char = leibniz_charpoly(fr, 0, 1)
+    t_leibniz = tuple(char[n - k] for k in range(1, n + 1))
+    for point in product((1, -1, 2), repeat=n):
+        berkowitz = deformation._fr_side(ps, point)[1]
+        assert tuple(evaluate(t, point) for t in t_poly) == berkowitz
+        assert tuple(evaluate(t, point) for t in t_leibniz) == berkowitz
+
+
+def test_sparse_ring_arithmetic():
+    ring = deformation._ZPoly
+    u1, u2 = ring({(1,): 1}), ring({(0, 1): 1})
+    assert u1 * u2 == ring({(1, 1): 1}) and u2 * u2 * u1 == ring({(1, 2): 1})
+    assert (u1 + 1) * (u1 - 1) == u1 * u1 - 1 == ring({(2,): 1, (): -1})
+    assert not u1 - u1 and not 0 - u1 + u1 and not u1 * 0 and 3 - u1 == ring({(): 3, (1,): -1})
+    assert evaluate(u1 * u2 * u2 - 2 * u1 + 5, (3, -2)) == 3 * 4 - 6 + 5
+    assert u1 != 0 and ring.of(0) == ring() and ring.of(u1) is u1
+
+
+# each tampers with _fr_side or returns the unit choices to sweep
+MUTATIONS = {
+    "T_1 + 1": lambda mp, ps: tamper_t_value(mp, 0, lambda units: 1),
+    "T_2 + u_1 - 1": lambda mp, ps: tamper_t_value(mp, 1, lambda units: units[0] - 1),
+    "T_n + u_2 - 1": lambda mp, ps: tamper_t_value(mp, -1, lambda units: units[1] - 1),
+    "l divides a unit choice": lambda mp, ps: (1, -1, ps.ell),
+    "zero unit choice": lambda mp, ps: (1, -1, 0),
+}
+
+
+@pytest.mark.parametrize("args", [(3, 5, 4), (2, 7, 3)])
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_failed_identity_replays_to_the_referees_first_failing_point(monkeypatch, args, mutation):
+    # a failed identity replays the check on integers: the same
+    # exception type, message, witness and first failing point as the
+    # referee that checks every point
+    ps = validate_parameters(*args)
+    ring = invariant_ring(ps)
+    unit_choices = MUTATIONS[mutation](monkeypatch, ps) or (1, -1, 2)
+    engine = logged_failure(monkeypatch, deformation_suite, ps, ring, unit_choices)
+    referee = logged_failure(monkeypatch, per_point_suite, ps, ring, unit_choices)
+    assert engine == referee
+
+
+@pytest.mark.parametrize("k", [0, 1, -1])
+def test_t_value_nonzero_as_a_polynomial_but_zero_at_every_assignment_passes(monkeypatch, k):
+    # T_k + (u_1 - 1)(u_1 + 1)(u_1 - 2) fails its identity, and the
+    # replay finds it zero at every assignment, as the referee does
+    ps = validate_parameters(3, 5, 4)
+    ring = invariant_ring(ps)
+    tamper_t_value(monkeypatch, k, vanishing_on_unit_choices)
+    assert deformation_suite(ps, ring)["points_checked"] == per_point_suite(ps, ring) == 405
 
 
 def test_sweep_makes_no_cyclotomic_product_per_point(monkeypatch):

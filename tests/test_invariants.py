@@ -728,6 +728,7 @@ LADDER_SETS = [
     (2, 73), (997, 499),
     (5, 3, 2), (9, 5, 2), (11, 3, 2),
     (13, 5, 4), (64, 19, 3),
+    (2, 11), (2, 23), (2, 13), (2, 19),
 ]
 
 

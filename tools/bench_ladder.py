@@ -48,7 +48,9 @@ import tempfile
 PAIRS = 3
 SINGLE_PAIR_OVER_S = 30.0
 DEFAULT_ROWS = {
-    "deformation": ("2,3", "2,7", "3,5", "2,31", "3,7", "2,127"),
+    "deformation": (
+        "2,3", "2,7", "3,5", "2,31", "3,7", "2,127", "2,73", "2,11", "2,23", "2,13", "2,19",
+    ),
     "endo-ring": ("17,3,2", "7,5,4", "53,3,2", "101,17,2", "211,53,2"),
     "invariants": ("2,31", "2,73", "2,127", "211,53", "997,499"),
     "classes": ("17,3,2", "101,17,2", "211,53,2", "13,5,4", "64,19,3"),
