@@ -39,7 +39,7 @@ from operator import add
 
 from .arith import ord_int
 from .cyclotomic import zeta
-from .errors import AssertionFailure, ParameterError, RelationFailure
+from .errors import AssertionFailure, ParameterError, RelationFailure, ScaleLimit
 from .invariants import InvariantRingData, factor_values, orbit_sums
 from .matrices import charpoly
 from .params import ParameterSet, require_reduced
@@ -246,10 +246,17 @@ def emit_center_presentation(ring: InvariantRingData) -> CenterPresentation:
     return CenterPresentation(min_poly=ring.m, n=ring.ps.n)
 
 
-def _replay_fr_sides(ps: ParameterSet, unit_choices: tuple) -> list:
+def _replay_fr_sides(ps: ParameterSet, unit_choices: tuple, failed: str, scale_bound: int) -> list:
     """(T_1, ..., T_n) over Z at each unit assignment in ``product``
     order, each checked by ``_check_det``: the check at every point that
-    ``deformation_suite`` replays where an identity fails."""
+    ``deformation_suite`` replays where the check ``failed`` fails.
+    More than ``scale_bound`` assignments raise ``ScaleLimit`` instead."""
+    count = len(unit_choices) ** ps.n
+    if count > scale_bound:
+        raise ScaleLimit(
+            f"deformation: the check '{failed}' fails, and replaying it takes {count} "
+            f"integer charpolys, one per unit assignment, above the scale bound {scale_bound}"
+        )
     t_sides = []
     for units in product(unit_choices, repeat=ps.n):
         _, t_values = _fr_side(ps, units)
@@ -259,7 +266,7 @@ def _replay_fr_sides(ps: ParameterSet, unit_choices: tuple) -> list:
 
 
 def deformation_suite(
-    ps: ParameterSet, ring: InvariantRingData, unit_choices=(1, -1, 2)
+    ps: ParameterSet, ring: InvariantRingData, unit_choices=(1, -1, 2), scale_bound: int = 10**6
 ) -> dict:
     """Every zeta-exponent with every unit assignment: check all
     relations, and confirm that the trace values sweep out exactly the
@@ -272,13 +279,17 @@ def deformation_suite(
     unit choice is an l-unit at a = 1.  Where one fails,
     ``_replay_fr_sides`` replays the per-assignment check there, so a
     failure names the same first point with the same message, and a
-    nonzero T_k that vanishes at every assignment passes.
+    nonzero T_k that vanishes at every assignment passes; a replay of
+    more than ``scale_bound`` assignments raises ``ScaleLimit``.
     ``points_checked`` counts all l^r * len(unit_choices)^n points."""
     ps = require_reduced(ps)
     n, unit_choices = ps.n, tuple(unit_choices)
     _, t_poly = _fr_side(ps, tuple(_ZPoly({(0,) * i + (1,): 1}) for i in range(n)))
-    replay = 0 in unit_choices or t_poly[n - 1] != _ZPoly({(1,) * n: -1})
-    t_sides = _replay_fr_sides(ps, unit_choices) if replay else None
+    t_sides = None
+    if 0 in unit_choices:
+        t_sides = _replay_fr_sides(ps, unit_choices, "no unit choice is zero", scale_bound)
+    elif t_poly[n - 1] != _ZPoly({(1,) * n: -1}):
+        t_sides = _replay_fr_sides(ps, unit_choices, f"T_{n} = -u_1...u_{n}", scale_bound)
     table, index = factor_values(ring), ring.orbits.index
     traces = set()
     for a in range(ps.ell_power):
@@ -288,10 +299,12 @@ def deformation_suite(
             traces.add(trace)
         _check_commutation(a, diagonal, diagonal_q)
         if a == 1:
-            if t_sides is None and (
-                any(t_poly[: n - 1]) or any(ord_int(u, ps.ell) for u in unit_choices)
-            ):
-                t_sides = _replay_fr_sides(ps, unit_choices)
+            if t_sides is None and any(t_poly[: n - 1]):
+                failed = f"T_1..T_{n - 1} = 0"
+                t_sides = _replay_fr_sides(ps, unit_choices, failed, scale_bound)
+            elif t_sides is None and any(ord_int(u, ps.ell) for u in unit_choices):
+                failed = "every unit choice is an l-unit"
+                t_sides = _replay_fr_sides(ps, unit_choices, failed, scale_bound)
             for t_values in t_sides or ():
                 _check_t_values(a, ps.ell, t_values)
     if len(traces) != ring.m.degree:

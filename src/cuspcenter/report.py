@@ -28,6 +28,7 @@ from __future__ import annotations
 import os
 from _json import encode_basestring_ascii
 from fractions import Fraction
+from math import gcd
 
 from .classes import ClassType, check_census, group_order, make_class_type
 from .cyclotomic import CyclotomicNumber
@@ -39,16 +40,29 @@ SCHEMA_VERSION = 1
 
 
 def frac_json(x) -> dict:
+    if type(x) is int:
+        return {"num": str(x), "den": "1"}
     f = Fraction(x)
     return {"num": str(f.numerator), "den": str(f.denominator)}
 
 
+def _coeffs_json(v) -> list:
+    """An ``ExactVector``'s coefficients nums[i] / den in lowest terms,
+    read off the integers (zero is 0/1, since gcd(0, den) = den)."""
+    den = v.den
+    out = []
+    for num in v.nums:
+        g = gcd(num, den)
+        out.append({"num": str(num // g), "den": str(den // g)})
+    return out
+
+
 def cyclo_json(x: CyclotomicNumber) -> dict:
-    return {"level": x.level, "coeffs": [frac_json(c) for c in x.coeffs]}
+    return {"level": x.level, "coeffs": _coeffs_json(x)}
 
 
 def poly_json(p: Poly) -> list:
-    return [frac_json(c) for c in p.coeffs]
+    return _coeffs_json(p)
 
 
 def blockvector_json(v) -> dict:

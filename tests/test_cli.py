@@ -510,21 +510,43 @@ def test_census_cache_round_trip_never_loads_hashlib(tmp_path):
 
 
 def test_main_never_freezes_the_collector(capsys):
-    # only run() freezes, after main returns: an in-process caller goes
-    # on and must still be able to free each command's garbage
+    # an in-process caller goes on and must still be able to free each
+    # command's garbage: nothing on the command path freezes it
     code, _ = run_cli(capsys, "endo-ring", "--q", "2", "--ell", "3", "--out", "json")
     assert code == 0
     assert gc.get_freeze_count() == 0
 
 
-def test_run_returns_mains_code_and_freezes_after_it(monkeypatch):
-    from cuspcenter import cli
+# a wrapper that registers an atexit handler, then ends through run():
+# the handler's marker must still reach stderr after main returns, and
+# stdout after main's bytes, where it sits in the buffer of a pipe
+# until run() flushes it
+RUN_WITH_ATEXIT = """
+import atexit, sys
+from cuspcenter import cli
+atexit.register(lambda: [stream.write("atexit ran") for stream in (sys.stderr, sys.stdout)])
+sys.exit(cli.run())
+"""
 
-    events = []
-    monkeypatch.setattr(cli, "main", lambda: events.append("main") or 3)
-    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
-    assert cli.run() == 3
-    assert events == ["main", "freeze"]
+
+@pytest.mark.parametrize(
+    "line", ["endo-ring --q 17 --ell 3 --out json", "invariants --q 6 --ell 5 --out text"]
+)
+def test_run_ends_the_process_after_atexit_with_mains_code_and_bytes(capsysbinary, line):
+    code = main(line.split())
+    out = capsysbinary.readouterr().out
+    env = {k: v for k, v in SRC_ENV.items() if k != "PYTHONUNBUFFERED"}  # stdout buffered
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_WITH_ATEXIT, *line.split()], capture_output=True, env=env
+    )
+    assert proc.returncode == code, proc.stderr.decode()[-1000:]
+    assert proc.stderr.endswith(b"atexit ran")
+    # main's bytes through a pipe, whole (147 635 for endo-ring), then the marker
+    assert proc.stdout == out + b"atexit ran"
+    if line.startswith("endo-ring"):
+        assert (code, len(out)) == (0, 147635)
+    else:
+        assert code == 2
 
 
 def test_every_command_line_entry_goes_through_run():
@@ -557,6 +579,7 @@ EXIT_CASES = {
     "argparse-reads": (0, "invariants --q=2 --ell 3", None),
     "parameter-error": (2, "invariants --q 6 --ell 5", None),
     "internal-error": (3, "invariants --q 2 --ell 3", "KeyError('missing slot')"),
+    "help": (0, "invariants --q 2 --ell 3 --help", None),
 }
 
 
@@ -564,6 +587,8 @@ EXIT_CASES = {
 @pytest.mark.parametrize("expected,line,fault", EXIT_CASES.values(), ids=EXIT_CASES)
 def test_python_m_matches_main_in_process(capsysbinary, monkeypatch, fmt, expected, line, fault):
     from cuspcenter import cli
+
+    monkeypatch.setenv("COLUMNS", "80")  # one width for argparse's help in both processes
 
     argv = [*line.split(), "--out", fmt]
     if fault is None:
@@ -581,7 +606,7 @@ def test_python_m_matches_main_in_process(capsysbinary, monkeypatch, fmt, expect
         code = exc.code
     out = capsysbinary.readouterr().out
     proc = subprocess.run(
-        [sys.executable, *command, *argv], capture_output=True, env=SRC_ENV
+        [sys.executable, *command, *argv], capture_output=True, env={**SRC_ENV, "COLUMNS": "80"}
     )
     assert code == proc.returncode == expected, proc.stderr.decode()[-1000:]
     assert proc.stdout == out

@@ -6,7 +6,7 @@ from math import prod
 import pytest
 from conftest import group_ring_poly_at_f, leibniz_charpoly, trace_powers
 
-from cuspcenter import deformation, invariants, matrices
+from cuspcenter import cli, deformation, invariants, matrices
 from cuspcenter.arith import ord_frac
 from cuspcenter.cyclotomic import CyclotomicNumber, zeta
 from cuspcenter.deformation import (
@@ -20,6 +20,7 @@ from cuspcenter.errors import (
     CuspCenterError,
     ParameterError,
     RelationFailure,
+    ScaleLimit,
 )
 from cuspcenter.invariants import (
     at_zeta,
@@ -426,6 +427,58 @@ def test_t_value_nonzero_as_a_polynomial_but_zero_at_every_assignment_passes(mon
     ring = invariant_ring(ps)
     tamper_t_value(monkeypatch, k, vanishing_on_unit_choices)
     assert deformation_suite(ps, ring)["points_checked"] == per_point_suite(ps, ring) == 405
+
+
+# the check each mutation breaks, as the ScaleLimit names it at n = 18
+FAILED_CHECK = {
+    "T_1 + 1": "T_1..T_17 = 0",
+    "T_2 + u_1 - 1": "T_1..T_17 = 0",
+    "T_n + u_2 - 1": "T_18 = -u_1...u_18",
+    "l divides a unit choice": "every unit choice is an l-unit",
+    "zero unit choice": "no unit choice is zero",
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_failed_identity_past_the_scale_bound_raises_scale_limit_without_a_replay(
+    monkeypatch, mutation
+):
+    # at (2,19,18) a replay would run 3^18 = 387 420 489 integer charpolys:
+    # the suite refuses it after the one charpoly over Z[u_1..u_18]
+    ps = validate_parameters(2, 19, 18)
+    ring = invariant_ring(ps)
+    unit_choices = MUTATIONS[mutation](monkeypatch, ps) or (1, -1, 2)
+    calls = []
+    plain = deformation._fr_side
+
+    def logged(ps, units):
+        calls.append(units)
+        return plain(ps, units)
+
+    monkeypatch.setattr(deformation, "_fr_side", logged)
+    message = (
+        f"deformation: the check '{FAILED_CHECK[mutation]}' fails, and replaying it takes"
+        " 387420489 integer charpolys, one per unit assignment, above the scale bound 1000000"
+    )
+    with pytest.raises(ScaleLimit) as exc:
+        deformation_suite(ps, ring, unit_choices=unit_choices)
+    assert str(exc.value) == message
+    assert len(calls) == 1 and isinstance(calls[0][0], deformation._ZPoly)
+
+
+def test_replay_runs_up_to_the_scale_bound_and_refuses_past_it(monkeypatch):
+    # (3,5,4) has 3^4 = 81 unit assignments: a bound of 81 replays them
+    # to the referee's failure, 80 refuses the replay; the CLI passes
+    # --scale-bound in, so the refusal exits 2
+    ps = validate_parameters(3, 5, 4)
+    ring = invariant_ring(ps)
+    tamper_t_value(monkeypatch, 0, lambda units: 1)
+    with pytest.raises(AssertionFailure, match=r"^generator T_1 nonzero at a = 1$"):
+        deformation_suite(ps, ring, scale_bound=81)
+    with pytest.raises(ScaleLimit, match=r"takes 81 integer charpolys"):
+        deformation_suite(ps, ring, scale_bound=80)
+    line = "deformation --q 3 --ell 5 --n 4 --out json --scale-bound"
+    assert [cli.main([*line.split(), bound]) for bound in ("81", "80")] == [1, 2]
 
 
 def test_sweep_makes_no_cyclotomic_product_per_point(monkeypatch):

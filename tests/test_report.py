@@ -14,7 +14,7 @@ from test_golden import GOLDEN_DIR
 from cuspcenter import cli, report
 from cuspcenter.classes import check_census, enumerate_classes, make_class_type
 from cuspcenter.errors import AssertionFailure
-from cuspcenter.cyclotomic import zeta
+from cuspcenter.cyclotomic import CyclotomicNumber, zeta
 from cuspcenter.finitefield import finite_field
 from cuspcenter.polynomials import Poly
 from cuspcenter.report import (
@@ -54,6 +54,49 @@ def test_poly_json():
     doc = poly_json(Poly((-2, -1, 1)))
     assert [c["num"] for c in doc] == ["-2", "-1", "1"]
     assert all(c["den"] == "1" for c in doc)
+
+
+def referee_frac_json(x) -> dict:
+    # the envelope's rational as a Fraction, as report read it from .coeffs
+    f = Fraction(x)
+    return {"num": str(f.numerator), "den": str(f.denominator)}
+
+
+fractions = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([(2, 0), (2, 1), (2, 3), (3, 0), (3, 1), (3, 2), (5, 1), (5, 2)]),
+    st.lists(fractions, max_size=30),
+)
+def test_cyclo_json_matches_the_fraction_referee(ell_level, coeffs):
+    # nums over one den: zero, negative and non-reduced numerators per
+    # coefficient, denominators other than 1, level 0 and levels >= 2
+    x = CyclotomicNumber(*ell_level, coeffs)
+    expected = {"level": x.level, "coeffs": [referee_frac_json(c) for c in x.coeffs]}
+    assert cyclo_json(x) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(fractions, max_size=12))
+def test_poly_json_matches_the_fraction_referee(coeffs):
+    p = Poly(coeffs)
+    assert poly_json(p) == [referee_frac_json(c) for c in p.coeffs]
+
+
+def test_coefficients_are_written_in_lowest_terms_each():
+    # one den for the vector, but each coefficient reduced on its own
+    x = CyclotomicNumber(5, 1, [Fraction(1, 2), 0, Fraction(-3, 4), 0])
+    assert (x.nums, x.den) == ((2, 0, -3, 0), 4)
+    assert cyclo_json(x)["coeffs"] == [
+        {"num": "1", "den": "2"}, {"num": "0", "den": "1"},
+        {"num": "-3", "den": "4"}, {"num": "0", "den": "1"},
+    ]
+    assert poly_json(Poly([Fraction(1, 2), 0, Fraction(-3, 4)])) == [
+        {"num": "1", "den": "2"}, {"num": "0", "den": "1"}, {"num": "-3", "den": "4"}
+    ]
+    assert frac_json(-7) == referee_frac_json(-7) and frac_json(True) == referee_frac_json(1)
 
 
 def test_blockvector_json():
