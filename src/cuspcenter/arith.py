@@ -1,8 +1,12 @@
-"""Small integer/rational number theory helpers (exact, desk scale)."""
+"""Small integer/rational number theory helpers (exact, desk scale).
+
+The engine's rationals are integer numerators over one positive
+denominator in lowest terms: ``(num, den)``, or ``(nums, den)`` for a
+vector; no module imports ``fractions`` to compute."""
 
 from __future__ import annotations
 
-from fractions import Fraction
+import sys
 from math import gcd, isqrt
 
 from .errors import ZeroArgument
@@ -60,11 +64,48 @@ def ord_int(x: int, p: int) -> int:
 
 
 def ord_frac(x, p: int) -> int:
-    """p-adic valuation of a nonzero rational."""
-    x = Fraction(x)
-    if x == 0:
+    """p-adic valuation of a nonzero rational: a ``(num, den)`` pair, an
+    int or a ``Fraction``."""
+    num, den = num_den(x)
+    if num == 0:
         raise ZeroArgument("valuation of 0")
-    return ord_int(x.numerator, p) - ord_int(x.denominator, p)
+    return ord_int(num, p) - ord_int(den, p)
+
+
+def num_den(x) -> tuple[int, int]:
+    """A ``(num, den)`` pair, or an int's or a ``Fraction``'s."""
+    return x if isinstance(x, tuple) else (x.numerator, x.denominator)
+
+
+def lowest_terms(nums, den: int) -> tuple[tuple, int]:
+    """(nums, den) divided by gcd(*nums, den), with den > 0."""
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(nums), den
+    return tuple(x // g for x in nums), den // g
+
+
+def ratio(num: int, den: int) -> tuple[int, int]:
+    """num / den as a ``(num, den)`` pair in lowest terms, den > 0."""
+    g = gcd(num, den) if den > 0 else -gcd(num, den)
+    return num // g, den // g
+
+
+def ratio_str(num: int, den: int) -> str:
+    """The text of ``Fraction(num, den)``."""
+    num, den = ratio(num, den)
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def ratio_hash(num: int, den: int) -> int:
+    """``hash(Fraction(num, den))`` for a pair in lowest terms: Python's
+    numeric hash, the int num * den^-1 modulo the hash prime P."""
+    info = sys.hash_info
+    if den % info.modulus == 0:  # P | den: no inverse
+        return info.inf if num >= 0 else -info.inf
+    return hash(num * pow(den, -1, info.modulus))
 
 
 def moebius(m: int) -> int:

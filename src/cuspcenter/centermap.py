@@ -10,18 +10,18 @@ The engine holds each delta as V's orbit-sum coordinates, on which the
 map to the slots is injective: it checks the integrality, congruence
 and per-case shapes, rebuilds the scaled idempotent and the generator
 gamma and certifies each delta as an integral polynomial in gamma, all
-in rational arithmetic on V.  The image of the center is W[Y]/(m(Y))
-with m the minimal polynomial computed from the invariant ring.  Slot
-vectors in Q(zeta) are built for the printed gamma and idempotent.
+in integer arithmetic on V, held as ``(nums, den)`` (``arith``).
+The image of the center is W[Y]/(m(Y)) with m the minimal polynomial
+computed from the invariant ring.  Slot vectors in Q(zeta) are built
+for the printed gamma and idempotent.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import prod
 
-from .arith import ord_frac
+from .arith import lowest_terms, ord_frac, ratio, ratio_str
 from .characters import (
     cuspidal_dimension,
     cuspidal_form,
@@ -83,17 +83,18 @@ def block_slots(ps: ParameterSet):
     return orbit_structure(ps).reps
 
 
-def delta_form(ct: ClassType, ps: ParameterSet) -> tuple[Fraction, Fraction, int]:
+def delta_form(ct: ClassType, ps: ParameterSet) -> tuple:
     """(st, c, j): the delta vector of one class carries st at slot 0 and
     c times the orbit sum of i*j at slot i != 0, with (c / (|C|/dim), j)
-    the ``characters.cuspidal_form``.  It depends on the class only
-    through ``ct.type_key`` and ``theta_exponent(ct, ps)``, on which
-    ``classes.group_classes`` groups the census."""
+    the ``characters.cuspidal_form``; st and c are ``(num, den)`` pairs.
+    It depends on the class only through ``ct.type_key`` and
+    ``theta_exponent(ct, ps)``, on which ``classes.group_classes``
+    groups the census."""
     ps = require_reduced(ps)
     size = ct.class_size()
-    st = Fraction(size * steinberg_value(ct, ps), steinberg_dimension(ps))
-    c, j = cuspidal_form(ct, ps)
-    return st, c * Fraction(size, cuspidal_dimension(ps)), j
+    st = ratio(size * steinberg_value(ct, ps), steinberg_dimension(ps))
+    (num, den), j = cuspidal_form(ct, ps)
+    return st, ratio(num * size, den * cuspidal_dimension(ps)), j
 
 
 def check_form(ct: ClassType, form: tuple, ps: ParameterSet) -> None:
@@ -115,12 +116,13 @@ def check_form(ct: ClassType, form: tuple, ps: ParameterSet) -> None:
     st, c, _ = form
     reps = block_slots(ps)
     ell = ps.ell
-    for slot, x in ((reps[0], st), (reps[1], c)):
-        if not x.denominator % ell:
+    for slot, (_, den) in ((reps[0], st), (reps[1], c)):
+        if not den % ell:
             raise IntegralityFailure(
                 f"delta entry at slot {slot} of {ct.label()} is not l-integral"
             )
-    if (st - c * require_reduced(ps).n).numerator % ell:
+    # the numerator of st - c n over st's and c's l-unit denominators
+    if (st[0] * c[1] - c[0] * require_reduced(ps).n * st[1]) % ell:
         raise AssertionFailure(
             f"delta entries of {ct.label()} differ in the residue field",
             witness={"slot": reps[1]},
@@ -134,38 +136,42 @@ def delta_class(ct: ClassType, ps: ParameterSet) -> BlockVector:
     ps = require_reduced(ps)
     form = delta_form(ct, ps)
     check_form(ct, form, ps)
-    st, c, j = form
+    st, (num, den), j = form
     reps, sums = block_slots(ps), orbit_sums(ps)
-    entries = [st] + [sums[i * j % ps.ell_power] * c for i in reps[1:]]
+    entries = [st] + [sums[i * j % ps.ell_power]._scaled(num, den) for i in reps[1:]]
     return BlockVector(ps.ell, ps.r, reps, entries)
 
 
-def theta_coordinates(ps: ParameterSet, j: int) -> tuple[Fraction, ...]:
-    """The orbit-sum coordinates of f_j = sum_k X^(j q^k), in the order
-    of the orbit representatives (each orbit's least element): n at 0
-    for j = 0, else 1 at the orbit of j, read off the ``orbit_structure``
-    index."""
+def theta_coordinates(ps: ParameterSet, j: int) -> tuple:
+    """The orbit-sum coordinates (nums, 1) of f_j = sum_k X^(j q^k), in
+    the order of the orbit representatives (each orbit's least element):
+    n at 0 for j = 0, else 1 at the orbit of j, read off the
+    ``orbit_structure`` index."""
     orbits = orbit_structure(ps)
     k = orbits.index[j % ps.ell_power]
-    value = Fraction(ps.n if k == 0 else 1)
-    return tuple(value if i == k else Fraction(0) for i in range(len(orbits.reps)))
+    value = ps.n if k == 0 else 1
+    return tuple(value if i == k else 0 for i in range(len(orbits.reps))), 1
 
 
-def orbit_coordinates(form: tuple, ps: ParameterSet) -> tuple[Fraction, ...]:
-    """The orbit-sum coordinates of V = c f_j + ((st - c n) / l^r) N for
-    the ``delta_form`` (st, c, j), with N = sum_e X^e (all coordinates
-    1).  V maps to the delta vector: at slot 0 (X -> 1) to c n +
-    (st - c n) = st, and at a slot i != 0 (X -> zeta^i), where N maps
-    to 0, to c times the orbit sum of i*j."""
-    st, c, j = form
-    b = (st - c * ps.n) / ps.ell_power
-    return tuple(b + c * x if x else b for x in theta_coordinates(ps, j))
+def orbit_coordinates(form: tuple, ps: ParameterSet) -> tuple:
+    """The orbit-sum coordinates (nums, den) of V = c f_j + ((st - c n) /
+    l^r) N for the ``delta_form`` (st, c, j), with N = sum_e X^e (all
+    coordinates 1).  V maps to the delta vector: at slot 0 (X -> 1) to
+    c n + (st - c n) = st, and at a slot i != 0 (X -> zeta^i), where N
+    maps to 0, to c times the orbit sum of i*j."""
+    (s, sd), (c, cd), j = form
+    lr = ps.ell_power
+    b = s * cd - c * ps.n * sd  # (st - c n) sd cd
+    c *= sd * lr
+    nums, _ = theta_coordinates(ps, j)
+    return lowest_terms([b + c * x if x else b for x in nums], sd * cd * lr)
 
 
-def steinberg_slot(coords, ps: ParameterSet) -> Fraction:
+def steinberg_slot(coords, ps: ParameterSet) -> tuple[int, int]:
     """Slot 0 of the image of the orbit coordinates V: X -> 1 sends the
     orbit sum of 0 to 1 and every other one to its size n."""
-    return coords[0] + ps.n * sum(coords[1:])
+    nums, den = coords
+    return ratio(nums[0] + ps.n * sum(nums[1:]), den)
 
 
 def orbit_split(coords):
@@ -173,17 +179,20 @@ def orbit_split(coords):
     V_1 and b = V_1 when V_1 = ... = V_(D-1), else None.  a 1 + b N maps
     to (a + l^r b, a, ..., a), so by the injectivity in ``s_membership``
     the split exists iff the cuspidal slots share one rational value."""
-    head, tail = coords[0], coords[1:]
+    nums, den = coords
+    head, tail = nums[0], nums[1:]
     if any(v != tail[0] for v in tail):
         return None
-    return head - tail[0], tail[0]
+    return ratio(head - tail[0], den), ratio(tail[0], den)
 
 
 def coordinate_image(coords, ps: ParameterSet) -> BlockVector:
     """The slot vector of the orbit coordinates V: slot i is the image
     of V under X -> zeta^i (``invariants.at_zeta``)."""
     reps = block_slots(ps)
-    return BlockVector(ps.ell, ps.r, reps, [at_zeta(ps, coords, ps.r, i) for i in reps])
+    nums, den = coords
+    entries = [at_zeta(ps, nums, ps.r, i)._scaled(1, den) for i in reps]
+    return BlockVector(ps.ell, ps.r, reps, entries)
 
 
 def s_membership(coords, ell: int) -> bool:
@@ -198,7 +207,7 @@ def s_membership(coords, ell: int) -> bool:
     with a, b in Z_(l).  D = 2 needs no other case: there f_j = N - 1
     for j != 0."""
     split = orbit_split(coords)
-    return split is not None and all(v.denominator % ell for v in split)
+    return split is not None and all(den % ell for _, den in split)
 
 
 REALIZED_WITNESS = "realized-witness"
@@ -257,7 +266,7 @@ def case_analysis(ps: ParameterSet, classes, labels, key_of, coords) -> CaseRepo
         bucket = case_bucket(ct, ps)
         counts[bucket] += 1
         if bucket == REALIZED_WITNESS:
-            if steinberg_slot(coords[k], ps):
+            if steinberg_slot(coords[k], ps)[0]:
                 raise AssertionFailure(
                     "witness vector has nonzero Steinberg slot", witness=label
                 )
@@ -270,9 +279,9 @@ def case_analysis(ps: ParameterSet, classes, labels, key_of, coords) -> CaseRepo
                     f"witness valuation is {ord_frac(split[0], ps.ell)}, expected r = {ps.r}",
                     witness=label,
                 )
-            witness = (label, k, split[0] / ps.ell_power)
+            witness = (label, k, ratio(split[0][0], split[0][1] * ps.ell_power))
         elif bucket == NON_PRIMARY:
-            if split is None or split[0]:
+            if split is None or split[0][0]:
                 raise AssertionFailure(
                     "cuspidal slots must vanish on a non-primary class", witness=label
                 )
@@ -295,22 +304,21 @@ def case_analysis(ps: ParameterSet, classes, labels, key_of, coords) -> CaseRepo
 def lemma_signs_check(ps: ParameterSet) -> list:
     """For every factorization n = v * d the unit
     prod_{k=1}^{v-1}(q^{dk} - 1) / v must be congruent to
-    q^(n(v-1)/2) mod l^r.  Checked as ord_l(lhs - rhs) >= r."""
+    q^(n(v-1)/2) mod l^r.  Checked as ord_l(lhs - rhs) >= r.  Each row
+    holds lhs and rhs as ``(num, den)`` pairs."""
     ps = require_reduced(ps)
     out = []
     for v in range(1, ps.n + 1):
         if ps.n % v:
             continue
         d = ps.n // v
-        lhs = Fraction(1, v)
-        for k in range(1, v):
-            lhs *= ps.q ** (d * k) - 1
-        rhs = Fraction(ps.q ** (ps.n * (v - 1) // 2))
-        diff = lhs - rhs
-        if diff != 0 and ord_frac(diff, ps.ell) < ps.r:
+        lhs = ratio(prod(ps.q ** (d * k) - 1 for k in range(1, v)), v)
+        rhs = (ps.q ** (ps.n * (v - 1) // 2), 1)
+        diff = lhs[0] - rhs[0] * lhs[1]  # (lhs - rhs) times lhs's denominator
+        if diff != 0 and ord_frac((diff, lhs[1]), ps.ell) < ps.r:
             raise AssertionFailure(
                 f"sign congruence fails at (v, d) = ({v}, {d})",
-                witness={"lhs": str(lhs), "rhs": str(rhs)},
+                witness={"lhs": ratio_str(*lhs), "rhs": ratio_str(*rhs)},
             )
         out.append({"v": v, "d": d, "lhs": lhs, "rhs": rhs})
     return out
@@ -328,22 +336,25 @@ def theta_orbit_vector(ps: ParameterSet, j: int) -> BlockVector:
     return coordinate_image(theta_coordinates(ps, j), ps)
 
 
-def reconstruct_scaled_idempotent(ps: ParameterSet, witness, unit: Fraction) -> BlockVector:
+def reconstruct_scaled_idempotent(ps: ParameterSet, witness, unit) -> BlockVector:
     """From the orbit coordinates V = u l^r 1 - u N of the
     regular-unipotent delta, whose shape ``case_analysis`` has checked
-    and whose unit u it returns, rebuild l^r * e_0 = l^r * 1 - (1/u) * V
-    and return its image.  With u an l-unit, that is N, with image
-    (l^r, 0, ..., 0), exactly when the witness has the shape above."""
+    and whose unit u, a ``(num, den)`` pair, it returns, rebuild l^r *
+    e_0 = l^r * 1 - (1/u) * V and return its image.  With u an l-unit,
+    that is N, with image (l^r, 0, ..., 0), exactly when the witness has
+    the shape above."""
     ps = require_reduced(ps)
     if ord_frac(unit, ps.ell) != 0:
-        raise AssertionFailure(f"witness unit {unit} is not an l-unit")
-    idem = [-v / unit for v in witness]
-    idem[0] += ps.ell_power
-    if any(v != 1 for v in idem):
+        raise AssertionFailure(f"witness unit {ratio_str(*unit)} is not an l-unit")
+    (u, ud), (nums, den) = unit, witness
+    idem = [-x * ud for x in nums]  # -V / u over den u
+    idem[0] += ps.ell_power * den * u
+    idem = lowest_terms(idem, den * u)
+    if idem != ((1,) * len(nums), 1):
         raise AssertionFailure(
             "scaled idempotent has the wrong shape", witness=repr(coordinate_image(idem, ps))
         )
-    return BlockVector(ps.ell, ps.r, block_slots(ps), [ps.ell_power] + [0] * (len(idem) - 1))
+    return BlockVector(ps.ell, ps.r, block_slots(ps), [ps.ell_power] + [0] * (len(nums) - 1))
 
 
 def reconstruct_gamma(ps: ParameterSet, ct: ClassType, coords) -> dict:
@@ -356,21 +367,23 @@ def reconstruct_gamma(ps: ParameterSet, ct: ClassType, coords) -> dict:
 
     Apart from failure messages, the result depends on the class only
     through ``ct.type_key``, its theta exponent and ``coords``, which is
-    itself a function of those two."""
+    itself a function of those two.  The unit, w0 and c are ``(num,
+    den)`` pairs."""
     ps = require_reduced(ps)
-    unit = Fraction(ct.class_size() * (-1) ** (ps.n - 1), cuspidal_dimension(ps))
+    unit = ratio(ct.class_size() * (-1) ** (ps.n - 1), cuspidal_dimension(ps))
     if ord_frac(unit, ps.ell) != 0:
         raise AssertionFailure(
-            f"|C|/dim is not an l-unit on {ct.label()}", witness=str(unit)
+            f"|C|/dim is not an l-unit on {ct.label()}", witness=ratio_str(*unit)
         )
-    w = [v / unit for v in coords]
-    w0 = steinberg_slot(w, ps)
-    c = (w0 - ps.n) / ps.ell_power
+    nums, den = coords
+    w_nums, w_den = lowest_terms([x * unit[1] for x in nums], den * unit[0])
+    w0 = steinberg_slot((w_nums, w_den), ps)
+    c = ratio(w0[0] - ps.n * w0[1], w0[1] * ps.ell_power)
     if ord_frac(c, ps.ell) < 0:
         raise AssertionFailure(
-            f"idempotent correction {c} is not l-integral on {ct.label()}"
+            f"idempotent correction {ratio_str(*c)} is not l-integral on {ct.label()}"
         )
-    candidate = tuple(v - c for v in w)
+    candidate = lowest_terms([x * c[1] - c[0] * w_den for x in w_nums], w_den * c[1])
     j = theta_exponent(ct, ps)
     if candidate != theta_coordinates(ps, j):
         got, expected = coordinate_image(candidate, ps), theta_orbit_vector(ps, j)
@@ -401,7 +414,9 @@ def express_all_in_gamma(vecs, ring: InvariantRingData) -> tuple[list, list]:
     the check stays explicit."""
     column_of = {}
     columns = [column_of.setdefault(v, len(column_of)) for v in vecs]
-    out = [Poly(sol) for sol in solve_columns(ring.basis_matrix, list(column_of))]
+    sols = solve_columns(ring.basis_matrix, [nums for nums, _ in column_of])
+    # M y = nums / den is solved as M (den y) = nums
+    out = [Poly(y, y_den * den) for (y, y_den), (_, den) in zip(sols, column_of)]
     if not all(h.is_ell_integral(ring.ps.ell) for h in out):
         raise IntegralityFailure("gamma-certificate is not l-integral")
     return out, columns
@@ -471,9 +486,10 @@ def g_of_gamma_check(ring: InvariantRingData, values: tuple) -> dict:
     for slot, zero in zip(ring.orbits.reps[1:], _zero_slots(rows)[1:]):
         if not zero:
             raise AssertionFailure(f"g(gamma) nonzero at cuspidal slot {slot}")
-    g_n = prod(row[0] for row in rows).as_rational()
-    if g_n is None or g_n == 0:
+    g_n = prod(row[0] for row in rows).canonical()
+    if g_n.level or g_n.is_zero():
         raise AssertionFailure("g(n) must be a nonzero rational")
+    g_n = (g_n.nums[0], g_n.den)
     if ord_frac(g_n, ps.ell) != ps.r:
         raise AssertionFailure(
             f"ord_l g(n) = {ord_frac(g_n, ps.ell)}, expected r = {ps.r}"

@@ -20,9 +20,9 @@ Conventions for a class type with factor list ((P_1, lam_1), ...):
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import prod
 
+from .arith import ratio
 from .classes import ClassType, theta_exponent
 from .cyclotomic import CyclotomicNumber
 from .invariants import orbit_sums
@@ -39,29 +39,29 @@ def steinberg_dimension(ps: ParameterSet) -> int:
     return ps.q ** (ps.n * (ps.n - 1) // 2)
 
 
-def cuspidal_form(ct: ClassType, ps: ParameterSet) -> tuple[Fraction, int]:
+def cuspidal_form(ct: ClassType, ps: ParameterSet) -> tuple[tuple[int, int], int]:
     """(c, j) such that the slot-i cuspidal lift takes the value c times
     the orbit sum of i*j, sum_k zeta^(i j q^k), on the class type: j is
-    the theta exponent of a degree-n type and c = 0 off primary types.
-    Roots of smaller degree a are l-regular, so there j = 0, whose orbit
-    sum is n, and c = scalar * a / n."""
+    the theta exponent of a degree-n type and c, a ``(num, den)`` pair,
+    is 0 off primary types.  Roots of smaller degree a are l-regular, so
+    there j = 0, whose orbit sum is n, and c = scalar * a / n."""
     ps = require_reduced(ps)
     if not ct.is_primary:
-        return Fraction(0), 0
+        return (0, 1), 0
     poly, lam = ct.factors[0]
     a = poly.degree
     x = len(lam)
     scalar = (-1) ** (ps.n - x) * prod(ps.q ** (k * a) - 1 for k in range(1, x))
     if a == ps.n:
-        return Fraction(scalar), theta_exponent(ct, ps)
-    return Fraction(scalar * a, ps.n), 0
+        return (scalar, 1), theta_exponent(ct, ps)
+    return ratio(scalar * a, ps.n), 0
 
 
 def cuspidal_value(i: int, ct: ClassType, ps: ParameterSet) -> CyclotomicNumber:
     """Value of the slot-i cuspidal lift on the given class type, as an
     element of Q(zeta_{l^r}), read off ``cuspidal_form``."""
-    c, j = cuspidal_form(ct, ps)
-    return orbit_sums(ps)[i * j % ps.ell_power] * c
+    (num, den), j = cuspidal_form(ct, ps)
+    return orbit_sums(ps)[i * j % ps.ell_power]._scaled(num, den)
 
 
 def steinberg_value_raw(ct: ClassType, p: int, n: int) -> int:

@@ -18,7 +18,6 @@ function's, prod_j (1 - u^j)/(1 - q u^j).
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 from .arith import ord_int
@@ -68,15 +67,20 @@ def conjugacy_class_count(q: int, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _z_factor(big_q: int, lam: tuple) -> int:
-    size = sum(lam)
+    """Q^(|lam| + 2 n(lam)) prod_m prod_{k<=m} (1 - Q^-k) over the part
+    multiplicities m, as Q^e prod (Q^k - 1): an integer iff e >= 0."""
     n_lam = sum(i * part for i, part in enumerate(lam))  # 0-based index = (i-1)
-    val = Fraction(big_q) ** (size + 2 * n_lam)
-    for _, mult in sorted(Counter(lam).items()):
+    exp = sum(lam) + 2 * n_lam
+    val = 1
+    for mult in Counter(lam).values():
         for k in range(1, mult + 1):
-            val *= 1 - Fraction(1, big_q**k)
-    if val.denominator != 1:
-        raise AssertionFailure(f"centralizer factor z({big_q}, {lam}) = {val} is not integral")
-    return int(val)
+            val *= big_q**k - 1
+            exp -= k
+    if exp < 0:
+        raise AssertionFailure(
+            f"centralizer factor z({big_q}, {lam}) = {val}/{big_q**-exp} is not integral"
+        )
+    return val * big_q**exp
 
 
 class ClassType(namedtuple("ClassType", "factors n")):

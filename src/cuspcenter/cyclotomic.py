@@ -10,9 +10,9 @@ the power basis 1, z, ..., z^(phi(l^i) - 1), kept reduced modulo
 Phi_{l^i}(X) = Phi_l(X^(l^(i-1))) by ``_reduce``, the only fold modulo
 Phi.  Level 0 is plain Q.  Elements of different levels over the same l
 mix freely: the lower one embeds via zeta_i = zeta_j^(l^(j-i)).
-Equality is a tuple compare, and no arithmetic builds a ``Fraction``;
-``Fraction``s appear only at the interfaces: the constructors, the
-``coeffs`` view, ``as_rational`` and the hash of a rational element.
+Equality is a tuple compare, and no arithmetic builds a ``Fraction``:
+an int or ``Fraction`` operand is read by its numerator and denominator,
+and only the ``coeffs`` view and ``as_rational`` return ``Fraction``s.
 
 The l-adic valuation is normalised so that nu(zeta_{l^i} - 1) = 1 at
 level i >= 1, hence nu(l) = phi(l^i) and on rationals embedded at level
@@ -24,6 +24,7 @@ valuations phi * ord_l(d_k) + k, pairwise distinct mod phi; the
 valuation of x is therefore exactly their minimum, read off without
 computing the norm.
 
+>>> from fractions import Fraction
 >>> z = zeta(3, 1)
 >>> (z * z + z + 1).is_zero()
 True
@@ -38,14 +39,11 @@ True
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from . import linalg
-from .arith import ord_int
+from .arith import lowest_terms, num_den, ord_int, ratio_hash, ratio_str
 from .errors import ZeroArgument
-
-_ZERO = Fraction(0)
 
 
 def phi_prime_power(ell: int, level: int) -> int:
@@ -65,16 +63,6 @@ def convolve(a, b) -> list:
             for j, y in terms:
                 out[i + j] += x * y
     return out
-
-
-def lowest_terms(nums, den: int) -> tuple[tuple, int]:
-    """(nums, den) divided by gcd(*nums, den), with den > 0."""
-    g = gcd(den, *nums)
-    if den < 0:
-        g = -g
-    if g == 1:
-        return tuple(nums), den
-    return tuple(x // g for x in nums), den // g
 
 
 def add_numerators(a, da: int, b, db: int, sign: int = 1) -> tuple[tuple, int]:
@@ -119,8 +107,10 @@ class ExactVector:
     @property
     def coeffs(self) -> tuple:
         """The coefficients as ``Fraction``s (read-only)."""
+        from fractions import Fraction  # imported here: no command reads them
+
         den = self.den
-        return tuple(Fraction(x, den) if x else _ZERO for x in self.nums)
+        return tuple(Fraction(x, den) for x in self.nums)
 
     def is_zero(self) -> bool:
         return not any(self.nums)
@@ -161,8 +151,9 @@ class ExactVector:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self._scaled(other.numerator, other.denominator)
+        den = getattr(other, "denominator", None)
+        if den is not None:  # an int or a Fraction
+            return self._scaled(other.numerator, den)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -212,9 +203,9 @@ class CyclotomicNumber(ExactVector):
 
     @classmethod
     def rational(cls, ell: int, x) -> "CyclotomicNumber":
-        if not isinstance(x, (int, Fraction)):
-            x = Fraction(x)
-        return _new(ell, 0, (x.numerator,), x.denominator)
+        """x, an int, a ``Fraction`` or a ``(num, den)`` pair, at level 0."""
+        num, den = num_den(x)
+        return _new(ell, 0, (num,), den)
 
     @classmethod
     def zero(cls, ell: int, level: int = 0) -> "CyclotomicNumber":
@@ -250,7 +241,10 @@ class CyclotomicNumber(ExactVector):
             cur = _new(ell, cur.level - 1, nums[::ell], cur.den)
         return cur
 
-    def as_rational(self) -> Fraction | None:
+    def as_rational(self):
+        """The element as a ``Fraction``, or None if it is irrational."""
+        from fractions import Fraction  # imported here: no command reads it
+
         c = self.canonical()
         return Fraction(c.nums[0], c.den) if c.level == 0 else None
 
@@ -264,8 +258,9 @@ class CyclotomicNumber(ExactVector):
             if other.ell != self.ell and other.level > 0 and self.level > 0:
                 raise ValueError("mixing cyclotomic towers of different primes")
             return other
-        if isinstance(other, (int, Fraction)):
-            return _new(self.ell, 0, (other.numerator,), other.denominator)
+        den = getattr(other, "denominator", None)
+        if den is not None:  # an int or a Fraction
+            return _new(self.ell, 0, (other.numerator,), den)
         return None
 
     def _align(self, other):
@@ -295,21 +290,21 @@ class CyclotomicNumber(ExactVector):
     def __hash__(self):
         c = self.canonical()
         if c.level == 0:
-            return hash(Fraction(c.nums[0], c.den))
+            return ratio_hash(c.nums[0], c.den)
         return hash((c.ell, c.level, c.nums, c.den))
 
     def __repr__(self):
         c = self.canonical()
-        r = c.as_rational()
-        if r is not None:
-            return str(r)
+        if c.level == 0:
+            return ratio_str(c.nums[0], c.den)
         terms = []
-        for e, x in enumerate(c.coeffs):
+        for e, x in enumerate(c.nums):
             if x == 0:
                 continue
+            x = ratio_str(x, c.den)
             z = f"z{c.ell ** c.level}"
             mono = "1" if e == 0 else (z if e == 1 else f"{z}^{e}")
-            terms.append(mono if x == 1 and e else f"{x}*{mono}" if e else str(x))
+            terms.append(mono if x == "1" and e else f"{x}*{mono}" if e else x)
         return " + ".join(terms).replace("+ -", "- ")
 
 

@@ -18,7 +18,6 @@ it once.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -140,7 +139,7 @@ class RootSum:
             if self.modulus != other.modulus:
                 return NotImplemented
             return (self - other).is_zero()
-        if isinstance(other, (int, Fraction)):
+        if hasattr(other, "denominator"):  # an int or a Fraction
             return (self - RootSum.root(self.modulus, 0, other)).is_zero()
         return NotImplemented
 
@@ -453,7 +452,10 @@ def block_slot_rows(table: GL2Table, ps: ParameterSet) -> dict:
 
 def delta_from_table(table: GL2Table, ps: ParameterSet) -> dict:
     """Class type -> tuple of RootSum delta entries (one per slot), each
-    |C| * chi(C) / dim computed purely from the table."""
+    |C| * chi(C) / dim computed purely from the table, on ``Fraction``s,
+    independently of the engine's integer rationals."""
+    from fractions import Fraction  # imported here: only the oracle builds the table's deltas
+
     rows = block_slot_rows(table, ps)
     orbits = orbit_structure(ps)
     out = {}

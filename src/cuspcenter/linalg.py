@@ -1,30 +1,29 @@
 """Exact linear algebra over Q, fraction-free.
 
 ``_echelon`` is the one elimination routine.  It clears each row to
-integers, eliminates by integer cross-multiplication, divides each row
-by its content, and turns the pivot rows back into ``Fraction``s only
-at the end.  ``solve_columns`` solves A x = b for several right-hand
-sides with a single reduction of [A | b_1 ... b_k], and
-``solve_unique`` is its one-column case; both return ``Fraction``s.
-No command calls ``determinant`` (over ``Fraction``) or
-``solve_unique``: the tests use the first as the referee for the
-cyclotomic norm, and perfbench times both.
+integers, eliminates by integer cross-multiplication and divides each
+row by its content.  ``solve_columns`` solves A x = b for several
+right-hand sides with a single reduction of [A | b_1 ... b_k], each x
+as integer numerators over one denominator; ``solve_unique``, its
+one-column case, returns ``Fraction``s.  No command calls
+``determinant`` (over ``Fraction``) or ``solve_unique``: the tests use
+the first as the referee for the cyclotomic norm, and perfbench times
+both.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
+from .arith import lowest_terms
 from .errors import NoSolution
-
-_ZERO = Fraction(0)
 
 
 def clear_denominators(values) -> tuple[list[int], int]:
     """(nums, den) with nums[i] / den == values[i] and den the least
-    common denominator; entries may be ints or ``Fraction``s."""
-    values = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    common denominator; entries may be ints or ``Fraction``s, read by
+    their numerator and denominator."""
+    values = list(values)
     den = 1
     for v in values:
         d = v.denominator
@@ -43,9 +42,10 @@ def _echelon(aug: list[list], ncols: int) -> list[int]:
     """Row-reduce ``aug`` in place over its first ``ncols`` columns.
 
     Returns the list of pivot column indices.  Row i < len(pivots)
-    becomes the i-th row of the reduced echelon form, as ``Fraction``s
-    with a 1 at its pivot; the rows below keep their primitive integer
-    form, which vanishes on the first ``ncols`` columns.
+    becomes the i-th row of the reduced echelon form times its pivot
+    entry, a primitive integer row that vanishes on the other pivot
+    columns; the rows below keep their primitive integer form, which
+    vanishes on the first ``ncols`` columns.
     """
     rows = [_primitive(clear_denominators(r)[0]) for r in aug]
     pivots = []
@@ -67,23 +67,20 @@ def _echelon(aug: list[list], ncols: int) -> list[int]:
         row += 1
         if row == len(rows):
             break
-    for i, col in enumerate(pivots):
-        pv = rows[i][col]
-        aug[i] = [Fraction(x, pv) if x else _ZERO for x in rows[i]]
-    aug[len(pivots):] = rows[len(pivots):]
+    aug[:] = rows
     return pivots
 
 
-def solve_columns(rows, rhs_list) -> list[list[Fraction]]:
+def solve_columns(rows, rhs_list) -> list[tuple[tuple, int]]:
     """Solve A x = b exactly for every b in ``rhs_list`` with one
     elimination; A may be rectangular but must have full column rank
-    and every system must be consistent.
+    and every system must be consistent.  Each x comes back as (nums,
+    den) in lowest terms.
 
     Raises NoSolution if any column is inconsistent, ValueError if
     underdetermined.
     """
     ncols = len(rows[0]) if rows else 0
-    k = len(rhs_list)
     aug = [list(r) + [b[i] for b in rhs_list] for i, r in enumerate(rows)]
     pivots = _echelon(aug, ncols)
     for r in aug[len(pivots):]:
@@ -91,19 +88,26 @@ def solve_columns(rows, rhs_list) -> list[list[Fraction]]:
             raise NoSolution("inconsistent linear system")
     if len(pivots) < ncols:
         raise ValueError("underdetermined linear system")
-    sols = [[_ZERO] * ncols for _ in range(k)]
-    for i, col in enumerate(pivots):
-        for j in range(k):
-            sols[j][col] = aug[i][ncols + j]
-    return sols
+    den = lcm(*(aug[i][i] for i in range(ncols)))
+    scales = [den // aug[i][i] for i in range(ncols)]
+    return [
+        lowest_terms([aug[i][j] * s for i, s in enumerate(scales)], den)
+        for j in range(ncols, ncols + len(rhs_list))
+    ]
 
 
-def solve_unique(rows, rhs) -> list[Fraction]:
-    """Solve A x = b exactly (the one-column case of ``solve_columns``)."""
-    return solve_columns(rows, [rhs])[0]
+def solve_unique(rows, rhs) -> list:
+    """Solve A x = b exactly (the one-column case of ``solve_columns``),
+    as ``Fraction``s."""
+    from fractions import Fraction  # imported here: no command calls it
+
+    nums, den = solve_columns(rows, [rhs])[0]
+    return [Fraction(x, den) for x in nums]
 
 
-def determinant(rows) -> Fraction:
+def determinant(rows):
+    from fractions import Fraction  # imported here: no command calls it
+
     n = len(rows)
     a = [[Fraction(x) for x in r] for r in rows]
     det = Fraction(1)

@@ -8,13 +8,14 @@ products are a bare ``convolve``.  There is no division: each quotient
 of the minimal polynomial m that the engine needs is the product of the
 other factors that ``invariants.min_polynomial`` lists.  Horner
 evaluation runs on the numerators with one division by ``den`` at the
-end; at an ``int`` or a ``Fraction`` it stays in integers throughout.
-A Poly can be evaluated at anything that supports ``+`` and ``*`` with
-ints and ``Fraction``s.  The engine itself evaluates a polynomial only
-at f, by ``invariants.poly_at_f``, and maps the result to the slots;
-Horner at cyclotomic numbers and group-ring elements is the tests'
-referee for it.
+end; at an ``int`` or a ``Fraction`` it stays in integers throughout
+and returns a ``Fraction``.  A Poly can be evaluated at anything that
+supports ``+`` and ``*`` with ints and ``Fraction``s.  The engine itself
+evaluates a polynomial only at f, by ``invariants.poly_at_f``, and maps
+the result to the slots; Horner at cyclotomic numbers and group-ring
+elements is the tests' referee for it.
 
+>>> from fractions import Fraction
 >>> m = Poly((Fraction(-1, 2), 0, 2))
 >>> m.nums, m.den, m.degree
 ((-1, 0, 4), 2, 2)
@@ -26,10 +27,11 @@ Fraction(0, 1)
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 
 from . import linalg
-from .cyclotomic import ExactVector, lowest_terms
+from .arith import lowest_terms, ratio_hash, ratio_str
+from .cyclotomic import ExactVector
 
 
 def _trim(cs) -> tuple:
@@ -50,9 +52,10 @@ def _raw(nums: tuple, den: int) -> "Poly":
 class Poly(ExactVector):
     __slots__ = ()
 
-    def __init__(self, coeffs=()):
-        nums, den = linalg.clear_denominators(coeffs)
-        self.nums, self.den = lowest_terms(_trim(nums), den)
+    def __init__(self, coeffs=(), den: int = 1):
+        """Coefficients coeffs[k] / den, ints or ``Fraction``s over an int."""
+        nums, d = linalg.clear_denominators(coeffs)
+        self.nums, self.den = lowest_terms(_trim(nums), d * den)
 
     @property
     def degree(self) -> int:
@@ -69,8 +72,9 @@ class Poly(ExactVector):
     def _coerce(self, other):
         if isinstance(other, Poly):
             return other
-        if isinstance(other, (int, Fraction)):
-            return self._with((other.numerator,), other.denominator)
+        den = getattr(other, "denominator", None)
+        if den is not None:  # an int or a Fraction
+            return self._with((other.numerator,), den)
         return None
 
     def _align(self, other):
@@ -82,8 +86,8 @@ class Poly(ExactVector):
         return raw
 
     def __hash__(self):
-        if len(self.nums) <= 1:
-            return hash(Fraction(self.nums[0], self.den) if self.nums else 0)
+        if len(self.nums) <= 1:  # a constant hashes as that rational
+            return ratio_hash(self.nums[0], self.den) if self.nums else 0
         return hash(("Poly", self.nums, self.den))
 
     # -- evaluation ------------------------------------------------------------
@@ -92,8 +96,10 @@ class Poly(ExactVector):
         """Horner evaluation on the numerators, divided by ``den`` once
         at the end.  At an int or a ``Fraction`` p/s it runs on the
         homogenised integer form sum_k nums_k p^k s^(deg - k)."""
+        from fractions import Fraction  # imported here: no command calls it
+
         nums = self.nums
-        number = isinstance(x, (int, Fraction))
+        number = hasattr(x, "denominator")
         if not nums:
             return Fraction(0) if number else 0 * x
         acc = nums[-1]
@@ -124,16 +130,17 @@ class Poly(ExactVector):
         if not self.nums:
             return "0"
         parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
+        for k, num in enumerate(self.nums):
+            if num == 0:
                 continue
+            c = ratio_str(num, self.den)
             if k == 0:
-                parts.append(str(c))
+                parts.append(c)
             else:
                 mono = "Y" if k == 1 else f"Y^{k}"
-                if c == 1:
+                if c == "1":
                     parts.append(mono)
-                elif c == -1:
+                elif c == "-1":
                     parts.append(f"-{mono}")
                 else:
                     parts.append(f"{c}*{mono}")
@@ -163,19 +170,28 @@ def from_power_sums(sums) -> list:
 
     Newton's identities k e_k = sum_{j=1}^k (-1)^(j-1) e_(k-j) p_j give
     the elementary symmetric functions e_k, and the coefficient of Y^k
-    is (-1)^(d-k) e_(d-k).  Power sums may be ints or ``Fraction``s; a
-    coefficient comes back as an int exactly when it is an integer.
+    is (-1)^(d-k) e_(d-k), run on integer numerators over one denominator
+    that grows only where a division by k is not exact.  Power sums may
+    be ints or ``Fraction``s; a coefficient comes back as an int exactly
+    when it is an integer, else as a ``Fraction``.
 
     >>> from_power_sums([3, 5])  # roots 1 and 2
     [2, -3, 1]
     """
-    e = [1]
-    for k in range(1, len(sums) + 1):
+    p, s = linalg.clear_denominators(sums)  # p_j = p[j - 1] / s
+    e, den = [1], 1  # e_k = e[k] / den
+    for k in range(1, len(p) + 1):
         acc = 0
         for j in range(1, k + 1):
-            term = e[k - j] * sums[j - 1]
+            term = e[k - j] * p[j - 1]
             acc = acc + term if j % 2 else acc - term
-        ek = Fraction(acc, k)
-        e.append(ek.numerator if ek.denominator == 1 else ek)
-    d = len(sums)
-    return [e[d - k] if (d - k) % 2 == 0 else -e[d - k] for k in range(d + 1)]
+        g = gcd(acc, k * s)  # k e_k = acc / (den s), so e_k = (acc / g) / (den step)
+        step = k * s // g
+        e, den = [x * step for x in e] + [acc // g], den * step
+    d = len(p)
+    out = [e[d - k] if (d - k) % 2 == 0 else -e[d - k] for k in range(d + 1)]
+    if all(c % den == 0 for c in out):
+        return [c // den for c in out]
+    from fractions import Fraction  # imported here: a coefficient is not an integer
+
+    return [Fraction(c, den) if c % den else c // den for c in out]

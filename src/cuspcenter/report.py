@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import os
 from _json import encode_basestring_ascii
-from fractions import Fraction
 from math import gcd
 
+from .arith import num_den
 from .classes import ClassType, check_census, group_order, make_class_type
 from .cyclotomic import CyclotomicNumber
 from .finitefield import FiniteField, FqPoly
@@ -40,10 +40,9 @@ SCHEMA_VERSION = 1
 
 
 def frac_json(x) -> dict:
-    if type(x) is int:
-        return {"num": str(x), "den": "1"}
-    f = Fraction(x)
-    return {"num": str(f.numerator), "den": str(f.denominator)}
+    """A ``(num, den)`` pair in lowest terms, an int or a ``Fraction``."""
+    num, den = num_den(x)
+    return {"num": str(num), "den": str(den)}
 
 
 def _coeffs_json(v) -> list:
@@ -242,11 +241,11 @@ def load_census(cache_dir: str, q: int, n: int, field: FiniteField):
     and by its class sizes; returns None when the file is missing or
     fails any validation, in which case the caller should enumerate
     afresh."""
-    import json  # imported here: no other path parses JSON
-
     path = cache_path(cache_dir, q, n)
     if not os.path.exists(path):
         return None
+    import json  # imported here, once a file is there: no other path parses JSON
+
     try:
         with open(path, "rb") as fh:
             doc = json.load(fh)

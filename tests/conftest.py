@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
@@ -24,7 +25,7 @@ from cuspcenter.errors import AssertionFailure, IntegralityFailure, NoSolution
 from cuspcenter.finitefield import irreducible_polys
 from cuspcenter.gl2table import gl2_character_table
 from cuspcenter.params import require_reduced
-from cuspcenter.polynomials import Poly, from_power_sums
+from cuspcenter.polynomials import Poly
 
 # the test matrix: every reduced case plus the one unreduced alias
 CASES = {
@@ -132,14 +133,135 @@ def leibniz_charpoly(a, zero, one) -> list:
 
 def invert(rows) -> list:
     """The inverse of a square matrix as ``Fraction``s, by one reduction
-    of [A | I] with the engine's ``linalg._echelon``; NoSolution if A is
-    singular.  ``invariant_ring`` certifies its basis matrix by j* <= n
-    instead, and the tests use this inverse as the referee."""
+    of [A | I] with the engine's ``linalg._echelon``, each integer pivot
+    row divided by its pivot; NoSolution if A is singular.
+    ``invariant_ring`` certifies its basis matrix by j* <= n instead, and
+    the tests use this inverse as the referee."""
     n = len(rows)
     aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
     if len(linalg._echelon(aug, n)) < n:
         raise NoSolution("matrix is singular")
-    return [r[n:] for r in aug]
+    return [[Fraction(x, r[i]) for x in r[n:]] for i, r in enumerate(aug)]
+
+
+# -- the engine's integer rationals, read as ``Fraction``s -------------------------
+
+
+def frac(pair) -> Fraction:
+    """An engine ``(num, den)`` pair as a ``Fraction``."""
+    num, den = pair
+    return Fraction(num, den)
+
+
+def as_pair(x) -> tuple:
+    """An int or a ``Fraction`` as the engine's ``(num, den)`` pair."""
+    x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def as_coords(values) -> tuple:
+    """Orbit coordinates given as ints or ``Fraction``s in the engine's
+    ``(nums, den)`` form: integer numerators over their least common
+    denominator, which is in lowest terms."""
+    nums, den = linalg.clear_denominators(values)
+    return tuple(nums), den
+
+
+def coord_values(coords) -> tuple:
+    """The engine's ``(nums, den)`` orbit coordinates as ``Fraction``s."""
+    nums, den = coords
+    return tuple(Fraction(x, den) for x in nums)
+
+
+# -- the Fraction paths the engine's integer arithmetic replaced: the referees ------
+
+
+def fraction_z_factor(big_q: int, lam: tuple) -> int:
+    """The referee for ``classes._z_factor``: Q^(|lam| + 2 n(lam)) times
+    prod_{k<=m} (1 - Q^-k) over the multiplicities m of lam, multiplied
+    out in ``Fraction``s."""
+    size = sum(lam)
+    n_lam = sum(i * part for i, part in enumerate(lam))
+    val = Fraction(big_q) ** (size + 2 * n_lam)
+    for _, mult in sorted(Counter(lam).items()):
+        for k in range(1, mult + 1):
+            val *= 1 - Fraction(1, big_q**k)
+    if val.denominator != 1:
+        raise AssertionFailure(f"centralizer factor z({big_q}, {lam}) = {val} is not integral")
+    return int(val)
+
+
+def fraction_from_power_sums(sums) -> list:
+    """The referee for ``polynomials.from_power_sums``: Newton's
+    identities k e_k = sum_j (-1)^(j-1) e_(k-j) p_j on ``Fraction``s, a
+    coefficient an int exactly when it is an integer."""
+    e = [1]
+    for k in range(1, len(sums) + 1):
+        acc = 0
+        for j in range(1, k + 1):
+            term = e[k - j] * sums[j - 1]
+            acc = acc + term if j % 2 else acc - term
+        ek = Fraction(acc, k)
+        e.append(ek.numerator if ek.denominator == 1 else ek)
+    d = len(sums)
+    return [e[d - k] if (d - k) % 2 == 0 else -e[d - k] for k in range(d + 1)]
+
+
+def fraction_poly_repr(p: Poly) -> str:
+    """The referee for ``Poly.__repr__``: each coefficient written as
+    ``str`` writes its ``Fraction``."""
+    if not p.nums:
+        return "0"
+    parts = []
+    for k, c in enumerate(p.coeffs):
+        if c == 0:
+            continue
+        if k == 0:
+            parts.append(str(c))
+        else:
+            mono = "Y" if k == 1 else f"Y^{k}"
+            parts.append(mono if c == 1 else f"-{mono}" if c == -1 else f"{c}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+def fraction_cyclo_repr(x: CyclotomicNumber) -> str:
+    """The referee for ``CyclotomicNumber.__repr__``: the rational by
+    ``str`` of its ``Fraction``, else each power-basis coefficient so."""
+    c = x.canonical()
+    r = c.as_rational()
+    if r is not None:
+        return str(r)
+    terms = []
+    for e, v in enumerate(c.coeffs):
+        if v == 0:
+            continue
+        z = f"z{c.ell ** c.level}"
+        mono = "1" if e == 0 else (z if e == 1 else f"{z}^{e}")
+        terms.append(mono if v == 1 and e else f"{v}*{mono}" if e else str(v))
+    return " + ".join(terms).replace("+ -", "- ")
+
+
+def fraction_lemma_signs_check(ps) -> list:
+    """The referee for ``centermap.lemma_signs_check``: its congruences
+    on ``Fraction``s, with the witness written by ``str``."""
+    ps = require_reduced(ps)
+    out = []
+    for v in range(1, ps.n + 1):
+        if ps.n % v:
+            continue
+        d = ps.n // v
+        lhs = Fraction(1, v)
+        for k in range(1, v):
+            lhs *= ps.q ** (d * k) - 1
+        rhs = Fraction(ps.q ** (ps.n * (v - 1) // 2))
+        diff = lhs - rhs
+        if diff != 0 and ord_frac(diff, ps.ell) < ps.r:
+            raise AssertionFailure(
+                f"sign congruence fails at (v, d) = ({v}, {d})",
+                witness={"lhs": str(lhs), "rhs": str(rhs)},
+            )
+        out.append({"v": v, "d": d, "lhs": lhs, "rhs": rhs})
+    return out
 
 
 def omega_value(ps, i, exponent=1):
@@ -206,8 +328,12 @@ def class_buckets(res) -> dict:
 
 def class_reconstructions(res) -> list:
     """The replayed reconstruction of every l-singular degree-n class,
-    in census order, each headed by the class's label."""
-    recs = res.reconstructions
+    in census order, each headed by the class's label, its ``(num,
+    den)`` pairs read as ``Fraction``s."""
+    recs = [
+        rec and {k: frac(v) if isinstance(v, tuple) else v for k, v in rec.items()}
+        for rec in res.reconstructions
+    ]
     return [
         {"label": label, **recs[k]}
         for label, k in zip(res.labels, res.key_of)
@@ -475,7 +601,7 @@ def group_ring_invariant_ring(ps) -> GroupRingRing:
     ell = ps.ell
     factors, omegas, images = [Poly((-ps.n, 1))], [], []
     for i in range(1, ps.r + 1):
-        coeffs = from_power_sums(group_ring_power_sums(ps, i, powers))
+        coeffs = fraction_from_power_sums(group_ring_power_sums(ps, i, powers))
         if any(c.denominator != 1 for c in coeffs):
             raise AssertionFailure(f"m_{i} coefficient not an integer")
         m_i = Poly(coeffs)

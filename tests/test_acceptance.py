@@ -38,6 +38,7 @@ from conftest import (
     class_buckets,
     class_certificates,
     class_deltas,
+    frac,
     omega_value,
     per_class,
     rationals,
@@ -95,15 +96,15 @@ def test_criterion_2_lemma_suite(params):
 
 def test_criterion_3_sign_congruences(endo_results):
     """Unit congruences for every divisor pair, with the two frozen
-    spot values."""
+    spot values (the rows hold ``(num, den)`` pairs)."""
     for label, res in endo_results.items():
         for row in res.signs:
-            diff = row["lhs"] - row["rhs"]
+            diff = frac(row["lhs"]) - frac(row["rhs"])
             assert diff == 0 or ord_frac(diff, res.params.ell) >= res.params.r
     p1 = {(r["v"], r["d"]): r for r in endo_results["P1"].signs}
-    assert p1[(2, 1)]["lhs"] == Fraction(1, 2) and p1[(2, 1)]["rhs"] == 2
+    assert p1[(2, 1)]["lhs"] == (1, 2) and p1[(2, 1)]["rhs"] == (2, 1)
     p2 = {(r["v"], r["d"]): r for r in endo_results["P2"].signs}
-    assert p2[(3, 1)]["lhs"] == 1 and p2[(3, 1)]["rhs"] == 8
+    assert p2[(3, 1)]["lhs"] == (1, 1) and p2[(3, 1)]["rhs"] == (8, 1)
     print("PASS criterion-3 (tolerance 0): sign congruences for all divisor "
           "pairs incl. frozen spots 1/2=2 (mod 3), 1=8 (mod 7)")
 

@@ -41,10 +41,15 @@ from cuspcenter.centermap import (
 )
 from conftest import (
     CASES,
+    as_coords,
+    as_pair,
     class_buckets,
     class_certificates,
     class_deltas,
     class_reconstructions,
+    coord_values,
+    frac,
+    fraction_lemma_signs_check,
     omega_value,
     per_class,
     rationals,
@@ -91,7 +96,7 @@ def test_bucket_counts_and_idempotent_unit(label, endo_results):
     res = endo_results[label]
     counts, unit = EXPECTED_BUCKETS[label]
     assert tuple(res.case_report.bucket_counts[b] for b in BUCKETS) == counts
-    assert res.idempotent_unit == unit
+    assert res.idempotent_unit == as_pair(unit)
     assert len(class_reconstructions(res)) == EXPECTED_RECONS[label]
 
 
@@ -123,8 +128,8 @@ def test_p2_witness_delta_and_certificate(endo_results):
     res = endo_results["P2"]
     wit = res.case_report.witness_label
     assert wit == "x+1:(3)"
-    assert per_class(res, res.coordinates)[wit] == (12, -2, -2)  # 14 * 1 - 2 * N
-    assert res.coordinates[res.case_report.witness_key] == (12, -2, -2)
+    assert per_class(res, res.coordinates)[wit] == ((12, -2, -2), 1)  # 14 * 1 - 2 * N
+    assert res.coordinates[res.case_report.witness_key] == ((12, -2, -2), 1)
     assert rationals(class_deltas(res)[wit]) == (
         Fraction(0),
         Fraction(14),
@@ -136,9 +141,9 @@ def test_p2_witness_delta_and_certificate(endo_results):
 
 def test_g_reports(endo_results):
     res = endo_results["P1"]
-    assert res.g_report["g_at_n"] == 3  # g = Y + 1 at n = 2
+    assert res.g_report["g_at_n"] == (3, 1)  # g = Y + 1 at n = 2
     res = endo_results["P2"]
-    assert res.g_report["g_at_n"] == 14  # g = Y^2 + Y + 2 at n = 3
+    assert res.g_report["g_at_n"] == (14, 1)  # g = Y^2 + Y + 2 at n = 3
     for res in endo_results.values():
         assert res.g_report["valuation"] == res.params.r
 
@@ -167,13 +172,14 @@ def test_reconstruction_scalars_p5(endo_results):
 
 
 def test_lemma_signs_frozen_spots(endo_results):
+    # each row holds lhs and rhs as (num, den) pairs
     rows = {(row["v"], row["d"]): row for row in endo_results["P1"].signs}
-    assert rows[(2, 1)]["lhs"] == Fraction(1, 2)
-    assert rows[(2, 1)]["rhs"] == 2
+    assert rows[(2, 1)]["lhs"] == (1, 2)
+    assert rows[(2, 1)]["rhs"] == (2, 1)
     rows = {(row["v"], row["d"]): row for row in endo_results["P2"].signs}
-    assert rows[(3, 1)]["lhs"] == 1
-    assert rows[(3, 1)]["rhs"] == 8
-    assert rows[(1, 3)]["lhs"] == rows[(1, 3)]["rhs"] == 1
+    assert rows[(3, 1)]["lhs"] == (1, 1)
+    assert rows[(3, 1)]["rhs"] == (8, 1)
+    assert rows[(1, 3)]["lhs"] == rows[(1, 3)]["rhs"] == (1, 1)
 
 
 def test_lemma_signs_all_divisor_pairs():
@@ -182,7 +188,7 @@ def test_lemma_signs_all_divisor_pairs():
         rows = lemma_signs_check(ps)
         assert len(rows) == sum(1 for v in range(1, n + 1) if n % v == 0)
         for row in rows:
-            diff = row["lhs"] - row["rhs"]
+            diff = frac(row["lhs"]) - frac(row["rhs"])
             if diff:
                 from cuspcenter.arith import ord_frac
 
@@ -190,11 +196,11 @@ def test_lemma_signs_all_divisor_pairs():
 
 
 def image(coords, ps) -> BlockVector:
-    """The referee for orbit coordinates: V spread over its orbits as a
-    dense ``conftest.GroupRingElement`` and mapped to every slot by its
-    ``at_zeta``."""
+    """The referee for orbit coordinates (nums, den): V spread over its
+    orbits as a dense ``conftest.GroupRingElement`` and mapped to every
+    slot by its ``at_zeta``."""
     orbits = invariants.orbit_structure(ps)
-    x = spread(ps, coords)
+    x = spread(ps, coord_values(coords))
     return BlockVector(
         ps.ell, ps.r, orbits.reps, [x.at_zeta(ps.ell, ps.r, rep) for rep in orbits.reps]
     )
@@ -203,7 +209,7 @@ def image(coords, ps) -> BlockVector:
 def in_s(coords, entries, ps) -> bool:
     """Both S-membership predicates on the vector with these orbit
     coordinates, whose image must be these slot values."""
-    coords = tuple(Fraction(v) for v in coords)
+    coords = as_coords(coords)
     vec = BlockVector(ps.ell, ps.r, block_slots(ps), entries)
     assert slots(image(coords, ps)) == slots(vec)
     assert s_membership(coords, ps.ell) == slot_s_membership(vec)
@@ -226,8 +232,8 @@ def test_s_membership_rejects():
     # slot difference not divisible by l^r: 2 * 1 - N / 7
     assert not in_s((Fraction(13, 7), Fraction(-1, 7), Fraction(-1, 7)), [1, 2, 2], ps)
     # unequal cuspidal coordinates map to irrational cuspidal slots
-    assert not s_membership((Fraction(0), Fraction(7), Fraction(14)), 7)
-    assert image((0, 7, 14), ps).entries[1].as_rational() is None
+    assert not s_membership(as_coords((0, 7, 14)), 7)
+    assert image(as_coords((0, 7, 14)), ps).entries[1].as_rational() is None
     # denominators prime to l are units, so 7/2 entries stay inside S
     half = Fraction(-1, 2)
     assert in_s((3, half, half), [0, Fraction(7, 2), Fraction(7, 2)], ps)
@@ -447,7 +453,7 @@ def test_factor_table_matches_horner_referee(args):
     g = prod(factors[1:], start=one)
     assert zero_pattern(evaluate_poly_vector(g, gamma)) == table_zeros(values[1:])
     report = g_of_gamma_check(ring, values)
-    assert report["g_at_n"] == g(Fraction(ring.ps.n))  # n of the reduced set
+    assert report["g_at_n"] == as_pair(g(Fraction(ring.ps.n)))  # n of the reduced set
     assert report["g"] == repr(g)
 
 
@@ -479,7 +485,7 @@ def test_express_in_gamma_failure_modes():
     with pytest.raises(NoSolution):
         gram_express_all_in_gamma([outside], ring)
     # rationally consistent but with non-l-integral coordinates: 1/3
-    third = (Fraction(1, 3), Fraction(0))
+    third = as_coords((Fraction(1, 3), 0))
     expected = BlockVector(3, 1, reps, [Fraction(1, 3), Fraction(1, 3)])
     assert slots(image(third, ps)) == slots(expected)
     with pytest.raises(IntegralityFailure):
@@ -492,13 +498,13 @@ def test_express_all_in_gamma_failure_modes():
     gamma = gamma_vector(ps)
     reps = block_slots(ps)
     # 1, f and 5 f in orbit coordinates, and on the slots
-    valid = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)), (Fraction(0), Fraction(5))]
+    valid = [as_coords(v) for v in ((1, 0), (0, 1), (0, 5))]
     vecs = [BlockVector(3, 1, reps, [1, 1]), gamma, slot_scale(gamma, 5)]
     assert [slots(image(v, ps)) for v in valid] == [slots(v) for v in vecs]
     outside = BlockVector(3, 1, reps, [0, zeta(3, 1)])
     with pytest.raises(NoSolution):
         gram_express_all_in_gamma(vecs[:2] + [outside] + vecs[2:], ring)
-    fractional = (Fraction(1, 3), Fraction(0))
+    fractional = as_coords((Fraction(1, 3), 0))
     with pytest.raises(IntegralityFailure):
         express_all_in_gamma(valid + [fractional], ring)
     assert express_each(valid, ring) == [Poly((1,)), Poly((0, 1)), Poly((0, 5))]
@@ -578,11 +584,10 @@ def gram_express_all_in_gamma(vecs, ring):
     sols = linalg.solve_columns(gram, [[sum(map(mul, a, b)) for a in cols] for b, _ in targets])
     rows = list(zip(*cols))
     out = {}
-    for key, (b, den), sol in zip(distinct, targets, sols):
-        y_nums, y_den = linalg.clear_denominators(sol)
+    for key, (b, den), (y_nums, y_den) in zip(distinct, targets, sols):
         if any(sum(map(mul, row, y_nums)) != y_den * x for row, x in zip(rows, b)):
             raise NoSolution("vector is not a polynomial in gamma")
-        out[key] = Poly([Fraction(y, den) for y in sol])
+        out[key] = Poly([Fraction(y, y_den * den) for y in y_nums])
     if not all(h.is_ell_integral(ps.ell) for h in out.values()):
         raise IntegralityFailure("gamma-certificate is not l-integral")
     return [out[(vec.reps, vec.entries)] for vec in vecs]
@@ -644,7 +649,10 @@ def ref_express_all_in_gamma(vecs, gamma_pows, ps):
     distinct = list({(vec.reps, vec.entries): vec for vec in vecs}.values())
     phi = phi_prime_power(ps.ell, ps.r)
     rows = [list(row) for row in zip(*(_coordinates(v, phi) for v in gamma_pows))]
-    sols = linalg.solve_columns(rows, [_coordinates(vec, phi) for vec in distinct])
+    sols = [
+        [Fraction(x, den) for x in nums]
+        for nums, den in linalg.solve_columns(rows, [_coordinates(vec, phi) for vec in distinct])
+    ]
     out = []
     for vec, sol in zip(distinct, sols):
         h = Poly(sol)
@@ -688,7 +696,7 @@ def perturbed(data, res):
     N that moves the Steinberg slot by a multiple of l^r (still an
     l-integral polynomial in gamma) or of l^(r-1)."""
     ps = res.params
-    vecs = list(dict.fromkeys(key_coordinates(res).values()))
+    vecs = [coord_values(v) for v in dict.fromkeys(key_coordinates(res).values())]
     for _ in range(data.draw(st.integers(0, 3))):
         k = data.draw(st.integers(0, len(vecs) - 1))
         if data.draw(st.sampled_from(["scale", "steinberg"])) == "scale":
@@ -696,7 +704,7 @@ def perturbed(data, res):
             continue
         shift = data.draw(st.integers(1, 9)) * ps.ell ** data.draw(st.integers(ps.r - 1, ps.r))
         vecs[k] = tuple(v + Fraction(shift, ps.ell_power) for v in vecs[k])
-    return vecs
+    return [as_coords(v) for v in vecs]
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -822,7 +830,7 @@ def test_delta_class_residue_and_integrality_checks(monkeypatch, shift, error):
     def shifted(c, p):
         st, scalar, j = form(c, p)
         assert j == 0
-        return st, scalar + Fraction(shift, p.n), j
+        return st, as_pair(frac(scalar) + Fraction(shift, p.n)), j
 
     expected = delta_class(ct, ps)
     monkeypatch.setattr(centermap, "delta_form", shifted)
@@ -845,7 +853,7 @@ def slot_form_vector(ct, form, ps) -> BlockVector:
     slot multiplied out in Q(zeta), each entry tested for l-integrality,
     then each cuspidal entry against slot 0 in the residue field at
     zeta = 1."""
-    st, c, j = form
+    st, c, j = frac(form[0]), frac(form[1]), form[2]
     reps = block_slots(ps)
     sums = invariants.orbit_sums(ps)
     entries = [st] + [sums[i * j % ps.ell_power] * c for i in reps[1:]]
@@ -897,7 +905,8 @@ def test_form_vector_matches_the_slot_referee(args):
     for ct in firsts:
         form = delta_form(ct, ps)
         for move in moves:
-            moved = move(*form)
+            st, c, j = move(frac(form[0]), frac(form[1]), form[2])
+            moved = as_pair(st), as_pair(c), j
             got = failure_or_vector(form_vector, ct, moved, ps)
             want = failure_or_vector(slot_form_vector, ct, moved, ps)
             if isinstance(got, BlockVector):
@@ -1036,11 +1045,68 @@ SLOT_CHAIN_CASES += [(2, 127, 7), (101, 17, 2)]
 def test_endo_ring_matches_the_slot_chain(args):
     res = verify_endo_ring(*args)
     label, unit, idem, records = slot_endo_ring(res.params)
-    assert (res.case_report.witness_label, res.idempotent_unit) == (label, unit)
+    assert (res.case_report.witness_label, frac(res.idempotent_unit)) == (label, unit)
     assert slots(res.scaled_idempotent) == slots(idem)
     assert [list(rec.items()) for rec in class_reconstructions(res)] == [
         list(rec.items()) for rec in records
     ]
+
+
+# -- the failure texts of the integer rationals, against str of their Fraction -----
+
+
+@pytest.mark.parametrize("args", REFEREE_CASES)
+def test_lemma_signs_match_the_fraction_referee(args):
+    # every row, and with r raised past the true congruence the first
+    # failing pair, its message and its lhs / rhs witness text
+    ps = reduce_parameters(validate_parameters(*args))
+    rows = lemma_signs_check(ps)
+    want = fraction_lemma_signs_check(ps)
+    assert [{**row, "lhs": frac(row["lhs"]), "rhs": frac(row["rhs"])} for row in rows] == want
+    raised = ps._replace(r=ps.r + 4)
+    got = failure_or_vector(lemma_signs_check, raised)
+    assert got[0] is AssertionFailure
+    assert got == failure_or_vector(fraction_lemma_signs_check, raised)
+
+
+@pytest.mark.parametrize("unit", [Fraction(7, 2), Fraction(-1, 14), Fraction(49)])
+def test_a_witness_unit_off_the_units_fails_as_on_the_slots(endo_results, unit):
+    res = endo_results["P2"]  # l = 7
+    ps, k = res.params, res.case_report.witness_key
+    witness = class_deltas(res)[res.case_report.witness_label]
+    got = failure_or_vector(
+        centermap.reconstruct_scaled_idempotent, ps, res.coordinates[k], as_pair(unit)
+    )
+    assert got == failure_or_vector(slot_scaled_idempotent, ps, witness, unit)
+    assert got[1] == f"witness unit {unit} is not an l-unit"
+
+
+def test_a_class_size_off_the_units_fails_as_on_the_slots(monkeypatch, endo_results):
+    # dim times l: every l-singular degree-n class's |C|/dim loses its
+    # l-unit, in the engine's replay and in the slot referee's
+    res = endo_results["P3"]
+    ps = res.params
+    firsts, _ = group_classes(res.classes, ps)
+    vecs = class_deltas(res)
+    plain = centermap.cuspidal_dimension
+
+    def times_ell(p):
+        return p.ell * plain(p)
+
+    monkeypatch.setattr(centermap, "cuspidal_dimension", times_ell)
+    monkeypatch.setitem(globals(), "cuspidal_dimension", times_ell)
+    seen = 0
+    for ct, coords, rec in zip(firsts, res.coordinates, res.reconstructions):
+        if rec is None:
+            continue
+        got = failure_or_vector(centermap.reconstruct_gamma, ps, ct, coords)
+        want = failure_or_vector(
+            slot_reconstruct_gamma, ps, ct, vecs[ct.label()], res.scaled_idempotent
+        )
+        assert got == want
+        assert got[2] == str(Fraction(ct.class_size() * (-1) ** (ps.n - 1), times_ell(ps)))
+        seen += 1
+    assert seen
 
 
 # -- failure paths: one key's delta form moved --------------------------------------
@@ -1049,12 +1115,16 @@ def test_endo_ring_matches_the_slot_chain(args):
 def move_forms(monkeypatch, pick, move):
     """Patch ``centermap.delta_form`` to move the form of every class
     that ``pick`` accepts.  verify_endo_ring asks for one form per key,
-    at the key's first class in census order, so this moves whole keys."""
+    at the key's first class in census order, so this moves whole keys.
+    ``move`` reads and returns st and c as ``Fraction``s."""
     plain = centermap.delta_form
 
     def moved(ct, ps):
         form = plain(ct, ps)
-        return move(ps, *form) if pick(ct, ps) else form
+        if not pick(ct, ps):
+            return form
+        st, c, j = move(ps, frac(form[0]), frac(form[1]), form[2])
+        return as_pair(st), as_pair(c), j
 
     monkeypatch.setattr(centermap, "delta_form", moved)
 

@@ -4,7 +4,7 @@ sign, and the slot-separation behaviour at l-singular classes."""
 from math import prod
 
 import pytest
-from conftest import CASES
+from conftest import CASES, frac
 
 from cuspcenter import characters
 from cuspcenter.centermap import block_slots, delta_class, delta_form
@@ -182,7 +182,7 @@ def test_cuspidal_rows_match_the_per_slot_referee(ps):
     sums = orbit_sums(ps)
     for ct in enumerate_classes(finite_field(ps.q), ps.n):
         c, j = cuspidal_form(ct, ps)
-        row = [sums[i * j % ps.ell_power] * c for i in slots]
+        row = [sums[i * j % ps.ell_power] * frac(c) for i in slots]
         assert row == [referee_cuspidal_value(i, ct, ps) for i in slots]
         assert [cuspidal_value(i, ct, ps) for i in slots] == row
 

@@ -7,7 +7,7 @@ import sys
 from collections import Counter
 
 import pytest
-from conftest import partitions, referee_census
+from conftest import fraction_z_factor, partitions, referee_census
 
 from cuspcenter import classes, finitefield
 from cuspcenter.arith import prime_power
@@ -78,6 +78,35 @@ def test_class_sizes_gl3_f2():
 def test_sizes_partition_group(q, n):
     classes = enumerate_classes(finite_field(q), n)
     assert sum(ct.class_size() for ct in classes) == group_order(q, n)
+
+
+def test_z_factor_matches_the_fraction_product():
+    # every type factor (degree d, partition lam) with d |lam| <= 8, at
+    # Q = q^d for several q
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        for d in range(1, 9):
+            for size in range(1, 8 // d + 1):
+                for lam in partitions(size):
+                    assert classes._z_factor(q**d, lam) == fraction_z_factor(q**d, lam)
+    # a partition with zero parts is not integral on both paths, alike
+    for lam, den in (((0, 0, 0, 0), 4**10), ((1, 0, 0), 4**3)):
+        with pytest.raises(AssertionFailure) as engine:
+            classes._z_factor(4, lam)
+        with pytest.raises(AssertionFailure) as referee:
+            fraction_z_factor(4, lam)
+        assert str(engine.value) == str(referee.value)
+        assert str(engine.value).endswith(f"/{den} is not integral")
+
+
+@pytest.mark.parametrize("q,n", [(2, 8), (3, 4), (4, 3), (5, 3), (7, 2), (9, 2)])
+def test_centralizer_orders_match_the_fraction_product(q, n):
+    # every class type of GL_n(F_q): the integer centralizer order
+    # against the product of the referee's factors at Q = q^deg P
+    for ct in enumerate_classes(finite_field(q), n):
+        want = 1
+        for poly, lam in ct.factors:
+            want *= fraction_z_factor(q**poly.degree, lam)
+        assert ct.centralizer_order() == want
 
 
 def test_centralizer_examples():

@@ -387,6 +387,11 @@ SPANNED_MODULES = (
 )
 
 
+# fractions, with decimal and numbers, which it imports: the engine holds
+# its rationals as integer numerators over one denominator
+NUMERIC_MODULES = ("fractions", "decimal", "numbers")
+
+
 def test_cli_import_loads_every_spanned_module_and_nothing_heavy():
     proc = subprocess.run(
         [sys.executable, "-S", "-c", "import sys, cuspcenter.cli; print(*sys.modules)"],
@@ -398,9 +403,45 @@ def test_cli_import_loads_every_spanned_module_and_nothing_heavy():
     loaded = set(proc.stdout.split())
     assert {
         "argparse", "dataclasses", "gettext", "hashlib", "json", "json.decoder", "locale",
-        "traceback", "typing",
+        "traceback", "typing", *NUMERIC_MODULES,
     }.isdisjoint(loaded)
     assert {f"cuspcenter.{name}" for name in SPANNED_MODULES} <= loaded
+
+
+RUN_AND_LIST_NUMERIC_MODULES = f"""
+import sys
+from cuspcenter import cli
+code = cli.main(sys.argv[1:])
+sys.stdout.flush()
+print(code, *sorted(set({NUMERIC_MODULES!r}) & set(sys.modules)), file=sys.stderr)
+"""
+
+
+def test_no_benchmark_command_loads_the_numeric_modules(tmp_path):
+    # every endo-ring, deformation, invariants and classes command of
+    # perfbench/references.json, in order (the cold census cache before the
+    # warm one), each in a fresh process as the benchmark runs it, with its
+    # stdout pinned.  oracle is exempt: the GL_2 table stays an independent
+    # referee on Fractions (gl2table.delta_from_table imports fractions)
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
+    references = json.loads(path.read_text())
+    ran = set()
+    for name, sha in sorted(references.items()):
+        argv = name.split(" (")[0].split() + ["--out", "json"]
+        if argv[0] == "oracle":
+            continue
+        if argv[0] == "classes":
+            argv += ["--cache-dir", str(tmp_path)]
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", RUN_AND_LIST_NUMERIC_MODULES, *argv],
+            capture_output=True,
+            env=SRC_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr[-1000:]
+        assert proc.stderr == b"0\n", (name, proc.stderr)
+        assert hashlib.sha256(proc.stdout).hexdigest() == sha, name
+        ran.add(argv[0])
+    assert ran == {"endo-ring", "deformation", "invariants", "classes"}
 
 
 RECORD_TYPES = {

@@ -1,8 +1,14 @@
 """The cyclotomic layer is the foundation everything else trusts, so
 its invariants are checked exhaustively over small exponent sets."""
 
+import sys
 from fractions import Fraction
 
+from conftest import fraction_cyclo_repr
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cuspcenter.arith import ratio_hash
 from cuspcenter.cyclotomic import (
     CyclotomicNumber,
     ell_valuation,
@@ -10,6 +16,7 @@ from cuspcenter.cyclotomic import (
     phi_prime_power,
     zeta,
 )
+from cuspcenter.polynomials import Poly
 
 
 def test_phi_prime_power():
@@ -101,3 +108,56 @@ def test_hash_consistent_across_levels():
     assert z3 == z9_cubed
     assert hash(z3) == hash(z9_cubed)
     assert len({z3, z9_cubed}) == 1
+
+
+# numerators past the hash modulus P = 2^61 - 1, and denominators that it
+# divides, where a Fraction hashes as sys.hash_info.inf
+MODULUS = sys.hash_info.modulus
+numerators = st.one_of(st.integers(-50, 50), st.integers(-(10**40), 10**40))
+denominators = st.one_of(
+    st.integers(1, 12), st.integers(1, 10**30), st.sampled_from([MODULUS, 2 * MODULUS, 3 * MODULUS])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(numerators, denominators, st.sampled_from([(2, 0), (3, 1), (5, 2)]))
+def test_rationals_hash_and_compare_as_their_fraction(a, b, ell_level):
+    # a level-0 CyclotomicNumber (or a rational embedded higher) and a
+    # constant Poly read their hash off nums and den by arith.ratio_hash;
+    # each must equal, and hash as, Fraction(a, b), and find its key
+    f = Fraction(a, b)
+    ell, level = ell_level
+    for x in (CyclotomicNumber.rational(ell, f).embed_to(level), Poly((f,))):
+        assert x == f and f == x
+        assert hash(x) == hash(f)
+        assert {f: "key"}.get(x) == "key" and {x: "key"}.get(f) == "key"
+    assert ratio_hash(f.numerator, f.denominator) == hash(f)
+    # one more unit in the numerator: both paths miss the key alike
+    moved = Fraction(a + 1, b)
+    assert {f: "key"}.get(CyclotomicNumber.rational(ell, moved)) is None
+    assert {f: "key"}.get(Poly((moved,))) is None
+
+
+def test_ratio_hash_meets_the_modulus_branches():
+    # -(P + 2) / 2 hashes to -1 before the final step, as -1 itself does
+    for a, b in [
+        (1, MODULUS), (-1, 2 * MODULUS), (MODULUS, 1), (-MODULUS - 1, 1), (-1, 1),
+        (-(MODULUS + 2), 2),
+    ]:
+        f = Fraction(a, b)
+        assert ratio_hash(f.numerator, f.denominator) == hash(f)
+    assert hash(Fraction(1, MODULUS)) == sys.hash_info.inf
+    assert hash(Fraction(-1, 1)) == hash(Fraction(-(MODULUS + 2), 2)) == -2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([(2, 0), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1)]),
+    st.lists(st.fractions(-40, 40, max_denominator=12), max_size=20),
+)
+def test_cyclotomic_repr_matches_the_fraction_text(ell_level, coeffs):
+    # the text of each coefficient, from nums and den, against str of its
+    # Fraction; rationals at every level print as their Fraction
+    x = CyclotomicNumber(*ell_level, coeffs)
+    assert repr(x) == fraction_cyclo_repr(x)
+    assert repr(x.canonical()) == repr(x)

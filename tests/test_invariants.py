@@ -870,3 +870,18 @@ def test_a_mutated_power_coordinate_fails_on_both_paths(monkeypatch, capsys, arg
     monkeypatch.setattr(invariants, "power_coordinates", mutated)
     monkeypatch.setattr(conftest, "trace_powers", mutated_dense)
     assert_fails_alike(ps, capsys)
+
+
+@pytest.mark.parametrize("shift", [_shift_first, _shift_index])
+@pytest.mark.parametrize("args", MUTATION_SETS)
+def test_shifted_power_sums_fail_on_both_paths(monkeypatch, capsys, shift, args):
+    # the same shift of the power sums at every level on both paths: the
+    # engine's integer Newton (polynomials.from_power_sums) and the
+    # referee's Fraction Newton (conftest.fraction_from_power_sums) build
+    # the same wrong m_i, so both fail the same check, a non-integral
+    # coefficient or the certificate m_i(omega_i) = 0
+    ps = validate_parameters(*args)
+    plain, plain_dense = invariants.power_sums, conftest.group_ring_power_sums
+    monkeypatch.setattr(invariants, "power_sums", lambda *a: shift(plain(*a)))
+    monkeypatch.setattr(conftest, "group_ring_power_sums", lambda *a: shift(plain_dense(*a)))
+    assert_fails_alike(ps, capsys)

@@ -210,7 +210,7 @@ def test_solve_columns_matches_solve_unique(data):
         with pytest.raises(expected_error):
             linalg.solve_columns(rows, rhs_list)
         return
-    sols = linalg.solve_columns(rows, rhs_list)
+    sols = [[Fraction(x, den) for x in nums] for nums, den in linalg.solve_columns(rows, rhs_list)]
     assert sols == outcomes
     for sol, b in zip(sols, rhs_list):
         assert [sum(a * s for a, s in zip(r, sol)) for r in rows] == b
@@ -572,8 +572,11 @@ def test_integer_echelon_matches_fraction_echelon(data):
     pivots = linalg._echelon(got, ncols)
     assert pivots == ref_echelon(ref, ncols)
     k = len(pivots)
-    assert got[:k] == ref[:k]
-    assert all(type(x) is Fraction for r in got[:k] for x in r)
+    # the pivot rows stay primitive integer rows: each is its reduced
+    # echelon row times its pivot entry
+    assert all(type(x) is int for r in got for x in r)
+    assert all(gcd(*r) == 1 for r in got[:k])
+    assert [[Fraction(x, r[col]) for x in r] for r, col in zip(got, pivots)] == ref[:k]
     assert all(not any(r[:ncols]) for r in got[k:])
     assert any(any(r[ncols:]) for r in got[k:]) == any(any(r[ncols:]) for r in ref[k:])
 
@@ -602,9 +605,12 @@ def test_solve_columns_matches_fraction_referee(data):
         else:
             rhs_list.append(data.draw(st.lists(entries(), min_size=nrows, max_size=nrows)))
     got = solve_outcome(linalg.solve_columns, rows, rhs_list)
-    assert got == solve_outcome(ref_solve_columns, rows, rhs_list)
     if isinstance(got, list):
-        assert all(type(v) is Fraction for sol in got for v in sol)
+        # each solution as integer numerators over one denominator, in lowest terms
+        assert all(type(x) is int for nums, den in got for x in (*nums, den))
+        assert all(den > 0 and gcd(den, *nums) == 1 for nums, den in got)
+        got = [[Fraction(x, den) for x in nums] for nums, den in got]
+    assert got == solve_outcome(ref_solve_columns, rows, rhs_list)
 
 
 @KERNEL

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+from conftest import fraction_from_power_sums, fraction_poly_repr
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -71,3 +72,39 @@ def test_monic_and_repr():
     m = Poly((-2, -1, 1))
     assert m.nums[-1] == m.den  # leading coefficient 1
     assert "Y" in repr(m)
+
+
+power_sums = st.one_of(
+    st.lists(st.integers(-10**6, 10**6), max_size=10),
+    st.lists(st.fractions(-50, 50, max_denominator=12), max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(power_sums)
+def test_from_power_sums_matches_the_fraction_newton(sums):
+    # arbitrary power sums, integral or not and mostly not those of any
+    # rational roots: the same coefficients, an int exactly where the
+    # referee's is one
+    got = from_power_sums(sums)
+    want = fraction_from_power_sums(sums)
+    assert got == want
+    assert [type(c) for c in got] == [type(c) for c in want]
+
+
+def test_from_power_sums_keeps_ints_where_every_division_is_exact():
+    # roots 1, 2, 3, 4: every e_k is an integer, and so is every step
+    sums = [sum(t**k for t in (1, 2, 3, 4)) for k in range(1, 5)]
+    assert from_power_sums(sums) == [24, -50, 35, -10, 1]
+    # one moved power sum makes e_2 = (e_1 p_1 - p_2) / 2 non-integral on
+    # both paths alike
+    moved = [sums[0] + 1] + sums[1:]
+    assert from_power_sums(moved) == fraction_from_power_sums(moved)
+    assert any(isinstance(c, Fraction) for c in from_power_sums(moved))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.fractions(-40, 40, max_denominator=12), max_size=8))
+def test_poly_repr_matches_the_fraction_text(coeffs):
+    p = Poly(coeffs)
+    assert repr(p) == fraction_poly_repr(p)
