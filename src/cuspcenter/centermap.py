@@ -45,6 +45,7 @@ from .invariants import (
     invariant_ring,
     orbit_structure,
     orbit_sums,
+    power_coordinates,
     pullback_mod_ell_check,
     uniformizer_check,
 )
@@ -274,6 +275,8 @@ def case_analysis(ps: ParameterSet, classes, labels, key_of, coords) -> CaseRepo
                 raise AssertionFailure(
                     "witness vector is not constant on cuspidal slots", witness=label
                 )
+            if not split[0][0]:
+                raise AssertionFailure("witness vector vanishes on cuspidal slots", witness=label)
             if ord_frac(split[0], ps.ell) != ps.r:
                 raise AssertionFailure(
                     f"witness valuation is {ord_frac(split[0], ps.ell)}, expected r = {ps.r}",
@@ -405,16 +408,17 @@ def express_all_in_gamma(vecs, ring: InvariantRingData) -> tuple[list, list]:
     h(f) = V, as an l-integral polynomial, and for each of ``vecs`` the
     index of its h; IntegralityFailure if any h is not l-integral.
 
-    Column k of ``ring.basis_matrix`` M holds the orbit coordinates of
-    the q-invariant f^k, so M y = V is the group-ring identity h(f) = V
-    with h = sum_k y_k Y^k.  The map to the slots is a ring map sending
-    f to gamma, so h(gamma) is the image of V: the delta vector.  One
-    elimination of M solves every distinct V, once.  ``invariant_ring``
-    certifies M in GL_D(Z_(l)), so h is l-integral exactly when V is;
-    the check stays explicit."""
+    Column k of the basis matrix M, built here, its one reader, holds
+    the orbit coordinates of f^k (``power_coordinates``), so M y = V is
+    the group-ring identity h(f) = V with h = sum_k y_k Y^k.  The map to
+    the slots sends f to gamma, so h(gamma) is the image of V: the delta
+    vector.  One elimination of M solves every distinct V, once.
+    ``invariant_ring`` certifies M in GL_D(Z_(l)), so h is l-integral
+    exactly when V is; the check stays explicit."""
     column_of = {}
     columns = [column_of.setdefault(v, len(column_of)) for v in vecs]
-    sols = solve_columns(ring.basis_matrix, [nums for nums, _ in column_of])
+    rows = tuple(zip(*power_coordinates(ring.times_f, ring.dimension)))
+    sols = solve_columns(rows, [nums for nums, _ in column_of])
     # M y = nums / den is solved as M (den y) = nums
     out = [Poly(y, y_den * den) for (y, y_den), (_, den) in zip(sols, column_of)]
     if not all(h.is_ell_integral(ring.ps.ell) for h in out):

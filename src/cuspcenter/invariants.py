@@ -16,8 +16,9 @@ of 1.  Multiplication by f on orbit coordinates is a sparse D x D
 integer matrix, D = #orbits, the Gaussian-period structure of Gupta and
 Zagier (Math. Comp. 60, 1993): column j is f S_j read at the
 representatives.  It is built once, each column checked q-invariant,
-and applied to 1 it gives f^0, ..., f^(D-1), the columns of the basis
-matrix.
+and applied to 1 it streams f^1, f^2, ..., one power live at a time;
+the basis matrix M, whose column k holds f^k, is built only by
+endo-ring's gamma solve (``centermap.express_all_in_gamma``).
 
 The minimal polynomials m_i come out of those coordinates, with no
 cyclotomic arithmetic: the power sums of the conjugates of omega_i are
@@ -26,7 +27,7 @@ identities turn them into the coefficients.  Each m_i is certified by
 the image of m_i(f) at level i, and m by m(f) = 0.
 
 A polynomial h is evaluated in one way, at f: ``poly_at_f`` gives the
-coordinates of h(f) = sum_k h_k f^k from the basis matrix.  Every value
+coordinates of h(f) = sum_k h_k f^k by Horner on that product.  Every value
 at a slot is then an image under one ring map, ``at_zeta``:
 X -> zeta_{l^i}^e.  It sends f to n at e = 0 (the Steinberg slot), to
 the orbit sum of e at level r (a cuspidal slot), and to omega_i at
@@ -47,21 +48,18 @@ Main outputs:
   * trace_exponents      - a_0, ..., a_(n-1), the exponents of f
   * trace_multiplication - multiplication by f on orbit coordinates,
                            each column checked q-invariant
-  * power_coordinates    - f^0, ..., f^(D-1) in orbit coordinates
+  * power_coordinates    - f^0, f^1, ... in orbit coordinates, streamed
   * at_zeta              - the one map of orbit coordinates to Q(zeta)
-  * poly_at_f            - the orbit coordinates of h(f)
-  * power_sums           - power sums of the conjugates of omega_i
+  * poly_at_f            - the orbit coordinates of h(f), by Horner
+  * power_sums           - power sums of the conjugates of each omega_i
   * orbit_sums           - the image of f at every e, once per orbit
   * omega_and_min_poly   - omega_i (f at level i), m_i and m_i(f)
   * min_polynomial       - m = (Y - n) * prod_i m_i and each factor at f
   * checked_factor_images - those factors at f, once they multiply to m
   * factor_values        - those factors at every slot, by ``at_zeta``
   * t_valuation          - j*, the t-adic valuation of f - n mod l
-  * invariant_ring       - the basis matrix, whose column k holds f^k,
-                           certified invertible with l-integral
-                           inverse by j* <= n; column j of the inverse
-                           holds the h with h(f) = the orbit sum of
-                           X^(reps[j])
+  * invariant_ring       - m, its factor images and m(f) = 0, with M
+                           certified in GL_D(Z_(l)) by j* <= n
 """
 
 from __future__ import annotations
@@ -69,7 +67,6 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from functools import lru_cache
 from math import comb, inf, prod
-from operator import mul
 
 from .arith import ord_int
 from .cyclotomic import CyclotomicNumber, _new, _reduce, lowest_terms, phi_prime_power
@@ -159,27 +156,29 @@ def _times(columns, coords) -> list:
     for x, column in zip(coords, columns):
         if x:
             for i, c in column:
-                out[i] += c * x
+                out[i] += x if c == 1 else c * x
     return out
 
 
-def power_coordinates(times_f, count: int) -> list[list[int]]:
-    """f^0, ..., f^(count-1) in orbit coordinates, f^0 = 1 = S_0, each
-    from the last by one ``times_f`` product."""
-    powers = [[1] + [0] * (len(times_f) - 1)]
-    while len(powers) < count:
-        powers.append(_times(times_f, powers[-1]))
-    return powers
+def power_coordinates(times_f, count: int):
+    """Yields f^0, ..., f^(count-1) in orbit coordinates, f^0 = 1 = S_0,
+    each from the last by one ``times_f`` product."""
+    power = [1] + [0] * (len(times_f) - 1)
+    yield power
+    for _ in range(count - 1):
+        power = _times(times_f, power)
+        yield power
 
 
 def at_zeta(ps: ParameterSet, coords, level: int, exponent: int) -> CyclotomicNumber:
-    """The image of V = sum_j coords[j] S_j (ints or ``Fraction``s) under
-    the ring map X -> zeta_{l^level}^exponent, 0 <= level <= r: the
-    coordinates are expanded over their orbits and folded once by
-    ``_reduce``.  This is the engine's one map of q-invariant elements
-    to Q(zeta): the m_i certificates, the omegas, ``orbit_sums``, the
-    factor values, m(Y) in ``deformation`` and the slot vectors of
-    ``centermap.coordinate_image`` are all its images."""
+    """The image of V = sum_j coords[j] S_j (ints or ``Fraction``s; the
+    coordinates past ``coords`` are 0) under the ring map X ->
+    zeta_{l^level}^exponent, 0 <= level <= r: the coordinates are
+    expanded over their orbits and folded once by ``_reduce``.  This is
+    the engine's one map of q-invariant elements to Q(zeta): the m_i
+    certificates, the omegas, ``orbit_sums``, the factor values, m(Y) in
+    ``deformation`` and the slot vectors of ``centermap.coordinate_image``
+    are all its images."""
     if not 0 <= level <= ps.r:
         raise ValueError(f"X -> zeta_(l^{level}) is not defined on Q[Z/{ps.ell_power}]")
     nums, den = clear_denominators(coords)
@@ -192,26 +191,22 @@ def at_zeta(ps: ParameterSet, coords, level: int, exponent: int) -> CyclotomicNu
     return _new(ps.ell, level, *lowest_terms(_reduce(ps.ell, level, raw), den))
 
 
-def poly_at_f(h: Poly, rows, times_f) -> tuple[int, ...]:
+def poly_at_f(h: Poly, times_f) -> tuple[int, ...]:
     """The numerators, over h's denominator, of the orbit coordinates of
-    h(f) = sum_k h_k f^k: M h for the basis matrix M = ``rows``, whose
-    column k holds f^k for k < D, in integer multiply-adds.  A power
-    past the stored ones costs one ``times_f`` product each; only m, of
-    degree D, needs one, f^D = f f^(D-1).  This is the engine's one
-    evaluation of a polynomial in f: every value of h at a slot is the
-    image of h(f) under ``at_zeta``."""
-    nums = h.nums
-    acc = [sum(map(mul, row, nums)) for row in rows]
-    power = [row[-1] for row in rows]
-    for c in nums[len(rows) :]:
-        power = _times(times_f, power)
-        acc = [a + c * x for a, x in zip(acc, power)]
+    h(f) = sum_k h_k f^k, by Horner from the top coefficient down:
+    acc <- f acc + h_k S_0, one ``times_f`` product per coefficient.
+    This is the engine's one evaluation of a polynomial in f: every
+    value of h at a slot is the image of h(f) under ``at_zeta``."""
+    acc = [0] * len(times_f)
+    for c in reversed(h.nums):
+        acc = _times(times_f, acc)
+        acc[0] += c
     return tuple(acc)
 
 
-def power_sums(ps: ParameterSet, i: int, rows) -> list[int]:
-    """p_1, ..., p_d of the d = phi(l^i)/n conjugates of omega_i, from
-    the basis matrix ``rows``.
+def power_sums(ps: ParameterSet, times_f) -> list[list[int]]:
+    """sums[i - 1] = p_1, ..., p_d of the d = phi(l^i)/n conjugates of
+    omega_i, 1 <= i <= r, from one stream of f^1, ..., f^(phi(l^r)/n).
 
     Under X -> zeta_{l^i}^a, f goes to the conjugate of omega_i on the
     coset a<q>, and the phi(l^i) units a hit each conjugate n times.
@@ -227,17 +222,19 @@ def power_sums(ps: ParameterSet, i: int, rows) -> list[int]:
     the order of q mod l^i, divides phi(l^i).
     """
     ps = require_reduced(ps)
-    reps = orbit_structure(ps).reps
-    step = ps.ell ** (i - 1)
-    phi = phi_prime_power(ps.ell, i)
-    inner = [row for row, rep in zip(rows[1:], reps[1:]) if not rep % (ps.ell * step)]
-    outer = [row for row, rep in zip(rows[1:], reps[1:]) if not rep % step]
-    return [
-        phi // ps.n * rows[0][k]
-        + ps.ell * step * sum(row[k] for row in inner)
-        - step * sum(row[k] for row in outer)
-        for k in range(1, phi // ps.n + 1)
-    ]
+    ell, reps = ps.ell, orbit_structure(ps).reps
+    levels = []
+    for i in range(1, ps.r + 1):
+        step = ell ** (i - 1)
+        inner = [j for j, rep in enumerate(reps) if j and not rep % (ell * step)]
+        outer = [j for j, rep in enumerate(reps) if j and not rep % step]
+        levels.append((phi_prime_power(ell, i) // ps.n, step, inner, outer, []))
+    for k, v in enumerate(power_coordinates(times_f, levels[-1][0] + 1)):
+        at = v.__getitem__
+        for d, step, inner, outer, sums in levels:
+            if 0 < k <= d:
+                sums.append(d * v[0] + step * (ell * sum(map(at, inner)) - sum(map(at, outer))))
+    return [sums for *_, sums in levels]
 
 
 @lru_cache(maxsize=None)
@@ -246,55 +243,52 @@ def orbit_sums(ps: ParameterSet) -> tuple[CyclotomicNumber, ...]:
     e in Z/l^r, one per q-orbit.  Memoised: every slot value of Y is
     read from here."""
     orbits = orbit_structure(ps)
-    f = [0] * len(orbits.reps)
-    f[orbits.index[1]] = 1  # f is the orbit sum of 1
     sums = [None] * orbits.modulus
     for orbit in orbits.orbits:
-        value = at_zeta(ps, f, ps.r, orbit[0])
+        value = at_zeta(ps, (0, 1), ps.r, orbit[0])  # f = S_1, the orbit sum of 1
         for e in orbit:
             sums[e] = value
     return tuple(sums)
 
 
-def omega_and_min_poly(ps: ParameterSet, i: int, rows, times_f):
+def omega_and_min_poly(ps: ParameterSet, i: int, sums, times_f):
     """(omega_i, m_i, m_i(f)), m_i the minimal polynomial of omega_i and
     m_i(f) as its orbit coordinates.
 
-    ``rows`` is the basis matrix, whose column k holds f^k, and
-    ``times_f`` the ``trace_multiplication``.  The level-i power sums
-    (``power_sums``) give the coefficients of m_i by Newton's identities
-    (``polynomials.from_power_sums``); they must be integers and m_i
-    must have degree phi(l^i)/n.  The certificate m_i(omega_i) = 0 is
-    the image of m_i(f) (``poly_at_f``) under X -> zeta_{l^i}, which
-    sends f to omega_i; omega_i itself is built after it, for the
-    report.
+    ``sums`` are the level-i ``power_sums`` and ``times_f`` the
+    ``trace_multiplication``.  Newton's identities
+    (``polynomials.from_power_sums``) turn the sums into the
+    coefficients of m_i; they must be integers and m_i must have degree
+    phi(l^i)/n.  The certificate m_i(omega_i) = 0 is the image of m_i(f)
+    (``poly_at_f``) under X -> zeta_{l^i}, which sends f, the orbit sum
+    of 1, to omega_i; omega_i itself is built after it, for the report.
     """
     ps = require_reduced(ps)
-    coeffs = from_power_sums(power_sums(ps, i, rows))
+    coeffs = from_power_sums(sums)
     for c in coeffs:
         if c.denominator != 1:
             raise AssertionFailure(f"m_{i} coefficient not an integer: {c}", witness=i)
     m_i = Poly(coeffs)
     if m_i.degree != phi_prime_power(ps.ell, i) // ps.n:
         raise AssertionFailure(f"deg m_{i} = {m_i.degree} != phi(l^{i})/n", witness=i)
-    image = poly_at_f(m_i, rows, times_f)
+    image = poly_at_f(m_i, times_f)
     if not at_zeta(ps, image, i, 1).is_zero():
         raise AssertionFailure(f"m_{i}(omega_{i}) != 0", witness=i)
-    return at_zeta(ps, [row[1] for row in rows], i, 1), m_i, image
+    return at_zeta(ps, (0, 1), i, 1), m_i, image  # f = S_1, the orbit sum of 1
 
 
-def min_polynomial(ps: ParameterSet, rows, times_f):
+def min_polynomial(ps: ParameterSet, times_f):
     """(m, factors, omegas, images) with m = (Y - n) * prod_{i=1}^r m_i
-    from the basis matrix ``rows`` and the ``times_f`` of ps, and
-    images[k] the orbit coordinates of factors[k](f).  Asserts: integer
-    coefficients, degree = number of orbits, and
-    m = (Y - n)^ceil(l^r / n) mod l.
+    from the ``times_f`` of ps, and images[k] the orbit coordinates of
+    factors[k](f).  Asserts: integer coefficients, degree = number of
+    orbits, and m = (Y - n)^ceil(l^r / n) mod l.
     """
     ps = require_reduced(ps)
-    levels = [omega_and_min_poly(ps, i, rows, times_f) for i in range(1, ps.r + 1)]
+    sums = power_sums(ps, times_f)
+    levels = [omega_and_min_poly(ps, i, p, times_f) for i, p in enumerate(sums, 1)]
     omegas, m_is, images = zip(*levels)
     factors = [Poly((-ps.n, 1)), *m_is]
-    images = [poly_at_f(factors[0], rows, times_f), *images]
+    images = [poly_at_f(factors[0], times_f), *images]
     m = prod(factors, start=Poly((1,)))
     degree_expected = 1 + (ps.ell_power - 1) // ps.n
     if m.degree != degree_expected:
@@ -375,14 +369,14 @@ def pullback_mod_ell_check(ps: ParameterSet) -> dict:
 class InvariantRingData(
     namedtuple(
         "InvariantRingData",
-        "ps orbits times_f m m_factors factor_images omegas basis_matrix",
+        "ps orbits times_f m m_factors factor_images omegas",
     )
 ):
     """The invariant ring of a block: ``times_f`` holds the
     ``trace_multiplication`` columns, ``m`` the minimal polynomial and
     ``m_factors`` its listed factors, ``factor_images`` the orbit
-    coordinates of h(f) for each factor h, ``omegas`` the images omega_i
-    of f, and ``basis_matrix`` the orbit coordinates of f^k in column k."""
+    coordinates of h(f) for each factor h, and ``omegas`` the images
+    omega_i of f."""
 
     __slots__ = ()
 
@@ -414,18 +408,18 @@ def factor_values(ring: InvariantRingData) -> tuple[tuple, ...]:
 
 
 def invariant_ring(ps: ParameterSet) -> InvariantRingData:
-    """The powers 1, f, ..., f^(D-1) and the change-of-basis data
-    between them and the orbit sums.
+    """Multiplication by f, the minimal polynomial m of f, and its
+    factors with their images at f.
 
-    M[j][k] = coefficient of X^(rep_j) in f^k, the j-th orbit coordinate
-    of f^k (``power_coordinates``), an integer.  Asserts that f S_j is
-    q-invariant for every orbit sum S_j (``trace_multiplication``), so
-    that every f^k is, that M lies in GL_D(Z_(l)) and that m(f) = 0 in
-    the group ring (``poly_at_f``, the one product f^D = f f^(D-1)).
-    M is integral, so M^(-1) exists and is l-integral iff det M is
-    prime to l, iff M has full rank modulo l; M^(-1) is never built.
-    Column j of M^(-1) holds the h with h(f) = the orbit sum of
-    X^(reps[j]).
+    The basis matrix M, M[j][k] = the j-th orbit coordinate of f^k
+    (``power_coordinates``), is integral and never stored.  Asserts that
+    f S_j is q-invariant for every orbit sum S_j
+    (``trace_multiplication``), so that every f^k is, that M lies in
+    GL_D(Z_(l)) and that m(f) = 0 in the group ring: for r = 1 as
+    (f - n) m_1(f), one product from the image of m_1, else by
+    ``poly_at_f``.  M^(-1) exists and is l-integral iff det M is prime
+    to l, iff M has full rank modulo l; M^(-1) is never built.  Column j
+    of M^(-1) holds the h with h(f) = the orbit sum of X^(reps[j]).
 
     The rank is read off j* (``t_valuation``).  Mod l, f^k = sum_j
     M[j][k] S_j with orbit sums S_j of disjoint supports, so rank M = D iff
@@ -437,14 +431,17 @@ def invariant_ring(ps: ParameterSet) -> InvariantRingData:
     orbits = orbit_structure(ps)
     exponents = trace_exponents(ps)
     times_f = trace_multiplication(ps, exponents)
-    rows = tuple(zip(*power_coordinates(times_f, len(orbits.reps))))
-    m, factors, omegas, images = min_polynomial(ps, rows, times_f)
+    m, factors, omegas, images = min_polynomial(ps, times_f)
     j = t_valuation(exponents, ps.n, ps.ell)
     if j is None or j > ps.n:
         raise IntegralityFailure(
             "basis matrix is singular mod l: its inverse is not l-integral"
         )
-    if any(poly_at_f(m, rows, times_f)):
+    if ps.r == 1:
+        m_of_f = [x - ps.n * y for x, y in zip(_times(times_f, images[1]), images[1])]
+    else:
+        m_of_f = poly_at_f(m, times_f)
+    if any(m_of_f):
         raise AssertionFailure("m(f) != 0 in the group ring")
     return InvariantRingData(
         ps=ps,
@@ -454,5 +451,4 @@ def invariant_ring(ps: ParameterSet) -> InvariantRingData:
         m_factors=tuple(factors),
         factor_images=tuple(images),
         omegas=tuple(omegas),
-        basis_matrix=rows,
     )

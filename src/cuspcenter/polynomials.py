@@ -11,9 +11,9 @@ evaluation runs on the numerators with one division by ``den`` at the
 end; at an ``int`` or a ``Fraction`` it stays in integers throughout
 and returns a ``Fraction``.  A Poly can be evaluated at anything that
 supports ``+`` and ``*`` with ints and ``Fraction``s.  The engine itself
-evaluates a polynomial only at f, by ``invariants.poly_at_f``, and maps
-the result to the slots; Horner at cyclotomic numbers and group-ring
-elements is the tests' referee for it.
+evaluates a polynomial only at f, by Horner on orbit coordinates
+(``invariants.poly_at_f``), and maps the result to the slots; Horner at
+cyclotomic numbers and group-ring elements is the tests' referee.
 
 >>> from fractions import Fraction
 >>> m = Poly((Fraction(-1, 2), 0, 2))

@@ -3,6 +3,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from math import comb, inf, lcm, prod
+from operator import mul
 from typing import NamedTuple
 
 import pytest
@@ -25,7 +26,7 @@ from cuspcenter.errors import AssertionFailure, IntegralityFailure, NoSolution
 from cuspcenter.finitefield import irreducible_polys
 from cuspcenter.gl2table import gl2_character_table
 from cuspcenter.params import require_reduced
-from cuspcenter.polynomials import Poly
+from cuspcenter.polynomials import Poly, from_power_sums
 
 # the test matrix: every reduced case plus the one unreduced alias
 CASES = {
@@ -575,6 +576,88 @@ def group_ring_power_sums(ps, i: int, powers) -> list:
             raise AssertionFailure(f"level-{i} power sum of f^{k} is not divisible by n = {n}")
         sums.append(p)
     return sums
+
+
+# -- the basis-matrix path ---------------------------------------------------
+#
+# ``invariant_ring`` once stored the basis matrix M, whose column k holds
+# the orbit coordinates of f^k, k < D, and read the power sums and every
+# h(f) off it.  That path stays here as the referee of the streamed power
+# sums and of Horner's ``poly_at_f``.
+
+
+def basis_matrix(times_f) -> tuple:
+    """M, built from ``invariants.power_coordinates``: row j, column k
+    holds the j-th orbit coordinate of f^k."""
+    return tuple(zip(*invariants.power_coordinates(times_f, len(times_f))))
+
+
+def matrix_poly_at_f(h: Poly, rows, times_f) -> tuple:
+    """The numerators, over h's denominator, of the orbit coordinates of
+    h(f): M h in integer multiply-adds, and one ``invariants._times``
+    product per power past the stored ones (only m, of degree D, needs
+    one, f^D = f f^(D-1))."""
+    nums = h.nums
+    acc = [sum(map(mul, row, nums)) for row in rows]
+    power = [row[-1] for row in rows]
+    for c in nums[len(rows) :]:
+        power = invariants._times(times_f, power)
+        acc = [a + c * x for a, x in zip(acc, power)]
+    return tuple(acc)
+
+
+def matrix_power_sums(ps, i: int, rows) -> list:
+    """p_1, ..., p_d at level i read off the columns V of M:
+    (phi(l^i)/n) V_0 + l^i sum_(l^i | rep) V_rep - l^(i-1)
+    sum_(l^(i-1) | rep) V_rep over rep != 0."""
+    reps = invariants.orbit_structure(ps).reps
+    step = ps.ell ** (i - 1)
+    phi = phi_prime_power(ps.ell, i)
+    inner = [row for row, rep in zip(rows[1:], reps[1:]) if not rep % (ps.ell * step)]
+    outer = [row for row, rep in zip(rows[1:], reps[1:]) if not rep % step]
+    return [
+        phi // ps.n * rows[0][k]
+        + ps.ell * step * sum(row[k] for row in inner)
+        - step * sum(row[k] for row in outer)
+        for k in range(1, phi // ps.n + 1)
+    ]
+
+
+class MatrixRing(NamedTuple):
+    basis_matrix: tuple
+    power_sums: tuple  # by level
+    m: Poly
+    m_factors: tuple
+    factor_images: tuple  # orbit coordinates, as M h
+    omegas: tuple
+
+
+def matrix_invariant_ring(ps, times_f) -> MatrixRing:
+    """The referee for the streamed ``invariants.invariant_ring``: the
+    basis-matrix path it replaced, on the engine's multiplication by f
+    ``times_f``, with the engine's checks of m_i, its certificates and
+    m(f) = 0 in the engine's order and words."""
+    ps = require_reduced(ps)
+    rows = basis_matrix(times_f)
+    sums = tuple(matrix_power_sums(ps, i, rows) for i in range(1, ps.r + 1))
+    factors, omegas, images = [Poly((-ps.n, 1))], [], []
+    for i, level_sums in enumerate(sums, 1):
+        m_i = Poly(from_power_sums(level_sums))
+        if not m_i.has_integer_coeffs():
+            raise AssertionFailure(f"m_{i} coefficient not an integer")
+        if m_i.degree != phi_prime_power(ps.ell, i) // ps.n:
+            raise AssertionFailure(f"deg m_{i} != phi(l^{i})/n")
+        image = matrix_poly_at_f(m_i, rows, times_f)
+        if not invariants.at_zeta(ps, image, i, 1).is_zero():
+            raise AssertionFailure(f"m_{i}(omega_{i}) != 0")
+        factors.append(m_i)
+        omegas.append(invariants.at_zeta(ps, [row[1] for row in rows], i, 1))
+        images.append(image)
+    images.insert(0, matrix_poly_at_f(factors[0], rows, times_f))
+    m = prod(factors, start=Poly((1,)))
+    if any(matrix_poly_at_f(m, rows, times_f)):
+        raise AssertionFailure("m(f) != 0 in the group ring")
+    return MatrixRing(rows, sums, m, tuple(factors), tuple(images), tuple(omegas))
 
 
 class GroupRingRing(NamedTuple):

@@ -74,7 +74,7 @@ from cuspcenter.classes import (
 from cuspcenter.cyclotomic import CyclotomicNumber, phi_prime_power, zeta
 from cuspcenter.errors import AssertionFailure, IntegralityFailure, NoSolution
 from cuspcenter.finitefield import FqPoly, finite_field, minimal_polynomial, sylow_generator
-from cuspcenter.invariants import at_zeta, factor_values, invariant_ring
+from cuspcenter.invariants import at_zeta, factor_values, invariant_ring, power_coordinates
 from cuspcenter.params import reduce_parameters, validate_parameters
 from cuspcenter.polynomials import Poly
 
@@ -300,10 +300,11 @@ def test_endo_ring_builds_each_orbit_sum_and_factor_value_once(monkeypatch):
     # factor values and the 19 slots of gamma, its orbit sums;
     # uniformizer_check reads f's exponents and the gamma system is
     # solved in orbit coordinates, so neither maps anything.  Every
-    # polynomial in f is summed from the basis matrix by poly_at_f,
+    # polynomial in f is evaluated on the sparse product by poly_at_f,
     # once: each factor in min_polynomial, whose images the table maps
-    # (m_1(f) is also its certificate), then m(f).  No Poly is evaluated
-    # by Horner.
+    # (m_1(f) is also its certificate); m(f) = (f - 7) m_1(f) is one more
+    # product by f, not a poly_at_f.  No Poly is evaluated by Horner at a
+    # number.
     counts = {"map": 0, "poly": 0}
     evaluated = []
     plain_map, plain_call = invariants.at_zeta, Poly.__call__
@@ -317,9 +318,9 @@ def test_endo_ring_builds_each_orbit_sum_and_factor_value_once(monkeypatch):
         counts["poly"] += 1
         return plain_call(self, x)
 
-    def at_f(h, rows, times_f):
+    def at_f(h, times_f):
         evaluated.append(h)
-        return plain_at_f(h, rows, times_f)
+        return plain_at_f(h, times_f)
 
     for module in (invariants, centermap):
         monkeypatch.setattr(module, "at_zeta", at_zeta)
@@ -329,7 +330,7 @@ def test_endo_ring_builds_each_orbit_sum_and_factor_value_once(monkeypatch):
     res = verify_endo_ring(2, 127, 7)
     y_minus_n, m_1 = res.ring.m_factors
     assert counts == {"map": 2 + 2 * 19 + 19, "poly": 0}
-    assert evaluated == [m_1, y_minus_n, res.ring.m]
+    assert evaluated == [m_1, y_minus_n]
 
 
 @pytest.mark.parametrize("args", [(17, 3, 2), (2, 127, 7)])
@@ -605,7 +606,7 @@ def test_power_images_match_gamma_power_basis(args):
     ring = invariant_ring(ps)
     ell, r = ring.ps.ell, ring.ps.r
     pows = gamma_power_basis(gamma_vector(ps), ring.dimension)
-    columns = list(zip(*ring.basis_matrix))
+    columns = list(power_coordinates(ring.times_f, ring.dimension))
     assert len(columns) == len(pows) == ring.dimension
     for fk, pw in zip(columns, pows):
         images = [at_zeta(ps, fk, r, rep) for rep in ring.orbits.reps]
@@ -940,6 +941,8 @@ def slot_witness_unit(vec, label, ps) -> Fraction:
     tail = rationals(vec)[1:]
     if any(v is None or v != tail[0] for v in tail):
         raise AssertionFailure("witness vector is not constant on cuspidal slots", witness=label)
+    if not tail[0]:
+        raise AssertionFailure("witness vector vanishes on cuspidal slots", witness=label)
     if ord_frac(tail[0], ps.ell) != ps.r:
         raise AssertionFailure(
             f"witness valuation is {ord_frac(tail[0], ps.ell)}, expected r = {ps.r}",
@@ -1161,6 +1164,12 @@ MOVED_FORMS = {
     "witness-shape": (
         (2, 7, 3), first_in(REALIZED_WITNESS), lambda ps, st, c, j: (st, c, 1),
         "witness vector is not constant on cuspidal slots", "x+1:(3)",
+    ),
+    # a = 0 has no valuation: the check names the witness, and raises no
+    # ZeroArgument
+    "witness-zero": (
+        (2, 7, 3), first_in(REALIZED_WITNESS), lambda ps, st, c, j: (0 * st, 0 * c, j),
+        "witness vector vanishes on cuspidal slots", "x+1:(3)",
     ),
     "witness-valuation": (
         (2, 7, 3), first_in(REALIZED_WITNESS), lambda ps, st, c, j: (st, c * ps.ell, j),

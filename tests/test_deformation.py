@@ -539,9 +539,9 @@ def test_suite_sums_no_polynomial_in_f_and_runs_no_horner_pass(monkeypatch):
     plain_at_f = invariants.poly_at_f
     plain_map, plain_call = invariants.at_zeta, Poly.__call__
 
-    def at_f(h, rows, times_f):
+    def at_f(h, times_f):
         evaluated.append(h)
-        return plain_at_f(h, rows, times_f)
+        return plain_at_f(h, times_f)
 
     def at_zeta(ps, coords, level, exponent):
         maps.append(exponent)
@@ -576,7 +576,7 @@ def test_m_of_y_reads_as_horner_over_q_zeta(args):
     ]
     powers = trace_powers(ps)
     for h in polys:
-        h_of_f = poly_at_f(h, ring.basis_matrix, ring.times_f)
+        h_of_f = poly_at_f(h, ring.times_f)
         dense = group_ring_poly_at_f(h, powers)
         assert [at_zeta(ps, h_of_f, ps.r, a) for a in range(ps.ell_power)] == [
             h(y) for y in traces

@@ -2,11 +2,15 @@
 the distinguished generator f, and its minimal polynomial.  The engine
 holds invariant elements as orbit coordinates; the dense group ring of
 ``conftest`` (``GroupRingElement``, ``trace_powers``,
-``group_ring_invariant_ring``) is its referee."""
+``group_ring_invariant_ring``) is its referee, and so is the basis-matrix
+path that the streamed powers of f replaced (``matrix_invariant_ring``)."""
 
 import builtins
+import hashlib
 import json
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from math import prod
 
@@ -15,12 +19,16 @@ import pytest
 import conftest
 from conftest import (
     GroupRingElement,
+    basis_matrix,
     division_multiplicity,
     exponents,
     group_ring_invariant_ring,
     group_ring_power_sums,
     invert,
     is_invariant,
+    matrix_invariant_ring,
+    matrix_poly_at_f,
+    matrix_power_sums,
     omega_value,
     rank_mod,
     spread,
@@ -54,7 +62,7 @@ from cuspcenter.invariants import (
     trace_multiplication,
     uniformizer_check,
 )
-from cuspcenter.cyclotomic import CyclotomicNumber, ell_valuation
+from cuspcenter.cyclotomic import CyclotomicNumber, ell_valuation, phi_prime_power
 from cuspcenter.params import reduce_parameters, validate_parameters
 from cuspcenter.polynomials import Poly, from_roots
 
@@ -68,11 +76,10 @@ FROZEN = {
 }
 
 
-def basis(ps):
-    """(rows, times_f): the basis matrix, column k holding f^k, and
-    multiplication by f, as ``invariant_ring`` builds them."""
-    times_f = trace_multiplication(ps, trace_exponents(ps))
-    return tuple(zip(*power_coordinates(times_f, len(times_f)))), times_f
+def multiplication(ps):
+    """times_f, multiplication by f, as ``invariant_ring`` builds it
+    (through the module, so that the mutations below reach it)."""
+    return invariants.trace_multiplication(ps, invariants.trace_exponents(ps))
 
 
 @pytest.mark.parametrize("label", sorted(FROZEN))
@@ -105,7 +112,7 @@ def test_orbit_contents_p3():
 def test_min_polynomial_frozen(label):
     (q, ell, n), _, coeffs = FROZEN[label]
     ps = validate_parameters(q, ell, n)
-    m, factors, omegas, _ = min_polynomial(ps, *basis(ps))
+    m, factors, omegas, _ = min_polynomial(ps, multiplication(ps))
     assert m.coeffs == tuple(Fraction(c) for c in coeffs)
     assert factors[0].coeffs == (Fraction(-n), Fraction(1))
     prod = factors[0]
@@ -154,11 +161,11 @@ def test_poly_at_f_matches_horner(q, ell, n):
     data = invariant_ring(ps)
     f = trace_element(ps)
     for h in data.m_factors + (data.m,):
-        assert spread(ps, poly_at_f(h, data.basis_matrix, data.times_f)) == h(f)
+        assert spread(ps, poly_at_f(h, data.times_f)) == h(f)
     assert tuple(spread(ps, x) for x in data.factor_images) == tuple(
         h(f) for h in data.m_factors
     )
-    assert data.m.degree == len(data.basis_matrix)
+    assert data.m.degree == data.dimension
 
 
 def test_poly_at_f_on_denominators_and_high_degree():
@@ -173,7 +180,7 @@ def test_poly_at_f_on_denominators_and_high_degree():
         data.m * data.m + Poly((0, Fraction(1, 7))),
         Poly([1] * (3 * d)),
     ):
-        nums = poly_at_f(h, data.basis_matrix, data.times_f)
+        nums = poly_at_f(h, data.times_f)
         assert all(type(x) is int for x in nums)
         assert spread(ps, [Fraction(x, h.den) for x in nums]) == h(f)
 
@@ -208,7 +215,7 @@ def test_invariants_reports_a_corrupted_m_1_as_at_the_horner_certificate(
 @pytest.mark.parametrize("q,ell,n", REFEREE_CASES)
 def test_conjugate_sums_match_the_coset_walk(q, ell, n):
     ps = validate_parameters(q, ell, n)
-    _, factors, omegas, _ = min_polynomial(ps, *basis(ps))
+    _, factors, omegas, _ = min_polynomial(ps, multiplication(ps))
     scaled = [0]
     for i in range(1, ps.r + 1):
         minima, sums = coset_walk(ps, i)
@@ -226,7 +233,7 @@ def test_conjugate_sums_match_the_coset_walk(q, ell, n):
 def test_omega_values_are_roots_of_m_only():
     # the r+1 roots n, omega_1, ..., omega_r are pairwise distinct
     ps = validate_parameters(8, 3, 2)
-    m, _, omegas, _ = min_polynomial(ps, *basis(ps))
+    m, _, omegas, _ = min_polynomial(ps, multiplication(ps))
     assert len(omegas) == 2
     assert omegas[0] != omegas[1]
     for omega in omegas:
@@ -245,7 +252,7 @@ def test_trace_element_p1():
     # f S_1 = 2 S_0 + S_1, so f^2 = 2 + f
     times_f = trace_multiplication(ps, trace_exponents(ps))
     assert [sorted(column) for column in times_f] == [[(1, 1)], [(0, 2), (1, 1)]]
-    assert power_coordinates(times_f, 3) == [[1, 0], [0, 1], [2, 1]]
+    assert list(power_coordinates(times_f, 3)) == [[1, 0], [0, 1], [2, 1]]
 
 
 def test_group_ring_frobenius_invariance():
@@ -301,15 +308,16 @@ def test_invariant_ring_basis(label):
     assert d == len(reps) == data.m.degree
     # basis matrix times inverse is the identity, and the inverse is
     # l-integral, as j* <= n certifies
-    inverse = invert(data.basis_matrix)
+    rows = basis_matrix(data.times_f)
+    inverse = invert(rows)
     for i in range(d):
         for j in range(d):
-            acc = sum(data.basis_matrix[i][k] * inverse[k][j] for k in range(d))
+            acc = sum(rows[i][k] * inverse[k][j] for k in range(d))
             assert acc == Fraction(int(i == j))
             assert inverse[i][j] == 0 or ord_frac(inverse[i][j], ell) >= 0
     # m(f) = 0 holds (invariant_ring itself asserts it; re-check here,
     # and by the referee's Horner pass in the group ring)
-    assert not any(poly_at_f(data.m, data.basis_matrix, data.times_f))
+    assert not any(poly_at_f(data.m, data.times_f))
     assert data.m(trace_element(ps)).is_zero()
 
 
@@ -318,7 +326,7 @@ def test_basis_matrix_rank_mod_ell_matches_inverse(q, ell, n):
     # the rank certificate against its referees, the rank mod l and the
     # inverse over Q built explicitly, beyond the frozen cases
     data = invariant_ring(validate_parameters(q, ell, n))
-    rows = data.basis_matrix
+    rows = basis_matrix(data.times_f)
     assert all(type(x) is int for row in rows for x in row)
     assert rank_mod(rows, ell) == data.dimension
     for row in invert(rows):
@@ -348,7 +356,7 @@ def orbit_certificate(data, rep):
     """h with h(f) = the orbit sum of X^rep: the column of the inverse
     basis matrix that belongs to ``rep``."""
     j = data.orbits.reps.index(rep)
-    return Poly([row[j] for row in invert(data.basis_matrix)])
+    return Poly([row[j] for row in invert(basis_matrix(data.times_f))])
 
 
 def test_express_orbit_sum_p1():
@@ -375,18 +383,18 @@ def test_express_orbit_sum_all_reps():
             assert h.is_ell_integral(ell)
             assert (h(f) - orbit_sum(data.orbits, rep)).is_zero()
             # in orbit coordinates, h(f) is the j-th unit vector
-            nums = poly_at_f(h, data.basis_matrix, data.times_f)
+            nums = poly_at_f(h, data.times_f)
             assert [Fraction(x, h.den) for x in nums] == [int(i == j) for i in range(len(reps))]
 
 
 def test_min_poly_mod_ell_shape():
     # m = (Y - n)^D mod l; spot-check the reduction for two cases
     ps = validate_parameters(2, 7, 3)
-    m, _, _, _ = min_polynomial(ps, *basis(ps))
+    m, _, _, _ = min_polynomial(ps, multiplication(ps))
     # (Y - 3)^3 = Y^3 - 9Y^2 + 27Y - 27 = Y^3 + 5Y^2 + 6Y + 1 mod 7
     assert m.reduce_mod(7) == (1, 6, 5, 1)
     ps = validate_parameters(8, 3, 2)
-    m, _, _, _ = min_polynomial(ps, *basis(ps))
+    m, _, _, _ = min_polynomial(ps, multiplication(ps))
     # (Y - 2)^5 mod 3 = (Y + 1)^5 = Y^5 + 5Y^4 + ... binomials mod 3
     assert m.reduce_mod(3) == (1, 2, 1, 1, 2, 1)
 
@@ -397,8 +405,8 @@ def test_unreduced_parameters_silently_reduce():
     unreduced = validate_parameters(2, 5, 4, 2)
     reduced = validate_parameters(4, 5, 2)
     assert orbit_structure(unreduced) == orbit_structure(reduced)
-    m_u, _, _, _ = min_polynomial(unreduced, *basis(unreduced))
-    m_r, _, _, _ = min_polynomial(reduced, *basis(reduced))
+    m_u, _, _, _ = min_polynomial(unreduced, multiplication(unreduced))
+    m_r, _, _, _ = min_polynomial(reduced, multiplication(reduced))
     assert m_u == m_r
 
 
@@ -452,7 +460,7 @@ def test_at_zeta_matches_the_omega_value_referee(args):
     # from f's orbit coordinates; the image of a power is the power of
     # the image; and the referee's dense map agrees
     ps = validate_parameters(*args)
-    _, f, f2 = power_coordinates(trace_multiplication(ps, trace_exponents(ps)), 3)
+    _, f, f2 = power_coordinates(multiplication(ps), 3)
     dense = trace_element(ps)
     for i in range(1, ps.r + 1):
         for e in range(ps.ell**i):
@@ -480,8 +488,10 @@ def test_orbit_sums_map_f_once_per_orbit(monkeypatch):
 
 
 def test_invariant_ring_builds_the_powers_of_f_once(monkeypatch):
-    # one multiplication matrix, one pass over the powers, and one more
-    # product by f, for f^D in m(f)
+    # one multiplication matrix, one stream of f^1, ..., f^(phi(l^r)/n)
+    # for the power sums of every level, and Horner, one product by f
+    # per coefficient, for each factor of m; then m(f) = 0: for r = 1
+    # one product, (f - n) m_1(f), else Horner on m
     calls = []
     for name in ("trace_multiplication", "power_coordinates", "_times"):
         plain = getattr(invariants, name)
@@ -491,9 +501,16 @@ def test_invariant_ring_builds_the_powers_of_f_once(monkeypatch):
             return _plain(*args)
 
         monkeypatch.setattr(invariants, name, counted)
-    ring = invariant_ring(validate_parameters(53, 3, 2))
-    d = ring.dimension
-    assert calls == ["trace_multiplication", "power_coordinates"] + ["_times"] * d
+    # (2,127,7): r = 1, D = 19, f^1..f^18, then Y - 7 and m_1 of degree
+    # 18, then (f - 7) m_1(f); (53,3,2): r = 3, D = 14, f^1..f^9, then
+    # Y - 2 and m_i of degrees 1, 3 and 9, then m of degree 14
+    for args, products in [
+        ((2, 127, 7), 18 + (2 + 19) + 1),
+        ((53, 3, 2), 9 + (2 + 2 + 4 + 10) + 15),
+    ]:
+        calls.clear()
+        invariant_ring(validate_parameters(*args))
+        assert calls == ["trace_multiplication", "power_coordinates"] + ["_times"] * products
 
 
 def test_min_polynomial_runs_no_cyclotomic_product(monkeypatch):
@@ -509,7 +526,7 @@ def test_min_polynomial_runs_no_cyclotomic_product(monkeypatch):
     monkeypatch.setattr(CyclotomicNumber, "__mul__", counted)
     monkeypatch.setattr(CyclotomicNumber, "__rmul__", counted)
     ps = validate_parameters(2, 127, 7)
-    m, _, _, _ = min_polynomial(ps, *basis(ps))
+    m, _, _, _ = min_polynomial(ps, multiplication(ps))
     assert m.degree == 19
     assert calls == []
 
@@ -517,12 +534,15 @@ def test_min_polynomial_runs_no_cyclotomic_product(monkeypatch):
 @pytest.mark.parametrize("q,ell,n", [(2, 7, 3), (8, 3, 2), (53, 3, 2), (2, 31, 5)])
 def test_power_sums_are_those_of_the_conjugate_sums(q, ell, n):
     ps = validate_parameters(q, ell, n)
-    rows, _ = basis(ps)
-    for i in range(1, ps.r + 1):
+    times_f = multiplication(ps)
+    streamed = power_sums(ps, times_f)
+    assert len(streamed) == ps.r
+    for i, got in enumerate(streamed, 1):
         _, sums = coset_walk(ps, i)
         expected = [sum(s**k for s in sums) for k in range(1, len(sums) + 1)]
-        assert power_sums(ps, i, rows) == [x.as_rational() for x in expected]
-        assert power_sums(ps, i, rows) == group_ring_power_sums(ps, i, trace_powers(ps))
+        assert got == [x.as_rational() for x in expected]
+        assert got == group_ring_power_sums(ps, i, trace_powers(ps))
+        assert got == matrix_power_sums(ps, i, basis_matrix(times_f))
 
 
 def _shift_index(sums):
@@ -537,13 +557,13 @@ def _shift_first(sums):
 @pytest.mark.parametrize("q,ell,n", [(2, 7, 3), (8, 3, 2), (2, 31, 5), (53, 3, 2)])
 def test_shifted_power_sums_raise(monkeypatch, shift, q, ell, n):
     plain = invariants.power_sums
-    monkeypatch.setattr(invariants, "power_sums", lambda *a: shift(plain(*a)))
+    monkeypatch.setattr(invariants, "power_sums", lambda *a: [shift(s) for s in plain(*a)])
     # at (8,3,2) and (53,3,2) level 1 has a single power sum, which the
     # index shift leaves in place: level 2 is the first to fail there
     failed = r"m_\d( coefficient not an integer|\(omega_\d\) != 0)"
     with pytest.raises(AssertionFailure, match=failed):
         ps = validate_parameters(q, ell, n)
-        min_polynomial(ps, *basis(ps))
+        min_polynomial(ps, multiplication(ps))
 
 
 @pytest.mark.parametrize("k", [0, 1, -2])
@@ -559,21 +579,23 @@ def test_one_corrupted_coefficient_fails_the_certificate(monkeypatch, k, q, ell,
     monkeypatch.setattr(invariants, "from_power_sums", corrupted)
     with pytest.raises(AssertionFailure, match=r"m_1\(omega_1\) != 0"):
         ps = validate_parameters(q, ell, n)
-        min_polynomial(ps, *basis(ps))
+        min_polynomial(ps, multiplication(ps))
 
 
 def test_power_sums_need_no_division_by_n():
-    # on any integer orbit coordinates, not only the powers of f, the
-    # closed form equals the referee's Ramanujan sum over the spread
-    # element, whose division by n is exact as n divides phi(l^i); one
-    # more X^1 in f^1 breaks invariance, and with it the divisibility
+    # on any integer orbit coordinates, not only the powers of f (here
+    # the powers of an integer matrix in place of multiplication by f,
+    # applied to S_0), the closed form equals the referee's Ramanujan
+    # sum over the spread element, whose division by n is exact as n
+    # divides phi(l^i); one more X^1 in f^1 breaks invariance, and with
+    # it the divisibility
     for args in [(2, 7, 3), (8, 3, 2), (7, 5, 4), (2, 31, 5)]:
         ps = validate_parameters(*args)
         d = len(orbit_structure(ps).reps)
-        rows = [[(7 * j + 3 * k * k + 1) % 11 - 5 for k in range(d)] for j in range(d)]
-        dense = [spread(ps, column) for column in zip(*rows)]
-        for i in range(1, ps.r + 1):
-            assert power_sums(ps, i, rows) == group_ring_power_sums(ps, i, dense)
+        times_a = [[(i, (7 * j + 3 * i * i + 1) % 11 - 5) for i in range(d)] for j in range(d)]
+        dense = [spread(ps, v) for v in power_coordinates(times_a, d)]
+        for i, sums in enumerate(power_sums(ps, times_a), 1):
+            assert sums == group_ring_power_sums(ps, i, dense)
         dense[1] = dense[1] + GroupRingElement.unit(ps.ell_power, 1)
         with pytest.raises(AssertionFailure, match=f"not divisible by n = {ps.n}"):
             group_ring_power_sums(ps, 1, dense)
@@ -581,10 +603,10 @@ def test_power_sums_need_no_division_by_n():
 
 def test_a_non_integer_coefficient_raises(monkeypatch):
     # p_1 = 1, p_2 = 0 give Y^2 - Y + 1/2
-    monkeypatch.setattr(invariants, "power_sums", lambda ps, i, rows: [1, 0])
+    monkeypatch.setattr(invariants, "power_sums", lambda ps, times_f: [[1, 0]])
     with pytest.raises(AssertionFailure, match="not an integer: 1/2"):
         ps = validate_parameters(4, 5, 2)
-        min_polynomial(ps, *basis(ps))
+        min_polynomial(ps, multiplication(ps))
 
 
 # the golden parameter sets and the ladder
@@ -611,7 +633,7 @@ def test_lemmas_match_the_taylor_division_and_rank_referees(args):
     assert pullback_mod_ell_check(ps) == {"multiplicity": n, "degree": q ** (n - 1)}
     assert division_multiplicity(abstract, n, ell) == n
     ring = invariant_ring(ps)
-    assert rank_mod(ring.basis_matrix, ell) == ring.dimension
+    assert rank_mod(basis_matrix(ring.times_f), ell) == ring.dimension
 
 
 def reduced_sets(max_q: int, max_ell_power: int):
@@ -633,9 +655,11 @@ def test_t_valuation_matches_the_referees_on_every_small_set():
     # j* is nu(omega_i - n) at every level, the (X - 1)-multiplicity of
     # sum_k X^(a_k) - n and, through the rank of the basis matrix, says
     # whether M is in GL_D(Z_(l)); here it is n on all 2 481 sets.  The
-    # rank referee runs in the group-ring sweep below, on l^r <= 200
+    # rank referee runs in the group-ring sweep below, on l^r <= 200.
+    # The same sets check the streamed ring against the basis-matrix path
     count = 0
     for ps in reduced_sets(64, 500):
+        assert_matches_the_matrix_path(ps)
         f = trace_element(ps)
         j = t_valuation(trace_exponents(ps), ps.n, ps.ell)
         assert j == ps.n, ps
@@ -700,16 +724,15 @@ def test_lemma_failures_past_the_exact_range(monkeypatch):
 
 @pytest.mark.parametrize("args", [(17, 3, 2), (2, 31, 5), (7, 5, 4), (2, 127, 7), (53, 3, 2)])
 def test_a_stale_stored_power_fails_invariant_ring(monkeypatch, args):
-    # f^k replaced by f^(k-1), k = 1 .. D-1: the rank is read off f's
-    # exponents, so the power sums, the certificates and m(f) = 0 must
-    # catch it
+    # the streamed f^k replaced by f^(k-1), k = 1 .. phi(l^r)/n, the
+    # powers the power sums read: the rank is read off f's exponents, so
+    # the power sums and the certificates must catch it
     ps = validate_parameters(*args)
     plain = invariants.power_coordinates
-    dimension = len(orbit_structure(ps).reps)
-    for k in range(1, dimension):
+    for k in range(1, phi_prime_power(ps.ell, ps.r) // ps.n + 1):
 
         def stale(times_f, count, k=k):
-            powers = plain(times_f, count)
+            powers = list(plain(times_f, count))
             powers[k] = powers[k - 1]
             return powers
 
@@ -738,16 +761,33 @@ def full_parameters(args):
     return validate_parameters(q, ell, *(args[2:] or (multiplicative_order(q, ell),)))
 
 
+def assert_matches_the_matrix_path(ps) -> None:
+    """The streamed power sums, ``poly_at_f`` on every factor of m and
+    on m, the factor images, the omegas and m against the basis-matrix
+    path that they replaced (``conftest.matrix_invariant_ring``)."""
+    ring = invariant_ring(ps)
+    ref = matrix_invariant_ring(ps, ring.times_f)
+    assert tuple(power_sums(ps, ring.times_f)) == ref.power_sums
+    assert (ring.m, ring.m_factors, ring.omegas) == (ref.m, ref.m_factors, ref.omegas)
+    # the factor images are poly_at_f's, and m is the one polynomial
+    # whose image invariant_ring does not keep
+    assert ring.factor_images == ref.factor_images
+    assert poly_at_f(ring.m, ring.times_f) == matrix_poly_at_f(
+        ring.m, ref.basis_matrix, ring.times_f
+    )
+
+
 def assert_matches_the_group_ring(ps, sweep_deformation: bool) -> None:
-    """basis_matrix, m, its factors, the omegas, the factor images and
-    ``factor_values``, and the images of the factors of m that
+    """The basis matrix, m, its factors, the omegas, the factor images
+    and ``factor_values``, and the images of the factors of m that
     ``deformation`` reads at each distinct trace, and their product
     m(Y), against ``conftest.group_ring_invariant_ring``.  The
     deformation sweep runs with one unit assignment, as the T-side does
     not touch the ring."""
     ring, ref = invariant_ring(ps), group_ring_invariant_ring(ps)
-    assert ring.basis_matrix == ref.basis_matrix
-    assert rank_mod(ring.basis_matrix, ps.ell) == ring.dimension
+    rows = basis_matrix(ring.times_f)
+    assert rows == ref.basis_matrix
+    assert rank_mod(rows, ps.ell) == ring.dimension
     assert (ring.m, ring.m_factors, ring.omegas) == (ref.m, ref.m_factors, ref.omegas)
     assert tuple(spread(ps, x) for x in ring.factor_images) == ref.factor_images
     ell, r, reps = ps.ell, ps.r, ring.orbits.reps
@@ -771,7 +811,7 @@ def assert_matches_the_group_ring(ps, sweep_deformation: bool) -> None:
             assert values == [x.at_zeta(ell, r, a) for x in ref.factor_images]
             images.append((a, prod(values)))
     else:
-        m_of_f = poly_at_f(ring.m, ring.basis_matrix, ring.times_f)
+        m_of_f = poly_at_f(ring.m, ring.times_f)
         images = [(a, at_zeta(ps, m_of_f, r, a)) for a in reps]
     ref_m_of_f = conftest.group_ring_poly_at_f(ref.m, ref.powers)
     assert [a for a, _ in images] == list(reps)
@@ -780,7 +820,9 @@ def assert_matches_the_group_ring(ps, sweep_deformation: bool) -> None:
 
 @pytest.mark.parametrize("args", GOLDEN_SETS + LADDER_SETS)
 def test_invariant_ring_matches_the_group_ring_referee(args):
-    assert_matches_the_group_ring(full_parameters(args), sweep_deformation=True)
+    ps = full_parameters(args)
+    assert_matches_the_group_ring(ps, sweep_deformation=True)
+    assert_matches_the_matrix_path(ps)
 
 
 def test_invariant_ring_matches_the_group_ring_referee_on_every_small_set():
@@ -798,28 +840,36 @@ def test_invariant_ring_matches_the_group_ring_referee_on_every_small_set():
 # Each mutation is applied alike to the engine (in process and through
 # the ``invariants`` command) and to the group-ring referee, and must
 # fail the same check class on both: the invariance check, the m_i
-# pipeline and its certificates, or m(f) = 0.
+# pipeline and its certificates, or m(f) = 0.  A wrong entry of the
+# multiplication by f and a moved exponent must also fail the
+# basis-matrix path, which reads both from the engine.
 
 MUTATION_SETS = [(2, 7, 3), (8, 3, 2), (7, 5, 4), (2, 127, 7), (53, 3, 2), (2, 31, 5)]
 CHECKS = ("not q-invariant", r"^m_\d coefficient not an integer", r"^m_\d\(omega", r"^m\(f\) != 0")
 
 
-def assert_fails_alike(ps, capsys) -> None:
-    """The engine, the referee and the ``invariants`` command all fail,
-    with AssertionFailure, at the same one of the CHECKS."""
-    with pytest.raises(CuspCenterError) as engine:
-        invariant_ring(ps)
-    with pytest.raises(CuspCenterError) as referee:
-        group_ring_invariant_ring(ps)
-    assert type(engine.value) is type(referee.value) is AssertionFailure
-    failed = [[bool(re.search(c, str(x.value))) for c in CHECKS] for x in (engine, referee)]
-    assert failed[0] == failed[1] and sum(failed[0]) == 1
+def matrix_path(ps):
+    return matrix_invariant_ring(ps, multiplication(ps))
+
+
+def assert_fails_alike(ps, capsys, referees=(group_ring_invariant_ring,)) -> None:
+    """The engine, each of the ``referees`` and the ``invariants``
+    command all fail, with AssertionFailure, at the same one of the
+    CHECKS."""
+    messages = []
+    for path in (invariant_ring, *referees):
+        with pytest.raises(CuspCenterError) as failure:
+            path(ps)
+        assert type(failure.value) is AssertionFailure
+        messages.append(str(failure.value))
+    failed = [[bool(re.search(c, message)) for c in CHECKS] for message in messages]
+    assert all(x == failed[0] for x in failed) and sum(failed[0]) == 1
     argv = ["invariants", "--q", str(ps.q), "--ell", str(ps.ell), "--n", str(ps.n)]
     assert cli.main(argv + ["--out", "json"]) == 1
     env = json.loads(capsys.readouterr().out)
     assert env["status"] == "fail"
     assert env["artifacts"]["error"]["type"] == "AssertionFailure"
-    assert env["artifacts"]["error"]["message"] == str(engine.value)
+    assert env["artifacts"]["error"]["message"] == messages[0]
 
 
 @pytest.mark.parametrize("args", MUTATION_SETS)
@@ -838,7 +888,7 @@ def test_a_mutated_multiplication_entry_fails_on_both_paths(monkeypatch, capsys,
 
     monkeypatch.setattr(invariants, "trace_multiplication", mutated)
     monkeypatch.setattr(conftest, "times_f", lambda g, f: g * f + extra * g.nums[reps[1]])
-    assert_fails_alike(ps, capsys)
+    assert_fails_alike(ps, capsys, (group_ring_invariant_ring, matrix_path))
 
 
 @pytest.mark.parametrize("args", MUTATION_SETS)
@@ -846,29 +896,32 @@ def test_a_mutated_exponent_fails_on_both_paths(monkeypatch, capsys, args):
     # a_1 = q moved to q + 1: f is no longer q-invariant
     ps = validate_parameters(*args)
     monkeypatch.setattr(invariants, "trace_exponents", perturb_exponent)
-    assert_fails_alike(ps, capsys)
+    assert_fails_alike(ps, capsys, (group_ring_invariant_ring, matrix_path))
 
 
 @pytest.mark.parametrize("args", MUTATION_SETS)
 def test_a_mutated_power_coordinate_fails_on_both_paths(monkeypatch, capsys, args):
-    # coordinate 1 of the stored f^(D-1) moved by one; the referee's
-    # f^(D-1) gains the orbit sum of 1
+    # the coordinate at rep l^(r-1) of the streamed f^d, d = phi(l^r)/n,
+    # the last power the power sums read, moved by one (for r = 1: the
+    # coordinate at 1 of f^(D-1)).  The engine reads the streamed powers
+    # only in the power sums, so the referee's power sums read its f^d
+    # with the orbit sum of l^(r-1) added
     ps = validate_parameters(*args)
-    plain, plain_dense = invariants.power_coordinates, conftest.trace_powers
-    d = len(orbit_structure(ps).reps)
+    plain, plain_sums = invariants.power_coordinates, conftest.group_ring_power_sums
+    orbits = orbit_structure(ps)
+    d, j = phi_prime_power(ps.ell, ps.r) // ps.n, orbits.index[ps.ell ** (ps.r - 1)]
+    extra = spread(ps, [int(k == j) for k in range(len(orbits.reps))])
 
     def mutated(times_f, count):
-        powers = plain(times_f, count)
-        powers[-1][1] += 1
+        powers = list(plain(times_f, count))
+        powers[d][j] += 1
         return powers
 
-    def mutated_dense(ps):
-        powers = plain_dense(ps)
-        powers[-1] = powers[-1] + spread(ps, [int(k == 1) for k in range(d)])
-        return powers
+    def mutated_sums(ps, i, powers):
+        return plain_sums(ps, i, [*powers[:d], powers[d] + extra, *powers[d + 1 :]])
 
     monkeypatch.setattr(invariants, "power_coordinates", mutated)
-    monkeypatch.setattr(conftest, "trace_powers", mutated_dense)
+    monkeypatch.setattr(conftest, "group_ring_power_sums", mutated_sums)
     assert_fails_alike(ps, capsys)
 
 
@@ -882,6 +935,37 @@ def test_shifted_power_sums_fail_on_both_paths(monkeypatch, capsys, shift, args)
     # coefficient or the certificate m_i(omega_i) = 0
     ps = validate_parameters(*args)
     plain, plain_dense = invariants.power_sums, conftest.group_ring_power_sums
-    monkeypatch.setattr(invariants, "power_sums", lambda *a: shift(plain(*a)))
+    monkeypatch.setattr(invariants, "power_sums", lambda *a: [shift(s) for s in plain(*a)])
     monkeypatch.setattr(conftest, "group_ring_power_sums", lambda *a: shift(plain_dense(*a)))
     assert_fails_alike(ps, capsys)
+
+
+# -- memory at wide D ------------------------------------------------------------------
+#
+# A child's ru_maxrss starts from the high-water mark of the address space
+# it was spawned from, so the command is spawned by this small interpreter,
+# as tools/bench_ladder.py does: it reaps the command with os.wait4 and
+# prints the command's peak RSS in kB last on stderr.
+SPAWNER = """
+import os, sys
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(usage.ru_maxrss, file=sys.stderr)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+def test_invariants_at_a_wide_d_keeps_one_power_of_f():
+    # (97,3169,3): D = 1 057.  Stored as a D x D basis matrix of big
+    # integers, the powers of f took the command to 188 MB; streamed, it
+    # stays near 20 MB.  The output is the one recorded with the matrix
+    command = "invariants --q 97 --ell 3169 --n 3 --out json".split()
+    proc = subprocess.run(
+        [sys.executable, "-c", SPAWNER, sys.executable, "-m", "cuspcenter", *command],
+        capture_output=True,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()[-1000:]
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "5a8e1ed26af7be4ac094aaf027a60f95030d46b605ff273cf266a41dbfda6324"
+    )
+    assert int(proc.stderr.split()[-1]) < 64 * 1024
