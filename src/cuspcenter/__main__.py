@@ -1,5 +1,5 @@
 import sys
 
-from .cli import run
+from .driver import run
 
 sys.exit(run())

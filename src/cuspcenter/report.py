@@ -30,10 +30,6 @@ from _json import encode_basestring_ascii
 from math import gcd
 
 from .arith import num_den
-from .classes import ClassType, check_census, group_order, make_class_type
-from .cyclotomic import CyclotomicNumber
-from .finitefield import FiniteField, FqPoly
-from .polynomials import Poly
 
 TOOL_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
@@ -245,6 +241,11 @@ def load_census(cache_dir: str, q: int, n: int, field: FiniteField):
     if not os.path.exists(path):
         return None
     import json  # imported here, once a file is there: no other path parses JSON
+
+    # imported here too: the rest of this module names the engine's
+    # types only in annotations, so rendering a report loads no engine
+    from .classes import check_census, group_order, make_class_type
+    from .finitefield import FqPoly
 
     try:
         with open(path, "rb") as fh:

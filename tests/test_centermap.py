@@ -61,7 +61,7 @@ from conftest import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspcenter import centermap, cli, invariants, linalg
+from cuspcenter import centermap, driver, invariants, linalg
 from cuspcenter.arith import ord_frac
 from cuspcenter.characters import cuspidal_dimension
 from cuspcenter.classes import (
@@ -1143,7 +1143,7 @@ def l_singular(ct, ps):
 def cli_failure(capsys, args) -> tuple:
     """The exit code and the error of the endo-ring JSON envelope."""
     q, ell, n = args
-    code = cli.main(["endo-ring", "--q", str(q), "--ell", str(ell), "--n", str(n), "--out", "json"])
+    code = driver.main(["endo-ring", "--q", str(q), "--ell", str(ell), "--n", str(n), "--out", "json"])
     return code, json.loads(capsys.readouterr().out)["artifacts"]["error"]
 
 
@@ -1322,7 +1322,7 @@ def test_classes_ell_groups_the_census_at_17_3(capsys, monkeypatch):
     # one label per class for the artifact, plus one inside each of the
     # 12 class_predicates calls, one per (type key, theta exponent)
     renders, preds = [], []
-    plain_label, plain_preds = ClassType.label, cli.class_predicates
+    plain_label, plain_preds = ClassType.label, class_predicates
 
     def counted_label(ct):
         renders.append(1)
@@ -1333,9 +1333,9 @@ def test_classes_ell_groups_the_census_at_17_3(capsys, monkeypatch):
         return plain_preds(ct, ps)
 
     monkeypatch.setattr(ClassType, "label", counted_label)
-    monkeypatch.setattr(cli, "class_predicates", counted_preds)
+    monkeypatch.setattr("cuspcenter.classes.class_predicates", counted_preds)
     monkeypatch.delenv("CUSPCENTER_CACHE", raising=False)
-    code = cli.main(["classes", "--q", "17", "--n", "2", "--ell", "3", "--out", "json"])
+    code = driver.main(["classes", "--q", "17", "--n", "2", "--ell", "3", "--out", "json"])
     out = capsys.readouterr().out.encode("ascii")
     assert code == 0
     assert len(renders) <= 288 + 12
@@ -1355,7 +1355,7 @@ def test_classes_centralizer_once_per_type_key_at_17_2(capsys, monkeypatch):
 
     monkeypatch.setattr(ClassType, "centralizer_order", counted)
     monkeypatch.delenv("CUSPCENTER_CACHE", raising=False)
-    code = cli.main(["classes", "--q", "17", "--n", "2", "--out", "json"])
+    code = driver.main(["classes", "--q", "17", "--n", "2", "--out", "json"])
     out = json.loads(capsys.readouterr().out)
     assert code == 0
     # GL_2 has four class types: central, non-central unipotent times a
@@ -1369,7 +1369,7 @@ def test_classes_centralizer_once_per_type_key_at_17_2(capsys, monkeypatch):
 def test_classes_centralizer_not_dividing_the_order_raises(capsys, monkeypatch):
     monkeypatch.setattr(ClassType, "centralizer_order", lambda ct: 7)
     monkeypatch.delenv("CUSPCENTER_CACHE", raising=False)
-    code = cli.main(["classes", "--q", "3", "--n", "2", "--out", "json"])
+    code = driver.main(["classes", "--q", "3", "--n", "2", "--out", "json"])
     out = json.loads(capsys.readouterr().out)
     assert code == 1
     error = out["artifacts"]["error"]

@@ -408,21 +408,34 @@ def test_cli_import_loads_every_spanned_module_and_nothing_heavy():
     assert {f"cuspcenter.{name}" for name in SPANNED_MODULES} <= loaded
 
 
-RUN_AND_LIST_NUMERIC_MODULES = f"""
-import sys
-from cuspcenter import cli
-code = cli.main(sys.argv[1:])
-sys.stdout.flush()
-print(code, *sorted(set({NUMERIC_MODULES!r}) & set(sys.modules)), file=sys.stderr)
-"""
+# the engine modules each benchmark command must not load: a command
+# imports only the modules it runs
+OFF_THE_RING_PATH = ("centermap", "characters", "classes", "finitefield", "gl2table", "matrixoracle")
+OFF_THE_PATH = {
+    "deformation": OFF_THE_RING_PATH,
+    "invariants": OFF_THE_RING_PATH,
+    "classes": ("cyclotomic", "invariants", "centermap"),
+    "endo-ring": ("gl2table", "matrixoracle"),
+}
+
+
+def imported_modules(verbose_stderr: str) -> set:
+    """The modules a ``python -v`` process imported, read off its stderr:
+    one line "import 'name' # loader" per module.  (``-X importtime``
+    misses the modules that ``from . import name`` or
+    ``importlib.import_module`` load.)"""
+    return {
+        line.split("'")[1] for line in verbose_stderr.splitlines() if line.startswith("import '")
+    }
 
 
 def test_no_benchmark_command_loads_the_numeric_modules(tmp_path):
     # every endo-ring, deformation, invariants and classes command of
     # perfbench/references.json, in order (the cold census cache before the
-    # warm one), each in a fresh process as the benchmark runs it, with its
-    # stdout pinned.  oracle is exempt: the GL_2 table stays an independent
-    # referee on Fractions (gl2table.delta_from_table imports fractions)
+    # warm one), each in a fresh `python -m cuspcenter` process as the
+    # benchmark runs it, with its stdout pinned.  oracle is exempt: the
+    # GL_2 table stays an independent referee on Fractions
+    # (gl2table.delta_from_table imports fractions)
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
     references = json.loads(path.read_text())
     ran = set()
@@ -433,15 +446,100 @@ def test_no_benchmark_command_loads_the_numeric_modules(tmp_path):
         if argv[0] == "classes":
             argv += ["--cache-dir", str(tmp_path)]
         proc = subprocess.run(
-            [sys.executable, "-S", "-c", RUN_AND_LIST_NUMERIC_MODULES, *argv],
+            [sys.executable, "-S", "-v", "-m", "cuspcenter", *argv],
             capture_output=True,
             env=SRC_ENV,
         )
         assert proc.returncode == 0, proc.stderr[-1000:]
-        assert proc.stderr == b"0\n", (name, proc.stderr)
+        loaded = imported_modules(proc.stderr.decode())
+        assert "cuspcenter.driver" in loaded, name
+        off = {*NUMERIC_MODULES, *(f"cuspcenter.{mod}" for mod in OFF_THE_PATH[argv[0]])}
+        assert not off & loaded, (name, sorted(off & loaded))
         assert hashlib.sha256(proc.stdout).hexdigest() == sha, name
         ran.add(argv[0])
     assert ran == {"endo-ring", "deformation", "invariants", "classes"}
+
+
+# the public names of the package, by the submodule that defines them
+PUBLIC_NAMES = {
+    "centermap": (
+        "BlockVector", "EndoRingResult", "case_analysis", "delta_class",
+        "express_all_in_gamma", "express_in_gamma", "gamma_vector", "lemma_signs_check",
+        "reconstruct_gamma", "reconstruct_scaled_idempotent", "s_membership",
+        "verify_endo_ring",
+    ),
+    "classes": ("ClassType", "enumerate_classes", "group_order"),
+    "cyclotomic": ("CyclotomicNumber", "ell_valuation", "is_ell_integral", "zeta"),
+    "deformation": (
+        "CenterPresentation", "DeformationPoint", "check_relations", "deformation_suite",
+        "emit_center_presentation", "make_point",
+    ),
+    "errors": (
+        "AssertionFailure", "CuspCenterError", "DegenerateBlock", "IntegralityFailure",
+        "InvalidPrime", "NoSolution", "ParameterError", "RelationFailure", "ScaleLimit",
+        "SupercuspidalCase",
+    ),
+    "finitefield": ("FiniteField", "FqPoly", "finite_field"),
+    "invariants": ("InvariantRingData", "invariant_ring", "orbit_structure"),
+    "params": ("ParameterSet", "reduce_parameters", "validate_parameters"),
+    "polynomials": ("Poly",),
+    "report": ("SCHEMA_VERSION", "TOOL_VERSION"),
+}
+
+LAZY_ROOT = f"""
+import sys
+import cuspcenter
+print(*sorted(name for name in sys.modules if name.startswith("cuspcenter.")))
+public = {PUBLIC_NAMES!r}
+assert sorted(cuspcenter.__all__) == sorted(["__version__", *sum(public.values(), ())])
+assert cuspcenter.__version__ is sys.modules["cuspcenter.report"].TOOL_VERSION
+for module, names in public.items():
+    for name in names:
+        assert getattr(cuspcenter, name) is getattr(sys.modules["cuspcenter." + module], name)
+assert cuspcenter.linalg is sys.modules["cuspcenter.linalg"]
+for name in ("no_such_name", "__main__"):
+    try:
+        getattr(cuspcenter, name)
+    except AttributeError as exc:
+        assert str(exc) == f"module 'cuspcenter' has no attribute {{name!r}}"
+    else:
+        raise AssertionError(name)
+print("resolved")
+"""
+
+
+def test_import_cuspcenter_loads_no_submodule_and_resolves_each_public_name():
+    # the package root resolves its names on first access (PEP 562), so
+    # `python -m cuspcenter` loads only the modules of its command
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", LAZY_ROOT], capture_output=True, text=True, env=SRC_ENV
+    )
+    assert proc.returncode == 0, proc.stderr[-1000:]
+    assert proc.stdout == "\nresolved\n"
+
+
+# a command whose engine module cannot be imported
+FAILED_IMPORT = """
+import sys
+sys.modules["cuspcenter.deformation"] = None
+from cuspcenter import driver
+sys.exit(driver.main(["deformation", "--q", "2", "--ell", "7", "--out", "json"]))
+"""
+
+
+def test_an_engine_module_that_fails_to_import_exits_3_with_the_failure_envelope():
+    # each command imports its engine modules inside main's guard
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", FAILED_IMPORT], capture_output=True, text=True, env=SRC_ENV
+    )
+    assert proc.returncode == 3, proc.stderr[-1000:]
+    env = json.loads(proc.stdout)
+    assert (env["command"], env["status"]) == ("deformation", "fail")
+    assert env["artifacts"]["error"] == {
+        "type": "ModuleNotFoundError",
+        "message": "import of cuspcenter.deformation halted; None in sys.modules",
+    }
+    assert proc.stderr.startswith("Traceback")
 
 
 RECORD_TYPES = {
@@ -492,15 +590,14 @@ def test_no_record_instance_has_a_dict():
 def test_a_well_formed_command_never_imports_argparse(capsys):
     argv = ["invariants", "--q", "2", "--ell", "3", "--out", "json"]
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "cuspcenter", *argv],
+        [sys.executable, "-v", "-m", "cuspcenter", *argv],
         capture_output=True,
         text=True,
         env=SRC_ENV,
     )
     assert (proc.returncode, proc.stdout) == run_cli(capsys, *argv), proc.stderr[-1000:]
-    # one stderr line per import: "import time: self | cumulative | <indent>name"
-    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()}
-    assert "cuspcenter.cli" in imported
+    imported = imported_modules(proc.stderr)
+    assert "cuspcenter.driver" in imported and "cuspcenter.cli" not in imported
     assert {"argparse", "gettext", "locale"}.isdisjoint(imported)
 
 
@@ -592,11 +689,14 @@ def test_run_ends_the_process_after_atexit_with_mains_code_and_bytes(capsysbinar
 
 def test_every_command_line_entry_goes_through_run():
     package = SRC / "cuspcenter"
-    assert (package / "__main__.py").read_text().endswith("\nsys.exit(run())\n")
-    guard = (package / "cli.py").read_text().split('\nif __name__ == "__main__":\n')[1]
-    assert guard.strip() == "sys.exit(run())"
+    assert (package / "__main__.py").read_text().endswith(
+        "\nfrom .driver import run\n\nsys.exit(run())\n"
+    )
+    for module in ("driver.py", "cli.py"):  # python -m cuspcenter.driver, and .cli
+        guard = (package / module).read_text().split('\nif __name__ == "__main__":\n')[1]
+        assert guard.strip() == "sys.exit(run())"
     scripts = (SRC.parent / "pyproject.toml").read_text().split("[project.scripts]\n")[1]
-    assert scripts.startswith('cuspcenter = "cuspcenter.cli:run"\n')
+    assert scripts.startswith('cuspcenter = "cuspcenter.driver:run"\n')
 
 
 # python -m cuspcenter with the invariants command replaced by a raise:

@@ -11,7 +11,7 @@ from test_centermap import PINNED_JSON
 from test_golden import CASES as GOLDEN_CASES
 from test_golden import GOLDEN_DIR
 
-from cuspcenter import cli, report
+from cuspcenter import driver, report
 from cuspcenter.classes import check_census, enumerate_classes, make_class_type
 from cuspcenter.errors import AssertionFailure
 from cuspcenter.cyclotomic import CyclotomicNumber, zeta
@@ -154,8 +154,8 @@ COMMANDS = {
 
 @pytest.mark.parametrize("command,golden", COMMANDS.values(), ids=COMMANDS)
 def test_writer_matches_json_dumps_on_every_pinned_envelope(command, golden):
-    args = cli.build_parser().parse_args([*command.split(), "--out", "json"])
-    env = cli._DISPATCH[args.command](args)
+    args = driver.build_parser().parse_args([*command.split(), "--out", "json"])
+    env = driver._DISPATCH[args.command](args)
     blob = to_json_bytes(env)
     assert blob == dumps_referee(env)
     if golden is not None:
@@ -357,7 +357,7 @@ def rewrite_neighbours(tmp_path, monkeypatch, rewrite):
             raised.append(exc)
             raise
 
-    monkeypatch.setattr(report, "check_census", spy)
+    monkeypatch.setattr("cuspcenter.classes.check_census", spy)
     return load_census(cache_dir, 4, 2, field), raised
 
 
@@ -390,6 +390,6 @@ def test_cache_class_with_wrong_degree_total_returns_none(tmp_path, monkeypatch)
             raised.append(exc)
             raise
 
-    monkeypatch.setattr(report, "make_class_type", spy)
+    monkeypatch.setattr("cuspcenter.classes.make_class_type", spy)
     assert load_census(cache_dir, 4, 2, field) is None
     assert len(raised) == 1

@@ -3,7 +3,7 @@
     python3 tools/calltrace.py
 
 Runs a fixed list of command lines (``COMMANDS``) through
-`cuspcenter.cli.main` in this one process, each with `--out json` and
+`cuspcenter.driver.main` in this one process, each with `--out json` and
 with `--out text`, under a `sys.setprofile` hook that records every
 Python frame it sees.  The list covers the benchmark workloads, the
 larger ladder rows, the deformation sweeps, the unreduced twins, the
@@ -98,7 +98,7 @@ def load(path: pathlib.Path):
 def run_commands(cache: str) -> tuple[set, list]:
     """Run every command in both formats under the profile hook; return
     the code objects entered and the (argv, expected, got) mismatches."""
-    from cuspcenter.cli import main
+    from cuspcenter.driver import main
 
     entered = set()
 
