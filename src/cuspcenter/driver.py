@@ -271,7 +271,7 @@ def cmd_classes(args) -> dict:
 
 
 def cmd_oracle(args) -> dict:
-    from . import centermap, gl2table, matrixoracle
+    from . import matrixoracle
     from .classes import enumerate_classes, group_classes
     from .finitefield import finite_field
 
@@ -298,6 +298,8 @@ def cmd_oracle(args) -> dict:
         skipped.append(f"census skipped: {exc}")
 
     if args.n == 2 and args.q * args.q - 1 <= MAX_TABLE_MODULUS:
+        from . import centermap, gl2table
+
         table = gl2table.gl2_character_table(args.q)
         rows = gl2table.verify_row_orthogonality(table)
         cols = gl2table.verify_column_orthogonality(table)

@@ -12,7 +12,8 @@ Values live in Q(zeta_m), m = q^2 - 1, encoded as formal sums of roots
 of unity; equality is decided exactly by reduction modulo the m-th
 cyclotomic polynomial.  The orthogonality checks gather each pair's
 Gram sum on one dense integer list indexed by exponent mod m and reduce
-it once.
+it once, and the delta check compares integer root sums, each side
+cleared of its denominator.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 
-from .arith import divisors
+from .arith import divisors, ratio_str
 from .classes import make_class_type
 from .characters import steinberg_value_raw
 from .errors import AssertionFailure
@@ -148,6 +149,13 @@ class RootSum:
             return "0"
         parts = [f"{c}*z^{e}" for e, c in sorted(self.coeffs.items())]
         return " + ".join(parts)
+
+    def repr_over(self, den: int) -> str:
+        """The repr of self / den for integer coefficients: each one in
+        lowest terms, as a ``Fraction`` prints."""
+        if not self.coeffs:
+            return "0"
+        return " + ".join(f"{ratio_str(c, den)}*z^{e}" for e, c in sorted(self.coeffs.items()))
 
 
 class GL2Class(namedtuple("GL2Class", "label kind ctype size")):
@@ -451,47 +459,44 @@ def block_slot_rows(table: GL2Table, ps: ParameterSet) -> dict:
 
 
 def delta_from_table(table: GL2Table, ps: ParameterSet) -> dict:
-    """Class type -> tuple of RootSum delta entries (one per slot), each
-    |C| * chi(C) / dim computed purely from the table, on ``Fraction``s,
-    independently of the engine's integer rationals."""
-    from fractions import Fraction  # imported here: only the oracle builds the table's deltas
-
+    """Class type -> one pair (|C| * chi(C), dim) per slot, the integer
+    root sum and the denominator of the delta entry |C| * chi(C) / dim,
+    computed purely from the table."""
     rows = block_slot_rows(table, ps)
-    orbits = orbit_structure(ps)
-    out = {}
-    for idx, cls in enumerate(table.classes):
-        entries = []
-        for slot in orbits.reps:
-            ch = table.characters[rows[slot]]
-            entries.append(Fraction(cls.size, ch.dim) * ch.values[idx])
-        out[cls.ctype] = tuple(entries)
-    return out
+    slot_rows = [table.characters[rows[slot]] for slot in orbit_structure(ps).reps]
+    return {
+        cls.ctype: tuple((cls.size * ch.values[idx], ch.dim) for ch in slot_rows)
+        for idx, cls in enumerate(table.classes)
+    }
 
 
-def embed_block_entry(value, modulus: int) -> RootSum:
-    """Image of a Q(zeta_{l^r}) element inside Q(zeta_m), l^r | m."""
+def embed_block_entry(value, modulus: int) -> tuple:
+    """Image of a Q(zeta_{l^r}) element inside Q(zeta_m), l^r | m, as
+    the pair (integer root sum, den) of its numerators and common
+    denominator."""
     lr = value.ell**value.level
     if modulus % lr:
         raise AssertionFailure("no embedding: level does not divide the table modulus")
     step = modulus // lr
-    return RootSum(modulus, {e * step: c for e, c in enumerate(value.coeffs) if c})
+    return RootSum(modulus, {e * step: c for e, c in enumerate(value.nums) if c}), value.den
 
 
 def delta_equivalence_check(table: GL2Table, ps: ParameterSet, formula_deltas: dict) -> int:
     """formula_deltas: class type -> block vector computed by the block
-    engine.  Every entry must agree with the table-derived value."""
+    engine.  Every entry must agree with the table-derived value:
+    |C| chi(C) / dim = nums / den, compared as |C| chi(C) den = dim nums."""
     table_deltas = delta_from_table(table, ps)
     if set(table_deltas) != set(formula_deltas):
         raise AssertionFailure("class inventories disagree between table and engine")
     checked = 0
     for ct, tvals in table_deltas.items():
         fvec = formula_deltas[ct]
-        for slot_idx, tval in enumerate(tvals):
-            fval = embed_block_entry(fvec.entries[slot_idx], table.modulus)
-            if not ((tval - fval).is_zero()):
+        for slot_idx, (tnum, dim) in enumerate(tvals):
+            fnum, den = embed_block_entry(fvec.entries[slot_idx], table.modulus)
+            if not (tnum * den - fnum * dim).is_zero():
                 raise AssertionFailure(
                     f"delta mismatch on {ct.label()} slot {fvec.reps[slot_idx]}",
-                    witness={"table": repr(tval), "engine": repr(fval)},
+                    witness={"table": tnum.repr_over(dim), "engine": fnum.repr_over(den)},
                 )
             checked += 1
     return checked

@@ -12,20 +12,22 @@ keyed in ``MatrixCensus.orbit_of``, as the flat row-major tuple of its
 n^2 entry encodings.  ``FieldTables`` derives F_q's arithmetic on
 encodings once per census from the field's own + and * (log and
 Zech-log tables, so O(q) entries even where q is large); the flat
-matrix product, Leibniz determinant and Gauss-Jordan inverse below work
-through those tables alone.  The orbit loop works on a second encoding:
-a row vector v is the index sum_k v_k q^k, a matrix is the tuple of its
-n row indices, and ``RowVectors`` gives each group element h the table
-``v -> v h`` of q^n entries, built from ``FieldTables`` once per
-census.  Row i of A B is then ``act_B[row_i(A)]``, so a product costs n
-lookups.  None of this shares code with the engine's kernels in
+matrix product below works through those tables alone.  Everything
+else works on a second encoding: a row vector v is the index sum_k v_k
+q^k, a matrix is the tuple of its n row indices, and ``RowVectors``
+gives each group element h the table ``v -> v h`` of q^n entries, built
+from ``FieldTables`` once per census.  Row i of A B is then
+``act_B[row_i(A)]``, so a product costs n lookups, and row i of h^-1 is
+the vector that ``act_h`` sends to e_i.  The group itself is built row
+by row, each row outside the span of the rows already chosen, so the
+census costs O(|G| (q^n + classes)) table lookups, not q^(n^2) n!
+products.  None of this shares code with the engine's kernels in
 ``matrices`` or ``linalg``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from itertools import permutations, product
 
 from .classes import group_order, representative_matrix
 from .errors import AssertionFailure, ScaleLimit
@@ -37,18 +39,14 @@ class FieldTables:
 
     ``exp[i]`` is the encoding of g^i for the first primitive element g
     in encoding order (stored twice over, so exponent sums need no
-    reduction), ``log`` inverts it, ``zech[i]`` is log(1 + g^i) (None
-    where 1 + g^i = 0) and ``neg`` lists -x.  Encoding 0 is zero and 1
-    is one.
+    reduction), ``log`` inverts it and ``zech[i]`` is log(1 + g^i)
+    (None where 1 + g^i = 0).  Encoding 0 is zero and 1 is one.
 
     >>> from cuspcenter.finitefield import finite_field
     >>> t = FieldTables(finite_field(4))     # F_2[u]/(u^2 + u + 1)
-    >>> t.mul(2, 3), t.add(2, 3), t.inv(2)   # u(u+1) = 1, u + (u+1) = 1
-    (1, 1, 3)
-    >>> a = (2, 1, 0, 3)                     # [[u, 1], [0, u+1]]
-    >>> mat_inverse(t, a, 2)
-    (3, 1, 0, 2)
-    >>> mat_mul(t, a, mat_inverse(t, a, 2), 2)
+    >>> t.mul(2, 3), t.add(2, 3)             # u(u+1) = 1, u + (u+1) = 1
+    (1, 1)
+    >>> mat_mul(t, (2, 1, 0, 3), (3, 1, 0, 2), 2)  # [[u, 1], [0, u+1]] times its inverse
     (1, 0, 0, 1)
     """
 
@@ -74,7 +72,6 @@ class FieldTables:
         self.exp = exp + exp
         self.log = log
         self.zech = [log[(field.one + x).encoding] for x in powers]
-        self.neg = [(-x).encoding for x in elements]
 
     def mul(self, x: int, y: int) -> int:
         if x and y:
@@ -89,9 +86,6 @@ class FieldTables:
         lx = self.log[x]
         z = self.zech[(self.log[y] - lx) % self.order]
         return 0 if z is None else self.exp[lx + z]
-
-    def inv(self, x: int) -> int:
-        return self.exp[self.order - self.log[x]]
 
 
 def mat_mul(t: FieldTables, a: tuple, b: tuple, n: int) -> tuple:
@@ -122,9 +116,14 @@ class RowVectors:
     >>> a = vecs.rows((2, 1, 0, 3))          # [[u, 1], [0, u+1]]
     >>> a
     (6, 12)
-    >>> act = vecs.action(vecs.rows(mat_inverse(t, (2, 1, 0, 3), 2)))
-    >>> vecs.flat(tuple(act[r] for r in a))  # row i of a a^-1 is act[row_i(a)]
+    >>> act = vecs.action(a)                 # act[v] = v a
+    >>> a_inv = vecs.inverse(act)
+    >>> vecs.flat(a_inv)
+    (3, 1, 0, 2)
+    >>> vecs.flat(tuple(vecs.action(a_inv)[r] for r in a))  # row i of a a^-1 is act_a^-1[row_i(a)]
     (1, 0, 0, 1)
+    >>> invertible_rows(vecs)[:2]            # rows 0..3 lie in the span of (1, 0)
+    [(4, 1), (5, 1)]
     """
 
     def __init__(self, t: FieldTables, q: int, n: int):
@@ -169,47 +168,29 @@ class RowVectors:
             act = [self.add[m][a] for m in multiples for a in act]
         return act
 
-
-def _signed_permutations(n: int) -> list:
-    out = []
-    for perm in permutations(range(n)):
-        inversions = sum(
-            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
-        )
-        out.append((inversions % 2, perm))
-    return out
+    def inverse(self, act: list) -> tuple:
+        """The row indices of h^-1, read off h's table ``act``: row i is
+        e_i h^-1, the vector that ``act`` sends to e_i = q^i.  ValueError
+        if ``act`` misses some e_i."""
+        return tuple(map(act.index, self.weights))
 
 
-def mat_det(t: FieldTables, a: tuple, signed_perms: list) -> int:
-    """Leibniz determinant; ``signed_perms`` from ``_signed_permutations``."""
-    mul, add, neg = t.mul, t.add, t.neg
-    total = 0
-    for odd, perm in signed_perms:
-        n = len(perm)
-        prod = a[perm[0]]
-        for i in range(1, n):
-            prod = mul(prod, a[i * n + perm[i]])
-        total = add(total, neg[prod] if odd else prod)
-    return total
-
-
-def mat_inverse(t: FieldTables, a: tuple, n: int) -> tuple:
-    """Gauss-Jordan inverse of an invertible flat n x n matrix."""
-    mul, add, neg = t.mul, t.add, t.neg
-    rows = [list(a[i * n : (i + 1) * n]) + [int(i == j) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if rows[i][col]), None)
-        if piv is None:
-            raise AssertionFailure("singular matrix passed the determinant filter")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        scale = t.inv(rows[col][col])
-        rows[col] = [mul(x, scale) for x in rows[col]]
-        for i in range(n):
-            f = rows[i][col]
-            if i != col and f:
-                nf = neg[f]
-                rows[i] = [add(x, mul(nf, y)) for x, y in zip(rows[i], rows[col])]
-    return tuple(x for row in rows for x in row[n:])
+def invertible_rows(vecs: RowVectors) -> list:
+    """GL_n(F_q) as row-index tuples, in the order of the flat encodings
+    read as base-q numbers, entry 0 lowest: the last row is the most
+    significant, and each row runs through its indices in ascending
+    order, skipping those in the span of the rows after it."""
+    indices = range(len(vecs.digits))
+    partial = [((), {0})]  # the rows i+1..n-1 chosen so far, and their span
+    for _ in range(vecs.n - 1):
+        grown = []
+        for rows, span in partial:
+            for r in indices:
+                if r not in span:
+                    multiples = [by_c[r] for by_c in vecs.scale]  # c * r, c in F_q
+                    grown.append(((r, *rows), {vecs.add[m][s] for m in multiples for s in span}))
+        partial = grown
+    return [(r, *rows) for rows, span in partial for r in indices if r not in span]
 
 
 def encode_matrix(rows) -> tuple:
@@ -234,10 +215,7 @@ def matrix_census(field: FiniteField, n: int, max_group_order: int = 1000) -> Ma
         )
     t = FieldTables(field)
     vecs = RowVectors(t, field.order, n)
-    signed_perms = _signed_permutations(n)
-    # entry k of a matrix is digit k (lowest first) of its index in base q
-    candidates = (digits[::-1] for digits in product(range(field.order), repeat=n * n))
-    group = [vecs.rows(g) for g in candidates if mat_det(t, g, signed_perms)]
+    group = invertible_rows(vecs)
     if len(group) != expected_order:
         raise AssertionFailure(
             f"counted {len(group)} invertible matrices, formula says {expected_order}"
@@ -245,20 +223,21 @@ def matrix_census(field: FiniteField, n: int, max_group_order: int = 1000) -> Ma
     identity = tuple(int(i == j) for i in range(n) for j in range(n))
     identity_rows = vecs.rows(identity)
     act = {h: vecs.action(h) for h in group}
+    table_failure = "h * h^-1 is not the identity through the row-action tables"
     pairs = []
     for h, act_h in act.items():
         h_flat = vecs.flat(h)
-        hinv_flat = mat_inverse(t, h_flat, n)
-        if mat_mul(t, h_flat, hinv_flat, n) != identity:
+        try:
+            hinv = vecs.inverse(act_h)
+        except ValueError:  # act_h is no bijection
+            raise AssertionFailure(table_failure, witness=list(h_flat)) from None
+        if mat_mul(t, h_flat, vecs.flat(hinv), n) != identity:
             raise AssertionFailure(
                 "h * h^-1 is not the identity in brute-force census", witness=list(h_flat)
             )
-        act_hinv = act.get(vecs.rows(hinv_flat))
+        act_hinv = act.get(hinv)
         if act_hinv is None or tuple(act_hinv[r] for r in h) != identity_rows:
-            raise AssertionFailure(
-                "h * h^-1 is not the identity through the row-action tables",
-                witness=list(h_flat),
-            )
+            raise AssertionFailure(table_failure, witness=list(h_flat))
         pairs.append((h, act_h, act_hinv))
     orbit_rows: dict = {}
     sizes = []

@@ -416,7 +416,11 @@ OFF_THE_PATH = {
     "invariants": OFF_THE_RING_PATH,
     "classes": ("cyclotomic", "invariants", "centermap"),
     "endo-ring": ("gl2table", "matrixoracle"),
+    "oracle": (),
 }
+# the lines whose path is narrower than their command's: an oracle with
+# n != 2 builds no GL_2 table and no delta vectors
+OFF_THE_LINE = {"oracle --q 2 --n 3 --ell 7": ("centermap", "gl2table")}
 
 
 def imported_modules(verbose_stderr: str) -> set:
@@ -430,19 +434,15 @@ def imported_modules(verbose_stderr: str) -> set:
 
 
 def test_no_benchmark_command_loads_the_numeric_modules(tmp_path):
-    # every endo-ring, deformation, invariants and classes command of
-    # perfbench/references.json, in order (the cold census cache before the
-    # warm one), each in a fresh `python -m cuspcenter` process as the
-    # benchmark runs it, with its stdout pinned.  oracle is exempt: the
-    # GL_2 table stays an independent referee on Fractions
-    # (gl2table.delta_from_table imports fractions)
+    # every command of perfbench/references.json, in order (the cold
+    # census cache before the warm one), each in a fresh `python -m
+    # cuspcenter` process as the benchmark runs it, with its stdout pinned
     path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "references.json"
     references = json.loads(path.read_text())
     ran = set()
     for name, sha in sorted(references.items()):
-        argv = name.split(" (")[0].split() + ["--out", "json"]
-        if argv[0] == "oracle":
-            continue
+        line = name.split(" (")[0]
+        argv = line.split() + ["--out", "json"]
         if argv[0] == "classes":
             argv += ["--cache-dir", str(tmp_path)]
         proc = subprocess.run(
@@ -453,11 +453,13 @@ def test_no_benchmark_command_loads_the_numeric_modules(tmp_path):
         assert proc.returncode == 0, proc.stderr[-1000:]
         loaded = imported_modules(proc.stderr.decode())
         assert "cuspcenter.driver" in loaded, name
-        off = {*NUMERIC_MODULES, *(f"cuspcenter.{mod}" for mod in OFF_THE_PATH[argv[0]])}
+        off_path = OFF_THE_PATH[argv[0]] + OFF_THE_LINE.get(line, ())
+        off = {*NUMERIC_MODULES, *(f"cuspcenter.{mod}" for mod in off_path)}
         assert not off & loaded, (name, sorted(off & loaded))
         assert hashlib.sha256(proc.stdout).hexdigest() == sha, name
         ran.add(argv[0])
-    assert ran == {"endo-ring", "deformation", "invariants", "classes"}
+    assert ran == set(OFF_THE_PATH)
+    assert set(OFF_THE_LINE) <= {name.split(" (")[0] for name in references}
 
 
 # the public names of the package, by the submodule that defines them

@@ -7,9 +7,13 @@ computes.
 The census itself runs on integer encodings through ``FieldTables`` and
 the row-action tables of ``RowVectors``.  Its referee here is the plain
 census over ``FFElement`` matrices with generic product, Leibniz
-determinant and Gaussian inverse."""
+determinant and Gaussian inverse.  The census builds the group row by
+row, outside the span of the rows already chosen, and reads each
+inverse off the row-action tables; the encoded paths they replaced, all
+q^(n^2) candidates filtered by a Leibniz determinant and a Gauss-Jordan
+inverse through ``FieldTables``, are their referees."""
 
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -23,7 +27,7 @@ from cuspcenter.matrixoracle import (
     RowVectors,
     census_cross_check,
     encode_matrix,
-    mat_inverse,
+    invertible_rows,
     mat_mul as enc_mat_mul,
     matrix_census,
 )
@@ -94,6 +98,86 @@ def referee_census(field, n):
     return tuple(sizes), tuple(centralizers), orbit_of
 
 
+# ---------------------------------------------------------------------------
+# referee: the group and the inverses on encodings, by determinant and
+# Gauss-Jordan elimination through FieldTables
+# ---------------------------------------------------------------------------
+
+
+def _neg(t, x):
+    return next(y for y in range(len(t.log)) if t.add(x, y) == 0)
+
+
+def _inv(t, x):
+    return t.exp[t.order - t.log[x]]
+
+
+def _signed_permutations(n):
+    out = []
+    for perm in permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        out.append((inversions % 2, perm))
+    return out
+
+
+def referee_det(t, a, signed_perms):
+    """Leibniz determinant of a flat matrix of encodings."""
+    total = 0
+    for odd, perm in signed_perms:
+        n = len(perm)
+        prod = a[perm[0]]
+        for i in range(1, n):
+            prod = t.mul(prod, a[i * n + perm[i]])
+        total = t.add(total, _neg(t, prod) if odd else prod)
+    return total
+
+
+def referee_inverse(t, a, n):
+    """Gauss-Jordan inverse of an invertible flat n x n matrix of encodings."""
+    rows = [list(a[i * n : (i + 1) * n]) + [int(i == j) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if rows[i][col])
+        rows[col], rows[piv] = rows[piv], rows[col]
+        scale = _inv(t, rows[col][col])
+        rows[col] = [t.mul(x, scale) for x in rows[col]]
+        for i in range(n):
+            f = rows[i][col]
+            if i != col and f:
+                nf = _neg(t, f)
+                rows[i] = [t.add(x, t.mul(nf, y)) for x, y in zip(rows[i], rows[col])]
+    return tuple(x for row in rows for x in row[n:])
+
+
+def referee_group(t, vecs, q, n):
+    """Every q^(n^2) candidate in encoding order (entry k is digit k,
+    lowest first, of its index in base q), kept where its determinant is
+    nonzero."""
+    signed_perms = _signed_permutations(n)
+    candidates = (digits[::-1] for digits in product(range(q), repeat=n * n))
+    return [vecs.rows(g) for g in candidates if referee_det(t, g, signed_perms)]
+
+
+GROUPS_AND_UNITS = [(q, n) for q, n, _, _ in GROUPS] + [(7, 1)]
+
+
+@pytest.mark.parametrize("q,n", GROUPS_AND_UNITS)
+def test_row_spans_list_the_referee_group_in_order(q, n):
+    t = FieldTables(finite_field(q))
+    vecs = RowVectors(t, q, n)
+    group = invertible_rows(vecs)
+    assert group == referee_group(t, vecs, q, n)
+    assert len(group) == group_order(q, n)
+
+
+@pytest.mark.parametrize("q,n", GROUPS_AND_UNITS)
+def test_inverses_read_off_the_tables_match_the_referee(q, n):
+    t = FieldTables(finite_field(q))
+    vecs = RowVectors(t, q, n)
+    for h in invertible_rows(vecs):
+        hinv = vecs.inverse(vecs.action(h))
+        assert vecs.flat(hinv) == referee_inverse(t, vecs.flat(h), n)
+
+
 @pytest.mark.parametrize("q,n", [(q, n) for q, n, _, _ in GROUPS] + [(101, 1)])
 def test_census_matches_referee(q, n):
     field = finite_field(q)
@@ -109,9 +193,9 @@ def test_tables_reproduce_field_arithmetic(q):
     field = finite_field(q)
     t = FieldTables(field)
     for x in field.elements():
-        assert t.neg[x.encoding] == (-x).encoding
+        assert _neg(t, x.encoding) == (-x).encoding
         if x:
-            assert t.inv(x.encoding) == x.inverse().encoding
+            assert _inv(t, x.encoding) == x.inverse().encoding
         for y in field.elements():
             assert t.add(x.encoding, y.encoding) == (x + y).encoding
             assert t.mul(x.encoding, y.encoding) == (x * y).encoding
@@ -155,12 +239,14 @@ def test_corrupted_mul_table_entry_is_caught(monkeypatch):
 
 
 def test_corrupted_inverse_is_caught(monkeypatch):
-    def corrupt_inverse(t, a, n):
-        inv = mat_inverse(t, a, n)
-        # the two elements of order 3 get themselves as inverse
-        return a if enc_mat_mul(t, a, a, n) == inv else inv
+    class CorruptRowVectors(RowVectors):
+        def inverse(self, act):
+            inv = super().inverse(act)
+            h = super().inverse(self.action(inv))
+            # the two elements of order 3 get themselves as inverse
+            return h if tuple(act[r] for r in h) == inv else inv
 
-    monkeypatch.setattr(matrixoracle, "mat_inverse", corrupt_inverse)
+    monkeypatch.setattr(matrixoracle, "RowVectors", CorruptRowVectors)
     with pytest.raises(AssertionFailure, match=r"h \* h\^-1"):
         matrix_census(finite_field(2), 2)
 

@@ -4,7 +4,7 @@ BENCH file.
 
     python3 tools/bench_ladder.py --parent SRC --change SRC --out BENCH.json \
         [--command deformation|endo-ring|invariants|classes|oracle] \
-        [--rows q,ell[,n[,d]] ...]
+        [--rows q,ell[,n[,d]] ...] [--max-group-order N]
 
 Each row runs `python -m cuspcenter COMMAND --q Q --ell L [--n N]
 [--d D] --out json` with `PYTHONPATH=SRC`, one fresh process per run,
@@ -25,8 +25,10 @@ mark), the exit code and the sha256 of stdout.
 Each row also records `ratio_median`, the median over the pairs of
 change / parent wall time.  The command defaults to `deformation`;
 every command has a default ladder, and the `endo-ring`, `classes` and
-`oracle` rows give the n (q,ell,n).  The script
-exits 1 when the two columns of a row disagree on the sha256 (or a
+`oracle` rows give the n (q,ell,n).  `--max-group-order N` is passed
+on to `oracle`, whose census refuses groups over 1000 elements by
+default, and its rows are keyed `q,ell,n --max-group-order N`.  The
+script exits 1 when the two columns of a row disagree on the sha256 (or a
 side's runs disagree among themselves).  This is a measurement script,
 not a test.
 """
@@ -93,11 +95,11 @@ def run_once(src: str, argv: list) -> tuple:
     return wall, maxrss_kb / 1024, proc.returncode, digest.hexdigest()
 
 
-def time_row(srcs: dict, command: str, row: str) -> dict:
+def time_row(srcs: dict, command: str, row: str, extra: tuple = ()) -> dict:
     argv = [sys.executable, "-m", "cuspcenter", command]
     for flag, value in zip(FLAGS, row.split(",")):
         argv += [flag, value]
-    argv += ["--out", "json"]
+    argv += [*extra, "--out", "json"]
     runs = {side: [] for side in SIDES}
     for pair in range(PAIRS):
         for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
@@ -129,18 +131,24 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="BENCH JSON file to write")
     parser.add_argument("--command", choices=COMMANDS, default="deformation")
     parser.add_argument("--rows", nargs="+", help="q,ell[,n[,d]] per row")
+    parser.add_argument("--max-group-order", type=int, help="oracle's census bound")
     args = parser.parse_args(argv)
     rows = args.rows or DEFAULT_ROWS[args.command]
+    extra = ()
+    if args.max_group_order is not None:
+        if args.command != "oracle":
+            parser.error("--max-group-order applies to --command oracle only")
+        extra = ("--max-group-order", str(args.max_group_order))
     with tempfile.TemporaryDirectory() as tmp:
         srcs = {}
         for side, src in (("parent", args.parent), ("change", args.change)):
             srcs[side] = os.path.join(tmp, side, "src")
             shutil.copytree(src, srcs[side], ignore=shutil.ignore_patterns("__pycache__"))
             compileall.compile_dir(srcs[side], quiet=1)  # before any timing
-        return run_ladder(srcs, args.command, rows, args.out)
+        return run_ladder(srcs, args.command, rows, args.out, extra)
 
 
-def run_ladder(srcs: dict, command: str, rows, out: str) -> int:
+def run_ladder(srcs: dict, command: str, rows, out: str, extra: tuple = ()) -> int:
     bench = {
         "command": f"{command} --out json",
         "host": {
@@ -151,9 +159,10 @@ def run_ladder(srcs: dict, command: str, rows, out: str) -> int:
         "rows": {},
     }
     for row in rows:
-        cell = bench["rows"][row] = time_row(srcs, command, row)
+        key = " ".join([row, *extra])
+        cell = bench["rows"][key] = time_row(srcs, command, row, extra)
         print(
-            f"{row:>10} parent {cell['parent']['median_s']:.3f} s "
+            f"{key:>10} parent {cell['parent']['median_s']:.3f} s "
             f"{max(cell['parent']['peak_rss_mb']):.0f} MB, change "
             f"{cell['change']['median_s']:.3f} s {max(cell['change']['peak_rss_mb']):.0f} MB, "
             f"ratio {cell['ratio_median']:.3f}",
